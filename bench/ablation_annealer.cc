@@ -45,7 +45,7 @@ void ChainStrengthSweep() {
     config.embed_qubo.chain_strength_multiplier = multiplier;
     config.seed = 41;
     bench::ObsSession::Get().Apply(config);
-    config.run.parallelism = bench::Parallelism();
+    config.run.pool = bench::Pool();
     auto report = OptimizeJoinOrder(*query, config);
     if (!report.ok()) {
       std::printf("%12.2f | failed: %s\n", multiplier,
@@ -152,9 +152,9 @@ void BatchThroughput() {
   config.sqa.num_reads = reads;
   config.seed = 43;
   bench::ObsSession::Get().Apply(config);
-  const int parallelism = bench::Parallelism();
+  config.run.pool = bench::Pool();
   const auto start = std::chrono::steady_clock::now();
-  const auto reports = OptimizeJoinOrderBatch(queries, config, parallelism);
+  const auto reports = OptimizeJoinOrderBatch(queries, config);
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -168,7 +168,7 @@ void BatchThroughput() {
               "(one pool of %d threads shared across queries and reads)\n",
               completed, queries.size(), reads, elapsed,
               elapsed > 0.0 ? static_cast<double>(total_reads) / elapsed : 0.0,
-              parallelism);
+              bench::Parallelism());
 }
 
 void Run() {

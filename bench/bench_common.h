@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "obs/obs.h"
+#include "util/thread_pool.h"
 
 namespace qjo::bench {
 
@@ -29,7 +30,7 @@ inline int Scaled(int base, int min_value = 1) {
   return value < min_value ? min_value : value;
 }
 
-/// Threads for the parallel read loops (SA / SQA), set via the
+/// Size of the bench's thread pool (see Pool()), set via the
 /// QJO_BENCH_PARALLELISM environment variable; default = all hardware
 /// threads. Results are bit-identical for every value — only reads/sec
 /// changes — so benches report the value they ran with.
@@ -44,6 +45,13 @@ inline int Parallelism() {
     return hw > 0 ? static_cast<int>(hw) : 1;
   }();
   return parallelism;
+}
+
+/// The one thread pool of Parallelism() threads every parallel read loop
+/// of a bench runs on (solvers never create threads of their own).
+inline ThreadPool* Pool() {
+  static ThreadPool pool(Parallelism());
+  return &pool;
 }
 
 /// Section banner mirroring the paper artefact being reproduced. Also

@@ -87,7 +87,6 @@ int RunSuite() {
       QuboBuildCache cache(256);
       DecompOptions options;
       options.run.deadline_ms = deadline_ms;
-      options.run.parallelism = parallelism;
       options.run.pool = &pool;
       options.cache = &cache;
       options.run.trace = bench::ObsSession::Get().trace();

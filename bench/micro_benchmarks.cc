@@ -144,32 +144,34 @@ void BM_SqaRead(benchmark::State& state) {
 }
 BENCHMARK(BM_SqaRead)->Arg(32)->Arg(128)->Arg(512);
 
-// --- Parallel solver runtime: reads/sec across parallelism levels. ---
-// Every variant first checks that its sorted energies are bit-identical
-// to the serial run — the determinism contract of the runtime — and
-// fails the benchmark if not.
+// --- Parallel solver runtime: reads/sec across pool sizes. ---
+// Each variant builds its pool once, outside the timed loop. Every
+// variant first checks that its sorted energies are bit-identical to the
+// serial run — the determinism contract of the runtime — and fails the
+// benchmark if not.
 
-SaOptions MakeSaReadOptions(int parallelism) {
+SaOptions MakeSaReadOptions(ThreadPool* pool) {
   SaOptions options;
   options.num_reads = 1000;
   options.sweeps_per_read = 64;
-  options.control.parallelism = parallelism;
+  options.control.pool = pool;
   return options;
 }
 
 void BM_SaReads(benchmark::State& state) {
-  const int parallelism = static_cast<int>(state.range(0));
+  ThreadPool pool(static_cast<int>(state.range(0)));
   const Qubo qubo = MakeRandomQubo(64, 0.2, 11);
   static const std::vector<double> kSerialEnergies = [] {
     const Qubo reference_qubo = MakeRandomQubo(64, 0.2, 11);
     Rng rng(21);
     const auto reads =
-        SolveQuboSimulatedAnnealing(reference_qubo, MakeSaReadOptions(1), rng);
+        SolveQuboSimulatedAnnealing(reference_qubo, MakeSaReadOptions(nullptr),
+                                    rng);
     std::vector<double> energies;
     for (const auto& read : reads) energies.push_back(read.energy);
     return energies;
   }();
-  const SaOptions options = MakeSaReadOptions(parallelism);
+  const SaOptions options = MakeSaReadOptions(&pool);
   {
     Rng rng(21);
     const auto reads = SolveQuboSimulatedAnnealing(qubo, options, rng);
@@ -190,12 +192,12 @@ void BM_SaReads(benchmark::State& state) {
 BENCHMARK(BM_SaReads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_TabuRestarts(benchmark::State& state) {
-  const int parallelism = static_cast<int>(state.range(0));
+  ThreadPool pool(static_cast<int>(state.range(0)));
   const Qubo qubo = MakeRandomQubo(64, 0.2, 13);
   TabuOptions options;
   options.num_restarts = 64;
   options.iterations_per_restart = 400;
-  options.control.parallelism = parallelism;
+  options.control.pool = &pool;
   for (auto _ : state) {
     Rng rng(23);
     auto restarts = SolveQuboTabuSearch(qubo, options, rng);
@@ -206,7 +208,7 @@ void BM_TabuRestarts(benchmark::State& state) {
 BENCHMARK(BM_TabuRestarts)->Arg(1)->Arg(8)->UseRealTime();
 
 void BM_SqaReadsParallel(benchmark::State& state) {
-  const int parallelism = static_cast<int>(state.range(0));
+  ThreadPool pool(static_cast<int>(state.range(0)));
   const IsingModel ising = QuboToIsing(MakeRandomQubo(96, 0.15, 17));
   SqaOptions options;
   options.num_reads = 64;
@@ -214,7 +216,7 @@ void BM_SqaReadsParallel(benchmark::State& state) {
   options.sweeps_per_us = 3.0;
   options.trotter_slices = 8;
   options.ice_sigma = 0.015;
-  options.control.parallelism = parallelism;
+  options.control.pool = &pool;
   for (auto _ : state) {
     Rng rng(27);
     auto samples = RunSqa(ising, options, rng);
@@ -225,7 +227,7 @@ void BM_SqaReadsParallel(benchmark::State& state) {
 BENCHMARK(BM_SqaReadsParallel)->Arg(1)->Arg(8)->UseRealTime();
 
 void BM_JoinOrderBatch(benchmark::State& state) {
-  const int parallelism = static_cast<int>(state.range(0));
+  ThreadPool pool(static_cast<int>(state.range(0)));
   std::vector<Query> queries;
   for (int q = 0; q < 8; ++q) {
     Rng gen_rng(700 + q);
@@ -241,9 +243,10 @@ void BM_JoinOrderBatch(benchmark::State& state) {
   config.backend = QjoBackend::kSimulatedAnnealing;
   config.shots = 512;
   config.seed = 29;
+  config.run.pool = &pool;
   bench::ObsSession::Get().Apply(config);
   for (auto _ : state) {
-    auto reports = OptimizeJoinOrderBatch(queries, config, parallelism);
+    auto reports = OptimizeJoinOrderBatch(queries, config);
     benchmark::DoNotOptimize(reports);
   }
   state.SetItemsProcessed(state.iterations() * queries.size());
@@ -487,7 +490,6 @@ int RunKernelBenchSuite() {
             SaOptions options;
             options.num_reads = reads;
             options.sweeps_per_read = fast ? 32 : 64;
-            options.control.parallelism = threads;
             if (threads > 1) options.control.pool = &pool;
             Rng rng(61);
             sink += SolveQuboSimulatedAnnealing(qubo, options, rng)

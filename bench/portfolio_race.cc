@@ -118,7 +118,6 @@ int RunSuite() {
       SaOptions options;
       options.num_reads = solo_reads;
       options.sweeps_per_read = sweeps_per_round;
-      options.control.parallelism = parallelism;
       options.control.pool = &pool;
       bench::ObsSession::Get().Apply(options.control);
       Rng rng(301 + inst);
@@ -132,7 +131,6 @@ int RunSuite() {
       TabuOptions options;
       options.num_restarts = solo_reads;
       options.iterations_per_restart = sweeps_per_round;
-      options.control.parallelism = parallelism;
       options.control.pool = &pool;
       bench::ObsSession::Get().Apply(options.control);
       Rng rng(401 + inst);
@@ -148,7 +146,6 @@ int RunSuite() {
       options.num_reads = solo_reads;
       options.annealing_time_us = sweeps_per_round;
       options.sweeps_per_us = 1.0;
-      options.control.parallelism = parallelism;
       options.control.pool = &pool;
       bench::ObsSession::Get().Apply(options.control);
       Rng rng(501 + inst);
@@ -183,7 +180,6 @@ int RunSuite() {
     options.sweep_budget = 0;  // the deadline is the only bound
     options.reads_per_round = reads_per_round;
     options.sweeps_per_round = sweeps_per_round;
-    options.run.parallelism = parallelism;
     options.run.pool = &pool;
     bench::ObsSession::Get().Apply(options);
     Rng rng(601 + inst);
@@ -315,7 +311,8 @@ int RunAdaptiveSuite() {
   QjoConfig base;
   base.backend = QjoBackend::kPortfolio;
   base.portfolio.sweep_budget = fast ? 512 : 2048;  // pure sweep-budget mode
-  base.run.parallelism = parallelism;
+  ThreadPool pool(parallelism);
+  base.run.pool = &pool;
 
   // Training: eight recorded races per query crosses the selector's
   // min_bucket_trials bar for every bucket in the workload.
@@ -326,8 +323,8 @@ int RunAdaptiveSuite() {
     for (const Query& query : workload) {
       QjoConfig config = base;
       config.seed = 100 + rep;
-      config.adaptive = true;
-      config.strand_records = &records;
+      config.portfolio.adaptive.enabled = true;
+      config.portfolio.adaptive.records = &records;
       const auto report = OptimizeJoinOrder(query, config);
       if (!report.ok()) {
         std::cerr << "adaptive training run failed: "
@@ -372,8 +369,8 @@ int RunAdaptiveSuite() {
 
       QjoConfig adaptive = base;
       adaptive.seed = seed;
-      adaptive.adaptive = true;
-      adaptive.strand_records = &records;
+      adaptive.portfolio.adaptive.enabled = true;
+      adaptive.portfolio.adaptive.records = &records;
       adaptive.portfolio.adaptive.record = false;  // frozen snapshot replay
       const auto adaptive_report = OptimizeJoinOrder(workload[i], adaptive);
       if (!fixed_report.ok() || !adaptive_report.ok()) {

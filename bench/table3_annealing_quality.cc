@@ -107,7 +107,7 @@ void Run() {
           // the Monte-Carlo cost.
           sqa.sweeps_per_us = 3.0;
           sqa.trotter_slices = 8;
-          sqa.control.parallelism = parallelism;
+          sqa.control.pool = bench::Pool();
           bench::ObsSession::Get().Apply(sqa.control);
           const auto sqa_start = std::chrono::steady_clock::now();
           auto sqa_reads = RunSqa(physical_ising, sqa, rng);

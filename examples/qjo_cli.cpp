@@ -107,8 +107,10 @@ void PrintHelp() {
       "  --omega W         discretisation precision (default 1.0)\n"
       "  --shots S         samples/reads for stochastic backends\n"
       "  --seed X          RNG seed (default 42)\n"
-      "  --parallelism T   threads for the sa/annealer read loops\n"
-      "                    (default 1; results are identical for any T)\n"
+      "  --parallelism T   size of the one thread pool every backend's\n"
+      "                    read loops, amplitude loops and portfolio\n"
+      "                    strands run on (default 1 = serial; results\n"
+      "                    are identical for any T)\n"
       "  --kernel K        solver inner loop: reference|incremental|batched\n"
       "                    (default batched — SoA replica groups in SIMD\n"
       "                    lanes, bit-identical to incremental; the SIMD\n"
@@ -176,7 +178,6 @@ int RunServe(const CliArgs& args) {
   config.sqa.num_reads = args.shots;
   config.noiseless = args.noiseless;
   config.seed = args.seed;
-  config.run.parallelism = args.parallelism;
   config.solver_kernel = args.kernel;
   config.portfolio.run.deadline_ms = args.deadline_ms;
   config.portfolio.sweep_budget = args.sweep_budget;
@@ -184,7 +185,7 @@ int RunServe(const CliArgs& args) {
   std::optional<TraceRecorder> trace;
   std::optional<MetricsRegistry> metrics;
 
-  ThreadPool pool(std::max(1, args.parallelism));
+  ThreadPool pool(args.parallelism);
   ServeOptions options;
   options.workers = args.serve_workers;
   options.queue_capacity = args.serve_queue_cap;
@@ -342,10 +343,11 @@ int RunCli(const CliArgs& args) {
   config.sqa.num_reads = args.shots;
   config.noiseless = args.noiseless;
   config.seed = args.seed;
-  config.run.parallelism = args.parallelism;
   config.solver_kernel = args.kernel;
   config.portfolio.run.deadline_ms = args.deadline_ms;
   config.portfolio.sweep_budget = args.sweep_budget;
+  ThreadPool pool(args.parallelism);
+  config.run.pool = &pool;
   if (args.decomp) {
     config.backend = QjoBackend::kPortfolio;
     config.portfolio.min_decomp_relations = 2;
@@ -359,8 +361,8 @@ int RunCli(const CliArgs& args) {
   // persisted back on success so later invocations inherit the learning.
   RunRecordStore strand_records;
   if (args.adaptive || !args.strand_records_file.empty()) {
-    config.adaptive = args.adaptive;
-    config.strand_records = &strand_records;
+    config.portfolio.adaptive.enabled = args.adaptive;
+    config.portfolio.adaptive.records = &strand_records;
     if (!args.strand_records_file.empty()) {
       (void)strand_records.LoadRecords(args.strand_records_file);
     }
@@ -401,7 +403,8 @@ int RunCli(const CliArgs& args) {
   if (report->found_valid) {
     std::printf("join order: %s\n", report->best_order.ToString(*query).c_str());
   }
-  if (config.strand_records != nullptr && !args.strand_records_file.empty()) {
+  if (config.portfolio.adaptive.records != nullptr &&
+      !args.strand_records_file.empty()) {
     const Status saved =
         strand_records.SaveRecords(args.strand_records_file);
     if (saved.ok()) {

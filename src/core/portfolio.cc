@@ -80,7 +80,6 @@ void AbsorbSample(const PortfolioOptions& options, Clock::time_point start,
 /// Shared SolverControl wiring of the sweep-strand bodies.
 SolverControl StrandControl(const StrandRunEnv& env) {
   SolverControl control;
-  control.parallelism = env.options->run.parallelism;
   control.pool = env.pool;
   control.stop = env.stop;
   control.trace = env.options->run.trace;
@@ -415,12 +414,7 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
     return result;
   }
 
-  std::optional<ThreadPool> local_pool;
-  ThreadPool* pool = options.run.pool;
-  if (pool == nullptr && options.run.parallelism > 1) {
-    local_pool.emplace(options.run.parallelism);
-    pool = &*local_pool;
-  }
+  ThreadPool* const pool = options.run.pool;  // null = serial
 
   std::atomic<bool> stop{false};
   // Early exit (lower-bound hit, exact strand finished) only cancels the
@@ -627,7 +621,6 @@ StatusOr<PortfolioReport> RunJoPortfolio(const Query& query,
       local.solver_kernel = options.solver_kernel;
       local.run.stop = stop;
       local.run.pool = pool;
-      local.run.parallelism = options.run.parallelism;
       local.run.trace = options.run.trace;
       local.run.metrics = options.run.metrics;
       // In deadline mode the race budget caps the loop directly (the

@@ -191,7 +191,7 @@ class StrandRegistry {
 /// entry validation (ValidatePortfolioOptions); no strand ever performs
 /// its own ad-hoc budget checks.
 struct PortfolioOptions {
-  /// Deadline, threads/pool, cancel token and observability sinks shared
+  /// Deadline, pool, cancel token and observability sinks shared
   /// with the other orchestration layers (see util/run_context.h for the
   /// per-field contracts). `run.deadline_ms` keeps the historical race
   /// semantics: > 0 wall-clock budget, 0 = skip the race entirely (the
@@ -242,7 +242,7 @@ struct PortfolioOptions {
   /// its incremental kernel). kBatched is bit-identical to kIncremental.
   SolverKernel solver_kernel = SolverKernel::kBatched;
   /// Template for the SQA strand (trotter slices, temperatures, ICE
-  /// noise). num_reads, the sweep schedule, parallelism/pool/stop are
+  /// noise). num_reads, the sweep schedule, pool/stop are
   /// overridden per round.
   SqaOptions sqa;
 

@@ -196,7 +196,6 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
       SaOptions sa;
       sa.num_reads = std::max(1, config.shots / 8);
       sa.kernel = config.solver_kernel;
-      sa.control.parallelism = config.run.parallelism;
       sa.control.pool = config.run.pool;
       sa.control.stop = config.run.stop;
       sa.control.trace = config.run.trace;
@@ -218,16 +217,10 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
       }
       const IsingModel ising = QuboToIsing(encoding.qubo);
       QJO_ASSIGN_OR_RETURN(QaoaSimulator sim, QaoaSimulator::Create(ising));
-      // The 2^n amplitude loops run blocked on the shared pool (or a
-      // transient one); chunking is thread-count-independent, so the
-      // report does not depend on the parallelism setting.
-      std::optional<ThreadPool> sim_pool;
-      ThreadPool* pool = config.run.pool;
-      if (pool == nullptr && config.run.parallelism > 1) {
-        sim_pool.emplace(config.run.parallelism);
-        pool = &*sim_pool;
-      }
-      sim.set_pool(pool);
+      // The 2^n amplitude loops run blocked on the shared pool (serial
+      // without one); chunking is thread-count-independent, so the report
+      // does not depend on the pool size.
+      sim.set_pool(config.run.pool);
       sim.set_metrics(config.run.metrics);
       QaoaAngles angles;
       {
@@ -244,7 +237,7 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
         // sweep over a gamma-major qaoa_grid^2 grid in [0.5, 1.5] x the
         // analytic values. Gamma-major order maximises phase-table reuse
         // inside EvaluateBatch; the argmin takes the lowest index on
-        // ties, so the result is parallelism-independent.
+        // ties, so the result is independent of the pool size.
         const int g = config.qaoa_grid;
         std::vector<QaoaParameters> grid;
         grid.reserve(static_cast<size_t>(g) * g);
@@ -338,9 +331,6 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
       const IsingModel physical_ising = QuboToIsing(embedded->physical);
       SqaOptions sqa = config.sqa;
       sqa.kernel = config.solver_kernel;
-      if (sqa.control.parallelism <= 1) {
-        sqa.control.parallelism = config.run.parallelism;
-      }
       if (sqa.control.pool == nullptr) sqa.control.pool = config.run.pool;
       if (sqa.control.stop == nullptr) sqa.control.stop = config.run.stop;
       sqa.control.trace = config.run.trace;
@@ -363,9 +353,6 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
     case QjoBackend::kPortfolio: {
       PortfolioOptions race = config.portfolio;
       race.solver_kernel = config.solver_kernel;
-      if (race.run.parallelism <= 1) {
-        race.run.parallelism = config.run.parallelism;
-      }
       if (race.run.pool == nullptr) race.run.pool = config.run.pool;
       if (race.run.stop == nullptr) race.run.stop = config.run.stop;
       if (race.run.trace == nullptr) race.run.trace = config.run.trace;
@@ -374,12 +361,6 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
       // its own.
       if (race.run.deadline_ms < 0.0 && config.run.deadline_ms >= 0.0) {
         race.run.deadline_ms = config.run.deadline_ms;
-      }
-      // Adaptive strand selection: the config-level switches are sugar
-      // for the portfolio's own adaptive block.
-      if (config.adaptive) race.adaptive.enabled = true;
-      if (race.adaptive.records == nullptr) {
-        race.adaptive.records = config.strand_records;
       }
       // The decomposition strand re-encodes window subqueries constantly;
       // the pipeline's shared build cache absorbs the repeats.
@@ -438,27 +419,17 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
 }
 
 std::vector<StatusOr<QjoReport>> OptimizeJoinOrderBatch(
-    std::span<const Query> queries, const QjoConfig& config,
-    int parallelism) {
+    std::span<const Query> queries, const QjoConfig& config) {
   std::vector<StatusOr<QjoReport>> reports(
       queries.size(), Status::Internal("batch slot not executed"));
   if (queries.empty()) return reports;
 
-  std::optional<ThreadPool> owned_pool;
-  ThreadPool* pool = config.run.pool;
-  if (pool == nullptr && parallelism > 1) {
-    owned_pool.emplace(parallelism);
-    pool = &*owned_pool;
-  }
-
-  // Every query sees the same pool, both for the query-level fan-out and
-  // for its inner read loops (nested ParallelFor is safe): whichever
+  // Every query sees the caller's pool, both for the query-level fan-out
+  // and for its inner read loops (nested ParallelFor is safe): whichever
   // level has the most work soaks up the threads. Per-query results do
   // not depend on this sharing — seed-splitting makes them bit-identical
   // to a serial one-by-one run.
   QjoConfig per_query = config;
-  per_query.run.pool = pool;
-  per_query.run.parallelism = std::max(config.run.parallelism, parallelism);
 
   // Batch-wide QUBO-build cache: repeated query shapes (same
   // cardinalities, predicates, thresholds, omega) encode once. Cached
@@ -468,7 +439,7 @@ std::vector<StatusOr<QjoReport>> OptimizeJoinOrderBatch(
     owned_cache.emplace();
     per_query.qubo_cache = &*owned_cache;
   }
-  ParallelFor(pool, 0, static_cast<int64_t>(queries.size()),
+  ParallelFor(config.run.pool, 0, static_cast<int64_t>(queries.size()),
               [&](int64_t i) {
                 reports[i] = OptimizeJoinOrder(queries[i], per_query);
               });

@@ -61,15 +61,16 @@ struct QjoConfig {
 
   uint64_t seed = 7;
 
-  /// Deadline, threads, pool, cancel token and observability sinks
-  /// shared with the other orchestration layers (util/run_context.h):
+  /// Deadline, pool, cancel token and observability sinks shared with
+  /// the other orchestration layers (util/run_context.h):
   ///
-  ///  * `run.parallelism`/`run.pool` — threads for the per-read loops of
-  ///    the stochastic backends (SA reads, SQA anneals) and the
-  ///    portfolio fan-out. 1 = serial; reports are bit-identical for
-  ///    every value. The pool (set by OptimizeJoinOrderBatch; not owned)
-  ///    is shared across pipeline runs; null = solvers create transient
-  ///    pools when parallelism > 1.
+  ///  * `run.pool` — the one source of threads for the per-read loops of
+  ///    the stochastic backends (SA reads, SQA anneals), the QAOA
+  ///    amplitude loops and the portfolio fan-out (not owned; shared
+  ///    across pipeline runs and by OptimizeJoinOrderBatch). Null =
+  ///    serial: no layer creates threads of its own, so a caller that
+  ///    wants N threads builds one ThreadPool(N). Reports are
+  ///    bit-identical for every pool size.
   ///  * `run.deadline_ms` — pipeline-level wall budget, forwarded to the
   ///    portfolio race when `portfolio.run.deadline_ms` is left at its
   ///    default; ignored by the non-cooperative backends.
@@ -120,25 +121,16 @@ struct QjoConfig {
   std::optional<CouplingGraph> annealer_topology;
 
   // --- Portfolio options (kPortfolio backend). ---
-  /// Strand selection and budgets; parallelism/pool fall back to the
-  /// fields above when left at their defaults.
+  /// Strand selection, budgets and adaptive strand selection
+  /// (`portfolio.adaptive`, core/strand_select.h; the serving layer
+  /// persists its record store through ServeOptions::
+  /// strand_records_file). pool/stop/trace/metrics fall back to `run`
+  /// when left at their defaults.
   PortfolioOptions portfolio;
   /// Optional memoizing QUBO-build cache shared across runs (not owned).
   /// Null = every run encodes from scratch; OptimizeJoinOrderBatch
   /// supplies a batch-wide cache automatically.
   QuboBuildCache* qubo_cache = nullptr;
-
-  // --- Adaptive strand selection (kPortfolio backend; see
-  // core/strand_select.h). ---
-  /// Let the per-bucket bandit shape strand budgets from the learned
-  /// records. Off (default): fixed-order race. Equivalent to setting
-  /// `portfolio.adaptive.enabled`.
-  bool adaptive = false;
-  /// Learned run records consulted and updated across runs (not owned,
-  /// thread-safe). Null = cold start every run; also reachable via
-  /// `portfolio.adaptive.records`. The serving layer persists its store
-  /// through ServeOptions::strand_records_file.
-  RunRecordStore* strand_records = nullptr;
 
   QjoConfig();
 };
@@ -214,19 +206,13 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
                                       const QjoConfig& config);
 
 /// Batch front door: optimises every query of `queries` under the same
-/// `config`, sharing one thread pool of `parallelism` threads across
-/// queries *and* their inner read loops (whichever level has work). Slot
-/// i holds exactly what OptimizeJoinOrder(queries[i], config) returns —
-/// per-query failures land in their slot instead of failing the batch,
-/// and results are bit-identical to one-by-one serial runs.
-///
-/// Pool ownership rule: when `config.pool` is set, the batch runs on the
-/// caller's pool — `parallelism` then only caps the per-query inner
-/// loops, and no second pool is ever created. Only with `config.pool ==
-/// nullptr` does the batch own a transient pool of `parallelism` threads
-/// for its duration.
+/// `config`, sharing the caller's `config.run.pool` across queries *and*
+/// their inner read loops (whichever level has work); null = serial.
+/// Slot i holds exactly what OptimizeJoinOrder(queries[i], config)
+/// returns — per-query failures land in their slot instead of failing
+/// the batch, and results are bit-identical to one-by-one serial runs.
 std::vector<StatusOr<QjoReport>> OptimizeJoinOrderBatch(
-    std::span<const Query> queries, const QjoConfig& config, int parallelism);
+    std::span<const Query> queries, const QjoConfig& config);
 
 }  // namespace qjo
 

@@ -209,12 +209,7 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
     cache = &*local_cache;
   }
 
-  std::optional<ThreadPool> local_pool;
-  ThreadPool* pool = options.run.pool;
-  if (pool == nullptr && options.run.parallelism > 1) {
-    local_pool.emplace(options.run.parallelism);
-    pool = &*local_pool;
-  }
+  ThreadPool* const pool = options.run.pool;  // null = serial
 
   // Workers consult this concurrently, so the deadline verdict lives in
   // an atomic and is folded into the report once the fan-outs are done.
@@ -273,7 +268,7 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
     // --- Sub-solve every window of the round in parallel. Each window
     // forks its own RNG stream and writes its own proposal slot; the
     // incumbent is frozen for the whole fan-out, so results are
-    // bit-identical at any parallelism level.
+    // bit-identical at any pool size.
     const Rng round_rng = rng.Fork(static_cast<uint64_t>(round));
     std::vector<WindowProposal> proposals(windows.size());
     ParallelFor(pool, 0, static_cast<int64_t>(windows.size()), [&](int64_t w) {
@@ -292,8 +287,7 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
       auto encoded = cache->GetOrBuild(sub->subquery, encode_options);
       if (encoded.ok()) {
         const Qubo& qubo = (*encoded)->encoding.qubo;
-        SolverControl control;
-        control.parallelism = 1;  // the fan-out above owns the threads
+        SolverControl control;  // no pool: the fan-out above owns threads
         control.stop = options.run.stop;
         control.trace = options.run.trace;
         control.metrics = options.run.metrics;

@@ -87,12 +87,13 @@ struct DecompOptions {
   /// protects. Null = the call creates a private cache for its duration.
   QuboBuildCache* cache = nullptr;
 
-  /// Deadline, parallelism for the per-round window fan-out (results
-  /// never depend on it) and the usual non-owned pool/stop/observability
-  /// wiring, shared with the other orchestration layers (see
-  /// util/run_context.h). `run.deadline_ms` <= 0 = no deadline (bounded
-  /// by max_rounds); when positive it is checked between window solves,
-  /// and `run.stop` (when set) is honoured the same way.
+  /// Deadline, the pool for the per-round window fan-out (null = serial;
+  /// results never depend on it) and the usual non-owned
+  /// stop/observability wiring, shared with the other orchestration
+  /// layers (see util/run_context.h). `run.deadline_ms` <= 0 = no
+  /// deadline (bounded by max_rounds); when positive it is checked
+  /// between window solves, and `run.stop` (when set) is honoured the
+  /// same way.
   RunContext run;
 };
 

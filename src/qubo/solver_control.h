@@ -10,25 +10,21 @@ class TraceRecorder;
 class MetricsRegistry;
 
 /// Shared runtime-control surface of the stochastic QUBO solvers (SA,
-/// tabu, SQA). Extracted from the formerly duplicated
-/// parallelism/pool/stop fields of SaOptions/TabuOptions/SqaOptions so
-/// the portfolio orchestrator and the observability layer wire through
-/// one struct instead of three copies. (The orchestration layers above
+/// tabu, SQA). Extracted from the formerly duplicated pool/stop fields
+/// of SaOptions/TabuOptions/SqaOptions so the portfolio orchestrator and
+/// the observability layer wire through one struct instead of three
+/// copies. (The orchestration layers above
 /// the solvers consolidate the same knobs, plus a wall-clock deadline,
 /// into util/run_context.h's RunContext.)
 ///
 /// Nothing here is owned: pool, stop, trace, and metrics must outlive
 /// the solver call they are passed to.
 struct SolverControl {
-  /// Threads used for the solver's per-read/restart loop (caller
-  /// included); 1 = serial. Results are bit-identical for every value:
-  /// each read draws from its own forked RNG stream and lands in its own
-  /// result slot.
-  int parallelism = 1;
-
-  /// Optional externally-owned pool shared across solver calls (e.g. by
-  /// OptimizeJoinOrderBatch or the portfolio). Null = create a transient
-  /// pool on demand when parallelism > 1.
+  /// Optional externally-owned pool the per-read/restart loop runs on
+  /// (shared across solver calls, e.g. by OptimizeJoinOrderBatch or the
+  /// portfolio). Null = serial; solvers never create threads of their
+  /// own. Results are bit-identical for every pool size: each read draws
+  /// from its own forked RNG stream and lands in its own result slot.
   ThreadPool* pool = nullptr;
 
   /// Optional cooperative stop token, checked between sweeps/iterations:

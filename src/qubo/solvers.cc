@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <optional>
 
 #include "obs/obs.h"
 #include "qubo/metropolis.h"
@@ -27,19 +26,6 @@ constexpr int kReplicaBatch = 16;
 /// whole vectors; at the cold end of the schedule acceptances are sparse
 /// and the full-width update would mostly multiply by 0.
 constexpr int kScalarUpdateLanes = 2;
-
-/// Resolves the pool to run a per-read loop on: the caller-supplied
-/// shared pool if any, a transient local pool when parallelism asks for
-/// one, or null (serial) otherwise.
-ThreadPool* ResolvePool(ThreadPool* shared, int parallelism,
-                        std::optional<ThreadPool>& local) {
-  if (shared != nullptr) return shared;
-  if (parallelism > 1) {
-    local.emplace(parallelism);
-    return &*local;
-  }
-  return nullptr;
-}
 
 /// True once a caller-supplied stop token has been set. The relaxed load
 /// is enough: the token only gates how much work is done, never which
@@ -262,9 +248,7 @@ std::vector<QuboSolution> SolveQuboSimulatedAnnealing(const Qubo& qubo,
       RunSaBatchedGroup(csr, options, schedule, base, n, first_read, lanes,
                         reads);
     };
-    std::optional<ThreadPool> local_pool;
-    ParallelFor(ResolvePool(control.pool, control.parallelism, local_pool), 0,
-                groups, run_group);
+    ParallelFor(control.pool, 0, groups, run_group);
     SortByEnergy(reads);
     return reads;
   }
@@ -321,9 +305,7 @@ std::vector<QuboSolution> SolveQuboSimulatedAnnealing(const Qubo& qubo,
     }
     reads[read] = QuboSolution{std::move(x), energy};
   };
-  std::optional<ThreadPool> local_pool;
-  ParallelFor(ResolvePool(control.pool, control.parallelism, local_pool), 0,
-              options.num_reads, run_read);
+  ParallelFor(control.pool, 0, options.num_reads, run_read);
   SortByEnergy(reads);
   return reads;
 }
@@ -426,9 +408,7 @@ std::vector<QuboSolution> SolveQuboTabuSearch(const Qubo& qubo,
     }
     restarts[restart] = std::move(incumbent);
   };
-  std::optional<ThreadPool> local_pool;
-  ParallelFor(ResolvePool(control.pool, control.parallelism, local_pool), 0,
-              options.num_restarts, run_restart);
+  ParallelFor(control.pool, 0, options.num_restarts, run_restart);
   SortByEnergy(restarts);
   return restarts;
 }

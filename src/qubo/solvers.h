@@ -60,8 +60,8 @@ struct SaOptions {
   int sweeps_per_read = 1000;    ///< full-variable Metropolis sweeps
   double initial_temperature = 0.0;  ///< 0 = auto (max |coefficient|)
   double final_temperature = 0.0;    ///< 0 = auto (1e-3 * initial)
-  /// Runtime control shared with the other stochastic solvers:
-  /// parallelism, pool, cooperative stop, and the observability sinks
+  /// Runtime control shared with the other stochastic solvers: pool,
+  /// cooperative stop, and the observability sinks
   /// (see SolverControl for the per-field contracts).
   SolverControl control;
   /// Inner-loop implementation; kBatched (the default) is bit-identical
@@ -85,8 +85,8 @@ struct SaSchedule {
 SaSchedule ResolveSaSchedule(const Qubo& qubo, const SaOptions& options);
 
 /// Runs classical simulated annealing; returns all reads, best first.
-/// Reads run in parallel per `options.parallelism`; output is independent
-/// of thread count and scheduling for a fixed `rng` state.
+/// Reads run on `options.control.pool` (serial when null); output is
+/// independent of thread count and scheduling for a fixed `rng` state.
 std::vector<QuboSolution> SolveQuboSimulatedAnnealing(const Qubo& qubo,
                                                       const SaOptions& options,
                                                       Rng& rng);
@@ -98,7 +98,7 @@ struct TabuOptions {
   int iterations_per_restart = 2000;
   /// Tabu tenure; 0 = auto (~ sqrt(n) + 10).
   int tenure = 0;
-  /// Shared runtime control (parallelism/pool/stop/observability); the
+  /// Shared runtime control (pool/stop/observability); the
   /// stop token is checked once per iteration and the incumbent found so
   /// far is returned.
   SolverControl control;

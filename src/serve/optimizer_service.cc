@@ -41,6 +41,24 @@ void AppendDouble(std::string* key, const char* tag, double v) {
   AppendU64(key, tag, std::bit_cast<uint64_t>(v));
 }
 
+/// Keys every result-determining value field of an SQA template (the
+/// kernel is overridden by the pipeline's solver_kernel, `control` only
+/// says where work runs).
+void AppendSqa(std::string* key, const char* tag, const SqaOptions& sqa) {
+  key->append("|").append(tag);
+  AppendI64(key, "reads", sqa.num_reads);
+  AppendDouble(key, "us", sqa.annealing_time_us);
+  AppendDouble(key, "spu", sqa.sweeps_per_us);
+  AppendI64(key, "slices", sqa.trotter_slices);
+  AppendDouble(key, "temp", sqa.relative_temperature);
+  AppendDouble(key, "field", sqa.relative_initial_field);
+  AppendDouble(key, "ice", sqa.ice_sigma);
+}
+
+bool Fired(const std::atomic<bool>* token) {
+  return token != nullptr && token->load(std::memory_order_relaxed);
+}
+
 }  // namespace
 
 double RetryAfterHintMs(double avg_solve_ms, size_t backlog, size_t workers,
@@ -471,10 +489,11 @@ void OptimizerService::Process(Pending& pending) {
     if (config.run.metrics == nullptr) config.run.metrics = options_.metrics;
     // Adaptive strand selection: the service-owned record store backs
     // every request unless the caller brought their own (caller wins).
-    if (options_.adaptive) config.adaptive = true;
-    if (config.strand_records == nullptr &&
+    AdaptiveOptions& adaptive = config.portfolio.adaptive;
+    if (options_.adaptive) adaptive.enabled = true;
+    if (adaptive.records == nullptr &&
         (options_.adaptive || !options_.strand_records_file.empty())) {
-      config.strand_records = &strand_records_;
+      adaptive.records = &strand_records_;
     }
     // Shared build cache: even when the plan cache misses, the encode
     // stage reuses any prior request's CSR build for this fingerprint. A
@@ -513,8 +532,12 @@ void OptimizerService::Process(Pending& pending) {
     if (report.ok()) {
       result.report = std::move(report).value();
       // Never cache a truncated (token-fired) result: it reflects this
-      // request's deadline, not the config's full-budget answer.
-      truncated = armed && token.load(std::memory_order_relaxed);
+      // request's deadline or cancellation, not the config's full-budget
+      // answer. Judged from the tokens the solve ran with — the armed one
+      // or the caller's own.
+      truncated = Fired(config.run.stop) ||
+                  Fired(config.portfolio.run.stop) ||
+                  Fired(config.sqa.control.stop);
       if (use_cache && !truncated && result.report.found_valid) {
         cache_->Insert(key, result.report);
       }
@@ -711,12 +734,19 @@ std::string OptimizerService::PlanKey(const Query& query,
   AppendI64(&key, "qi", config.qaoa_iterations);
   AppendI64(&key, "qg", config.qaoa_grid);
   AppendI64(&key, "noiseless", config.noiseless ? 1 : 0);
-  AppendI64(&key, "sqa_reads", config.sqa.num_reads);
+  AppendDouble(&key, "dl", config.run.deadline_ms);
+  AppendSqa(&key, "sqa", config.sqa);
+  AppendI64(&key, "emb_tries", config.embedding.tries);
+  AppendI64(&key, "emb_passes", config.embedding.max_passes);
+  AppendDouble(&key, "emb_alpha", config.embedding.alpha);
+  AppendDouble(&key, "csm", config.embed_qubo.chain_strength_multiplier);
+  AppendDouble(&key, "cso", config.embed_qubo.chain_strength_override);
+  const PortfolioOptions& p = config.portfolio;
   // Adaptive runs are keyed separately from fixed-order runs: the learned
   // budgets change which strand wins, so the two must not share entries.
-  AppendI64(&key, "adaptive",
-            (config.adaptive || config.portfolio.adaptive.enabled) ? 1 : 0);
-  const PortfolioOptions& p = config.portfolio;
+  AppendI64(&key, "adaptive", p.adaptive.enabled ? 1 : 0);
+  AppendU64(&key, "a_mbt", p.adaptive.min_bucket_trials);
+  AppendI64(&key, "a_td", p.adaptive.throttle_divisor);
   AppendDouble(&key, "p_dl", p.run.deadline_ms);
   AppendI64(&key, "p_sb", p.sweep_budget);
   AppendI64(&key, "p_rpr", p.reads_per_round);
@@ -734,6 +764,16 @@ std::string OptimizerService::PlanKey(const Query& query,
   AppendI64(&key, "p_qi", p.qaoa_iterations);
   AppendI64(&key, "p_mdr", p.min_decomp_relations);
   AppendDouble(&key, "p_lb", p.lower_bound);
+  AppendSqa(&key, "p_sqa", p.sqa);
+  const DecompOptions& d = p.decomp;
+  AppendI64(&key, "d_w", d.window);
+  AppendI64(&key, "d_mr", d.max_rounds);
+  AppendI64(&key, "d_sr", d.stall_rounds);
+  AppendI64(&key, "d_reads", d.subsolver_reads);
+  AppendI64(&key, "d_sweeps", d.subsolver_sweeps);
+  AppendI64(&key, "d_nt", d.num_thresholds);
+  AppendDouble(&key, "d_omega", d.omega);
+  AppendDouble(&key, "d_dl", d.run.deadline_ms);
   return key;
 }
 

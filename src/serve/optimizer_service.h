@@ -103,10 +103,11 @@ struct ServeOptions {
 
   /// Adaptive strand selection across requests (core/strand_select.h):
   /// when on, every portfolio-backend request runs with the
-  /// service-owned RunRecordStore attached and `adaptive` enabled, so
+  /// service-owned RunRecordStore attached as
+  /// `config.portfolio.adaptive.records` and `adaptive.enabled` set, so
   /// the per-bucket bandit learns from each race and throttles strands
   /// that never win a request's problem shape. A request carrying its
-  /// own `config.strand_records` keeps it (caller wins). Note the plan
+  /// own `portfolio.adaptive.records` keeps it (caller wins). Note the plan
   /// cache still serves hits recorded under an older records state —
   /// stale-but-valid by the cache's never-changing-plan-validity
   /// argument; set `bypass_cache` per request to force re-selection.
@@ -119,10 +120,10 @@ struct ServeOptions {
   /// (warm-up mode).
   std::string strand_records_file;
 
-  /// Optional externally-owned solve pool shared by every request (the
-  /// OptimizeJoinOrderBatch ownership rule applies: the service never
-  /// creates a second pool when one is supplied). Null = per-request
-  /// transient pools per the QjoConfig contract.
+  /// Optional externally-owned solve pool shared by every request whose
+  /// `config.run.pool` is unset (a request's own pool wins). Null =
+  /// every solve runs serially on its worker thread: the service never
+  /// creates solve threads of its own.
   ThreadPool* pool = nullptr;
 
   /// Observability sinks (null-sink default, not owned). The service
@@ -210,7 +211,7 @@ double RetryAfterHintMs(double avg_solve_ms, size_t backlog, size_t workers,
 ///
 /// Determinism: a cache-miss request that never has its stop token fire
 /// returns a report bit-identical to a direct OptimizeJoinOrder(query,
-/// config) call, at any worker count and pool parallelism (the solvers'
+/// config) call, at any worker count and pool size (the solvers'
 /// existing contract; the service adds no RNG or cross-request coupling,
 /// and coalesced followers receive byte-for-byte copies of a report with
 /// that same property).
@@ -268,13 +269,15 @@ class OptimizerService {
 
   /// Cache key of a request: the encoding fingerprint (query + threshold
   /// grid + omega, bit-exact) extended with every QjoConfig field that
-  /// determines the report (backend, seed, parallel-independent solver
-  /// settings...). Fields that only affect *where* work runs
-  /// (parallelism, pool, sinks) are excluded — the determinism contract
-  /// makes them result-neutral. Caveat: the exotic hardware-model fields
-  /// (DeviceProperties, transpile/embedding options, custom topologies)
-  /// are *not* keyed — a deployment varying them per request must set
-  /// `bypass_cache`.
+  /// determines the report: backend, seed, kernel, shots, the pipeline
+  /// deadline, the SQA, embedding and chain-strength options, and the
+  /// portfolio's budgets, strands, SQA and decomposition templates and
+  /// adaptive knobs. Fields that only affect *where* work runs (pool,
+  /// stop tokens, sinks, build caches, record stores) are excluded — the
+  /// determinism contract makes them result-neutral. Caveat: the device,
+  /// transpile and topology options (DeviceProperties, TranspileOptions,
+  /// custom coupling graphs) are *not* keyed — a deployment varying them
+  /// per request must set `bypass_cache`.
   static std::string PlanKey(const Query& query, const QjoConfig& config);
 
   struct Stats {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <optional>
 
 #include "obs/obs.h"
 #include "qubo/metropolis.h"
@@ -254,13 +253,7 @@ StatusOr<std::vector<SqaSample>> RunSqa(const IsingModel& ising,
       RunSqaBatchedGroup(ising, csr, options, params, base, first_read, lanes,
                          samples);
     };
-    std::optional<ThreadPool> local_pool;
-    ThreadPool* pool = control.pool;
-    if (pool == nullptr && control.parallelism > 1) {
-      local_pool.emplace(control.parallelism);
-      pool = &*local_pool;
-    }
-    ParallelFor(pool, 0, groups, run_group);
+    ParallelFor(control.pool, 0, groups, run_group);
     return samples;
   }
 
@@ -393,13 +386,7 @@ StatusOr<std::vector<SqaSample>> RunSqa(const IsingModel& ising,
     samples[read] = std::move(best);
   };
 
-  std::optional<ThreadPool> local_pool;
-  ThreadPool* pool = control.pool;
-  if (pool == nullptr && control.parallelism > 1) {
-    local_pool.emplace(control.parallelism);
-    pool = &*local_pool;
-  }
-  ParallelFor(pool, 0, options.num_reads, run_read);
+  ParallelFor(control.pool, 0, options.num_reads, run_read);
   return samples;
 }
 

@@ -33,7 +33,7 @@ struct SqaOptions {
   /// ICE noise: sigma of the Gaussian perturbation on every h_i and J_ij,
   /// relative to the largest |coefficient|. 0 disables noise.
   double ice_sigma = 0.0;
-  /// Shared runtime control (parallelism/pool/stop/observability). Every
+  /// Shared runtime control (pool/stop/observability). Every
   /// read — its ICE perturbation, spin init and Metropolis sweeps —
   /// draws from its own forked RNG stream and writes its own result
   /// slot, so samples are bit-identical regardless of thread count. The
@@ -56,8 +56,8 @@ struct SqaSample {
 };
 
 /// Runs `options.num_reads` independent anneals of `ising`, in parallel
-/// per `options.parallelism`. Fails on an empty model or non-positive
-/// schedule parameters.
+/// on `options.control.pool` (serial when null). Fails on an empty model
+/// or non-positive schedule parameters.
 StatusOr<std::vector<SqaSample>> RunSqa(const IsingModel& ising,
                                         const SqaOptions& options, Rng& rng);
 

@@ -14,7 +14,7 @@ class MetricsRegistry;
 
 /// Shared execution context of the orchestration layers (portfolio race,
 /// decomposition loop, end-to-end pipeline). Consolidates the
-/// deadline/parallelism/pool/stop/observability knobs that used to be
+/// deadline/pool/stop/observability knobs that used to be
 /// duplicated across PortfolioOptions, DecompOptions and QjoConfig into
 /// one struct each of them embeds by value as `run`.
 ///
@@ -34,13 +34,11 @@ struct RunContext {
   /// runs are *not* bit-reproducible; budget-bounded runs are.
   double deadline_ms = -1.0;
 
-  /// Threads for the layer's fan-out (strands, windows, queries) and the
-  /// solvers' inner read loops (nested ParallelFor on one pool); 1 =
-  /// serial. Results never depend on it.
-  int parallelism = 1;
-
-  /// Optional externally-owned pool shared across calls. Null = a
-  /// transient pool is created on demand when parallelism > 1.
+  /// Optional externally-owned pool for the layer's fan-out (strands,
+  /// windows, queries) and the solvers' inner read loops (nested
+  /// ParallelFor on one pool), shared across calls. Null = serial; no
+  /// layer creates threads of its own, so a caller that wants N threads
+  /// builds one ThreadPool(N). Results never depend on the pool size.
   ThreadPool* pool = nullptr;
 
   /// Optional externally-owned cooperative cancel token (e.g. a
@@ -64,9 +62,6 @@ struct RunContext {
 /// misconfiguration is one InvalidArgument at entry instead of silent
 /// misbehaviour downstream.
 inline Status ValidateRunContext(const RunContext& run) {
-  if (run.parallelism < 1) {
-    return Status::InvalidArgument("parallelism must be >= 1");
-  }
   if (std::isnan(run.deadline_ms)) {
     return Status::InvalidArgument("deadline_ms must not be NaN");
   }

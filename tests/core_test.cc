@@ -267,7 +267,10 @@ TEST(BatchTest, MatchesSingleQueryRunsExactly) {
   config.backend = QjoBackend::kSimulatedAnnealing;
   config.shots = 160;
   config.seed = 71;
-  const auto batch = OptimizeJoinOrderBatch(queries, config, 4);
+  ThreadPool pool(4);
+  QjoConfig batch_config = config;
+  batch_config.run.pool = &pool;
+  const auto batch = OptimizeJoinOrderBatch(queries, batch_config);
   ASSERT_EQ(batch.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_TRUE(batch[i].ok()) << "slot " << i;
@@ -288,16 +291,17 @@ TEST(BatchTest, FailedSlotsDoNotPoisonOthers) {
   queries.push_back(bad);
   QjoConfig config;
   config.backend = QjoBackend::kExact;
-  const auto batch = OptimizeJoinOrderBatch(queries, config, 2);
+  ThreadPool pool(2);
+  config.run.pool = &pool;
+  const auto batch = OptimizeJoinOrderBatch(queries, config);
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_TRUE(batch[0].ok());
   EXPECT_FALSE(batch[1].ok());
 }
 
 TEST(BatchTest, RespectsCallerPool) {
-  // Pool ownership rule: with config.run.pool set, the batch fans out on the
-  // caller's pool instead of creating its own, and results stay
-  // bit-identical to the pool-less run.
+  // With config.run.pool set, the batch fans out on the caller's pool,
+  // and results stay bit-identical to the pool-less (serial) run.
   std::vector<Query> queries;
   queries.push_back(MakePaperInstance(0));
   queries.push_back(MakePaperInstance(1));
@@ -305,12 +309,12 @@ TEST(BatchTest, RespectsCallerPool) {
   config.backend = QjoBackend::kSimulatedAnnealing;
   config.shots = 160;
   config.seed = 73;
-  const auto baseline = OptimizeJoinOrderBatch(queries, config, 4);
+  const auto baseline = OptimizeJoinOrderBatch(queries, config);
 
   ThreadPool pool(4);
   const uint64_t dispatched_before = pool.tasks_dispatched();
   config.run.pool = &pool;
-  const auto with_pool = OptimizeJoinOrderBatch(queries, config, 4);
+  const auto with_pool = OptimizeJoinOrderBatch(queries, config);
   EXPECT_GT(pool.tasks_dispatched(), dispatched_before)
       << "batch did not dispatch onto the caller-supplied pool";
 
@@ -327,7 +331,7 @@ TEST(BatchTest, RespectsCallerPool) {
 TEST(BatchTest, EmptyBatchReturnsEmpty) {
   QjoConfig config;
   EXPECT_TRUE(
-      OptimizeJoinOrderBatch(std::span<const Query>{}, config, 4).empty());
+      OptimizeJoinOrderBatch(std::span<const Query>{}, config).empty());
 }
 
 TEST(CoreTest, RejectsTinyQueries) {
@@ -580,7 +584,8 @@ TEST(PortfolioTest, DeadlineExpiryStillReturnsValidPlan) {
   config.backend = QjoBackend::kPortfolio;
   config.portfolio.run.deadline_ms = 30.0;
   config.portfolio.sweep_budget = 0;  // unlimited: only the deadline stops it
-  config.run.parallelism = 4;             // race strands concurrently
+  ThreadPool pool(4);
+  config.run.pool = &pool;  // race strands concurrently
   auto report = OptimizeJoinOrder(q, config);
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(report->found_valid);
@@ -595,7 +600,8 @@ TEST(PortfolioTest, DeterministicAcrossParallelism) {
   config.portfolio.sweep_budget = 512;  // pure sweep-budget mode
   std::optional<QjoReport> baseline;
   for (int parallelism : {1, 4, 16}) {
-    config.run.parallelism = parallelism;
+    ThreadPool pool(parallelism);
+    config.run.pool = &pool;
     auto report = OptimizeJoinOrder(q, config);
     ASSERT_TRUE(report.ok()) << "parallelism " << parallelism;
     ASSERT_TRUE(report->found_valid);
@@ -677,8 +683,7 @@ TEST(BatchTest, SharedCacheEncodesRepeatedQueriesOnce) {
   QjoConfig config;
   config.backend = QjoBackend::kExact;
   config.qubo_cache = &cache;
-  const auto reports =
-      OptimizeJoinOrderBatch(queries, config, /*parallelism=*/1);
+  const auto reports = OptimizeJoinOrderBatch(queries, config);
   ASSERT_EQ(reports.size(), 3u);
   for (const auto& report : reports) ASSERT_TRUE(report.ok());
   // Serial batch: the first lookup misses, the other two hit.

@@ -11,6 +11,7 @@
 #include "jo/query.h"
 #include "jo/query_generator.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace qjo {
 namespace {
@@ -180,7 +181,8 @@ TEST(DecompTest, DeterministicAcrossParallelism) {
   std::optional<DecompReport> baseline;
   for (int parallelism : {1, 4, 8}) {
     DecompOptions options = FastOptions();
-    options.run.parallelism = parallelism;
+    ThreadPool pool(parallelism);
+    options.run.pool = &pool;
     Rng rng(99);
     auto report = OptimizeJoinOrderDecomposed(q, options, rng);
     ASSERT_TRUE(report.ok()) << "parallelism " << parallelism;

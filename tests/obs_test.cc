@@ -225,10 +225,11 @@ TEST(ObsSolverTest, SaMetricsDeterministicAcrossParallelism) {
   std::optional<std::vector<QuboSolution>> baseline_reads;
   for (int parallelism : {1, 4, 8}) {
     MetricsRegistry registry;
+    ThreadPool pool(parallelism);
     SaOptions options;
     options.num_reads = 32;
     options.sweeps_per_read = 48;
-    options.control.parallelism = parallelism;
+    options.control.pool = &pool;
     options.control.metrics = &registry;
     Rng rng(93);
     const std::vector<QuboSolution> reads =
@@ -327,15 +328,16 @@ TEST_P(ObsBackendBitIdenticalTest, TracedRunMatchesUntracedRun) {
   const Query q = c.backend == QjoBackend::kPortfolio ? MakeChainQuery(4)
                                                       : MakePaperInstance(1);
   for (int parallelism : {1, 4}) {
+    ThreadPool pool(parallelism);
     QjoConfig plain_config = MakeBackendConfig(c.backend);
-    plain_config.run.parallelism = parallelism;
+    plain_config.run.pool = &pool;
     const auto plain = OptimizeJoinOrder(q, plain_config);
     ASSERT_TRUE(plain.ok()) << plain.status().ToString();
 
     TraceRecorder trace;
     MetricsRegistry metrics;
     QjoConfig traced_config = MakeBackendConfig(c.backend);
-    traced_config.run.parallelism = parallelism;
+    traced_config.run.pool = &pool;
     traced_config.run.trace = &trace;
     traced_config.run.metrics = &metrics;
     const auto traced = OptimizeJoinOrder(q, traced_config);
@@ -394,12 +396,16 @@ TEST(ObsPipelineTest, PipelineMetricsDeterministicMergeAcrossParallelism) {
   std::optional<std::map<std::string, double>> gauges;
   for (int parallelism : {1, 4, 8}) {
     MetricsRegistry registry;
+    ThreadPool pool(parallelism);
     QjoConfig config = MakeBackendConfig(QjoBackend::kPortfolio);
-    config.run.parallelism = parallelism;
+    config.run.pool = &pool;
     config.run.metrics = &registry;
     const auto report = OptimizeJoinOrder(q, config);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
-    const MetricsSnapshot snapshot = registry.Snapshot();
+    MetricsSnapshot snapshot = registry.Snapshot();
+    // The pool's own dispatch count describes the pool, not the run: a
+    // one-thread pool never dispatches. Every other gauge must match.
+    ASSERT_EQ(snapshot.gauges.erase("pool.tasks_dispatched"), 1u);
     if (!counters.has_value()) {
       counters = snapshot.counters;
       gauges = snapshot.gauges;
@@ -417,8 +423,9 @@ TEST(ObsPipelineTest, PortfolioCountersMatchReportAndTraceCoversRun) {
   const Query q = MakeChainQuery(4);
   TraceRecorder trace;
   MetricsRegistry metrics;
+  ThreadPool pool(4);
   QjoConfig config = MakeBackendConfig(QjoBackend::kPortfolio);
-  config.run.parallelism = 4;
+  config.run.pool = &pool;
   config.run.trace = &trace;
   config.run.metrics = &metrics;
   const auto report = OptimizeJoinOrder(q, config);

@@ -15,6 +15,7 @@
 #include "qubo/qubo_csr.h"
 #include "qubo/solvers.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace qjo {
 namespace {
@@ -329,7 +330,8 @@ TEST(SimulatedAnnealingTest, DeterministicAcrossParallelism) {
   options.sweeps_per_read = 120;
   std::vector<std::vector<QuboSolution>> runs;
   for (int parallelism : {1, 2, 8}) {
-    options.control.parallelism = parallelism;
+    ThreadPool pool(parallelism);
+    options.control.pool = &pool;
     Rng rng(31);
     runs.push_back(SolveQuboSimulatedAnnealing(qubo, options, rng));
     // The solver consumes exactly one draw from the caller's RNG no
@@ -356,7 +358,8 @@ TEST(TabuSearchTest, DeterministicAcrossParallelism) {
   options.iterations_per_restart = 300;
   std::vector<std::vector<QuboSolution>> runs;
   for (int parallelism : {1, 2, 8}) {
-    options.control.parallelism = parallelism;
+    ThreadPool pool(parallelism);
+    options.control.pool = &pool;
     Rng rng(41);
     runs.push_back(SolveQuboTabuSearch(qubo, options, rng));
   }
@@ -476,7 +479,8 @@ TEST(SimulatedAnnealingTest, KernelsBitIdenticalOnDyadicProblems) {
   options.num_reads = 8;
   options.sweeps_per_read = 100;
   for (int parallelism : {1, 4}) {
-    options.control.parallelism = parallelism;
+    ThreadPool pool(parallelism);
+    options.control.pool = &pool;
     options.kernel = SolverKernel::kIncremental;
     Rng rng_inc(19);
     const auto incremental = SolveQuboSimulatedAnnealing(qubo, options, rng_inc);
@@ -506,7 +510,8 @@ TEST(SimulatedAnnealingTest, BatchedKernelsBitIdenticalToScalarReads) {
     for (int num_reads : {1, 4, 17}) {
       options.num_reads = num_reads;
       for (int parallelism : {1, 4, 8}) {
-        options.control.parallelism = parallelism;
+        ThreadPool pool(parallelism);
+        options.control.pool = &pool;
         options.kernel = SolverKernel::kIncremental;
         Rng rng_inc(19);
         const auto scalar = SolveQuboSimulatedAnnealing(qubo, options, rng_inc);
@@ -532,7 +537,8 @@ TEST(TabuSearchTest, KernelsBitIdenticalOnDyadicProblems) {
   options.num_restarts = 6;
   options.iterations_per_restart = 250;
   for (int parallelism : {1, 4}) {
-    options.control.parallelism = parallelism;
+    ThreadPool pool(parallelism);
+    options.control.pool = &pool;
     options.kernel = SolverKernel::kIncremental;
     Rng rng_inc(23);
     const auto incremental = SolveQuboTabuSearch(qubo, options, rng_inc);

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <future>
 #include <limits>
 #include <string>
@@ -468,15 +469,111 @@ TEST(ServeTest, PlanKeySeparatesResultDeterminingFields) {
   other_seed.seed = 8;
   QjoConfig other_backend = base;
   other_backend.backend = QjoBackend::kExact;
-  QjoConfig other_parallelism = base;
-  other_parallelism.run.parallelism = 8;
+  ThreadPool pool(8);
+  QjoConfig with_pool = base;
+  with_pool.run.pool = &pool;
 
   const std::string key = OptimizerService::PlanKey(query, base);
   EXPECT_NE(key, OptimizerService::PlanKey(query, other_seed));
   EXPECT_NE(key, OptimizerService::PlanKey(query, other_backend));
   EXPECT_NE(key, OptimizerService::PlanKey(MakeQuery(4), base));
-  // Parallelism never changes results, so it must not split the cache.
-  EXPECT_EQ(key, OptimizerService::PlanKey(query, other_parallelism));
+  // The pool never changes results, so it must not split the cache.
+  EXPECT_EQ(key, OptimizerService::PlanKey(query, with_pool));
+
+  // Every other value field that shapes the report splits the key too.
+  const std::vector<std::pair<std::string, std::function<void(QjoConfig&)>>>
+      result_fields = {
+          {"run.deadline_ms", [](QjoConfig& c) { c.run.deadline_ms = 50.0; }},
+          {"sqa.annealing_time_us",
+           [](QjoConfig& c) { c.sqa.annealing_time_us = 10.0; }},
+          {"sqa.sweeps_per_us",
+           [](QjoConfig& c) { c.sqa.sweeps_per_us = 3.0; }},
+          {"sqa.trotter_slices",
+           [](QjoConfig& c) { c.sqa.trotter_slices = 8; }},
+          {"sqa.relative_temperature",
+           [](QjoConfig& c) { c.sqa.relative_temperature = 0.05; }},
+          {"sqa.relative_initial_field",
+           [](QjoConfig& c) { c.sqa.relative_initial_field = 2.0; }},
+          {"sqa.ice_sigma", [](QjoConfig& c) { c.sqa.ice_sigma = 0.03; }},
+          {"embedding.tries", [](QjoConfig& c) { c.embedding.tries = 8; }},
+          {"embedding.max_passes",
+           [](QjoConfig& c) { c.embedding.max_passes = 10; }},
+          {"embedding.alpha", [](QjoConfig& c) { c.embedding.alpha = 3.0; }},
+          {"embed_qubo.chain_strength_multiplier",
+           [](QjoConfig& c) { c.embed_qubo.chain_strength_multiplier = 2.0; }},
+          {"embed_qubo.chain_strength_override",
+           [](QjoConfig& c) { c.embed_qubo.chain_strength_override = 4.0; }},
+          {"portfolio.sqa.num_reads",
+           [](QjoConfig& c) { c.portfolio.sqa.num_reads = 7; }},
+          {"portfolio.sqa.annealing_time_us",
+           [](QjoConfig& c) { c.portfolio.sqa.annealing_time_us = 10.0; }},
+          {"portfolio.sqa.sweeps_per_us",
+           [](QjoConfig& c) { c.portfolio.sqa.sweeps_per_us = 3.0; }},
+          {"portfolio.sqa.trotter_slices",
+           [](QjoConfig& c) { c.portfolio.sqa.trotter_slices = 8; }},
+          {"portfolio.sqa.relative_temperature",
+           [](QjoConfig& c) { c.portfolio.sqa.relative_temperature = 0.05; }},
+          {"portfolio.sqa.relative_initial_field",
+           [](QjoConfig& c) { c.portfolio.sqa.relative_initial_field = 2.0; }},
+          {"portfolio.sqa.ice_sigma",
+           [](QjoConfig& c) { c.portfolio.sqa.ice_sigma = 0.015; }},
+          {"portfolio.decomp.window",
+           [](QjoConfig& c) { c.portfolio.decomp.window = 6; }},
+          {"portfolio.decomp.max_rounds",
+           [](QjoConfig& c) { c.portfolio.decomp.max_rounds = 3; }},
+          {"portfolio.decomp.stall_rounds",
+           [](QjoConfig& c) { c.portfolio.decomp.stall_rounds = 4; }},
+          {"portfolio.decomp.subsolver_reads",
+           [](QjoConfig& c) { c.portfolio.decomp.subsolver_reads = 2; }},
+          {"portfolio.decomp.subsolver_sweeps",
+           [](QjoConfig& c) { c.portfolio.decomp.subsolver_sweeps = 48; }},
+          {"portfolio.decomp.num_thresholds",
+           [](QjoConfig& c) { c.portfolio.decomp.num_thresholds = 2; }},
+          {"portfolio.decomp.omega",
+           [](QjoConfig& c) { c.portfolio.decomp.omega = 0.5; }},
+          {"portfolio.decomp.run.deadline_ms",
+           [](QjoConfig& c) { c.portfolio.decomp.run.deadline_ms = 20.0; }},
+          {"portfolio.adaptive.min_bucket_trials",
+           [](QjoConfig& c) { c.portfolio.adaptive.min_bucket_trials = 2; }},
+          {"portfolio.adaptive.throttle_divisor",
+           [](QjoConfig& c) { c.portfolio.adaptive.throttle_divisor = 2; }},
+      };
+  for (const auto& [field, mutate] : result_fields) {
+    QjoConfig changed = base;
+    mutate(changed);
+    EXPECT_NE(key, OptimizerService::PlanKey(query, changed)) << field;
+  }
+}
+
+TEST(ServeTest, CallerCancelledAnswerIsNeitherCachedNorShared) {
+  // A request whose caller-supplied stop token already fired answers with
+  // a truncated race (here: the classical fallback). That answer is
+  // private to the cancelled request: the same request without a token
+  // must solve afresh instead of hitting a cached fallback.
+  ServeOptions options;
+  options.workers = 1;
+  OptimizerService service(options);
+  ServeRequest request;
+  request.query = MakeQuery(4);
+  request.config = FastConfig(7);
+  request.config.backend = QjoBackend::kPortfolio;
+
+  std::atomic<bool> fired{true};
+  ServeRequest cancelled = request;
+  cancelled.config.run.stop = &fired;
+  auto first = service.Submit(cancelled);
+  ASSERT_TRUE(first.ok());
+  const ServeResult truncated = first->get();
+  ASSERT_TRUE(truncated.status.ok());
+  EXPECT_TRUE(truncated.report.portfolio.used_classical_fallback);
+
+  auto second = service.Submit(request);
+  ASSERT_TRUE(second.ok());
+  const ServeResult full = second->get();
+  ASSERT_TRUE(full.status.ok());
+  EXPECT_FALSE(full.cache_hit);
+  EXPECT_FALSE(full.report.portfolio.used_classical_fallback);
+  service.Drain();
 }
 
 // ---------------------------------------------------------------------------
@@ -690,7 +787,6 @@ TEST(ServeTest, CoalescesIdenticalSubmitsToOneSolve) {
   // — at any worker count, and every response is bit-identical to the
   // direct OptimizeJoinOrder call.
   ServeRequest base = SlowCoalescible("default", /*shots=*/600);
-  base.config.run.parallelism = 4;
 
   ThreadPool pool(4);
   QjoConfig direct_config = base.config;

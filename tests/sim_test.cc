@@ -449,7 +449,8 @@ TEST(SqaTest, DeterministicAcrossParallelism) {
   options.ice_sigma = 0.02;  // per-read noise draws must fork too
   std::vector<std::vector<SqaSample>> runs;
   for (int parallelism : {1, 2, 8}) {
-    options.control.parallelism = parallelism;
+    ThreadPool pool(parallelism);
+    options.control.pool = &pool;
     Rng rng(61);
     auto samples = RunSqa(ising, options, rng);
     ASSERT_TRUE(samples.ok());
@@ -510,7 +511,8 @@ TEST(SqaTest, KernelsBitIdenticalOnDyadicProblems) {
   options.trotter_slices = 8;
   options.ice_sigma = 0.0;  // noise would perturb the dyadic coefficients
   for (int parallelism : {1, 4}) {
-    options.control.parallelism = parallelism;
+    ThreadPool pool(parallelism);
+    options.control.pool = &pool;
     options.kernel = SolverKernel::kIncremental;
     Rng rng_inc(71);
     auto incremental = RunSqa(ising, options, rng_inc);
@@ -544,7 +546,8 @@ TEST(SqaTest, BatchedKernelsBitIdenticalToScalarReads) {
   for (int num_reads : {1, 4, 17}) {
     options.num_reads = num_reads;
     for (int parallelism : {1, 4, 8}) {
-      options.control.parallelism = parallelism;
+      ThreadPool pool(parallelism);
+      options.control.pool = &pool;
       options.kernel = SolverKernel::kIncremental;
       Rng rng_inc(71);
       auto scalar = RunSqa(ising, options, rng_inc);

@@ -9,6 +9,7 @@
 #include "core/strand_select.h"
 #include "jo/query.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace qjo {
 namespace {
@@ -327,8 +328,8 @@ TEST(PortfolioAdaptiveTest, ColdStartBitIdenticalToFixedRace) {
 
   RunRecordStore empty;
   QjoConfig adaptive = PortfolioConfig();
-  adaptive.adaptive = true;
-  adaptive.strand_records = &empty;
+  adaptive.portfolio.adaptive.enabled = true;
+  adaptive.portfolio.adaptive.records = &empty;
   adaptive.portfolio.adaptive.record = false;
   const auto report = OptimizeJoinOrder(q, adaptive);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -358,8 +359,8 @@ TEST(PortfolioAdaptiveTest, RecordsAreFedAtRaceEpilogue) {
   const Query q = MakeQuery(4, Shape::kChain);
   RunRecordStore store;
   QjoConfig config = PortfolioConfig();
-  config.adaptive = true;
-  config.strand_records = &store;
+  config.portfolio.adaptive.enabled = true;
+  config.portfolio.adaptive.records = &store;
   const auto report = OptimizeJoinOrder(q, config);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   const std::string bucket = report->portfolio.race.feature_bucket;
@@ -376,8 +377,8 @@ TEST(PortfolioAdaptiveTest, WarmRaceBitIdenticalAcrossParallelism) {
   // replay contract only cares that the snapshot is fixed, not earned.
   RunRecordStore probe;
   QjoConfig probe_config = PortfolioConfig();
-  probe_config.adaptive = true;
-  probe_config.strand_records = &probe;
+  probe_config.portfolio.adaptive.enabled = true;
+  probe_config.portfolio.adaptive.records = &probe;
   const auto probed = OptimizeJoinOrder(q, probe_config);
   ASSERT_TRUE(probed.ok()) << probed.status().ToString();
   const std::string bucket = probed->portfolio.race.feature_bucket;
@@ -395,10 +396,11 @@ TEST(PortfolioAdaptiveTest, WarmRaceBitIdenticalAcrossParallelism) {
   std::optional<QjoReport> baseline;
   for (int parallelism : {1, 4, 8}) {
     QjoConfig config = PortfolioConfig();
-    config.adaptive = true;
-    config.strand_records = &store;
+    config.portfolio.adaptive.enabled = true;
+    config.portfolio.adaptive.records = &store;
     config.portfolio.adaptive.record = false;
-    config.run.parallelism = parallelism;
+    ThreadPool pool(parallelism);
+    config.run.pool = &pool;
     const auto report = OptimizeJoinOrder(q, config);
     ASSERT_TRUE(report.ok()) << "parallelism " << parallelism << ": "
                              << report.status().ToString();
@@ -429,11 +431,6 @@ TEST(PortfolioAdaptiveTest, ValidationRejectsBadRoundBudgets) {
   QjoConfig bad_sweeps = PortfolioConfig();
   bad_sweeps.portfolio.sweeps_per_round = 0;
   EXPECT_EQ(OptimizeJoinOrder(q, bad_sweeps).status().code(),
-            StatusCode::kInvalidArgument);
-
-  QjoConfig bad_parallelism = PortfolioConfig();
-  bad_parallelism.run.parallelism = 0;
-  EXPECT_EQ(OptimizeJoinOrder(q, bad_parallelism).status().code(),
             StatusCode::kInvalidArgument);
 
   // The one documented unbounded-config error path.
