@@ -94,7 +94,7 @@ class ObsSession {
 
   /// Attaches the session's sinks to any config with `trace`/`metrics`
   /// pointer members (SolverControl, RunContext) or an embedded
-  /// RunContext named `run` (QjoConfig, PortfolioOptions, DecompOptions).
+  /// RunContext named `run` (QjoConfig).
   template <typename Config>
   void Apply(Config& config) {
     if constexpr (requires { config.run.trace; }) {

@@ -86,14 +86,14 @@ int RunSuite() {
 
       QuboBuildCache cache(256);
       DecompOptions options;
-      options.run.deadline_ms = deadline_ms;
-      options.run.pool = &pool;
       options.cache = &cache;
-      options.run.trace = bench::ObsSession::Get().trace();
-      options.run.metrics = bench::ObsSession::Get().metrics();
+      RunContext run;
+      run.deadline_ms = deadline_ms;
+      run.pool = &pool;
+      bench::ObsSession::Get().Apply(run);
       Rng rng(7);
       const auto t0 = std::chrono::steady_clock::now();
-      auto report = OptimizeJoinOrderDecomposed(*query, options, rng);
+      auto report = OptimizeJoinOrderDecomposed(*query, options, run, rng);
       const double elapsed_ms =
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - t0)

@@ -176,14 +176,15 @@ int RunSuite() {
     // --- The portfolio, blind to which strand is best, racing within
     // exactly the oracle baseline's wall-clock budget. ---
     PortfolioOptions options;
-    options.run.deadline_ms = best_solo->seconds * 1e3;
     options.sweep_budget = 0;  // the deadline is the only bound
     options.reads_per_round = reads_per_round;
     options.sweeps_per_round = sweeps_per_round;
-    options.run.pool = &pool;
-    bench::ObsSession::Get().Apply(options);
+    RunContext run;
+    run.deadline_ms = best_solo->seconds * 1e3;
+    run.pool = &pool;
+    bench::ObsSession::Get().Apply(run);
     Rng rng(601 + inst);
-    const auto race = RaceQuboPortfolio(qubo, options, rng);
+    const auto race = RaceQuboPortfolio(qubo, options, run, rng);
     if (!race.ok()) {
       std::cerr << "portfolio race failed: " << race.status().ToString()
                 << "\n";

@@ -8,7 +8,7 @@
 //           [--deadline-ms D] [--sweep-budget B]
 //           [--adaptive] [--strand-records-file FILE]
 //           [--thresholds R] [--omega W] [--shots S] [--seed X]
-//           [--parallelism T] [--kernel reference|incremental|batched]
+//           [--parallelism T]
 //           [--noiseless] [--verbose]
 //           [--trace-out FILE] [--metrics-out FILE]
 //           [--serve] [--serve-requests R] [--serve-tenants T]
@@ -48,7 +48,6 @@ struct CliArgs {
   int shots = 1024;
   uint64_t seed = 42;
   int parallelism = 1;
-  SolverKernel kernel = SolverKernel::kBatched;
   bool noiseless = false;
   bool verbose = false;
   double deadline_ms = -1.0;  // <0: portfolio runs on its sweep budget
@@ -111,11 +110,6 @@ void PrintHelp() {
       "                    read loops, amplitude loops and portfolio\n"
       "                    strands run on (default 1 = serial; results\n"
       "                    are identical for any T)\n"
-      "  --kernel K        solver inner loop: reference|incremental|batched\n"
-      "                    (default batched — SoA replica groups in SIMD\n"
-      "                    lanes, bit-identical to incremental; the SIMD\n"
-      "                    tier is auto-detected, set QJO_SIMD=scalar|sse2|\n"
-      "                    avx2|avx512 to cap it)\n"
       "  --noiseless       disable the QAOA noise model\n"
       "  --verbose         print the query and classical baselines\n"
       "  --trace-out FILE  write a Chrome trace-event JSON of every\n"
@@ -178,8 +172,7 @@ int RunServe(const CliArgs& args) {
   config.sqa.num_reads = args.shots;
   config.noiseless = args.noiseless;
   config.seed = args.seed;
-  config.solver_kernel = args.kernel;
-  config.portfolio.run.deadline_ms = args.deadline_ms;
+  config.run.deadline_ms = args.deadline_ms;
   config.portfolio.sweep_budget = args.sweep_budget;
 
   std::optional<TraceRecorder> trace;
@@ -343,8 +336,7 @@ int RunCli(const CliArgs& args) {
   config.sqa.num_reads = args.shots;
   config.noiseless = args.noiseless;
   config.seed = args.seed;
-  config.solver_kernel = args.kernel;
-  config.portfolio.run.deadline_ms = args.deadline_ms;
+  config.run.deadline_ms = args.deadline_ms;
   config.portfolio.sweep_budget = args.sweep_budget;
   ThreadPool pool(args.parallelism);
   config.run.pool = &pool;
@@ -526,18 +518,6 @@ int main(int argc, char** argv) {
       if (!v) return Fail("--parallelism needs a value");
       args.parallelism = std::atoi(v);
       if (args.parallelism < 1) return Fail("--parallelism must be >= 1");
-    } else if (flag == "--kernel") {
-      const char* v = next();
-      if (!v) return Fail("--kernel needs a value");
-      if (!std::strcmp(v, "reference")) {
-        args.kernel = SolverKernel::kReference;
-      } else if (!std::strcmp(v, "incremental")) {
-        args.kernel = SolverKernel::kIncremental;
-      } else if (!std::strcmp(v, "batched")) {
-        args.kernel = SolverKernel::kBatched;
-      } else {
-        return Fail("unknown kernel");
-      }
     } else if (flag == "--trace-out") {
       const char* v = next();
       if (!v) return Fail("--trace-out needs a file path");

@@ -80,10 +80,10 @@ void AbsorbSample(const PortfolioOptions& options, Clock::time_point start,
 /// Shared SolverControl wiring of the sweep-strand bodies.
 SolverControl StrandControl(const StrandRunEnv& env) {
   SolverControl control;
-  control.pool = env.pool;
-  control.stop = env.stop;
-  control.trace = env.options->run.trace;
-  control.metrics = env.options->run.metrics;
+  control.pool = env.run.pool;
+  control.stop = env.run.stop;
+  control.trace = env.run.trace;
+  control.metrics = env.run.metrics;
   return control;
 }
 
@@ -115,7 +115,6 @@ void RunSaStrand(const StrandRunEnv& env, Rng& rng) {
   SaOptions sa;
   sa.num_reads = env.budget.reads_per_round;
   sa.sweeps_per_read = env.budget.sweeps_per_round;
-  sa.kernel = env.options->solver_kernel;
   sa.control = StrandControl(env);
   const int64_t round_sweeps =
       static_cast<int64_t>(env.budget.reads_per_round) *
@@ -134,7 +133,6 @@ void RunTabuStrand(const StrandRunEnv& env, Rng& rng) {
   TabuOptions tabu;
   tabu.num_restarts = env.budget.reads_per_round;
   tabu.iterations_per_restart = env.budget.sweeps_per_round;
-  tabu.kernel = env.options->solver_kernel;
   tabu.control = StrandControl(env);
   const int64_t round_sweeps =
       static_cast<int64_t>(env.budget.reads_per_round) *
@@ -157,7 +155,7 @@ void RunSqaStrand(const StrandRunEnv& env, Rng& rng) {
   // directly onto SQA sweeps (RunSqa clamps to at least 8).
   sqa.annealing_time_us = env.budget.sweeps_per_round;
   sqa.sweeps_per_us = 1.0;
-  sqa.kernel = env.options->solver_kernel;
+  sqa.kernel = SolverKernel::kBatched;
   sqa.control = StrandControl(env);
   const int64_t sqa_round_sweeps =
       static_cast<int64_t>(env.budget.reads_per_round) *
@@ -182,7 +180,7 @@ void RunQaoaStrand(const StrandRunEnv& env, Rng& rng) {
   const IsingModel ising = QuboToIsing(qubo);
   auto sim = QaoaSimulator::Create(ising);
   if (!sim.ok()) return;
-  sim->set_pool(env.pool);
+  sim->set_pool(env.run.pool);
   const QaoaAngles angles =
       OptimizeQaoaAngles(ising, env.options->qaoa_iterations, rng);
   QaoaParameters params;
@@ -204,7 +202,7 @@ void RunQaoaStrand(const StrandRunEnv& env, Rng& rng) {
 
 void RunDecompStrand(const StrandRunEnv& env, Rng& rng) {
   if (env.stop_requested()) return;
-  auto decomp = env.options->decomp_run(env.stop, env.pool, rng);
+  auto decomp = env.options->decomp_run(env.run, rng);
   if (!decomp.ok()) return;
   // The strand's incumbent is the join order itself; its C_out cost is
   // directly comparable with the other strands' decoded scores. The
@@ -328,12 +326,13 @@ const StrandRegistry& StrandRegistry::Default() {
   return *kDefault;
 }
 
-Status ValidatePortfolioOptions(const PortfolioOptions& options) {
-  QJO_RETURN_IF_ERROR(ValidateRunContext(options.run));
+Status ValidatePortfolioOptions(const PortfolioOptions& options,
+                                const RunContext& run) {
+  QJO_RETURN_IF_ERROR(ValidateRunContext(run));
   // The one budget error path: a race must be bounded by wall clock or
   // by sweeps. (deadline_ms == 0 is the documented "skip the race"
   // fast-path, not an unbounded run.)
-  if (options.run.deadline_ms < 0.0 && options.sweep_budget <= 0) {
+  if (run.deadline_ms < 0.0 && options.sweep_budget <= 0) {
     return Status::InvalidArgument(
         "unbounded portfolio: need a deadline or a sweep budget");
   }
@@ -352,10 +351,10 @@ Status ValidatePortfolioOptions(const PortfolioOptions& options) {
 
 StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
                                            const PortfolioOptions& options,
-                                           Rng& rng) {
+                                           const RunContext& run, Rng& rng) {
   const int n = qubo.num_variables();
   if (n == 0) return Status::InvalidArgument("empty QUBO");
-  QJO_RETURN_IF_ERROR(ValidatePortfolioOptions(options));
+  QJO_RETURN_IF_ERROR(ValidatePortfolioOptions(options, run));
 
   const StrandRegistry& registry =
       options.registry != nullptr ? *options.registry
@@ -364,7 +363,7 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
   // Materialise the shared CSR before any fan-out (see Qubo::Csr()).
   qubo.Csr();
 
-  StageSpan race_span(options.run.trace, "portfolio.race");
+  StageSpan race_span(run.trace, "portfolio.race");
   QuboRaceResult result;
   const Clock::time_point start = Clock::now();
 
@@ -395,16 +394,16 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
         options.sweeps_per_round, options.sweep_budget);
   }
 
-  if (options.run.metrics != nullptr && result.adaptive_applied) {
-    options.run.metrics->Count("portfolio.adaptive.races");
+  if (run.metrics != nullptr && result.adaptive_applied) {
+    run.metrics->Count("portfolio.adaptive.races");
     for (const StrandState& state : states) {
       if (state.outcome.allocation.throttled) {
-        options.run.metrics->Count("portfolio.adaptive.throttled");
+        run.metrics->Count("portfolio.adaptive.throttled");
       }
     }
   }
 
-  if (options.run.deadline_ms == 0.0) {
+  if (run.deadline_ms == 0.0) {
     // Zero budget: answer immediately with an empty race. The JO layer
     // degrades to the classical plan.
     result.deadline_expired = true;
@@ -414,21 +413,19 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
     return result;
   }
 
-  ThreadPool* const pool = options.run.pool;  // null = serial
-
   std::atomic<bool> stop{false};
   // Early exit (lower-bound hit, exact strand finished) only cancels the
   // race in deadline mode: cancellation truncates other strands at a
   // wall-clock-dependent point, which would break the bit-reproducibility
   // contract of pure sweep-budget runs.
-  const bool deadline_mode = options.run.deadline_ms > 0.0;
+  const bool deadline_mode = run.deadline_ms > 0.0;
   const auto request_stop = [&] {
     if (deadline_mode) stop.store(true, std::memory_order_relaxed);
   };
   // External cancel token (serving-layer deadline, caller shutdown):
   // relayed onto the internal token in any budget mode — a fired token
   // is an unconditional cancel, unlike the opportunistic early exits.
-  const std::atomic<bool>* external = options.run.stop;
+  const std::atomic<bool>* external = run.stop;
 
   // Deadline watchdog: flips the internal stop token when the wall-clock
   // budget expires or the external cancel token fires, and exits silently
@@ -443,11 +440,8 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
   if (deadline_mode || external != nullptr) {
     watchdog.emplace([&] {
       const Clock::time_point hard_deadline =
-          deadline_mode
-              ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                   std::chrono::duration<double, std::milli>(
-                                       options.run.deadline_ms))
-              : Clock::time_point::max();
+          deadline_mode ? DeadlineAfterMs(Clock::now(), run.deadline_ms)
+                        : Clock::time_point::max();
       std::unique_lock<std::mutex> lock(watchdog_mutex);
       for (;;) {
         Clock::time_point wake = hard_deadline;
@@ -471,6 +465,13 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
     });
   }
 
+  // The context every strand runs under: the caller's, with the internal
+  // token in place of the caller's (the watchdog and `stop_requested`
+  // relay that one). Its deadline is the race deadline in deadline mode
+  // and "none" otherwise (zero budgets returned above).
+  RunContext strand_run = run;
+  strand_run.stop = &stop;
+
   const Rng base(rng.Next());
   const auto stop_requested = [&] {
     return stop.load(std::memory_order_relaxed) ||
@@ -484,15 +485,14 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
     if (!outcome.eligible) return;
     const StrandDesc& desc = registry.strands()[s];
     const std::string span_name = "strand." + desc.name;
-    StageSpan strand_span(options.run.trace, span_name.c_str());
+    StageSpan strand_span(run.trace, span_name.c_str());
     const Clock::time_point strand_start = Clock::now();
     Rng strand_rng = base.Fork(desc.rng_stream);
 
     StrandRunEnv env;
     env.qubo = &qubo;
     env.options = &options;
-    env.pool = pool;
-    env.stop = &stop;
+    env.run = strand_run;
     env.stop_requested = stop_requested;
     env.request_stop = request_stop;
     env.elapsed_ms = [&start] { return MsSince(start); };
@@ -511,16 +511,16 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
 
     desc.run(env, strand_rng);
     outcome.total_ms = MsSince(strand_start);
-    if (options.run.metrics != nullptr) {
+    if (run.metrics != nullptr) {
       // Mirrors StrandOutcome so exported metrics can be checked against
       // PortfolioReport; counter sums are deterministic in sweep-budget
       // mode at every parallelism level.
       const std::string prefix = "portfolio." + desc.name;
-      options.run.metrics->Count(
+      run.metrics->Count(
           prefix + ".rounds", static_cast<uint64_t>(outcome.rounds_completed));
-      options.run.metrics->Count(
+      run.metrics->Count(
           prefix + ".sweeps", static_cast<uint64_t>(outcome.sweeps_completed));
-      options.run.metrics->Observe("portfolio.strand_ms", outcome.total_ms);
+      run.metrics->Observe("portfolio.strand_ms", outcome.total_ms);
     }
   };
 
@@ -539,7 +539,7 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
   for (int s = 0; s < registry.size(); ++s) {
     if (!registry.strands()[s].run_first) run_order.push_back(s);
   }
-  ParallelFor(pool, 0, static_cast<int64_t>(run_order.size()),
+  ParallelFor(run.pool, 0, static_cast<int64_t>(run_order.size()),
               [&](int64_t i) { run_strand(run_order[i]); });
 
   // Retire the watchdog before reading its verdict.
@@ -576,8 +576,8 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
   // taken at entry), so determinism within a race is unaffected.
   if (records_attached && options.adaptive.record) {
     options.adaptive.records->Record(bucket, result.strands);
-    if (options.run.metrics != nullptr) {
-      options.run.metrics->GaugeMax(
+    if (run.metrics != nullptr) {
+      run.metrics->GaugeMax(
           "portfolio.adaptive.bucket_trials",
           static_cast<double>(
               options.adaptive.records->BucketTrials(bucket)));
@@ -590,7 +590,7 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
 StatusOr<PortfolioReport> RunJoPortfolio(const Query& query,
                                          const JoQuboEncoding& encoding,
                                          const PortfolioOptions& options,
-                                         Rng& rng) {
+                                         const RunContext& run, Rng& rng) {
   const Clock::time_point start = Clock::now();
   PortfolioReport report;
 
@@ -614,26 +614,18 @@ StatusOr<PortfolioReport> RunJoPortfolio(const Query& query,
   // strand only burns threads the QUBO strands use better.
   if (options.enable_decomp &&
       query.num_relations() >= options.min_decomp_relations) {
-    race_options.decomp_run = [&query, &options](
-                                  const std::atomic<bool>* stop,
-                                  ThreadPool* pool, Rng& strand_rng) {
-      DecompOptions local = options.decomp;
-      local.solver_kernel = options.solver_kernel;
-      local.run.stop = stop;
-      local.run.pool = pool;
-      local.run.trace = options.run.trace;
-      local.run.metrics = options.run.metrics;
-      // In deadline mode the race budget caps the loop directly (the
-      // internal check reacts between window solves, faster than the
-      // watchdog's stop token).
-      if (options.run.deadline_ms > 0.0) {
-        local.run.deadline_ms = options.run.deadline_ms;
-      }
-      return OptimizeJoinOrderDecomposed(query, local, strand_rng);
+    // In deadline mode the race context carries the race budget, which
+    // caps the loop directly (the internal check reacts between window
+    // solves, faster than the watchdog's stop token).
+    race_options.decomp_run = [&query, &options](const RunContext& strand_run,
+                                                 Rng& strand_rng) {
+      return OptimizeJoinOrderDecomposed(query, options.decomp, strand_run,
+                                         strand_rng);
     };
   }
   QJO_ASSIGN_OR_RETURN(
-      report.race, RaceQuboPortfolio(encoding.encoding.qubo, race_options, rng));
+      report.race,
+      RaceQuboPortfolio(encoding.encoding.qubo, race_options, run, rng));
 
   if (report.race.winner >= 0) {
     const StrandRegistry& registry = options.registry != nullptr

@@ -1,7 +1,6 @@
 #ifndef QJO_CORE_PORTFOLIO_H_
 #define QJO_CORE_PORTFOLIO_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -78,11 +77,11 @@ struct AdaptiveOptions {
 struct StrandRunEnv {
   const Qubo* qubo = nullptr;
   const PortfolioOptions* options = nullptr;
-  /// Shared pool for the strand's inner loops (null = serial).
-  ThreadPool* pool = nullptr;
-  /// The race's internal stop token (armed by the deadline watchdog and
-  /// the early-exit paths); wire into SolverControl::stop.
-  const std::atomic<bool>* stop = nullptr;
+  /// The race's context: the caller's pool (null = serial) and sinks, the
+  /// race's internal stop token (armed by the deadline watchdog, the
+  /// caller's token and the early-exit paths; wire it into
+  /// SolverControl::stop) and, in deadline mode, the race deadline.
+  RunContext run;
   /// True once the strand should wind down (the internal token or the
   /// caller's external cancel token fired).
   std::function<bool()> stop_requested;
@@ -172,13 +171,18 @@ class StrandRegistry {
   std::vector<StrandDesc> strands_;
 };
 
-/// Configuration of a portfolio race. Two budget dimensions compose:
+/// Configuration of a portfolio race. Where the race runs, until when and
+/// whether it was cancelled come from the caller's RunContext, passed
+/// next to these options. Two budget dimensions compose:
 ///
-///  * `run.deadline_ms` — wall-clock budget. A watchdog flips a shared
-///    stop token on expiry; every strand winds down cooperatively (the
-///    solvers' `stop` hooks) and the best incumbent wins. Wall-clock
-///    cut-offs are inherently scheduling-dependent, so deadline-bounded
-///    runs are *not* bit-reproducible.
+///  * `run.deadline_ms` — wall-clock budget: > 0 deadline, 0 = skip the
+///    race entirely (the JO layer answers with the classical fallback),
+///    < 0 = no deadline (`sweep_budget` must then be positive). A
+///    watchdog flips a shared stop token on expiry; every strand winds
+///    down cooperatively (the solvers' `stop` hooks) and the best
+///    incumbent wins. Wall-clock cut-offs are inherently
+///    scheduling-dependent, so deadline-bounded runs are *not*
+///    bit-reproducible.
 ///  * `sweep_budget` — total sweeps per strand (SA sweeps summed over
 ///    reads, tabu iterations summed over restarts, SQA Monte-Carlo sweeps
 ///    summed over reads). A run bounded only by sweeps (deadline_ms < 0)
@@ -191,14 +195,6 @@ class StrandRegistry {
 /// entry validation (ValidatePortfolioOptions); no strand ever performs
 /// its own ad-hoc budget checks.
 struct PortfolioOptions {
-  /// Deadline, pool, cancel token and observability sinks shared
-  /// with the other orchestration layers (see util/run_context.h for the
-  /// per-field contracts). `run.deadline_ms` keeps the historical race
-  /// semantics: > 0 wall-clock budget, 0 = skip the race entirely (the
-  /// JO layer answers with the classical fallback), < 0 = no deadline
-  /// (`sweep_budget` must then be positive).
-  RunContext run;
-
   /// Total sweeps each strand may spend; 0 = unlimited (requires a
   /// positive deadline). The budget is checked between rounds, so the
   /// last round may run to completion past it.
@@ -237,13 +233,9 @@ struct PortfolioOptions {
   int max_qaoa_variables = 20;
   int qaoa_shots = 128;
   int qaoa_iterations = 10;
-  /// Inner-loop kernel every stochastic strand dispatches to (SA and SQA
-  /// rounds plus the decomp strand's sub-solves; tabu treats kBatched as
-  /// its incremental kernel). kBatched is bit-identical to kIncremental.
-  SolverKernel solver_kernel = SolverKernel::kBatched;
   /// Template for the SQA strand (trotter slices, temperatures, ICE
-  /// noise). num_reads, the sweep schedule, pool/stop are
-  /// overridden per round.
+  /// noise). num_reads, the sweep schedule, the kernel (always
+  /// kBatched) and `control` are overridden per round.
   SqaOptions sqa;
 
   /// The decomposition strand (large-neighborhood search over the join
@@ -255,16 +247,14 @@ struct PortfolioOptions {
   /// as ineligible unless `decomp_run` is installed.
   bool enable_decomp = true;
   int min_decomp_relations = 10;
-  /// Template for the strand's decomposition loop. run.pool/stop/trace/
-  /// metrics and (in deadline mode) the deadline are overridden by the
-  /// race; `cache` should point at the pipeline's shared build cache.
+  /// Template for the strand's decomposition loop; it runs under the
+  /// race's context. `cache` should point at the pipeline's shared build
+  /// cache.
   DecompOptions decomp;
   /// Internal: installed by RunJoPortfolio to give the QUBO-level race a
-  /// query-level strand. Receives the race's stop token, shared pool and
-  /// the strand's forked RNG stream. Null = strand ineligible.
-  std::function<StatusOr<DecompReport>(const std::atomic<bool>*, ThreadPool*,
-                                       Rng&)>
-      decomp_run;
+  /// query-level strand. Receives the race's context (StrandRunEnv::run)
+  /// and the strand's forked RNG stream. Null = strand ineligible.
+  std::function<StatusOr<DecompReport>(const RunContext&, Rng&)> decomp_run;
 
   /// Known lower bound on the QUBO energy (e.g. from a previous exact
   /// solve of the same fingerprint). In deadline mode a strand whose
@@ -286,7 +276,8 @@ struct PortfolioOptions {
 /// <= 0` together with `run.deadline_ms < 0` is an unbounded race and is
 /// rejected here — not ad-hoc per strand). RaceQuboPortfolio calls this
 /// first; exposed so config builders can validate early.
-Status ValidatePortfolioOptions(const PortfolioOptions& options);
+Status ValidatePortfolioOptions(const PortfolioOptions& options,
+                                const RunContext& run);
 
 /// Per-strand outcome statistics of one race.
 struct StrandOutcome {
@@ -356,7 +347,7 @@ struct QuboRaceResult {
 /// invalid configuration (ValidatePortfolioOptions).
 StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
                                            const PortfolioOptions& options,
-                                           Rng& rng);
+                                           const RunContext& run, Rng& rng);
 
 /// Everything the JO layer learned from one portfolio run.
 struct PortfolioReport {
@@ -385,14 +376,14 @@ struct PortfolioReport {
 /// its prebuilt encoding: strands race on the QUBO, samples are decoded
 /// through the MILP metadata, the winner is the valid join order with the
 /// lowest C_out cost, and when the race yields no valid plan (or
-/// deadline_ms == 0) the classical DP baseline (greedy beyond the DP size
+/// run.deadline_ms == 0) the classical DP baseline (greedy beyond the DP size
 /// limit) supplies one — a valid join tree is always returned. When
 /// adaptive records are attached, the query's feature bucket is computed
 /// here and the race outcomes are recorded at epilogue.
 StatusOr<PortfolioReport> RunJoPortfolio(const Query& query,
                                          const JoQuboEncoding& encoding,
                                          const PortfolioOptions& options,
-                                         Rng& rng);
+                                         const RunContext& run, Rng& rng);
 
 }  // namespace qjo
 

@@ -64,10 +64,7 @@ std::string QjoReport::Summary() const {
        << " ms (encode " << FormatDouble(stage_timings.Of("encode"), 2)
        << " ms, solve " << FormatDouble(solve_ms, 2) << " ms)\n";
   }
-  if (!solver_kernel.empty()) {
-    os << "solver kernel: " << solver_kernel << " (simd " << simd_isa
-       << ")\n";
-  }
+  if (!simd_isa.empty()) os << "simd: " << simd_isa << "\n";
   os << "samples: " << stats.total << " (valid "
      << FormatPercent(stats.valid_fraction()) << ", optimal "
      << FormatPercent(stats.optimal_fraction()) << ")\n";
@@ -131,15 +128,11 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
   report.encoding.milp_variables = milp.model().num_variables();
   report.encoding.bilp_variables = bilp.num_variables();
   report.encoding.qubo_quadratic_terms = encoding.qubo.num_quadratic_terms();
-  // Which inner-loop kernel the stochastic solves will dispatch to, and
-  // which SIMD tier the dispatched kernels run on (host-resolved).
-  report.solver_kernel = SolverKernelName(config.solver_kernel);
+  // Which SIMD tier the stochastic solves' kernels run on
+  // (host-resolved).
   report.simd_isa = Simd().name;
   if (config.run.metrics != nullptr) {
     config.run.metrics->Count("pipeline.runs");
-    config.run.metrics->GaugeMax(
-        "solver.kernel",
-        static_cast<double>(static_cast<int>(config.solver_kernel)));
     config.run.metrics->GaugeMax(
         "simd.isa", static_cast<double>(static_cast<int>(Simd().isa)));
     config.run.metrics->GaugeMax("pipeline.bilp_variables",
@@ -195,7 +188,6 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
     case QjoBackend::kSimulatedAnnealing: {
       SaOptions sa;
       sa.num_reads = std::max(1, config.shots / 8);
-      sa.kernel = config.solver_kernel;
       sa.control.pool = config.run.pool;
       sa.control.stop = config.run.stop;
       sa.control.trace = config.run.trace;
@@ -330,9 +322,9 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
 
       const IsingModel physical_ising = QuboToIsing(embedded->physical);
       SqaOptions sqa = config.sqa;
-      sqa.kernel = config.solver_kernel;
-      if (sqa.control.pool == nullptr) sqa.control.pool = config.run.pool;
-      if (sqa.control.stop == nullptr) sqa.control.stop = config.run.stop;
+      sqa.kernel = SolverKernel::kBatched;
+      sqa.control.pool = config.run.pool;
+      sqa.control.stop = config.run.stop;
       sqa.control.trace = config.run.trace;
       sqa.control.metrics = config.run.metrics;
       QJO_ASSIGN_OR_RETURN(std::vector<SqaSample> reads,
@@ -352,21 +344,12 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
     }
     case QjoBackend::kPortfolio: {
       PortfolioOptions race = config.portfolio;
-      race.solver_kernel = config.solver_kernel;
-      if (race.run.pool == nullptr) race.run.pool = config.run.pool;
-      if (race.run.stop == nullptr) race.run.stop = config.run.stop;
-      if (race.run.trace == nullptr) race.run.trace = config.run.trace;
-      if (race.run.metrics == nullptr) race.run.metrics = config.run.metrics;
-      // Pipeline-level wall budget: forwarded when the race has none of
-      // its own.
-      if (race.run.deadline_ms < 0.0 && config.run.deadline_ms >= 0.0) {
-        race.run.deadline_ms = config.run.deadline_ms;
-      }
       // The decomposition strand re-encodes window subqueries constantly;
       // the pipeline's shared build cache absorbs the repeats.
-      if (race.decomp.cache == nullptr) race.decomp.cache = config.qubo_cache;
-      QJO_ASSIGN_OR_RETURN(report.portfolio,
-                           RunJoPortfolio(query, *entry, race, rng));
+      race.decomp.cache = config.qubo_cache;
+      QJO_ASSIGN_OR_RETURN(
+          report.portfolio,
+          RunJoPortfolio(query, *entry, race, config.run, rng));
       if (config.qubo_cache != nullptr) {
         const QuboBuildCache::Stats cache = config.qubo_cache->stats();
         report.portfolio.cache_hits = cache.hits;

@@ -61,8 +61,9 @@ struct QjoConfig {
 
   uint64_t seed = 7;
 
-  /// Deadline, pool, cancel token and observability sinks shared with
-  /// the other orchestration layers (util/run_context.h):
+  /// The request's one execution context (util/run_context.h): the
+  /// pipeline hands it unchanged to the portfolio race, which runs the
+  /// decomposition strand under it too:
   ///
   ///  * `run.pool` — the one source of threads for the per-read loops of
   ///    the stochastic backends (SA reads, SQA anneals), the QAOA
@@ -71,13 +72,14 @@ struct QjoConfig {
   ///    serial: no layer creates threads of its own, so a caller that
   ///    wants N threads builds one ThreadPool(N). Reports are
   ///    bit-identical for every pool size.
-  ///  * `run.deadline_ms` — pipeline-level wall budget, forwarded to the
-  ///    portfolio race when `portfolio.run.deadline_ms` is left at its
-  ///    default; ignored by the non-cooperative backends.
+  ///  * `run.deadline_ms` — the portfolio race's wall budget (see
+  ///    PortfolioOptions); ignored by the other backends.
   ///  * `run.stop` — cooperative cancel token (e.g. flipped by the
   ///    serving layer's DeadlineMonitor), plumbed into the stochastic
-  ///    solvers' SolverControl::stop and the portfolio race. The exact
-  ///    and QAOA backends are not cooperative and run to completion.
+  ///    solvers' SolverControl::stop (SA, and the annealer's SQA, whose
+  ///    `sqa.control` template the pipeline overwrites) and the portfolio
+  ///    race. The exact and QAOA backends are not cooperative and run to
+  ///    completion.
   ///    While the token stays unset, results are bit-identical to a run
   ///    without one.
   ///  * `run.trace`/`run.metrics` — when attached, every pipeline stage
@@ -87,15 +89,6 @@ struct QjoConfig {
   ///    optimisation call(s); one recorder/registry may be shared across
   ///    a whole batch.
   RunContext run;
-
-  /// Inner-loop kernel for every stochastic solve this pipeline issues
-  /// (SA reads, SQA anneals, portfolio strands, decomp sub-solves).
-  /// kBatched (default) anneals replica groups in SIMD lanes and is
-  /// bit-identical to kIncremental; kReference is the slow oracle.
-  /// Tabu always runs its incremental kernel. Also settable via
-  /// `qjo_cli --kernel`; the SIMD tier itself is picked at runtime
-  /// (QJO_SIMD to override).
-  SolverKernel solver_kernel = SolverKernel::kBatched;
 
   // --- Gate-based options. ---
   int shots = 1024;
@@ -113,6 +106,11 @@ struct QjoConfig {
   bool noiseless = false;
 
   // --- Annealer options. ---
+  /// SQA template; its `kernel` and `control` are overwritten by the
+  /// pipeline (kBatched, and `run`'s pool/stop/sinks). Every stochastic
+  /// solve the pipeline issues runs the batched kernel (tabu its
+  /// incremental one); the SIMD tier is picked at runtime (QJO_SIMD to
+  /// override).
   SqaOptions sqa;
   EmbeddingOptions embedding;
   EmbedQuboOptions embed_qubo;
@@ -124,12 +122,12 @@ struct QjoConfig {
   /// Strand selection, budgets and adaptive strand selection
   /// (`portfolio.adaptive`, core/strand_select.h; the serving layer
   /// persists its record store through ServeOptions::
-  /// strand_records_file). pool/stop/trace/metrics fall back to `run`
-  /// when left at their defaults.
+  /// strand_records_file). The race runs under `run`.
   PortfolioOptions portfolio;
-  /// Optional memoizing QUBO-build cache shared across runs (not owned).
-  /// Null = every run encodes from scratch; OptimizeJoinOrderBatch
-  /// supplies a batch-wide cache automatically.
+  /// Optional memoizing QUBO-build cache shared across runs (not owned),
+  /// also handed to the decomposition strand (overwriting
+  /// `portfolio.decomp.cache`). Null = every run encodes from scratch;
+  /// OptimizeJoinOrderBatch supplies a batch-wide cache automatically.
   QuboBuildCache* qubo_cache = nullptr;
 
   QjoConfig();
@@ -190,10 +188,8 @@ struct QjoReport {
   /// empty otherwise).
   PortfolioReport portfolio;
 
-  /// Solver kernel this run dispatched to ("batched", "incremental",
-  /// "reference") and the SIMD tier the dispatched kernels ran on
-  /// ("scalar", "sse2", "avx2", "avx512").
-  std::string solver_kernel;
+  /// SIMD tier the stochastic kernels ran on ("scalar", "sse2", "avx2",
+  /// "avx512").
   std::string simd_isa;
 
   std::string Summary() const;

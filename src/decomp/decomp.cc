@@ -167,6 +167,7 @@ StatusOr<WindowSubproblem> BuildWindowSubproblem(const Query& query,
 
 StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
                                                    const DecompOptions& options,
+                                                   const RunContext& run,
                                                    Rng& rng) {
   const int t = query.num_relations();
   if (t < 2) return Status::InvalidArgument("need at least 2 relations");
@@ -175,8 +176,8 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
         "decomposition cost model indexes relations through uint64_t masks "
         "(at most 63 relations)");
   }
-  QJO_RETURN_IF_ERROR(ValidateRunContext(options.run));
-  if (options.max_rounds <= 0 && options.run.deadline_ms <= 0.0) {
+  QJO_RETURN_IF_ERROR(ValidateRunContext(run));
+  if (options.max_rounds <= 0 && run.deadline_ms <= 0.0) {
     return Status::InvalidArgument(
         "unbounded decomposition: need max_rounds or a deadline");
   }
@@ -209,17 +210,16 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
     cache = &*local_cache;
   }
 
-  ThreadPool* const pool = options.run.pool;  // null = serial
+  ThreadPool* const pool = run.pool;  // null = serial
 
   // Workers consult this concurrently, so the deadline verdict lives in
   // an atomic and is folded into the report once the fan-outs are done.
   std::atomic<bool> deadline_hit{false};
   const auto expired = [&] {
-    if (options.run.stop != nullptr &&
-        options.run.stop->load(std::memory_order_relaxed)) {
+    if (run.stop != nullptr && run.stop->load(std::memory_order_relaxed)) {
       return true;
     }
-    if (options.run.deadline_ms > 0.0 && MsSince(start) >= options.run.deadline_ms) {
+    if (run.deadline_ms > 0.0 && MsSince(start) >= run.deadline_ms) {
       deadline_hit.store(true, std::memory_order_relaxed);
       return true;
     }
@@ -238,7 +238,7 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
     // positions split by this round's cuts share a window in the next.
     std::vector<DecompWindow> windows;
     {
-      StageSpan span(options.run.trace, "decomp.partition");
+      StageSpan span(run.trace, "decomp.partition");
       windows = PartitionWindows(t, window, (round % 2) * (window / 2));
       // Worst window first: rank by the window's share of the incumbent
       // cost (the intermediate results produced at its positions), ties
@@ -274,7 +274,7 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
     ParallelFor(pool, 0, static_cast<int64_t>(windows.size()), [&](int64_t w) {
       if (expired()) return;
       const std::string span_name = "decomp.subsolve." + std::to_string(w);
-      StageSpan span(options.run.trace, span_name.c_str());
+      StageSpan span(run.trace, span_name.c_str());
       WindowProposal& proposal = proposals[w];
       Rng window_rng = round_rng.Fork(static_cast<uint64_t>(w));
 
@@ -288,15 +288,14 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
       if (encoded.ok()) {
         const Qubo& qubo = (*encoded)->encoding.qubo;
         SolverControl control;  // no pool: the fan-out above owns threads
-        control.stop = options.run.stop;
-        control.trace = options.run.trace;
-        control.metrics = options.run.metrics;
+        control.stop = run.stop;
+        control.trace = run.trace;
+        control.metrics = run.metrics;
         switch (PickSubSolver(round, static_cast<int>(w))) {
           case SubSolver::kSa: {
             SaOptions sa;
             sa.num_reads = options.subsolver_reads;
             sa.sweeps_per_read = options.subsolver_sweeps;
-            sa.kernel = options.solver_kernel;
             sa.control = control;
             solutions = SolveQuboSimulatedAnnealing(qubo, sa, window_rng);
             break;
@@ -305,7 +304,6 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
             TabuOptions tabu;
             tabu.num_restarts = options.subsolver_reads;
             tabu.iterations_per_restart = options.subsolver_sweeps;
-            tabu.kernel = options.solver_kernel;
             tabu.control = control;
             solutions = SolveQuboTabuSearch(qubo, tabu, window_rng);
             break;
@@ -316,7 +314,6 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
             sqa.num_reads = options.subsolver_reads;
             sqa.annealing_time_us = options.subsolver_sweeps;
             sqa.sweeps_per_us = 1.0;
-            sqa.kernel = options.solver_kernel;
             sqa.control = control;
             auto samples = RunSqa(ising, sqa, window_rng);
             if (samples.ok()) {
@@ -363,7 +360,7 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
     // only global improvements are accepted.
     int round_improvements = 0;
     {
-      StageSpan span(options.run.trace, "decomp.stitch");
+      StageSpan span(run.trace, "decomp.stitch");
       for (size_t w = 0; w < windows.size(); ++w) {
         const WindowProposal& proposal = proposals[w];
         if (!proposal.solved) continue;
@@ -385,15 +382,14 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
     ++report.rounds;
   }
 
-  if (options.run.metrics != nullptr) {
-    options.run.metrics->Count("decomp.rounds",
-                           static_cast<uint64_t>(report.rounds));
-    options.run.metrics->Count("decomp.windows_solved",
-                           static_cast<uint64_t>(report.windows_solved));
-    options.run.metrics->Count("decomp.improvements",
-                           static_cast<uint64_t>(report.improvements));
-    options.run.metrics->Count("decomp.repairs",
-                           static_cast<uint64_t>(report.repairs));
+  if (run.metrics != nullptr) {
+    run.metrics->Count("decomp.rounds", static_cast<uint64_t>(report.rounds));
+    run.metrics->Count("decomp.windows_solved",
+                       static_cast<uint64_t>(report.windows_solved));
+    run.metrics->Count("decomp.improvements",
+                       static_cast<uint64_t>(report.improvements));
+    run.metrics->Count("decomp.repairs",
+                       static_cast<uint64_t>(report.repairs));
   }
 
   report.deadline_expired = deadline_hit.load(std::memory_order_relaxed);

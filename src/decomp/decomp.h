@@ -1,7 +1,6 @@
 #ifndef QJO_DECOMP_DECOMP_H_
 #define QJO_DECOMP_DECOMP_H_
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -9,14 +8,11 @@
 #include "jo/join_tree.h"
 #include "jo/query.h"
 #include "obs/obs.h"
-#include "qubo/solvers.h"
 #include "util/random.h"
 #include "util/run_context.h"
 #include "util/statusor.h"
 
 namespace qjo {
-
-class ThreadPool;
 
 /// Hybrid qbsolv-style decomposition for large join-ordering queries
 /// (Nayak et al.: hybrid quantum-classical approaches for JO QUBOs).
@@ -55,6 +51,10 @@ class ThreadPool;
 /// parallelism level. Deadline-bounded runs stop cooperatively between
 /// window solves and are wall-clock-dependent, exactly like the
 /// portfolio's deadline mode.
+///
+/// These options say only *what* to search; where the loop runs, until
+/// when and whether it was cancelled come from the RunContext passed
+/// next to them (the portfolio's decomp strand passes the race's).
 struct DecompOptions {
   /// Relations per window (the subqueries add one prefix pseudo-relation
   /// on top). Sized for the fast incremental kernels: sub-QUBOs stay in
@@ -68,12 +68,10 @@ struct DecompOptions {
   int stall_rounds = 2;
 
   /// Sub-solver effort per window: reads/restarts x sweeps/iterations.
+  /// The rotating SA/tabu/SQA sub-solves run their default kernels
+  /// (kBatched; tabu's incremental one).
   int subsolver_reads = 4;
   int subsolver_sweeps = 96;
-  /// Inner-loop kernel of the rotating SA/tabu/SQA sub-solves (tabu
-  /// treats kBatched as its incremental kernel). kBatched is
-  /// bit-identical to kIncremental.
-  SolverKernel solver_kernel = SolverKernel::kBatched;
 
   /// Encoding options for the window subqueries (kept small: one
   /// threshold keeps sub-QUBOs lean; the acceptance test uses the exact
@@ -86,15 +84,6 @@ struct DecompOptions {
   /// is exactly the workload the cache's single-entry LRU eviction
   /// protects. Null = the call creates a private cache for its duration.
   QuboBuildCache* cache = nullptr;
-
-  /// Deadline, the pool for the per-round window fan-out (null = serial;
-  /// results never depend on it) and the usual non-owned
-  /// stop/observability wiring, shared with the other orchestration
-  /// layers (see util/run_context.h). `run.deadline_ms` <= 0 = no
-  /// deadline (bounded by max_rounds); when positive it is checked
-  /// between window solves, and `run.stop` (when set) is honoured the
-  /// same way.
-  RunContext run;
 };
 
 /// One window of consecutive incumbent-order positions, [start, start+length).
@@ -143,12 +132,17 @@ struct DecompReport {
   double elapsed_ms = 0.0;
 };
 
-/// Runs the decomposition loop on `query`. Always returns a valid join
-/// tree with cost <= the greedy baseline (the seed) when it returns at
-/// all; fails only on < 2 relations, > 63 relations (bitmask-bounded cost
-/// model), or an unbounded configuration.
+/// Runs the decomposition loop on `query` under `run`: its pool carries
+/// the per-round window fan-out (null = serial; results never depend on
+/// it), `run.deadline_ms` <= 0 = no deadline (bounded by max_rounds),
+/// and a positive deadline as well as `run.stop` are checked between
+/// window solves. Always returns a valid join tree with cost <= the
+/// greedy baseline (the seed) when it returns at all; fails only on < 2
+/// relations, > 63 relations (bitmask-bounded cost model), or an
+/// unbounded configuration.
 StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
                                                    const DecompOptions& options,
+                                                   const RunContext& run,
                                                    Rng& rng);
 
 }  // namespace qjo

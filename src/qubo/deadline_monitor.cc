@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/run_context.h"
+
 namespace qjo {
 
 DeadlineMonitor::DeadlineMonitor()
@@ -29,9 +31,7 @@ uint64_t DeadlineMonitor::Arm(std::atomic<bool>* token,
 }
 
 uint64_t DeadlineMonitor::ArmAfterMs(std::atomic<bool>* token, double ms) {
-  return Arm(token, Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                       std::chrono::duration<double, std::milli>(
-                                           std::max(ms, 0.0))));
+  return Arm(token, DeadlineAfterMs(Clock::now(), ms));
 }
 
 void DeadlineMonitor::Disarm(uint64_t id) {

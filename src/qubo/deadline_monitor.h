@@ -50,7 +50,8 @@ class DeadlineMonitor {
   /// reused.
   uint64_t Arm(std::atomic<bool>* token, Clock::time_point deadline);
 
-  /// Convenience overload: deadline `ms` milliseconds from now.
+  /// Convenience overload: deadline `ms` milliseconds from now
+  /// (saturating: a budget too far out to represent never fires).
   uint64_t ArmAfterMs(std::atomic<bool>* token, double ms);
 
   /// Withdraws an armed entry. Safe to call with an id that already

@@ -42,8 +42,7 @@ void AppendDouble(std::string* key, const char* tag, double v) {
 }
 
 /// Keys every result-determining value field of an SQA template (the
-/// kernel is overridden by the pipeline's solver_kernel, `control` only
-/// says where work runs).
+/// pipeline overwrites its `kernel` and `control`).
 void AppendSqa(std::string* key, const char* tag, const SqaOptions& sqa) {
   key->append("|").append(tag);
   AppendI64(key, "reads", sqa.num_reads);
@@ -252,11 +251,8 @@ StatusOr<std::future<ServeResult>> OptimizerService::Submit(
   pending->request = std::move(request);
   pending->submitted = now;
   pending->deadline_ms = budget_ms;
-  pending->deadline = budget_ms > 0.0
-                          ? now + std::chrono::duration_cast<Clock::duration>(
-                                      std::chrono::duration<double, std::milli>(
-                                          budget_ms))
-                          : Clock::time_point::max();
+  pending->deadline = budget_ms > 0.0 ? DeadlineAfterMs(now, budget_ms)
+                                      : Clock::time_point::max();
   pending->plan_key = std::move(key);
   pending->quota_cost = cost;
   std::future<ServeResult> future = pending->promise.get_future();
@@ -533,11 +529,9 @@ void OptimizerService::Process(Pending& pending) {
       result.report = std::move(report).value();
       // Never cache a truncated (token-fired) result: it reflects this
       // request's deadline or cancellation, not the config's full-budget
-      // answer. Judged from the tokens the solve ran with — the armed one
-      // or the caller's own.
-      truncated = Fired(config.run.stop) ||
-                  Fired(config.portfolio.run.stop) ||
-                  Fired(config.sqa.control.stop);
+      // answer. Judged from the one token the solve ran with — the armed
+      // one or the caller's own.
+      truncated = Fired(config.run.stop);
       if (use_cache && !truncated && result.report.found_valid) {
         cache_->Insert(key, result.report);
       }
@@ -729,7 +723,6 @@ std::string OptimizerService::PlanKey(const Query& query,
   key += "|backend=";
   key += QjoBackendName(config.backend);
   AppendU64(&key, "seed", config.seed);
-  AppendI64(&key, "kernel", static_cast<int64_t>(config.solver_kernel));
   AppendI64(&key, "shots", config.shots);
   AppendI64(&key, "qi", config.qaoa_iterations);
   AppendI64(&key, "qg", config.qaoa_grid);
@@ -747,7 +740,6 @@ std::string OptimizerService::PlanKey(const Query& query,
   AppendI64(&key, "adaptive", p.adaptive.enabled ? 1 : 0);
   AppendU64(&key, "a_mbt", p.adaptive.min_bucket_trials);
   AppendI64(&key, "a_td", p.adaptive.throttle_divisor);
-  AppendDouble(&key, "p_dl", p.run.deadline_ms);
   AppendI64(&key, "p_sb", p.sweep_budget);
   AppendI64(&key, "p_rpr", p.reads_per_round);
   AppendI64(&key, "p_spr", p.sweeps_per_round);
@@ -758,6 +750,14 @@ std::string OptimizerService::PlanKey(const Query& query,
                            (p.enable_qaoa ? 16u : 0u) |
                            (p.enable_decomp ? 32u : 0u);
   AppendU64(&key, "p_strands", strands);
+  // A custom registry changes which strands race; the default one
+  // (null) adds nothing to the key.
+  if (p.registry != nullptr) {
+    key += "|p_reg=";
+    for (const std::string& name : p.registry->Names()) {
+      key.append(name).append(",");
+    }
+  }
   AppendI64(&key, "p_mev", p.max_exact_variables);
   AppendI64(&key, "p_mqv", p.max_qaoa_variables);
   AppendI64(&key, "p_qs", p.qaoa_shots);
@@ -773,7 +773,6 @@ std::string OptimizerService::PlanKey(const Query& query,
   AppendI64(&key, "d_sweeps", d.subsolver_sweeps);
   AppendI64(&key, "d_nt", d.num_thresholds);
   AppendDouble(&key, "d_omega", d.omega);
-  AppendDouble(&key, "d_dl", d.run.deadline_ms);
   return key;
 }
 

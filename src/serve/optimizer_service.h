@@ -269,11 +269,12 @@ class OptimizerService {
 
   /// Cache key of a request: the encoding fingerprint (query + threshold
   /// grid + omega, bit-exact) extended with every QjoConfig field that
-  /// determines the report: backend, seed, kernel, shots, the pipeline
-  /// deadline, the SQA, embedding and chain-strength options, and the
-  /// portfolio's budgets, strands, SQA and decomposition templates and
-  /// adaptive knobs. Fields that only affect *where* work runs (pool,
-  /// stop tokens, sinks, build caches, record stores) are excluded — the
+  /// determines the report: backend, seed, shots, the one deadline
+  /// (`run.deadline_ms`), the SQA, embedding and chain-strength options,
+  /// and the portfolio's budgets, strands (a custom registry's strand
+  /// names included), SQA and decomposition templates and adaptive
+  /// knobs. Fields that only affect *where* work runs (pool, stop
+  /// token, sinks, build caches, record stores) are excluded — the
   /// determinism contract makes them result-neutral. Caveat: the device,
   /// transpile and topology options (DeviceProperties, TranspileOptions,
   /// custom coupling graphs) are *not* keyed — a deployment varying them

@@ -2,6 +2,7 @@
 #define QJO_UTIL_RUN_CONTEXT_H_
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 
 #include "util/status.h"
@@ -12,11 +13,13 @@ class ThreadPool;
 class TraceRecorder;
 class MetricsRegistry;
 
-/// Shared execution context of the orchestration layers (portfolio race,
-/// decomposition loop, end-to-end pipeline). Consolidates the
-/// deadline/pool/stop/observability knobs that used to be
-/// duplicated across PortfolioOptions, DecompOptions and QjoConfig into
-/// one struct each of them embeds by value as `run`.
+/// The execution context of one request: where it runs, until when,
+/// whether it was cancelled, and where it reports. A request carries
+/// exactly one, `QjoConfig::run`; every orchestration layer below the
+/// pipeline (portfolio race, decomposition loop) receives it as an
+/// argument and no options struct carries one of its own, so the
+/// deadline and the cancel token the caller set are the only ones in
+/// force.
 ///
 /// Nothing here is owned: pool, stop, trace and metrics must outlive the
 /// call they are passed to. The per-field contracts mirror SolverControl
@@ -26,7 +29,8 @@ class MetricsRegistry;
 struct RunContext {
   /// Wall-clock budget in milliseconds. > 0: the layer winds down
   /// cooperatively on expiry (watchdog token or between-rounds checks)
-  /// and answers with its incumbent. 0: zero budget — orchestrators
+  /// and answers with its incumbent; a budget too large to represent
+  /// (1e20, +inf) never expires. 0: zero budget — orchestrators
   /// answer immediately with their cheap fallback. < 0: no deadline; the
   /// run must then be bounded another way (sweep budget, round budget),
   /// which each layer's validation enforces at entry. Wall-clock
@@ -66,6 +70,28 @@ inline Status ValidateRunContext(const RunContext& run) {
     return Status::InvalidArgument("deadline_ms must not be NaN");
   }
   return Status::Ok();
+}
+
+/// `now + ms` on the steady clock, saturating at time_point::max() for a
+/// budget too far out to represent (1e20 ms, +inf, NaN) — a plain
+/// duration_cast of such a double overflows the clock's integer ticks.
+/// A non-positive budget yields `now`.
+inline std::chrono::steady_clock::time_point DeadlineAfterMs(
+    std::chrono::steady_clock::time_point now, double ms) {
+  using Clock = std::chrono::steady_clock;
+  const double ticks =
+      std::chrono::duration<double, Clock::period>(
+          std::chrono::duration<double, std::milli>(ms))
+          .count();
+  if (ticks <= 0.0) return now;
+  const Clock::duration headroom = Clock::time_point::max() - now;
+  // Compared as doubles first, so the cast below only ever sees a value
+  // below 2^63; the integer compare then settles the rounding at the top.
+  if (!(ticks < static_cast<double>(headroom.count()))) {
+    return Clock::time_point::max();
+  }
+  const Clock::duration budget(static_cast<Clock::rep>(ticks));
+  return budget >= headroom ? Clock::time_point::max() : now + budget;
 }
 
 }  // namespace qjo

@@ -1,4 +1,5 @@
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -532,7 +533,7 @@ TEST(PortfolioTest, ZeroDeadlineReturnsClassicalFallback) {
   const Query q = MakeChainQuery(4);
   QjoConfig config;
   config.backend = QjoBackend::kPortfolio;
-  config.portfolio.run.deadline_ms = 0.0;
+  config.run.deadline_ms = 0.0;
   auto report = OptimizeJoinOrder(q, config);
   ASSERT_TRUE(report.ok());
   // Zero budget: no strand ran, yet a valid plan (the DP fallback, which
@@ -551,7 +552,7 @@ TEST(PortfolioTest, RejectsUnboundedConfiguration) {
   const Query q = MakeChainQuery(3);
   QjoConfig config;
   config.backend = QjoBackend::kPortfolio;
-  config.portfolio.run.deadline_ms = -1.0;
+  config.run.deadline_ms = -1.0;
   config.portfolio.sweep_budget = 0;  // no deadline and no sweep bound
   EXPECT_FALSE(OptimizeJoinOrder(q, config).ok());
 }
@@ -582,7 +583,7 @@ TEST(PortfolioTest, DeadlineExpiryStillReturnsValidPlan) {
   const Query q = MakeChainQuery(5);
   QjoConfig config;
   config.backend = QjoBackend::kPortfolio;
-  config.portfolio.run.deadline_ms = 30.0;
+  config.run.deadline_ms = 30.0;
   config.portfolio.sweep_budget = 0;  // unlimited: only the deadline stops it
   ThreadPool pool(4);
   config.run.pool = &pool;  // race strands concurrently
@@ -591,6 +592,25 @@ TEST(PortfolioTest, DeadlineExpiryStillReturnsValidPlan) {
   EXPECT_TRUE(report->found_valid);
   EXPECT_EQ(report->best_order.order().size(), 5u);
   EXPECT_GT(report->best_cost, 0.0);
+}
+
+TEST(PortfolioTest, UnrepresentableDeadlineNeverExpires) {
+  // A deadline too far out for the clock's integer ticks must mean "no
+  // wall-clock cut-off", not an overflowed deadline in the past that
+  // expires the race at once and answers with the classical fallback.
+  const Query q = MakeChainQuery(4);
+  for (const double deadline_ms :
+       {1e20, std::numeric_limits<double>::infinity()}) {
+    QjoConfig config;
+    config.backend = QjoBackend::kPortfolio;
+    config.run.deadline_ms = deadline_ms;
+    config.portfolio.sweep_budget = int64_t{1} << 16;
+    auto report = OptimizeJoinOrder(q, config);
+    ASSERT_TRUE(report.ok()) << deadline_ms;
+    EXPECT_FALSE(report->portfolio.race.deadline_expired) << deadline_ms;
+    EXPECT_FALSE(report->portfolio.used_classical_fallback) << deadline_ms;
+    EXPECT_TRUE(report->found_valid) << deadline_ms;
+  }
 }
 
 TEST(PortfolioTest, DeterministicAcrossParallelism) {

@@ -132,13 +132,14 @@ TEST(DecompTest, RejectsDegenerateInputs) {
   tiny.AddRelation("R0", 10.0);
   DecompOptions options;
   Rng rng(1);
-  EXPECT_FALSE(OptimizeJoinOrderDecomposed(tiny, options, rng).ok());
+  EXPECT_FALSE(OptimizeJoinOrderDecomposed(tiny, options, {}, rng).ok());
 
   Query q = MakeGraphQuery(QueryGraphType::kChain, 5, 11);
   DecompOptions unbounded;
   unbounded.max_rounds = 0;
-  unbounded.run.deadline_ms = -1.0;
-  EXPECT_FALSE(OptimizeJoinOrderDecomposed(q, unbounded, rng).ok());
+  RunContext run;
+  run.deadline_ms = -1.0;
+  EXPECT_FALSE(OptimizeJoinOrderDecomposed(q, unbounded, run, rng).ok());
 }
 
 struct LargeCase {
@@ -152,7 +153,7 @@ TEST_P(DecompLargeQueryTest, ValidTreeCostAtMostGreedy) {
   const LargeCase c = GetParam();
   const Query q = MakeGraphQuery(c.type, c.relations, 31 + c.relations);
   Rng rng(7);
-  auto report = OptimizeJoinOrderDecomposed(q, FastOptions(), rng);
+  auto report = OptimizeJoinOrderDecomposed(q, FastOptions(), {}, rng);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   // Valid join tree covering every relation.
   auto valid = LeftDeepOrder::Create(report->order.order(), q);
@@ -180,11 +181,11 @@ TEST(DecompTest, DeterministicAcrossParallelism) {
   const Query q = MakeGraphQuery(QueryGraphType::kCycle, 30, 23);
   std::optional<DecompReport> baseline;
   for (int parallelism : {1, 4, 8}) {
-    DecompOptions options = FastOptions();
     ThreadPool pool(parallelism);
-    options.run.pool = &pool;
+    RunContext run;
+    run.pool = &pool;
     Rng rng(99);
-    auto report = OptimizeJoinOrderDecomposed(q, options, rng);
+    auto report = OptimizeJoinOrderDecomposed(q, FastOptions(), run, rng);
     ASSERT_TRUE(report.ok()) << "parallelism " << parallelism;
     if (!baseline.has_value()) {
       baseline = *std::move(report);
@@ -209,7 +210,7 @@ TEST(DecompTest, SharedCacheAbsorbsRepeatedWindowShapes) {
   options.stall_rounds = 0;
   options.cache = &cache;
   Rng rng(5);
-  ASSERT_TRUE(OptimizeJoinOrderDecomposed(q, options, rng).ok());
+  ASSERT_TRUE(OptimizeJoinOrderDecomposed(q, options, {}, rng).ok());
   const QuboBuildCache::Stats stats = cache.stats();
   // Rounds 3 and 4 repeat the phase-0/phase-1 partitions of rounds 1 and
   // 2 over an (unimproved or identical-shape) incumbent: the cache must
@@ -219,11 +220,11 @@ TEST(DecompTest, SharedCacheAbsorbsRepeatedWindowShapes) {
 
 TEST(DecompTest, StopTokenShortCircuits) {
   const Query q = MakeGraphQuery(QueryGraphType::kChain, 30, 17);
-  DecompOptions options = FastOptions();
   std::atomic<bool> stop{true};  // pre-cancelled
-  options.run.stop = &stop;
+  RunContext run;
+  run.stop = &stop;
   Rng rng(3);
-  auto report = OptimizeJoinOrderDecomposed(q, options, rng);
+  auto report = OptimizeJoinOrderDecomposed(q, FastOptions(), run, rng);
   ASSERT_TRUE(report.ok());
   // Still a valid plan (the greedy seed), with no rounds run.
   EXPECT_EQ(report->rounds, 0);
@@ -236,11 +237,11 @@ TEST(DecompTest, ObservabilityRecordsSpansAndCounters) {
   const Query q = MakeGraphQuery(QueryGraphType::kStar, 30, 13);
   TraceRecorder trace;
   MetricsRegistry metrics;
-  DecompOptions options = FastOptions();
-  options.run.trace = &trace;
-  options.run.metrics = &metrics;
+  RunContext run;
+  run.trace = &trace;
+  run.metrics = &metrics;
   Rng rng(7);
-  auto report = OptimizeJoinOrderDecomposed(q, options, rng);
+  auto report = OptimizeJoinOrderDecomposed(q, FastOptions(), run, rng);
   ASSERT_TRUE(report.ok());
   const std::vector<TraceEvent> events = trace.Snapshot();
   const auto has_span = [&](const std::string& name) {

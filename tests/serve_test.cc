@@ -430,6 +430,34 @@ TEST(ServeTest, PreFiredCallerTokenShortCircuitsSolve) {
   EXPECT_TRUE(result.report.portfolio.used_classical_fallback);
 }
 
+TEST(ServeTest, InfiniteDeadlineRunsTheFullSolve) {
+  // An infinite budget never expires: the request is neither degraded nor
+  // cut short by the monitor, so its full-budget answer is cached.
+  ServeOptions options;
+  options.workers = 1;
+  OptimizerService service(options);
+
+  ServeRequest request;
+  request.query = MakeQuery(4);
+  request.config = FastConfig();
+  request.config.backend = QjoBackend::kPortfolio;
+  request.deadline_ms = std::numeric_limits<double>::infinity();
+
+  auto first = service.Submit(request);
+  ASSERT_TRUE(first.ok());
+  const ServeResult result = std::move(first).value().get();
+  ASSERT_TRUE(result.status.ok());
+  EXPECT_FALSE(result.degraded);
+  EXPECT_FALSE(result.deadline_expired_in_queue);
+  EXPECT_TRUE(result.report.found_valid);
+  EXPECT_FALSE(result.report.portfolio.used_classical_fallback);
+
+  auto second = service.Submit(request);
+  ASSERT_TRUE(second.ok());
+  EXPECT_TRUE(std::move(second).value().get().cache_hit);
+  service.Drain();
+}
+
 // ---------------------------------------------------------------------------
 // Plan cache through the service.
 
@@ -481,6 +509,11 @@ TEST(ServeTest, PlanKeySeparatesResultDeterminingFields) {
   EXPECT_EQ(key, OptimizerService::PlanKey(query, with_pool));
 
   // Every other value field that shapes the report splits the key too.
+  StrandRegistry custom;
+  StrandDesc idle;
+  idle.name = "idle";
+  idle.run = [](const StrandRunEnv&, Rng&) {};
+  ASSERT_TRUE(custom.Register(idle).ok());
   const std::vector<std::pair<std::string, std::function<void(QjoConfig&)>>>
       result_fields = {
           {"run.deadline_ms", [](QjoConfig& c) { c.run.deadline_ms = 50.0; }},
@@ -531,12 +564,12 @@ TEST(ServeTest, PlanKeySeparatesResultDeterminingFields) {
            [](QjoConfig& c) { c.portfolio.decomp.num_thresholds = 2; }},
           {"portfolio.decomp.omega",
            [](QjoConfig& c) { c.portfolio.decomp.omega = 0.5; }},
-          {"portfolio.decomp.run.deadline_ms",
-           [](QjoConfig& c) { c.portfolio.decomp.run.deadline_ms = 20.0; }},
           {"portfolio.adaptive.min_bucket_trials",
            [](QjoConfig& c) { c.portfolio.adaptive.min_bucket_trials = 2; }},
           {"portfolio.adaptive.throttle_divisor",
            [](QjoConfig& c) { c.portfolio.adaptive.throttle_divisor = 2; }},
+          {"portfolio.registry",
+           [&custom](QjoConfig& c) { c.portfolio.registry = &custom; }},
       };
   for (const auto& [field, mutate] : result_fields) {
     QjoConfig changed = base;

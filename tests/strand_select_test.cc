@@ -435,7 +435,7 @@ TEST(PortfolioAdaptiveTest, ValidationRejectsBadRoundBudgets) {
 
   // The one documented unbounded-config error path.
   QjoConfig unbounded = PortfolioConfig();
-  unbounded.portfolio.run.deadline_ms = -1.0;
+  unbounded.run.deadline_ms = -1.0;
   unbounded.portfolio.sweep_budget = 0;
   EXPECT_EQ(OptimizeJoinOrder(q, unbounded).status().code(),
             StatusCode::kInvalidArgument);
