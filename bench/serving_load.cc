@@ -15,10 +15,11 @@
 //    not the closed-loop numbers — are what a client would see under
 //    overload).
 //  * Duplicate-heavy profile — the same Zipf(1.1) arrival schedule
-//    replayed with single-flight coalescing off (baseline) and on, for
-//    both arrival processes. The coalesced runs must solve each unique
-//    plan key exactly once (solves_per_unique_key == 1); the baseline
-//    shows the duplicate work coalescing removes.
+//    replayed with every request bypassing the plan table and rebuilding
+//    its QUBO (baseline) and through the plan table, for both arrival
+//    processes. The plan-table runs must solve each unique plan key
+//    exactly once (solves_per_unique_key == 1); the baseline shows the
+//    duplicate work the cache and coalescing remove.
 //  * Token-bucket and warm-up scenarios — a one-tenant burst against a
 //    small bucket must be rate limited with refill-derived retry hints,
 //    and a drain/restart round trip through the persisted key set must
@@ -502,16 +503,19 @@ int RunSuite() {
   metrics.push_back({"dup_requests", static_cast<double>(dup_total)});
   metrics.push_back({"dup_unique_keys", static_cast<double>(dup_unique)});
 
+  // Baseline: every request bypasses the plan table (no cache hits, no
+  // coalescing) and rebuilds its QUBO.
+  std::vector<ServeRequest> dup_bypass = dup_schedule;
+  for (ServeRequest& request : dup_bypass) request.bypass_cache = true;
   ServeOptions dup_options;
   dup_options.queue_capacity = 4096;
   ServeOptions dup_baseline = dup_options;
-  dup_baseline.enable_coalescing = false;
   dup_baseline.share_build_cache = false;
 
   std::cout << "duplicate-heavy closed loop: " << dup_total
             << " Zipf arrivals, " << dup_unique << " unique keys\n";
   LoadStats dup_closed_base =
-      RunClosedLoop(dup_schedule, &pool, clients, dup_baseline);
+      RunClosedLoop(dup_bypass, &pool, clients, dup_baseline);
   EmitCase(&metrics, "dup_closed_baseline_", dup_closed_base);
   LoadStats dup_closed_coal =
       RunClosedLoop(dup_schedule, &pool, clients, dup_options);
@@ -525,7 +529,7 @@ int RunSuite() {
   std::cout << "duplicate-heavy open loop: arrivals every " << dup_inter_ms
             << " ms (1.2x duplicate closed-loop rate)\n";
   LoadStats dup_open_base =
-      RunOpenLoop(dup_schedule, &pool, clients, dup_inter_ms, dup_baseline);
+      RunOpenLoop(dup_bypass, &pool, clients, dup_inter_ms, dup_baseline);
   EmitCase(&metrics, "dup_open_baseline_", dup_open_base);
   LoadStats dup_open_coal =
       RunOpenLoop(dup_schedule, &pool, clients, dup_inter_ms, dup_options);

@@ -290,17 +290,15 @@ int RunServe(const CliArgs& args) {
                 static_cast<unsigned long long>(stats.warm_hits));
   }
   std::printf(")\n");
-  if (service.plan_cache() != nullptr) {
-    const auto cache = service.plan_cache()->stats();
-    std::printf(
-        "plan cache: %llu hits / %llu misses (%.0f%% hit rate), "
-        "%llu evictions, %llu ttl expirations\n",
-        static_cast<unsigned long long>(cache.hits),
-        static_cast<unsigned long long>(cache.misses),
-        100.0 * cache.hit_rate(),
-        static_cast<unsigned long long>(cache.evictions),
-        static_cast<unsigned long long>(cache.ttl_expirations));
-  }
+  const auto cache = service.plan_cache()->stats();
+  std::printf(
+      "plan cache: %llu hits / %llu misses (%.0f%% hit rate), "
+      "%llu evictions, %llu ttl expirations\n",
+      static_cast<unsigned long long>(cache.hits),
+      static_cast<unsigned long long>(cache.misses),
+      100.0 * cache.hit_rate(),
+      static_cast<unsigned long long>(cache.evictions),
+      static_cast<unsigned long long>(cache.ttl_expirations));
   if (trace.has_value() && trace->WriteChromeTraceFile(args.trace_out)) {
     std::printf("trace written to %s\n", args.trace_out.c_str());
   }

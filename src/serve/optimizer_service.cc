@@ -7,8 +7,11 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string_view>
+#include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "jo/classical.h"
 #include "obs/obs.h"
@@ -19,6 +22,11 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr char kWarmupHeader[] = "qjo-plan-cache-keys v1";
+
+/// Quota units and bucket tokens a coalesced follower costs its tenant: it
+/// holds no worker and no queue slot, so charging it like a full request
+/// would make duplicate-heavy tenants look busier than they are.
+constexpr double kFollowerCost = 0.25;
 
 double MsBetween(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
@@ -54,8 +62,55 @@ void AppendSqa(std::string* key, const char* tag, const SqaOptions& sqa) {
   AppendDouble(key, "ice", sqa.ice_sigma);
 }
 
+/// FNV-1a over the bytes of `data`.
+uint64_t Digest(const void* data, size_t size) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (size_t i = 0; i < size; ++i) {
+    h ^= static_cast<const unsigned char*>(data)[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Keys a custom coupling graph as its qubit count, edge count and a
+/// digest of its sorted edge list; an unset one adds nothing.
+void AppendTopology(std::string* key, const char* tag,
+                    const std::optional<CouplingGraph>& graph) {
+  if (!graph.has_value()) return;
+  key->append("|").append(tag);
+  AppendI64(key, "n", graph->num_qubits());
+  AppendI64(key, "e", graph->num_edges());
+  // (a, b) int pairs: contiguous and padding-free.
+  const std::vector<std::pair<int, int>> edges = graph->Edges();
+  AppendU64(key, "h", Digest(edges.data(), edges.size() * sizeof(edges[0])));
+}
+
 bool Fired(const std::atomic<bool>* token) {
   return token != nullptr && token->load(std::memory_order_relaxed);
+}
+
+/// Classical DP (greedy past the DP size cap) answer; also labels the
+/// report's portfolio section so callers see the degradation.
+Status ClassicalFallback(const Query& query, QjoReport* report) {
+  StatusOr<JoResult> plan = OptimizeDp(query);
+  const bool exact = plan.ok();
+  if (!plan.ok() && plan.status().code() == StatusCode::kResourceExhausted) {
+    plan = OptimizeGreedy(query);
+  }
+  if (!plan.ok()) return plan.status();
+  report->found_valid = true;
+  report->best_order = plan->order;
+  report->best_cost = plan->cost;
+  if (exact) {
+    report->optimal_order = plan->order;
+    report->optimal_cost = plan->cost;
+  }
+  report->portfolio.found_valid = true;
+  report->portfolio.best_order = plan->order;
+  report->portfolio.best_cost = plan->cost;
+  report->portfolio.used_classical_fallback = true;
+  report->portfolio.winner = "classical_fallback";
+  return Status::Ok();
 }
 
 }  // namespace
@@ -75,19 +130,16 @@ double RetryAfterHintMs(double avg_solve_ms, size_t backlog, size_t workers,
 }
 
 OptimizerService::OptimizerService(const ServeOptions& options)
-    : options_(options) {
-  if (options_.enable_plan_cache) {
-    cache_ = std::make_unique<PlanCache>(options_.cache);
-  }
+    : options_(options), cache_(options.cache, options.metrics) {
   if (options_.share_build_cache) {
     build_cache_ = std::make_unique<QuboBuildCache>(
         std::max<size_t>(1, options_.build_cache_entries));
   }
   if (!options_.warmup_file.empty()) {
-    pending_warmup_keys_ = LoadWarmupKeys(options_.warmup_file);
-    if (options_.metrics != nullptr && !pending_warmup_keys_.empty()) {
+    loaded_warmup_keys_ = LoadWarmupKeys(options_.warmup_file);
+    if (options_.metrics != nullptr && !loaded_warmup_keys_.empty()) {
       options_.metrics->Count("serve.warmup.keys_loaded",
-                              pending_warmup_keys_.size());
+                              loaded_warmup_keys_.size());
     }
   }
   if (!options_.strand_records_file.empty()) {
@@ -120,27 +172,26 @@ OptimizerService::~OptimizerService() {
   reaper_.join();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto fail = [](Pending& pending) {
+    const auto fail = [](PlanCache::Follower& ticket) {
       ServeResult result;
       result.status = Status::FailedPrecondition(
           "optimizer service shut down before the request was dispatched");
-      pending.promise.set_value(std::move(result));
+      static_cast<Ticket&>(ticket).promise.set_value(std::move(result));
     };
     for (auto& [tenant, lane] : lanes_) {
-      for (auto& pending : lane) fail(*pending);
+      for (auto& ticket : lane) fail(*ticket);
     }
     // Followers whose leader never got dispatched (it sits in a lane
-    // above) or whose leader's epilogue raced shutdown are still parked
-    // here; they hold no queue slot, so the lane sweep missed them.
-    for (auto& [key, entry] : inflight_) {
-      for (auto& pending : entry->followers) fail(*pending);
+    // above) hold no queue slot, so the lane sweep missed them.
+    auto never = Clock::time_point::max();
+    for (auto& follower : cache_.ExpireFollowers(never, &never)) {
+      fail(*follower);
     }
     lanes_.clear();
     rotation_.clear();
-    inflight_.clear();
-    tenant_inflight_.clear();
+    tenant_units_.clear();
     queued_ = 0;
-    coalesced_waiting_ = 0;
+    following_ = 0;
   }
   drained_.notify_all();
   if (!options_.warmup_file.empty()) SaveWarmupKeys(options_.warmup_file);
@@ -158,15 +209,10 @@ StatusOr<std::future<ServeResult>> OptimizerService::Submit(
   const double budget_ms = request.deadline_ms > 0.0
                                ? request.deadline_ms
                                : options_.default_deadline_ms;
-  const bool coalescible = options_.enable_coalescing && !request.bypass_cache;
-  // The plan key doubles as the single-flight identity, so compute it
-  // whenever either consumer (cache or coalescer) wants it — outside the
-  // lock; fingerprinting a large query under the admission mutex would
-  // serialise every submit behind it.
+  // Computed outside the lock: fingerprinting a large query under the
+  // admission mutex would serialise every submit behind it.
   std::string key;
-  if (coalescible || (cache_ != nullptr && !request.bypass_cache)) {
-    key = PlanKey(request.query, request.config);
-  }
+  if (!request.bypass_cache) key = PlanKey(request.query, request.config);
 
   std::unique_lock<std::mutex> lock(mutex_);
   // Retry-after hint: the backlog ahead of (and including) this request,
@@ -175,10 +221,18 @@ StatusOr<std::future<ServeResult>> OptimizerService::Submit(
       RetryAfterHintMs(avg_solve_ms_.load(std::memory_order_relaxed),
                        queued_ + running_ + 1, workers_.size(),
                        options_.max_retry_after_ms);
-  const auto inflight =
-      coalescible ? inflight_.find(key) : inflight_.end();
-  const bool follower = coalescible && inflight != inflight_.end();
-  const double cost = follower ? options_.follower_quota_weight : 1.0;
+  const bool follower =
+      !key.empty() && cache_.PendingFollowers(key) != nullptr;
+  const double cost = follower ? kFollowerCost : 1.0;
+  const auto reject = [&](std::atomic<uint64_t>& counter, const char* metric,
+                          double hint_ms, const std::string& why) {
+    counter.fetch_add(1, std::memory_order_relaxed);
+    lock.unlock();
+    if (options_.metrics != nullptr) options_.metrics->Count(metric);
+    if (retry_after_ms != nullptr) *retry_after_ms = hint_ms;
+    return Status::ResourceExhausted(why + "; retry after ~" +
+                                     std::to_string(hint_ms) + " ms");
+  };
 
   // Rate limit first: the bucket polices how often a tenant may knock at
   // all, before shared resources (queue slots, quotas) are considered.
@@ -196,113 +250,108 @@ StatusOr<std::future<ServeResult>> OptimizerService::Submit(
     }
     double refill_ms = 0.0;
     if (!bucket->second.TryAcquireAt(now, cost, &refill_ms)) {
-      rejected_rate_limited_.fetch_add(1, std::memory_order_relaxed);
-      lock.unlock();
-      if (options_.metrics != nullptr) {
-        options_.metrics->Count("serve.rejected.rate_limited");
-      }
       // The bucket rejected, so the honest hint is its refill time — the
       // queue-depth estimate says when a *worker* frees up, which is
       // irrelevant while the tenant is over rate.
-      const double bucket_hint =
-          options_.max_retry_after_ms > 0.0
-              ? std::min(refill_ms, options_.max_retry_after_ms)
-              : refill_ms;
-      if (retry_after_ms != nullptr) *retry_after_ms = bucket_hint;
-      return Status::ResourceExhausted(
-          "tenant '" + request.tenant + "' over its request rate (" +
-          std::to_string(options_.tenant_rate_per_sec) +
-          "/s); retry after ~" + std::to_string(bucket_hint) + " ms");
+      return reject(rejected_rate_limited_, "serve.rejected.rate_limited",
+                    options_.max_retry_after_ms > 0.0
+                        ? std::min(refill_ms, options_.max_retry_after_ms)
+                        : refill_ms,
+                    "tenant '" + request.tenant + "' over its request rate (" +
+                        std::to_string(options_.tenant_rate_per_sec) + "/s)");
     }
+  }
+  // A ready entry answers here: no queue slot, worker or quota.
+  bool warmed = false;
+  std::shared_ptr<const QjoReport> hit;
+  if (!key.empty() && !follower) hit = cache_.LookupAt(key, now, &warmed);
+  if (hit != nullptr) {
+    lock.unlock();
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    if (warmed) warm_hits_.fetch_add(1, std::memory_order_relaxed);
+    if (warmed && options_.metrics != nullptr) {
+      options_.metrics->Count("serve.warmup.hits");
+    }
+    ServeResult result;
+    result.report = *hit;
+    result.cache_hit = true;
+    std::promise<ServeResult> answered;
+    Resolve(answered, std::move(result));
+    return answered.get_future();
   }
   // A follower takes no queue slot, so the capacity check applies only to
   // requests that will actually occupy one.
   if (!follower && queued_ >= options_.queue_capacity) {
-    rejected_queue_full_.fetch_add(1, std::memory_order_relaxed);
-    lock.unlock();
-    if (options_.metrics != nullptr) {
-      options_.metrics->Count("serve.rejected.queue_full");
-    }
-    if (retry_after_ms != nullptr) *retry_after_ms = hint;
-    return Status::ResourceExhausted("serving queue full (" +
-                                     std::to_string(options_.queue_capacity) +
-                                     " queued); retry after ~" +
-                                     std::to_string(hint) + " ms");
+    return reject(rejected_queue_full_, "serve.rejected.queue_full", hint,
+                  "serving queue full (" +
+                      std::to_string(options_.queue_capacity) + " queued)");
   }
   if (options_.per_tenant_inflight > 0) {
-    auto it = tenant_inflight_.find(request.tenant);
-    const double current = it != tenant_inflight_.end() ? it->second : 0.0;
+    auto it = tenant_units_.find(request.tenant);
+    const double current = it != tenant_units_.end() ? it->second : 0.0;
     if (current + cost >
         static_cast<double>(options_.per_tenant_inflight) + 1e-9) {
-      rejected_tenant_quota_.fetch_add(1, std::memory_order_relaxed);
-      lock.unlock();
-      if (options_.metrics != nullptr) {
-        options_.metrics->Count("serve.rejected.tenant_quota");
-      }
-      if (retry_after_ms != nullptr) *retry_after_ms = hint;
-      return Status::ResourceExhausted(
-          "tenant '" + request.tenant + "' at its in-flight quota (" +
-          std::to_string(options_.per_tenant_inflight) + "); retry after ~" +
-          std::to_string(hint) + " ms");
+      return reject(rejected_tenant_quota_, "serve.rejected.tenant_quota",
+                    hint,
+                    "tenant '" + request.tenant + "' at its in-flight quota (" +
+                        std::to_string(options_.per_tenant_inflight) + ")");
     }
   }
 
-  auto pending = std::make_unique<Pending>();
-  pending->request = std::move(request);
-  pending->submitted = now;
-  pending->deadline_ms = budget_ms;
-  pending->deadline = budget_ms > 0.0 ? DeadlineAfterMs(now, budget_ms)
-                                      : Clock::time_point::max();
-  pending->plan_key = std::move(key);
-  pending->quota_cost = cost;
-  std::future<ServeResult> future = pending->promise.get_future();
-  tenant_inflight_[pending->request.tenant] += cost;
-
-  if (follower) {
-    // Single flight: attach to the in-flight leader instead of queueing a
-    // second solve for the same plan key. The leader's epilogue resolves
-    // (or, if its answer isn't shareable, re-dispatches) us; the reaper
-    // covers our own deadline meanwhile.
-    inflight->second->followers.push_back(std::move(pending));
-    ++coalesced_waiting_;
-    ++reaper_generation_;
-    lock.unlock();
-    reaper_wakeup_.notify_all();
-    return future;
-  }
-  if (coalescible) {
-    // Register the single-flight entry at admission (not at dispatch), so
-    // a duplicate arriving while the leader still queues coalesces too.
-    pending->is_leader = true;
-    inflight_.emplace(pending->plan_key, std::make_unique<InflightSolve>());
-  }
-  EnqueueLocked(std::move(pending), /*front=*/false);
+  auto ticket = std::make_unique<Ticket>();
+  ticket->request = std::move(request);
+  ticket->submitted = now;
+  ticket->deadline = budget_ms > 0.0 ? DeadlineAfterMs(now, budget_ms)
+                                     : Clock::time_point::max();
+  ticket->plan_key = std::move(key);
+  ticket->quota_cost = cost;
+  std::future<ServeResult> future = ticket->promise.get_future();
+  tenant_units_[ticket->request.tenant] += cost;
+  AdmitLocked(std::move(ticket), /*front=*/false);
   lock.unlock();
-  work_ready_.notify_one();
+  if (follower) {
+    reaper_wakeup_.notify_all();
+  } else {
+    work_ready_.notify_one();
+  }
   return future;
 }
 
-void OptimizerService::EnqueueLocked(std::unique_ptr<Pending> pending,
-                                     bool front) {
-  const std::string& tenant = pending->request.tenant;
+void OptimizerService::AdmitLocked(std::unique_ptr<Ticket> ticket,
+                                   bool front) {
+  if (!ticket->request.bypass_cache) {
+    if (PlanCache::Followers* followers =
+            cache_.PendingFollowers(ticket->plan_key)) {
+      // Single flight: the leader's epilogue resolves (or re-admits) us;
+      // the reaper covers our own deadline meanwhile.
+      followers->push_back(std::move(ticket));
+      ++following_;
+      ++reaper_generation_;
+      return;
+    }
+    // Opened at admission (not at dispatch), so a duplicate arriving
+    // while the leader still queues follows it too.
+    cache_.BeginPendingAt(ticket->plan_key, Clock::now());
+  }
+  const std::string& tenant = ticket->request.tenant;
   auto lane = lanes_.find(tenant);
   if (lane == lanes_.end()) {
     // Invariant: rotation_ lists exactly the tenants with a lane (lanes
     // are erased the moment they drain), so a fresh lane joins the
     // round-robin here and nowhere else.
-    lane = lanes_.emplace(tenant, std::deque<std::unique_ptr<Pending>>())
+    lane = lanes_.emplace(tenant, std::deque<std::unique_ptr<Ticket>>())
                .first;
     rotation_.push_back(tenant);
   }
   if (front) {
-    lane->second.push_front(std::move(pending));
+    lane->second.push_front(std::move(ticket));
   } else {
-    lane->second.push_back(std::move(pending));
+    lane->second.push_back(std::move(ticket));
   }
   ++queued_;
 }
 
-std::unique_ptr<OptimizerService::Pending> OptimizerService::PopLocked() {
+std::unique_ptr<OptimizerService::Ticket> OptimizerService::PopLocked() {
   while (!rotation_.empty()) {
     if (rotation_next_ >= rotation_.size()) rotation_next_ = 0;
     auto lane = lanes_.find(rotation_[rotation_next_]);
@@ -312,7 +361,7 @@ std::unique_ptr<OptimizerService::Pending> OptimizerService::PopLocked() {
                       static_cast<ptrdiff_t>(rotation_next_));
       continue;
     }
-    auto pending = std::move(lane->second.front());
+    auto ticket = std::move(lane->second.front());
     lane->second.pop_front();
     --queued_;
     if (lane->second.empty()) {
@@ -322,14 +371,14 @@ std::unique_ptr<OptimizerService::Pending> OptimizerService::PopLocked() {
     } else {
       ++rotation_next_;
     }
-    return pending;
+    return ticket;
   }
   return nullptr;
 }
 
 void OptimizerService::WorkerLoop(std::stop_token stop) {
   while (true) {
-    std::unique_ptr<Pending> pending;
+    std::unique_ptr<Ticket> ticket;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       if (!work_ready_.wait(lock, stop, [this] { return queued_ > 0; })) {
@@ -338,15 +387,15 @@ void OptimizerService::WorkerLoop(std::stop_token stop) {
       // Shutting down: leave queued requests for the destructor to fail
       // instead of dispatching new work.
       if (stop.stop_requested()) return;
-      pending = PopLocked();
-      if (pending == nullptr) continue;
+      ticket = PopLocked();
+      if (ticket == nullptr) continue;
       ++running_;
     }
-    Process(*pending);
+    Process(*ticket);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --running_;
-      FinishTenant(pending->request.tenant, pending->quota_cost);
+      FinishTenant(ticket->request.tenant, ticket->quota_cost);
     }
     drained_.notify_all();
   }
@@ -355,52 +404,21 @@ void OptimizerService::WorkerLoop(std::stop_token stop) {
 void OptimizerService::ReaperLoop(std::stop_token stop) {
   std::unique_lock<std::mutex> lock(mutex_);
   while (!stop.stop_requested()) {
-    const auto now = Clock::now();
     auto next = Clock::time_point::max();
-    std::vector<std::unique_ptr<Pending>> expired;
-    for (auto& [key, entry] : inflight_) {
-      auto& followers = entry->followers;
-      for (size_t i = 0; i < followers.size();) {
-        if (followers[i]->deadline <= now) {
-          expired.push_back(std::move(followers[i]));
-          followers[i] = std::move(followers.back());
-          followers.pop_back();
-        } else {
-          next = std::min(next, followers[i]->deadline);
-          ++i;
-        }
-      }
-    }
+    PlanCache::Followers expired = cache_.ExpireFollowers(Clock::now(), &next);
     if (!expired.empty()) {
       // Solve outside the lock: the degraded fallback is classical DP and
       // can take milliseconds, which must not stall admission.
       lock.unlock();
-      for (auto& pending : expired) {
+      for (auto& follower : expired) {
+        Ticket& ticket = static_cast<Ticket&>(*follower);
         ServeResult result;
-        result.degraded = true;
-        result.deadline_expired_in_queue = true;
-        degraded_.fetch_add(1, std::memory_order_relaxed);
-        expired_in_queue_.fetch_add(1, std::memory_order_relaxed);
-        if (options_.metrics != nullptr) {
-          options_.metrics->Count("serve.degraded");
-          options_.metrics->Count("serve.expired_in_queue");
-        }
-        const auto solve_start = Clock::now();
-        result.queue_ms = MsBetween(pending->submitted, solve_start);
-        result.status = DegradedSolve(pending->request, &result.report);
-        result.solve_ms = MsBetween(solve_start, Clock::now());
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        if (options_.metrics != nullptr) options_.metrics->Count("serve.completed");
-        pending->promise.set_value(std::move(result));
+        result.queue_ms = MsBetween(ticket.submitted, Clock::now());
+        Degrade(ticket.request, /*expired=*/true, &result);
+        Resolve(ticket.promise, std::move(result));
       }
+      ReleaseFollowers(expired);
       lock.lock();
-      // Release accounting only after the promises resolved, so Drain()
-      // cannot return while a follower's future is still unset.
-      for (auto& pending : expired) {
-        --coalesced_waiting_;
-        FinishTenant(pending->request.tenant, pending->quota_cost);
-      }
-      drained_.notify_all();
       continue;  // re-scan: attaches may have happened while unlocked
     }
     const uint64_t generation = reaper_generation_;
@@ -415,89 +433,81 @@ void OptimizerService::ReaperLoop(std::stop_token stop) {
   }
 }
 
-void OptimizerService::FinishTenant(const std::string& tenant, double cost) {
-  auto it = tenant_inflight_.find(tenant);
-  if (it == tenant_inflight_.end()) return;
-  it->second -= cost;
-  if (it->second <= 1e-9) tenant_inflight_.erase(it);
+void OptimizerService::Resolve(std::promise<ServeResult>& promise,
+                               ServeResult result) {
+  completed_.fetch_add(1, std::memory_order_relaxed);
+  if (options_.metrics != nullptr) options_.metrics->Count("serve.completed");
+  promise.set_value(std::move(result));
 }
 
-void OptimizerService::Process(Pending& pending) {
+void OptimizerService::ReleaseFollowers(const PlanCache::Followers& followers) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& follower : followers) {
+      const Ticket& ticket = static_cast<const Ticket&>(*follower);
+      --following_;
+      FinishTenant(ticket.request.tenant, ticket.quota_cost);
+    }
+  }
+  drained_.notify_all();
+}
+
+void OptimizerService::FinishTenant(const std::string& tenant, double cost) {
+  auto it = tenant_units_.find(tenant);
+  if (it == tenant_units_.end()) return;
+  it->second -= cost;
+  if (it->second <= 1e-9) tenant_units_.erase(it);
+}
+
+QjoConfig OptimizerService::SolveConfig(const ServeRequest& request) {
+  QjoConfig config = request.config;
+  if (config.run.pool == nullptr) config.run.pool = options_.pool;
+  if (config.run.trace == nullptr) config.run.trace = options_.trace;
+  if (config.run.metrics == nullptr) config.run.metrics = options_.metrics;
+  // Adaptive strand selection: the service-owned record store backs
+  // every request unless the caller brought their own (caller wins).
+  AdaptiveOptions& adaptive = config.portfolio.adaptive;
+  if (options_.adaptive) adaptive.enabled = true;
+  if (adaptive.records == nullptr &&
+      (options_.adaptive || !options_.strand_records_file.empty())) {
+    adaptive.records = &strand_records_;
+  }
+  // Shared build cache: even when the plan cache misses, the encode
+  // stage reuses any prior request's CSR build for this fingerprint. A
+  // request carrying its own cache keeps it (caller wins).
+  if (config.qubo_cache == nullptr && build_cache_ != nullptr) {
+    config.qubo_cache = build_cache_.get();
+  }
+  return config;
+}
+
+void OptimizerService::Process(Ticket& ticket) {
   const auto dequeued = Clock::now();
-  const ServeRequest& request = pending.request;
+  const ServeRequest& request = ticket.request;
   ServeResult result;
-  result.queue_ms = MsBetween(pending.submitted, dequeued);
+  result.queue_ms = MsBetween(ticket.submitted, dequeued);
   if (options_.trace != nullptr) {
-    options_.trace->Record("serve.queue", pending.submitted, dequeued);
+    options_.trace->Record("serve.queue", ticket.submitted, dequeued);
   }
   if (options_.metrics != nullptr) {
     options_.metrics->Observe("serve.queue_ms", result.queue_ms);
   }
 
-  double remaining_ms = std::numeric_limits<double>::infinity();
-  if (pending.deadline_ms > 0.0) {
-    remaining_ms = MsBetween(dequeued, pending.deadline);
-  }
+  const double remaining_ms =
+      ticket.deadline == Clock::time_point::max()
+          ? std::numeric_limits<double>::infinity()
+          : MsBetween(dequeued, ticket.deadline);
 
-  // Cache first: a hit costs microseconds, so even an expired request is
-  // better served from the cache than degraded.
-  const std::string& key = pending.plan_key;
-  std::shared_ptr<const QjoReport> hit;
-  const bool use_cache =
-      cache_ != nullptr && !request.bypass_cache && !key.empty();
-  if (use_cache) hit = cache_->Lookup(key);
-  bool truncated = false;
-  if (hit != nullptr) {
-    result.report = *hit;
-    result.cache_hit = true;
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    if (options_.metrics != nullptr) options_.metrics->Count("serve.cache_hit");
-    if (has_warmed_keys_.load(std::memory_order_relaxed)) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (warmed_keys_.count(key) != 0) {
-        warm_hits_.fetch_add(1, std::memory_order_relaxed);
-        if (options_.metrics != nullptr) {
-          options_.metrics->Count("serve.warmup.hits");
-        }
-      }
-    }
-  } else if (remaining_ms <= options_.degrade_margin_ms) {
+  // Shareable = the full-fidelity answer any follower would have computed
+  // itself: a valid, untruncated full-pipeline report.
+  bool shareable = false;
+  if (remaining_ms <= options_.degrade_margin_ms) {
     // Graceful degradation: (almost) no budget left at dequeue — answer
     // with the classical fallback instead of missing the deadline or
     // failing outright.
-    result.degraded = true;
-    degraded_.fetch_add(1, std::memory_order_relaxed);
-    if (options_.metrics != nullptr) options_.metrics->Count("serve.degraded");
-    if (remaining_ms <= 0.0) {
-      result.deadline_expired_in_queue = true;
-      expired_in_queue_.fetch_add(1, std::memory_order_relaxed);
-      if (options_.metrics != nullptr) {
-        options_.metrics->Count("serve.expired_in_queue");
-      }
-    }
-    const auto solve_start = Clock::now();
-    result.status = DegradedSolve(request, &result.report);
-    result.solve_ms = MsBetween(solve_start, Clock::now());
+    Degrade(request, /*expired=*/remaining_ms <= 0.0, &result);
   } else {
-    QjoConfig config = request.config;
-    if (config.run.pool == nullptr) config.run.pool = options_.pool;
-    if (config.run.trace == nullptr) config.run.trace = options_.trace;
-    if (config.run.metrics == nullptr) config.run.metrics = options_.metrics;
-    // Adaptive strand selection: the service-owned record store backs
-    // every request unless the caller brought their own (caller wins).
-    AdaptiveOptions& adaptive = config.portfolio.adaptive;
-    if (options_.adaptive) adaptive.enabled = true;
-    if (adaptive.records == nullptr &&
-        (options_.adaptive || !options_.strand_records_file.empty())) {
-      adaptive.records = &strand_records_;
-    }
-    // Shared build cache: even when the plan cache misses, the encode
-    // stage reuses any prior request's CSR build for this fingerprint. A
-    // request carrying its own cache keeps it (caller wins).
-    if (config.qubo_cache == nullptr && build_cache_ != nullptr) {
-      config.qubo_cache = build_cache_.get();
-    }
-
+    QjoConfig config = SolveConfig(request);
     // Arm the shared monitor so deadline expiry mid-solve flips the stop
     // token and the portfolio/decomp strands wind down cooperatively. A
     // caller-supplied token is respected as-is (never overridden).
@@ -506,7 +516,7 @@ void OptimizerService::Process(Pending& pending) {
     bool armed = false;
     if (std::isfinite(remaining_ms) && config.run.stop == nullptr) {
       config.run.stop = &token;
-      arm_id = monitor_.Arm(&token, pending.deadline);
+      arm_id = monitor_.Arm(&token, ticket.deadline);
       armed = true;
     }
 
@@ -527,14 +537,11 @@ void OptimizerService::Process(Pending& pending) {
 
     if (report.ok()) {
       result.report = std::move(report).value();
-      // Never cache a truncated (token-fired) result: it reflects this
-      // request's deadline or cancellation, not the config's full-budget
-      // answer. Judged from the one token the solve ran with — the armed
-      // one or the caller's own.
-      truncated = Fired(config.run.stop);
-      if (use_cache && !truncated && result.report.found_valid) {
-        cache_->Insert(key, result.report);
-      }
+      // Never cache or share a truncated (token-fired) result: it reflects
+      // this request's deadline or cancellation, not the config's
+      // full-budget answer. Judged from the one token the solve ran with —
+      // the armed one or the caller's own.
+      shareable = !Fired(config.run.stop) && result.report.found_valid;
     } else {
       result.status = report.status();
     }
@@ -543,106 +550,73 @@ void OptimizerService::Process(Pending& pending) {
     }
   }
 
-  completed_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.metrics != nullptr) {
-    options_.metrics->Count("serve.completed");
-    if (cache_ != nullptr) cache_->ExportGauges(options_.metrics);
+  if (!request.bypass_cache) {
+    FinishPending(ticket.plan_key,
+                  shareable ? std::make_shared<const QjoReport>(result.report)
+                            : nullptr,
+                  /*warmed=*/false);
   }
-  if (pending.is_leader) {
-    // Shareable = the full-fidelity answer any follower would have
-    // computed itself: not degraded, not deadline-truncated, valid (a
-    // cache hit qualifies — cached entries met the same bar on insert).
-    const bool shareable = result.status.ok() && !result.degraded &&
-                           !truncated && result.report.found_valid;
-    FinishInflight(pending, result, shareable);
-  }
-  pending.promise.set_value(std::move(result));
+  Resolve(ticket.promise, std::move(result));
 }
 
-void OptimizerService::FinishInflight(Pending& leader,
-                                      const ServeResult& result,
-                                      bool shareable) {
-  std::vector<std::unique_ptr<Pending>> followers;
+void OptimizerService::FinishPending(const std::string& key,
+                                     std::shared_ptr<const QjoReport> ready,
+                                     bool warmed) {
+  PlanCache::Followers followers;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = inflight_.find(leader.plan_key);
-    // The entry is registered at the leader's admission and removed only
-    // here (or at shutdown), so it must still be present.
-    if (it != inflight_.end()) {
-      followers = std::move(it->second->followers);
-      inflight_.erase(it);
+    followers = cache_.EndPendingAt(key, ready, Clock::now(), warmed);
+    if (ready == nullptr) {
+      // The answer is degraded, truncated or failed — private to the
+      // leader's own deadline or fate, not something to fan out. The
+      // followers go back through admission in arrival order: the
+      // earliest leads a fresh entry from its lane's front (it has waited
+      // already), the rest follow it.
+      following_ -= followers.size();
+      for (auto& follower : followers) {
+        AdmitLocked(std::unique_ptr<Ticket>(
+                        static_cast<Ticket*>(follower.release())),
+                    /*front=*/true);
+      }
+      if (!followers.empty()) work_ready_.notify_one();
+      return;
     }
   }
   if (followers.empty()) return;
   const auto now = Clock::now();
-  if (shareable) {
-    for (auto& follower : followers) {
-      ServeResult copy;
-      copy.report = result.report;
-      copy.cache_hit = result.cache_hit;
-      copy.coalesced = true;
-      copy.queue_ms = MsBetween(follower->submitted, now);
-      copy.solve_ms = 0.0;
-      coalesced_.fetch_add(1, std::memory_order_relaxed);
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      if (options_.metrics != nullptr) {
-        options_.metrics->Count("serve.coalesced");
-        options_.metrics->Count("serve.completed");
-      }
-      follower->promise.set_value(std::move(copy));
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    // Accounting drops only after every promise resolved (Drain must not
-    // return while a follower's future is unset).
-    for (auto& follower : followers) {
-      --coalesced_waiting_;
-      FinishTenant(follower->request.tenant, follower->quota_cost);
-    }
-  } else {
-    // The leader's answer is degraded/truncated/failed — private to its
-    // own deadline or fate, not something to fan out. Re-dispatch the
-    // followers as ordinary requests; push_front keeps their effective
-    // queueing from restarting at the back. They stay non-leaders (no new
-    // single-flight entry), so two of them can't re-coalesce into a
-    // second stampede of waiting.
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& follower : followers) {
-      --coalesced_waiting_;
-      EnqueueLocked(std::move(follower), /*front=*/true);
-    }
-    work_ready_.notify_all();
+  for (auto& follower : followers) {
+    Ticket& ticket = static_cast<Ticket&>(*follower);
+    ServeResult copy;
+    copy.report = *ready;
+    copy.coalesced = true;
+    copy.queue_ms = MsBetween(ticket.submitted, now);
+    coalesced_.fetch_add(1, std::memory_order_relaxed);
+    if (options_.metrics != nullptr) options_.metrics->Count("serve.coalesced");
+    Resolve(ticket.promise, std::move(copy));
   }
-  drained_.notify_all();
+  ReleaseFollowers(followers);
 }
 
-Status OptimizerService::DegradedSolve(const ServeRequest& request,
-                                       QjoReport* report) {
-  StatusOr<JoResult> plan = OptimizeDp(request.query);
-  const bool exact = plan.ok();
-  if (!plan.ok() && plan.status().code() == StatusCode::kResourceExhausted) {
-    plan = OptimizeGreedy(request.query);
+void OptimizerService::Degrade(const ServeRequest& request, bool expired,
+                               ServeResult* result) {
+  result->degraded = true;
+  result->deadline_expired_in_queue = expired;
+  degraded_.fetch_add(1, std::memory_order_relaxed);
+  if (expired) expired_in_queue_.fetch_add(1, std::memory_order_relaxed);
+  if (options_.metrics != nullptr) {
+    options_.metrics->Count("serve.degraded");
+    if (expired) options_.metrics->Count("serve.expired_in_queue");
   }
-  if (!plan.ok()) return plan.status();
-  report->found_valid = true;
-  report->best_order = plan->order;
-  report->best_cost = plan->cost;
-  if (exact) {
-    report->optimal_order = plan->order;
-    report->optimal_cost = plan->cost;
-  }
-  report->portfolio.found_valid = true;
-  report->portfolio.best_order = plan->order;
-  report->portfolio.best_cost = plan->cost;
-  report->portfolio.used_classical_fallback = true;
-  report->portfolio.winner = "classical_fallback";
-  return Status::Ok();
+  const auto start = Clock::now();
+  result->status = ClassicalFallback(request.query, &result->report);
+  result->solve_ms = MsBetween(start, Clock::now());
 }
 
 void OptimizerService::Drain() {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     drained_.wait(lock, [this] {
-      return queued_ == 0 && running_ == 0 && coalesced_waiting_ == 0;
+      return queued_ == 0 && running_ == 0 && following_ == 0;
     });
   }
   if (!options_.warmup_file.empty()) SaveWarmupKeys(options_.warmup_file);
@@ -653,31 +627,29 @@ void OptimizerService::Drain() {
 
 size_t OptimizerService::WarmUp(const std::vector<std::string>& keys,
                                 std::span<const ServeRequest> workload) {
-  if (cache_ == nullptr || keys.empty()) return 0;
+  if (keys.empty()) return 0;
   StageSpan span(options_.trace, "serve.warmup");
   const std::unordered_set<std::string_view> wanted(keys.begin(), keys.end());
-  std::unordered_set<std::string> done;
   size_t warmed = 0;
   for (const ServeRequest& request : workload) {
     if (request.bypass_cache) continue;
-    std::string key = PlanKey(request.query, request.config);
-    if (wanted.find(key) == wanted.end() || done.count(key) != 0) continue;
-    done.insert(key);
-    QjoConfig config = request.config;
-    if (config.run.pool == nullptr) config.run.pool = options_.pool;
-    if (config.run.trace == nullptr) config.run.trace = options_.trace;
-    if (config.run.metrics == nullptr) config.run.metrics = options_.metrics;
-    if (config.qubo_cache == nullptr && build_cache_ != nullptr) {
-      config.qubo_cache = build_cache_.get();
-    }
-    StatusOr<QjoReport> report = OptimizeJoinOrder(request.query, config);
-    if (!report.ok() || !report->found_valid) continue;
-    cache_->Insert(key, std::move(report).value());
+    const std::string key = PlanKey(request.query, request.config);
+    if (wanted.find(key) == wanted.end()) continue;
     {
+      // Lead the key like a live miss; a key already ready or being
+      // solved needs no warming.
       std::lock_guard<std::mutex> lock(mutex_);
-      warmed_keys_.insert(std::move(key));
+      if (!cache_.BeginPendingAt(key, Clock::now())) continue;
     }
-    has_warmed_keys_.store(true, std::memory_order_relaxed);
+    StatusOr<QjoReport> report =
+        OptimizeJoinOrder(request.query, SolveConfig(request));
+    const bool valid = report.ok() && report->found_valid;
+    FinishPending(key,
+                  valid ? std::make_shared<const QjoReport>(
+                              std::move(report).value())
+                        : nullptr,
+                  /*warmed=*/true);
+    if (!valid) continue;
     warmed_.fetch_add(1, std::memory_order_relaxed);
     if (options_.metrics != nullptr) {
       options_.metrics->Count("serve.warmup.warmed");
@@ -688,15 +660,19 @@ size_t OptimizerService::WarmUp(const std::vector<std::string>& keys,
 }
 
 size_t OptimizerService::WarmUp(std::span<const ServeRequest> workload) {
-  return WarmUp(pending_warmup_keys_, workload);
+  return WarmUp(loaded_warmup_keys_, workload);
 }
 
 bool OptimizerService::SaveWarmupKeys(const std::string& path) const {
-  if (cache_ == nullptr) return false;
+  std::vector<std::string> keys;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    keys = cache_.Keys();
+  }
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
   out << kWarmupHeader << "\n";
-  for (const std::string& key : cache_->Keys()) out << key << "\n";
+  for (const std::string& key : keys) out << key << "\n";
   out.flush();
   return static_cast<bool>(out);
 }
@@ -728,6 +704,18 @@ std::string OptimizerService::PlanKey(const Query& query,
   AppendI64(&key, "qg", config.qaoa_grid);
   AppendI64(&key, "noiseless", config.noiseless ? 1 : 0);
   AppendDouble(&key, "dl", config.run.deadline_ms);
+  const DeviceProperties& device = config.device;
+  AppendU64(&key, "dev", Digest(device.name.data(), device.name.size()));
+  AppendDouble(&key, "t1", device.t1_us);
+  AppendDouble(&key, "t2", device.t2_us);
+  AppendDouble(&key, "gate_ns", device.avg_gate_time_ns);
+  AppendDouble(&key, "e1", device.one_qubit_error);
+  AppendDouble(&key, "e2", device.two_qubit_error);
+  AppendI64(&key, "tr_gates", static_cast<int64_t>(config.transpile.gate_set));
+  AppendI64(&key, "tr_route", static_cast<int64_t>(config.transpile.routing));
+  AppendU64(&key, "tr_seed", config.transpile.seed);
+  AppendTopology(&key, "gate_topo", config.gate_topology);
+  AppendTopology(&key, "anneal_topo", config.annealer_topology);
   AppendSqa(&key, "sqa", config.sqa);
   AppendI64(&key, "emb_tries", config.embedding.tries);
   AppendI64(&key, "emb_passes", config.embedding.max_passes);
@@ -798,11 +786,6 @@ OptimizerService::Stats OptimizerService::stats() const {
 size_t OptimizerService::queued() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return queued_;
-}
-
-size_t OptimizerService::coalesced_waiting() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return coalesced_waiting_;
 }
 
 }  // namespace qjo

@@ -13,7 +13,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/quantum_optimizer.h"
@@ -41,8 +40,9 @@ struct ServeOptions {
   /// tenant at its quota is rejected (ResourceExhausted) even when the
   /// global queue has room — one chatty tenant cannot starve the others,
   /// and round-robin dispatch across tenants prevents head-of-line
-  /// blocking behind a tenant with a deep backlog. Coalesced followers
-  /// count `follower_quota_weight` units instead of 1.
+  /// blocking behind a tenant with a deep backlog. A coalesced follower
+  /// counts a quarter unit (it holds no worker and no queue slot); a plan
+  /// cache hit, answered inside Submit(), counts none.
   size_t per_tenant_inflight = 0;
   /// Deadline applied to requests that do not carry their own; <= 0 = no
   /// default deadline.
@@ -53,34 +53,20 @@ struct ServeOptions {
   /// plan beats a deadline miss).
   double degrade_margin_ms = 5.0;
 
-  /// Single-flight request coalescing: a submit whose plan key matches an
-  /// in-flight solve attaches to that leader instead of queueing a second
-  /// solve, and is answered with a copy of the leader's report the moment
-  /// it lands. Duplicate work on the hot path becomes structurally
-  /// impossible: any plan key has at most one solve running at a time.
-  bool enable_coalescing = true;
-  /// Quota units a coalesced follower costs its tenant (a follower holds
-  /// no worker and no queue slot, so charging it like a full request
-  /// would make duplicate-heavy tenants look busier than they are).
-  /// Also the token-bucket cost of a follower admission.
-  double follower_quota_weight = 0.25;
-
-  /// One QuboBuildCache shared by every request of this service: a plan
-  /// cache miss still reuses the pre-built CSR from any prior request
-  /// with the same encoding fingerprint (and the decomposition strand's
-  /// window re-encodes are shared across requests too). Cached entries
-  /// are deterministic, so sharing never changes a result. Disable only
-  /// to measure the rebuild cost; a request carrying its own
-  /// `config.qubo_cache` keeps it (caller wins).
+  /// One QuboBuildCache shared by every request of this service, so a
+  /// plan-cache miss still reuses any prior request's CSR build (results
+  /// never change). Disable only to measure the rebuild cost; a request
+  /// carrying its own `config.qubo_cache` keeps it (caller wins).
   bool share_build_cache = true;
   size_t build_cache_entries = 1024;
 
   /// Per-tenant token-bucket rate limit in admissions/sec; <= 0 = off.
   /// Layered *before* the inflight quotas: the quota bounds concurrency,
   /// the bucket bounds request rate (a tenant hammering cheap cache hits
-  /// never trips the quota but still monopolises admission). When the
-  /// bucket rejects, the retry-after hint is the bucket's refill time —
-  /// not the queue-depth estimate.
+  /// never trips the quota but still monopolises admission). A hit costs
+  /// one token, a coalesced follower a quarter. When the bucket rejects,
+  /// the retry-after hint is the bucket's refill time — not the
+  /// queue-depth estimate.
   double tenant_rate_per_sec = 0.0;
   /// Bucket capacity in tokens; <= 0 = max(1, tenant_rate_per_sec).
   double tenant_burst = 0.0;
@@ -90,34 +76,27 @@ struct ServeOptions {
   /// telling clients to go away for hours.
   double max_retry_after_ms = 30000.0;
 
-  /// Plan/result cache over (encoding fingerprint, result-determining
-  /// config) — see OptimizerService::PlanKey.
-  bool enable_plan_cache = true;
+  /// The plan table over (encoding fingerprint, result-determining
+  /// config) — see OptimizerService::PlanKey. Its pending entries are the
+  /// single-flight registry, its ready entries the plan cache.
   PlanCacheOptions cache;
 
   /// Plan-cache warm-up persistence: when non-empty, the live key set is
   /// written here by Drain() and at shutdown, and loaded at construction
-  /// into warmup_keys() for a WarmUp(workload) call to replay. Empty =
-  /// no persistence.
+  /// into warmup_keys() for a WarmUp(workload) call to replay.
   std::string warmup_file;
 
   /// Adaptive strand selection across requests (core/strand_select.h):
-  /// when on, every portfolio-backend request runs with the
-  /// service-owned RunRecordStore attached as
-  /// `config.portfolio.adaptive.records` and `adaptive.enabled` set, so
-  /// the per-bucket bandit learns from each race and throttles strands
-  /// that never win a request's problem shape. A request carrying its
-  /// own `portfolio.adaptive.records` keeps it (caller wins). Note the plan
-  /// cache still serves hits recorded under an older records state —
-  /// stale-but-valid by the cache's never-changing-plan-validity
-  /// argument; set `bypass_cache` per request to force re-selection.
+  /// every portfolio solve (warm-up included) runs with
+  /// `portfolio.adaptive.enabled` set and the service-owned RunRecordStore
+  /// as its records, unless the request brings its own (caller wins).
+  /// Cached plans recorded under an older records state stay valid; set
+  /// `bypass_cache` per request to force re-selection.
   bool adaptive = false;
-  /// Strand-records persistence (versioned text, next to `warmup_file`):
-  /// when non-empty, the store is loaded at construction (a missing file
-  /// is a cold start, not an error) and written by Drain() and at
-  /// shutdown, so strand knowledge survives restarts. Setting only this
-  /// — with `adaptive` off — records outcomes without shaping budgets
-  /// (warm-up mode).
+  /// Strand-records persistence: when non-empty, the store is loaded at
+  /// construction (missing file = cold start) and written by Drain() and
+  /// at shutdown. Setting only this, with `adaptive` off, records outcomes
+  /// without shaping budgets.
   std::string strand_records_file;
 
   /// Optional externally-owned solve pool shared by every request whose
@@ -128,7 +107,7 @@ struct ServeOptions {
 
   /// Observability sinks (null-sink default, not owned). The service
   /// records serve.queue/serve.solve/serve.warmup spans and serve.*
-  /// counters and exports the plan-cache gauges on every completion.
+  /// counters, the plan table's serve.cache.* counters included.
   TraceRecorder* trace = nullptr;
   MetricsRegistry* metrics = nullptr;
 };
@@ -143,8 +122,8 @@ struct ServeRequest {
   /// Wall-clock budget from *submit* (queue wait included); <= 0 = use
   /// ServeOptions::default_deadline_ms.
   double deadline_ms = -1.0;
-  /// Skip the plan cache for this request (always solve, never insert);
-  /// also opts out of coalescing in both directions.
+  /// Skip the plan table for this request: always solve, never insert,
+  /// never coalesce in either direction.
   bool bypass_cache = false;
 };
 
@@ -152,7 +131,8 @@ struct ServeRequest {
 struct ServeResult {
   Status status = Status::Ok();
   QjoReport report;
-  /// The report came from the plan cache (no solve ran).
+  /// The report came from the plan cache (answered inside Submit(); no
+  /// solve ran).
   bool cache_hit = false;
   /// The report is a copy of a coalesced leader's result (this request
   /// attached to an identical in-flight solve and never ran its own).
@@ -190,12 +170,12 @@ double RetryAfterHintMs(double avg_solve_ms, size_t backlog, size_t workers,
 ///    lanes; workers pop round-robin across tenants, so a tenant with a
 ///    thousand queued requests delays a new tenant by at most one request
 ///    per worker.
-///  * Single-flight coalescing — a submit whose PlanKey matches an
-///    in-flight solve attaches to the leader and is resolved with a copy
-///    of the leader's report; duplicate keys cost one solve total.
-///    Followers keep their own deadlines: one whose deadline expires
-///    before the leader finishes is degraded to the classical fallback by
-///    the follower reaper instead of blocking on the leader.
+///  * One plan table — Submit() consults the PlanCache once: a ready
+///    entry answers inside Submit(); a pending entry takes the request as
+///    a follower that gets a copy of its leader's report (duplicate keys
+///    cost one solve); a miss opens a pending entry and queues the request
+///    as its leader. A follower whose own deadline expires first is
+///    degraded by the follower reaper instead of waiting.
 ///  * Shared QUBO-build cache — every request's encode goes through one
 ///    service-owned QuboBuildCache (single-flight itself), so even a
 ///    plan-cache miss reuses the pre-built CSR from any prior request.
@@ -204,10 +184,8 @@ double RetryAfterHintMs(double avg_solve_ms, size_t backlog, size_t workers,
 ///    expiry winds the portfolio/decomp strands down cooperatively.
 ///    Requests dequeued with (almost) no budget left degrade to the
 ///    classical DP/greedy fallback instead of failing.
-///  * Plan cache — results are memoized by PlanKey(); a hit returns the
-///    cached report without touching the solvers. The key set can be
-///    persisted (warmup_file) and replayed through WarmUp() so a restart
-///    starts hot.
+///  * Warm-up — the ready key set can be persisted (warmup_file) and
+///    replayed through WarmUp() so a restart starts hot.
 ///
 /// Determinism: a cache-miss request that never has its stop token fire
 /// returns a report bit-identical to a direct OptimizeJoinOrder(query,
@@ -228,9 +206,9 @@ class OptimizerService {
   OptimizerService& operator=(const OptimizerService&) = delete;
 
   /// Admits or rejects `request`. On admission the future resolves once a
-  /// worker finishes the request (possibly with a degraded or failed
-  /// ServeResult — per-request errors land in ServeResult::status, not
-  /// here), or — for a coalesced follower — once its leader finishes. On
+  /// worker finishes the request (per-request errors land in
+  /// ServeResult::status, not here), for a follower once its leader
+  /// finishes, and for a plan-cache hit before Submit() returns. On
   /// rejection returns ResourceExhausted and, when `retry_after_ms` is
   /// non-null, writes a backoff hint estimating when capacity frees up.
   StatusOr<std::future<ServeResult>> Submit(ServeRequest request,
@@ -242,43 +220,38 @@ class OptimizerService {
   /// configured.
   void Drain();
 
-  /// Pre-populates the plan cache before taking traffic: every workload
-  /// request whose PlanKey appears in `keys` is solved synchronously
-  /// (service pool + shared build cache, full budget, no deadline) and
-  /// inserted. Returns the number of entries warmed. Keys without a
-  /// matching workload entry are skipped — a key alone cannot
-  /// reconstruct its query, so the caller supplies the candidate
-  /// workload (e.g. its known query templates). Call before serving;
-  /// warming concurrently with traffic is safe but may duplicate a solve.
+  /// Pre-populates the plan cache: every workload request whose PlanKey is
+  /// in `keys` and not yet in the table leads its key like a live miss,
+  /// is solved synchronously (live-solve config, no deadline) and inserted
+  /// as a warmed entry; live requests for it meanwhile follow it. Returns
+  /// the number of entries warmed. A key alone cannot rebuild its query,
+  /// so the caller supplies candidate templates; unmatched keys are
+  /// skipped.
   size_t WarmUp(const std::vector<std::string>& keys,
                 std::span<const ServeRequest> workload);
   /// WarmUp() against the key set loaded from `warmup_file`.
   size_t WarmUp(std::span<const ServeRequest> workload);
 
-  /// Writes the live plan-cache key set to `path` (header line + one key
-  /// per line); returns false when the cache is disabled or the write
-  /// fails. Drain() and the destructor call this with `warmup_file`.
+  /// Writes the live ready key set to `path` (header line + one key per
+  /// line); returns false when the write fails. Drain() and the
+  /// destructor call this with `warmup_file`.
   bool SaveWarmupKeys(const std::string& path) const;
   /// Loads a key set written by SaveWarmupKeys; empty on any error or
   /// header mismatch.
   static std::vector<std::string> LoadWarmupKeys(const std::string& path);
   /// Keys loaded from `warmup_file` at construction (empty otherwise).
   const std::vector<std::string>& warmup_keys() const {
-    return pending_warmup_keys_;
+    return loaded_warmup_keys_;
   }
 
-  /// Cache key of a request: the encoding fingerprint (query + threshold
-  /// grid + omega, bit-exact) extended with every QjoConfig field that
-  /// determines the report: backend, seed, shots, the one deadline
-  /// (`run.deadline_ms`), the SQA, embedding and chain-strength options,
-  /// and the portfolio's budgets, strands (a custom registry's strand
-  /// names included), SQA and decomposition templates and adaptive
-  /// knobs. Fields that only affect *where* work runs (pool, stop
-  /// token, sinks, build caches, record stores) are excluded — the
-  /// determinism contract makes them result-neutral. Caveat: the device,
-  /// transpile and topology options (DeviceProperties, TranspileOptions,
-  /// custom coupling graphs) are *not* keyed — a deployment varying them
-  /// per request must set `bypass_cache`.
+  /// Cache key of a request: the encoding fingerprint (bit-exact) plus
+  /// every QjoConfig field that determines the report — backend, seed,
+  /// shots, `run.deadline_ms`, the device, transpile, SQA, embedding and
+  /// chain-strength options, custom gate/annealer topologies (qubit and
+  /// edge counts, edge-list digest) and the portfolio's budgets, strands,
+  /// templates and adaptive knobs. Fields that only affect *where* work
+  /// runs (pool, stop token, sinks, caches, record stores) are
+  /// result-neutral and excluded.
   static std::string PlanKey(const Query& query, const QjoConfig& config);
 
   struct Stats {
@@ -292,20 +265,20 @@ class OptimizerService {
     uint64_t cache_hits = 0;
     /// Requests answered with a copy of a coalesced leader's report.
     uint64_t coalesced = 0;
-    /// Full pipeline solves actually run (excludes cache hits, coalesced
-    /// followers and degraded fallbacks) — the denominator of duplicate
-    /// work. On a duplicate-heavy workload with coalescing on, solves ==
-    /// unique plan keys.
+    /// Full pipeline solves run by workers (not hits, followers, degraded
+    /// fallbacks or warm-up); == unique plan keys while answers stay cached.
     uint64_t solves = 0;
-    /// Plan-cache entries populated by WarmUp(), and hits served from
-    /// them.
+    /// Plan-cache entries inserted by WarmUp(), and hits served from
+    /// them (an entry a live solve re-inserted is no longer warmed).
     uint64_t warmed = 0;
     uint64_t warm_hits = 0;
   };
   /// Race-free snapshot (same relaxed-atomic contract as the caches).
   Stats stats() const;
 
-  PlanCache* plan_cache() { return cache_.get(); }
+  /// The plan table; read its stats() only (every other call belongs to
+  /// the service, under its admission mutex).
+  const PlanCache* plan_cache() const { return &cache_; }
   /// Service-owned shared build cache; null when share_build_cache is
   /// off.
   QuboBuildCache* build_cache() { return build_cache_.get(); }
@@ -313,29 +286,17 @@ class OptimizerService {
   /// when `adaptive` is on or `strand_records_file` is set).
   RunRecordStore* strand_records() { return &strand_records_; }
   size_t queued() const;
-  /// Followers currently attached to in-flight leaders.
-  size_t coalesced_waiting() const;
 
  private:
-  struct Pending {
+  /// An admitted request, queued in a tenant lane (leading its key's
+  /// pending entry unless `bypass_cache`) or parked there as a follower.
+  /// `deadline` (inherited) is absolute; time_point::max() = none.
+  struct Ticket : PlanCache::Follower {
     ServeRequest request;
     std::promise<ServeResult> promise;
     std::chrono::steady_clock::time_point submitted;
-    /// Resolved absolute deadline; time_point::max() = none.
-    std::chrono::steady_clock::time_point deadline;
-    double deadline_ms = -1.0;  ///< resolved budget; <= 0 = none
-    /// PlanKey, precomputed at submit; empty for bypass_cache requests
-    /// when the plan cache is off.
-    std::string plan_key;
-    /// Quota units charged to the tenant (1.0, or follower weight).
-    double quota_cost = 1.0;
-    /// This request registered the in-flight entry for its plan key and
-    /// owns resolving/re-dispatching its followers when it finishes.
-    bool is_leader = false;
-  };
-  /// Followers attached to one in-flight leader, keyed by plan key.
-  struct InflightSolve {
-    std::vector<std::unique_ptr<Pending>> followers;
+    std::string plan_key;  ///< empty for bypass_cache requests
+    double quota_cost = 1.0;  ///< 1, or a quarter for a follower
   };
 
   void WorkerLoop(std::stop_token stop);
@@ -345,26 +306,35 @@ class OptimizerService {
   void ReaperLoop(std::stop_token stop);
   /// Pops the next request round-robin across tenant lanes; null when the
   /// queue is empty. Caller holds `mutex_`.
-  std::unique_ptr<Pending> PopLocked();
-  /// Appends (or, for re-dispatched followers, prepends) to the tenant's
-  /// lane and maintains the rotation invariant. Caller holds `mutex_`.
-  void EnqueueLocked(std::unique_ptr<Pending> pending, bool front);
-  void Process(Pending& pending);
-  /// Leader epilogue: pops the in-flight entry and either resolves every
-  /// follower with a copy of `result` (when it is a full-fidelity,
-  /// shareable answer) or re-dispatches them as ordinary requests.
-  void FinishInflight(Pending& leader, const ServeResult& result,
-                      bool shareable);
-  /// Classical DP (greedy past the DP size cap) fallback; also labels the
-  /// report's portfolio section so callers see the degradation.
-  Status DegradedSolve(const ServeRequest& request, QjoReport* report);
+  std::unique_ptr<Ticket> PopLocked();
+  /// Follow the key's pending entry, or open one and queue as its leader
+  /// in the tenant's lane (at the front for a re-admitted follower).
+  /// Caller holds `mutex_`.
+  void AdmitLocked(std::unique_ptr<Ticket> ticket, bool front);
+  void Process(Ticket& ticket);
+  /// Leader epilogue (live or warm-up): a `ready` report turns `key`'s
+  /// entry ready and resolves the followers with copies; null erases it
+  /// and re-admits the followers in arrival order.
+  void FinishPending(const std::string& key,
+                     std::shared_ptr<const QjoReport> ready, bool warmed);
+  /// `request.config` plus the service's pool, sinks, build cache and
+  /// adaptive record store: the config of every live and warm-up solve.
+  QjoConfig SolveConfig(const ServeRequest& request);
+  /// Answers `request` with the classical fallback (degraded; `expired`
+  /// = its deadline had fully passed) and counts it.
+  void Degrade(const ServeRequest& request, bool expired, ServeResult* result);
+  /// Counts the completion and fulfils `promise`.
+  void Resolve(std::promise<ServeResult>& promise, ServeResult result);
+  /// Drops resolved followers' accounting (after their promises are set).
+  void ReleaseFollowers(const PlanCache::Followers& followers);
   void FinishTenant(const std::string& tenant, double cost);
 
   const ServeOptions options_;
-  std::unique_ptr<PlanCache> cache_;  ///< null when the cache is disabled
+  /// Guarded by mutex_ (stats() excepted).
+  PlanCache cache_;
   std::unique_ptr<QuboBuildCache> build_cache_;  ///< null when sharing off
   DeadlineMonitor monitor_;
-  std::vector<std::string> pending_warmup_keys_;
+  std::vector<std::string> loaded_warmup_keys_;
   /// Cross-request strand run records (thread-safe; loaded from and
   /// persisted to strand_records_file when configured).
   RunRecordStore strand_records_;
@@ -374,28 +344,21 @@ class OptimizerService {
   std::condition_variable drained_;
   /// Per-tenant FIFO lanes + round-robin rotation over tenants with
   /// queued work.
-  std::unordered_map<std::string, std::deque<std::unique_ptr<Pending>>>
+  std::unordered_map<std::string, std::deque<std::unique_ptr<Ticket>>>
       lanes_;
   std::vector<std::string> rotation_;
   size_t rotation_next_ = 0;
-  /// queued + running quota units per tenant (admission accounting;
-  /// followers weigh follower_quota_weight).
-  std::unordered_map<std::string, double> tenant_inflight_;
+  /// queued + running + following quota units per tenant.
+  std::unordered_map<std::string, double> tenant_units_;
   /// Per-tenant admission-rate buckets (tenant_rate_per_sec > 0 only).
   std::unordered_map<std::string, TokenBucket> buckets_;
-  /// In-flight single-flight registry: plan key -> waiting followers.
-  /// An entry exists from the leader's admission until its epilogue.
-  std::unordered_map<std::string, std::unique_ptr<InflightSolve>> inflight_;
   size_t queued_ = 0;
   size_t running_ = 0;
-  size_t coalesced_waiting_ = 0;
+  /// Followers parked on pending entries.
+  size_t following_ = 0;
   /// Bumped per follower attach so the reaper recomputes its sleep.
   uint64_t reaper_generation_ = 0;
   std::condition_variable_any reaper_wakeup_;
-  /// Keys inserted by WarmUp(); hits on them count as warm hits. Guarded
-  /// by mutex_; the flag makes the empty case lock-free on the hit path.
-  std::unordered_set<std::string> warmed_keys_;
-  std::atomic<bool> has_warmed_keys_{false};
 
   /// EWMA of observed solve wall time, feeding the retry-after hint.
   std::atomic<double> avg_solve_ms_{50.0};

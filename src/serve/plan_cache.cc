@@ -1,36 +1,16 @@
 #include "serve/plan_cache.h"
 
 #include <algorithm>
-#include <functional>
+#include <iterator>
 
 #include "obs/obs.h"
 
 namespace qjo {
-namespace {
 
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-PlanCache::PlanCache(const PlanCacheOptions& options)
-    : capacity_per_shard_(std::max<size_t>(1, options.capacity_per_shard)),
-      ttl_ms_(options.ttl_ms) {
-  const size_t shards =
-      RoundUpPow2(static_cast<size_t>(std::max(1, options.num_shards)));
-  shards_.reserve(shards);
-  for (size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-PlanCache::Shard& PlanCache::ShardFor(std::string_view key) {
-  const size_t h = std::hash<std::string_view>{}(key);
-  return *shards_[h & (shards_.size() - 1)];
-}
+PlanCache::PlanCache(const PlanCacheOptions& options, MetricsRegistry* metrics)
+    : capacity_(std::max<size_t>(1, options.capacity)),
+      ttl_ms_(options.ttl_ms),
+      metrics_(metrics) {}
 
 bool PlanCache::Expired(const Entry& entry, Clock::time_point now) const {
   if (ttl_ms_ <= 0.0) return false;
@@ -39,31 +19,41 @@ bool PlanCache::Expired(const Entry& entry, Clock::time_point now) const {
   return age_ms > ttl_ms_;
 }
 
+void PlanCache::Count(std::atomic<uint64_t>& counter, const char* metric) {
+  counter.fetch_add(1, std::memory_order_relaxed);
+  if (metrics_ != nullptr) metrics_->Count(metric);
+}
+
+PlanCache::EntryList::iterator PlanCache::EraseReady(
+    EntryList::iterator node, std::atomic<uint64_t>& counter,
+    const char* metric) {
+  index_.erase(std::string_view(node->key));
+  Count(counter, metric);
+  return ready_.erase(node);
+}
+
 std::shared_ptr<const QjoReport> PlanCache::Lookup(std::string_view key) {
   return LookupAt(key, Clock::now());
 }
 
 std::shared_ptr<const QjoReport> PlanCache::LookupAt(std::string_view key,
-                                                     Clock::time_point now) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+                                                     Clock::time_point now,
+                                                     bool* warmed) {
+  auto it = index_.find(key);
+  if (it == index_.end() || it->second->report == nullptr) {
+    Count(misses_, "serve.cache.misses");
     return nullptr;
   }
-  if (Expired(*it->second, now)) {
-    shard.lru.erase(it->second);
-    shard.entries.erase(it);
-    ttl_expirations_.fetch_add(1, std::memory_order_relaxed);
-    misses_.fetch_add(1, std::memory_order_relaxed);
+  const EntryList::iterator node = it->second;
+  if (Expired(*node, now)) {
+    EraseReady(node, ttl_expirations_, "serve.cache.ttl_expirations");
+    Count(misses_, "serve.cache.misses");
     return nullptr;
   }
-  // Refresh recency: move the hit to the front of the LRU list. Splice
-  // keeps the node (and therefore the string the map's key views) alive.
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return shard.lru.front().report;
+  ready_.splice(ready_.begin(), ready_, node);  // refresh recency
+  Count(hits_, "serve.cache.hits");
+  if (warmed != nullptr) *warmed = node->warmed;
+  return node->report;
 }
 
 void PlanCache::Insert(std::string_view key, QjoReport report) {
@@ -72,38 +62,92 @@ void PlanCache::Insert(std::string_view key, QjoReport report) {
 
 void PlanCache::InsertAt(std::string_view key, QjoReport report,
                          Clock::time_point now) {
-  auto value = std::make_shared<const QjoReport>(std::move(report));
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.entries.find(key);
-  if (it != shard.entries.end()) {
-    // Replace in place and refresh both recency and the TTL clock.
-    it->second->report = std::move(value);
-    it->second->inserted = now;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
+  auto it = index_.find(key);
+  if (it != index_.end() && it->second->report == nullptr) {
+    return;  // pending: the leader's epilogue decides
   }
-  if (shard.lru.size() >= capacity_per_shard_) {
-    // Sweep expired entries first so TTL victims are never miscounted as
-    // LRU evictions.
-    for (auto node = shard.lru.begin(); node != shard.lru.end();) {
-      if (Expired(*node, now)) {
-        shard.entries.erase(std::string_view(node->key));
-        node = shard.lru.erase(node);
-        ttl_expirations_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        ++node;
-      }
+  const EntryList::iterator node =
+      it != index_.end() ? it->second : AddPending(key, now);
+  MakeReady(node, std::make_shared<const QjoReport>(std::move(report)), now,
+            /*warmed=*/false);
+}
+
+PlanCache::EntryList::iterator PlanCache::AddPending(std::string_view key,
+                                                     Clock::time_point now) {
+  pending_.push_front(Entry{std::string(key), nullptr, now, false, {}});
+  index_.emplace(std::string_view(pending_.front().key), pending_.begin());
+  return pending_.begin();
+}
+
+bool PlanCache::BeginPendingAt(std::string_view key, Clock::time_point now) {
+  auto it = index_.find(key);
+  if (it != index_.end()) {
+    const EntryList::iterator node = it->second;
+    if (node->report == nullptr || !Expired(*node, now)) return false;
+    EraseReady(node, ttl_expirations_, "serve.cache.ttl_expirations");
+  }
+  AddPending(key, now);
+  return true;
+}
+
+PlanCache::Followers* PlanCache::PendingFollowers(std::string_view key) {
+  auto it = index_.find(key);
+  if (it == index_.end() || it->second->report != nullptr) return nullptr;
+  return &it->second->followers;
+}
+
+PlanCache::Followers PlanCache::EndPendingAt(
+    std::string_view key, std::shared_ptr<const QjoReport> report,
+    Clock::time_point now, bool warmed) {
+  auto it = index_.find(key);
+  if (it == index_.end() || it->second->report != nullptr) return {};
+  const EntryList::iterator node = it->second;
+  Followers followers = std::move(node->followers);  // leaves it empty
+  if (report != nullptr) {
+    MakeReady(node, std::move(report), now, warmed);
+  } else {
+    index_.erase(it);
+    pending_.erase(node);
+  }
+  return followers;
+}
+
+void PlanCache::MakeReady(EntryList::iterator node,
+                          std::shared_ptr<const QjoReport> report,
+                          Clock::time_point now, bool warmed) {
+  ready_.splice(ready_.begin(), node->report == nullptr ? pending_ : ready_,
+                node);
+  node->report = std::move(report);
+  node->inserted = now;
+  node->warmed = warmed;
+  if (ready_.size() <= capacity_) return;
+  // Sweep expired entries first so TTL victims are never miscounted as
+  // LRU evictions. The fresh entry at the front is never expired.
+  for (auto it = std::next(ready_.begin()); it != ready_.end();) {
+    it = Expired(*it, now)
+             ? EraseReady(it, ttl_expirations_, "serve.cache.ttl_expirations")
+             : std::next(it);
+  }
+  while (ready_.size() > capacity_) {
+    EraseReady(std::prev(ready_.end()), evictions_, "serve.cache.evictions");
+  }
+}
+
+PlanCache::Followers PlanCache::ExpireFollowers(Clock::time_point now,
+                                                Clock::time_point* next) {
+  Followers expired;
+  for (Entry& entry : pending_) {
+    Followers& followers = entry.followers;
+    const auto waiting_end = std::stable_partition(
+        followers.begin(), followers.end(),
+        [now](const auto& follower) { return follower->deadline > now; });
+    for (auto it = followers.begin(); it != waiting_end; ++it) {
+      *next = std::min(*next, (*it)->deadline);
     }
+    std::move(waiting_end, followers.end(), std::back_inserter(expired));
+    followers.erase(waiting_end, followers.end());
   }
-  while (shard.lru.size() >= capacity_per_shard_) {
-    shard.entries.erase(std::string_view(shard.lru.back().key));
-    shard.lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  shard.lru.push_front(Entry{std::string(key), std::move(value), now});
-  shard.entries.emplace(std::string_view(shard.lru.front().key),
-                        shard.lru.begin());
+  return expired;
 }
 
 PlanCache::Stats PlanCache::stats() const {
@@ -115,38 +159,16 @@ PlanCache::Stats PlanCache::stats() const {
   return s;
 }
 
-void PlanCache::ExportGauges(MetricsRegistry* metrics) const {
-  if (metrics == nullptr) return;
-  const Stats s = stats();
-  metrics->GaugeMax("serve.cache.hits", static_cast<double>(s.hits));
-  metrics->GaugeMax("serve.cache.misses", static_cast<double>(s.misses));
-  metrics->GaugeMax("serve.cache.evictions", static_cast<double>(s.evictions));
-  metrics->GaugeMax("serve.cache.ttl_expirations",
-                    static_cast<double>(s.ttl_expirations));
-}
-
 std::vector<std::string> PlanCache::Keys() const {
   return KeysAt(Clock::now());
 }
 
 std::vector<std::string> PlanCache::KeysAt(Clock::time_point now) const {
   std::vector<std::string> keys;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const Entry& entry : shard->lru) {
-      if (!Expired(entry, now)) keys.push_back(entry.key);
-    }
+  for (const Entry& entry : ready_) {
+    if (!Expired(entry, now)) keys.push_back(entry.key);
   }
   return keys;
-}
-
-size_t PlanCache::size() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->lru.size();
-  }
-  return total;
 }
 
 }  // namespace qjo

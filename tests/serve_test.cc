@@ -25,6 +25,7 @@
 #include "serve/optimizer_service.h"
 #include "serve/plan_cache.h"
 #include "serve/token_bucket.h"
+#include "topology/coupling_graph.h"
 #include "util/thread_pool.h"
 
 namespace qjo {
@@ -153,8 +154,7 @@ QjoReport MakeReport(double cost) {
 
 TEST(PlanCacheTest, TtlExpiryIsNotAnEviction) {
   PlanCacheOptions options;
-  options.num_shards = 1;
-  options.capacity_per_shard = 2;
+  options.capacity = 2;
   options.ttl_ms = 100.0;
   PlanCache cache(options);
   const auto t0 = PlanCache::Clock::now();
@@ -163,7 +163,7 @@ TEST(PlanCacheTest, TtlExpiryIsNotAnEviction) {
   cache.InsertAt("b", MakeReport(2.0), t0 + 10ms);
   ASSERT_NE(cache.LookupAt("a", t0 + 50ms), nullptr);  // within TTL: hit
 
-  // Insert into the full shard after both TTLs passed: the sweep removes
+  // Insert into the full cache after both TTLs passed: the sweep removes
   // them as ttl_expirations, never as LRU evictions.
   cache.InsertAt("c", MakeReport(3.0), t0 + 200ms);
   auto stats = cache.stats();
@@ -182,8 +182,7 @@ TEST(PlanCacheTest, TtlExpiryIsNotAnEviction) {
 
 TEST(PlanCacheTest, LruEvictsOnlyLiveEntries) {
   PlanCacheOptions options;
-  options.num_shards = 1;
-  options.capacity_per_shard = 2;
+  options.capacity = 2;
   options.ttl_ms = 1000.0;
   PlanCache cache(options);
   const auto t0 = PlanCache::Clock::now();
@@ -203,8 +202,7 @@ TEST(PlanCacheTest, LruEvictsOnlyLiveEntries) {
 
 TEST(PlanCacheTest, ReinsertRefreshesInPlace) {
   PlanCacheOptions options;
-  options.num_shards = 1;
-  options.capacity_per_shard = 2;
+  options.capacity = 2;
   options.ttl_ms = 100.0;
   PlanCache cache(options);
   const auto t0 = PlanCache::Clock::now();
@@ -239,18 +237,67 @@ TEST(PlanCacheTest, StatsReadableWhileConcurrentLookups) {
   EXPECT_EQ(stats.misses, 5000u);
 }
 
+/// Counter `name` of `metrics`; 0 when it was never counted.
+uint64_t Counter(const MetricsRegistry& metrics, const std::string& name) {
+  const auto snapshot = metrics.Snapshot();
+  const auto it = snapshot.counters.find(name);
+  return it == snapshot.counters.end() ? 0 : it->second;
+}
+
 TEST(PlanCacheTest, ExportsServeGauges) {
-  PlanCache cache(PlanCacheOptions{});
+  MetricsRegistry metrics;
+  PlanCache cache(PlanCacheOptions{}, &metrics);
   cache.Insert("k", MakeReport(1.0));
   (void)cache.Lookup("k");
   (void)cache.Lookup("absent");
+  EXPECT_EQ(Counter(metrics, "serve.cache.hits"), 1u);
+  EXPECT_EQ(Counter(metrics, "serve.cache.misses"), 1u);
+  EXPECT_EQ(Counter(metrics, "serve.cache.evictions"), 0u);
+  EXPECT_EQ(Counter(metrics, "serve.cache.ttl_expirations"), 0u);
+}
+
+TEST(PlanCacheTest, PendingEntriesAreNeverEvictedExpiredOrListed) {
   MetricsRegistry metrics;
-  cache.ExportGauges(&metrics);
-  const auto snapshot = metrics.Snapshot();
-  EXPECT_EQ(snapshot.gauges.at("serve.cache.hits"), 1.0);
-  EXPECT_EQ(snapshot.gauges.at("serve.cache.misses"), 1.0);
-  EXPECT_EQ(snapshot.gauges.at("serve.cache.evictions"), 0.0);
-  EXPECT_EQ(snapshot.gauges.at("serve.cache.ttl_expirations"), 0.0);
+  PlanCacheOptions options;
+  options.capacity = 1;
+  options.ttl_ms = 100.0;
+  PlanCache cache(options, &metrics);
+  const auto t0 = PlanCache::Clock::now();
+
+  ASSERT_TRUE(cache.BeginPendingAt("p", t0));
+  EXPECT_FALSE(cache.BeginPendingAt("p", t0)) << "one leader per key";
+  cache.InsertAt("p", MakeReport(9.0), t0);  // left to its leader
+  ASSERT_NE(cache.PendingFollowers("p"), nullptr);
+
+  // Capacity counts ready entries only: "b" displaces "a", never "p".
+  cache.InsertAt("a", MakeReport(1.0), t0);
+  cache.InsertAt("b", MakeReport(2.0), t0 + 1ms);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.KeysAt(t0 + 2ms), std::vector<std::string>{"b"});
+
+  // Long past the TTL the sweep of a full insert expires "b"; "p" stays
+  // pending, is no hit and no key.
+  cache.InsertAt("c", MakeReport(3.0), t0 + 10s);
+  EXPECT_EQ(cache.stats().ttl_expirations, 1u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.LookupAt("p", t0 + 10s), nullptr);
+  ASSERT_NE(cache.PendingFollowers("p"), nullptr);
+  EXPECT_EQ(cache.KeysAt(t0 + 10s), std::vector<std::string>{"c"});
+  PlanCache::Clock::time_point next = PlanCache::Clock::time_point::max();
+  EXPECT_TRUE(cache.ExpireFollowers(t0 + 1h, &next).empty());
+  ASSERT_NE(cache.PendingFollowers("p"), nullptr);
+
+  // The leader's epilogue makes it ready: now it is a hit and a key.
+  EXPECT_TRUE(cache
+                  .EndPendingAt("p", std::make_shared<const QjoReport>(
+                                         MakeReport(4.0)),
+                                t0 + 10s, /*warmed=*/false)
+                  .empty());
+  EXPECT_EQ(cache.PendingFollowers("p"), nullptr);
+  EXPECT_EQ(cache.KeysAt(t0 + 10s), std::vector<std::string>{"p"});
+  ASSERT_NE(cache.LookupAt("p", t0 + 10s), nullptr);
+  EXPECT_EQ(Counter(metrics, "serve.cache.evictions"), 2u);
+  EXPECT_EQ(Counter(metrics, "serve.cache.ttl_expirations"), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -483,11 +530,30 @@ TEST(ServeTest, CacheHitReturnsIdenticalReport) {
   EXPECT_EQ(hit.report.best_order, miss.report.best_order);
   EXPECT_EQ(hit.report.stats.valid, miss.report.stats.valid);
 
-  const auto snapshot = metrics.Snapshot();
-  EXPECT_EQ(snapshot.gauges.at("serve.cache.hits"), 1.0);
-  EXPECT_EQ(snapshot.gauges.at("serve.cache.misses"), 1.0);
-  EXPECT_EQ(snapshot.counters.at("serve.cache_hit"), 1u);
+  EXPECT_EQ(Counter(metrics, "serve.cache.hits"), 1u);
+  EXPECT_EQ(Counter(metrics, "serve.cache.misses"), 1u);
   EXPECT_EQ(service.stats().cache_hits, 1u);
+}
+
+TEST(ServeTest, CacheHitResolvesInsideSubmit) {
+  ServeOptions options;
+  options.workers = 1;
+  OptimizerService service(options);
+  auto first = service.Submit(QuickRequest());
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(std::move(first).value().get().status.ok());
+
+  // The only worker is busy, yet the cached key answers at once: a hit
+  // takes no queue slot and waits for no worker.
+  auto blocker = service.Submit(SlowRequest());
+  ASSERT_TRUE(blocker.ok());
+  WaitDequeued(service);
+  auto hit = service.Submit(QuickRequest());
+  ASSERT_TRUE(hit.ok());
+  ASSERT_EQ(hit->wait_for(0s), std::future_status::ready);
+  EXPECT_EQ(service.queued(), 0u);
+  EXPECT_TRUE(hit->get().cache_hit);
+  EXPECT_TRUE(std::move(blocker).value().get().status.ok());
 }
 
 TEST(ServeTest, PlanKeySeparatesResultDeterminingFields) {
@@ -570,12 +636,48 @@ TEST(ServeTest, PlanKeySeparatesResultDeterminingFields) {
            [](QjoConfig& c) { c.portfolio.adaptive.throttle_divisor = 2; }},
           {"portfolio.registry",
            [&custom](QjoConfig& c) { c.portfolio.registry = &custom; }},
+          {"device.name", [](QjoConfig& c) { c.device.name = "other"; }},
+          {"device.t1_us", [](QjoConfig& c) { c.device.t1_us = 50.0; }},
+          {"device.t2_us", [](QjoConfig& c) { c.device.t2_us = 60.0; }},
+          {"device.avg_gate_time_ns",
+           [](QjoConfig& c) { c.device.avg_gate_time_ns = 300.0; }},
+          {"device.one_qubit_error",
+           [](QjoConfig& c) { c.device.one_qubit_error = 1e-3; }},
+          {"device.two_qubit_error",
+           [](QjoConfig& c) { c.device.two_qubit_error = 2e-2; }},
+          {"transpile.gate_set",
+           [](QjoConfig& c) {
+             c.transpile.gate_set = NativeGateSet::kRigetti;
+           }},
+          {"transpile.routing",
+           [](QjoConfig& c) { c.transpile.routing = RoutingStrategy::kBasic; }},
+          {"transpile.seed", [](QjoConfig& c) { c.transpile.seed = 2; }},
+          {"gate_topology",
+           [](QjoConfig& c) { c.gate_topology = MakeLineGraph(27); }},
+          {"annealer_topology",
+           [](QjoConfig& c) { c.annealer_topology = MakeGridGraph(4, 4); }},
       };
   for (const auto& [field, mutate] : result_fields) {
     QjoConfig changed = base;
     mutate(changed);
     EXPECT_NE(key, OptimizerService::PlanKey(query, changed)) << field;
   }
+
+  // Topologies with equal qubit and edge counts still split on the edges.
+  CouplingGraph path(4);
+  path.AddEdge(0, 1);
+  path.AddEdge(1, 2);
+  path.AddEdge(2, 3);
+  CouplingGraph star(4);
+  star.AddEdge(0, 1);
+  star.AddEdge(0, 2);
+  star.AddEdge(0, 3);
+  QjoConfig on_path = base;
+  on_path.annealer_topology = path;
+  QjoConfig on_star = base;
+  on_star.annealer_topology = star;
+  EXPECT_NE(OptimizerService::PlanKey(query, on_path),
+            OptimizerService::PlanKey(query, on_star));
 }
 
 TEST(ServeTest, CallerCancelledAnswerIsNeitherCachedNorShared) {
@@ -834,7 +936,6 @@ TEST(ServeTest, CoalescesIdenticalSubmitsToOneSolve) {
     ServeOptions options;
     options.workers = workers;
     options.pool = &pool;
-    options.enable_plan_cache = false;  // isolate coalescing from the cache
     OptimizerService service(options);
     const uint64_t tasks_before = pool.tasks_dispatched();
     std::vector<std::future<ServeResult>> futures;
@@ -947,6 +1048,46 @@ TEST(ServeTest, FollowerReRunsWhenLeaderResultIsNotShareable) {
   EXPECT_EQ(stats.solves, 2u) << "blocker + the re-run follower";
 }
 
+TEST(ServeTest, ReAdmittedFollowersKeepArrivalOrder) {
+  ServeOptions options;
+  options.workers = 1;
+  OptimizerService service(options);
+
+  auto blocker = service.Submit(SlowRequest());
+  ASSERT_TRUE(blocker.ok());
+  WaitDequeued(service);
+
+  // The leader's 1 ms budget expires behind the blocker, so its degraded
+  // answer is not shared: its followers go back through admission.
+  ServeRequest leader_request = QuickRequest("default", 99);
+  leader_request.deadline_ms = 1.0;
+  auto leader = service.Submit(std::move(leader_request));
+  ASSERT_TRUE(leader.ok());
+  std::vector<std::future<ServeResult>> followers;
+  for (int i = 0; i < 3; ++i) {
+    auto follower = service.Submit(QuickRequest("default", 99));
+    ASSERT_TRUE(follower.ok());
+    followers.push_back(std::move(follower).value());
+  }
+
+  EXPECT_TRUE(std::move(leader).value().get().degraded);
+  const ServeResult earliest = followers[0].get();
+  ASSERT_TRUE(earliest.status.ok());
+  EXPECT_FALSE(earliest.coalesced) << "the earliest follower leads the re-run";
+  EXPECT_FALSE(earliest.cache_hit);
+  EXPECT_FALSE(earliest.degraded);
+  for (size_t i = 1; i < followers.size(); ++i) {
+    const ServeResult later = followers[i].get();
+    ASSERT_TRUE(later.status.ok());
+    EXPECT_TRUE(later.coalesced) << "follower " << i;
+    EXPECT_EQ(later.report.best_order, earliest.report.best_order);
+    EXPECT_EQ(later.report.best_cost, earliest.report.best_cost);
+  }
+  EXPECT_TRUE(std::move(blocker).value().get().status.ok());
+  service.Drain();
+  EXPECT_EQ(service.stats().coalesced, 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Plan-cache warm-up.
 
@@ -989,6 +1130,51 @@ TEST(ServeTest, WarmupRoundTripServesWarmHits) {
   EXPECT_EQ(stats.solves, 0u);
   EXPECT_EQ(stats.warm_hits, 2u);
   std::remove(path.c_str());
+}
+
+TEST(ServeTest, WarmHitsCountOnlyEntriesWarmUpInserted) {
+  ServeOptions options;
+  options.workers = 1;
+  options.cache.ttl_ms = 200.0;
+  OptimizerService service(options);
+  const ServeRequest request = QuickRequest();
+  const std::vector<ServeRequest> workload = {request};
+  ASSERT_EQ(service.WarmUp({OptimizerService::PlanKey(request.query,
+                                                      request.config)},
+                           workload),
+            1u);
+
+  // The warmed entry expires; a live solve re-inserts the key, so the next
+  // hit is served from the live solve's entry, not a warmed one.
+  std::this_thread::sleep_for(300ms);
+  auto solved = service.Submit(request);
+  ASSERT_TRUE(solved.ok());
+  EXPECT_FALSE(solved->get().cache_hit);
+  auto hit = service.Submit(request);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->get().cache_hit);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.warm_hits, 0u);
+}
+
+TEST(ServeTest, WarmUpSolvesWithTheServiceRecordStore) {
+  // Warm-up runs under the same effective config as a live solve, so an
+  // adaptive service's selector learns from the warmed race too.
+  ServeOptions options;
+  options.workers = 1;
+  options.adaptive = true;
+  OptimizerService service(options);
+  ServeRequest request;
+  request.query = MakeQuery(4);
+  request.config = FastConfig();
+  request.config.backend = QjoBackend::kPortfolio;
+  const std::vector<ServeRequest> workload = {request};
+  ASSERT_EQ(service.WarmUp({OptimizerService::PlanKey(request.query,
+                                                      request.config)},
+                           workload),
+            1u);
+  EXPECT_EQ(service.strand_records()->NumBuckets(), 1u);
 }
 
 TEST(ServeTest, LoadWarmupKeysRejectsUnknownHeader) {

@@ -93,8 +93,10 @@ REQUIRED_KEYS = {
         "open_goodput_rps",
         "open_rejected",
         "open_p99_ms",
-        # Single-flight coalescing (duplicate-heavy Zipf profile, baseline
-        # vs coalesced for both arrival processes).
+        # Duplicate-heavy Zipf profile for both arrival processes:
+        # "baseline" bypasses the plan table per request and rebuilds every
+        # QUBO; "coalesced" goes through the plan table (cache hits plus
+        # single-flight followers).
         "dup_closed_baseline_throughput_rps",
         "dup_closed_coalesced_throughput_rps",
         "dup_open_baseline_throughput_rps",
