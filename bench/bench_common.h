@@ -3,8 +3,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iostream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/obs.h"
 #include "util/thread_pool.h"
@@ -52,6 +55,30 @@ inline int Parallelism() {
 inline ThreadPool* Pool() {
   static ThreadPool pool(Parallelism());
   return &pool;
+}
+
+/// One named number of a bench's JSON artifact.
+struct Metric {
+  std::string name;
+  double value;
+};
+
+/// Writes `metrics` to `path` as the flat JSON object every BENCH_*.json
+/// is, plus `bench_hw_concurrency` (the host's hardware threads), so a
+/// parallel figure measured on a 1-core host can be told apart from a
+/// real one. Prints "wrote <path>".
+inline void WriteJson(const std::string& path, std::vector<Metric> metrics) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  metrics.push_back({"bench_hw_concurrency", static_cast<double>(hw)});
+  std::ofstream out(path);
+  out << "{\n";
+  for (size_t i = 0; i < metrics.size(); ++i) {
+    out << "  \"" << metrics[i].name << "\": " << metrics[i].value
+        << (i + 1 < metrics.size() ? "," : "") << "\n";
+  }
+  out << "}\n";
+  out.close();
+  std::cout << "wrote " << path << std::endl;
 }
 
 /// Section banner mirroring the paper artefact being reproduced. Also

@@ -14,7 +14,6 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -31,10 +30,7 @@
 namespace qjo {
 namespace {
 
-struct Metric {
-  std::string name;
-  double value;
-};
+using bench::Metric;
 
 int RunSuite() {
   const bool fast = std::getenv("QJO_DECOMP_BENCH_FAST") != nullptr;
@@ -137,15 +133,7 @@ int RunSuite() {
   const char* json_path = std::getenv("QJO_BENCH_DECOMP_JSON");
   const std::string path =
       json_path != nullptr ? json_path : "BENCH_decomp.json";
-  std::ofstream out(path);
-  out << "{\n";
-  for (size_t i = 0; i < metrics.size(); ++i) {
-    out << "  \"" << metrics[i].name << "\": " << metrics[i].value
-        << (i + 1 < metrics.size() ? "," : "") << "\n";
-  }
-  out << "}\n";
-  out.close();
-  std::cout << "wrote " << path << std::endl;
+  bench::WriteJson(path, metrics);
 
   return all_within_deadline_and_greedy ? 0 : 1;
 }

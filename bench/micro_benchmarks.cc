@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -293,10 +292,7 @@ double BestSeconds(Fn&& fn, int repeats) {
   return best;
 }
 
-struct KernelMetric {
-  std::string name;
-  double value;
-};
+using bench::Metric;
 
 int RunKernelBenchSuite() {
   const bool fast = std::getenv("QJO_KERNEL_BENCH_FAST") != nullptr;
@@ -306,11 +302,8 @@ int RunKernelBenchSuite() {
   }
   parallelism = std::max(parallelism, 2);
   const int repeats = fast ? 2 : 3;
-  std::vector<KernelMetric> metrics;
+  std::vector<Metric> metrics;
   metrics.push_back({"parallelism", static_cast<double>(parallelism)});
-  metrics.push_back(
-      {"bench_hw_concurrency",
-       static_cast<double>(std::thread::hardware_concurrency())});
   // SIMD tier the dispatched kernels run on: 0 scalar, 1 sse2, 2 avx2,
   // 3 avx512 (host-resolved, capped by QJO_SIMD).
   metrics.push_back(
@@ -506,21 +499,12 @@ int RunKernelBenchSuite() {
   const char* json_path = std::getenv("QJO_BENCH_KERNELS_JSON");
   const std::string path =
       json_path != nullptr ? json_path : "BENCH_kernels.json";
-  std::ofstream out(path);
-  out << "{\n";
-  for (size_t i = 0; i < metrics.size(); ++i) {
-    out << "  \"" << metrics[i].name << "\": " << metrics[i].value
-        << (i + 1 < metrics.size() ? "," : "") << "\n";
-  }
-  out << "}\n";
-  out.close();
-
   std::cout << "kernel bench suite (" << (fast ? "fast" : "full")
             << " mode), sink=" << sink << ":\n";
-  for (const KernelMetric& m : metrics) {
+  for (const Metric& m : metrics) {
     std::cout << "  " << m.name << " = " << m.value << "\n";
   }
-  std::cout << "wrote " << path << std::endl;
+  bench::WriteJson(path, metrics);
   return 0;
 }
 
@@ -539,7 +523,7 @@ int RunObsOverheadSuite() {
   const bool fast = std::getenv("QJO_KERNEL_BENCH_FAST") != nullptr ||
                     std::getenv("QJO_OBS_BENCH_FAST") != nullptr;
   const int repeats = fast ? 3 : 5;
-  std::vector<KernelMetric> metrics_out;
+  std::vector<Metric> metrics_out;
   metrics_out.push_back(
       {"simd_isa", static_cast<double>(static_cast<int>(Simd().isa))});
   metrics_out.push_back({"fast_mode", fast ? 1.0 : 0.0});
@@ -622,21 +606,12 @@ int RunObsOverheadSuite() {
   const char* json_path = std::getenv("QJO_OBS_OVERHEAD_JSON");
   const std::string path =
       json_path != nullptr ? json_path : "BENCH_obs_overhead.json";
-  std::ofstream out(path);
-  out << "{\n";
-  for (size_t i = 0; i < metrics_out.size(); ++i) {
-    out << "  \"" << metrics_out[i].name << "\": " << metrics_out[i].value
-        << (i + 1 < metrics_out.size() ? "," : "") << "\n";
-  }
-  out << "}\n";
-  out.close();
-
   std::cout << "obs overhead suite (" << (fast ? "fast" : "full")
             << " mode), sink=" << sink << ":\n";
-  for (const KernelMetric& m : metrics_out) {
+  for (const Metric& m : metrics_out) {
     std::cout << "  " << m.name << " = " << m.value << "\n";
   }
-  std::cout << "wrote " << path << std::endl;
+  bench::WriteJson(path, metrics_out);
 
   if (estimated_null_overhead > 0.05) {
     std::cerr << "obs overhead suite: estimated null-sink overhead "

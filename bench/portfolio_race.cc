@@ -18,7 +18,6 @@
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -52,22 +51,8 @@ Qubo MakeDenseQubo(int n, uint64_t seed) {
   return q;
 }
 
-struct Metric {
-  std::string name;
-  double value;
-};
-
-void WriteJson(const std::string& path, const std::vector<Metric>& metrics) {
-  std::ofstream out(path);
-  out << "{\n";
-  for (size_t i = 0; i < metrics.size(); ++i) {
-    out << "  \"" << metrics[i].name << "\": " << metrics[i].value
-        << (i + 1 < metrics.size() ? "," : "") << "\n";
-  }
-  out << "}\n";
-  out.close();
-  std::cout << "wrote " << path << std::endl;
-}
+using bench::Metric;
+using bench::WriteJson;
 
 double Seconds(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

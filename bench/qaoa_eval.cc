@@ -21,13 +21,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "qubo/ising.h"
 #include "qubo/qubo.h"
 #include "sim/qaoa_simulator.h"
@@ -66,10 +66,7 @@ double BestSeconds(Fn&& fn, int repeats) {
   return best;
 }
 
-struct Metric {
-  std::string name;
-  double value;
-};
+using bench::Metric;
 
 int RunQaoaEvalBench() {
   const bool fast = std::getenv("QJO_QAOA_BENCH_FAST") != nullptr;
@@ -256,21 +253,12 @@ int RunQaoaEvalBench() {
 
   const char* json_path = std::getenv("QJO_BENCH_QAOA_JSON");
   const std::string path = json_path != nullptr ? json_path : "BENCH_qaoa.json";
-  std::ofstream out(path);
-  out << "{\n";
-  for (size_t i = 0; i < metrics.size(); ++i) {
-    out << "  \"" << metrics[i].name << "\": " << metrics[i].value
-        << (i + 1 < metrics.size() ? "," : "") << "\n";
-  }
-  out << "}\n";
-  out.close();
-
   std::cout << "qaoa eval bench (" << (fast ? "fast" : "full")
             << " mode), sink=" << sink << ":\n";
   for (const Metric& m : metrics) {
     std::cout << "  " << m.name << " = " << m.value << "\n";
   }
-  std::cout << "wrote " << path << std::endl;
+  bench::WriteJson(path, metrics);
 
   if (!identical) {
     std::cerr << "FATAL: fused/batched results are not bit-identical to the "

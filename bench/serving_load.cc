@@ -42,7 +42,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <future>
 #include <iostream>
 #include <mutex>
@@ -61,10 +60,7 @@
 namespace qjo {
 namespace {
 
-struct Metric {
-  std::string name;
-  double value;
-};
+using bench::Metric;
 
 double Percentile(std::vector<double> values, double p) {
   if (values.empty()) return 0.0;
@@ -638,15 +634,7 @@ int RunSuite() {
   const char* json_path = std::getenv("QJO_BENCH_SERVING_JSON");
   const std::string path =
       json_path != nullptr ? json_path : "BENCH_serving.json";
-  std::ofstream out(path);
-  out << "{\n";
-  for (size_t i = 0; i < metrics.size(); ++i) {
-    out << "  \"" << metrics[i].name << "\": " << metrics[i].value
-        << (i + 1 < metrics.size() ? "," : "") << "\n";
-  }
-  out << "}\n";
-  out.close();
-  std::cout << "wrote " << path << std::endl;
+  bench::WriteJson(path, metrics);
 
   return ok ? 0 : 1;
 }

@@ -4,6 +4,10 @@
 // queries and annealing times of 20/60/100 us. Each experiment embeds its
 // query once and reuses the embedding across annealing times (as on real
 // hardware).
+//
+// Exits 1 when an experiment fails to build, embed or anneal, or when a
+// 3-relation cell yields no valid sample (the paper's easiest cells sit
+// at ~25-33% valid); the ctest smoke runs it at a small QJO_BENCH_SCALE.
 
 #include <chrono>
 #include <cstdio>
@@ -35,7 +39,7 @@ struct CellStats {
   int completed = 0;
 };
 
-void Run() {
+int Run() {
   const int reads = bench::Scaled(500, 100);
   const int experiments = bench::Scaled(4, 2);
   bench::Banner("Table 3",
@@ -47,10 +51,12 @@ void Run() {
       "impact");
 
   auto pegasus = MakePegasus(8);  // 1344 qubits: ample for <=5 relations
-  if (!pegasus.ok()) return;
+  if (!pegasus.ok()) return 1;
 
   const int parallelism = bench::Parallelism();
   long long total_reads = 0;
+  int failed_experiments = 0;
+  int empty_cells = 0;
   double total_sqa_seconds = 0.0;
 
   std::printf("\n%d reads x %d experiments per cell "
@@ -68,31 +74,58 @@ void Run() {
       int physical = 0;
       for (int e = 0; e < experiments; ++e) {
         Rng rng(9000 + 1000 * t + 100 * static_cast<int>(type) + e);
+        const auto fail = [&](const char* step, const Status& status) {
+          std::fprintf(stderr, "FAIL: %s t=%d experiment %d: %s: %s\n",
+                       QueryGraphTypeName(type), t, e, step,
+                       status.ToString().c_str());
+          ++failed_experiments;
+        };
         QueryGenOptions gen;
         gen.num_relations = t;
         gen.graph_type = type;
         gen.min_log_card = 2.0;
         gen.max_log_card = 4.0;
         auto query = GenerateQuery(gen, rng);
-        if (!query.ok()) continue;
+        if (!query.ok()) {
+          fail("query", query.status());
+          continue;
+        }
         JoMilpOptions options;
         options.thresholds = MakeGeometricThresholds(*query, 1);
         auto milp = EncodeJoAsMilp(*query, options);
-        if (!milp.ok()) continue;
+        if (!milp.ok()) {
+          fail("encoding", milp.status());
+          continue;
+        }
         auto bilp = LowerToBilp(milp->model(), 1.0);
-        if (!bilp.ok()) continue;
+        if (!bilp.ok()) {
+          fail("bilp", bilp.status());
+          continue;
+        }
         auto encoding = ConvertBilpToQubo(*bilp, QuboConversionOptions{});
-        if (!encoding.ok()) continue;
+        if (!encoding.ok()) {
+          fail("qubo", encoding.status());
+          continue;
+        }
         auto oracle = OptimizeDp(*query);
-        if (!oracle.ok()) continue;
+        if (!oracle.ok()) {
+          fail("oracle", oracle.status());
+          continue;
+        }
 
         auto embedding = FindMinorEmbedding(
             encoding->qubo.Edges(), encoding->qubo.num_variables(), *pegasus,
             EmbeddingOptions{}, rng);
-        if (!embedding.ok()) continue;
+        if (!embedding.ok()) {
+          fail("embedding", embedding.status());
+          continue;
+        }
         auto embedded = EmbedQubo(encoding->qubo, *embedding, *pegasus,
                                   EmbedQuboOptions{});
-        if (!embedded.ok()) continue;
+        if (!embedded.ok()) {
+          fail("embed_qubo", embedded.status());
+          continue;
+        }
         physical = embedding->NumPhysicalQubits();
         const IsingModel physical_ising = QuboToIsing(embedded->physical);
 
@@ -115,13 +148,17 @@ void Run() {
               std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             sqa_start)
                   .count();
-          if (!sqa_reads.ok()) continue;
+          if (!sqa_reads.ok()) {
+            fail("sqa", sqa_reads.status());
+            continue;
+          }
           total_reads += sqa_reads->size();
           std::vector<std::vector<int>> samples;
           double chain_breaks = 0.0;
           for (const SqaSample& read : *sqa_reads) {
             const UnembeddedSample logical =
-                UnembedSample(SpinsToBits(read.spins), *embedding, rng);
+                UnembedSample(SpinsToBits(read.spins), embedded->embedding,
+                              rng);
             chain_breaks += logical.chain_break_fraction;
             samples.push_back(logical.logical_bits);
           }
@@ -137,6 +174,11 @@ void Run() {
       }
       for (int time_index = 0; time_index < 3; ++time_index) {
         const CellStats& cell = cells[time_index];
+        if (t == 3 && cell.valid_sum == 0.0) {
+          std::fprintf(stderr, "FAIL: %s t=3 %.0fus: no valid sample\n",
+                       QueryGraphTypeName(type), kAnnealTimes[time_index]);
+          ++empty_cells;
+        }
         if (cell.completed == 0) {
           std::printf("%-8s %3d | %8.0fus | all experiments failed\n",
                       QueryGraphTypeName(type), t, kAnnealTimes[time_index]);
@@ -159,12 +201,10 @@ void Run() {
         total_reads, total_sqa_seconds,
         static_cast<double>(total_reads) / total_sqa_seconds, parallelism);
   }
+  return failed_experiments == 0 && empty_cells == 0 ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace qjo
 
-int main() {
-  qjo::Run();
-  return 0;
-}
+int main() { return qjo::Run(); }

@@ -332,7 +332,7 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
       double chain_breaks = 0.0;
       for (const SqaSample& read : reads) {
         const UnembeddedSample logical =
-            UnembedSample(SpinsToBits(read.spins), *embedding, rng);
+            UnembedSample(SpinsToBits(read.spins), embedded->embedding, rng);
         chain_breaks += logical.chain_break_fraction;
         samples.push_back(logical.logical_bits);
       }

@@ -19,46 +19,65 @@ StatusOr<EmbeddedQubo> EmbedQubo(const Qubo& logical,
   }
 
   EmbeddedQubo out;
-  out.embedding = embedding;
   out.chain_strength =
       options.chain_strength_override > 0.0
           ? options.chain_strength_override
           : options.chain_strength_multiplier * logical.MaxAbsCoefficient();
 
-  Qubo physical(target.num_qubits());
+  // Model variables: the chain qubits (disjoint, as verified above) in
+  // ascending hardware order.
+  for (const auto& chain : embedding.chains) {
+    out.qubits.insert(out.qubits.end(), chain.begin(), chain.end());
+  }
+  std::sort(out.qubits.begin(), out.qubits.end());
+  const auto model_index = [&out](int qubit) {
+    return static_cast<int>(
+        std::lower_bound(out.qubits.begin(), out.qubits.end(), qubit) -
+        out.qubits.begin());
+  };
+  out.embedding.chains.reserve(embedding.chains.size());
+  for (const auto& chain : embedding.chains) {
+    std::vector<int>& model_chain = out.embedding.chains.emplace_back();
+    model_chain.reserve(chain.size());
+    for (int q : chain) model_chain.push_back(model_index(q));
+  }
+
+  Qubo physical(static_cast<int>(out.qubits.size()));
   physical.AddOffset(logical.offset());
 
   // Linear terms: split evenly across the chain.
   for (int i = 0; i < logical.num_variables(); ++i) {
-    const auto& chain = embedding.chains[i];
+    const auto& chain = out.embedding.chains[i];
     const double share =
         logical.linear(i) / static_cast<double>(chain.size());
-    for (int q : chain) {
-      if (share != 0.0) physical.AddLinear(q, share);
+    for (int k : chain) {
+      if (share != 0.0) physical.AddLinear(k, share);
     }
   }
 
   // Couplings: split evenly across all physical couplers between chains.
   for (const auto& [i, j, w] : logical.QuadraticTerms()) {
     std::vector<std::pair<int, int>> couplers;
-    for (int qa : embedding.chains[i]) {
-      for (int qb : embedding.chains[j]) {
-        if (target.HasEdge(qa, qb)) couplers.emplace_back(qa, qb);
+    for (int ka : out.embedding.chains[i]) {
+      for (int kb : out.embedding.chains[j]) {
+        if (target.HasEdge(out.qubits[ka], out.qubits[kb])) {
+          couplers.emplace_back(ka, kb);
+        }
       }
     }
     QJO_CHECK(!couplers.empty());
     const double share = w / static_cast<double>(couplers.size());
-    for (const auto& [qa, qb] : couplers) {
-      physical.AddQuadratic(qa, qb, share);
+    for (const auto& [ka, kb] : couplers) {
+      physical.AddQuadratic(ka, kb, share);
     }
   }
 
   // Chain penalties: cs * (x_p - x_q)^2 on every intra-chain coupler.
   const double cs = out.chain_strength;
-  for (const auto& chain : embedding.chains) {
+  for (const auto& chain : out.embedding.chains) {
     for (size_t a = 0; a < chain.size(); ++a) {
       for (size_t b = a + 1; b < chain.size(); ++b) {
-        if (target.HasEdge(chain[a], chain[b])) {
+        if (target.HasEdge(out.qubits[chain[a]], out.qubits[chain[b]])) {
           physical.AddLinear(chain[a], cs);
           physical.AddLinear(chain[b], cs);
           physical.AddQuadratic(chain[a], chain[b], -2.0 * cs);

@@ -15,8 +15,17 @@ namespace qjo {
 /// qubits, couplings distributed over the available inter-chain couplers,
 /// and ferromagnetic chain penalties cs * (x_p - x_q)^2 on intra-chain
 /// couplers (Sec. 2.2.2 / Sec. 4.1 "chain strength").
+///
+/// Like the QPU, the model programs only the chain qubits: idle qubits of
+/// the target graph (zero field, no couplings) are left out, so an
+/// annealer never simulates them.
 struct EmbeddedQubo {
-  Qubo physical;  ///< indexed by physical qubit id
+  /// One variable per chain qubit; variable k is hardware qubit qubits[k].
+  Qubo physical;
+  /// Hardware id of each model variable, strictly ascending.
+  std::vector<int> qubits;
+  /// The input embedding with chains rewritten into model variable
+  /// indices, i.e. the embedding to unembed samples of `physical` with.
   Embedding embedding;
   double chain_strength = 0.0;
 };

@@ -15,6 +15,7 @@
 #include "jo/classical.h"
 #include "jo/query_generator.h"
 #include "lp/jo_encoder.h"
+#include "obs/obs.h"
 #include "topology/vendor_topologies.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -255,6 +256,31 @@ TEST(AnnealerBackendTest, EmbedsAndSolvesThreeRelations) {
   EXPECT_GT(report->anneal.max_chain_length, 0);
   EXPECT_GT(report->stats.total, 0);
   EXPECT_TRUE(report->found_valid);
+}
+
+// The annealer simulates the embedded model only: every SQA proposal
+// lands on a chain qubit, none on the idle rest of the Pegasus graph.
+TEST(AnnealerBackendTest, AnnealsOnlyChainQubits) {
+  const Query q = MakePaperInstance(2);
+  QjoConfig config;
+  config.backend = QjoBackend::kQuantumAnnealerSim;
+  config.sqa.num_reads = 40;
+  config.sqa.annealing_time_us = 20.0;
+  config.seed = 5;
+  MetricsRegistry metrics;
+  config.run.metrics = &metrics;
+  auto report = OptimizeJoinOrder(q, config);
+  ASSERT_TRUE(report.ok());
+  const uint64_t sweeps = static_cast<uint64_t>(
+      config.sqa.annealing_time_us * config.sqa.sweeps_per_us);
+  ASSERT_GE(sweeps, 8u);  // RunSqa's floor does not apply
+  const uint64_t physical_qubits =
+      static_cast<uint64_t>(report->anneal.physical_qubits);
+  ASSERT_GT(physical_qubits, 0u);
+  EXPECT_EQ(metrics.Snapshot().counters.at("sqa.proposals"),
+            static_cast<uint64_t>(config.sqa.num_reads) * sweeps *
+                static_cast<uint64_t>(config.sqa.trotter_slices) *
+                physical_qubits);
 }
 
 TEST(BatchTest, MatchesSingleQueryRunsExactly) {

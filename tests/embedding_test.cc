@@ -141,13 +141,139 @@ TEST(EmbeddedQuboTest, ConsistentChainsReproduceLogicalEnergy) {
   // must give exactly the logical energy (chain penalty contributes 0).
   for (int x = 0; x < 8; ++x) {
     std::vector<int> logical_bits = {x & 1, (x >> 1) & 1, (x >> 2) & 1};
-    std::vector<int> physical_bits(f.target.num_qubits(), 0);
+    std::vector<int> physical_bits(f.embedded.qubits.size(), 0);
     for (int v = 0; v < 3; ++v) {
-      for (int q : f.embedding.chains[v]) physical_bits[q] = logical_bits[v];
+      for (int k : f.embedded.embedding.chains[v]) {
+        physical_bits[k] = logical_bits[v];
+      }
     }
     EXPECT_NEAR(f.embedded.physical.Energy(physical_bits),
                 f.logical.Energy(logical_bits), 1e-9)
         << "x=" << x;
+  }
+}
+
+/// A random 8-variable QUBO embedded into Pegasus P3 (144 qubits, most
+/// of them idle).
+struct PegasusFixture {
+  Qubo logical{8};
+  CouplingGraph target;
+  Embedding embedding;
+  EmbeddedQubo embedded;
+
+  static PegasusFixture Make(uint64_t seed) {
+    PegasusFixture f;
+    Rng rng(seed);
+    for (int i = 0; i < 8; ++i) {
+      f.logical.AddLinear(i, rng.UniformDouble(-1, 1));
+      for (int j = i + 1; j < 8; ++j) {
+        if (rng.Bernoulli(0.5)) {
+          f.logical.AddQuadratic(i, j, rng.UniformDouble(-1, 1));
+        }
+      }
+    }
+    auto target = MakePegasus(3);
+    EXPECT_TRUE(target.ok());
+    f.target = std::move(target).value();
+    auto embedding = FindMinorEmbedding(f.logical.Edges(), 8, f.target,
+                                        EmbeddingOptions{}, rng);
+    EXPECT_TRUE(embedding.ok());
+    f.embedding = std::move(embedding).value();
+    EmbedQuboOptions opts;
+    opts.chain_strength_override = 1.25;
+    auto embedded = EmbedQubo(f.logical, f.embedding, f.target, opts);
+    EXPECT_TRUE(embedded.ok());
+    f.embedded = std::move(embedded).value();
+    return f;
+  }
+};
+
+/// The embedded model spelled out over every hardware qubit of `target`:
+/// linear terms split across the chain, couplings split across the
+/// inter-chain couplers, cs * (x_p - x_q)^2 on intra-chain couplers.
+Qubo HardwareIndexedReference(const Qubo& logical, const Embedding& embedding,
+                              const CouplingGraph& target, double cs) {
+  Qubo reference(target.num_qubits());
+  reference.AddOffset(logical.offset());
+  for (int i = 0; i < logical.num_variables(); ++i) {
+    const auto& chain = embedding.chains[i];
+    for (int q : chain) {
+      reference.AddLinear(q, logical.linear(i) / chain.size());
+    }
+  }
+  for (const auto& [i, j, w] : logical.QuadraticTerms()) {
+    std::vector<std::pair<int, int>> couplers;
+    for (int qa : embedding.chains[i]) {
+      for (int qb : embedding.chains[j]) {
+        if (target.HasEdge(qa, qb)) couplers.emplace_back(qa, qb);
+      }
+    }
+    for (const auto& [qa, qb] : couplers) {
+      reference.AddQuadratic(qa, qb, w / couplers.size());
+    }
+  }
+  for (const auto& chain : embedding.chains) {
+    for (int qa : chain) {
+      for (int qb : chain) {
+        if (qa < qb && target.HasEdge(qa, qb)) {
+          reference.AddLinear(qa, cs);
+          reference.AddLinear(qb, cs);
+          reference.AddQuadratic(qa, qb, -2.0 * cs);
+        }
+      }
+    }
+  }
+  return reference;
+}
+
+TEST(EmbeddedQuboTest, ModelHasOneVariablePerChainQubit) {
+  for (uint64_t seed : {31, 37, 41}) {
+    PegasusFixture f = PegasusFixture::Make(seed);
+    EXPECT_EQ(f.embedded.physical.num_variables(),
+              f.embedding.NumPhysicalQubits());
+    EXPECT_EQ(static_cast<int>(f.embedded.qubits.size()),
+              f.embedding.NumPhysicalQubits());
+    EXPECT_LT(f.embedded.physical.num_variables(), f.target.num_qubits());
+  }
+}
+
+TEST(EmbeddedQuboTest, QubitsAscendAndMapModelChainsBack) {
+  for (uint64_t seed : {31, 37, 41}) {
+    PegasusFixture f = PegasusFixture::Make(seed);
+    const std::vector<int>& qubits = f.embedded.qubits;
+    for (size_t k = 1; k < qubits.size(); ++k) {
+      EXPECT_LT(qubits[k - 1], qubits[k]);
+    }
+    ASSERT_EQ(f.embedded.embedding.num_logical(), f.embedding.num_logical());
+    for (int v = 0; v < f.embedding.num_logical(); ++v) {
+      const auto& model_chain = f.embedded.embedding.chains[v];
+      ASSERT_EQ(model_chain.size(), f.embedding.chains[v].size());
+      for (size_t a = 0; a < model_chain.size(); ++a) {
+        ASSERT_GE(model_chain[a], 0);
+        ASSERT_LT(static_cast<size_t>(model_chain[a]), qubits.size());
+        EXPECT_EQ(qubits[model_chain[a]], f.embedding.chains[v][a]);
+      }
+    }
+  }
+}
+
+TEST(EmbeddedQuboTest, ModelEnergyMatchesHardwareIndexedReference) {
+  for (uint64_t seed : {31, 37, 41}) {
+    PegasusFixture f = PegasusFixture::Make(seed);
+    const Qubo reference = HardwareIndexedReference(
+        f.logical, f.embedding, f.target, f.embedded.chain_strength);
+    Rng rng(seed + 1000);
+    for (int trial = 0; trial < 64; ++trial) {
+      std::vector<int> model_bits(f.embedded.qubits.size());
+      std::vector<int> hardware_bits(f.target.num_qubits(), 0);
+      for (size_t k = 0; k < model_bits.size(); ++k) {
+        model_bits[k] = rng.Bernoulli(0.5) ? 1 : 0;
+        hardware_bits[f.embedded.qubits[k]] = model_bits[k];
+      }
+      EXPECT_NEAR(f.embedded.physical.Energy(model_bits),
+                  reference.Energy(hardware_bits), 1e-9)
+          << "seed=" << seed << " trial=" << trial;
+    }
   }
 }
 

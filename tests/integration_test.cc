@@ -158,7 +158,7 @@ TEST(PipelineConsistencyTest, EmbeddedAnnealingFindsLogicalGroundState) {
   double best = 1e300;
   for (const SqaSample& read : *reads) {
     const UnembeddedSample logical_sample =
-        UnembedSample(SpinsToBits(read.spins), *embedding, rng);
+        UnembedSample(SpinsToBits(read.spins), embedded->embedding, rng);
     best = std::min(best, logical.Energy(logical_sample.logical_bits));
   }
   EXPECT_NEAR(best, exact->energy, 1e-6);

@@ -11,6 +11,10 @@ Checks, per file:
   * the file parses as JSON and is a flat object of finite numbers;
   * the common keys every bench must carry are present
     (simd_isa, fast_mode, parallelism);
+  * smoke artifacts -- the fast-mode runs ctest writes as *_smoke.json,
+    which CI may copy under the plain BENCH_<bench>.json name -- also
+    carry bench_hw_concurrency, so a parallel figure can be told apart
+    from one measured on a single core;
   * the per-bench required keys are present (throughput fields such as
     sa_proposals_per_sec_* for the kernel bench, *_throughput_rps for the
     serving bench);
@@ -34,6 +38,11 @@ import sys
 
 # Keys every bench JSON must carry, regardless of which bench wrote it.
 COMMON_KEYS = ("simd_isa", "fast_mode", "parallelism")
+
+# Keys every smoke artifact must carry on top of COMMON_KEYS (every bench
+# writes them through bench::WriteJson; older checked-in full-mode files
+# predate the key).
+SMOKE_KEYS = ("bench_hw_concurrency",)
 
 # Per-bench required keys, matched on the file's basename prefix (so the
 # *_smoke.json variants written by ctest are held to the same schema).
@@ -158,6 +167,8 @@ def check_file(path):
                 errors.append("%s: missing %s key %r" % (name, why, key))
 
     require(COMMON_KEYS, "common")
+    if data.get("fast_mode") == 1 or "_smoke" in name:
+        require(SMOKE_KEYS, "smoke")
 
     bench = None
     for prefix in REQUIRED_KEYS:
