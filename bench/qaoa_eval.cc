@@ -5,7 +5,10 @@
 //    per-qubit reference sweeps;
 //  - angle-grid evaluations/sec, batched fused EvaluateBatch vs serial
 //    reference Run calls, on the depth-3 gamma x beta sweep the
-//    optimiser's grid refinement performs at paper scale (20 qubits).
+//    optimiser's grid refinement performs at paper scale (20 qubits);
+//  - the spectrum the pipeline serves: a JO encoding's palette size,
+//    QaoaSimulator::Create time and first Run time (which builds the
+//    phase table), on the paper_backends QAOA instance class.
 //
 // Both comparisons first assert the determinism contract — fused and
 // reference energies (and one full amplitude vector) must be
@@ -28,12 +31,15 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "core/qubo_cache.h"
+#include "jo/query_generator.h"
 #include "qubo/ising.h"
 #include "qubo/qubo.h"
 #include "sim/qaoa_simulator.h"
 #include "sim/sim_kernel.h"
 #include "util/random.h"
 #include "util/simd.h"
+#include "util/stats.h"
 #include "util/thread_pool.h"
 
 namespace qjo {
@@ -64,6 +70,35 @@ double BestSeconds(Fn&& fn, int repeats) {
     best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
   }
   return best;
+}
+
+double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// The QUBO of a JO encoding as served to the QAOA backend: a chain
+/// query at `omega` with one threshold, redrawn until it fits in
+/// `max_qubits` (as the paper_backends workload does).
+StatusOr<IsingModel> JoIsing(int relations, double omega, int max_qubits,
+                             uint64_t seed) {
+  Rng rng(seed);
+  QueryGenOptions query_options;
+  query_options.num_relations = relations;
+  query_options.graph_type = QueryGraphType::kChain;
+  JoEncodingOptions options;
+  options.num_thresholds = 1;
+  options.omega = omega;
+  for (int draw = 0; draw < 64; ++draw) {
+    QJO_ASSIGN_OR_RETURN(Query query, GenerateQuery(query_options, rng));
+    QJO_ASSIGN_OR_RETURN(std::shared_ptr<const JoQuboEncoding> encoding,
+                         BuildJoQuboEncoding(query, options));
+    if (encoding->bilp.num_variables() <= max_qubits) {
+      return QuboToIsing(encoding->encoding.qubo);
+    }
+  }
+  return Status::NotFound("no JO encoding within the qubit cap");
 }
 
 using bench::Metric;
@@ -249,6 +284,49 @@ int RunQaoaEvalBench() {
                        evals / t_serial});
     metrics.push_back({"grid_evals_per_sec_batched_fused", evals / t_batched});
     metrics.push_back({"grid_speedup", t_serial / t_batched});
+  }
+
+  // --- The served spectrum: a JO encoding instead of a random QUBO. ---
+  // Full mode uses the paper_backends instance class (3-relation chain,
+  // omega 3, one threshold, <= 23 qubits; 5-12 float levels). Every
+  // 3-relation encoding has 22+ qubits, so fast mode drops to a
+  // 2-relation chain at omega 1 (6 qubits). Each repeat builds a fresh
+  // simulator, so the first Run includes the phase-table build a served
+  // request pays; the fused state is checked against the reference.
+  {
+    auto ising = fast ? JoIsing(2, 1.0, 6, 7) : JoIsing(3, 3.0, 23, 7);
+    if (!ising.ok()) {
+      std::cerr << "JO encoding failed: " << ising.status().ToString()
+                << std::endl;
+      return 1;
+    }
+    std::optional<ThreadPool> pool;
+    if (parallelism > 1) pool.emplace(parallelism);
+    QaoaParameters params{{0.37}, {0.52}};
+    std::vector<double> create_ms, first_run_ms;
+    size_t levels = 0;
+    std::optional<QaoaSimulator> jo_sim;
+    for (int r = 0; r < (fast ? 3 : 5); ++r) {
+      const auto t0 = std::chrono::steady_clock::now();
+      auto created = QaoaSimulator::Create(*ising);
+      create_ms.push_back(MsSince(t0));
+      jo_sim.emplace(std::move(created).value());
+      jo_sim->set_pool(pool ? &*pool : nullptr);
+      const auto t1 = std::chrono::steady_clock::now();
+      sink += jo_sim->Run(params);
+      first_run_ms.push_back(MsSince(t1));
+      levels = jo_sim->num_levels();
+    }
+    auto reference = QaoaSimulator::Create(*ising);
+    const double er = reference->Run(params, SimKernel::kReference);
+    const bool jo_identical = jo_sim->Run(params) == er &&
+                              jo_sim->amplitudes() == reference->amplitudes();
+    if (!jo_identical) identical = false;
+    metrics.push_back({"jo_qubits", static_cast<double>(ising->num_spins())});
+    metrics.push_back({"jo_spectrum_levels", static_cast<double>(levels)});
+    metrics.push_back({"jo_create_ms", Quantile(create_ms, 0.5)});
+    metrics.push_back({"jo_first_run_ms", Quantile(first_run_ms, 0.5)});
+    metrics.push_back({"jo_identical", jo_identical ? 1.0 : 0.0});
   }
 
   const char* json_path = std::getenv("QJO_BENCH_QAOA_JSON");

@@ -208,7 +208,12 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
             "states are decoded from uint64_t)");
       }
       const IsingModel ising = QuboToIsing(encoding.qubo);
-      QJO_ASSIGN_OR_RETURN(QaoaSimulator sim, QaoaSimulator::Create(ising));
+      StatusOr<QaoaSimulator> created = [&] {
+        StageSpan spectrum_span(config.run.trace, "qaoa_spectrum",
+                                &report.stage_timings);
+        return QaoaSimulator::Create(ising);
+      }();
+      QJO_ASSIGN_OR_RETURN(QaoaSimulator sim, std::move(created));
       // The 2^n amplitude loops run blocked on the shared pool (serial
       // without one); chunking is thread-count-independent, so the report
       // does not depend on the pool size.

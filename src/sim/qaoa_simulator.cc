@@ -1,7 +1,10 @@
 #include "sim/qaoa_simulator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <mutex>
 
 #include "obs/obs.h"
@@ -29,23 +32,226 @@ constexpr int64_t kBlock = int64_t{1} << kBlockQubits;
 /// across the whole high-qubit pass.
 constexpr int64_t kHighTile = int64_t{1} << 11;
 
-/// Memory budget for the per-gamma phase-factor tables exp(-i gamma
-/// E(x)). A table turns the sincos per amplitude per layer into a load
-/// and is reused verbatim whenever a layer's gamma was seen before
-/// (replicated layers, gamma-major grid sweeps — a depth-p evaluation
-/// needs p live tables for cross-evaluation reuse, hence a small cache
-/// rather than a single slot). The budget caps cache_entries *
-/// 2^n * sizeof(complex<float>): 8 entries up to 20 qubits, dropping to
-/// 0 (inline sincos) above 23.
-constexpr uint64_t kMaxPhaseTableBytes = uint64_t{64} << 20;
-constexpr size_t kMaxPhaseTableEntries = 8;
+/// Per-gamma phase tables kept live: a depth-p evaluation needs p of
+/// them for cross-evaluation reuse, hence a small cache rather than a
+/// single slot. A table holds one factor per palette level.
+constexpr size_t kPhaseTableEntries = 8;
 
-size_t MaxPhaseTableEntries(int num_qubits) {
-  const uint64_t table_bytes =
-      (uint64_t{1} << num_qubits) * sizeof(std::complex<float>);
-  return std::min(kMaxPhaseTableEntries,
-                  static_cast<size_t>(kMaxPhaseTableBytes / table_bytes));
-}
+/// Phase factors the fused layer expands per phase_rows call: 2^10
+/// complex<float> (8 KiB), an L1-resident stack buffer.
+constexpr int64_t kGatherChunk = int64_t{1} << 10;
+
+/// Flat open-addressed map from a float's bit pattern to its palette id:
+/// linear probing over a power-of-two table kept at most half full,
+/// Fibonacci-hashed so the zero low mantissa bits of integer-valued
+/// energies still spread. A JO spectrum's handful of levels fits in a
+/// few cache lines.
+class LevelIndex {
+ public:
+  /// Returns the palette id of `value`, appending it to `palette` when
+  /// its bit pattern is new.
+  uint32_t FindOrAdd(float value, std::vector<float>& palette) {
+    const uint32_t key = std::bit_cast<uint32_t>(value);
+    for (size_t s = Home(key);; s = (s + 1) & mask_) {
+      if (slots_[s].id == kEmpty) {
+        const uint32_t id = static_cast<uint32_t>(palette.size());
+        palette.push_back(value);
+        slots_[s] = Slot{key, id};
+        if (2 * palette.size() > slots_.size()) Grow();
+        return id;
+      }
+      if (slots_[s].key == key) return slots_[s].id;
+    }
+  }
+
+  /// Points the entry of `value`, which must exist, at palette id `id`.
+  void Renumber(float value, uint32_t id) {
+    const uint32_t key = std::bit_cast<uint32_t>(value);
+    size_t s = Home(key);
+    while (slots_[s].id == kEmpty || slots_[s].key != key) s = (s + 1) & mask_;
+    slots_[s].id = id;
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = ~uint32_t{0};
+  struct Slot {
+    uint32_t key = 0;
+    uint32_t id = kEmpty;
+  };
+
+  size_t Home(uint32_t key) const { return (key * 0x9E3779B1u) >> shift_; }
+
+  void Grow() {
+    const std::vector<Slot> old = std::move(slots_);
+    slots_.assign(2 * old.size(), Slot{});
+    mask_ = slots_.size() - 1;
+    --shift_;
+    for (const Slot& slot : old) {
+      if (slot.id == kEmpty) continue;
+      size_t s = Home(slot.key);
+      while (slots_[s].id != kEmpty) s = (s + 1) & mask_;
+      slots_[s] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_ = std::vector<Slot>(64);
+  size_t mask_ = 63;
+  int shift_ = 32 - 6;
+};
+
+/// The Gray-code walk of the cost spectrum, one aligned block at a time:
+/// Gray-code steps [j 2^b, (j + 1) 2^b) visit exactly the states of one
+/// aligned 2^b block. Each step flips one spin, updates E(x) in double
+/// precision from the CSR row of that spin, interns the float of E(x)
+/// into the palette and stores its id at x. A block that added levels
+/// then renumbers them in ascending basis order, so on a spectrum of
+/// mostly distinct levels a block's ids ascend and the phase gather
+/// streams through the tables.
+class SpectrumWalk {
+ public:
+  SpectrumWalk(const IsingModel& ising, uint64_t block,
+               std::vector<float>& palette)
+      : ising_(ising),
+        csr_(IsingCsr::FromIsing(ising)),
+        block_(block),
+        spins_(ising.num_spins(), 1),
+        palette_(palette) {
+    // Bit b set in x means spin b is -1 (QUBO bit 1); x = 0 is all +1.
+    energy_ = ising.offset;
+    for (double h : ising.h) energy_ += h;
+    for (const auto& [i, j, w] : ising.couplings) {
+      (void)i;
+      (void)j;
+      energy_ += w;
+    }
+    // State 0 takes level 0, which a zero-filled `level` already holds.
+    const float f0 = static_cast<float>(energy_);
+    palette_.clear();
+    id_ = index_.FindOrAdd(f0, palette_);
+    key_ = std::bit_cast<uint32_t>(f0);
+    min_cost_ = f0;
+  }
+
+  /// Walks on to the end of the current block, storing ids into `level`
+  /// (2^n entries, zero-filled). Returns false when a new level does not
+  /// fit in Id: that step is taken but its id is not stored — the caller
+  /// widens `level`, stores id() at x() and resumes.
+  template <typename Id>
+  bool Resume(std::vector<Id>& level) {
+    // Locals, not members: stores through a uint8_t* may alias anything
+    // whose address escaped, which would force a reload per step.
+    const int32_t* offsets = csr_.offsets.data();
+    const int32_t* columns = csr_.columns.data();
+    const double* weights = csr_.weights.data();
+    const double* h = ising_.h.data();
+    int8_t* spins = spins_.data();
+    Id* ids = level.data();
+    uint64_t step = step_;
+    uint64_t x = x_;
+    double energy = energy_;
+    uint32_t key = key_;
+    uint32_t id = id_;
+    float min_cost = min_cost_;
+    uint64_t argmin = argmin_;
+    bool fits = true;
+    for (const uint64_t end = block_end_; step < end; ++step) {
+      const int bit = static_cast<int>(__builtin_ctzll(step));
+      // Flipping spin `bit`: dE = -2 s_bit (h_bit + sum_j J_bj s_j).
+      double field = h[bit];
+      for (int32_t e = offsets[bit]; e < offsets[bit + 1]; ++e) {
+        field += weights[e] * static_cast<double>(spins[columns[e]]);
+      }
+      energy -= 2.0 * static_cast<double>(spins[bit]) * field;
+      spins[bit] = static_cast<int8_t>(-spins[bit]);
+      x ^= uint64_t{1} << bit;
+      const float fc = static_cast<float>(energy);
+      // Running argmin; the tie-break towards the smallest basis index is
+      // load-bearing because the Gray-code walk does not visit x in
+      // ascending order, while the O(2^n) scan this replaced did.
+      if (fc < min_cost || (fc == min_cost && x < argmin)) {
+        min_cost = fc;
+        argmin = x;
+      }
+      // Consecutive states often share a level; skip the lookup then.
+      const uint32_t fc_key = std::bit_cast<uint32_t>(fc);
+      if (fc_key != key) {
+        key = fc_key;
+        id = index_.FindOrAdd(fc, palette_);
+        if constexpr (sizeof(Id) < sizeof(uint32_t)) {
+          if (id > uint32_t{std::numeric_limits<Id>::max()}) {
+            ++step;
+            fits = false;
+            break;
+          }
+        }
+      }
+      ids[x] = static_cast<Id>(id);
+    }
+    step_ = step;
+    x_ = x;
+    energy_ = energy;
+    key_ = key;
+    id_ = id;
+    min_cost_ = min_cost;
+    argmin_ = argmin;
+    return fits;
+  }
+
+  /// Renumbers the levels the block just walked added, in ascending
+  /// basis order, and moves on to the next block. Call after Resume
+  /// returned true.
+  template <typename Id>
+  void FinishBlock(std::vector<Id>& level) {
+    const uint32_t lo = block_lo_;
+    const uint32_t added = static_cast<uint32_t>(palette_.size()) - lo;
+    block_end_ += block_;
+    block_lo_ = static_cast<uint32_t>(palette_.size());
+    if (added == 0) return;
+    constexpr uint32_t kUnset = ~uint32_t{0};
+    std::vector<uint32_t> renumbered(added, kUnset);
+    uint32_t next = lo;
+    const uint64_t base = x_ & ~(block_ - 1);
+    for (uint64_t x = base; x < base + block_; ++x) {
+      const uint32_t id = level[x];
+      if (id < lo) continue;
+      uint32_t& to = renumbered[id - lo];
+      if (to == kUnset) to = next++;
+      level[x] = static_cast<Id>(to);
+    }
+    const std::vector<float> added_levels(palette_.begin() + lo,
+                                          palette_.end());
+    for (uint32_t k = 0; k < added; ++k) {
+      palette_[renumbered[k]] = added_levels[k];
+      index_.Renumber(added_levels[k], renumbered[k]);
+    }
+    if (id_ >= lo) id_ = renumbered[id_ - lo];
+  }
+
+  uint64_t x() const { return x_; }
+  uint32_t id() const { return id_; }
+  float min_cost() const { return min_cost_; }
+  uint64_t argmin() const { return argmin_; }
+
+ private:
+  const IsingModel& ising_;
+  // Shared flat CSR adjacency for O(degree) energy deltas; its per-row
+  // entry order matches the adjacency-list build it replaced, so the
+  // spectrum is bit-identical.
+  const IsingCsr csr_;
+  const uint64_t block_;
+  std::vector<int8_t> spins_;
+  std::vector<float>& palette_;
+  LevelIndex index_;
+  uint64_t step_ = 1;            // next Gray-code step k; flips bit ctz(k)
+  uint64_t block_end_ = block_;  // first step of the next block
+  uint32_t block_lo_ = 0;        // palette size when the block started
+  uint64_t x_ = 0;               // basis state after the last step
+  double energy_ = 0.0;
+  uint32_t key_ = 0;  // bit pattern of the last state's float energy
+  uint32_t id_ = 0;   // and its palette id
+  float min_cost_ = 0.0f;
+  uint64_t argmin_ = 0;
+};
 
 /// Gates per-sweep parallelism on the state size: below the threshold
 /// the dispatch overhead exceeds the loop body and the sweeps run
@@ -102,11 +308,12 @@ void MixerHighSweep(float* amps, int n, int block_qubits, float c, float sn,
 /// low-qubit mixer run back to back while the block is cache-resident
 /// (one memory pass instead of 1 + block_qubits); the remaining high
 /// qubits follow in the column-tiled sweep. `factors` is the per-gamma
-/// phase table, or nullptr to compute the factors inline (n above the
-/// table cap).
-void FusedLayer(std::complex<float>* amps_c, const float* cost,
-                const std::complex<float>* factors, float gamma, float beta,
-                int n, ThreadPool* pool) {
+/// phase table over the palette; each block expands its states' factors
+/// kGatherChunk at a time into a stack buffer for phase_rows.
+template <typename Id>
+void FusedLayer(std::complex<float>* amps_c, const Id* level,
+                const std::complex<float>* factors, float beta, int n,
+                ThreadPool* pool) {
   const uint64_t size = uint64_t{1} << n;
   const int block_qubits = std::min(n, kBlockQubits);
   const int64_t bsz = int64_t{1} << block_qubits;
@@ -119,33 +326,39 @@ void FusedLayer(std::complex<float>* amps_c, const float* cost,
   ParallelForBlocks(
       pool, 0, static_cast<int64_t>(size), bsz,
       [&](int64_t begin, int64_t end) {
+        alignas(64) float gathered[2 * kGatherChunk];
         for (int64_t b0 = begin; b0 < end; b0 += bsz) {
-          float* a = amps + 2 * b0;
-          if (table != nullptr) {
-            simd.phase_rows(a, table + 2 * b0, 2 * bsz);
-          } else {
-            for (int64_t i = b0; i < b0 + bsz; ++i) {
-              const float angle = -gamma * cost[i];
-              amps_c[i] *= std::complex<float>(std::cos(angle),
-                                               std::sin(angle));
+          for (int64_t g0 = b0; g0 < b0 + bsz; g0 += kGatherChunk) {
+            const int64_t count = std::min(kGatherChunk, b0 + bsz - g0);
+            // Local copies: the captured pointers would be reloaded on
+            // every element, since the buffer stores might alias them.
+            const Id* ids = level + g0;
+            const float* factor = table;
+            for (int64_t i = 0; i < count; ++i) {
+              std::memcpy(gathered + 2 * i, factor + 2 * size_t{ids[i]},
+                          2 * sizeof(float));
             }
+            simd.phase_rows(amps + 2 * g0, gathered, 2 * count);
           }
-          simd.mixer_low_block(a, bsz, block_qubits, c, sn);
+          simd.mixer_low_block(amps + 2 * b0, bsz, block_qubits, c, sn);
         }
       });
   MixerHighSweep(amps, n, block_qubits, c, sn, pool);
 }
 
 /// One pre-fusion QAOA layer, kept verbatim as the kReference kernel:
-/// one full phase sweep, then one full sweep per mixer qubit.
-void ReferenceLayer(std::complex<float>* amps, const float* cost, float gamma,
-                    float beta, int n, ThreadPool* pool) {
+/// one full phase sweep, then one full sweep per mixer qubit. The energy
+/// of state i is palette[level[i]], the float the walk computed for it.
+template <typename Id>
+void ReferenceLayer(std::complex<float>* amps, const float* palette,
+                    const Id* level, float gamma, float beta, int n,
+                    ThreadPool* pool) {
   const uint64_t size = uint64_t{1} << n;
   // Cost phase: exp(-i gamma E(x)) (the offset is a global phase).
   ParallelForBlocks(pool, 0, static_cast<int64_t>(size), kBlock,
                     [&](int64_t begin, int64_t end) {
                       for (int64_t i = begin; i < end; ++i) {
-                        const float angle = -gamma * cost[i];
+                        const float angle = -gamma * palette[level[i]];
                         amps[i] *= std::complex<float>(std::cos(angle),
                                                        std::sin(angle));
                       }
@@ -188,55 +401,43 @@ StatusOr<QaoaSimulator> QaoaSimulator::Create(const IsingModel& ising) {
 }
 
 void QaoaSimulator::BuildCostSpectrum(const IsingModel& ising) {
-  const int n = num_qubits_;
-  const uint64_t size = uint64_t{1} << n;
-  cost_.assign(size, 0.0f);
-
-  // Shared flat CSR adjacency for O(degree) Gray-code energy deltas; its
-  // per-row entry order matches the adjacency-list build it replaced, so
-  // the spectrum is bit-identical.
-  const IsingCsr csr = IsingCsr::FromIsing(ising);
-
-  // Bit b set in x means spin b is -1 (QUBO bit 1).
-  std::vector<int8_t> spins(n, 1);
-  double energy = ising.offset;
-  for (int i = 0; i < n; ++i) energy += ising.h[i];
-  for (const auto& [i, j, w] : ising.couplings) {
-    (void)i;
-    (void)j;
-    energy += w;
-  }
-  cost_[0] = static_cast<float>(energy);
-  min_cost_ = cost_[0];
-  argmin_ = 0;
-
-  uint64_t x = 0;
-  for (uint64_t k = 1; k < size; ++k) {
-    const int bit = static_cast<int>(__builtin_ctzll(k));
-    // Flipping spin `bit`: dE = -2 s_bit (h_bit + sum_j J_bj s_j).
-    double field = ising.h[bit];
-    for (int32_t e = csr.offsets[bit]; e < csr.offsets[bit + 1]; ++e) {
-      field += csr.weights[e] * static_cast<double>(spins[csr.columns[e]]);
+  const uint64_t size = uint64_t{1} << num_qubits_;
+  const uint64_t block = uint64_t{1} << std::min(num_qubits_, kBlockQubits);
+  SpectrumWalk walk(ising, block, palette_);
+  level_ = std::vector<uint8_t>(size);
+  for (uint64_t walked = 0; walked < size; walked += block) {
+    while (!std::visit([&](auto& level) { return walk.Resume(level); },
+                       level_)) {
+      // The 257th (65,537th) level: re-encode the ids one width up, store
+      // the state that overflowed, and resume the walk.
+      if (const auto* ids = std::get_if<std::vector<uint8_t>>(&level_)) {
+        level_ = std::vector<uint16_t>(ids->begin(), ids->end());
+      } else {
+        const auto& narrow = std::get<std::vector<uint16_t>>(level_);
+        level_ = std::vector<uint32_t>(narrow.begin(), narrow.end());
+      }
+      std::visit([&](auto& level) { level[walk.x()] = walk.id(); }, level_);
     }
-    energy -= 2.0 * static_cast<double>(spins[bit]) * field;
-    spins[bit] = static_cast<int8_t>(-spins[bit]);
-    x ^= uint64_t{1} << bit;
-    const float fc = static_cast<float>(energy);
-    cost_[x] = fc;
-    // Running argmin; the tie-break towards the smallest basis index is
-    // load-bearing because the Gray-code walk does not visit x in
-    // ascending order, while the O(2^n) scan this replaces did.
-    if (fc < min_cost_ || (fc == min_cost_ && x < argmin_)) {
-      min_cost_ = fc;
-      argmin_ = x;
-    }
+    std::visit([&](auto& level) { walk.FinishBlock(level); }, level_);
   }
+  min_cost_ = walk.min_cost();
+  argmin_ = walk.argmin();
+}
+
+std::vector<float> QaoaSimulator::cost_spectrum() const {
+  return std::visit(
+      [&](const auto& level) {
+        std::vector<float> spectrum(level.size());
+        for (size_t i = 0; i < level.size(); ++i) {
+          spectrum[i] = palette_[level[i]];
+        }
+        return spectrum;
+      },
+      level_);
 }
 
 const std::complex<float>* QaoaSimulator::PhaseFactors(
     float gamma, PhaseTableCache& tables, ThreadPool* pool) const {
-  const size_t max_entries = MaxPhaseTableEntries(num_qubits_);
-  if (max_entries == 0) return nullptr;
   for (const PhaseTable& entry : tables.entries) {
     if (entry.gamma == gamma) {
       if (metrics_ != nullptr) metrics_->Count("qaoa.phase_table_hits");
@@ -245,22 +446,22 @@ const std::complex<float>* QaoaSimulator::PhaseFactors(
   }
   if (metrics_ != nullptr) metrics_->Count("qaoa.phase_table_misses");
   PhaseTable* slot = nullptr;
-  if (tables.entries.size() < max_entries) {
+  if (tables.entries.size() < kPhaseTableEntries) {
     slot = &tables.entries.emplace_back();
   } else {
     slot = &tables.entries[tables.next_evict];
-    tables.next_evict = (tables.next_evict + 1) % max_entries;
+    tables.next_evict = (tables.next_evict + 1) % kPhaseTableEntries;
   }
-  const uint64_t size = uint64_t{1} << num_qubits_;
-  slot->factors.resize(size);
+  const size_t levels = palette_.size();
+  slot->factors.resize(levels);
   slot->gamma = gamma;
   std::complex<float>* factors = slot->factors.data();
-  const float* cost = cost_.data();
-  ParallelForBlocks(pool, 0, static_cast<int64_t>(size), kBlock,
+  const float* palette = palette_.data();
+  ParallelForBlocks(pool, 0, static_cast<int64_t>(levels), kBlock,
                     [&](int64_t begin, int64_t end) {
-                      for (int64_t i = begin; i < end; ++i) {
-                        const float angle = -gamma * cost[i];
-                        factors[i] = std::complex<float>(std::cos(angle),
+                      for (int64_t l = begin; l < end; ++l) {
+                        const float angle = -gamma * palette[l];
+                        factors[l] = std::complex<float>(std::cos(angle),
                                                          std::sin(angle));
                       }
                     });
@@ -278,28 +479,33 @@ double QaoaSimulator::RunCore(const QaoaParameters& parameters,
   amps_vec.assign(size, std::complex<float>(amp0, 0.0f));
 
   std::complex<float>* amps = amps_vec.data();
-  const float* cost = cost_.data();
-  for (int rep = 0; rep < parameters.p(); ++rep) {
-    const float gamma = static_cast<float>(parameters.gammas[rep]);
-    const float beta = static_cast<float>(parameters.betas[rep]);
-    if (kernel == SimKernel::kFused) {
-      const std::complex<float>* factors = PhaseFactors(gamma, tables, pool);
-      FusedLayer(amps, cost, factors, gamma, beta, num_qubits_, pool);
-    } else {
-      ReferenceLayer(amps, cost, gamma, beta, num_qubits_, pool);
-    }
-  }
-
-  return ParallelBlockedSum(pool, static_cast<int64_t>(size), kBlock,
-                            [&](int64_t begin, int64_t end) {
-                              double partial = 0.0;
-                              for (int64_t i = begin; i < end; ++i) {
-                                partial +=
-                                    static_cast<double>(std::norm(amps[i])) *
-                                    static_cast<double>(cost[i]);
-                              }
-                              return partial;
-                            });
+  const float* palette = palette_.data();
+  return std::visit(
+      [&](const auto& level_ids) {
+        const auto* level = level_ids.data();
+        for (int rep = 0; rep < parameters.p(); ++rep) {
+          const float gamma = static_cast<float>(parameters.gammas[rep]);
+          const float beta = static_cast<float>(parameters.betas[rep]);
+          if (kernel == SimKernel::kFused) {
+            FusedLayer(amps, level, PhaseFactors(gamma, tables, pool), beta,
+                       num_qubits_, pool);
+          } else {
+            ReferenceLayer(amps, palette, level, gamma, beta, num_qubits_,
+                           pool);
+          }
+        }
+        return ParallelBlockedSum(
+            pool, static_cast<int64_t>(size), kBlock,
+            [&](int64_t begin, int64_t end) {
+              double partial = 0.0;
+              for (int64_t i = begin; i < end; ++i) {
+                partial += static_cast<double>(std::norm(amps[i])) *
+                           static_cast<double>(palette[level[i]]);
+              }
+              return partial;
+            });
+      },
+      level_);
 }
 
 double QaoaSimulator::Run(const QaoaParameters& parameters, SimKernel kernel) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "circuit/qaoa_builder.h"
@@ -25,6 +26,20 @@ class ThreadPool;
 /// butterflies. Amplitudes are stored in single precision so 27-qubit
 /// problems (the paper's largest gate-based instances) fit comfortably in
 /// memory.
+///
+/// The spectrum is stored as a palette of its distinct float energies
+/// plus one level id per basis state. A JO QUBO's energy is a few
+/// penalty levels plus the objective, so its 2^n states share a handful
+/// of levels (5-12 on the 3-relation paper encodings), and a per-gamma
+/// phase table needs one sincos per level instead of one per state. Ids
+/// are uint8_t while the palette has at most 256 levels, uint16_t up to
+/// 65,536 and uint32_t beyond (one re-encode per widening). The
+/// Gray-code walk visits each aligned 2^14 block of states contiguously,
+/// and the levels a block adds are numbered in ascending basis order
+/// within it, so even a spectrum where almost every state has its own
+/// level gathers a block's phases from one ascending palette range.
+/// Levels are keyed on the float's bit pattern, so every state keeps
+/// exactly the float the walk computed.
 ///
 /// Two kernels share the same contract (amplitudes equal under
 /// operator== at every parallelism level):
@@ -56,8 +71,12 @@ class QaoaSimulator {
   /// contract (the evaluation *results* stay bit-identical regardless).
   void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
 
-  /// Cost spectrum E(x) including the Ising offset.
-  const std::vector<float>& cost_spectrum() const { return cost_; }
+  /// Cost spectrum E(x) including the Ising offset, one float per basis
+  /// state, expanded from the level palette on every call.
+  std::vector<float> cost_spectrum() const;
+
+  /// Number of distinct float energies in the spectrum.
+  size_t num_levels() const { return palette_.size(); }
 
   /// Runs the QAOA circuit for `parameters`, leaving the final state
   /// loaded; returns <H_C>. The amplitude buffer and the per-gamma phase
@@ -106,7 +125,8 @@ class QaoaSimulator {
   double MinCost(uint64_t* argmin = nullptr) const;
 
  private:
-  /// Cached phase factors exp(-i gamma E(x)) for one gamma value.
+  /// Cached phase factors exp(-i gamma E) for one gamma value, one per
+  /// palette level (indexed by level id, not by basis state).
   struct PhaseTable {
     std::vector<std::complex<float>> factors;
     float gamma = 0.0f;
@@ -114,9 +134,9 @@ class QaoaSimulator {
 
   /// Small round-robin cache of phase tables, one per recent gamma, so a
   /// depth-p evaluation keeps all p of its layer tables live and a
-  /// gamma-major grid sweep reuses them across the whole beta row. The
-  /// entry count is capped by a memory budget (see the .cc); 0 entries
-  /// above the budget means the factors are computed inline.
+  /// gamma-major grid sweep reuses them across the whole beta row. A
+  /// table holds one factor per level, so it is a few bytes for a JO
+  /// spectrum and at most 2^n factors for one with all-distinct levels.
   struct PhaseTableCache {
     std::vector<PhaseTable> entries;
     size_t next_evict = 0;
@@ -141,13 +161,19 @@ class QaoaSimulator {
                  PhaseTableCache& tables, SimKernel kernel,
                  ThreadPool* pool) const;
 
-  /// Returns the cached (building on miss) phase factors for `gamma`, or
-  /// nullptr when the qubit count exceeds the table memory budget.
+  /// Returns the cached (building on miss) per-level phase factors for
+  /// `gamma`.
   const std::complex<float>* PhaseFactors(float gamma, PhaseTableCache& tables,
                                           ThreadPool* pool) const;
 
   int num_qubits_ = 0;
-  std::vector<float> cost_;
+  /// Distinct float energies: blocks in Gray-walk order, the levels each
+  /// block adds in ascending basis order.
+  std::vector<float> palette_;
+  /// Palette index of every basis state, as narrow as the palette allows.
+  std::variant<std::vector<uint8_t>, std::vector<uint16_t>,
+               std::vector<uint32_t>>
+      level_;
   float min_cost_ = 0.0f;
   uint64_t argmin_ = 0;
   std::vector<std::complex<float>> amplitudes_;

@@ -1,13 +1,18 @@
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <map>
+#include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "circuit/qaoa_builder.h"
+#include "core/qubo_cache.h"
+#include "jo/query_generator.h"
 #include "qubo/ising.h"
 #include "qubo/qubo.h"
 #include "sim/device.h"
@@ -780,6 +785,116 @@ TEST(QaoaSimulatorTest, MinCostBreaksTiesTowardsSmallestBasisState) {
   uint64_t argmin = ~uint64_t{0};
   EXPECT_EQ(sim->MinCost(&argmin), -2.5);
   EXPECT_EQ(argmin, 0u);
+}
+
+// --- Level palette: one test per level-id width. ---
+
+// Checks every contract the palette encoding must keep on `ising`:
+// cost_spectrum() matches IsingModel::Energy state by state, the palette
+// holds each distinct float bit pattern exactly once, MinCost/argmin
+// equal a linear scan with the smallest-index tie-break, and fused and
+// reference amplitudes compare equal. Reports the palette size.
+void ExpectPaletteContracts(const IsingModel& ising, size_t* num_levels) {
+  const int n = ising.num_spins();
+  auto fused = QaoaSimulator::Create(ising);
+  auto reference = QaoaSimulator::Create(ising);
+  ASSERT_TRUE(fused.ok());
+  ASSERT_TRUE(reference.ok());
+
+  const std::vector<float> spectrum = fused->cost_spectrum();
+  ASSERT_EQ(spectrum.size(), uint64_t{1} << n);
+  std::set<uint32_t> distinct;
+  uint64_t expected_argmin = 0;
+  int energy_mismatches = 0;
+  std::vector<int> spins(n);
+  for (uint64_t x = 0; x < spectrum.size(); ++x) {
+    for (int i = 0; i < n; ++i) spins[i] = (x >> i) & 1 ? -1 : 1;
+    const double energy = ising.Energy(spins);
+    const double tolerance = 1e-4 * std::max(1.0, std::abs(energy));
+    if (std::abs(spectrum[x] - energy) > tolerance) ++energy_mismatches;
+    distinct.insert(std::bit_cast<uint32_t>(spectrum[x]));
+    if (spectrum[x] < spectrum[expected_argmin]) expected_argmin = x;
+  }
+  EXPECT_EQ(energy_mismatches, 0);
+  *num_levels = fused->num_levels();
+  EXPECT_EQ(*num_levels, distinct.size());
+  uint64_t argmin = ~uint64_t{0};
+  EXPECT_EQ(fused->MinCost(&argmin),
+            static_cast<double>(spectrum[expected_argmin]));
+  EXPECT_EQ(argmin, expected_argmin);
+
+  QaoaParameters params{{0.41, 0.17}, {0.63, 0.29}};
+  EXPECT_EQ(fused->Run(params, SimKernel::kFused),
+            reference->Run(params, SimKernel::kReference));
+  const auto& af = fused->amplitudes();
+  const auto& ar = reference->amplitudes();
+  ASSERT_EQ(af.size(), ar.size());
+  for (size_t i = 0; i < af.size(); ++i) {
+    ASSERT_EQ(af[i], ar[i]) << "amp " << i;
+  }
+}
+
+TEST(QaoaSimulatorTest, PaletteWithUint8Ids) {
+  // Integer h and J in {-1, 0, 1}: energies are integers in [-55, 55],
+  // so the palette stays within 256 levels.
+  Rng rng(5);
+  const int n = 10;
+  IsingModel ising;
+  ising.h.assign(n, 0.0);
+  for (int i = 0; i < n; ++i) {
+    ising.h[i] = static_cast<double>(rng.UniformInt(3)) - 1.0;
+    for (int j = i + 1; j < n; ++j) {
+      const double w = static_cast<double>(rng.UniformInt(3)) - 1.0;
+      if (w != 0.0) ising.couplings.emplace_back(i, j, w);
+    }
+  }
+  size_t levels = 0;
+  ExpectPaletteContracts(ising, &levels);
+  EXPECT_GT(levels, 1u);
+  EXPECT_LE(levels, 256u);
+}
+
+TEST(QaoaSimulatorTest, PaletteWidensToUint16Ids) {
+  Rng rng(23);
+  const IsingModel ising = RandomIsing(11, 0.5, rng);
+  size_t levels = 0;
+  ExpectPaletteContracts(ising, &levels);
+  EXPECT_GT(levels, 256u);
+  EXPECT_LE(levels, 65536u);
+}
+
+TEST(QaoaSimulatorTest, PaletteWidensToUint32Ids) {
+  Rng rng(29);
+  const IsingModel ising = RandomIsing(17, 0.4, rng);
+  size_t levels = 0;
+  ExpectPaletteContracts(ising, &levels);
+  EXPECT_GT(levels, 65536u);
+}
+
+TEST(QaoaSimulatorTest, JoChainEncodingHasFewLevels) {
+  // The served QAOA encoding: a 3-relation chain at omega 3 with one
+  // threshold. Its energy is a few penalty levels plus the objective, so
+  // its 2^n states share a handful of float levels — the assumption the
+  // palette phase tables rest on.
+  JoEncodingOptions options;
+  options.num_thresholds = 1;
+  options.omega = 3.0;
+  QueryGenOptions query_options;
+  query_options.num_relations = 3;
+  query_options.graph_type = QueryGraphType::kChain;
+  Rng rng(7);
+  std::shared_ptr<const JoQuboEncoding> encoding;
+  do {
+    auto query = GenerateQuery(query_options, rng);
+    ASSERT_TRUE(query.ok());
+    auto built = BuildJoQuboEncoding(*query, options);
+    ASSERT_TRUE(built.ok());
+    encoding = *built;
+  } while (encoding->bilp.num_variables() > 23);
+  auto sim = QaoaSimulator::Create(QuboToIsing(encoding->encoding.qubo));
+  ASSERT_TRUE(sim.ok());
+  EXPECT_GE(sim->num_qubits(), 20);
+  EXPECT_LT(sim->num_levels(), 64u);
 }
 
 TEST(StateVectorTest, FusedCircuitKernelsBitIdentical) {

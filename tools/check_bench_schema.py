@@ -67,6 +67,10 @@ REQUIRED_KEYS = {
         "grid_evals_per_sec_batched_fused",
         "amplitudes_identical",
         "simd_tiers_identical",
+        # The JO-encoding section: the spectrum the QAOA backend serves.
+        "jo_spectrum_levels",
+        "jo_create_ms",
+        "jo_first_run_ms",
     ),
     "BENCH_portfolio": (
         "instances",
