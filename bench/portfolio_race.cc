@@ -15,7 +15,6 @@
 // the thread count.
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -25,9 +24,6 @@
 
 #include "bench/bench_common.h"
 #include "core/portfolio.h"
-#include "core/quantum_optimizer.h"
-#include "core/strand_select.h"
-#include "jo/query.h"
 #include "qubo/ising.h"
 #include "qubo/qubo.h"
 #include "qubo/solvers.h"
@@ -223,292 +219,7 @@ int RunSuite() {
   return 0;
 }
 
-// --- Adaptive-vs-fixed section. ---
-//
-// A mixed chain/star/cycle/clique workload first trains the per-bucket
-// bandit (eight recorded races per query — the selector's warm-up bar),
-// then replays every query over a fixed set of evaluation seeds: the
-// fixed race against the adaptive race over the frozen records, seed by
-// seed. Aggregating over several seeds is what makes the comparison
-// honest — on a single seed the fixed winner can be a strand the
-// training data correctly ranks low (a 1-in-8 lucky draw), and gating
-// on that one draw would punish the bandit for the right call.
-// Headline metric: the winners' wall time-to-incumbent summed over all
-// query x seed evals, adaptive over fixed. In pure sweep-budget mode
-// throttling never changes the winner's *sweep* count (strands are
-// independent), so the adaptive win shows up in wall clock — throttled
-// strands stop competing for cores — and in total race work, which the
-// deterministic work_ratio (total sweeps completed, adaptive / fixed)
-// captures; throttling can only shrink it, so the gate pins it at
-// <= 1.0 exactly. Plan quality is compared through the DP optimum the
-// report carries: sum of best_cost/optimal_cost over the evals. Exits
-// nonzero when the adaptive race regresses plan quality by more than
-// 5%, does more work than the fixed race, fails to engage the bandit on
-// any trained bucket, or (full mode only — the smoke sticks to the
-// deterministic invariants) regresses wall tti past 5%. Writes
-// BENCH_adaptive.json (override with QJO_BENCH_ADAPTIVE_JSON); the
-// checked-in full-mode artifact is additionally held to tti_ratio
-// <= 1.0 by tools/check_bench_schema.py.
-
-Query MakeJoinQuery(int relations, const std::string& shape) {
-  Query q;
-  for (int i = 0; i < relations; ++i) {
-    q.AddRelation("R" + std::to_string(i), 100.0 * (i + 1));
-  }
-  const auto edge = [&](int a, int b) { (void)q.AddPredicate(a, b, 0.1); };
-  if (shape == "chain") {
-    for (int i = 0; i + 1 < relations; ++i) edge(i, i + 1);
-  } else if (shape == "star") {
-    for (int i = 1; i < relations; ++i) edge(0, i);
-  } else if (shape == "cycle") {
-    for (int i = 0; i + 1 < relations; ++i) edge(i, i + 1);
-    edge(relations - 1, 0);
-  } else {  // clique
-    for (int i = 0; i < relations; ++i) {
-      for (int j = i + 1; j < relations; ++j) edge(i, j);
-    }
-  }
-  return q;
-}
-
-std::string SanitizeKey(const std::string& raw) {
-  std::string out;
-  for (char c : raw) {
-    out += (std::isalnum(static_cast<unsigned char>(c)) != 0) ? c : '_';
-  }
-  return out;
-}
-
-int RunAdaptiveSuite() {
-  const bool fast = std::getenv("QJO_PORTFOLIO_BENCH_FAST") != nullptr;
-  int parallelism = static_cast<int>(std::thread::hardware_concurrency());
-  if (const char* p = std::getenv("QJO_BENCH_PARALLELISM")) {
-    parallelism = std::atoi(p);
-  }
-  parallelism = std::max(parallelism, 2);
-
-  const std::vector<std::string> shapes = {"chain", "star", "cycle", "clique"};
-  std::vector<Query> workload;
-  for (const std::string& shape : shapes) {
-    workload.push_back(MakeJoinQuery(4, shape));
-    if (!fast) workload.push_back(MakeJoinQuery(5, shape));
-  }
-
-  QjoConfig base;
-  base.backend = QjoBackend::kPortfolio;
-  base.portfolio.sweep_budget = fast ? 512 : 2048;  // pure sweep-budget mode
-  ThreadPool pool(parallelism);
-  base.run.pool = &pool;
-
-  // Training: eight recorded races per query crosses the selector's
-  // min_bucket_trials bar for every bucket in the workload.
-  RunRecordStore records;
-  const int train_reps = 8;
-  int trained = 0;
-  for (int rep = 0; rep < train_reps; ++rep) {
-    for (const Query& query : workload) {
-      QjoConfig config = base;
-      config.seed = 100 + rep;
-      config.portfolio.adaptive.enabled = true;
-      config.portfolio.adaptive.records = &records;
-      const auto report = OptimizeJoinOrder(query, config);
-      if (!report.ok()) {
-        std::cerr << "adaptive training run failed: "
-                  << report.status().ToString() << "\n";
-        return 1;
-      }
-      ++trained;
-    }
-  }
-
-  std::vector<Metric> metrics;
-  metrics.push_back(
-      {"simd_isa", static_cast<double>(static_cast<int>(Simd().isa))});
-  metrics.push_back({"parallelism", static_cast<double>(parallelism)});
-  metrics.push_back({"fast_mode", fast ? 1.0 : 0.0});
-  metrics.push_back({"queries", static_cast<double>(workload.size())});
-  metrics.push_back({"trained_races", static_cast<double>(trained)});
-  metrics.push_back(
-      {"buckets", static_cast<double>(records.NumBuckets())});
-
-  const std::vector<uint64_t> eval_seeds = {7, 11, 23, 42};
-  metrics.push_back(
-      {"eval_seeds", static_cast<double>(eval_seeds.size())});
-
-  double fixed_sweeps = 0.0, adaptive_sweeps = 0.0;
-  double fixed_work = 0.0, adaptive_work = 0.0;
-  double fixed_tti_ms = 0.0, adaptive_tti_ms = 0.0;
-  double fixed_elapsed_ms = 0.0, adaptive_elapsed_ms = 0.0;
-  double fixed_cost_over_opt = 0.0, adaptive_cost_over_opt = 0.0;
-  int throttled_strands = 0;
-  bool all_applied = true;
-  bool all_valid = true;
-  for (size_t i = 0; i < workload.size(); ++i) {
-    double q_fixed_sweeps = 0.0, q_adaptive_sweeps = 0.0;
-    double q_fixed_tti = 0.0, q_adaptive_tti = 0.0;
-    int q_throttled = 0;
-    int q_flips = 0;
-    for (uint64_t seed : eval_seeds) {
-      QjoConfig fixed = base;
-      fixed.seed = seed;
-      const auto fixed_report = OptimizeJoinOrder(workload[i], fixed);
-
-      QjoConfig adaptive = base;
-      adaptive.seed = seed;
-      adaptive.portfolio.adaptive.enabled = true;
-      adaptive.portfolio.adaptive.records = &records;
-      adaptive.portfolio.adaptive.record = false;  // frozen snapshot replay
-      const auto adaptive_report = OptimizeJoinOrder(workload[i], adaptive);
-      if (!fixed_report.ok() || !adaptive_report.ok()) {
-        std::cerr << "adaptive eval run failed\n";
-        return 1;
-      }
-
-      const auto& fixed_race = fixed_report->portfolio.race;
-      const auto& adaptive_race = adaptive_report->portfolio.race;
-      if (fixed_race.winner < 0 || adaptive_race.winner < 0) {
-        std::cerr << "adaptive eval produced no incumbent\n";
-        return 1;
-      }
-      const StrandOutcome& fixed_winner =
-          fixed_race.strands[fixed_race.winner];
-      const StrandOutcome& adaptive_winner =
-          adaptive_race.strands[adaptive_race.winner];
-      all_applied = all_applied && adaptive_race.adaptive_applied;
-      all_valid = all_valid && fixed_report->found_valid &&
-                  adaptive_report->found_valid;
-      // Plan quality, normalised by the DP optimum the report carries
-      // (>= optimal by construction; 1.0 = the race found the optimum).
-      const double fixed_opt = std::max(fixed_report->optimal_cost, 1e-12);
-      const double adaptive_opt =
-          std::max(adaptive_report->optimal_cost, 1e-12);
-      fixed_cost_over_opt += fixed_report->best_cost / fixed_opt;
-      adaptive_cost_over_opt += adaptive_report->best_cost / adaptive_opt;
-
-      int throttled = 0;
-      for (const StrandOutcome& s : adaptive_race.strands) {
-        throttled += s.allocation.throttled ? 1 : 0;
-        adaptive_work += static_cast<double>(s.sweeps_completed);
-      }
-      for (const StrandOutcome& s : fixed_race.strands) {
-        fixed_work += static_cast<double>(s.sweeps_completed);
-      }
-      q_throttled += throttled;
-      q_flips += fixed_winner.name != adaptive_winner.name ? 1 : 0;
-      q_fixed_sweeps += static_cast<double>(fixed_winner.sweeps_to_incumbent);
-      q_adaptive_sweeps +=
-          static_cast<double>(adaptive_winner.sweeps_to_incumbent);
-      q_fixed_tti += fixed_winner.time_to_incumbent_ms;
-      q_adaptive_tti += adaptive_winner.time_to_incumbent_ms;
-      fixed_elapsed_ms += fixed_race.elapsed_ms;
-      adaptive_elapsed_ms += adaptive_race.elapsed_ms;
-    }
-    throttled_strands += q_throttled;
-    fixed_sweeps += q_fixed_sweeps;
-    adaptive_sweeps += q_adaptive_sweeps;
-    fixed_tti_ms += q_fixed_tti;
-    adaptive_tti_ms += q_adaptive_tti;
-
-    const std::string prefix = "q" + std::to_string(i) + "_";
-    metrics.push_back({prefix + "fixed_winner_tti_ms", q_fixed_tti});
-    metrics.push_back({prefix + "adaptive_winner_tti_ms", q_adaptive_tti});
-    metrics.push_back(
-        {prefix + "throttled", static_cast<double>(q_throttled)});
-    metrics.push_back(
-        {prefix + "winner_flips", static_cast<double>(q_flips)});
-    std::cout << "query " << i << ": fixed winners "
-              << static_cast<int64_t>(q_fixed_sweeps)
-              << " sweeps-to-incumbent, adaptive "
-              << static_cast<int64_t>(q_adaptive_sweeps) << " sweeps, "
-              << q_flips << "/" << eval_seeds.size() << " winner flips, "
-              << q_throttled << " throttled strand-run(s)\n";
-  }
-  // Adaptive mean cost-over-optimal within 5% of the fixed race's: the
-  // throttled strands may surrender a lucky seed, never plan quality in
-  // aggregate.
-  const bool cost_ok =
-      all_valid && adaptive_cost_over_opt <= fixed_cost_over_opt * 1.05;
-
-  // Headline: winners' wall time-to-incumbent, adaptive over fixed. The
-  // sweeps twin is informational only — winner flips make it
-  // incomparable across races (different strands count different sweep
-  // units, one-shot winners count zero). work_ratio is the deterministic
-  // guarantee: total sweeps the adaptive race spent; throttling divides
-  // budgets, so it can never exceed the fixed race's.
-  const double tti_ratio =
-      fixed_tti_ms > 0.0 ? adaptive_tti_ms / fixed_tti_ms : 1.0;
-  const double sweeps_tti_ratio =
-      fixed_sweeps > 0.0 ? adaptive_sweeps / fixed_sweeps
-                         : (adaptive_sweeps > 0.0 ? 2.0 : 1.0);
-  const double work_ratio =
-      fixed_work > 0.0 ? adaptive_work / fixed_work : 1.0;
-  const double elapsed_ratio =
-      fixed_elapsed_ms > 0.0 ? adaptive_elapsed_ms / fixed_elapsed_ms : 1.0;
-  const double cost_ratio = fixed_cost_over_opt > 0.0
-                                ? adaptive_cost_over_opt / fixed_cost_over_opt
-                                : 1.0;
-  metrics.push_back({"tti_ratio", tti_ratio});
-  metrics.push_back({"sweeps_tti_ratio", sweeps_tti_ratio});
-  metrics.push_back({"work_ratio", work_ratio});
-  metrics.push_back({"elapsed_ratio", elapsed_ratio});
-  metrics.push_back({"mean_cost_ratio", cost_ratio});
-  metrics.push_back({"fixed_tti_seconds", fixed_tti_ms / 1e3});
-  metrics.push_back({"adaptive_tti_seconds", adaptive_tti_ms / 1e3});
-  metrics.push_back(
-      {"throttled_strands", static_cast<double>(throttled_strands)});
-  metrics.push_back({"adaptive_applied", all_applied ? 1.0 : 0.0});
-  metrics.push_back({"cost_ok", cost_ok ? 1.0 : 0.0});
-
-  // Per-bucket win rates from the trained store.
-  for (const std::string& bucket : records.Buckets()) {
-    const uint64_t races = records.BucketTrials(bucket);
-    if (races == 0) continue;
-    for (const char* strand : {"sa", "tabu", "sqa", "decomp"}) {
-      const StrandRecord record = records.Get(bucket, strand);
-      if (record.trials == 0) continue;
-      metrics.push_back({"win_rate_" + SanitizeKey(bucket) + "_" + strand,
-                         static_cast<double>(record.wins) /
-                             static_cast<double>(record.trials)});
-    }
-  }
-
-  // The smoke (fast) gate sticks to the deterministic invariants — a
-  // sweep-budget race is bit-reproducible, so work/cost/engagement never
-  // flake under CI load. The wall-clock tti gate only arms in full mode,
-  // which produces the checked-in BENCH_adaptive.json; the schema
-  // checker holds that artifact to tti_ratio <= 1.0.
-  const bool ok = all_applied && cost_ok && work_ratio <= 1.0 &&
-                  (fast || tti_ratio <= 1.05);
-  metrics.push_back({"adaptive_ok", ok ? 1.0 : 0.0});
-
-  const char* json_path = std::getenv("QJO_BENCH_ADAPTIVE_JSON");
-  const std::string path =
-      json_path != nullptr ? json_path : "BENCH_adaptive.json";
-  WriteJson(path, metrics);
-  std::cout << "adaptive: wall tti ratio " << tti_ratio << " (work "
-            << work_ratio << ", elapsed " << elapsed_ratio << ", cost "
-            << cost_ratio << ", sweeps-tti " << sweeps_tti_ratio << "), "
-            << throttled_strands << " throttled strand-runs — "
-            << (ok ? "OK" : "REGRESSED") << "\n";
-  if (!ok) {
-    std::cerr << "adaptive-vs-fixed gate failed: "
-              << (!all_applied
-                      ? "bandit never engaged; "
-                      : (!cost_ok ? "plan quality regressed; "
-                                  : (work_ratio > 1.0
-                                         ? "adaptive did more work; "
-                                         : "wall tti ratio > 1.05; ")))
-              << "see " << path << "\n";
-    return 1;
-  }
-  return 0;
-}
-
 }  // namespace
 }  // namespace qjo
 
-int main() {
-  const int suite = qjo::RunSuite();
-  const int adaptive = qjo::RunAdaptiveSuite();
-  return suite != 0 ? suite : adaptive;
-}
+int main() { return qjo::RunSuite(); }

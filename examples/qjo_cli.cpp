@@ -6,7 +6,6 @@
 //           [--predicates P] [--backend exact|sa|qaoa|annealer|portfolio]
 //           [--portfolio] [--decomp] [--decomp-window W]
 //           [--deadline-ms D] [--sweep-budget B]
-//           [--adaptive] [--strand-records-file FILE]
 //           [--thresholds R] [--omega W] [--shots S] [--seed X]
 //           [--parallelism T]
 //           [--noiseless] [--verbose]
@@ -29,7 +28,6 @@
 #include "obs/obs.h"
 
 #include "core/quantum_optimizer.h"
-#include "core/strand_select.h"
 #include "jo/classical.h"
 #include "jo/query_generator.h"
 #include "serve/optimizer_service.h"
@@ -54,8 +52,6 @@ struct CliArgs {
   int64_t sweep_budget = 4096;
   bool decomp = false;    // force the decomposition strand on, any size
   int decomp_window = 0;  // 0 = DecompOptions default
-  bool adaptive = false;  // per-bucket bandit shapes strand budgets
-  std::string strand_records_file;  // learned run-record persistence
   std::string trace_out;    // empty = no trace recording
   std::string metrics_out;  // empty = no metrics recording
 
@@ -95,13 +91,6 @@ void PrintHelp() {
       "                    (default: none — bounded by --sweep-budget)\n"
       "  --sweep-budget B  portfolio per-strand sweep budget (default 4096;\n"
       "                    0 = unlimited, needs --deadline-ms)\n"
-      "  --adaptive        let the per-bucket bandit learned from prior\n"
-      "                    races throttle weak portfolio strands (cold\n"
-      "                    start = the fixed race; see --strand-records-file)\n"
-      "  --strand-records-file FILE  load per-strand run records from FILE\n"
-      "                    at start (missing = cold start) and persist the\n"
-      "                    updated store on exit. Feeds --adaptive; also\n"
-      "                    honoured by --serve (service-owned store)\n"
       "  --thresholds R    cardinality thresholds (default 2)\n"
       "  --omega W         discretisation precision (default 1.0)\n"
       "  --shots S         samples/reads for stochastic backends\n"
@@ -187,8 +176,6 @@ int RunServe(const CliArgs& args) {
   options.tenant_rate_per_sec = args.serve_tenant_rate;
   options.tenant_burst = args.serve_tenant_burst;
   options.warmup_file = args.serve_warmup_file;
-  options.adaptive = args.adaptive;
-  options.strand_records_file = args.strand_records_file;
   options.pool = &pool;
   if (!args.trace_out.empty()) options.trace = &trace.emplace();
   if (!args.metrics_out.empty()) options.metrics = &metrics.emplace();
@@ -346,18 +333,6 @@ int RunCli(const CliArgs& args) {
     config.portfolio.decomp.window = args.decomp_window;
   }
 
-  // Adaptive strand selection: a CLI-owned record store, primed from the
-  // records file when one is named (missing file = cold start) and
-  // persisted back on success so later invocations inherit the learning.
-  RunRecordStore strand_records;
-  if (args.adaptive || !args.strand_records_file.empty()) {
-    config.portfolio.adaptive.enabled = args.adaptive;
-    config.portfolio.adaptive.records = &strand_records;
-    if (!args.strand_records_file.empty()) {
-      (void)strand_records.LoadRecords(args.strand_records_file);
-    }
-  }
-
   // Observability sinks: attached only when requested; a run without them
   // takes the null-sink (zero-overhead) path and is bit-identical either
   // way.
@@ -392,20 +367,6 @@ int RunCli(const CliArgs& args) {
               report->Summary().c_str());
   if (report->found_valid) {
     std::printf("join order: %s\n", report->best_order.ToString(*query).c_str());
-  }
-  if (config.portfolio.adaptive.records != nullptr &&
-      !args.strand_records_file.empty()) {
-    const Status saved =
-        strand_records.SaveRecords(args.strand_records_file);
-    if (saved.ok()) {
-      std::printf("strand records (%zu buckets) written to %s\n",
-                  strand_records.NumBuckets(),
-                  args.strand_records_file.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write strand records to %s: %s\n",
-                   args.strand_records_file.c_str(),
-                   saved.ToString().c_str());
-    }
   }
 
   if (args.verbose) {
@@ -489,12 +450,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return Fail("--sweep-budget needs a value");
       args.sweep_budget = std::strtoll(v, nullptr, 10);
-    } else if (flag == "--adaptive") {
-      args.adaptive = true;
-    } else if (flag == "--strand-records-file") {
-      const char* v = next();
-      if (!v) return Fail("--strand-records-file needs a file path");
-      args.strand_records_file = v;
     } else if (flag == "--thresholds") {
       const char* v = next();
       if (!v) return Fail("--thresholds needs a value");

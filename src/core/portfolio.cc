@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "core/postprocess.h"
-#include "core/strand_select.h"
 #include "jo/classical.h"
 #include "qubo/ising.h"
 #include "sim/qaoa_analytic.h"
@@ -88,13 +87,14 @@ SolverControl StrandControl(const StrandRunEnv& env) {
 }
 
 bool BudgetLeft(const StrandRunEnv& env) {
-  return env.budget.sweep_budget <= 0 ||
-         env.outcome->sweeps_completed < env.budget.sweep_budget;
+  return env.options->sweep_budget <= 0 ||
+         env.outcome->sweeps_completed < env.options->sweep_budget;
 }
 
-// --- Built-in strand bodies. Each consumes its StrandBudget allocation
-// and keeps rounds_completed/sweeps_completed current; incumbents go
-// through env.absorb. ---
+// --- Built-in strand bodies. Each runs rounds of the race-wide round
+// size until its sweep budget or the stop token ends it, and keeps
+// rounds_completed/sweeps_completed current; incumbents go through
+// env.absorb. ---
 
 void RunExactStrand(const StrandRunEnv& env, Rng& rng) {
   (void)rng;  // deterministic enumeration; the stream stays untouched
@@ -112,13 +112,13 @@ void RunExactStrand(const StrandRunEnv& env, Rng& rng) {
 }
 
 void RunSaStrand(const StrandRunEnv& env, Rng& rng) {
+  const PortfolioOptions& options = *env.options;
   SaOptions sa;
-  sa.num_reads = env.budget.reads_per_round;
-  sa.sweeps_per_read = env.budget.sweeps_per_round;
+  sa.num_reads = options.reads_per_round;
+  sa.sweeps_per_read = options.sweeps_per_round;
   sa.control = StrandControl(env);
   const int64_t round_sweeps =
-      static_cast<int64_t>(env.budget.reads_per_round) *
-      env.budget.sweeps_per_round;
+      static_cast<int64_t>(options.reads_per_round) * options.sweeps_per_round;
   while (!env.stop_requested() && BudgetLeft(env)) {
     const auto reads = SolveQuboSimulatedAnnealing(*env.qubo, sa, rng);
     for (const QuboSolution& read : reads) {
@@ -130,13 +130,13 @@ void RunSaStrand(const StrandRunEnv& env, Rng& rng) {
 }
 
 void RunTabuStrand(const StrandRunEnv& env, Rng& rng) {
+  const PortfolioOptions& options = *env.options;
   TabuOptions tabu;
-  tabu.num_restarts = env.budget.reads_per_round;
-  tabu.iterations_per_restart = env.budget.sweeps_per_round;
+  tabu.num_restarts = options.reads_per_round;
+  tabu.iterations_per_restart = options.sweeps_per_round;
   tabu.control = StrandControl(env);
   const int64_t round_sweeps =
-      static_cast<int64_t>(env.budget.reads_per_round) *
-      env.budget.sweeps_per_round;
+      static_cast<int64_t>(options.reads_per_round) * options.sweeps_per_round;
   while (!env.stop_requested() && BudgetLeft(env)) {
     const auto restarts = SolveQuboTabuSearch(*env.qubo, tabu, rng);
     for (const QuboSolution& restart : restarts) {
@@ -148,18 +148,19 @@ void RunTabuStrand(const StrandRunEnv& env, Rng& rng) {
 }
 
 void RunSqaStrand(const StrandRunEnv& env, Rng& rng) {
+  const PortfolioOptions& options = *env.options;
   const IsingModel ising = QuboToIsing(*env.qubo);
-  SqaOptions sqa = env.options->sqa;
-  sqa.num_reads = env.budget.reads_per_round;
+  SqaOptions sqa = options.sqa;
+  sqa.num_reads = options.reads_per_round;
   // One Monte-Carlo sweep per "microsecond" maps the round budget
   // directly onto SQA sweeps (RunSqa clamps to at least 8).
-  sqa.annealing_time_us = env.budget.sweeps_per_round;
+  sqa.annealing_time_us = options.sweeps_per_round;
   sqa.sweeps_per_us = 1.0;
   sqa.kernel = SolverKernel::kBatched;
   sqa.control = StrandControl(env);
   const int64_t sqa_round_sweeps =
-      static_cast<int64_t>(env.budget.reads_per_round) *
-      std::max(8, env.budget.sweeps_per_round);
+      static_cast<int64_t>(options.reads_per_round) *
+      std::max(8, options.sweeps_per_round);
   while (!env.stop_requested() && BudgetLeft(env)) {
     auto samples = RunSqa(ising, sqa, rng);
     if (!samples.ok()) break;
@@ -224,9 +225,13 @@ Status StrandRegistry::Register(StrandDesc desc) {
   if (desc.name.empty()) {
     return Status::InvalidArgument("strand name must not be empty");
   }
-  if (desc.name.find_first_of(" \t\n") != std::string::npos) {
+  // PlanKey lists a custom registry's names as `name,` inside a
+  // `|`-separated key (one key per line in the warm-up file): any of
+  // these characters would let two strand sets share a key.
+  if (desc.name.find_first_of(" \t\n,|") != std::string::npos) {
     return Status::InvalidArgument(
-        "strand name must not contain whitespace: " + desc.name);
+        "strand name must not contain whitespace, ',' or '|': " +
+        desc.name);
   }
   if (IndexOf(desc.name) >= 0) {
     return Status::InvalidArgument("duplicate strand name: " + desc.name);
@@ -272,7 +277,6 @@ const StrandRegistry& StrandRegistry::Default() {
 
     StrandDesc sa;
     sa.name = "sa";
-    sa.throttleable = true;
     sa.eligible = [](const Qubo&, const PortfolioOptions& options) {
       return options.enable_sa;
     };
@@ -281,7 +285,6 @@ const StrandRegistry& StrandRegistry::Default() {
 
     StrandDesc tabu;
     tabu.name = "tabu";
-    tabu.throttleable = true;
     tabu.eligible = [](const Qubo&, const PortfolioOptions& options) {
       return options.enable_tabu;
     };
@@ -290,7 +293,6 @@ const StrandRegistry& StrandRegistry::Default() {
 
     StrandDesc sqa;
     sqa.name = "sqa";
-    sqa.throttleable = true;
     sqa.eligible = [](const Qubo&, const PortfolioOptions& options) {
       return options.enable_sqa;
     };
@@ -339,10 +341,6 @@ Status ValidatePortfolioOptions(const PortfolioOptions& options,
   if (options.reads_per_round <= 0 || options.sweeps_per_round <= 0) {
     return Status::InvalidArgument("portfolio round sizes must be positive");
   }
-  if (options.adaptive.throttle_divisor < 1) {
-    return Status::InvalidArgument(
-        "adaptive throttle_divisor must be >= 1");
-  }
   if (options.registry != nullptr && options.registry->size() == 0) {
     return Status::InvalidArgument("portfolio strand registry is empty");
   }
@@ -367,21 +365,6 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
   QuboRaceResult result;
   const Clock::time_point start = Clock::now();
 
-  // Adaptive budget allocation, fixed before the fan-out: a pure
-  // function of (records snapshot, feature bucket), never of the live
-  // race, so strands stay independent and sweep-budget races keep the
-  // bit-reproducibility contract.
-  const bool records_attached = options.adaptive.records != nullptr;
-  std::string bucket;
-  if (records_attached || options.adaptive.enabled) {
-    bucket = options.feature_bucket.empty() ? FallbackBucketKey(n)
-                                            : options.feature_bucket;
-    result.feature_bucket = bucket;
-  }
-  const StrandSelector selector(options.adaptive.records, bucket,
-                                registry.Names(), options.adaptive);
-  result.adaptive_applied = !selector.cold_start();
-
   std::vector<StrandState> states(registry.size());
   for (int s = 0; s < registry.size(); ++s) {
     const StrandDesc& desc = registry.strands()[s];
@@ -389,18 +372,6 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
     outcome.name = desc.name;
     outcome.index = s;
     outcome.eligible = !desc.eligible || desc.eligible(qubo, options);
-    outcome.allocation = selector.Allocate(
-        s, /*round=*/0, desc.throttleable, options.reads_per_round,
-        options.sweeps_per_round, options.sweep_budget);
-  }
-
-  if (run.metrics != nullptr && result.adaptive_applied) {
-    run.metrics->Count("portfolio.adaptive.races");
-    for (const StrandState& state : states) {
-      if (state.outcome.allocation.throttled) {
-        run.metrics->Count("portfolio.adaptive.throttled");
-      }
-    }
   }
 
   if (run.deadline_ms == 0.0) {
@@ -496,7 +467,6 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
     env.stop_requested = stop_requested;
     env.request_stop = request_stop;
     env.elapsed_ms = [&start] { return MsSince(start); };
-    env.budget = outcome.allocation;
     env.outcome = &outcome;
     env.absorb = [&](const std::vector<int>& assignment, double energy) {
       AbsorbSample(options, start, assignment, energy, state);
@@ -571,18 +541,6 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
   for (StrandState& state : states) {
     result.strands.push_back(std::move(state.outcome));
   }
-  // Race epilogue: fold this race's outcomes into the learned records.
-  // Recording never influences *this* race (the selector snapshot was
-  // taken at entry), so determinism within a race is unaffected.
-  if (records_attached && options.adaptive.record) {
-    options.adaptive.records->Record(bucket, result.strands);
-    if (run.metrics != nullptr) {
-      run.metrics->GaugeMax(
-          "portfolio.adaptive.bucket_trials",
-          static_cast<double>(
-              options.adaptive.records->BucketTrials(bucket)));
-    }
-  }
   result.elapsed_ms = MsSince(start);
   return result;
 }
@@ -601,13 +559,6 @@ StatusOr<PortfolioReport> RunJoPortfolio(const Query& query,
     if (!order.ok()) return std::numeric_limits<double>::quiet_NaN();
     return Cost(query, *order);
   };
-  // The selector and the record store key on the query's feature bucket;
-  // computed here because only the JO layer sees the query graph.
-  if (race_options.feature_bucket.empty() &&
-      (options.adaptive.records != nullptr || options.adaptive.enabled)) {
-    race_options.feature_bucket = FeatureBucketKey(ExtractQueryFeatures(
-        query, encoding.encoding.qubo.num_variables()));
-  }
   // Give the QUBO-level race its query-level strand: past the gate size
   // the decomposition loop is the only strand with a realistic shot at a
   // valid plan (monolithic samples stop decoding), and below it the
@@ -672,9 +623,6 @@ std::string PortfolioReport::Summary() const {
      << (used_classical_fallback ? " (fallback)" : "") << ", cost "
      << best_cost << ", " << FormatDouble(elapsed_ms, 2) << " ms";
   if (race.deadline_expired) os << ", deadline expired";
-  if (race.adaptive_applied) {
-    os << ", adaptive (" << race.feature_bucket << ")";
-  }
   if (cache_hits + cache_misses > 0) {
     os << ", cache hit rate " << FormatPercent(cache_hit_rate);
   }
@@ -694,7 +642,6 @@ std::string PortfolioReport::Summary() const {
       os << ", no valid plan";
     }
     os << ", total " << FormatDouble(s.total_ms, 2) << " ms";
-    if (s.allocation.throttled) os << ", throttled";
     if (s.hit_lower_bound) os << ", hit lower bound";
     if (s.won) os << " [winner]";
     os << "\n";

@@ -23,52 +23,8 @@
 
 namespace qjo {
 
-class RunRecordStore;  // core/strand_select.h
 struct PortfolioOptions;
 struct StrandOutcome;
-
-/// Budget granted to one strand for one race. In a fixed (non-adaptive
-/// or cold-start) race every strand receives the race-wide base budgets;
-/// in an adaptive race the selector throttles deprioritised round-based
-/// strands by dividing their restarts and total sweep budget — strands
-/// are throttled, never removed, so the classical-fallback guarantee and
-/// every eligibility rule are untouched.
-struct StrandBudget {
-  int reads_per_round = 0;
-  int sweeps_per_round = 0;
-  /// Total sweeps the strand may spend; 0 = unlimited (deadline-bounded).
-  int64_t sweep_budget = 0;
-  /// The selector deprioritised this strand (budgets above are divided).
-  bool throttled = false;
-};
-
-/// Adaptive strand selection (see core/strand_select.h). The selector is
-/// a per-feature-bucket UCB1 bandit over the registered strands, fed by
-/// a persistent RunRecordStore of per-strand win/time-to-incumbent
-/// events. Decisions are a pure function of (records snapshot, feature
-/// bucket, round index) — never wall clock — so adaptive sweep-budget
-/// races keep the bit-reproducibility contract at any parallelism.
-struct AdaptiveOptions {
-  /// Master switch for budget shaping. Off (default): every strand runs
-  /// at full budget — byte-for-byte today's fixed race.
-  bool enabled = false;
-  /// Learned per-bucket run records the selector consults and (when
-  /// `record` is set) updates at race epilogue. Externally owned,
-  /// thread-safe. Null = permanent cold start: full budgets everywhere,
-  /// nothing recorded.
-  RunRecordStore* records = nullptr;
-  /// Record this race's strand outcomes into `records` at epilogue.
-  /// Learning can stay on while `enabled` is off, to warm a records
-  /// store from fixed races.
-  bool record = true;
-  /// Cold-start prior: a bucket needs at least this many recorded races
-  /// before the selector shapes budgets; below the threshold the race is
-  /// bit-identical to the fixed-order race.
-  uint64_t min_bucket_trials = 8;
-  /// Divisor applied to a deprioritised strand's reads_per_round and
-  /// total sweep budget (clamped so at least one round always runs).
-  int throttle_divisor = 4;
-};
 
 /// Everything a strand's run hook sees during a race. Hooks run
 /// concurrently with each other; a hook may only touch its own
@@ -102,8 +58,6 @@ struct StrandRunEnv {
   /// order, not a QUBO sample (the hook must set the outcome's
   /// feasible/best_score fields itself).
   std::function<void(const std::vector<int>& assignment)> publish_assignment;
-  /// The budget granted to this strand (full budgets in a fixed race).
-  StrandBudget budget;
   /// The outcome slot the hook must keep current
   /// (rounds_completed/sweeps_completed); `absorb` maintains the
   /// incumbent fields.
@@ -116,16 +70,13 @@ struct StrandRunEnv {
 struct StrandDesc {
   /// Unique lowercase identifier; also the metrics prefix
   /// ("portfolio.<name>.*"), the trace span suffix ("strand.<name>")
-  /// and the records-store key.
+  /// and part of the serving layer's plan key.
   std::string name;
   /// RNG stream forked off the race seed; assigned by
   /// StrandRegistry::Register as the registration index — the built-in
   /// strands keep the stream ids of the pre-registry enum (exact=0,
   /// sa=1, tabu=2, sqa=3, qaoa=4, decomp=5).
   uint64_t rng_stream = 0;
-  /// Round-based strands accept selector throttling; one-shot strands
-  /// (exact, qaoa, decomp) always run at full budget.
-  bool throttleable = false;
   /// Runs before the other strands in the serial fan-out. Set for the
   /// decomp strand: in a serial deadline race it is what keeps the one
   /// strand that guarantees a valid large-query plan from being starved
@@ -157,14 +108,17 @@ class StrandRegistry {
 
   /// Appends a strand. `desc.rng_stream` is overwritten with the
   /// registration index so streams stay disjoint and stable. Fails on an
-  /// empty, duplicate, or whitespace-bearing name.
+  /// empty or duplicate name, and on one containing whitespace, `,` or
+  /// `|`: OptimizerService::PlanKey joins a custom registry's names with
+  /// `,` inside a `|`-separated key, so those characters would let two
+  /// different strand sets share one plan key.
   Status Register(StrandDesc desc);
 
   const std::vector<StrandDesc>& strands() const { return strands_; }
   int size() const { return static_cast<int>(strands_.size()); }
   /// Index of `name`; -1 when absent.
   int IndexOf(std::string_view name) const;
-  /// Names in registration order (the selector's arm universe).
+  /// Names in registration order.
   std::vector<std::string> Names() const;
 
  private:
@@ -211,14 +165,6 @@ struct PortfolioOptions {
   /// The strand universe; null = StrandRegistry::Default(). Externally
   /// owned and immutable for the duration of the race.
   const StrandRegistry* registry = nullptr;
-
-  /// Adaptive budget shaping (off by default) and the feature-bucket key
-  /// the selector learns under. RunJoPortfolio fills `feature_bucket`
-  /// from the query graph (core/strand_select.h); direct
-  /// RaceQuboPortfolio callers may set it themselves — when left empty a
-  /// QUBO-size-only fallback bucket is used.
-  AdaptiveOptions adaptive;
-  std::string feature_bucket;
 
   // --- Strand selection. ---
   bool enable_exact = true;
@@ -289,9 +235,6 @@ struct StrandOutcome {
   /// False when the strand was disabled or the instance exceeded its size
   /// gate; such strands report zero rounds and never win.
   bool eligible = false;
-  /// The budget the selector granted this strand (full budgets whenever
-  /// adaptive shaping was off or cold).
-  StrandBudget allocation;
   int rounds_completed = 0;
   int64_t sweeps_completed = 0;
   /// Best QUBO energy over every sample the strand produced.
@@ -327,23 +270,16 @@ struct QuboRaceResult {
   double best_score = std::numeric_limits<double>::quiet_NaN();
   int winner = -1;  ///< index into `strands`; -1 = no feasible strand
   std::vector<StrandOutcome> strands;
-  /// The feature bucket the race keyed its records under (empty when no
-  /// adaptive records were attached).
-  std::string feature_bucket;
-  /// The selector shaped budgets this race (false on cold start or when
-  /// adaptive mode was off).
-  bool adaptive_applied = false;
   double elapsed_ms = 0.0;
   bool deadline_expired = false;
 };
 
 /// Races the registered strands on one QUBO over the shared pool. Each
 /// strand runs on its own forked RNG stream (stream id = registration
-/// index), so a sweep-budget-bounded race is bit-identical at every
-/// parallelism level — with adaptive shaping on as well, since budget
-/// allocations are a pure function of the records snapshot taken at
-/// entry. The winner is the strand with the best (lowest) domain score,
-/// ties broken by registration order. Fails on an empty QUBO or an
+/// index) with the race-wide budgets, so a sweep-budget-bounded race is
+/// bit-identical at every parallelism level. The winner is the strand
+/// with the best (lowest) domain score, ties broken by registration
+/// order. Fails on an empty QUBO or an
 /// invalid configuration (ValidatePortfolioOptions).
 StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
                                            const PortfolioOptions& options,
@@ -377,9 +313,8 @@ struct PortfolioReport {
 /// through the MILP metadata, the winner is the valid join order with the
 /// lowest C_out cost, and when the race yields no valid plan (or
 /// run.deadline_ms == 0) the classical DP baseline (greedy beyond the DP size
-/// limit) supplies one — a valid join tree is always returned. When
-/// adaptive records are attached, the query's feature bucket is computed
-/// here and the race outcomes are recorded at epilogue.
+/// limit) supplies one — a valid join tree is always returned. Queries of
+/// at least `min_decomp_relations` relations also race the decomp strand.
 StatusOr<PortfolioReport> RunJoPortfolio(const Query& query,
                                          const JoQuboEncoding& encoding,
                                          const PortfolioOptions& options,

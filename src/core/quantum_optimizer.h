@@ -119,10 +119,7 @@ struct QjoConfig {
   std::optional<CouplingGraph> annealer_topology;
 
   // --- Portfolio options (kPortfolio backend). ---
-  /// Strand selection, budgets and adaptive strand selection
-  /// (`portfolio.adaptive`, core/strand_select.h; the serving layer
-  /// persists its record store through ServeOptions::
-  /// strand_records_file). The race runs under `run`.
+  /// Strand selection and budgets. The race runs under `run`.
   PortfolioOptions portfolio;
   /// Optional memoizing QUBO-build cache shared across runs (not owned),
   /// also handed to the decomposition strand (overwriting

@@ -142,16 +142,6 @@ OptimizerService::OptimizerService(const ServeOptions& options)
                               loaded_warmup_keys_.size());
     }
   }
-  if (!options_.strand_records_file.empty()) {
-    // A missing or unreadable file is a cold start, not an error: the
-    // store fills as races complete and is persisted on Drain/shutdown.
-    const Status loaded =
-        strand_records_.LoadRecords(options_.strand_records_file);
-    if (loaded.ok() && options_.metrics != nullptr) {
-      options_.metrics->Count("serve.adaptive.buckets_loaded",
-                              strand_records_.NumBuckets());
-    }
-  }
   reaper_ = std::jthread(
       [this](std::stop_token stop) { ReaperLoop(std::move(stop)); });
   const int workers = std::max(1, options_.workers);
@@ -195,9 +185,6 @@ OptimizerService::~OptimizerService() {
   }
   drained_.notify_all();
   if (!options_.warmup_file.empty()) SaveWarmupKeys(options_.warmup_file);
-  if (!options_.strand_records_file.empty()) {
-    (void)strand_records_.SaveRecords(options_.strand_records_file);
-  }
 }
 
 StatusOr<std::future<ServeResult>> OptimizerService::Submit(
@@ -464,14 +451,6 @@ QjoConfig OptimizerService::SolveConfig(const ServeRequest& request) {
   if (config.run.pool == nullptr) config.run.pool = options_.pool;
   if (config.run.trace == nullptr) config.run.trace = options_.trace;
   if (config.run.metrics == nullptr) config.run.metrics = options_.metrics;
-  // Adaptive strand selection: the service-owned record store backs
-  // every request unless the caller brought their own (caller wins).
-  AdaptiveOptions& adaptive = config.portfolio.adaptive;
-  if (options_.adaptive) adaptive.enabled = true;
-  if (adaptive.records == nullptr &&
-      (options_.adaptive || !options_.strand_records_file.empty())) {
-    adaptive.records = &strand_records_;
-  }
   // Shared build cache: even when the plan cache misses, the encode
   // stage reuses any prior request's CSR build for this fingerprint. A
   // request carrying its own cache keeps it (caller wins).
@@ -620,9 +599,6 @@ void OptimizerService::Drain() {
     });
   }
   if (!options_.warmup_file.empty()) SaveWarmupKeys(options_.warmup_file);
-  if (!options_.strand_records_file.empty()) {
-    (void)strand_records_.SaveRecords(options_.strand_records_file);
-  }
 }
 
 size_t OptimizerService::WarmUp(const std::vector<std::string>& keys,
@@ -723,11 +699,6 @@ std::string OptimizerService::PlanKey(const Query& query,
   AppendDouble(&key, "csm", config.embed_qubo.chain_strength_multiplier);
   AppendDouble(&key, "cso", config.embed_qubo.chain_strength_override);
   const PortfolioOptions& p = config.portfolio;
-  // Adaptive runs are keyed separately from fixed-order runs: the learned
-  // budgets change which strand wins, so the two must not share entries.
-  AppendI64(&key, "adaptive", p.adaptive.enabled ? 1 : 0);
-  AppendU64(&key, "a_mbt", p.adaptive.min_bucket_trials);
-  AppendI64(&key, "a_td", p.adaptive.throttle_divisor);
   AppendI64(&key, "p_sb", p.sweep_budget);
   AppendI64(&key, "p_rpr", p.reads_per_round);
   AppendI64(&key, "p_spr", p.sweeps_per_round);
@@ -739,7 +710,8 @@ std::string OptimizerService::PlanKey(const Query& query,
                            (p.enable_decomp ? 32u : 0u);
   AppendU64(&key, "p_strands", strands);
   // A custom registry changes which strands race; the default one
-  // (null) adds nothing to the key.
+  // (null) adds nothing to the key. StrandRegistry::Register rejects `,`
+  // and `|` in names, so the list below reads back unambiguously.
   if (p.registry != nullptr) {
     key += "|p_reg=";
     for (const std::string& name : p.registry->Names()) {

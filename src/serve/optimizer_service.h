@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/quantum_optimizer.h"
-#include "core/strand_select.h"
 #include "qubo/deadline_monitor.h"
 #include "serve/plan_cache.h"
 #include "serve/token_bucket.h"
@@ -85,19 +84,6 @@ struct ServeOptions {
   /// written here by Drain() and at shutdown, and loaded at construction
   /// into warmup_keys() for a WarmUp(workload) call to replay.
   std::string warmup_file;
-
-  /// Adaptive strand selection across requests (core/strand_select.h):
-  /// every portfolio solve (warm-up included) runs with
-  /// `portfolio.adaptive.enabled` set and the service-owned RunRecordStore
-  /// as its records, unless the request brings its own (caller wins).
-  /// Cached plans recorded under an older records state stay valid; set
-  /// `bypass_cache` per request to force re-selection.
-  bool adaptive = false;
-  /// Strand-records persistence: when non-empty, the store is loaded at
-  /// construction (missing file = cold start) and written by Drain() and
-  /// at shutdown. Setting only this, with `adaptive` off, records outcomes
-  /// without shaping budgets.
-  std::string strand_records_file;
 
   /// Optional externally-owned solve pool shared by every request whose
   /// `config.run.pool` is unset (a request's own pool wins). Null =
@@ -249,9 +235,8 @@ class OptimizerService {
   /// shots, `run.deadline_ms`, the device, transpile, SQA, embedding and
   /// chain-strength options, custom gate/annealer topologies (qubit and
   /// edge counts, edge-list digest) and the portfolio's budgets, strands,
-  /// templates and adaptive knobs. Fields that only affect *where* work
-  /// runs (pool, stop token, sinks, caches, record stores) are
-  /// result-neutral and excluded.
+  /// templates. Fields that only affect *where* work runs (pool, stop
+  /// token, sinks, caches) are result-neutral and excluded.
   static std::string PlanKey(const Query& query, const QjoConfig& config);
 
   struct Stats {
@@ -282,9 +267,6 @@ class OptimizerService {
   /// Service-owned shared build cache; null when share_build_cache is
   /// off.
   QuboBuildCache* build_cache() { return build_cache_.get(); }
-  /// Service-owned strand run records (attached to portfolio requests
-  /// when `adaptive` is on or `strand_records_file` is set).
-  RunRecordStore* strand_records() { return &strand_records_; }
   size_t queued() const;
 
  private:
@@ -317,8 +299,8 @@ class OptimizerService {
   /// and re-admits the followers in arrival order.
   void FinishPending(const std::string& key,
                      std::shared_ptr<const QjoReport> ready, bool warmed);
-  /// `request.config` plus the service's pool, sinks, build cache and
-  /// adaptive record store: the config of every live and warm-up solve.
+  /// `request.config` plus the service's pool, sinks and build cache: the
+  /// config of every live and warm-up solve.
   QjoConfig SolveConfig(const ServeRequest& request);
   /// Answers `request` with the classical fallback (degraded; `expired`
   /// = its deadline had fully passed) and counts it.
@@ -335,9 +317,6 @@ class OptimizerService {
   std::unique_ptr<QuboBuildCache> build_cache_;  ///< null when sharing off
   DeadlineMonitor monitor_;
   std::vector<std::string> loaded_warmup_keys_;
-  /// Cross-request strand run records (thread-safe; loaded from and
-  /// persisted to strand_records_file when configured).
-  RunRecordStore strand_records_;
 
   mutable std::mutex mutex_;
   std::condition_variable_any work_ready_;

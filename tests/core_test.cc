@@ -555,6 +555,13 @@ TEST(QuboCacheTest, EvictedEntriesStayAliveThroughSharedPtr) {
 
 // --- Portfolio backend. ---
 
+QjoConfig PortfolioConfig() {
+  QjoConfig config;
+  config.backend = QjoBackend::kPortfolio;
+  config.portfolio.sweep_budget = 512;  // pure sweep-budget mode
+  return config;
+}
+
 TEST(PortfolioTest, ZeroDeadlineReturnsClassicalFallback) {
   const Query q = MakeChainQuery(4);
   QjoConfig config;
@@ -680,6 +687,65 @@ TEST(PortfolioTest, DeterministicAcrossParallelism) {
       EXPECT_EQ(got.won, want.won) << "strand " << s;
     }
   }
+}
+
+TEST(PortfolioTest, ValidationRejectsBadRoundBudgets) {
+  const Query q = MakeChainQuery(3);
+  QjoConfig bad_reads = PortfolioConfig();
+  bad_reads.portfolio.reads_per_round = 0;
+  EXPECT_EQ(OptimizeJoinOrder(q, bad_reads).status().code(),
+            StatusCode::kInvalidArgument);
+
+  QjoConfig bad_sweeps = PortfolioConfig();
+  bad_sweeps.portfolio.sweeps_per_round = 0;
+  EXPECT_EQ(OptimizeJoinOrder(q, bad_sweeps).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // The one documented unbounded-config error path.
+  QjoConfig unbounded = PortfolioConfig();
+  unbounded.run.deadline_ms = -1.0;
+  unbounded.portfolio.sweep_budget = 0;
+  EXPECT_EQ(OptimizeJoinOrder(q, unbounded).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// --- Strand registry. ---
+
+TEST(StrandRegistryTest, DefaultRegistryKeepsLegacyOrderAndStreams) {
+  const StrandRegistry& registry = StrandRegistry::Default();
+  const std::vector<std::string> expected = {"exact", "sa",   "tabu",
+                                             "sqa",   "qaoa", "decomp"};
+  EXPECT_EQ(registry.Names(), expected);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(registry.IndexOf(expected[i]), static_cast<int>(i));
+    // RNG stream ids are the registration indices: the race stays
+    // bit-identical to the pre-registry fixed fan-out.
+    EXPECT_EQ(registry.strands()[i].rng_stream, i);
+  }
+  EXPECT_EQ(registry.IndexOf("nope"), -1);
+}
+
+TEST(StrandRegistryTest, RegisterRejectsBadDescriptors) {
+  StrandRegistry registry;
+  StrandDesc missing_run;
+  missing_run.name = "x";
+  EXPECT_EQ(registry.Register(missing_run).code(),
+            StatusCode::kInvalidArgument);
+  StrandDesc ok;
+  ok.name = "x";
+  ok.run = [](const StrandRunEnv&, Rng&) {};
+  EXPECT_TRUE(registry.Register(ok).ok());
+  StrandDesc dup = ok;
+  EXPECT_EQ(registry.Register(dup).code(), StatusCode::kInvalidArgument);
+  // Whitespace, `,` and `|` would make two strand sets share a plan key
+  // ({"a,b"} and {"a", "b"} both list as "a,b,").
+  for (const char* name : {"a b", "a,b", "a|b"}) {
+    StrandDesc bad = ok;
+    bad.name = name;
+    EXPECT_EQ(registry.Register(bad).code(), StatusCode::kInvalidArgument)
+        << name;
+  }
+  EXPECT_EQ(registry.size(), 1);
 }
 
 TEST(PortfolioTest, DecompStrandIneligibleForSmallQueries) {

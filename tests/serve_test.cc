@@ -630,10 +630,6 @@ TEST(ServeTest, PlanKeySeparatesResultDeterminingFields) {
            [](QjoConfig& c) { c.portfolio.decomp.num_thresholds = 2; }},
           {"portfolio.decomp.omega",
            [](QjoConfig& c) { c.portfolio.decomp.omega = 0.5; }},
-          {"portfolio.adaptive.min_bucket_trials",
-           [](QjoConfig& c) { c.portfolio.adaptive.min_bucket_trials = 2; }},
-          {"portfolio.adaptive.throttle_divisor",
-           [](QjoConfig& c) { c.portfolio.adaptive.throttle_divisor = 2; }},
           {"portfolio.registry",
            [&custom](QjoConfig& c) { c.portfolio.registry = &custom; }},
           {"device.name", [](QjoConfig& c) { c.device.name = "other"; }},
@@ -1156,25 +1152,6 @@ TEST(ServeTest, WarmHitsCountOnlyEntriesWarmUpInserted) {
   const auto stats = service.stats();
   EXPECT_EQ(stats.cache_hits, 1u);
   EXPECT_EQ(stats.warm_hits, 0u);
-}
-
-TEST(ServeTest, WarmUpSolvesWithTheServiceRecordStore) {
-  // Warm-up runs under the same effective config as a live solve, so an
-  // adaptive service's selector learns from the warmed race too.
-  ServeOptions options;
-  options.workers = 1;
-  options.adaptive = true;
-  OptimizerService service(options);
-  ServeRequest request;
-  request.query = MakeQuery(4);
-  request.config = FastConfig();
-  request.config.backend = QjoBackend::kPortfolio;
-  const std::vector<ServeRequest> workload = {request};
-  ASSERT_EQ(service.WarmUp({OptimizerService::PlanKey(request.query,
-                                                      request.config)},
-                           workload),
-            1u);
-  EXPECT_EQ(service.strand_records()->NumBuckets(), 1u);
 }
 
 TEST(ServeTest, LoadWarmupKeysRejectsUnknownHeader) {

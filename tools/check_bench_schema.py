@@ -76,21 +76,6 @@ REQUIRED_KEYS = {
         "instances",
         "all_tti_le_best_solo",
     ),
-    "BENCH_adaptive": (
-        "queries",
-        "eval_seeds",
-        "trained_races",
-        "buckets",
-        "tti_ratio",
-        "sweeps_tti_ratio",
-        "work_ratio",
-        "elapsed_ratio",
-        "mean_cost_ratio",
-        "throttled_strands",
-        "adaptive_applied",
-        "cost_ok",
-        "adaptive_ok",
-    ),
     "BENCH_decomp": (
         "cases",
         "valid_tree_rate",
@@ -136,12 +121,6 @@ PORTFOLIO_INSTANCE_KEYS = (
     "portfolio_time_to_incumbent_seconds",
 )
 DECOMP_CASE_KEYS = ("elapsed_ms", "cost_over_greedy")
-ADAPTIVE_QUERY_KEYS = (
-    "fixed_winner_tti_ms",
-    "adaptive_winner_tti_ms",
-    "throttled",
-    "winner_flips",
-)
 
 
 def check_file(path):
@@ -191,24 +170,6 @@ def check_file(path):
             require(("i%d_%s" % (inst, suffix)
                      for suffix in PORTFOLIO_INSTANCE_KEYS),
                     "instance %d" % inst)
-    elif bench == "BENCH_adaptive":
-        for query in range(int(data.get("queries", 0))):
-            require(("q%d_%s" % (query, suffix)
-                     for suffix in ADAPTIVE_QUERY_KEYS),
-                    "query %d" % query)
-        # The checked-in full-mode artifact carries the acceptance bar:
-        # adaptive must beat the fixed race on wall time-to-incumbent.
-        # Smoke artifacts (fast_mode == 1) are schema-checked only --
-        # their wall timings come from loaded CI machines.
-        if data.get("fast_mode") == 0:
-            if data.get("adaptive_ok") != 1:
-                errors.append("%s: adaptive_ok != 1 (the adaptive race "
-                              "regressed; regenerate with "
-                              "bench/portfolio_race)" % name)
-            if not data.get("tti_ratio", 2.0) <= 1.0:
-                errors.append("%s: tti_ratio %r > 1.0 (adaptive must not "
-                              "regress time-to-incumbent)" %
-                              (name, data.get("tti_ratio")))
     elif bench == "BENCH_decomp":
         prefixes = sorted(key[:-len("_valid")] for key in data
                           if key.endswith("_valid"))
