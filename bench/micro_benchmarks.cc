@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the performance-critical substrate
-// operations: QUBO energy evaluation, state-vector gate application, QAOA
-// cost-spectrum construction, SWAP routing, SQA sweeps, Pegasus
-// construction, and the parallel read loops of the stochastic solvers
+// operations: QUBO energy evaluation, QAOA cost-spectrum construction,
+// SWAP routing, SQA sweeps, Pegasus construction, and the parallel read
+// loops of the stochastic solvers
 // (items/sec = reads/sec; the per-read fan-out is the paper's classical
 // sampling bottleneck).
 //
@@ -36,7 +36,6 @@
 #include "qubo/solvers.h"
 #include "sim/qaoa_simulator.h"
 #include "sim/sqa.h"
-#include "sim/statevector.h"
 #include "topology/vendor_topologies.h"
 #include "transpiler/transpiler.h"
 #include "util/random.h"
@@ -81,16 +80,6 @@ void BM_QuboBruteForce(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QuboBruteForce)->Arg(12)->Arg(16)->Arg(20);
-
-void BM_StateVectorLayer(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  auto sv = StateVector::Create(n);
-  for (auto _ : state) {
-    for (int q = 0; q < n; ++q) sv->Apply(Gate::Single(GateType::kRx, q, 0.3));
-  }
-  state.SetItemsProcessed(state.iterations() * n * (uint64_t{1} << n));
-}
-BENCHMARK(BM_StateVectorLayer)->Arg(10)->Arg(14)->Arg(18);
 
 void BM_QaoaCostSpectrum(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

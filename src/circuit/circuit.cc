@@ -3,20 +3,10 @@
 #include <algorithm>
 #include <sstream>
 
-#include "util/check.h"
-
 namespace qjo {
 
 void QuantumCircuit::Append(Gate gate) {
-  QJO_CHECK(!gate.qubits.empty());
-  QJO_CHECK_EQ(gate.qubits.size(), IsTwoQubitGate(gate.type) ? 2u : 1u);
-  for (int q : gate.qubits) {
-    QJO_CHECK_GE(q, 0);
-    QJO_CHECK_LT(q, num_qubits_);
-  }
-  if (gate.qubits.size() == 2) {
-    QJO_CHECK_NE(gate.qubits[0], gate.qubits[1]);
-  }
+  CheckGate(gate, num_qubits_);
   gates_.push_back(std::move(gate));
 }
 

@@ -21,7 +21,7 @@ class QuantumCircuit {
   const std::vector<Gate>& gates() const { return gates_; }
   int num_gates() const { return static_cast<int>(gates_.size()); }
 
-  /// Appends a gate; aborts on out-of-range or duplicate qubit operands.
+  /// Appends a gate; aborts on a malformed one (see CheckGate).
   void Append(Gate gate);
 
   /// Convenience wrappers.

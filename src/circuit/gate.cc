@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "util/check.h"
+
 namespace qjo {
 
 const char* GateTypeName(GateType type) {
@@ -68,6 +70,18 @@ std::string Gate::ToString() const {
     os << "q" << qubits[i];
   }
   return os.str();
+}
+
+void CheckGate(const Gate& gate, int num_qubits) {
+  QJO_CHECK_EQ(gate.qubits.size(), IsTwoQubitGate(gate.type) ? 2u : 1u)
+      << GateTypeName(gate.type);
+  for (int q : gate.qubits) {
+    QJO_CHECK_GE(q, 0) << gate.ToString();
+    QJO_CHECK_LT(q, num_qubits) << gate.ToString();
+  }
+  if (gate.qubits.size() == 2) {
+    QJO_CHECK_NE(gate.qubits[0], gate.qubits[1]) << gate.ToString();
+  }
 }
 
 }  // namespace qjo

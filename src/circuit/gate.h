@@ -51,6 +51,11 @@ struct Gate {
   std::string ToString() const;
 };
 
+/// Aborts unless `gate` is well formed on `num_qubits` qubits: one operand
+/// for a single-qubit type and two for a two-qubit type, each in
+/// [0, num_qubits), and the two operands distinct.
+void CheckGate(const Gate& gate, int num_qubits);
+
 }  // namespace qjo
 
 #endif  // QJO_CIRCUIT_GATE_H_

@@ -9,8 +9,7 @@ namespace qjo {
 namespace {
 
 /// Appends a uniformly random non-identity Pauli on `qubit` to the
-/// trajectory circuit. The rng draw order matches the pre-fusion
-/// implementation that applied the gates directly, draw for draw.
+/// trajectory circuit.
 void AppendRandomPauli(QuantumCircuit& trajectory, int qubit, Rng& rng) {
   switch (rng.UniformInt(3)) {
     case 0:
@@ -29,7 +28,7 @@ void AppendRandomPauli(QuantumCircuit& trajectory, int qubit, Rng& rng) {
 
 /// Builds one stochastic trajectory: the base circuit with the drawn
 /// gate-error Paulis and idle-decoherence flips spliced in after each
-/// gate, in the order the pre-fusion implementation applied them.
+/// gate.
 QuantumCircuit BuildTrajectory(const QuantumCircuit& circuit,
                                const NoiseModel& noise, double pz, double px,
                                Rng& rng) {
@@ -95,8 +94,8 @@ uint64_t ApplyReadoutError(uint64_t basis, int num_qubits, double flip_prob,
 
 StatusOr<std::vector<uint64_t>> SampleWithTrajectories(
     const QuantumCircuit& circuit, const NoiseModel& noise, int shots,
-    Rng& rng, int max_qubits, SimKernel kernel) {
-  if (circuit.num_qubits() > max_qubits) {
+    Rng& rng) {
+  if (circuit.num_qubits() > kMaxTrajectoryQubits) {
     return Status::ResourceExhausted(
         "trajectory sampling is capped; use the global depolarising model "
         "for larger circuits");
@@ -113,7 +112,7 @@ StatusOr<std::vector<uint64_t>> SampleWithTrajectories(
                          StateVector::Create(circuit.num_qubits()));
     const QuantumCircuit trajectory =
         BuildTrajectory(circuit, noise, pz, px, rng);
-    state.ApplyCircuit(trajectory, kernel);
+    state.ApplyCircuit(trajectory);
     const std::vector<uint64_t> outcome = state.Sample(1, rng);
     samples.push_back(ApplyReadoutError(outcome[0], circuit.num_qubits(),
                                         noise.readout_flip, rng));

@@ -6,7 +6,6 @@
 
 #include "circuit/circuit.h"
 #include "sim/device.h"
-#include "sim/sim_kernel.h"
 #include "util/random.h"
 #include "util/statusor.h"
 
@@ -36,18 +35,17 @@ struct NoiseModel {
   double RelaxationProbability() const;
 };
 
+/// Largest circuit SampleWithTrajectories accepts.
+inline constexpr int kMaxTrajectoryQubits = 16;
+
 /// Samples `shots` measurement outcomes of `circuit` under `noise`, one
 /// stochastic trajectory per shot. Exact but expensive: each shot is a
-/// full state-vector run, so the qubit count is capped (default 16).
-///
-/// Each trajectory is materialised as a circuit (base gates with the
-/// drawn Pauli errors spliced in) and simulated through the selected
-/// StateVector kernel; the rng draw order is independent of the kernel
-/// and the kernels agree under operator==, so the sample stream is
-/// identical for kFused and kReference.
+/// full StateVector run of the base gates with the drawn Pauli errors
+/// spliced in, so circuits above kMaxTrajectoryQubits are rejected. A
+/// test oracle for the depolarising model; only tests link it.
 StatusOr<std::vector<uint64_t>> SampleWithTrajectories(
     const QuantumCircuit& circuit, const NoiseModel& noise, int shots,
-    Rng& rng, int max_qubits = 16, SimKernel kernel = SimKernel::kFused);
+    Rng& rng);
 
 /// Applies independent readout bit flips to a sampled basis state.
 uint64_t ApplyReadoutError(uint64_t basis, int num_qubits, double flip_prob,

@@ -17,12 +17,12 @@
 namespace qjo {
 namespace {
 
-/// Fixed block size for the 2^n amplitude loops; see the StateVector
-/// kernels for the determinism rationale (chunk boundaries never depend
-/// on the thread count). A 2^14-amplitude block is 128 KiB of
-/// complex<float> — it fits in L2, which is what makes fusing the phase
-/// multiply with the low-qubit butterflies profitable: the block is
-/// loaded once per layer instead of once per gate.
+/// Fixed block size for the 2^n amplitude loops. Chunk boundaries never
+/// depend on the thread count, so results are bit-identical at every
+/// parallelism level (see ParallelForBlocks). A 2^14-amplitude block is
+/// 128 KiB of complex<float> — it fits in L2, which is what makes fusing
+/// the phase multiply with the low-qubit butterflies profitable: the
+/// block is loaded once per layer instead of once per gate.
 constexpr int kBlockQubits = 14;
 constexpr int64_t kBlock = int64_t{1} << kBlockQubits;
 

@@ -5,12 +5,13 @@
 
 namespace qjo {
 
-/// Simulator kernel selector, mirroring SolverKernel on the annealing
-/// side: kReference is the straightforward one-sweep-per-gate
+/// QaoaSimulator's kernel selector, mirroring SolverKernel on the
+/// annealing side: kReference is the straightforward one-sweep-per-gate
 /// implementation kept for bit-parity tests, kFused the cache-blocked
 /// fast path. Both produce states whose amplitudes compare equal with
 /// operator== (the fused arithmetic performs the same per-amplitude
-/// operation sequence; only signs of IEEE zeros may differ).
+/// operation sequence; only signs of IEEE zeros may differ). The dense
+/// StateVector oracle has a single, gate-by-gate kernel.
 enum class SimKernel {
   kReference,
   kFused,

@@ -5,38 +5,16 @@
 
 #include "util/check.h"
 #include "util/sampling.h"
-#include "util/thread_pool.h"
 
 namespace qjo {
 namespace {
 
 constexpr double kInvSqrt2 = 0.70710678118654752440;
 
-/// Block size for the amplitude loops. Fixed (never derived from the
-/// thread count) so chunk boundaries — and therefore reduction partials —
-/// are identical at every parallelism level. 2^14 amplitudes per chunk is
-/// large enough to amortise dispatch and keeps every state of <= 14
-/// qubits in a single chunk, i.e. bit-identical to the old serial loops.
-constexpr int64_t kBlock = int64_t{1} << 14;
-
-// The fusion pass promises single-qubit runs stay inside one dispatch
-// block; both constants must describe the same boundary.
-static_assert(kBlock == int64_t{1} << kFusionBlockQubits);
-
 using Complex = std::complex<double>;
 
-/// Size-thresholded pool: states below kMinParallelAmplitudes run their
-/// sweeps serially — the sweep is cheaper than waking the workers, and
-/// when the call already sits inside a pool task (batched evaluation,
-/// parallel reads) serial is the only sane choice anyway.
-ThreadPool* PoolFor(ThreadPool* pool, size_t amplitudes) {
-  return amplitudes >= static_cast<size_t>(kMinParallelAmplitudes) ? pool
-                                                                   : nullptr;
-}
-
 /// Fills `m` with the 2x2 unitary of a single-qubit gate; false for
-/// two-qubit gates. Shared by the per-gate reference path and the fused
-/// run kernel so both apply bit-identical matrix entries.
+/// two-qubit gates.
 bool SingleQubitGateMatrix(const Gate& gate, Complex m[2][2]) {
   const double t = gate.parameter;
   switch (gate.type) {
@@ -109,76 +87,42 @@ StatusOr<StateVector> StateVector::Create(int num_qubits) {
 void StateVector::ApplySingleQubitMatrix(int qubit,
                                          const Complex m[2][2]) {
   const uint64_t bit = uint64_t{1} << qubit;
-  const uint64_t low_mask = bit - 1;
-  // Compressed index space: k in [0, size/2) enumerates exactly the
-  // bases with `bit` clear (base = k with a zero spliced in at the bit
-  // position), so no iteration is wasted skipping partners and the range
-  // splits into equal-work chunks.
-  const int64_t half = static_cast<int64_t>(amplitudes_.size() >> 1);
   const Complex m00 = m[0][0], m01 = m[0][1], m10 = m[1][0], m11 = m[1][1];
-  Complex* amps = amplitudes_.data();
-  ParallelForBlocks(PoolFor(pool_, amplitudes_.size()), 0, half, kBlock,
-                    [&](int64_t begin, int64_t end) {
-    for (int64_t k = begin; k < end; ++k) {
-      const uint64_t uk = static_cast<uint64_t>(k);
-      const uint64_t base = ((uk & ~low_mask) << 1) | (uk & low_mask);
-      const uint64_t partner = base | bit;
-      const Complex a0 = amps[base];
-      const Complex a1 = amps[partner];
-      amps[base] = m00 * a0 + m01 * a1;
-      amps[partner] = m10 * a0 + m11 * a1;
-    }
-  });
+  for (uint64_t base = 0; base < amplitudes_.size(); ++base) {
+    if (base & bit) continue;
+    const Complex a0 = amplitudes_[base];
+    const Complex a1 = amplitudes_[base | bit];
+    amplitudes_[base] = m00 * a0 + m01 * a1;
+    amplitudes_[base | bit] = m10 * a0 + m11 * a1;
+  }
 }
 
 void StateVector::ApplyCx(int control, int target) {
   const uint64_t cbit = uint64_t{1} << control;
   const uint64_t tbit = uint64_t{1} << target;
-  const int64_t size = static_cast<int64_t>(amplitudes_.size());
-  Complex* amps = amplitudes_.data();
-  // Only i with control set / target clear is enumerated; its partner
-  // i | tbit never is, so chunks write disjoint pairs.
-  ParallelForBlocks(PoolFor(pool_, amplitudes_.size()), 0, size, kBlock,
-                    [&](int64_t begin, int64_t end) {
-    for (int64_t s = begin; s < end; ++s) {
-      const uint64_t i = static_cast<uint64_t>(s);
-      if ((i & cbit) && !(i & tbit)) {
-        std::swap(amps[i], amps[i | tbit]);
-      }
+  for (uint64_t i = 0; i < amplitudes_.size(); ++i) {
+    if ((i & cbit) && !(i & tbit)) {
+      std::swap(amplitudes_[i], amplitudes_[i | tbit]);
     }
-  });
+  }
 }
 
 void StateVector::ApplyCz(int a, int b) {
   const uint64_t abit = uint64_t{1} << a;
   const uint64_t bbit = uint64_t{1} << b;
-  const int64_t size = static_cast<int64_t>(amplitudes_.size());
-  Complex* amps = amplitudes_.data();
-  ParallelForBlocks(PoolFor(pool_, amplitudes_.size()), 0, size, kBlock,
-                    [&](int64_t begin, int64_t end) {
-    for (int64_t s = begin; s < end; ++s) {
-      const uint64_t i = static_cast<uint64_t>(s);
-      if ((i & abit) && (i & bbit)) amps[i] = -amps[i];
-    }
-  });
+  for (uint64_t i = 0; i < amplitudes_.size(); ++i) {
+    if ((i & abit) && (i & bbit)) amplitudes_[i] = -amplitudes_[i];
+  }
 }
 
 void StateVector::ApplySwap(int a, int b) {
   const uint64_t abit = uint64_t{1} << a;
   const uint64_t bbit = uint64_t{1} << b;
-  const int64_t size = static_cast<int64_t>(amplitudes_.size());
-  Complex* amps = amplitudes_.data();
-  // Enumerated i has a set / b clear; the partner has a clear / b set and
-  // is never enumerated, so chunks write disjoint pairs.
-  ParallelForBlocks(PoolFor(pool_, amplitudes_.size()), 0, size, kBlock,
-                    [&](int64_t begin, int64_t end) {
-    for (int64_t s = begin; s < end; ++s) {
-      const uint64_t i = static_cast<uint64_t>(s);
-      if ((i & abit) && !(i & bbit)) {
-        std::swap(amps[i], amps[(i & ~abit) | bbit]);
-      }
+  for (uint64_t i = 0; i < amplitudes_.size(); ++i) {
+    if ((i & abit) && !(i & bbit)) {
+      std::swap(amplitudes_[i], amplitudes_[(i & ~abit) | bbit]);
     }
-  });
+  }
 }
 
 void StateVector::ApplyRzz(int a, int b, double theta) {
@@ -188,49 +132,31 @@ void StateVector::ApplyRzz(int a, int b, double theta) {
   const Complex diff = std::polar(1.0, theta / 2.0);
   const uint64_t abit = uint64_t{1} << a;
   const uint64_t bbit = uint64_t{1} << b;
-  const int64_t size = static_cast<int64_t>(amplitudes_.size());
-  Complex* amps = amplitudes_.data();
-  ParallelForBlocks(PoolFor(pool_, amplitudes_.size()), 0, size, kBlock,
-                    [&](int64_t begin, int64_t end) {
-    for (int64_t s = begin; s < end; ++s) {
-      const uint64_t i = static_cast<uint64_t>(s);
-      const bool ba = i & abit;
-      const bool bb = i & bbit;
-      amps[i] *= (ba == bb) ? same : diff;
-    }
-  });
+  for (uint64_t i = 0; i < amplitudes_.size(); ++i) {
+    const bool ba = i & abit;
+    const bool bb = i & bbit;
+    amplitudes_[i] *= (ba == bb) ? same : diff;
+  }
 }
 
 void StateVector::ApplyMs(int a, int b, double theta) {
-  // exp(-i theta X(x)X / 2) mixes i with i XOR (a|b).
+  // exp(-i theta X(x)X / 2) mixes i with i XOR (a|b); each pair is
+  // visited once, from its smaller member.
   const double c = std::cos(theta / 2.0);
   const Complex s(0.0, -std::sin(theta / 2.0));
-  const uint64_t abit = uint64_t{1} << a;
-  const uint64_t bbit = uint64_t{1} << b;
-  const uint64_t mask = abit | bbit;
-  const int64_t size = static_cast<int64_t>(amplitudes_.size());
-  Complex* amps = amplitudes_.data();
-  // Each pair {i, i ^ mask} is owned by its smaller member, so chunks
-  // write disjoint pairs.
-  ParallelForBlocks(PoolFor(pool_, amplitudes_.size()), 0, size, kBlock,
-                    [&](int64_t begin, int64_t end) {
-    for (int64_t t = begin; t < end; ++t) {
-      const uint64_t i = static_cast<uint64_t>(t);
-      const uint64_t j = i ^ mask;
-      if (j < i) continue;
-      const Complex ai = amps[i];
-      const Complex aj = amps[j];
-      amps[i] = c * ai + s * aj;
-      amps[j] = s * ai + c * aj;
-    }
-  });
+  const uint64_t mask = (uint64_t{1} << a) | (uint64_t{1} << b);
+  for (uint64_t i = 0; i < amplitudes_.size(); ++i) {
+    const uint64_t j = i ^ mask;
+    if (j < i) continue;
+    const Complex ai = amplitudes_[i];
+    const Complex aj = amplitudes_[j];
+    amplitudes_[i] = c * ai + s * aj;
+    amplitudes_[j] = s * ai + c * aj;
+  }
 }
 
 void StateVector::Apply(const Gate& gate) {
-  for (int q : gate.qubits) {
-    QJO_CHECK_GE(q, 0);
-    QJO_CHECK_LT(q, num_qubits_);
-  }
+  CheckGate(gate, num_qubits_);
   Complex m[2][2];
   if (SingleQubitGateMatrix(gate, m)) {
     ApplySingleQubitMatrix(gate.qubits[0], m);
@@ -259,144 +185,8 @@ void StateVector::Apply(const Gate& gate) {
   QJO_CHECK(false) << "unhandled gate";
 }
 
-void StateVector::ApplySingleQubitRun(const std::vector<Gate>& gates) {
-  struct RunGate {
-    uint64_t bit;
-    Complex m00, m01, m10, m11;
-  };
-  std::vector<RunGate> run;
-  run.reserve(gates.size());
-  for (const Gate& gate : gates) {
-    QJO_CHECK_GE(gate.qubits[0], 0);
-    QJO_CHECK_LT(gate.qubits[0], num_qubits_);
-    QJO_CHECK_LT(gate.qubits[0], kFusionBlockQubits);
-    Complex m[2][2];
-    QJO_CHECK(SingleQubitGateMatrix(gate, m));
-    run.push_back(RunGate{uint64_t{1} << gate.qubits[0], m[0][0], m[0][1],
-                          m[1][0], m[1][1]});
-  }
-  const int64_t size = static_cast<int64_t>(amplitudes_.size());
-  Complex* amps = amplitudes_.data();
-  // One pass over the state: each block applies every gate of the run
-  // before the next block is touched. Every butterfly pair lives inside
-  // one block (bit < kBlock), gates within a block run in circuit order,
-  // and butterflies of one gate are independent across pairs — so each
-  // amplitude sees exactly the arithmetic of the gate-by-gate sweeps.
-  ParallelForBlocks(
-      PoolFor(pool_, amplitudes_.size()), 0, size, kBlock,
-      [&](int64_t begin, int64_t end) {
-        const uint64_t len = static_cast<uint64_t>(end - begin);
-        for (const RunGate& g : run) {
-          for (uint64_t group = 0; group < len; group += 2 * g.bit) {
-            Complex* lo = amps + begin + group;
-            Complex* hi = lo + g.bit;
-            for (uint64_t l = 0; l < g.bit; ++l) {
-              const Complex a0 = lo[l];
-              const Complex a1 = hi[l];
-              lo[l] = g.m00 * a0 + g.m01 * a1;
-              hi[l] = g.m10 * a0 + g.m11 * a1;
-            }
-          }
-        }
-      });
-}
-
-void StateVector::ApplyDiagonalRun(const std::vector<Gate>& gates) {
-  struct DiagTerm {
-    GateType type;
-    uint64_t abit = 0;
-    uint64_t bbit = 0;
-    Complex f0{1.0, 0.0};  ///< kRz: bit clear; kRzz: bits agree
-    Complex f1{1.0, 0.0};  ///< kRz: bit set; kRzz: bits differ
-  };
-  std::vector<DiagTerm> terms;
-  terms.reserve(gates.size());
-  for (const Gate& gate : gates) {
-    for (int q : gate.qubits) {
-      QJO_CHECK_GE(q, 0);
-      QJO_CHECK_LT(q, num_qubits_);
-    }
-    DiagTerm term;
-    term.type = gate.type;
-    const double t = gate.parameter;
-    switch (gate.type) {
-      case GateType::kRz:
-        term.abit = uint64_t{1} << gate.qubits[0];
-        term.f0 = std::polar(1.0, -t / 2.0);
-        term.f1 = std::polar(1.0, t / 2.0);
-        break;
-      case GateType::kRzz:
-        term.abit = uint64_t{1} << gate.qubits[0];
-        term.bbit = uint64_t{1} << gate.qubits[1];
-        term.f0 = std::polar(1.0, -t / 2.0);
-        term.f1 = std::polar(1.0, t / 2.0);
-        break;
-      case GateType::kCz:
-        term.abit = uint64_t{1} << gate.qubits[0];
-        term.bbit = uint64_t{1} << gate.qubits[1];
-        break;
-      default:
-        QJO_CHECK(false) << "non-diagonal gate in diagonal run";
-    }
-    terms.push_back(term);
-  }
-  const int64_t size = static_cast<int64_t>(amplitudes_.size());
-  Complex* amps = amplitudes_.data();
-  // Single element-wise sweep; per amplitude the factors multiply in gate
-  // order with the same operand order as the reference kernels (kRz:
-  // factor * amp, mirroring the matrix row; kRzz: amp *= factor; kCz:
-  // plain negation), so values match the gate-by-gate path exactly.
-  ParallelForBlocks(
-      PoolFor(pool_, amplitudes_.size()), 0, size, kBlock,
-      [&](int64_t begin, int64_t end) {
-        for (int64_t s = begin; s < end; ++s) {
-          const uint64_t i = static_cast<uint64_t>(s);
-          Complex a = amps[i];
-          for (const DiagTerm& term : terms) {
-            switch (term.type) {
-              case GateType::kRz:
-                a = (i & term.abit) ? term.f1 * a : term.f0 * a;
-                break;
-              case GateType::kRzz: {
-                const bool same =
-                    ((i & term.abit) != 0) == ((i & term.bbit) != 0);
-                a = a * (same ? term.f0 : term.f1);
-                break;
-              }
-              default:  // kCz
-                if ((i & term.abit) && (i & term.bbit)) a = -a;
-                break;
-            }
-          }
-          amps[i] = a;
-        }
-      });
-}
-
-void StateVector::ApplyFused(const FusedCircuit& fused) {
-  QJO_CHECK_EQ(fused.num_qubits, num_qubits_);
-  for (const FusedOp& op : fused.ops) {
-    switch (op.kind) {
-      case FusedOpKind::kSingleQubitRun:
-        ApplySingleQubitRun(op.gates);
-        break;
-      case FusedOpKind::kDiagonalRun:
-        ApplyDiagonalRun(op.gates);
-        break;
-      case FusedOpKind::kGate:
-        Apply(op.gates.front());
-        break;
-    }
-  }
-}
-
-void StateVector::ApplyCircuit(const QuantumCircuit& circuit,
-                               SimKernel kernel) {
+void StateVector::ApplyCircuit(const QuantumCircuit& circuit) {
   QJO_CHECK_EQ(circuit.num_qubits(), num_qubits_);
-  if (kernel == SimKernel::kFused) {
-    ApplyFused(FuseCircuit(circuit));
-    return;
-  }
   for (const Gate& g : circuit.gates()) Apply(g);
 }
 
@@ -407,15 +197,9 @@ double StateVector::Probability(uint64_t basis) const {
 
 std::vector<double> StateVector::Probabilities() const {
   std::vector<double> probs(amplitudes_.size());
-  const Complex* amps = amplitudes_.data();
-  double* out = probs.data();
-  ParallelForBlocks(PoolFor(pool_, amplitudes_.size()), 0,
-                    static_cast<int64_t>(amplitudes_.size()), kBlock,
-                    [&](int64_t begin, int64_t end) {
-                      for (int64_t i = begin; i < end; ++i) {
-                        out[i] = std::norm(amps[i]);
-                      }
-                    });
+  for (size_t i = 0; i < amplitudes_.size(); ++i) {
+    probs[i] = std::norm(amplitudes_[i]);
+  }
   return probs;
 }
 
@@ -433,39 +217,25 @@ std::vector<uint64_t> StateVector::Sample(int shots, Rng& rng) const {
 
 double StateVector::ExpectationZ(int qubit) const {
   const uint64_t bit = uint64_t{1} << qubit;
-  const Complex* amps = amplitudes_.data();
-  return ParallelBlockedSum(
-      PoolFor(pool_, amplitudes_.size()),
-      static_cast<int64_t>(amplitudes_.size()), kBlock,
-      [&](int64_t begin, int64_t end) {
-        double partial = 0.0;
-        for (int64_t s = begin; s < end; ++s) {
-          const uint64_t i = static_cast<uint64_t>(s);
-          const double p = std::norm(amps[i]);
-          partial += (i & bit) ? -p : p;
-        }
-        return partial;
-      });
+  double sum = 0.0;
+  for (uint64_t i = 0; i < amplitudes_.size(); ++i) {
+    const double p = std::norm(amplitudes_[i]);
+    sum += (i & bit) ? -p : p;
+  }
+  return sum;
 }
 
 double StateVector::ExpectationZZ(int a, int b) const {
   const uint64_t abit = uint64_t{1} << a;
   const uint64_t bbit = uint64_t{1} << b;
-  const Complex* amps = amplitudes_.data();
-  return ParallelBlockedSum(
-      PoolFor(pool_, amplitudes_.size()),
-      static_cast<int64_t>(amplitudes_.size()), kBlock,
-      [&](int64_t begin, int64_t end) {
-        double partial = 0.0;
-        for (int64_t s = begin; s < end; ++s) {
-          const uint64_t i = static_cast<uint64_t>(s);
-          const double p = std::norm(amps[i]);
-          const bool same =
-              static_cast<bool>(i & abit) == static_cast<bool>(i & bbit);
-          partial += same ? p : -p;
-        }
-        return partial;
-      });
+  double sum = 0.0;
+  for (uint64_t i = 0; i < amplitudes_.size(); ++i) {
+    const double p = std::norm(amplitudes_[i]);
+    const bool same =
+        static_cast<bool>(i & abit) == static_cast<bool>(i & bbit);
+    sum += same ? p : -p;
+  }
+  return sum;
 }
 
 double StateVector::Overlap(const StateVector& other) const {

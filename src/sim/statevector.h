@@ -5,24 +5,15 @@
 #include <vector>
 
 #include "circuit/circuit.h"
-#include "circuit/fusion.h"
-#include "sim/sim_kernel.h"
 #include "util/random.h"
 #include "util/statusor.h"
 
 namespace qjo {
 
-class ThreadPool;
-
-/// Dense state-vector simulator. Intended for verification and small-scale
-/// sampling (<= ~24 qubits); the specialised QaoaSimulator handles the
-/// larger QAOA workloads.
-///
-/// All 2^n-amplitude loops (gate kernels, Probabilities, expectations) run
-/// blocked over contiguous index ranges on the attached pool, with block
-/// boundaries and reduction order fixed independently of the thread count
-/// — results are bit-identical at every parallelism level, and for states
-/// of <= 2^14 amplitudes bit-identical to the pre-parallel serial loops.
+/// Dense state-vector simulator: the serial, gate-by-gate test oracle for
+/// QaoaSimulator, the transpiler's equivalence checks and the trajectory
+/// sampler. Only tests link it (library qjo_sim_reference); the served
+/// QAOA path runs on QaoaSimulator.
 class StateVector {
  public:
   /// Initialises |0...0> over `num_qubits` qubits (<= 28).
@@ -33,24 +24,12 @@ class StateVector {
     return amplitudes_;
   }
 
-  /// Attaches an externally-owned pool for the amplitude loops (nullptr =
-  /// serial, the default). Not owned; must outlive this object's use.
-  void set_pool(ThreadPool* pool) { pool_ = pool; }
-
-  /// Applies one gate in place.
+  /// Applies one gate in place; aborts on a gate that
+  /// QuantumCircuit::Append would reject (see CheckGate).
   void Apply(const Gate& gate);
 
-  /// Applies all gates of a circuit (sizes must match). The default
-  /// kFused kernel runs the circuit through FuseCircuit first: adjacent
-  /// single-qubit gates share one cache-blocked sweep and runs of
-  /// diagonal gates collapse into a single element-wise phase sweep.
-  /// kReference applies gate by gate. Amplitudes from the two kernels
-  /// compare equal with operator== (only IEEE zero signs can differ).
-  void ApplyCircuit(const QuantumCircuit& circuit,
-                    SimKernel kernel = SimKernel::kFused);
-
-  /// Applies a pre-fused circuit (see circuit/fusion.h).
-  void ApplyFused(const FusedCircuit& fused);
+  /// Applies all gates of a circuit in order (sizes must match).
+  void ApplyCircuit(const QuantumCircuit& circuit);
 
   /// Probability of measuring basis state `basis`.
   double Probability(uint64_t basis) const;
@@ -77,8 +56,6 @@ class StateVector {
   explicit StateVector(int num_qubits);
 
   void ApplySingleQubitMatrix(int qubit, const std::complex<double> m[2][2]);
-  void ApplySingleQubitRun(const std::vector<Gate>& gates);
-  void ApplyDiagonalRun(const std::vector<Gate>& gates);
   void ApplyCx(int control, int target);
   void ApplyCz(int a, int b);
   void ApplySwap(int a, int b);
@@ -87,7 +64,6 @@ class StateVector {
 
   int num_qubits_;
   std::vector<std::complex<double>> amplitudes_;
-  ThreadPool* pool_ = nullptr;  // not owned
 };
 
 /// Unitary of a small circuit (n <= 10) as a dense column-major matrix of

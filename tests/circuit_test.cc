@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "circuit/circuit.h"
-#include "circuit/fusion.h"
 #include "circuit/qaoa_builder.h"
 #include "qubo/ising.h"
 #include "qubo/qubo.h"
@@ -176,67 +175,6 @@ TEST(QaoaBuilderTest, RejectsBadParameters) {
   EXPECT_FALSE(BuildQaoaCircuit(qubo, empty).ok());
   QaoaParameters mismatched{{0.1, 0.2}, {0.3}};
   EXPECT_FALSE(BuildQaoaCircuit(qubo, mismatched).ok());
-}
-
-TEST(FusionTest, GroupsAdjacentGatesWithoutReordering) {
-  QuantumCircuit circuit(16);
-  circuit.H(0);
-  circuit.Rx(1, 0.3);     // extends the single-qubit run
-  circuit.Rz(2, 0.4);     // diagonal: starts a diagonal run
-  circuit.Rzz(3, 4, 0.5);  // extends it
-  circuit.Cz(5, 6);        // still diagonal
-  circuit.Cx(0, 1);        // generic two-qubit gate: own op
-  circuit.Ry(7, 0.2);      // new single-qubit run
-  circuit.H(15);           // qubit 15 >= block boundary: generic op
-
-  const FusedCircuit fused = FuseCircuit(circuit);
-  EXPECT_EQ(fused.num_qubits, 16);
-  EXPECT_EQ(fused.num_gates, circuit.num_gates());
-  ASSERT_EQ(fused.ops.size(), 5u);
-  EXPECT_EQ(fused.ops[0].kind, FusedOpKind::kSingleQubitRun);
-  EXPECT_EQ(fused.ops[0].gates.size(), 2u);
-  EXPECT_EQ(fused.ops[1].kind, FusedOpKind::kDiagonalRun);
-  EXPECT_EQ(fused.ops[1].gates.size(), 3u);
-  EXPECT_EQ(fused.ops[2].kind, FusedOpKind::kGate);
-  EXPECT_EQ(fused.ops[2].gates.size(), 1u);
-  EXPECT_EQ(fused.ops[3].kind, FusedOpKind::kSingleQubitRun);
-  EXPECT_EQ(fused.ops[4].kind, FusedOpKind::kGate);
-
-  // Flattening the fused ops must reproduce the gate sequence verbatim:
-  // fusion groups, it never reorders.
-  std::vector<Gate> flattened;
-  for (const FusedOp& op : fused.ops) {
-    flattened.insert(flattened.end(), op.gates.begin(), op.gates.end());
-  }
-  ASSERT_EQ(flattened.size(), circuit.gates().size());
-  for (size_t i = 0; i < flattened.size(); ++i) {
-    EXPECT_EQ(flattened[i].type, circuit.gates()[i].type) << "gate " << i;
-    EXPECT_EQ(flattened[i].qubits, circuit.gates()[i].qubits) << "gate " << i;
-    EXPECT_EQ(flattened[i].parameter, circuit.gates()[i].parameter)
-        << "gate " << i;
-  }
-}
-
-TEST(FusionTest, ConsecutiveGateKindsDoNotMergeAcrossKindChange) {
-  QuantumCircuit circuit(4);
-  circuit.Rz(0, 0.1);
-  circuit.H(0);        // breaks the diagonal run
-  circuit.Rz(0, 0.2);  // new diagonal run (no merging across the H)
-  const FusedCircuit fused = FuseCircuit(circuit);
-  ASSERT_EQ(fused.ops.size(), 3u);
-  EXPECT_EQ(fused.ops[0].kind, FusedOpKind::kDiagonalRun);
-  EXPECT_EQ(fused.ops[1].kind, FusedOpKind::kSingleQubitRun);
-  EXPECT_EQ(fused.ops[2].kind, FusedOpKind::kDiagonalRun);
-}
-
-TEST(FusionTest, DiagonalClassification) {
-  EXPECT_TRUE(IsDiagonalGate(GateType::kRz));
-  EXPECT_TRUE(IsDiagonalGate(GateType::kRzz));
-  EXPECT_TRUE(IsDiagonalGate(GateType::kCz));
-  EXPECT_FALSE(IsDiagonalGate(GateType::kH));
-  EXPECT_FALSE(IsDiagonalGate(GateType::kRx));
-  EXPECT_FALSE(IsDiagonalGate(GateType::kCx));
-  EXPECT_FALSE(IsDiagonalGate(GateType::kMs));
 }
 
 TEST(QaoaBuilderTest, RzzAngleEncodesCoupling) {

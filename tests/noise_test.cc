@@ -86,30 +86,6 @@ TEST(TrajectorySamplerTest, GateNoiseCorruptsGhz) {
   EXPECT_GT(ghz, 500);  // ... but not everything
 }
 
-TEST(TrajectorySamplerTest, FusedKernelsBitIdenticalSampleStream) {
-  // The trajectory circuits draw from the rng in a kernel-independent
-  // order and the fused/reference StateVector kernels agree under
-  // operator==, so the two kernels must emit the identical samples.
-  QuantumCircuit circuit(6);
-  circuit.H(0);
-  for (int q = 0; q + 1 < 6; ++q) circuit.Cx(q, q + 1);
-  for (int q = 0; q < 6; ++q) circuit.Rx(q, 0.2 + 0.05 * q);
-  NoiseModel noise = Noiseless();
-  noise.one_qubit_pauli = 0.05;
-  noise.two_qubit_pauli = 0.1;
-  noise.readout_flip = 0.02;
-
-  Rng rng_fused(29);
-  Rng rng_reference(29);
-  auto fused = SampleWithTrajectories(circuit, noise, 300, rng_fused, 16,
-                                      SimKernel::kFused);
-  auto reference = SampleWithTrajectories(circuit, noise, 300, rng_reference,
-                                          16, SimKernel::kReference);
-  ASSERT_TRUE(fused.ok());
-  ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(*fused, *reference);
-}
-
 TEST(TrajectorySamplerTest, DeeperCircuitsDegradeMore) {
   NoiseModel noise = Noiseless();
   noise.one_qubit_pauli = 0.02;
@@ -147,10 +123,13 @@ TEST(TrajectorySamplerTest, ReadoutErrorFlipsBits) {
 }
 
 TEST(TrajectorySamplerTest, RejectsOversizedCircuits) {
-  QuantumCircuit circuit(18);
+  QuantumCircuit circuit(kMaxTrajectoryQubits + 1);
   circuit.H(0);
   Rng rng(11);
   EXPECT_FALSE(SampleWithTrajectories(circuit, Noiseless(), 1, rng).ok());
+  QuantumCircuit at_cap(kMaxTrajectoryQubits);
+  at_cap.H(0);
+  EXPECT_TRUE(SampleWithTrajectories(at_cap, Noiseless(), 1, rng).ok());
   QuantumCircuit small(2);
   small.H(0);
   EXPECT_FALSE(SampleWithTrajectories(small, Noiseless(), 0, rng).ok());

@@ -2,6 +2,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <complex>
 #include <map>
 #include <memory>
 #include <set>
@@ -123,6 +124,103 @@ TEST(StateVectorTest, SamplingMatchesDistribution) {
 TEST(StateVectorTest, RejectsBadSizes) {
   EXPECT_FALSE(StateVector::Create(0).ok());
   EXPECT_FALSE(StateVector::Create(29).ok());
+}
+
+using Matrix = std::vector<std::vector<std::complex<double>>>;
+
+/// Textbook matrix of a gate with parameter `t`, rows and columns indexed
+/// by the operand bits: b for a single-qubit gate, 2 * b_first + b_second
+/// for a two-qubit gate (so for kCx the first operand is the control).
+Matrix TextbookMatrix(GateType type, double t) {
+  using C = std::complex<double>;
+  const double c = std::cos(t / 2.0), s = std::sin(t / 2.0);
+  const double r = 1.0 / std::sqrt(2.0);
+  const C i(0.0, 1.0);
+  const C lo = std::exp(-i * t / 2.0), hi = std::exp(i * t / 2.0);
+  switch (type) {
+    case GateType::kH:
+      return {{r, r}, {r, -r}};
+    case GateType::kX:
+      return {{0, 1}, {1, 0}};
+    case GateType::kSx:
+      return {{C(0.5, 0.5), C(0.5, -0.5)}, {C(0.5, -0.5), C(0.5, 0.5)}};
+    case GateType::kRx:
+      return {{c, -i * s}, {-i * s, c}};
+    case GateType::kRy:
+      return {{c, -s}, {s, c}};
+    case GateType::kRz:
+      return {{lo, 0}, {0, hi}};
+    case GateType::kCx:
+      return {{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 0, 1}, {0, 0, 1, 0}};
+    case GateType::kCz:
+      return {{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, -1}};
+    case GateType::kSwap:
+      return {{1, 0, 0, 0}, {0, 0, 1, 0}, {0, 1, 0, 0}, {0, 0, 0, 1}};
+    case GateType::kRzz:
+      return {{lo, 0, 0, 0}, {0, hi, 0, 0}, {0, 0, hi, 0}, {0, 0, 0, lo}};
+    case GateType::kMs:
+      return {{c, 0, 0, -i * s},
+              {0, c, -i * s, 0},
+              {0, -i * s, c, 0},
+              {-i * s, 0, 0, c}};
+  }
+  return {};
+}
+
+TEST(StateVectorTest, EveryGateMatchesItsMatrix) {
+  // Checks amplitudes, not probabilities, so phase errors show. Two-qubit
+  // operands are non-adjacent and reversed, (2, 0), and the single-qubit
+  // operand is the middle qubit, so the Kronecker expansion is exercised
+  // on both sides of every operand.
+  constexpr int kQubits = 3;
+  constexpr double kTheta = 0.7;
+  for (int k = 0; k <= static_cast<int>(GateType::kMs); ++k) {
+    const GateType type = static_cast<GateType>(k);
+    const std::vector<int> operands =
+        IsTwoQubitGate(type) ? std::vector<int>{2, 0} : std::vector<int>{1};
+    QuantumCircuit circuit(kQubits);
+    circuit.Append(Gate{type, operands, kTheta});
+    const auto unitary = CircuitUnitary(circuit);
+    ASSERT_TRUE(unitary.ok());
+    const Matrix gate = TextbookMatrix(type, kTheta);
+    ASSERT_EQ(gate.size(), size_t{1} << operands.size());
+    // Operand-bit index of basis state b, first operand most significant.
+    auto local = [&](uint64_t b) {
+      uint64_t index = 0;
+      for (int q : operands) index = 2 * index + ((b >> q) & 1);
+      return index;
+    };
+    uint64_t operand_mask = 0;
+    for (int q : operands) operand_mask |= uint64_t{1} << q;
+    for (uint64_t col = 0; col < (1u << kQubits); ++col) {
+      for (uint64_t row = 0; row < (1u << kQubits); ++row) {
+        const std::complex<double> expected =
+            (row & ~operand_mask) == (col & ~operand_mask)
+                ? gate[local(row)][local(col)]
+                : 0.0;
+        // CircuitUnitary is column-major: (*unitary)[col][row].
+        EXPECT_NEAR(std::abs((*unitary)[col][row] - expected), 0.0, 1e-12)
+            << GateTypeName(type) << " row " << row << " col " << col;
+      }
+    }
+  }
+}
+
+TEST(StateVectorDeathTest, RejectsGatesThatAppendRejects) {
+  StateVector sv = *StateVector::Create(3);
+  // Operand count must match the gate type.
+  EXPECT_DEATH(sv.Apply(Gate::Single(GateType::kCx, 0)), "CHECK failed");
+  EXPECT_DEATH(sv.Apply(Gate::Two(GateType::kH, 0, 1)), "CHECK failed");
+  // Two-qubit operands must be distinct.
+  EXPECT_DEATH(sv.Apply(Gate::Two(GateType::kMs, 1, 1, 0.3)),
+               "CHECK failed");
+  EXPECT_DEATH(sv.Apply(Gate::Two(GateType::kRzz, 2, 2, 0.3)),
+               "CHECK failed");
+  EXPECT_DEATH(sv.Apply(Gate::Two(GateType::kCx, 0, 0)), "CHECK failed");
+  EXPECT_DEATH(sv.Apply(Gate::Two(GateType::kSwap, 1, 1)), "CHECK failed");
+  // Operands must be in range.
+  EXPECT_DEATH(sv.Apply(Gate::Single(GateType::kX, 3)), "CHECK failed");
+  EXPECT_DEATH(sv.Apply(Gate::Two(GateType::kCz, -1, 0)), "CHECK failed");
 }
 
 TEST(QaoaSimulatorTest, CostSpectrumMatchesIsingEnergy) {
@@ -572,35 +670,6 @@ TEST(SqaTest, BatchedKernelsBitIdenticalToScalarReads) {
   }
 }
 
-TEST(StateVectorTest, DeterministicAcrossParallelism) {
-  // 15 qubits = 32768 amplitudes = two blocks: the blocked kernels and
-  // reductions must produce the same bits with and without a pool.
-  const int n = 15;
-  QuantumCircuit circuit(n);
-  for (int q = 0; q < n; ++q) circuit.H(q);
-  for (int q = 0; q + 1 < n; ++q) circuit.Rzz(q, q + 1, 0.3 + 0.01 * q);
-  for (int q = 0; q < n; ++q) circuit.Rx(q, 0.7 - 0.02 * q);
-  circuit.Cx(0, n - 1);
-  circuit.Swap(2, 9);
-  circuit.Ms(3, 11, 0.4);
-
-  StateVector serial = *StateVector::Create(n);
-  serial.ApplyCircuit(circuit);
-
-  ThreadPool pool(4);
-  StateVector parallel = *StateVector::Create(n);
-  parallel.set_pool(&pool);
-  parallel.ApplyCircuit(circuit);
-
-  ASSERT_EQ(serial.amplitudes().size(), parallel.amplitudes().size());
-  for (size_t i = 0; i < serial.amplitudes().size(); ++i) {
-    ASSERT_EQ(serial.amplitudes()[i], parallel.amplitudes()[i]) << "amp " << i;
-  }
-  EXPECT_EQ(serial.ExpectationZ(4), parallel.ExpectationZ(4));
-  EXPECT_EQ(serial.ExpectationZZ(1, 13), parallel.ExpectationZZ(1, 13));
-  EXPECT_EQ(serial.Probabilities(), parallel.Probabilities());
-}
-
 TEST(QaoaSimulatorTest, DeterministicAcrossParallelism) {
   Rng make_rng(73);
   const IsingModel ising = RandomIsing(16, 0.3, make_rng);
@@ -895,42 +964,6 @@ TEST(QaoaSimulatorTest, JoChainEncodingHasFewLevels) {
   ASSERT_TRUE(sim.ok());
   EXPECT_GE(sim->num_qubits(), 20);
   EXPECT_LT(sim->num_levels(), 64u);
-}
-
-TEST(StateVectorTest, FusedCircuitKernelsBitIdentical) {
-  // Random circuit over every gate type, including single-qubit gates on
-  // qubit 14 (outside the fusable block) and interleaved two-qubit
-  // gates: the fused pass must reproduce the reference bits exactly.
-  const int n = 15;
-  Rng rng(777);
-  QuantumCircuit circuit(n);
-  for (int q = 0; q < n; ++q) circuit.H(q);
-  for (int step = 0; step < 60; ++step) {
-    const int q = static_cast<int>(rng.UniformInt(n));
-    int r = static_cast<int>(rng.UniformInt(n - 1));
-    if (r >= q) ++r;
-    switch (rng.UniformInt(9)) {
-      case 0: circuit.H(q); break;
-      case 1: circuit.X(q); break;
-      case 2: circuit.Sx(q); break;
-      case 3: circuit.Rx(q, rng.UniformDouble(-1.5, 1.5)); break;
-      case 4: circuit.Ry(q, rng.UniformDouble(-1.5, 1.5)); break;
-      case 5: circuit.Rz(q, rng.UniformDouble(-1.5, 1.5)); break;
-      case 6: circuit.Cx(q, r); break;
-      case 7: circuit.Rzz(q, r, rng.UniformDouble(-1.5, 1.5)); break;
-      default: circuit.Cz(q, r); break;
-    }
-  }
-  circuit.Swap(2, 9);
-  circuit.Ms(3, 11, 0.4);
-
-  StateVector fused = *StateVector::Create(n);
-  StateVector reference = *StateVector::Create(n);
-  fused.ApplyCircuit(circuit, SimKernel::kFused);
-  reference.ApplyCircuit(circuit, SimKernel::kReference);
-  for (size_t i = 0; i < fused.amplitudes().size(); ++i) {
-    ASSERT_EQ(fused.amplitudes()[i], reference.amplitudes()[i]) << "amp " << i;
-  }
 }
 
 // --- Cooperative cancellation (the portfolio stop token). ---
