@@ -109,7 +109,7 @@ void TopologyGenerationSweep() {
       eopts.tries = 3;
       auto embedding = FindMinorEmbedding(encoding->qubo.Edges(),
                                           encoding->qubo.num_variables(),
-                                          *target, eopts, rng);
+                                          *target, eopts, rng, bench::Pool());
       if (!embedding.ok()) {
         std::printf("%10d | %-8s | %8d %9s %9s\n", t, name,
                     encoding->qubo.num_variables(), "none", "-");

@@ -48,7 +48,8 @@ std::optional<EmbeddingPoint> EmbedInstance(const Query& query,
   eopts.tries = 4;
   auto embedding =
       FindMinorEmbedding(encoding->qubo.Edges(),
-                         encoding->qubo.num_variables(), target, eopts, rng);
+                         encoding->qubo.num_variables(), target, eopts, rng,
+                         bench::Pool());
   if (!embedding.ok()) return std::nullopt;
   EmbeddingPoint point;
   point.logical = encoding->qubo.num_variables();

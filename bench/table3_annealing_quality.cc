@@ -115,7 +115,7 @@ int Run() {
 
         auto embedding = FindMinorEmbedding(
             encoding->qubo.Edges(), encoding->qubo.num_variables(), *pegasus,
-            EmbeddingOptions{}, rng);
+            EmbeddingOptions{}, rng, bench::Pool());
         if (!embedding.ok()) {
           fail("embedding", embedding.status());
           continue;

@@ -90,6 +90,13 @@ std::vector<int> BasisToBits(uint64_t basis, int num_bits) {
   return bits;
 }
 
+/// The annealer backend's default hardware graph, Pegasus P6, built once
+/// per process: every annealer request would otherwise rebuild it.
+const CouplingGraph& DefaultAnnealerTopology() {
+  static const CouplingGraph kPegasus6 = MakePegasus(6).value();
+  return kPegasus6;
+}
+
 }  // namespace
 
 StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
@@ -297,12 +304,9 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
       break;
     }
     case QjoBackend::kQuantumAnnealerSim: {
-      CouplingGraph topology;
-      if (config.annealer_topology.has_value()) {
-        topology = *config.annealer_topology;
-      } else {
-        QJO_ASSIGN_OR_RETURN(topology, MakePegasus(6));
-      }
+      const CouplingGraph& topology = config.annealer_topology.has_value()
+                                          ? *config.annealer_topology
+                                          : DefaultAnnealerTopology();
       std::optional<Embedding> embedding;
       std::optional<EmbeddedQubo> embedded;
       {
@@ -312,7 +316,7 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
             embedding,
             FindMinorEmbedding(encoding.qubo.Edges(),
                                encoding.qubo.num_variables(), topology,
-                               config.embedding, rng));
+                               config.embedding, rng, config.run.pool));
       }
       {
         StageSpan embed_qubo_span(config.run.trace, "embed_qubo",

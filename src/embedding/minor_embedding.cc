@@ -2,20 +2,113 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <numeric>
-#include <cstdio>
-#include <queue>
+#include <optional>
 #include <unordered_set>
+#include <utility>
 
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace qjo {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Working state of one embedding attempt.
+using HeapItem = std::pair<double, int>;
+
+/// Min-priority queue of qubits keyed on (distance, qubit) with
+/// decrease-key, so each qubit is queued at most once. Keys are distinct,
+/// so it pops in exactly the order a lazy binary heap of (distance, qubit)
+/// pairs would (skipping that heap's stale entries). 4-ary: half the
+/// depth of a binary heap.
+class QubitQueue {
+ public:
+  void Reset(int num_qubits) {
+    slot_.assign(num_qubits, -1);
+    heap_.clear();
+  }
+  bool empty() const { return heap_.empty(); }
+
+  /// Queues `q` with key `dist`, or lowers its key to `dist`.
+  void Push(double dist, int q) {
+    int i = slot_[q];
+    if (i < 0) {
+      i = static_cast<int>(heap_.size());
+      heap_.emplace_back(dist, q);
+    } else {
+      heap_[i].first = dist;
+    }
+    SiftUp(i);
+  }
+
+  HeapItem Pop() {
+    const HeapItem top = heap_.front();
+    slot_[top.second] = -1;
+    const HeapItem last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) SiftDown(last);
+    return top;
+  }
+
+ private:
+  static constexpr int kArity = 4;
+
+  void Place(int i, const HeapItem& item) {
+    heap_[i] = item;
+    slot_[item.second] = i;
+  }
+
+  void SiftUp(int i) {
+    const HeapItem item = heap_[i];
+    while (i > 0) {
+      const int up = (i - 1) / kArity;
+      if (!(item < heap_[up])) break;
+      Place(i, heap_[up]);
+      i = up;
+    }
+    Place(i, item);
+  }
+
+  /// Moves `item` down from the root into its place.
+  void SiftDown(const HeapItem& item) {
+    const int size = static_cast<int>(heap_.size());
+    int i = 0;
+    for (;;) {
+      const int first = i * kArity + 1;
+      if (first >= size) break;
+      int least = first;
+      const int end = std::min(first + kArity, size);
+      for (int c = first + 1; c < end; ++c) {
+        if (heap_[c] < heap_[least]) least = c;
+      }
+      if (!(heap_[least] < item)) break;
+      Place(i, heap_[least]);
+      i = least;
+    }
+    Place(i, item);
+  }
+
+  std::vector<HeapItem> heap_;
+  std::vector<int> slot_;  ///< heap index of each queued qubit, else -1
+};
+
+/// Buffers of one try's routing, reused by every route it makes (a try
+/// routes hundreds of times, each over the whole target graph).
+struct RouteScratch {
+  std::vector<double> node_cost;
+  std::vector<int> embedded_neighbors;
+  /// One distance field and Dijkstra tree per embedded neighbour; only
+  /// the first embedded_neighbors.size() entries are live.
+  std::vector<std::vector<double>> dists;
+  std::vector<std::vector<int>> parents;
+  QubitQueue queue;
+  std::vector<int> chain;
+};
+
+/// Working state of one embedding try.
 struct Attempt {
   Attempt(int num_logical, const CouplingGraph& target)
       : chains(num_logical),
@@ -48,34 +141,33 @@ struct Attempt {
   std::vector<std::vector<int>> chains;
   std::vector<int> usage;
   const CouplingGraph* target;
+  RouteScratch scratch;
 };
 
 /// Multi-source Dijkstra from a chain; node weights (precomputed in
-/// `node_cost`) are paid on entry. dist[q] = cheapest cost of a path
-/// chain -> q (excluding the chain's own qubits, which cost 0);
-/// parent[q] = predecessor towards the chain.
-void DijkstraFromChain(const Attempt& attempt, const std::vector<int>& chain,
+/// `node_cost`, all >= 1 or infinite) are paid on entry. dist[q] =
+/// cheapest cost of a path chain -> q (excluding the chain's own qubits,
+/// which cost 0); parent[q] = predecessor towards the chain. Qubits settle
+/// in (dist, qubit) order, so every tie resolves the same way.
+void DijkstraFromChain(const CouplingGraph& g, const std::vector<int>& chain,
                        const std::vector<double>& node_cost,
-                       std::vector<double>& dist, std::vector<int>& parent) {
-  const CouplingGraph& g = *attempt.target;
+                       std::vector<double>& dist, std::vector<int>& parent,
+                       QubitQueue& queue) {
   dist.assign(g.num_qubits(), kInf);
   parent.assign(g.num_qubits(), -1);
-  using Item = std::pair<double, int>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> queue;
+  queue.Reset(g.num_qubits());
   for (int q : chain) {
     dist[q] = 0.0;
-    queue.emplace(0.0, q);
+    queue.Push(0.0, q);
   }
   while (!queue.empty()) {
-    const auto [d, q] = queue.top();
-    queue.pop();
-    if (d > dist[q]) continue;
+    const auto [d, q] = queue.Pop();
     for (int next : g.Neighbors(q)) {
       const double nd = d + node_cost[next];
       if (nd < dist[next]) {
         dist[next] = nd;
         parent[next] = q;
-        queue.emplace(nd, next);
+        queue.Push(nd, next);
       }
     }
   }
@@ -133,7 +225,9 @@ bool RouteNodeImpl(Attempt& attempt, int node,
   // same conflicts. Qubits already shared by two chains are blocked
   // outright (the CMR occupancy cap), which keeps the packing loose enough
   // for conflicts to resolve.
-  std::vector<double> node_cost(g.num_qubits());
+  RouteScratch& scratch = attempt.scratch;
+  std::vector<double>& node_cost = scratch.node_cost;
+  node_cost.resize(g.num_qubits());
   for (int q = 0; q < g.num_qubits(); ++q) {
     if (hard) {
       node_cost[q] = attempt.usage[q] > 0 ? kInf : 1.0;
@@ -145,7 +239,8 @@ bool RouteNodeImpl(Attempt& attempt, int node,
     }
   }
 
-  std::vector<int> embedded_neighbors;
+  std::vector<int>& embedded_neighbors = scratch.embedded_neighbors;
+  embedded_neighbors.clear();
   for (int nb : source_adj[node]) {
     if (!attempt.chains[nb].empty()) embedded_neighbors.push_back(nb);
   }
@@ -161,16 +256,24 @@ bool RouteNodeImpl(Attempt& attempt, int node,
         best = q;
       }
     }
+    // Every qubit blocked (hard mode on a full target, or capped mode
+    // with every qubit doubly used).
+    if (best < 0) return false;
     attempt.AssignChain(node, {best});
     return true;
   }
 
   // Distance fields from every embedded neighbour chain.
-  std::vector<std::vector<double>> dists(embedded_neighbors.size());
-  std::vector<std::vector<int>> parents(embedded_neighbors.size());
-  for (size_t i = 0; i < embedded_neighbors.size(); ++i) {
-    DijkstraFromChain(attempt, attempt.chains[embedded_neighbors[i]],
-                      node_cost, dists[i], parents[i]);
+  const size_t num_fields = embedded_neighbors.size();
+  if (scratch.dists.size() < num_fields) {
+    scratch.dists.resize(num_fields);
+    scratch.parents.resize(num_fields);
+  }
+  auto& dists = scratch.dists;
+  auto& parents = scratch.parents;
+  for (size_t i = 0; i < num_fields; ++i) {
+    DijkstraFromChain(g, attempt.chains[embedded_neighbors[i]], node_cost,
+                      dists[i], parents[i], scratch.queue);
   }
 
   // Root choice: minimise sum of distances plus own cost.
@@ -179,12 +282,12 @@ bool RouteNodeImpl(Attempt& attempt, int node,
   for (int q = 0; q < g.num_qubits(); ++q) {
     double total = node_cost[q];
     bool reachable = true;
-    for (const auto& dist : dists) {
-      if (dist[q] == kInf) {
+    for (size_t i = 0; i < num_fields; ++i) {
+      if (dists[i][q] == kInf) {
         reachable = false;
         break;
       }
-      total += dist[q];
+      total += dists[i][q];
     }
     if (!reachable) continue;
     total += rng.UniformDouble() * 1e-3;  // tie-break
@@ -195,20 +298,24 @@ bool RouteNodeImpl(Attempt& attempt, int node,
   }
   if (root < 0) return false;
 
-  // Chain = root plus the interior of each root->neighbour-chain path.
-  std::unordered_set<int> chain_set{root};
-  for (size_t i = 0; i < embedded_neighbors.size(); ++i) {
+  // Chain = root plus the interior of each root->neighbour-chain path, in
+  // the order the walks first reach each qubit.
+  std::vector<int>& chain = scratch.chain;
+  chain.assign(1, root);
+  for (size_t i = 0; i < num_fields; ++i) {
     int q = root;
     // Walk towards the neighbour chain; stop at its first qubit.
     while (dists[i][q] > 0.0) {
       const int prev = parents[i][q];
       QJO_CHECK_GE(prev, 0);
-      if (dists[i][prev] > 0.0) chain_set.insert(prev);
+      if (dists[i][prev] > 0.0 &&
+          std::find(chain.begin(), chain.end(), prev) == chain.end()) {
+        chain.push_back(prev);
+      }
       q = prev;
     }
   }
-  attempt.AssignChain(node,
-                      std::vector<int>(chain_set.begin(), chain_set.end()));
+  attempt.AssignChain(node, chain);
   PruneChain(attempt, node, source_adj);
   return true;
 }
@@ -274,6 +381,147 @@ void PruneChains(Attempt& attempt,
   }
 }
 
+/// One randomised embedding try: greedy construction, improvement passes,
+/// then hard-mode conflict resolution. Draws only from its own `rng`, so
+/// the result depends on nothing but its inputs and that stream. Returns
+/// the try's valid embedding, or nullopt if it ends with overlaps.
+std::optional<Embedding> RunTry(
+    const std::vector<std::pair<int, int>>& source_edges,
+    const std::vector<std::vector<int>>& source_adj,
+    const CouplingGraph& target, const EmbeddingOptions& options,
+    int try_index, Rng rng) {
+  const int num_source_nodes = static_cast<int>(source_adj.size());
+  Attempt attempt(num_source_nodes, target);
+
+  // Construction order: descending source degree with random jitter.
+  std::vector<int> order(num_source_nodes);
+  std::iota(order.begin(), order.end(), 0);
+  rng.Shuffle(order);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return source_adj[a].size() > source_adj[b].size();
+  });
+
+  bool feasible = true;
+  for (int node : order) {
+    if (!RouteNode(attempt, node, source_adj, options.alpha, rng)) {
+      feasible = false;
+      break;
+    }
+  }
+  // Improvement passes: re-route only the nodes whose chains touch
+  // overused qubits (plus their source neighbours, to open up space).
+  // The best configuration seen is kept; the random exploration can
+  // transiently worsen things.
+  std::vector<std::vector<int>> best_chains = attempt.chains;
+  int best_overused = attempt.OverusedQubits();
+  for (int pass = 0; feasible && pass < options.max_passes; ++pass) {
+    const int overused_now = attempt.OverusedQubits();
+    if (overused_now < best_overused) {
+      best_overused = overused_now;
+      best_chains = attempt.chains;
+    }
+    if (options.verbose) {
+      int used = 0;
+      for (const auto& chain : attempt.chains) {
+        used += static_cast<int>(chain.size());
+      }
+      std::fprintf(stderr,
+                   "[embed] try %d pass %d: overused=%d used=%d\n",
+                   try_index, pass, attempt.OverusedQubits(), used);
+    }
+    if (attempt.OverusedQubits() == 0) break;
+    std::vector<bool> needs_reroute(num_source_nodes, false);
+    for (int node = 0; node < num_source_nodes; ++node) {
+      for (int q : attempt.chains[node]) {
+        if (attempt.usage[q] > 1) {
+          needs_reroute[node] = true;
+          for (int nb : source_adj[node]) needs_reroute[nb] = true;
+          break;
+        }
+      }
+    }
+    // Every fourth pass re-packs the full embedding; in between only the
+    // conflicted neighbourhood is re-routed (cheaper, and the jittered
+    // costs keep exploring new configurations).
+    const bool full_pass = pass % 4 == 3;
+    rng.Shuffle(order);
+    // Escalate the overuse penalty across passes so persistent
+    // contention is eventually forced out (CMR-style annealed weights).
+    const double alpha_pass =
+        options.alpha * std::pow(1.5, std::min(pass, 12));
+    for (int node : order) {
+      if (!full_pass && !needs_reroute[node]) continue;
+      if (!RouteNode(attempt, node, source_adj, alpha_pass, rng,
+                     /*hard=*/false, /*capped=*/pass % 2 == 0)) {
+        feasible = false;
+        break;
+      }
+    }
+  }
+  // Restore the least-conflicted configuration before the final phase.
+  if (feasible && attempt.OverusedQubits() > best_overused) {
+    for (int node = 0; node < num_source_nodes; ++node) {
+      attempt.AssignChain(node, best_chains[node]);
+    }
+  }
+
+  // Final conflict resolution: re-route the remaining conflicted nodes
+  // with occupied qubits forbidden outright. Each successful hard
+  // re-route removes that node's overlaps without creating new ones, so
+  // several shuffled rounds suffice whenever the hardware has room.
+  for (int round = 0; feasible && round < 10; ++round) {
+    const int overused_now = attempt.OverusedQubits();
+    if (overused_now == 0) break;
+    if (overused_now < best_overused) {
+      best_overused = overused_now;
+      best_chains = attempt.chains;
+    } else if (overused_now > best_overused) {
+      for (int node = 0; node < num_source_nodes; ++node) {
+        attempt.AssignChain(node, best_chains[node]);
+      }
+    }
+    std::vector<int> conflicted;
+    for (int node = 0; node < num_source_nodes; ++node) {
+      for (int q : attempt.chains[node]) {
+        if (attempt.usage[q] > 1) {
+          conflicted.push_back(node);
+          break;
+        }
+      }
+    }
+    rng.Shuffle(conflicted);
+    int hard_failures = 0;
+    for (int node : conflicted) {
+      if (!RouteNode(attempt, node, source_adj, options.alpha, rng,
+                     /*hard=*/true)) {
+        ++hard_failures;
+        // No free-qubit route exists; fall back to a soft re-route so
+        // the chain at least stays valid for the next round.
+        if (!RouteNode(attempt, node, source_adj, options.alpha, rng)) {
+          feasible = false;
+          break;
+        }
+      }
+    }
+    if (options.verbose) {
+      std::fprintf(stderr,
+                   "[embed] try %d hard round %d: overused=%d "
+                   "(conflicted=%zu, hard failures=%d)\n",
+                   try_index, round, attempt.OverusedQubits(),
+                   conflicted.size(), hard_failures);
+    }
+  }
+  if (!feasible || attempt.OverusedQubits() != 0) return std::nullopt;
+
+  PruneChains(attempt, source_adj);
+  Embedding candidate;
+  candidate.chains = attempt.chains;
+  if (!VerifyEmbedding(source_edges, num_source_nodes, target, candidate)) {
+    return std::nullopt;
+  }
+  return candidate;
+}
+
 }  // namespace
 
 int Embedding::NumPhysicalQubits() const {
@@ -298,7 +546,8 @@ double Embedding::AverageChainLength() const {
 
 StatusOr<Embedding> FindMinorEmbedding(
     const std::vector<std::pair<int, int>>& source_edges, int num_source_nodes,
-    const CouplingGraph& target, const EmbeddingOptions& options, Rng& rng) {
+    const CouplingGraph& target, const EmbeddingOptions& options, Rng& rng,
+    ThreadPool* pool) {
   if (num_source_nodes <= 0) {
     return Status::InvalidArgument("need at least one source node");
   }
@@ -315,145 +564,26 @@ StatusOr<Embedding> FindMinorEmbedding(
     source_adj[b].push_back(a);
   }
 
-  Embedding best;
-  bool found = false;
-  for (int attempt_index = 0; attempt_index < options.tries; ++attempt_index) {
-    Attempt attempt(num_source_nodes, target);
-
-    // Construction order: descending source degree with random jitter.
-    std::vector<int> order(num_source_nodes);
-    std::iota(order.begin(), order.end(), 0);
-    rng.Shuffle(order);
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-      return source_adj[a].size() > source_adj[b].size();
-    });
-
-    bool feasible = true;
-    for (int node : order) {
-      if (!RouteNode(attempt, node, source_adj, options.alpha, rng)) {
-        feasible = false;
-        break;
-      }
-    }
-    // Improvement passes: re-route only the nodes whose chains touch
-    // overused qubits (plus their source neighbours, to open up space).
-    // The best configuration seen is kept; the random exploration can
-    // transiently worsen things.
-    std::vector<std::vector<int>> best_chains = attempt.chains;
-    int best_overused = attempt.OverusedQubits();
-    for (int pass = 0; feasible && pass < options.max_passes; ++pass) {
-      const int overused_now = attempt.OverusedQubits();
-      if (overused_now < best_overused) {
-        best_overused = overused_now;
-        best_chains = attempt.chains;
-      }
-      if (options.verbose) {
-        int used = 0;
-        for (const auto& chain : attempt.chains) {
-          used += static_cast<int>(chain.size());
-        }
-        std::fprintf(stderr,
-                     "[embed] attempt %d pass %d: overused=%d used=%d\n",
-                     attempt_index, pass, attempt.OverusedQubits(), used);
-      }
-      if (attempt.OverusedQubits() == 0) break;
-      std::vector<bool> needs_reroute(num_source_nodes, false);
-      for (int node = 0; node < num_source_nodes; ++node) {
-        for (int q : attempt.chains[node]) {
-          if (attempt.usage[q] > 1) {
-            needs_reroute[node] = true;
-            for (int nb : source_adj[node]) needs_reroute[nb] = true;
-            break;
-          }
-        }
-      }
-      // Every fourth pass re-packs the full embedding; in between only the
-      // conflicted neighbourhood is re-routed (cheaper, and the jittered
-      // costs keep exploring new configurations).
-      const bool full_pass = pass % 4 == 3;
-      rng.Shuffle(order);
-      // Escalate the overuse penalty across passes so persistent
-      // contention is eventually forced out (CMR-style annealed weights).
-      const double alpha_pass =
-          options.alpha * std::pow(1.5, std::min(pass, 12));
-      for (int node : order) {
-        if (!full_pass && !needs_reroute[node]) continue;
-        if (!RouteNode(attempt, node, source_adj, alpha_pass, rng,
-                       /*hard=*/false, /*capped=*/pass % 2 == 0)) {
-          feasible = false;
-          break;
-        }
-      }
-    }
-    // Restore the least-conflicted configuration before the final phase.
-    if (feasible && attempt.OverusedQubits() > best_overused) {
-      for (int node = 0; node < num_source_nodes; ++node) {
-        attempt.AssignChain(node, best_chains[node]);
-      }
-    }
-
-    // Final conflict resolution: re-route the remaining conflicted nodes
-    // with occupied qubits forbidden outright. Each successful hard
-    // re-route removes that node's overlaps without creating new ones, so
-    // several shuffled rounds suffice whenever the hardware has room.
-    for (int round = 0; feasible && round < 10; ++round) {
-      const int overused_now = attempt.OverusedQubits();
-      if (overused_now == 0) break;
-      if (overused_now < best_overused) {
-        best_overused = overused_now;
-        best_chains = attempt.chains;
-      } else if (overused_now > best_overused) {
-        for (int node = 0; node < num_source_nodes; ++node) {
-          attempt.AssignChain(node, best_chains[node]);
-        }
-      }
-      std::vector<int> conflicted;
-      for (int node = 0; node < num_source_nodes; ++node) {
-        for (int q : attempt.chains[node]) {
-          if (attempt.usage[q] > 1) {
-            conflicted.push_back(node);
-            break;
-          }
-        }
-      }
-      rng.Shuffle(conflicted);
-      int hard_failures = 0;
-      for (int node : conflicted) {
-        if (!RouteNode(attempt, node, source_adj, options.alpha, rng,
-                       /*hard=*/true)) {
-          ++hard_failures;
-          // No free-qubit route exists; fall back to a soft re-route so
-          // the chain at least stays valid for the next round.
-          if (!RouteNode(attempt, node, source_adj, options.alpha, rng)) {
-            feasible = false;
-            break;
-          }
-        }
-      }
-      if (options.verbose) {
-        std::fprintf(stderr,
-                     "[embed] attempt %d hard round %d: overused=%d "
-                     "(conflicted=%zu, hard failures=%d)\n",
-                     attempt_index, round, attempt.OverusedQubits(),
-                     conflicted.size(), hard_failures);
-      }
-    }
-    if (!feasible || attempt.OverusedQubits() != 0) continue;
-
-    PruneChains(attempt, source_adj);
-    Embedding candidate;
-    candidate.chains = attempt.chains;
-    if (!VerifyEmbedding(source_edges, num_source_nodes, target, candidate)) {
-      continue;
-    }
-    if (!found ||
-        candidate.NumPhysicalQubits() < best.NumPhysicalQubits()) {
-      best = std::move(candidate);
-      found = true;
+  // Every try forks its own stream off one base fork, so try t computes
+  // the same chains whichever thread runs it, and the caller's stream
+  // advances by one Fork() whatever `tries` and the pool are.
+  const Rng base = rng.Fork();
+  std::vector<std::optional<Embedding>> results(std::max(options.tries, 0));
+  ParallelFor(pool, 0, static_cast<int64_t>(results.size()), [&](int64_t t) {
+    results[t] = RunTry(source_edges, source_adj, target, options,
+                        static_cast<int>(t), base.Fork(t));
+  });
+  // Fewest physical qubits wins; ties go to the lowest try index.
+  int best = -1;
+  for (int t = 0; t < static_cast<int>(results.size()); ++t) {
+    if (results[t].has_value() &&
+        (best < 0 || results[t]->NumPhysicalQubits() <
+                         results[best]->NumPhysicalQubits())) {
+      best = t;
     }
   }
-  if (!found) return Status::NotFound("no valid embedding found");
-  return best;
+  if (best < 0) return Status::NotFound("no valid embedding found");
+  return std::move(*results[best]);
 }
 
 bool VerifyEmbedding(const std::vector<std::pair<int, int>>& source_edges,

@@ -9,6 +9,8 @@
 
 namespace qjo {
 
+class ThreadPool;
+
 /// A minor embedding: each logical (source) node is represented by a chain
 /// of physical qubits. Valid embeddings have non-empty, pairwise-disjoint,
 /// connected chains, and every source edge is representable by at least one
@@ -26,7 +28,11 @@ struct Embedding {
 /// Options for the heuristic embedder (a Cai-Macready-Roy-style algorithm,
 /// standing in for D-Wave's minorminer).
 struct EmbeddingOptions {
-  /// Independent randomised attempts; the smallest valid embedding wins.
+  /// Independent randomised tries. Try t draws from its own stream
+  /// (`rng.Fork().Fork(t)`), so tries can run in parallel; the valid
+  /// embedding with the fewest physical qubits wins, ties going to the
+  /// lowest t. The first k tries therefore compute the same chains at
+  /// every value of `tries` >= k.
   int tries = 5;
   /// Improvement passes per attempt after the initial construction.
   int max_passes = 40;
@@ -38,10 +44,13 @@ struct EmbeddingOptions {
 
 /// Finds a minor embedding of the source graph (given as an edge list over
 /// `num_source_nodes` nodes) into `target`. Returns NotFound if no valid
-/// embedding was found within the configured tries.
+/// embedding was found within the configured tries. The tries run on
+/// `pool` (null = serial); the result is the same at every pool size, and
+/// `rng` advances by exactly one Fork() whatever the tries do.
 StatusOr<Embedding> FindMinorEmbedding(
     const std::vector<std::pair<int, int>>& source_edges, int num_source_nodes,
-    const CouplingGraph& target, const EmbeddingOptions& options, Rng& rng);
+    const CouplingGraph& target, const EmbeddingOptions& options, Rng& rng,
+    ThreadPool* pool = nullptr);
 
 /// Validates chain disjointness, connectivity, and edge representability.
 bool VerifyEmbedding(const std::vector<std::pair<int, int>>& source_edges,

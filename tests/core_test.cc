@@ -283,6 +283,44 @@ TEST(AnnealerBackendTest, AnnealsOnlyChainQubits) {
                 physical_qubits);
 }
 
+// Embedding tries and SQA reads both run on the request's pool; neither
+// may let the pool size reach the report.
+TEST(AnnealerBackendTest, IdenticalAtEveryPoolSize) {
+  const Query q = MakePaperInstance(2);
+  QjoConfig config;
+  config.backend = QjoBackend::kQuantumAnnealerSim;
+  config.num_thresholds = 1;
+  config.omega = 3.0;
+  config.sqa.num_reads = 16;
+  config.sqa.annealing_time_us = 10.0;
+  config.embedding.tries = 8;
+  config.embedding.max_passes = 10;
+  config.seed = 5;
+  auto serial = OptimizeJoinOrder(q, config);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_GT(serial->anneal.physical_qubits, 0);
+  for (int threads : {1, 2, 4, 8}) {
+    ThreadPool pool(threads);
+    QjoConfig pooled_config = config;
+    pooled_config.run.pool = &pool;
+    auto pooled = OptimizeJoinOrder(q, pooled_config);
+    ASSERT_TRUE(pooled.ok()) << "threads=" << threads;
+    EXPECT_EQ(pooled->best_cost, serial->best_cost) << "threads=" << threads;
+    EXPECT_EQ(pooled->best_order, serial->best_order) << "threads=" << threads;
+    EXPECT_EQ(pooled->stats.total, serial->stats.total);
+    EXPECT_EQ(pooled->stats.valid, serial->stats.valid);
+    EXPECT_EQ(pooled->stats.optimal, serial->stats.optimal);
+    EXPECT_EQ(pooled->stats.bilp_feasible, serial->stats.bilp_feasible);
+    EXPECT_EQ(pooled->stats.best_cost, serial->stats.best_cost);
+    EXPECT_EQ(pooled->anneal.physical_qubits, serial->anneal.physical_qubits);
+    EXPECT_EQ(pooled->anneal.max_chain_length,
+              serial->anneal.max_chain_length);
+    EXPECT_EQ(pooled->anneal.chain_strength, serial->anneal.chain_strength);
+    EXPECT_EQ(pooled->anneal.mean_chain_break_fraction,
+              serial->anneal.mean_chain_break_fraction);
+  }
+}
+
 TEST(BatchTest, MatchesSingleQueryRunsExactly) {
   // Batch slot i must be bit-identical to OptimizeJoinOrder(queries[i]):
   // sharing one pool across queries and read loops never changes results.

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "core/qubo_cache.h"
 #include "embedding/embedded_qubo.h"
 #include "embedding/minor_embedding.h"
+#include "jo/query_generator.h"
 #include "topology/coupling_graph.h"
 #include "topology/vendor_topologies.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace qjo {
 namespace {
@@ -105,6 +108,99 @@ TEST(MinorEmbeddingTest, DeterministicUnderSeed) {
   ASSERT_TRUE(e1.ok());
   ASSERT_TRUE(e2.ok());
   EXPECT_EQ(e1->chains, e2->chains);
+}
+
+// A node with no embedded neighbours is placed on the cheapest qubit.
+// When every qubit is blocked (hard mode on a full target) there is none:
+// the route must fail instead of assigning qubit -1. K3 needs all four
+// qubits of a 2x2 grid, so the isolated fourth node finds it full.
+TEST(MinorEmbeddingTest, FullTargetLeavesNoQubitForIsolatedNode) {
+  const CouplingGraph target = MakeGridGraph(2, 2);
+  const auto k3 = CompleteEdges(3);
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    auto embedding =
+        FindMinorEmbedding(k3, 4, target, EmbeddingOptions{}, rng);
+    ASSERT_FALSE(embedding.ok()) << "seed=" << seed;
+    EXPECT_EQ(embedding.status().code(), StatusCode::kNotFound);
+  }
+}
+
+/// Source graph of a served-size JO QUBO: 3 relations, omega 3, one
+/// threshold (22-27 logical qubits).
+std::vector<std::pair<int, int>> JoQuboEdges(QueryGraphType shape,
+                                             uint64_t seed, int* num_nodes) {
+  Rng rng(seed);
+  QueryGenOptions query_options;
+  query_options.num_relations = 3;
+  query_options.graph_type = shape;
+  auto query = GenerateQuery(query_options, rng);
+  EXPECT_TRUE(query.ok());
+  JoEncodingOptions encoding_options;
+  encoding_options.num_thresholds = 1;
+  encoding_options.omega = 3.0;
+  auto encoding = BuildJoQuboEncoding(*query, encoding_options);
+  EXPECT_TRUE(encoding.ok());
+  *num_nodes = (*encoding)->encoding.qubo.num_variables();
+  return (*encoding)->encoding.qubo.Edges();
+}
+
+EmbeddingOptions ServedOptions() {
+  EmbeddingOptions options;
+  options.tries = 8;
+  options.max_passes = 10;
+  return options;
+}
+
+TEST(MinorEmbeddingTest, IdenticalAtEveryPoolSize) {
+  auto target = MakePegasus(6);
+  ASSERT_TRUE(target.ok());
+  for (QueryGraphType shape : {QueryGraphType::kStar, QueryGraphType::kCycle}) {
+    int num_nodes = 0;
+    const auto edges = JoQuboEdges(shape, 7, &num_nodes);
+    Rng serial_rng(13);
+    auto serial =
+        FindMinorEmbedding(edges, num_nodes, *target, ServedOptions(),
+                           serial_rng, /*pool=*/nullptr);
+    ASSERT_TRUE(serial.ok());
+    const uint64_t serial_next = serial_rng.Next();
+    for (int threads : {1, 2, 4, 8}) {
+      ThreadPool pool(threads);
+      Rng rng(13);
+      auto pooled = FindMinorEmbedding(edges, num_nodes, *target,
+                                       ServedOptions(), rng, &pool);
+      ASSERT_TRUE(pooled.ok()) << "threads=" << threads;
+      EXPECT_EQ(pooled->chains, serial->chains) << "threads=" << threads;
+      // The caller's stream advances the same way too.
+      EXPECT_EQ(rng.Next(), serial_next) << "threads=" << threads;
+    }
+  }
+}
+
+// Try t runs on its own fork of one base stream, so the first four tries
+// of an 8-try run are the 4-try run: more tries can only find a smaller
+// embedding.
+TEST(MinorEmbeddingTest, MoreTriesNeverUseMoreQubits) {
+  auto target = MakePegasus(6);
+  ASSERT_TRUE(target.ok());
+  ThreadPool pool(2);
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    int num_nodes = 0;
+    const auto edges = JoQuboEdges(QueryGraphType::kCycle, seed, &num_nodes);
+    EmbeddingOptions four = ServedOptions();
+    four.tries = 4;
+    Rng rng_four(seed), rng_eight(seed);
+    auto with_four =
+        FindMinorEmbedding(edges, num_nodes, *target, four, rng_four, &pool);
+    auto with_eight = FindMinorEmbedding(edges, num_nodes, *target,
+                                         ServedOptions(), rng_eight, &pool);
+    ASSERT_TRUE(with_eight.ok()) << "seed=" << seed;
+    if (with_four.ok()) {
+      EXPECT_LE(with_eight->NumPhysicalQubits(),
+                with_four->NumPhysicalQubits())
+          << "seed=" << seed;
+    }
+  }
 }
 
 /// Fixture: a triangle QUBO embedded into a grid.
