@@ -6,12 +6,15 @@
 // sampling bottleneck).
 //
 // On top of the google-benchmark registrations, a hand-rolled kernel
-// suite times the reference/incremental/batched annealing kernels and
-// the serial-vs-pooled 2^n simulator loops and writes the numbers to
+// suite times the production annealing kernels (batched SA and SQA,
+// incremental tabu) against the scalar reference loops of
+// qubo/solvers_reference.h and sim/sqa_reference.h ("reference" = the
+// O(degree) scan, "incremental" = scalar persistent local fields), and
+// the serial-vs-pooled 2^n simulator loops, and writes the numbers to
 // BENCH_kernels.json (machine-readable evidence for the kernel rework).
-// The suite exits nonzero when a batched kernel breaks its bit-identity
-// contract against the incremental one, so the ctest smoke doubles as a
-// correctness gate. Run with --kernels_only to skip the google-benchmark
+// The suite exits nonzero when a production kernel breaks its
+// bit-identity contract against the scalar local-field reference, so the
+// ctest smoke doubles as a correctness gate. Run with --kernels_only to skip the google-benchmark
 // part; set QJO_KERNEL_BENCH_FAST=1 for the quick ctest smoke
 // configuration and QJO_BENCH_KERNELS_JSON to redirect the output file.
 
@@ -27,15 +30,20 @@
 
 #include "bench/bench_common.h"
 #include "circuit/qaoa_builder.h"
+#include "core/portfolio.h"
 #include "core/quantum_optimizer.h"
+#include "core/qubo_cache.h"
 #include "obs/obs.h"
+#include "embedding/embedded_qubo.h"
 #include "embedding/minor_embedding.h"
 #include "jo/query_generator.h"
 #include "qubo/ising.h"
 #include "qubo/qubo.h"
 #include "qubo/solvers.h"
+#include "qubo/solvers_reference.h"
 #include "sim/qaoa_simulator.h"
 #include "sim/sqa.h"
+#include "sim/sqa_reference.h"
 #include "topology/vendor_topologies.h"
 #include "transpiler/transpiler.h"
 #include "util/random.h"
@@ -283,6 +291,21 @@ double BestSeconds(Fn&& fn, int repeats) {
 
 using bench::Metric;
 
+/// The suite's correctness gate: production SQA samples must equal the
+/// scalar local-field reference's bit for bit.
+bool SqaBitIdentical(const std::vector<SqaSample>& incremental,
+                     const std::vector<SqaSample>& batched) {
+  for (size_t i = 0; i < incremental.size(); ++i) {
+    if (batched[i].energy != incremental[i].energy ||
+        batched[i].spins != incremental[i].spins) {
+      std::cerr << "kernel bench suite: batched SQA samples are not "
+                   "bit-identical to the incremental kernel\n";
+      return false;
+    }
+  }
+  return batched.size() == incremental.size();
+}
+
 int RunKernelBenchSuite() {
   const bool fast = std::getenv("QJO_KERNEL_BENCH_FAST") != nullptr;
   int parallelism = static_cast<int>(std::thread::hardware_concurrency());
@@ -301,10 +324,11 @@ int RunKernelBenchSuite() {
   double sink = 0.0;  // keeps the timed work observable
 
   // SA proposals/sec on a fully dense QUBO: the O(degree) reference scan
-  // vs incremental local fields vs the SoA replica-batched SIMD kernel.
-  // The batched numbers only count if the kernel honours its contract, so
-  // the suite first checks its reads bit-identical to the incremental
-  // ones and fails (nonzero exit) on any mismatch.
+  // vs scalar incremental local fields (both from qubo/solvers_reference.h)
+  // vs the production SoA replica-batched SIMD kernel. The batched numbers
+  // only count if the kernel honours its contract, so the suite first
+  // checks its reads bit-identical to the incremental ones and fails
+  // (nonzero exit) on any mismatch.
   {
     const int n = 128;
     const int reads = fast ? 4 : 16;
@@ -313,17 +337,20 @@ int RunKernelBenchSuite() {
     qubo.Csr();  // build the CSR outside the timed region
     const double proposals =
         static_cast<double>(reads) * sweeps * n;
-    const auto solve = [&](SolverKernel kernel) {
-      SaOptions options;
-      options.num_reads = reads;
-      options.sweeps_per_read = sweeps;
-      options.kernel = kernel;
+    SaOptions options;
+    options.num_reads = reads;
+    options.sweeps_per_read = sweeps;
+    const auto solve_reference = [&](ReferenceDelta delta) {
+      Rng rng(33);
+      return SolveQuboSimulatedAnnealingReference(qubo, options, rng, delta);
+    };
+    const auto solve_batched = [&] {
       Rng rng(33);
       return SolveQuboSimulatedAnnealing(qubo, options, rng);
     };
     {
-      const auto incremental = solve(SolverKernel::kIncremental);
-      const auto batched = solve(SolverKernel::kBatched);
+      const auto incremental = solve_reference(ReferenceDelta::kLocalFields);
+      const auto batched = solve_batched();
       for (size_t i = 0; i < incremental.size(); ++i) {
         if (batched[i].energy != incremental[i].energy ||
             batched[i].assignment != incremental[i].assignment) {
@@ -333,13 +360,14 @@ int RunKernelBenchSuite() {
         }
       }
     }
-    const auto time_kernel = [&](SolverKernel kernel) {
-      return BestSeconds([&] { sink += solve(kernel).front().energy; },
-                         repeats);
+    const auto time_reference = [&](ReferenceDelta delta) {
+      return BestSeconds(
+          [&] { sink += solve_reference(delta).front().energy; }, repeats);
     };
-    const double t_ref = time_kernel(SolverKernel::kReference);
-    const double t_inc = time_kernel(SolverKernel::kIncremental);
-    const double t_bat = time_kernel(SolverKernel::kBatched);
+    const double t_ref = time_reference(ReferenceDelta::kScan);
+    const double t_inc = time_reference(ReferenceDelta::kLocalFields);
+    const double t_bat = BestSeconds(
+        [&] { sink += solve_batched().front().energy; }, repeats);
     metrics.push_back({"sa_dense_n", static_cast<double>(n)});
     metrics.push_back({"sa_proposals_per_sec_reference", proposals / t_ref});
     metrics.push_back({"sa_proposals_per_sec_incremental", proposals / t_inc});
@@ -350,8 +378,9 @@ int RunKernelBenchSuite() {
     metrics.push_back({"sa_batched_speedup", t_inc / t_bat});
   }
 
-  // Tabu move rate under the same comparison (each move re-reads all n
-  // deltas; the incremental kernel serves them from the field cache).
+  // Tabu move rate, the scanning reference vs the production incremental
+  // kernel (each move re-reads all n deltas; production serves them from
+  // the field cache).
   {
     const int n = 128;
     const int restarts = fast ? 2 : 6;
@@ -359,27 +388,30 @@ int RunKernelBenchSuite() {
     const Qubo qubo = MakeRandomQubo(n, 1.0, 37);
     qubo.Csr();
     const double moves = static_cast<double>(restarts) * iterations;
-    const auto time_kernel = [&](SolverKernel kernel) {
-      return BestSeconds(
-          [&] {
-            TabuOptions options;
-            options.num_restarts = restarts;
-            options.iterations_per_restart = iterations;
-            options.kernel = kernel;
-            Rng rng(41);
-            sink += SolveQuboTabuSearch(qubo, options, rng).front().energy;
-          },
-          repeats);
-    };
-    const double t_ref = time_kernel(SolverKernel::kReference);
-    const double t_inc = time_kernel(SolverKernel::kIncremental);
+    TabuOptions options;
+    options.num_restarts = restarts;
+    options.iterations_per_restart = iterations;
+    const double t_ref = BestSeconds(
+        [&] {
+          Rng rng(41);
+          sink += SolveQuboTabuSearchReference(qubo, options, rng)
+                      .front()
+                      .energy;
+        },
+        repeats);
+    const double t_inc = BestSeconds(
+        [&] {
+          Rng rng(41);
+          sink += SolveQuboTabuSearch(qubo, options, rng).front().energy;
+        },
+        repeats);
     metrics.push_back({"tabu_moves_per_sec_reference", moves / t_ref});
     metrics.push_back({"tabu_moves_per_sec_incremental", moves / t_inc});
     metrics.push_back({"tabu_incremental_speedup", t_ref / t_inc});
   }
 
-  // SQA per-slice spin updates/sec across the three kernels, with the
-  // same bit-identity gate on the batched one.
+  // SQA per-slice spin updates/sec: the two scalar reference loops vs the
+  // production batched kernel, with the same bit-identity gate on it.
   {
     const int n = 96;
     const IsingModel ising = QuboToIsing(MakeRandomQubo(n, 0.5, 43));
@@ -393,37 +425,125 @@ int RunKernelBenchSuite() {
         8, static_cast<int>(base.annealing_time_us * base.sweeps_per_us));
     const double updates = static_cast<double>(base.num_reads) * sweeps *
                            base.trotter_slices * n;
-    const auto solve = [&](SolverKernel kernel) {
-      SqaOptions options = base;
-      options.kernel = kernel;
+    const auto solve_reference = [&](ReferenceDelta delta) {
       Rng rng(47);
-      return RunSqa(ising, options, rng);
+      return RunSqaReference(ising, base, rng, delta);
     };
-    {
-      const auto incremental = solve(SolverKernel::kIncremental);
-      const auto batched = solve(SolverKernel::kBatched);
-      for (size_t i = 0; i < incremental->size(); ++i) {
-        if ((*batched)[i].energy != (*incremental)[i].energy ||
-            (*batched)[i].spins != (*incremental)[i].spins) {
-          std::cerr << "kernel bench suite: batched SQA samples are not "
-                       "bit-identical to the incremental kernel\n";
-          return 1;
-        }
-      }
+    const auto solve_batched = [&] {
+      Rng rng(47);
+      return RunSqa(ising, base, rng);
+    };
+    if (!SqaBitIdentical(*solve_reference(ReferenceDelta::kLocalFields),
+                         *solve_batched())) {
+      return 1;
     }
-    const auto time_kernel = [&](SolverKernel kernel) {
-      return BestSeconds([&] { sink += solve(kernel)->front().energy; },
-                         repeats);
+    const auto time_reference = [&](ReferenceDelta delta) {
+      return BestSeconds(
+          [&] { sink += solve_reference(delta)->front().energy; }, repeats);
     };
-    const double t_ref = time_kernel(SolverKernel::kReference);
-    const double t_inc = time_kernel(SolverKernel::kIncremental);
-    const double t_bat = time_kernel(SolverKernel::kBatched);
+    const double t_ref = time_reference(ReferenceDelta::kScan);
+    const double t_inc = time_reference(ReferenceDelta::kLocalFields);
+    const double t_bat = BestSeconds(
+        [&] { sink += solve_batched()->front().energy; }, repeats);
     metrics.push_back({"sqa_spin_updates_per_sec_reference", updates / t_ref});
     metrics.push_back(
         {"sqa_spin_updates_per_sec_incremental", updates / t_inc});
     metrics.push_back({"sqa_batched_spin_updates_per_sec", updates / t_bat});
     metrics.push_back({"sqa_incremental_speedup", t_ref / t_inc});
     metrics.push_back({"sqa_batched_speedup", t_inc / t_bat});
+  }
+
+  // SQA on the two model shapes served traffic feeds it, production
+  // batched vs the scalar local-field reference (same gate):
+  //  - "sqa_embedded_p6": the Pegasus P6 physical model of a
+  //    paper_backends annealer request (3-relation star, omega 3, one
+  //    threshold) at that workload's schedule: 64 reads of 10 us at the
+  //    pipeline's SqaOptions (ICE sigma 0.015);
+  //  - "sqa_portfolio_r<k>": the logical JO QUBO of a portfolio_closed
+  //    request (k = 4 and 6 relations, omega 1) at the portfolio SQA
+  //    strand's per-round settings: 4 reads of 64 sweeps.
+  {
+    struct SqaCase {
+      std::string name;
+      IsingModel ising;
+      SqaOptions options;
+    };
+    std::vector<SqaCase> cases;
+    const auto encode = [](int relations, QueryGraphType shape, double omega,
+                           uint64_t seed) {
+      QueryGenOptions query_options;
+      query_options.num_relations = relations;
+      query_options.graph_type = shape;
+      Rng rng(seed);
+      JoEncodingOptions options;
+      options.omega = omega;
+      return BuildJoQuboEncoding(GenerateQuery(query_options, rng).value(),
+                                 options)
+          .value();
+    };
+    {
+      const auto entry = encode(3, QueryGraphType::kStar, 3.0, 71);
+      const Qubo& logical = entry->encoding.qubo;
+      const CouplingGraph p6 = MakePegasus(6).value();
+      QjoConfig config;
+      config.embedding.tries = 8;
+      config.embedding.max_passes = 10;
+      Rng rng(73);
+      const Embedding embedding =
+          FindMinorEmbedding(logical.Edges(), logical.num_variables(), p6,
+                             config.embedding, rng)
+              .value();
+      const EmbeddedQubo embedded =
+          EmbedQubo(logical, embedding, p6, config.embed_qubo).value();
+      SqaOptions options = config.sqa;
+      options.num_reads = fast ? 16 : 64;
+      options.annealing_time_us = 10.0;
+      cases.push_back({"sqa_embedded_p6", QuboToIsing(embedded.physical),
+                       options});
+    }
+    for (int relations : {4, 6}) {
+      const auto entry = encode(relations, QueryGraphType::kChain, 1.0,
+                                static_cast<uint64_t>(80 + relations));
+      const PortfolioOptions race;
+      SqaOptions options = race.sqa;
+      options.num_reads = race.reads_per_round;
+      options.annealing_time_us = race.sweeps_per_round;
+      options.sweeps_per_us = 1.0;
+      cases.push_back({"sqa_portfolio_r" + std::to_string(relations),
+                       QuboToIsing(entry->encoding.qubo), options});
+    }
+    for (const SqaCase& c : cases) {
+      const auto solve_reference = [&] {
+        Rng rng(79);
+        return RunSqaReference(c.ising, c.options, rng,
+                               ReferenceDelta::kLocalFields);
+      };
+      const auto solve_batched = [&] {
+        Rng rng(79);
+        return RunSqa(c.ising, c.options, rng);
+      };
+      if (!SqaBitIdentical(*solve_reference(), *solve_batched())) return 1;
+      const int sweeps = std::max(
+          8, static_cast<int>(c.options.annealing_time_us *
+                              c.options.sweeps_per_us));
+      const double updates = static_cast<double>(c.options.num_reads) *
+                             sweeps * c.options.trotter_slices *
+                             c.ising.num_spins();
+      // The portfolio round is ~1 ms; best-of-9 keeps one preempted
+      // repeat from deciding the ratio.
+      const int case_repeats = fast ? 3 : 9;
+      const double t_inc = BestSeconds(
+          [&] { sink += solve_reference()->front().energy; }, case_repeats);
+      const double t_bat = BestSeconds(
+          [&] { sink += solve_batched()->front().energy; }, case_repeats);
+      metrics.push_back(
+          {c.name + "_spins", static_cast<double>(c.ising.num_spins())});
+      metrics.push_back(
+          {c.name + "_spin_updates_per_sec_incremental", updates / t_inc});
+      metrics.push_back(
+          {c.name + "_spin_updates_per_sec_batched", updates / t_bat});
+      metrics.push_back({c.name + "_batched_speedup", t_inc / t_bat});
+    }
   }
 
   // QAOA 2^n loops, serial vs pooled, at the paper-scale qubit count.

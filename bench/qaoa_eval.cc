@@ -2,9 +2,9 @@
 // artifact of the simulator fast-path rework (BENCH_qaoa.json):
 //
 //  - mixer amplitude updates/sec, fused cache-blocked kernel vs the
-//    per-qubit reference sweeps;
+//    per-qubit reference sweeps (sim/qaoa_reference.h);
 //  - angle-grid evaluations/sec, batched fused EvaluateBatch vs serial
-//    reference Run calls, on the depth-3 gamma x beta sweep the
+//    RunQaoaReference calls, on the depth-3 gamma x beta sweep the
 //    optimiser's grid refinement performs at paper scale (20 qubits);
 //  - the spectrum the pipeline serves: a JO encoding's palette size,
 //    QaoaSimulator::Create time and first Run time (which builds the
@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <complex>
 #include <cstdlib>
 #include <iostream>
 #include <optional>
@@ -35,8 +36,8 @@
 #include "jo/query_generator.h"
 #include "qubo/ising.h"
 #include "qubo/qubo.h"
+#include "sim/qaoa_reference.h"
 #include "sim/qaoa_simulator.h"
-#include "sim/sim_kernel.h"
 #include "util/random.h"
 #include "util/simd.h"
 #include "util/stats.h"
@@ -140,12 +141,11 @@ int RunQaoaEvalBench() {
       params.gammas.push_back(0.25 + 0.1 * rep);
       params.betas.push_back(0.85 - 0.15 * rep);
     }
-    auto reference = QaoaSimulator::Create(ising);
-    const double ef = sim->Run(params, SimKernel::kFused);
-    const double er = reference->Run(params, SimKernel::kReference);
+    std::vector<std::complex<float>> ar;
+    const double ef = sim->Run(params);
+    const double er = RunQaoaReference(sim->cost_spectrum(), params, ar);
     if (ef != er) identical = false;
     const auto& af = sim->amplitudes();
-    const auto& ar = reference->amplitudes();
     for (uint64_t i = 0; i < size; ++i) {
       if (af[i] != ar[i]) {
         identical = false;
@@ -162,18 +162,23 @@ int RunQaoaEvalBench() {
     const int layers = fast ? 4 : 8;
     const double updates =
         static_cast<double>(layers) * nq * static_cast<double>(size);
-    const auto time_kernel = [&](SimKernel kernel) {
-      return BestSeconds(
-          [&] {
-            for (int l = 0; l < layers; ++l) {
-              sim->ApplyMixerLayer(0.3 + 0.01 * l, kernel);
-            }
-            sink += sim->Probability(0);
-          },
-          repeats);
-    };
-    const double t_ref = time_kernel(SimKernel::kReference);
-    const double t_fused = time_kernel(SimKernel::kFused);
+    std::vector<std::complex<float>> reference_state = sim->amplitudes();
+    const double t_ref = BestSeconds(
+        [&] {
+          for (int l = 0; l < layers; ++l) {
+            ApplyQaoaMixerReference(0.3 + 0.01 * l, reference_state);
+          }
+          sink += std::norm(reference_state[0]);
+        },
+        repeats);
+    const double t_fused = BestSeconds(
+        [&] {
+          for (int l = 0; l < layers; ++l) {
+            sim->ApplyMixerLayer(0.3 + 0.01 * l);
+          }
+          sink += sim->Probability(0);
+        },
+        repeats);
     metrics.push_back({"mixer_amps_per_sec_reference", updates / t_ref});
     metrics.push_back({"mixer_amps_per_sec_fused", updates / t_fused});
     metrics.push_back({"mixer_fused_speedup", t_ref / t_fused});
@@ -202,7 +207,7 @@ int RunQaoaEvalBench() {
     }
     auto tier_sim = QaoaSimulator::Create(ising);
     SetSimd(SimdIsa::kScalar);
-    const double scalar_energy = tier_sim->Run(params, SimKernel::kFused);
+    const double scalar_energy = tier_sim->Run(params);
     const auto scalar_amps = tier_sim->amplitudes();  // copied baseline
 
     const int layers = fast ? 4 : 8;
@@ -211,7 +216,7 @@ int RunQaoaEvalBench() {
     for (const SimdIsa isa : tiers) {
       SetSimd(isa);
       if (isa != SimdIsa::kScalar) {
-        const double e = tier_sim->Run(params, SimKernel::kFused);
+        const double e = tier_sim->Run(params);
         if (e != scalar_energy) identical = false;
         const auto& amps = tier_sim->amplitudes();
         for (uint64_t i = 0; i < size; ++i) {
@@ -224,7 +229,7 @@ int RunQaoaEvalBench() {
       const double t_tier = BestSeconds(
           [&] {
             for (int l = 0; l < layers; ++l) {
-              sim->ApplyMixerLayer(0.3 + 0.01 * l, SimKernel::kFused);
+              sim->ApplyMixerLayer(0.3 + 0.01 * l);
             }
             sink += sim->Probability(0);
           },
@@ -256,11 +261,14 @@ int RunQaoaEvalBench() {
     const double evals = static_cast<double>(grid.size());
     metrics.push_back({"grid_points", evals});
 
+    const std::vector<float> spectrum = sim->cost_spectrum();
+    std::vector<std::complex<float>> reference_state;
     std::vector<double> serial_energies(grid.size());
     const double t_serial = BestSeconds(
         [&] {
           for (size_t i = 0; i < grid.size(); ++i) {
-            serial_energies[i] = sim->Run(grid[i], SimKernel::kReference);
+            serial_energies[i] =
+                RunQaoaReference(spectrum, grid[i], reference_state);
           }
         },
         fast ? 1 : 2);
@@ -317,10 +325,11 @@ int RunQaoaEvalBench() {
       first_run_ms.push_back(MsSince(t1));
       levels = jo_sim->num_levels();
     }
-    auto reference = QaoaSimulator::Create(*ising);
-    const double er = reference->Run(params, SimKernel::kReference);
-    const bool jo_identical = jo_sim->Run(params) == er &&
-                              jo_sim->amplitudes() == reference->amplitudes();
+    std::vector<std::complex<float>> reference;
+    const double er =
+        RunQaoaReference(jo_sim->cost_spectrum(), params, reference);
+    const bool jo_identical =
+        jo_sim->Run(params) == er && jo_sim->amplitudes() == reference;
     if (!jo_identical) identical = false;
     metrics.push_back({"jo_qubits", static_cast<double>(ising->num_spins())});
     metrics.push_back({"jo_spectrum_levels", static_cast<double>(levels)});

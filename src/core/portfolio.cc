@@ -147,16 +147,22 @@ void RunTabuStrand(const StrandRunEnv& env, Rng& rng) {
   }
 }
 
-void RunSqaStrand(const StrandRunEnv& env, Rng& rng) {
-  const PortfolioOptions& options = *env.options;
-  const IsingModel ising = QuboToIsing(*env.qubo);
+/// The SQA strand's per-round options: the template with the race's
+/// round size. ValidatePortfolioOptions checks exactly these.
+SqaOptions SqaStrandOptions(const PortfolioOptions& options) {
   SqaOptions sqa = options.sqa;
   sqa.num_reads = options.reads_per_round;
   // One Monte-Carlo sweep per "microsecond" maps the round budget
   // directly onto SQA sweeps (RunSqa clamps to at least 8).
   sqa.annealing_time_us = options.sweeps_per_round;
   sqa.sweeps_per_us = 1.0;
-  sqa.kernel = SolverKernel::kBatched;
+  return sqa;
+}
+
+void RunSqaStrand(const StrandRunEnv& env, Rng& rng) {
+  const PortfolioOptions& options = *env.options;
+  const IsingModel ising = QuboToIsing(*env.qubo);
+  SqaOptions sqa = SqaStrandOptions(options);
   sqa.control = StrandControl(env);
   const int64_t sqa_round_sweeps =
       static_cast<int64_t>(options.reads_per_round) *
@@ -341,6 +347,9 @@ Status ValidatePortfolioOptions(const PortfolioOptions& options,
   if (options.reads_per_round <= 0 || options.sweeps_per_round <= 0) {
     return Status::InvalidArgument("portfolio round sizes must be positive");
   }
+  // Checked here rather than per round: a rejected schedule used to end
+  // the SQA strand silently after zero rounds.
+  QJO_RETURN_IF_ERROR(ValidateSqaOptions(SqaStrandOptions(options)));
   if (options.registry != nullptr && options.registry->size() == 0) {
     return Status::InvalidArgument("portfolio strand registry is empty");
   }

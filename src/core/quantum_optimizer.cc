@@ -304,6 +304,9 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
       break;
     }
     case QjoBackend::kQuantumAnnealerSim: {
+      // RunSqa would reject a bad schedule too, but only after the
+      // embedding has been paid for.
+      QJO_RETURN_IF_ERROR(ValidateSqaOptions(config.sqa));
       const CouplingGraph& topology = config.annealer_topology.has_value()
                                           ? *config.annealer_topology
                                           : DefaultAnnealerTopology();
@@ -331,7 +334,6 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
 
       const IsingModel physical_ising = QuboToIsing(embedded->physical);
       SqaOptions sqa = config.sqa;
-      sqa.kernel = SolverKernel::kBatched;
       sqa.control.pool = config.run.pool;
       sqa.control.stop = config.run.stop;
       sqa.control.trace = config.run.trace;

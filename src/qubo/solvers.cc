@@ -14,7 +14,7 @@
 namespace qjo {
 namespace {
 
-/// Replicas per SoA group of the kBatched kernel: 16 doubles per plane
+/// Replicas per SoA group of the SA kernel: 16 doubles per plane
 /// row is two AVX-512 (four AVX2) vectors, and a 128-variable problem's
 /// field planes stay L1/L2-resident (16 KiB). Groups are carved from the
 /// read index space in fixed chunks, so group membership — and therefore
@@ -41,7 +41,7 @@ void SortByEnergy(std::vector<QuboSolution>& solutions) {
             });
 }
 
-/// One SoA group of the kBatched SA kernel: `lanes` replicas (reads
+/// One SoA group of the SA kernel: `lanes` replicas (reads
 /// first_read .. first_read+lanes-1) anneal in lock step. Each variable i
 /// owns one plane of `lanes` consecutive doubles (fields) / bytes
 /// (state), so an accepted flip of i updates every replica's neighbour
@@ -49,8 +49,9 @@ void SortByEnergy(std::vector<QuboSolution>& solutions) {
 /// first_read+r exactly — same Fork stream, same draw sequence (the
 /// Metropolis filter only skips exp calls, never draws), and the
 /// dir[r]=0 lanes of the vector update add +-0.0, which can never change
-/// a later delta comparison — so results are bit-identical to
-/// kIncremental at any parallelism.
+/// a later delta comparison — so results are bit-identical to the scalar
+/// local-field reads of SolveQuboSimulatedAnnealingReference
+/// (qubo/solvers_reference.h) at any parallelism.
 void RunSaBatchedGroup(const QuboCsr& csr, const SaOptions& options,
                        const SaSchedule& schedule, const Rng& base, int n,
                        int64_t first_read, int lanes,
@@ -99,8 +100,8 @@ void RunSaBatchedGroup(const QuboCsr& csr, const SaOptions& options,
       int num_accepted = 0;
       for (int r = 0; r < lanes; ++r) {
         const double delta = xrow[r] ? -frow[r] : frow[r];
-        // Same accept rule (and same draw count) as the scalar kernel:
-        // one uniform draw per uphill proposal.
+        // Same accept rule (and same draw count) as a scalar read: one
+        // uniform draw per uphill proposal.
         const bool accept =
             delta <= 0.0 || bands.UnderExp(rngs[r].UniformDouble(), -delta);
         if (accept) {
@@ -224,8 +225,6 @@ std::vector<QuboSolution> SolveQuboSimulatedAnnealing(const Qubo& qubo,
   const QuboCsr& csr = qubo.Csr();
   const int n = qubo.num_variables();
   const SaSchedule schedule = ResolveSaSchedule(qubo, options);
-  const bool incremental = options.kernel == SolverKernel::kIncremental;
-
   // One draw from the shared generator keeps successive solver calls on
   // the same Rng independent; every read then forks stream `read` off the
   // resulting snapshot, so the set of reads is bit-identical for every
@@ -234,78 +233,20 @@ std::vector<QuboSolution> SolveQuboSimulatedAnnealing(const Qubo& qubo,
   StageSpan solve_span(control.trace, "sa.solve");
   const Rng base(rng.Next());
   std::vector<QuboSolution> reads(options.num_reads);
-  if (options.kernel == SolverKernel::kBatched) {
-    // SoA replica groups: each task anneals up to kReplicaBatch reads in
-    // lock step. Group boundaries depend only on the read index, so the
-    // result set matches kIncremental bit for bit at any parallelism.
-    const int64_t groups =
-        (options.num_reads + kReplicaBatch - 1) / kReplicaBatch;
-    const auto run_group = [&](int64_t group) {
-      StageSpan group_span(control.trace, "sa.read_batch");
-      const int64_t first_read = group * kReplicaBatch;
-      const int lanes = static_cast<int>(std::min<int64_t>(
-          kReplicaBatch, options.num_reads - first_read));
-      RunSaBatchedGroup(csr, options, schedule, base, n, first_read, lanes,
-                        reads);
-    };
-    ParallelFor(control.pool, 0, groups, run_group);
-    SortByEnergy(reads);
-    return reads;
-  }
-  const auto run_read = [&](int64_t read) {
-    StageSpan read_span(control.trace, "sa.read");
-    Rng read_rng = base.Fork(static_cast<uint64_t>(read));
-    std::vector<int> x(n);
-    for (int i = 0; i < n; ++i) x[i] = read_rng.Bernoulli(0.5) ? 1 : 0;
-    double energy = csr.Energy(x);
-    double temperature = schedule.t_initial;
-    int sweeps_run = 0;
-    uint64_t accepts = 0;
-    if (incremental) {
-      // Persistent local fields: delta_i = +-fields[i] per proposal,
-      // neighbour updates only on accepted flips.
-      std::vector<double> fields = csr.LocalFields(x);
-      for (int sweep = 0; sweep < options.sweeps_per_read; ++sweep) {
-        if (StopRequested(control.stop)) break;
-        ++sweeps_run;
-        for (int i = 0; i < n; ++i) {
-          const double delta = x[i] ? -fields[i] : fields[i];
-          if (delta <= 0.0 ||
-              read_rng.UniformDouble() < std::exp(-delta / temperature)) {
-            csr.ApplyFlip(i, x, fields);
-            energy += delta;
-            ++accepts;
-          }
-        }
-        temperature *= schedule.cooling;
-      }
-    } else {
-      for (int sweep = 0; sweep < options.sweeps_per_read; ++sweep) {
-        if (StopRequested(control.stop)) break;
-        ++sweeps_run;
-        for (int i = 0; i < n; ++i) {
-          const double delta = csr.FlipDelta(x, i);
-          if (delta <= 0.0 ||
-              read_rng.UniformDouble() < std::exp(-delta / temperature)) {
-            x[i] ^= 1;
-            energy += delta;
-            ++accepts;
-          }
-        }
-        temperature *= schedule.cooling;
-      }
-    }
-    if (control.metrics != nullptr) {
-      control.metrics->Count("sa.reads");
-      control.metrics->Count("sa.sweeps", static_cast<uint64_t>(sweeps_run));
-      control.metrics->Count(
-          "sa.proposals", static_cast<uint64_t>(sweeps_run) *
-                              static_cast<uint64_t>(n));
-      control.metrics->Count("sa.accepts", accepts);
-    }
-    reads[read] = QuboSolution{std::move(x), energy};
+  // SoA replica groups: each task anneals up to kReplicaBatch reads in
+  // lock step. Group boundaries depend only on the read index, so the
+  // result set is bit-identical at any parallelism.
+  const int64_t groups =
+      (options.num_reads + kReplicaBatch - 1) / kReplicaBatch;
+  const auto run_group = [&](int64_t group) {
+    StageSpan group_span(control.trace, "sa.read_batch");
+    const int64_t first_read = group * kReplicaBatch;
+    const int lanes = static_cast<int>(std::min<int64_t>(
+        kReplicaBatch, options.num_reads - first_read));
+    RunSaBatchedGroup(csr, options, schedule, base, n, first_read, lanes,
+                      reads);
   };
-  ParallelFor(control.pool, 0, options.num_reads, run_read);
+  ParallelFor(control.pool, 0, groups, run_group);
   SortByEnergy(reads);
   return reads;
 }
@@ -322,8 +263,6 @@ std::vector<QuboSolution> SolveQuboTabuSearch(const Qubo& qubo,
           ? options.tenure
           : static_cast<int>(std::sqrt(static_cast<double>(n))) + 10;
   const QuboCsr& csr = qubo.Csr();
-  // Tabu has no batched variant: kBatched runs the incremental kernel.
-  const bool incremental = options.kernel != SolverKernel::kReference;
   constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
   const SolverControl& control = options.control;
@@ -341,12 +280,10 @@ std::vector<QuboSolution> SolveQuboTabuSearch(const Qubo& qubo,
     uint64_t moves = 0;
     uint64_t evictions = 0;
     std::vector<int> tabu_until(n, -1);
-    // Incremental kernel: the delta cache is carried across iterations as
-    // persistent local fields, and only the flipped variable's
-    // neighbourhood is touched per move. Reference kernel: all n deltas
-    // are recomputed by O(degree) scans every iteration.
-    std::vector<double> fields;
-    if (incremental) fields = csr.LocalFields(x);
+    // The delta cache is carried across iterations as persistent local
+    // fields, and only the flipped variable's neighbourhood is touched
+    // per move.
+    std::vector<double> fields = csr.LocalFields(x);
     std::vector<double> deltas(n);
     for (int it = 0; it < options.iterations_per_restart; ++it) {
       if (StopRequested(control.stop)) break;
@@ -354,8 +291,7 @@ std::vector<QuboSolution> SolveQuboTabuSearch(const Qubo& qubo,
       double best_delta = kInfinity;
       int tie_count = 0;
       for (int i = 0; i < n; ++i) {
-        deltas[i] =
-            incremental ? (x[i] ? -fields[i] : fields[i]) : csr.FlipDelta(x, i);
+        deltas[i] = x[i] ? -fields[i] : fields[i];
         const bool tabu = tabu_until[i] > it;
         // Aspiration: a tabu move is allowed if it beats the incumbent.
         if (tabu && energy + deltas[i] >= incumbent.energy - 1e-12) {
@@ -386,11 +322,7 @@ std::vector<QuboSolution> SolveQuboTabuSearch(const Qubo& qubo,
         }
       }
       QJO_CHECK_GE(best_flip, 0);
-      if (incremental) {
-        csr.ApplyFlip(best_flip, x, fields);
-      } else {
-        x[best_flip] ^= 1;
-      }
+      csr.ApplyFlip(best_flip, x, fields);
       energy += best_delta;
       ++moves;
       // Re-tagging a variable whose previous tenure is still active
@@ -411,18 +343,6 @@ std::vector<QuboSolution> SolveQuboTabuSearch(const Qubo& qubo,
   ParallelFor(control.pool, 0, options.num_restarts, run_restart);
   SortByEnergy(restarts);
   return restarts;
-}
-
-const char* SolverKernelName(SolverKernel kernel) {
-  switch (kernel) {
-    case SolverKernel::kIncremental:
-      return "incremental";
-    case SolverKernel::kReference:
-      return "reference";
-    case SolverKernel::kBatched:
-      return "batched";
-  }
-  return "unknown";
 }
 
 const QuboSolution& BestSolution(const std::vector<QuboSolution>& solutions) {

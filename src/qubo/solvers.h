@@ -18,33 +18,6 @@ struct QuboSolution {
   double energy = 0.0;
 };
 
-/// Inner-loop implementation of the stochastic solvers (SA, tabu, SQA).
-/// Both kernels run on the shared CSR problem layout and walk the same
-/// Metropolis/steepest-descent trajectory; they differ only in how the
-/// flip deltas are obtained.
-enum class SolverKernel {
-  /// Persistent local fields h_i = linear_i + sum_j w_ij x_j kept in sync
-  /// with the state: O(1) per proposal, O(degree) per *accepted* flip.
-  kIncremental,
-  /// O(degree) neighbourhood scan per proposal (the pre-refactor
-  /// behaviour). Kept as the independent reference implementation for the
-  /// kernel-parity tests and the speedup benchmarks.
-  kReference,
-  /// Multi-replica structure-of-arrays kernel (SA and SQA): groups of
-  /// reads anneal together, with each variable's per-replica local fields
-  /// in one contiguous plane so accepted flips update all replicas with
-  /// SIMD lanes (util/simd.h). Per-replica Rng::Fork streams and an
-  /// exponent-bound Metropolis filter (qubo/metropolis.h) keep every
-  /// replica's trajectory bit-identical to the same read under
-  /// kIncremental, at any parallelism. The default and the production hot
-  /// path. Tabu has no batched variant and treats this as kIncremental.
-  kBatched,
-};
-
-/// Lowercase kernel name for logs, reports, and the CLI ("incremental",
-/// "reference", "batched").
-const char* SolverKernelName(SolverKernel kernel);
-
 /// Exact minimisation by Gray-code enumeration with incremental energy
 /// updates: O(2^n * avg_degree). Fails beyond `max_variables` (default 28,
 /// clamped to 63: the Gray-code walk indexes states with a uint64_t and
@@ -64,9 +37,6 @@ struct SaOptions {
   /// cooperative stop, and the observability sinks
   /// (see SolverControl for the per-field contracts).
   SolverControl control;
-  /// Inner-loop implementation; kBatched (the default) is bit-identical
-  /// to kIncremental; kReference is for tests and benches.
-  SolverKernel kernel = SolverKernel::kBatched;
 };
 
 /// The resolved geometric cooling schedule: sweep k of a read runs at
@@ -85,8 +55,14 @@ struct SaSchedule {
 SaSchedule ResolveSaSchedule(const Qubo& qubo, const SaOptions& options);
 
 /// Runs classical simulated annealing; returns all reads, best first.
-/// Reads run on `options.control.pool` (serial when null); output is
-/// independent of thread count and scheduling for a fixed `rng` state.
+/// Reads anneal in structure-of-arrays groups of 16: each variable's
+/// per-replica local fields sit in one contiguous plane, so an accepted
+/// flip updates every replica's neighbour fields with SIMD lanes
+/// (util/simd.h). Per-read Rng::Fork streams and an exponent-bound
+/// Metropolis filter (qubo/metropolis.h) keep each read bit-identical to
+/// the scalar reference read (qubo/solvers_reference.h). Groups run on
+/// `options.control.pool` (serial when null); output is independent of
+/// thread count and scheduling for a fixed `rng` state.
 std::vector<QuboSolution> SolveQuboSimulatedAnnealing(const Qubo& qubo,
                                                       const SaOptions& options,
                                                       Rng& rng);
@@ -102,12 +78,11 @@ struct TabuOptions {
   /// stop token is checked once per iteration and the incumbent found so
   /// far is returned.
   SolverControl control;
-  /// Inner-loop implementation; kReference is for tests and benches.
-  SolverKernel kernel = SolverKernel::kIncremental;
 };
 
 /// Tabu search: steepest-descent single-bit flips with a recency-based
-/// tabu list and incumbent aspiration. Ties on the best move are broken
+/// tabu list and incumbent aspiration. Flip deltas come from persistent
+/// local fields, updated over the flipped variable's neighbourhood only. Ties on the best move are broken
 /// uniformly with a single RNG draw per iteration (tie counting), so the
 /// number of draws never depends on candidate scan order. Returns one
 /// solution per restart, best first.

@@ -37,6 +37,12 @@ constexpr int64_t kHighTile = int64_t{1} << 11;
 /// single slot. A table holds one factor per palette level.
 constexpr size_t kPhaseTableEntries = 8;
 
+/// States below this amplitude count skip parallel dispatch entirely:
+/// a 2^18-amplitude sweep takes tens of microseconds, the same order as
+/// waking pool workers, so forking buys nothing and (dispatched from
+/// inside an already-parallel region) used to oversubscribe the pool.
+constexpr int64_t kMinParallelAmplitudes = int64_t{1} << 18;
+
 /// Phase factors the fused layer expands per phase_rows call: 2^10
 /// complex<float> (8 KiB), an L1-resident stack buffer.
 constexpr int64_t kGatherChunk = int64_t{1} << 10;
@@ -253,9 +259,9 @@ class SpectrumWalk {
   uint64_t argmin_ = 0;
 };
 
-/// Gates per-sweep parallelism on the state size: below the threshold
-/// the dispatch overhead exceeds the loop body and the sweeps run
-/// serially (see sim/sim_kernel.h).
+/// Gates per-sweep parallelism on the state size: below
+/// kMinParallelAmplitudes the dispatch overhead exceeds the loop body and
+/// the sweeps run serially.
 ThreadPool* GatedPool(ThreadPool* pool, uint64_t amplitudes) {
   return amplitudes >= static_cast<uint64_t>(kMinParallelAmplitudes) ? pool
                                                                      : nullptr;
@@ -265,8 +271,9 @@ ThreadPool* GatedPool(ThreadPool* pool, uint64_t amplitudes) {
 // Butterfly and phase kernels live in util/simd (runtime-dispatched
 // scalar/SSE2/AVX2/AVX-512 tiers). All tiers compute exactly
 //   lo' = c*lo + (0,-sn)*hi     hi' = (0,-sn)*lo + c*hi
-// with the same per-component rounding as the std::complex expression in
-// the reference kernel, so fused and reference amplitudes compare equal
+// with the same per-component rounding as the std::complex expression of
+// the gate-at-a-time oracle (sim/qaoa_reference.cc), so fused and oracle
+// amplitudes compare equal
 // with operator== (only signs of zeros can differ) on every tier — see
 // the determinism contract in util/simd.h. Dispatch granularity is one
 // block or row run per indirect call, so the function-pointer hop is
@@ -344,46 +351,6 @@ void FusedLayer(std::complex<float>* amps_c, const Id* level,
         }
       });
   MixerHighSweep(amps, n, block_qubits, c, sn, pool);
-}
-
-/// One pre-fusion QAOA layer, kept verbatim as the kReference kernel:
-/// one full phase sweep, then one full sweep per mixer qubit. The energy
-/// of state i is palette[level[i]], the float the walk computed for it.
-template <typename Id>
-void ReferenceLayer(std::complex<float>* amps, const float* palette,
-                    const Id* level, float gamma, float beta, int n,
-                    ThreadPool* pool) {
-  const uint64_t size = uint64_t{1} << n;
-  // Cost phase: exp(-i gamma E(x)) (the offset is a global phase).
-  ParallelForBlocks(pool, 0, static_cast<int64_t>(size), kBlock,
-                    [&](int64_t begin, int64_t end) {
-                      for (int64_t i = begin; i < end; ++i) {
-                        const float angle = -gamma * palette[level[i]];
-                        amps[i] *= std::complex<float>(std::cos(angle),
-                                                       std::sin(angle));
-                      }
-                    });
-  // Mixer: RX(2 beta) on every qubit, over the compressed index space
-  // (k with a zero spliced in at the qubit's bit position).
-  const float c = std::cos(beta);
-  const std::complex<float> s(0.0f, -std::sin(beta));
-  for (int q = 0; q < n; ++q) {
-    const uint64_t bit = uint64_t{1} << q;
-    const uint64_t low_mask = bit - 1;
-    ParallelForBlocks(
-        pool, 0, static_cast<int64_t>(size >> 1), kBlock,
-        [&](int64_t begin, int64_t end) {
-          for (int64_t k = begin; k < end; ++k) {
-            const uint64_t uk = static_cast<uint64_t>(k);
-            const uint64_t base = ((uk & ~low_mask) << 1) | (uk & low_mask);
-            const uint64_t partner = base | bit;
-            const std::complex<float> a0 = amps[base];
-            const std::complex<float> a1 = amps[partner];
-            amps[base] = c * a0 + s * a1;
-            amps[partner] = s * a0 + c * a1;
-          }
-        });
-  }
 }
 
 }  // namespace
@@ -470,7 +437,7 @@ const std::complex<float>* QaoaSimulator::PhaseFactors(
 
 double QaoaSimulator::RunCore(const QaoaParameters& parameters,
                               std::vector<std::complex<float>>& amps_vec,
-                              PhaseTableCache& tables, SimKernel kernel,
+                              PhaseTableCache& tables,
                               ThreadPool* pool) const {
   QJO_CHECK_GT(parameters.p(), 0);
   QJO_CHECK_EQ(parameters.gammas.size(), parameters.betas.size());
@@ -486,13 +453,8 @@ double QaoaSimulator::RunCore(const QaoaParameters& parameters,
         for (int rep = 0; rep < parameters.p(); ++rep) {
           const float gamma = static_cast<float>(parameters.gammas[rep]);
           const float beta = static_cast<float>(parameters.betas[rep]);
-          if (kernel == SimKernel::kFused) {
-            FusedLayer(amps, level, PhaseFactors(gamma, tables, pool), beta,
-                       num_qubits_, pool);
-          } else {
-            ReferenceLayer(amps, palette, level, gamma, beta, num_qubits_,
-                           pool);
-          }
+          FusedLayer(amps, level, PhaseFactors(gamma, tables, pool), beta,
+                     num_qubits_, pool);
         }
         return ParallelBlockedSum(
             pool, static_cast<int64_t>(size), kBlock,
@@ -508,16 +470,16 @@ double QaoaSimulator::RunCore(const QaoaParameters& parameters,
       level_);
 }
 
-double QaoaSimulator::Run(const QaoaParameters& parameters, SimKernel kernel) {
+double QaoaSimulator::Run(const QaoaParameters& parameters) {
   const uint64_t size = uint64_t{1} << num_qubits_;
-  const double energy = RunCore(parameters, amplitudes_, phase_tables_, kernel,
-                                GatedPool(pool_, size));
+  const double energy =
+      RunCore(parameters, amplitudes_, phase_tables_, GatedPool(pool_, size));
   state_loaded_ = true;
   return energy;
 }
 
 std::vector<double> QaoaSimulator::EvaluateBatch(
-    std::span<const QaoaParameters> batch, SimKernel kernel) {
+    std::span<const QaoaParameters> batch) {
   std::vector<double> energies(batch.size());
   if (batch.empty()) return energies;
 
@@ -554,9 +516,9 @@ std::vector<double> QaoaSimulator::EvaluateBatch(
     // Serial amplitude loops inside: the parallelism budget is spent at
     // the batch level, and pool workers would refuse nested dispatch
     // anyway (see ThreadPool::ParallelFor).
-    energies[static_cast<size_t>(i)] = RunCore(
-        batch[static_cast<size_t>(i)], scratch->amps, scratch->tables, kernel,
-        /*pool=*/nullptr);
+    energies[static_cast<size_t>(i)] =
+        RunCore(batch[static_cast<size_t>(i)], scratch->amps, scratch->tables,
+                /*pool=*/nullptr);
     {
       std::lock_guard<std::mutex> lock(mutex);
       free_list.push_back(scratch);
@@ -572,48 +534,25 @@ double QaoaSimulator::Expectation(double gamma, double beta) {
   return Run(params);
 }
 
-void QaoaSimulator::ApplyMixerLayer(double beta, SimKernel kernel) {
+void QaoaSimulator::ApplyMixerLayer(double beta) {
   QJO_CHECK(state_loaded_) << "call Run() before ApplyMixerLayer()";
   const uint64_t size = uint64_t{1} << num_qubits_;
   ThreadPool* pool = GatedPool(pool_, size);
   const float b = static_cast<float>(beta);
-  if (kernel == SimKernel::kFused) {
-    const int block_qubits = std::min(num_qubits_, kBlockQubits);
-    const int64_t bsz = int64_t{1} << block_qubits;
-    const float c = std::cos(b);
-    const float sn = std::sin(b);
-    float* amps = reinterpret_cast<float*>(amplitudes_.data());
-    const SimdOps& simd = Simd();
-    ParallelForBlocks(pool, 0, static_cast<int64_t>(size), bsz,
-                      [&](int64_t begin, int64_t end) {
-                        for (int64_t b0 = begin; b0 < end; b0 += bsz) {
-                          simd.mixer_low_block(amps + 2 * b0, bsz,
-                                               block_qubits, c, sn);
-                        }
-                      });
-    MixerHighSweep(amps, num_qubits_, block_qubits, c, sn, pool);
-  } else {
-    const float c = std::cos(b);
-    const std::complex<float> s(0.0f, -std::sin(b));
-    std::complex<float>* amps = amplitudes_.data();
-    for (int q = 0; q < num_qubits_; ++q) {
-      const uint64_t bit = uint64_t{1} << q;
-      const uint64_t low_mask = bit - 1;
-      ParallelForBlocks(
-          pool, 0, static_cast<int64_t>(size >> 1), kBlock,
-          [&](int64_t begin, int64_t end) {
-            for (int64_t k = begin; k < end; ++k) {
-              const uint64_t uk = static_cast<uint64_t>(k);
-              const uint64_t base = ((uk & ~low_mask) << 1) | (uk & low_mask);
-              const uint64_t partner = base | bit;
-              const std::complex<float> a0 = amps[base];
-              const std::complex<float> a1 = amps[partner];
-              amps[base] = c * a0 + s * a1;
-              amps[partner] = s * a0 + c * a1;
-            }
-          });
-    }
-  }
+  const int block_qubits = std::min(num_qubits_, kBlockQubits);
+  const int64_t bsz = int64_t{1} << block_qubits;
+  const float c = std::cos(b);
+  const float sn = std::sin(b);
+  float* amps = reinterpret_cast<float*>(amplitudes_.data());
+  const SimdOps& simd = Simd();
+  ParallelForBlocks(pool, 0, static_cast<int64_t>(size), bsz,
+                    [&](int64_t begin, int64_t end) {
+                      for (int64_t b0 = begin; b0 < end; b0 += bsz) {
+                        simd.mixer_low_block(amps + 2 * b0, bsz, block_qubits,
+                                             c, sn);
+                      }
+                    });
+  MixerHighSweep(amps, num_qubits_, block_qubits, c, sn, pool);
 }
 
 std::vector<uint64_t> QaoaSimulator::Sample(int shots, double fidelity,

@@ -10,7 +10,6 @@
 
 #include "circuit/qaoa_builder.h"
 #include "qubo/ising.h"
-#include "sim/sim_kernel.h"
 #include "util/random.h"
 #include "util/statusor.h"
 
@@ -41,15 +40,13 @@ class ThreadPool;
 /// Levels are keyed on the float's bit pattern, so every state keeps
 /// exactly the float the walk computed.
 ///
-/// Two kernels share the same contract (amplitudes equal under
-/// operator== at every parallelism level):
-///  - kReference: one 2^n sweep for the phase plus one per qubit for the
-///    mixer, exactly the pre-fusion implementation.
-///  - kFused (default): the phase multiply and all mixer butterflies with
-///    bit index inside a 2^14-amplitude cache block run in one sweep per
-///    block (~ceil(n/14) passes per layer instead of n+1), with the
-///    remaining high qubits handled by a column-tiled second sweep and
-///    the per-gamma phase factors cached across evaluations.
+/// Each layer is fused: the phase multiply and all mixer butterflies with
+/// bit index inside a 2^14-amplitude cache block run in one sweep per
+/// block (~ceil(n/14) passes per layer instead of n+1), the remaining
+/// high qubits follow in a column-tiled second sweep, and the per-gamma
+/// phase factors are cached across evaluations. Amplitudes compare equal
+/// under operator== at every parallelism level with the gate-at-a-time
+/// oracle RunQaoaReference (sim/qaoa_reference.h, test and bench only).
 class QaoaSimulator {
  public:
   /// Builds the simulator and cost spectrum. Fails above 27 qubits.
@@ -58,8 +55,9 @@ class QaoaSimulator {
   int num_qubits() const { return num_qubits_; }
 
   /// Attaches an externally-owned pool (nullptr = serial, the default).
-  /// Run() uses it for the 2^n amplitude loops (only above the
-  /// kMinParallelAmplitudes threshold); EvaluateBatch() uses it for
+  /// Run() uses it for the 2^n amplitude loops (only from 2^18
+  /// amplitudes up; below that dispatch costs more than the sweep);
+  /// EvaluateBatch() uses it for
   /// parameter-set-level parallelism. Not owned.
   void set_pool(ThreadPool* pool) { pool_ = pool; }
 
@@ -82,8 +80,7 @@ class QaoaSimulator {
   /// loaded; returns <H_C>. The amplitude buffer and the per-gamma phase
   /// table are retained across calls, so repeated evaluations allocate
   /// nothing after the first.
-  double Run(const QaoaParameters& parameters,
-             SimKernel kernel = SimKernel::kFused);
+  double Run(const QaoaParameters& parameters);
 
   /// Evaluates <H_C> for every parameter set of `batch`. Parallelises at
   /// the parameter-set level on the attached pool — one scratch
@@ -94,8 +91,7 @@ class QaoaSimulator {
   /// bit-identical at every parallelism level and equal to calling Run()
   /// entry by entry. Scratch buffers persist across calls; the state
   /// loaded by a previous Run() is left untouched.
-  std::vector<double> EvaluateBatch(std::span<const QaoaParameters> batch,
-                                    SimKernel kernel = SimKernel::kFused);
+  std::vector<double> EvaluateBatch(std::span<const QaoaParameters> batch);
 
   /// <H_C> at (gamma, beta) for p=1 (convenience for optimisation loops).
   double Expectation(double gamma, double beta);
@@ -103,7 +99,7 @@ class QaoaSimulator {
   /// Applies one mixer layer (RX(2 beta) on every qubit) to the loaded
   /// state. Exposed for kernel parity tests and the mixer benchmark;
   /// Run() must have been called.
-  void ApplyMixerLayer(double beta, SimKernel kernel = SimKernel::kFused);
+  void ApplyMixerLayer(double beta);
 
   /// Samples `shots` bitstrings from the loaded state through a global
   /// depolarising channel with survival probability `fidelity`: each shot
@@ -152,14 +148,13 @@ class QaoaSimulator {
 
   void BuildCostSpectrum(const IsingModel& ising);
 
-  /// Shared evaluation core: initialises `amps`, applies p layers with
-  /// the selected kernel, returns <H_C>. `pool` parallelises the
+  /// Shared evaluation core: initialises `amps`, applies p fused layers,
+  /// returns <H_C>. `pool` parallelises the
   /// amplitude loops (Run); EvaluateBatch passes nullptr because its
   /// parallelism lives at the batch level.
   double RunCore(const QaoaParameters& parameters,
                  std::vector<std::complex<float>>& amps,
-                 PhaseTableCache& tables, SimKernel kernel,
-                 ThreadPool* pool) const;
+                 PhaseTableCache& tables, ThreadPool* pool) const;
 
   /// Returns the cached (building on miss) per-level phase factors for
   /// `gamma`.

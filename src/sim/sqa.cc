@@ -14,7 +14,7 @@
 namespace qjo {
 namespace {
 
-/// Replicas per SoA group of the kBatched kernel (see the SA counterpart
+/// Replicas per SoA group (see the SA counterpart
 /// in qubo/solvers.cc — same chunking discipline, so group membership
 /// depends only on the read index and results are parallelism-invariant).
 constexpr int kReplicaBatch = 16;
@@ -32,13 +32,14 @@ struct SqaScheduleParams {
   double gamma0 = 0.0;
 };
 
-/// One SoA group of the kBatched SQA kernel: `lanes` reads anneal in
-/// lock step, each with its own ICE-perturbed h/J planes, spin planes
-/// and per-slice field planes keyed (p * n + i) * lanes + r. Lane r
-/// replays scalar read first_read+r draw for draw (Gaussians for the ICE
-/// noise, Bernoullis for the spin init, one uniform per uphill
-/// proposal), and every arithmetic expression mirrors the incremental
-/// kernel's operand order, so samples are bit-identical to kIncremental.
+/// One SoA group of the SQA kernel: `lanes` reads anneal in lock step,
+/// each with its own ICE-perturbed h/J planes, spin planes and per-slice
+/// field planes keyed (p * n + i) * lanes + r. Lane r replays scalar read
+/// first_read+r draw for draw (Gaussians for the ICE noise, Bernoullis
+/// for the spin init, one uniform per uphill proposal), and every
+/// arithmetic expression mirrors the scalar local-field read's operand
+/// order, so samples are bit-identical to RunSqaReference with
+/// ReferenceDelta::kLocalFields (sim/sqa_reference.h).
 void RunSqaBatchedGroup(const IsingModel& ising, const IsingCsr& csr,
                         const SqaOptions& options,
                         const SqaScheduleParams& params, const Rng& base,
@@ -81,7 +82,7 @@ void RunSqaBatchedGroup(const IsingModel& ising, const IsingCsr& csr,
     }
   }
 
-  // Per-slice local-field planes, accumulated in the scalar kernel's
+  // Per-slice local-field planes, accumulated in the scalar read's
   // k order per (p, i).
   std::vector<double> fields(static_cast<size_t>(slices) * n * L);
   for (int r = 0; r < lanes; ++r) {
@@ -186,7 +187,7 @@ void RunSqaBatchedGroup(const IsingModel& ising, const IsingCsr& csr,
   }
 
   // Per lane: the slice with the lowest *true* classical energy, scanned
-  // in the scalar kernel's slice order (strict < keeps the first).
+  // in the scalar read's slice order (strict < keeps the first).
   for (int r = 0; r < lanes; ++r) {
     SqaSample best;
     best.energy = std::numeric_limits<double>::infinity();
@@ -208,185 +209,75 @@ void RunSqaBatchedGroup(const IsingModel& ising, const IsingCsr& csr,
 
 }  // namespace
 
+Status ValidateSqaOptions(const SqaOptions& options) {
+  if (options.num_reads <= 0 || options.trotter_slices < 2) {
+    return Status::InvalidArgument(
+        "SQA needs a positive read count and at least two Trotter slices");
+  }
+  const double values[] = {options.annealing_time_us, options.sweeps_per_us,
+                           options.relative_temperature,
+                           options.relative_initial_field, options.ice_sigma};
+  for (double value : values) {
+    if (!std::isfinite(value)) {
+      return Status::InvalidArgument("SQA schedule values must be finite");
+    }
+  }
+  if (options.annealing_time_us <= 0.0 || options.sweeps_per_us <= 0.0) {
+    return Status::InvalidArgument(
+        "SQA annealing time and sweep rate must be positive");
+  }
+  if (options.annealing_time_us * options.sweeps_per_us >
+      static_cast<double>(std::numeric_limits<int>::max())) {
+    return Status::InvalidArgument("SQA sweep count does not fit in an int");
+  }
+  // A zero temperature makes the last sweep's replica coupling 0/0 (NaN);
+  // a negative one accepts every uphill move.
+  if (options.relative_temperature <= 0.0) {
+    return Status::InvalidArgument("SQA relative_temperature must be > 0");
+  }
+  if (options.relative_initial_field < 0.0 || options.ice_sigma < 0.0) {
+    return Status::InvalidArgument(
+        "SQA relative_initial_field and ice_sigma must be >= 0");
+  }
+  return Status::Ok();
+}
+
 StatusOr<std::vector<SqaSample>> RunSqa(const IsingModel& ising,
                                         const SqaOptions& options, Rng& rng) {
   const int n = ising.num_spins();
   if (n == 0) return Status::InvalidArgument("empty Ising model");
-  if (options.num_reads <= 0 || options.annealing_time_us <= 0.0 ||
-      options.sweeps_per_us <= 0.0 || options.trotter_slices < 2) {
-    return Status::InvalidArgument("bad SQA schedule parameters");
-  }
+  QJO_RETURN_IF_ERROR(ValidateSqaOptions(options));
 
-  const int num_sweeps = std::max(
+  SqaScheduleParams params;
+  params.num_sweeps = std::max(
       8, static_cast<int>(options.annealing_time_us * options.sweeps_per_us));
-  const int slices = options.trotter_slices;
-  const double scale = std::max(ising.MaxAbsCoefficient(), 1e-9);
-  const double temperature = options.relative_temperature * scale;
-  const double gamma0 = options.relative_initial_field * scale;
+  params.slices = options.trotter_slices;
+  params.scale = std::max(ising.MaxAbsCoefficient(), 1e-9);
+  params.temperature = options.relative_temperature * params.scale;
+  params.gamma0 = options.relative_initial_field * params.scale;
   // Shared flat adjacency; entries carry the coupling index so each read
   // can look up its own ICE-perturbed weights through the one structure.
   const IsingCsr csr = IsingCsr::FromIsing(ising);
-  const bool incremental = options.kernel == SolverKernel::kIncremental;
 
   // One draw off the shared generator, then one forked stream per read:
   // the sample set is bit-identical for every parallelism level and
-  // thread interleaving (reads land in pre-sized slots).
+  // thread interleaving (reads land in pre-sized slots, and SoA group
+  // boundaries depend only on the read index).
   const SolverControl& control = options.control;
   StageSpan solve_span(control.trace, "sqa.solve");
   const Rng base(rng.Next());
   std::vector<SqaSample> samples(options.num_reads);
-
-  if (options.kernel == SolverKernel::kBatched) {
-    SqaScheduleParams params;
-    params.num_sweeps = num_sweeps;
-    params.slices = slices;
-    params.scale = scale;
-    params.temperature = temperature;
-    params.gamma0 = gamma0;
-    const int64_t groups =
-        (options.num_reads + kReplicaBatch - 1) / kReplicaBatch;
-    const auto run_group = [&](int64_t group) {
-      StageSpan group_span(control.trace, "sqa.read_batch");
-      const int64_t first_read = group * kReplicaBatch;
-      const int lanes = static_cast<int>(std::min<int64_t>(
-          kReplicaBatch, options.num_reads - first_read));
-      RunSqaBatchedGroup(ising, csr, options, params, base, first_read, lanes,
-                         samples);
-    };
-    ParallelFor(control.pool, 0, groups, run_group);
-    return samples;
-  }
-
-  const auto run_read = [&](int64_t read) {
-    StageSpan read_span(control.trace, "sqa.read");
-    Rng read_rng = base.Fork(static_cast<uint64_t>(read));
-
-    // Per-read perturbed coefficients (ICE noise), drawn from the read's
-    // own stream so noise realisations stay attached to their read.
-    std::vector<double> h(ising.h);
-    std::vector<double> coupling_weights(ising.couplings.size());
-    const double sigma = options.ice_sigma * scale;
-    for (int i = 0; i < n; ++i) {
-      h[i] = ising.h[i] + (sigma > 0.0 ? sigma * read_rng.Gaussian() : 0.0);
-    }
-    for (size_t e = 0; e < ising.couplings.size(); ++e) {
-      coupling_weights[e] =
-          std::get<2>(ising.couplings[e]) +
-          (sigma > 0.0 ? sigma * read_rng.Gaussian() : 0.0);
-    }
-
-    // spins[p * n + i] in {-1, +1}.
-    std::vector<int8_t> spins(static_cast<size_t>(slices) * n);
-    for (auto& s : spins) s = read_rng.Bernoulli(0.5) ? 1 : -1;
-
-    // Incremental kernel: persistent classical local fields per Trotter
-    // slice, fields[p * n + i] = h_i + sum_j J_ij s_pj, updated on
-    // accepted flips only; a proposal is then O(1). The replica term
-    // needs no cache — it reads two spins directly.
-    std::vector<double> fields;
-    if (incremental) {
-      fields.assign(static_cast<size_t>(slices) * n, 0.0);
-      for (int p = 0; p < slices; ++p) {
-        const int8_t* slice = &spins[static_cast<size_t>(p) * n];
-        double* slice_fields = &fields[static_cast<size_t>(p) * n];
-        for (int i = 0; i < n; ++i) {
-          double field = h[i];
-          for (int32_t k = csr.offsets[i]; k < csr.offsets[i + 1]; ++k) {
-            field += coupling_weights[csr.edge_ids[k]] *
-                     static_cast<double>(slice[csr.columns[k]]);
-          }
-          slice_fields[i] = field;
-        }
-      }
-    }
-
-    int sweeps_run = 0;
-    uint64_t slice_flips = 0;
-    for (int sweep = 0; sweep < num_sweeps; ++sweep) {
-      if (control.stop != nullptr &&
-          control.stop->load(std::memory_order_relaxed)) {
-        break;
-      }
-      ++sweeps_run;
-      const double s_frac =
-          static_cast<double>(sweep) / static_cast<double>(num_sweeps - 1);
-      const double gamma = gamma0 * (1.0 - s_frac);
-      // Replica coupling J_perp = -(P T / 2) ln tanh(Gamma / (P T)) > 0.
-      const double arg =
-          std::max(gamma / (slices * temperature), 1e-12);
-      const double j_perp = std::min(
-          -(slices * temperature / 2.0) * std::log(std::tanh(arg)),
-          50.0 * scale);
-
-      for (int p = 0; p < slices; ++p) {
-        int8_t* slice = &spins[static_cast<size_t>(p) * n];
-        const int8_t* up = &spins[static_cast<size_t>((p + 1) % slices) * n];
-        const int8_t* down =
-            &spins[static_cast<size_t>((p + slices - 1) % slices) * n];
-        double* slice_fields =
-            incremental ? &fields[static_cast<size_t>(p) * n] : nullptr;
-        for (int i = 0; i < n; ++i) {
-          // Classical field (scaled by 1/P) + replica field.
-          double field;
-          if (incremental) {
-            field = slice_fields[i];
-          } else {
-            field = h[i];
-            for (int32_t k = csr.offsets[i]; k < csr.offsets[i + 1]; ++k) {
-              field += coupling_weights[csr.edge_ids[k]] *
-                       static_cast<double>(slice[csr.columns[k]]);
-            }
-          }
-          double delta =
-              -2.0 * static_cast<double>(slice[i]) * field / slices;
-          delta += 2.0 * static_cast<double>(slice[i]) * j_perp *
-                   (static_cast<double>(up[i]) + static_cast<double>(down[i]));
-          if (delta <= 0.0 ||
-              read_rng.UniformDouble() < std::exp(-delta / temperature)) {
-            slice[i] = static_cast<int8_t>(-slice[i]);
-            ++slice_flips;
-            if (incremental) {
-              // Neighbour fields lose J * old_s and gain J * new_s:
-              // += 2 J new_s.
-              const double two_s = 2.0 * static_cast<double>(slice[i]);
-              for (int32_t k = csr.offsets[i]; k < csr.offsets[i + 1]; ++k) {
-                slice_fields[csr.columns[k]] +=
-                    two_s * coupling_weights[csr.edge_ids[k]];
-              }
-            }
-          }
-        }
-      }
-    }
-
-    if (control.metrics != nullptr) {
-      control.metrics->Count("sqa.reads");
-      control.metrics->Count("sqa.sweeps", static_cast<uint64_t>(sweeps_run));
-      control.metrics->Count(
-          "sqa.proposals", static_cast<uint64_t>(sweeps_run) *
-                               static_cast<uint64_t>(slices) *
-                               static_cast<uint64_t>(n));
-      control.metrics->Count("sqa.slice_flips", slice_flips);
-    }
-
-    // Output: the slice with the lowest *true* classical energy.
-    SqaSample best;
-    best.energy = std::numeric_limits<double>::infinity();
-    std::vector<int> candidate(n);
-    for (int p = 0; p < slices; ++p) {
-      for (int i = 0; i < n; ++i) {
-        candidate[i] = spins[static_cast<size_t>(p) * n + i];
-      }
-      const double energy = ising.Energy(candidate);
-      if (energy < best.energy) {
-        best.energy = energy;
-        best.spins = candidate;
-      }
-    }
-    samples[read] = std::move(best);
+  const int64_t groups =
+      (options.num_reads + kReplicaBatch - 1) / kReplicaBatch;
+  const auto run_group = [&](int64_t group) {
+    StageSpan group_span(control.trace, "sqa.read_batch");
+    const int64_t first_read = group * kReplicaBatch;
+    const int lanes = static_cast<int>(
+        std::min<int64_t>(kReplicaBatch, options.num_reads - first_read));
+    RunSqaBatchedGroup(ising, csr, options, params, base, first_read, lanes,
+                       samples);
   };
-
-  ParallelFor(control.pool, 0, options.num_reads, run_read);
+  ParallelFor(control.pool, 0, groups, run_group);
   return samples;
 }
 

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "qubo/ising.h"
-#include "qubo/solvers.h"
+#include "qubo/solver_control.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 #include "util/statusor.h"
@@ -41,11 +41,6 @@ struct SqaOptions {
   /// stops annealing where it is and still returns its best Trotter
   /// slice.
   SolverControl control;
-  /// Inner-loop implementation: SoA replica groups with SIMD neighbour
-  /// updates (kBatched, default — bit-identical to kIncremental),
-  /// persistent per-slice local fields (kIncremental), or the O(degree)
-  /// scan per proposal (kReference, for parity tests and benches).
-  SolverKernel kernel = SolverKernel::kBatched;
 };
 
 /// One annealing read: the sampled spin configuration (+1/-1 per site)
@@ -55,9 +50,20 @@ struct SqaSample {
   double energy = 0.0;
 };
 
-/// Runs `options.num_reads` independent anneals of `ising`, in parallel
-/// on `options.control.pool` (serial when null). Fails on an empty model
-/// or non-positive schedule parameters.
+/// Rejects an SQA schedule that makes no sense with InvalidArgument: a
+/// non-positive read count, annealing time or sweep rate, fewer than two
+/// Trotter slices, a non-finite value, a sweep count past int range,
+/// relative_temperature <= 0 (zero makes the replica coupling 0/0, a
+/// negative temperature accepts every uphill move), and a negative
+/// relative_initial_field or ice_sigma. RunSqa calls it first.
+Status ValidateSqaOptions(const SqaOptions& options);
+
+/// Runs `options.num_reads` independent anneals of `ising`. Reads anneal
+/// in structure-of-arrays groups of 16 with per-slice local-field planes
+/// and SIMD neighbour updates (util/simd.h); each read is bit-identical
+/// to the scalar reference read (sim/sqa_reference.h). Groups run on
+/// `options.control.pool` (serial when null). Fails on an empty model or
+/// options ValidateSqaOptions rejects.
 StatusOr<std::vector<SqaSample>> RunSqa(const IsingModel& ising,
                                         const SqaOptions& options, Rng& rng);
 

@@ -628,6 +628,54 @@ TEST(PortfolioTest, RejectsUnboundedConfiguration) {
   EXPECT_FALSE(OptimizeJoinOrder(q, config).ok());
 }
 
+TEST(PortfolioTest, RejectsNonsenseSqaSchedule) {
+  // A zero or negative SQA temperature used to pass validation: the
+  // strand raced on a NaN replica coupling (or accepted every uphill
+  // move), and the answer was served. A schedule RunSqa itself rejects
+  // ended the strand silently after zero rounds.
+  const Query q = MakeChainQuery(3);
+  const RunContext run;
+  const auto expect_rejected = [&](const SqaOptions& sqa, const char* what) {
+    PortfolioOptions options;
+    options.sqa = sqa;
+    EXPECT_EQ(ValidatePortfolioOptions(options, run).code(),
+              StatusCode::kInvalidArgument)
+        << what;
+    QjoConfig config = PortfolioConfig();
+    config.portfolio.sqa = sqa;
+    EXPECT_EQ(OptimizeJoinOrder(q, config).status().code(),
+              StatusCode::kInvalidArgument)
+        << what;
+  };
+  SqaOptions sqa;
+  sqa.relative_temperature = 0.0;
+  expect_rejected(sqa, "relative_temperature = 0");
+  sqa.relative_temperature = -0.03;
+  expect_rejected(sqa, "relative_temperature < 0");
+  sqa = SqaOptions();
+  sqa.relative_initial_field = -1.5;
+  expect_rejected(sqa, "relative_initial_field < 0");
+  sqa = SqaOptions();
+  sqa.ice_sigma = -0.01;
+  expect_rejected(sqa, "ice_sigma < 0");
+  sqa = SqaOptions();
+  sqa.ice_sigma = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(sqa, "ice_sigma NaN");
+  sqa = SqaOptions();
+  sqa.trotter_slices = 1;
+  expect_rejected(sqa, "one Trotter slice");
+}
+
+TEST(AnnealerBackendTest, RejectsNonsenseSqaSchedule) {
+  // The annealer backend used to anneal at a zero temperature and serve
+  // the result; it now fails before embedding.
+  QjoConfig config;
+  config.backend = QjoBackend::kQuantumAnnealerSim;
+  config.sqa.relative_temperature = 0.0;
+  EXPECT_EQ(OptimizeJoinOrder(MakePaperInstance(1), config).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(PortfolioTest, ExactStrandWinsSmallInstances) {
   const Query q = MakePaperInstance(2);  // 18 logical qubits
   QjoConfig config;

@@ -1,6 +1,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "qubo/qubo.h"
 #include "qubo/qubo_csr.h"
 #include "qubo/solvers.h"
+#include "qubo/solvers_reference.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -472,33 +474,40 @@ Qubo DyadicRandomQubo(int n, double edge_probability, Rng& rng) {
   return q;
 }
 
+// The parity tests below run production (null pool, then pools of 1, 4
+// and 8 threads) against the serial reference loops of
+// qubo/solvers_reference.h, which run once.
+
 TEST(SimulatedAnnealingTest, KernelsBitIdenticalOnDyadicProblems) {
+  // The scanning reference sums each delta over the neighbourhood, the
+  // production kernel reads it from persistent fields: on dyadic weights
+  // both sums are exact, so the trajectories agree bit for bit.
   Rng make_rng(91);
   const Qubo qubo = DyadicRandomQubo(40, 0.5, make_rng);
   SaOptions options;
   options.num_reads = 8;
   options.sweeps_per_read = 100;
-  for (int parallelism : {1, 4}) {
-    ThreadPool pool(parallelism);
-    options.control.pool = &pool;
-    options.kernel = SolverKernel::kIncremental;
-    Rng rng_inc(19);
-    const auto incremental = SolveQuboSimulatedAnnealing(qubo, options, rng_inc);
-    options.kernel = SolverKernel::kReference;
-    Rng rng_ref(19);
-    const auto reference = SolveQuboSimulatedAnnealing(qubo, options, rng_ref);
-    ASSERT_EQ(incremental.size(), reference.size());
-    for (size_t i = 0; i < incremental.size(); ++i) {
-      EXPECT_EQ(incremental[i].energy, reference[i].energy)
+  Rng rng_ref(19);
+  const auto reference = SolveQuboSimulatedAnnealingReference(
+      qubo, options, rng_ref, ReferenceDelta::kScan);
+  for (int parallelism : {0, 1, 4, 8}) {
+    std::optional<ThreadPool> pool;
+    if (parallelism > 0) pool.emplace(parallelism);
+    options.control.pool = pool ? &*pool : nullptr;
+    Rng rng(19);
+    const auto production = SolveQuboSimulatedAnnealing(qubo, options, rng);
+    ASSERT_EQ(production.size(), reference.size());
+    for (size_t i = 0; i < production.size(); ++i) {
+      EXPECT_EQ(production[i].energy, reference[i].energy)
           << "parallelism " << parallelism << " read " << i;
-      EXPECT_EQ(incremental[i].assignment, reference[i].assignment);
+      EXPECT_EQ(production[i].assignment, reference[i].assignment);
     }
   }
 }
 
 TEST(SimulatedAnnealingTest, BatchedKernelsBitIdenticalToScalarReads) {
   // The batched SoA kernel performs the *same* per-replica FP operations
-  // as the incremental kernel (exact +-1 * w products, same draw
+  // as the scalar local-field reads (exact +-1 * w products, same draw
   // sequence), so bit-identity holds on continuous weights — no dyadic
   // restriction — for every replica count (full groups, partial tail
   // lanes, a single lane) at every parallelism.
@@ -509,13 +518,14 @@ TEST(SimulatedAnnealingTest, BatchedKernelsBitIdenticalToScalarReads) {
     options.sweeps_per_read = 80;
     for (int num_reads : {1, 4, 17}) {
       options.num_reads = num_reads;
-      for (int parallelism : {1, 4, 8}) {
-        ThreadPool pool(parallelism);
-        options.control.pool = &pool;
-        options.kernel = SolverKernel::kIncremental;
-        Rng rng_inc(19);
-        const auto scalar = SolveQuboSimulatedAnnealing(qubo, options, rng_inc);
-        options.kernel = SolverKernel::kBatched;
+      options.control.pool = nullptr;
+      Rng rng_ref(19);
+      const auto scalar = SolveQuboSimulatedAnnealingReference(
+          qubo, options, rng_ref, ReferenceDelta::kLocalFields);
+      for (int parallelism : {0, 1, 4, 8}) {
+        std::optional<ThreadPool> pool;
+        if (parallelism > 0) pool.emplace(parallelism);
+        options.control.pool = pool ? &*pool : nullptr;
         Rng rng_bat(19);
         const auto batched = SolveQuboSimulatedAnnealing(qubo, options, rng_bat);
         ASSERT_EQ(scalar.size(), batched.size());
@@ -536,15 +546,14 @@ TEST(TabuSearchTest, KernelsBitIdenticalOnDyadicProblems) {
   TabuOptions options;
   options.num_restarts = 6;
   options.iterations_per_restart = 250;
-  for (int parallelism : {1, 4}) {
-    ThreadPool pool(parallelism);
-    options.control.pool = &pool;
-    options.kernel = SolverKernel::kIncremental;
+  Rng rng_ref(23);
+  const auto reference = SolveQuboTabuSearchReference(qubo, options, rng_ref);
+  for (int parallelism : {0, 1, 4, 8}) {
+    std::optional<ThreadPool> pool;
+    if (parallelism > 0) pool.emplace(parallelism);
+    options.control.pool = pool ? &*pool : nullptr;
     Rng rng_inc(23);
     const auto incremental = SolveQuboTabuSearch(qubo, options, rng_inc);
-    options.kernel = SolverKernel::kReference;
-    Rng rng_ref(23);
-    const auto reference = SolveQuboTabuSearch(qubo, options, rng_ref);
     ASSERT_EQ(incremental.size(), reference.size());
     for (size_t i = 0; i < incremental.size(); ++i) {
       EXPECT_EQ(incremental[i].energy, reference[i].energy)
@@ -555,21 +564,22 @@ TEST(TabuSearchTest, KernelsBitIdenticalOnDyadicProblems) {
 }
 
 TEST(SimulatedAnnealingTest, KernelsConvergeEquallyOnContinuousProblems) {
-  // On continuous weights the trajectories may drift apart by rounding,
-  // but both kernels must still find the same optimum of a small problem.
+  // On continuous weights the production kernel and the scanning
+  // reference may drift apart by rounding, but both must still find the
+  // same optimum of a small problem.
   Rng make_rng(101);
   const Qubo qubo = RandomQubo(14, 0.5, make_rng);
   const QuboSolution exact = *SolveQuboBruteForce(qubo);
   SaOptions options;
   options.num_reads = 24;
   options.sweeps_per_read = 400;
-  for (SolverKernel kernel : {SolverKernel::kIncremental,
-                              SolverKernel::kReference}) {
-    options.kernel = kernel;
-    Rng rng(29);
-    const auto reads = SolveQuboSimulatedAnnealing(qubo, options, rng);
-    EXPECT_NEAR(reads.front().energy, exact.energy, 1e-6);
-  }
+  Rng rng(29);
+  const auto reads = SolveQuboSimulatedAnnealing(qubo, options, rng);
+  EXPECT_NEAR(reads.front().energy, exact.energy, 1e-6);
+  Rng rng_ref(29);
+  const auto reference = SolveQuboSimulatedAnnealingReference(
+      qubo, options, rng_ref, ReferenceDelta::kScan);
+  EXPECT_NEAR(reference.front().energy, exact.energy, 1e-6);
 }
 
 

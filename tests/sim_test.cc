@@ -3,8 +3,10 @@
 #include <chrono>
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -18,8 +20,10 @@
 #include "qubo/qubo.h"
 #include "sim/device.h"
 #include "sim/qaoa_analytic.h"
+#include "sim/qaoa_reference.h"
 #include "sim/qaoa_simulator.h"
 #include "sim/sqa.h"
+#include "sim/sqa_reference.h"
 #include "sim/statevector.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -583,10 +587,81 @@ TEST(SqaTest, RejectsBadOptions) {
   EXPECT_FALSE(RunSqa(one, options, rng).ok());
 }
 
+// Each schedule below used to run and return samples: a zero temperature
+// gave the last sweep a 0/0 (NaN) replica coupling, a negative one
+// accepted every uphill move, and NaN or infinite values passed the
+// `<= 0` checks.
+void ExpectSqaRejects(const SqaOptions& options, const char* what) {
+  IsingModel ising;
+  ising.h = {0.5, -0.25, 1.0};
+  ising.couplings = {{0, 1, -1.0}, {1, 2, 0.75}};
+  EXPECT_EQ(ValidateSqaOptions(options).code(), StatusCode::kInvalidArgument)
+      << what;
+  Rng rng(59);
+  const auto samples = RunSqa(ising, options, rng);
+  EXPECT_EQ(samples.status().code(), StatusCode::kInvalidArgument) << what;
+}
+
+SqaOptions SmallSqaOptions() {
+  SqaOptions options;
+  options.num_reads = 2;
+  options.annealing_time_us = 2.0;
+  return options;
+}
+
+TEST(SqaTest, RejectsZeroTemperature) {
+  SqaOptions options = SmallSqaOptions();
+  ASSERT_TRUE(ValidateSqaOptions(options).ok());
+  options.relative_temperature = 0.0;
+  ExpectSqaRejects(options, "relative_temperature = 0");
+}
+
+TEST(SqaTest, RejectsNegativeTemperature) {
+  SqaOptions options = SmallSqaOptions();
+  options.relative_temperature = -0.03;
+  ExpectSqaRejects(options, "relative_temperature < 0");
+}
+
+TEST(SqaTest, RejectsNegativeInitialFieldAndIceSigma) {
+  SqaOptions options = SmallSqaOptions();
+  options.relative_initial_field = -1.5;
+  ExpectSqaRejects(options, "relative_initial_field < 0");
+  options = SmallSqaOptions();
+  options.ice_sigma = -0.01;
+  ExpectSqaRejects(options, "ice_sigma < 0");
+  // Zero is a valid field (no tunnelling) and a valid sigma (no noise).
+  options = SmallSqaOptions();
+  options.relative_initial_field = 0.0;
+  options.ice_sigma = 0.0;
+  EXPECT_TRUE(ValidateSqaOptions(options).ok());
+}
+
+TEST(SqaTest, RejectsNonFiniteScheduleValues) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (double bad : {kNaN, kInf}) {
+    SqaOptions options = SmallSqaOptions();
+    options.relative_temperature = bad;
+    ExpectSqaRejects(options, "relative_temperature");
+    options = SmallSqaOptions();
+    options.relative_initial_field = bad;
+    ExpectSqaRejects(options, "relative_initial_field");
+    options = SmallSqaOptions();
+    options.ice_sigma = bad;
+    ExpectSqaRejects(options, "ice_sigma");
+    options = SmallSqaOptions();
+    options.annealing_time_us = bad;
+    ExpectSqaRejects(options, "annealing_time_us");
+    options = SmallSqaOptions();
+    options.sweeps_per_us = bad;
+    ExpectSqaRejects(options, "sweeps_per_us");
+  }
+}
+
 /// Random Ising model whose coefficients are multiples of 1/64: all field
-/// sums are exact, so the incremental per-slice local fields must equal
-/// the reference O(degree) scans bit for bit (see the dyadic QUBO kernel
-/// tests for the same argument).
+/// sums are exact, so production's per-slice local fields must equal the
+/// scanning reference's O(degree) sums bit for bit (see the dyadic QUBO
+/// kernel tests for the same argument).
 IsingModel DyadicRandomIsing(int n, double edge_probability, Rng& rng) {
   IsingModel ising;
   const auto dyadic = [&rng] {
@@ -604,7 +679,14 @@ IsingModel DyadicRandomIsing(int n, double edge_probability, Rng& rng) {
   return ising;
 }
 
+// The SQA and QAOA parity tests below run production (null pool, then
+// pools of 1, 4 and 8 threads) against the serial oracles of
+// sim/sqa_reference.h and sim/qaoa_reference.h, which run once.
+
 TEST(SqaTest, KernelsBitIdenticalOnDyadicProblems) {
+  // The scanning reference sums each classical field over the
+  // neighbourhood, production keeps it in persistent field planes: on
+  // dyadic coefficients both sums are exact.
   Rng make_rng(67);
   const IsingModel ising = DyadicRandomIsing(20, 0.4, make_rng);
   SqaOptions options;
@@ -613,17 +695,17 @@ TEST(SqaTest, KernelsBitIdenticalOnDyadicProblems) {
   options.sweeps_per_us = 4.0;
   options.trotter_slices = 8;
   options.ice_sigma = 0.0;  // noise would perturb the dyadic coefficients
-  for (int parallelism : {1, 4}) {
-    ThreadPool pool(parallelism);
-    options.control.pool = &pool;
-    options.kernel = SolverKernel::kIncremental;
+  Rng rng_ref(71);
+  auto reference =
+      RunSqaReference(ising, options, rng_ref, ReferenceDelta::kScan);
+  ASSERT_TRUE(reference.ok());
+  for (int parallelism : {0, 1, 4, 8}) {
+    std::optional<ThreadPool> pool;
+    if (parallelism > 0) pool.emplace(parallelism);
+    options.control.pool = pool ? &*pool : nullptr;
     Rng rng_inc(71);
     auto incremental = RunSqa(ising, options, rng_inc);
-    options.kernel = SolverKernel::kReference;
-    Rng rng_ref(71);
-    auto reference = RunSqa(ising, options, rng_ref);
     ASSERT_TRUE(incremental.ok());
-    ASSERT_TRUE(reference.ok());
     ASSERT_EQ(incremental->size(), reference->size());
     for (size_t i = 0; i < incremental->size(); ++i) {
       EXPECT_EQ((*incremental)[i].energy, (*reference)[i].energy)
@@ -634,11 +716,11 @@ TEST(SqaTest, KernelsBitIdenticalOnDyadicProblems) {
 }
 
 TEST(SqaTest, BatchedKernelsBitIdenticalToScalarReads) {
-  // The batched SoA kernel mirrors the incremental kernel's per-replica
-  // operand order exactly (exact +-2 * J products, same per-lane draw
-  // sequence including the ICE Gaussians), so bit-identity holds on
-  // continuous coefficients *with* noise, for full groups, partial tail
-  // lanes, and a single lane, at every parallelism.
+  // The batched SoA kernel mirrors the scalar local-field read's
+  // per-replica operand order exactly (exact +-2 * J products, same
+  // per-lane draw sequence including the ICE Gaussians), so bit-identity
+  // holds on continuous coefficients *with* noise, for full groups,
+  // partial tail lanes, and a single lane, at every parallelism.
   Rng make_rng(67);
   const IsingModel ising = RandomIsing(15, 0.4, make_rng);
   SqaOptions options;
@@ -648,16 +730,17 @@ TEST(SqaTest, BatchedKernelsBitIdenticalToScalarReads) {
   options.ice_sigma = 0.02;
   for (int num_reads : {1, 4, 17}) {
     options.num_reads = num_reads;
-    for (int parallelism : {1, 4, 8}) {
-      ThreadPool pool(parallelism);
-      options.control.pool = &pool;
-      options.kernel = SolverKernel::kIncremental;
-      Rng rng_inc(71);
-      auto scalar = RunSqa(ising, options, rng_inc);
-      options.kernel = SolverKernel::kBatched;
+    options.control.pool = nullptr;
+    Rng rng_ref(71);
+    auto scalar =
+        RunSqaReference(ising, options, rng_ref, ReferenceDelta::kLocalFields);
+    ASSERT_TRUE(scalar.ok());
+    for (int parallelism : {0, 1, 4, 8}) {
+      std::optional<ThreadPool> pool;
+      if (parallelism > 0) pool.emplace(parallelism);
+      options.control.pool = pool ? &*pool : nullptr;
       Rng rng_bat(71);
       auto batched = RunSqa(ising, options, rng_bat);
-      ASSERT_TRUE(scalar.ok());
       ASSERT_TRUE(batched.ok());
       ASSERT_EQ(scalar->size(), batched->size());
       for (size_t i = 0; i < scalar->size(); ++i) {
@@ -714,17 +797,25 @@ TEST(QaoaSimulatorTest, FusedKernelsBitIdenticalToReference) {
       }
 
       auto fused = QaoaSimulator::Create(ising);
-      auto reference = QaoaSimulator::Create(ising);
       ASSERT_TRUE(fused.ok());
-      ASSERT_TRUE(reference.ok());
-      const double ef = fused->Run(params, SimKernel::kFused);
-      const double er = reference->Run(params, SimKernel::kReference);
-      EXPECT_EQ(ef, er) << "n=" << n << " p=" << p;
-      ASSERT_EQ(fused->amplitudes().size(), reference->amplitudes().size());
-      for (size_t i = 0; i < fused->amplitudes().size(); ++i) {
-        ASSERT_EQ(fused->amplitudes()[i], reference->amplitudes()[i])
-            << "n=" << n << " p=" << p << " amp " << i;
+      std::vector<std::complex<float>> reference;
+      const double er =
+          RunQaoaReference(fused->cost_spectrum(), params, reference);
+      for (int parallelism : {0, 1, 4, 8}) {
+        std::optional<ThreadPool> pool;
+        if (parallelism > 0) pool.emplace(parallelism);
+        fused->set_pool(pool ? &*pool : nullptr);
+        const double ef = fused->Run(params);
+        EXPECT_EQ(ef, er) << "n=" << n << " p=" << p
+                          << " parallelism=" << parallelism;
+        ASSERT_EQ(fused->amplitudes().size(), reference.size());
+        for (size_t i = 0; i < reference.size(); ++i) {
+          ASSERT_EQ(fused->amplitudes()[i], reference[i])
+              << "n=" << n << " p=" << p << " parallelism=" << parallelism
+              << " amp " << i;
+        }
       }
+      fused->set_pool(nullptr);
     }
   }
 }
@@ -735,18 +826,23 @@ TEST(QaoaSimulatorTest, MixerLayerKernelsBitIdentical) {
   QaoaParameters params{{0.37}, {0.52}};
 
   auto fused = QaoaSimulator::Create(ising);
-  auto reference = QaoaSimulator::Create(ising);
   ASSERT_TRUE(fused.ok());
-  ASSERT_TRUE(reference.ok());
-  // Identical starting states (kernel parity is covered above).
-  fused->Run(params, SimKernel::kFused);
-  reference->Run(params, SimKernel::kFused);
-  fused->ApplyMixerLayer(0.23, SimKernel::kFused);
-  reference->ApplyMixerLayer(0.23, SimKernel::kReference);
-  for (size_t i = 0; i < fused->amplitudes().size(); ++i) {
-    ASSERT_EQ(fused->amplitudes()[i], reference->amplitudes()[i])
-        << "amp " << i;
+  // Identical starting states (layer parity is covered above).
+  fused->Run(params);
+  std::vector<std::complex<float>> reference = fused->amplitudes();
+  ApplyQaoaMixerReference(0.23, reference);
+  for (int parallelism : {0, 1, 4, 8}) {
+    std::optional<ThreadPool> pool;
+    if (parallelism > 0) pool.emplace(parallelism);
+    fused->set_pool(pool ? &*pool : nullptr);
+    fused->Run(params);
+    fused->ApplyMixerLayer(0.23);
+    for (size_t i = 0; i < fused->amplitudes().size(); ++i) {
+      ASSERT_EQ(fused->amplitudes()[i], reference[i])
+          << "parallelism " << parallelism << " amp " << i;
+    }
   }
+  fused->set_pool(nullptr);
 }
 
 TEST(QaoaSimulatorTest, EvaluateBatchMatchesRun) {
@@ -765,12 +861,14 @@ TEST(QaoaSimulatorTest, EvaluateBatchMatchesRun) {
       batch.push_back(std::move(params));
     }
   }
-  for (SimKernel kernel : {SimKernel::kFused, SimKernel::kReference}) {
-    const std::vector<double> energies = sim->EvaluateBatch(batch, kernel);
-    ASSERT_EQ(energies.size(), batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(energies[i], sim->Run(batch[i], kernel)) << "entry " << i;
-    }
+  const std::vector<float> spectrum = sim->cost_spectrum();
+  std::vector<std::complex<float>> scratch;
+  const std::vector<double> energies = sim->EvaluateBatch(batch);
+  ASSERT_EQ(energies.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(energies[i], sim->Run(batch[i])) << "entry " << i;
+    EXPECT_EQ(energies[i], RunQaoaReference(spectrum, batch[i], scratch))
+        << "entry " << i;
   }
 }
 
@@ -861,14 +959,12 @@ TEST(QaoaSimulatorTest, MinCostBreaksTiesTowardsSmallestBasisState) {
 // Checks every contract the palette encoding must keep on `ising`:
 // cost_spectrum() matches IsingModel::Energy state by state, the palette
 // holds each distinct float bit pattern exactly once, MinCost/argmin
-// equal a linear scan with the smallest-index tie-break, and fused and
-// reference amplitudes compare equal. Reports the palette size.
+// equal a linear scan with the smallest-index tie-break, and the fused
+// amplitudes equal the gate-at-a-time oracle's. Reports the palette size.
 void ExpectPaletteContracts(const IsingModel& ising, size_t* num_levels) {
   const int n = ising.num_spins();
   auto fused = QaoaSimulator::Create(ising);
-  auto reference = QaoaSimulator::Create(ising);
   ASSERT_TRUE(fused.ok());
-  ASSERT_TRUE(reference.ok());
 
   const std::vector<float> spectrum = fused->cost_spectrum();
   ASSERT_EQ(spectrum.size(), uint64_t{1} << n);
@@ -893,10 +989,9 @@ void ExpectPaletteContracts(const IsingModel& ising, size_t* num_levels) {
   EXPECT_EQ(argmin, expected_argmin);
 
   QaoaParameters params{{0.41, 0.17}, {0.63, 0.29}};
-  EXPECT_EQ(fused->Run(params, SimKernel::kFused),
-            reference->Run(params, SimKernel::kReference));
+  std::vector<std::complex<float>> ar;
+  EXPECT_EQ(fused->Run(params), RunQaoaReference(spectrum, params, ar));
   const auto& af = fused->amplitudes();
-  const auto& ar = reference->amplitudes();
   ASSERT_EQ(af.size(), ar.size());
   for (size_t i = 0; i < af.size(); ++i) {
     ASSERT_EQ(af[i], ar[i]) << "amp " << i;
