@@ -347,8 +347,9 @@ Status ValidatePortfolioOptions(const PortfolioOptions& options,
   if (options.reads_per_round <= 0 || options.sweeps_per_round <= 0) {
     return Status::InvalidArgument("portfolio round sizes must be positive");
   }
-  // Checked here rather than per round: a rejected schedule used to end
-  // the SQA strand silently after zero rounds.
+  // RunSqaStrand stops at the first RunSqa error, so a schedule RunSqa
+  // rejects must fail the race here, not end that strand after zero
+  // rounds.
   QJO_RETURN_IF_ERROR(ValidateSqaOptions(SqaStrandOptions(options)));
   if (options.registry != nullptr && options.registry->size() == 0) {
     return Status::InvalidArgument("portfolio strand registry is empty");

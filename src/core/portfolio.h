@@ -180,8 +180,9 @@ struct PortfolioOptions {
   int qaoa_shots = 128;
   int qaoa_iterations = 10;
   /// Template for the SQA strand (trotter slices, temperatures, ICE
-  /// noise). num_reads, the sweep schedule, the kernel (always
-  /// kBatched) and `control` are overridden per round.
+  /// noise). num_reads, the sweep schedule and `control` are overridden
+  /// per round; ValidatePortfolioOptions rejects the race when the
+  /// resulting per-round options fail ValidateSqaOptions.
   SqaOptions sqa;
 
   /// The decomposition strand (large-neighborhood search over the join
@@ -218,8 +219,9 @@ struct PortfolioOptions {
 };
 
 /// The single entry validation of a race configuration: RunContext
-/// invariants, positive round sizes, and the budget rule (`sweep_budget
-/// <= 0` together with `run.deadline_ms < 0` is an unbounded race and is
+/// invariants, positive round sizes, the SQA strand's per-round options
+/// (ValidateSqaOptions), and the budget rule (`sweep_budget <= 0`
+/// together with `run.deadline_ms < 0` is an unbounded race and is
 /// rejected here — not ad-hoc per strand). RaceQuboPortfolio calls this
 /// first; exposed so config builders can validate early.
 Status ValidatePortfolioOptions(const PortfolioOptions& options,

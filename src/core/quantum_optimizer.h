@@ -106,10 +106,10 @@ struct QjoConfig {
   bool noiseless = false;
 
   // --- Annealer options. ---
-  /// SQA template; its `kernel` and `control` are overwritten by the
-  /// pipeline (kBatched, and `run`'s pool/stop/sinks). Every stochastic
-  /// solve the pipeline issues runs the batched kernel (tabu its
-  /// incremental one); the SIMD tier is picked at runtime (QJO_SIMD to
+  /// SQA template; its `control` is overwritten by the pipeline with
+  /// `run`'s pool/stop/sinks. The backend fails with InvalidArgument
+  /// before embedding when ValidateSqaOptions rejects it. The SIMD tier
+  /// of the stochastic solvers is picked at runtime (QJO_SIMD to
   /// override).
   SqaOptions sqa;
   EmbeddingOptions embedding;

@@ -32,7 +32,7 @@ namespace qjo {
 ///     joined prefix is folded into one pseudo-relation carrying its
 ///     cardinality and its combined selectivities towards every window
 ///     relation — encoded through the shared QUBO build cache and solved
-///     with the fast incremental SA/tabu/SQA kernels (rotating per
+///     with the batched SA/SQA and incremental tabu kernels (rotating per
 ///     window so the strand inherits the portfolio's solver diversity).
 ///  4. *Stitch + repair.* The best decodable sample yields a relative
 ///     order of the window's relations (the prefix pseudo-relation is
@@ -57,7 +57,7 @@ namespace qjo {
 /// next to them (the portfolio's decomp strand passes the race's).
 struct DecompOptions {
   /// Relations per window (the subqueries add one prefix pseudo-relation
-  /// on top). Sized for the fast incremental kernels: sub-QUBOs stay in
+  /// on top). Sized for the local-field kernels: sub-QUBOs stay in
   /// the few-hundred-variable range where SA/tabu sweeps are microseconds.
   int window = 9;
   /// LNS rounds. <= 0 requires a positive deadline (run until it fires).
@@ -67,9 +67,8 @@ struct DecompOptions {
   /// improvement.
   int stall_rounds = 2;
 
-  /// Sub-solver effort per window: reads/restarts x sweeps/iterations.
-  /// The rotating SA/tabu/SQA sub-solves run their default kernels
-  /// (kBatched; tabu's incremental one).
+  /// Sub-solver effort per window: reads/restarts x sweeps/iterations,
+  /// spent by the rotating SA/tabu/SQA sub-solves.
   int subsolver_reads = 4;
   int subsolver_sweeps = 96;
 

@@ -50,7 +50,7 @@ void AppendDouble(std::string* key, const char* tag, double v) {
 }
 
 /// Keys every result-determining value field of an SQA template (the
-/// pipeline overwrites its `kernel` and `control`).
+/// pipeline overwrites its `control`).
 void AppendSqa(std::string* key, const char* tag, const SqaOptions& sqa) {
   key->append("|").append(tag);
   AppendI64(key, "reads", sqa.num_reads);

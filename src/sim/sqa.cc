@@ -14,9 +14,9 @@
 namespace qjo {
 namespace {
 
-/// Replicas per SoA group (see the SA counterpart
-/// in qubo/solvers.cc — same chunking discipline, so group membership
-/// depends only on the read index and results are parallelism-invariant).
+/// Replicas per SoA group (see the SA counterpart in qubo/solvers.cc —
+/// same chunking discipline, so group membership depends only on the
+/// read index and results are parallelism-invariant).
 constexpr int kReplicaBatch = 16;
 
 /// Below/at this many accepted lanes the neighbour update walks the

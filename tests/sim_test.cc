@@ -658,6 +658,14 @@ TEST(SqaTest, RejectsNonFiniteScheduleValues) {
   }
 }
 
+TEST(SqaTest, RejectsSweepCountPastIntRange) {
+  // annealing_time_us * sweeps_per_us is cast to int: past INT_MAX the
+  // cast is undefined and ran the 8-sweep minimum on x86-64.
+  SqaOptions options = SmallSqaOptions();
+  options.annealing_time_us = 1e12;
+  ExpectSqaRejects(options, "1e12 us x 5 sweeps/us");
+}
+
 /// Random Ising model whose coefficients are multiples of 1/64: all field
 /// sums are exact, so production's per-slice local fields must equal the
 /// scanning reference's O(degree) sums bit for bit (see the dyadic QUBO
