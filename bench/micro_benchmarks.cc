@@ -14,9 +14,10 @@
 // BENCH_kernels.json (machine-readable evidence for the kernel rework).
 // The suite exits nonzero when a production kernel breaks its
 // bit-identity contract against the scalar local-field reference, so the
-// ctest smoke doubles as a correctness gate. Run with --kernels_only to skip the google-benchmark
-// part; set QJO_KERNEL_BENCH_FAST=1 for the quick ctest smoke
-// configuration and QJO_BENCH_KERNELS_JSON to redirect the output file.
+// ctest smoke doubles as a correctness gate. Run with --kernels_only to
+// skip the google-benchmark part; set QJO_KERNEL_BENCH_FAST=1 for the
+// quick ctest smoke configuration and QJO_BENCH_KERNELS_JSON to redirect
+// the output file.
 
 #include <benchmark/benchmark.h>
 

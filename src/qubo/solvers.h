@@ -82,10 +82,10 @@ struct TabuOptions {
 
 /// Tabu search: steepest-descent single-bit flips with a recency-based
 /// tabu list and incumbent aspiration. Flip deltas come from persistent
-/// local fields, updated over the flipped variable's neighbourhood only. Ties on the best move are broken
-/// uniformly with a single RNG draw per iteration (tie counting), so the
-/// number of draws never depends on candidate scan order. Returns one
-/// solution per restart, best first.
+/// local fields, updated over the flipped variable's neighbourhood only.
+/// Ties on the best move are broken uniformly with a single RNG draw per
+/// iteration (tie counting), so the number of draws never depends on
+/// candidate scan order. Returns one solution per restart, best first.
 std::vector<QuboSolution> SolveQuboTabuSearch(const Qubo& qubo,
                                               const TabuOptions& options,
                                               Rng& rng);

@@ -17,7 +17,6 @@
 #include <fstream>
 #include <functional>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -52,7 +51,9 @@ class Digest {
     }
     return *this;
   }
-  Digest& Add(int v) { return Add(static_cast<uint64_t>(static_cast<int64_t>(v))); }
+  Digest& Add(int v) {
+    return Add(static_cast<uint64_t>(static_cast<int64_t>(v)));
+  }
   Digest& Add(bool v) { return Add(uint64_t{v}); }
   Digest& Add(double v) { return Add(std::bit_cast<uint64_t>(v)); }
   Digest& Add(const std::vector<int>& v) {
@@ -88,33 +89,27 @@ Query MakeQuery(int relations, QueryGraphType shape, uint64_t seed) {
 }
 
 void AddReport(Digest& d, const QjoReport& report) {
-  d.Add(report.found_valid)
-      .Add(report.best_order.order())
-      .Add(report.best_cost)
-      .Add(report.optimal_order.order())
-      .Add(report.optimal_cost)
-      .Add(report.stats.total)
-      .Add(report.stats.valid)
-      .Add(report.stats.optimal)
-      .Add(report.stats.bilp_feasible)
-      .Add(report.encoding.bilp_variables);
+  d.Add(report.found_valid);
+  d.Add(report.best_order.order());
+  d.Add(report.best_cost);
+  d.Add(report.optimal_order.order());
+  d.Add(report.optimal_cost);
+  d.Add(report.stats.total);
+  d.Add(report.stats.valid);
+  d.Add(report.stats.optimal);
+  d.Add(report.stats.bilp_feasible);
+  d.Add(report.encoding.bilp_variables);
 }
 
 constexpr QueryGraphType kShapes[] = {
     QueryGraphType::kChain, QueryGraphType::kStar, QueryGraphType::kCycle};
 constexpr const char* kShapeNames[] = {"chain", "star", "cycle"};
 
-/// One golden entry: a name and a function returning the answer's digest
-/// on the given pool (null = serial).
-struct Entry {
-  std::string name;
-  std::function<std::string(ThreadPool*)> run;
-};
-
-std::string RunPipeline(const Query& query, QjoConfig config,
-                        ThreadPool* pool,
-                        const std::function<void(Digest&, const QjoReport&)>&
-                            extra = nullptr) {
+/// Digest of the pipeline's report for `query` under `config` on `pool`,
+/// plus the backend-specific fields `extra` adds.
+std::string RunPipeline(
+    const Query& query, QjoConfig config, ThreadPool* pool,
+    const std::function<void(Digest&, const QjoReport&)>& extra = nullptr) {
   config.run.pool = pool;
   auto report = OptimizeJoinOrder(query, config);
   if (!report.ok()) return "error:" + report.status().ToString();
@@ -124,188 +119,184 @@ std::string RunPipeline(const Query& query, QjoConfig config,
   return d.Hex();
 }
 
+std::string ExactAnswer(int relations, uint64_t seed, double omega,
+                        ThreadPool* pool) {
+  QjoConfig config;
+  config.backend = QjoBackend::kExact;
+  config.omega = omega;
+  return RunPipeline(MakeQuery(relations, QueryGraphType::kChain, seed),
+                     config, pool);
+}
+
+std::string SaAnswer(int shape, ThreadPool* pool) {
+  QjoConfig config;
+  config.backend = QjoBackend::kSimulatedAnnealing;
+  config.shots = 320;  // 40 reads
+  config.seed = 11 + shape;
+  return RunPipeline(MakeQuery(3, kShapes[shape], 20 + shape), config, pool);
+}
+
+void AddGate(Digest& d, const QjoReport& report) {
+  d.Add(report.gate.gamma);
+  d.Add(report.gate.beta);
+  d.Add(report.gate.circuit_depth);
+  d.Add(report.gate.fidelity);
+}
+
+std::string QaoaAnswer(int grid, ThreadPool* pool) {
+  QjoConfig config;
+  config.backend = QjoBackend::kQaoaSimulator;
+  config.shots = 256;
+  config.qaoa_grid = grid;
+  config.seed = 5;
+  return RunPipeline(MakeQuery(2, QueryGraphType::kChain, 31), config, pool,
+                     AddGate);
+}
+
+void AddAnneal(Digest& d, const QjoReport& report) {
+  d.Add(report.anneal.physical_qubits);
+  d.Add(report.anneal.max_chain_length);
+  d.Add(report.anneal.chain_strength);
+  d.Add(report.anneal.mean_chain_break_fraction);
+}
+
+std::string AnnealerAnswer(ThreadPool* pool) {
+  QjoConfig config;
+  config.backend = QjoBackend::kQuantumAnnealerSim;
+  config.omega = 3.0;
+  config.sqa.num_reads = 16;
+  config.sqa.annealing_time_us = 10.0;
+  config.embedding.tries = 4;
+  config.embedding.max_passes = 10;
+  config.seed = 9;
+  return RunPipeline(MakeQuery(3, QueryGraphType::kStar, 41), config, pool,
+                     AddAnneal);
+}
+
+/// The chains themselves, for the encoding AnnealerAnswer anneals.
+std::string EmbeddingAnswer(ThreadPool* pool) {
+  JoEncodingOptions options;
+  options.omega = 3.0;
+  auto entry =
+      BuildJoQuboEncoding(MakeQuery(3, QueryGraphType::kStar, 41), options);
+  if (!entry.ok()) return entry.status().ToString();
+  const Qubo& qubo = (*entry)->encoding.qubo;
+  auto p6 = MakePegasus(6);
+  if (!p6.ok()) return p6.status().ToString();
+  EmbeddingOptions embedding;
+  embedding.tries = 4;
+  embedding.max_passes = 10;
+  Rng rng(17);
+  auto chains = FindMinorEmbedding(qubo.Edges(), qubo.num_variables(), *p6,
+                                   embedding, rng, pool);
+  if (!chains.ok()) return chains.status().ToString();
+  Digest d;
+  for (const std::vector<int>& chain : chains->chains) d.Add(chain);
+  d.Add(rng.Next());
+  return d.Hex();
+}
+
+void AddRace(Digest& d, const QjoReport& report) {
+  d.Add(report.portfolio.winner);
+  d.Add(report.portfolio.race.best_energy);
+  for (const StrandOutcome& s : report.portfolio.race.strands) {
+    d.Add(s.name);
+    d.Add(s.eligible);
+    d.Add(s.rounds_completed);
+    d.Add(static_cast<uint64_t>(s.sweeps_completed));
+    d.Add(s.best_energy);
+    d.Add(s.feasible);
+  }
+}
+
+/// A sweep-budget race with no deadline. At 6 qubits every strand is
+/// eligible; at 24 qubits exact and QAOA sit out and the SA, tabu and SQA
+/// strands race.
+std::string PortfolioAnswer(int relations, int shape, uint64_t seed,
+                            double omega, ThreadPool* pool) {
+  QjoConfig config;
+  config.backend = QjoBackend::kPortfolio;
+  config.omega = omega;
+  config.portfolio.sweep_budget = 512;
+  config.seed = 13;
+  return RunPipeline(MakeQuery(relations, kShapes[shape], seed), config, pool,
+                     AddRace);
+}
+
+std::string DecompAnswer(ThreadPool* pool) {
+  const Query query = MakeQuery(12, QueryGraphType::kChain, 61);
+  DecompOptions options;
+  options.window = 5;
+  options.max_rounds = 3;
+  RunContext run;
+  run.pool = pool;
+  Rng rng(19);
+  auto report = OptimizeJoinOrderDecomposed(query, options, run, rng);
+  if (!report.ok()) return report.status().ToString();
+  Digest d;
+  d.Add(report->order.order());
+  d.Add(report->cost);
+  d.Add(report->rounds);
+  d.Add(report->windows_solved);
+  d.Add(report->improvements);
+  d.Add(report->repairs);
+  return d.Hex();
+}
+
+/// The DP (dp = true) or greedy oracle; neither takes a pool.
+std::string OracleAnswer(bool dp, int relations, int shape, uint64_t seed,
+                         ThreadPool*) {
+  const Query query = MakeQuery(relations, kShapes[shape], seed);
+  auto result = dp ? OptimizeDp(query) : OptimizeGreedy(query);
+  if (!result.ok()) return result.status().ToString();
+  Digest d;
+  d.Add(result->order.order());
+  d.Add(result->cost);
+  return d.Hex();
+}
+
+/// One golden entry: a name and a function returning the answer's digest
+/// on the given pool (null = serial).
+struct Entry {
+  std::string name;
+  std::function<std::string(ThreadPool*)> run;
+};
+
 std::vector<Entry> GoldenEntries() {
   std::vector<Entry> entries;
-
-  // Exact: every 2-relation encoding has 6 qubits; one 3-relation query at
-  // omega 3 (24 qubits) exercises the Gray-code walk at size.
-  for (uint64_t seed : {1, 2}) {
-    entries.push_back({"exact/r2/s" + std::to_string(seed),
-                       [seed](ThreadPool* pool) {
-                         QjoConfig config;
-                         config.backend = QjoBackend::kExact;
-                         return RunPipeline(
-                             MakeQuery(2, QueryGraphType::kChain, seed),
-                             config, pool);
-                       }});
-  }
-  entries.push_back({"exact/r3-chain/omega3", [](ThreadPool* pool) {
-                       QjoConfig config;
-                       config.backend = QjoBackend::kExact;
-                       config.omega = 3.0;
-                       return RunPipeline(
-                           MakeQuery(3, QueryGraphType::kChain, 3), config,
-                           pool);
-                     }});
-
-  // Classical SA on the logical QUBO: 3-relation queries, 40 reads.
+  // Every 2-relation encoding has 6 qubits; the 3-relation one at omega 3
+  // (24 qubits) runs the Gray-code walk at size.
+  entries.push_back({"exact/r2/s1", std::bind_front(ExactAnswer, 2, 1, 1.0)});
+  entries.push_back({"exact/r2/s2", std::bind_front(ExactAnswer, 2, 2, 1.0)});
+  entries.push_back(
+      {"exact/r3-chain/omega3", std::bind_front(ExactAnswer, 3, 3, 3.0)});
   for (int s = 0; s < 3; ++s) {
-    entries.push_back(
-        {std::string("sa/r3-") + kShapeNames[s],
-         [s](ThreadPool* pool) {
-           QjoConfig config;
-           config.backend = QjoBackend::kSimulatedAnnealing;
-           config.shots = 320;
-           config.seed = 11 + s;
-           return RunPipeline(MakeQuery(3, kShapes[s], 20 + s), config, pool);
-         }});
+    entries.push_back({std::string("sa/r3-") + kShapeNames[s],
+                       std::bind_front(SaAnswer, s)});
   }
-
-  // QAOA simulator: every 3-relation encoding has >= 22 qubits, so the
-  // gate flow runs on 2-relation queries; one entry refines the angles
-  // over a batched grid (EvaluateBatch).
-  for (int grid : {0, 4}) {
-    entries.push_back(
-        {"qaoa/r2/grid" + std::to_string(grid), [grid](ThreadPool* pool) {
-           QjoConfig config;
-           config.backend = QjoBackend::kQaoaSimulator;
-           config.shots = 256;
-           config.qaoa_grid = grid;
-           config.seed = 5;
-           return RunPipeline(MakeQuery(2, QueryGraphType::kChain, 31),
-                              config, pool, [](Digest& d, const QjoReport& r) {
-                                d.Add(r.gate.gamma)
-                                    .Add(r.gate.beta)
-                                    .Add(r.gate.circuit_depth)
-                                    .Add(r.gate.fidelity);
-                              });
-         }});
-  }
-
-  // Annealer on Pegasus P6 with few reads (the paper_backends shape:
-  // 3 relations, omega 3, one threshold).
-  entries.push_back({"annealer/r3-star/p6", [](ThreadPool* pool) {
-                       QjoConfig config;
-                       config.backend = QjoBackend::kQuantumAnnealerSim;
-                       config.omega = 3.0;
-                       config.sqa.num_reads = 16;
-                       config.sqa.annealing_time_us = 10.0;
-                       config.embedding.tries = 4;
-                       config.embedding.max_passes = 10;
-                       config.seed = 9;
-                       return RunPipeline(
-                           MakeQuery(3, QueryGraphType::kStar, 41), config,
-                           pool, [](Digest& d, const QjoReport& r) {
-                             d.Add(r.anneal.physical_qubits)
-                                 .Add(r.anneal.max_chain_length)
-                                 .Add(r.anneal.chain_strength)
-                                 .Add(r.anneal.mean_chain_break_fraction);
-                           });
-                     }});
-
-  // The chains themselves, for the same encoding the annealer entry uses.
-  entries.push_back({"embedding/r3-star/p6", [](ThreadPool* pool) {
-                       JoEncodingOptions options;
-                       options.omega = 3.0;
-                       auto entry = BuildJoQuboEncoding(
-                           MakeQuery(3, QueryGraphType::kStar, 41), options);
-                       if (!entry.ok()) return entry.status().ToString();
-                       const Qubo& qubo = (*entry)->encoding.qubo;
-                       auto p6 = MakePegasus(6);
-                       if (!p6.ok()) return p6.status().ToString();
-                       EmbeddingOptions embedding;
-                       embedding.tries = 4;
-                       embedding.max_passes = 10;
-                       Rng rng(17);
-                       auto chains =
-                           FindMinorEmbedding(qubo.Edges(), qubo.num_variables(),
-                                              *p6, embedding, rng, pool);
-                       if (!chains.ok()) return chains.status().ToString();
-                       Digest d;
-                       for (const std::vector<int>& chain : chains->chains) {
-                         d.Add(chain);
-                       }
-                       d.Add(rng.Next());
-                       return d.Hex();
-                     }});
-
-  // Portfolio with a sweep budget and no deadline. At 6 qubits every
-  // strand is eligible; at 24 qubits exact and QAOA sit out and the SA,
-  // tabu and SQA strands race.
-  const auto portfolio = [](const Query& query, double omega,
-                            ThreadPool* pool) {
-    QjoConfig config;
-    config.backend = QjoBackend::kPortfolio;
-    config.omega = omega;
-    config.portfolio.sweep_budget = 512;
-    config.seed = 13;
-    return RunPipeline(query, config, pool, [](Digest& d, const QjoReport& r) {
-      d.Add(r.portfolio.winner).Add(r.portfolio.race.best_energy);
-      for (const StrandOutcome& s : r.portfolio.race.strands) {
-        d.Add(s.name)
-            .Add(s.eligible)
-            .Add(s.rounds_completed)
-            .Add(static_cast<uint64_t>(s.sweeps_completed))
-            .Add(s.best_energy)
-            .Add(s.feasible);
-      }
-    });
-  };
-  entries.push_back({"portfolio/r2", [portfolio](ThreadPool* pool) {
-                       return portfolio(
-                           MakeQuery(2, QueryGraphType::kChain, 51), 1.0, pool);
-                     }});
+  // Every 3-relation encoding has >= 22 qubits, so the gate flow runs on
+  // 2-relation queries; grid 4 refines the angles through EvaluateBatch.
+  entries.push_back({"qaoa/r2/grid0", std::bind_front(QaoaAnswer, 0)});
+  entries.push_back({"qaoa/r2/grid4", std::bind_front(QaoaAnswer, 4)});
+  entries.push_back({"annealer/r3-star/p6", AnnealerAnswer});
+  entries.push_back({"embedding/r3-star/p6", EmbeddingAnswer});
+  entries.push_back(
+      {"portfolio/r2", std::bind_front(PortfolioAnswer, 2, 0, 51, 1.0)});
   for (int s = 0; s < 2; ++s) {
     entries.push_back({std::string("portfolio/r3-") + kShapeNames[s],
-                       [s, portfolio](ThreadPool* pool) {
-                         return portfolio(MakeQuery(3, kShapes[s], 52 + s), 3.0,
-                                          pool);
-                       }});
+                       std::bind_front(PortfolioAnswer, 3, s, 52 + s, 3.0)});
   }
-
-  // Decomposition with a round budget on a 12-relation query.
-  entries.push_back({"decomp/r12-chain", [](ThreadPool* pool) {
-                       const Query query =
-                           MakeQuery(12, QueryGraphType::kChain, 61);
-                       DecompOptions options;
-                       options.window = 5;
-                       options.max_rounds = 3;
-                       RunContext run;
-                       run.pool = pool;
-                       Rng rng(19);
-                       auto report =
-                           OptimizeJoinOrderDecomposed(query, options, run, rng);
-                       if (!report.ok()) return report.status().ToString();
-                       Digest d;
-                       d.Add(report->order.order())
-                           .Add(report->cost)
-                           .Add(report->rounds)
-                           .Add(report->windows_solved)
-                           .Add(report->improvements)
-                           .Add(report->repairs);
-                       return d.Hex();
-                     }});
-
-  // The classical oracles.
+  entries.push_back({"decomp/r12-chain", DecompAnswer});
   for (int relations : {5, 9}) {
     for (int s = 0; s < 3; ++s) {
-      const std::string suffix = "/r" + std::to_string(relations) + "-" +
-                                 kShapeNames[s];
+      const std::string suffix =
+          "/r" + std::to_string(relations) + "-" + kShapeNames[s];
       const uint64_t seed = 70 + relations + s;
-      entries.push_back({"dp" + suffix, [=](ThreadPool*) {
-                           auto r = OptimizeDp(MakeQuery(relations, kShapes[s],
-                                                         seed));
-                           if (!r.ok()) return r.status().ToString();
-                           Digest d;
-                           return d.Add(r->order.order()).Add(r->cost).Hex();
-                         }});
-      entries.push_back({"greedy" + suffix, [=](ThreadPool*) {
-                           auto r = OptimizeGreedy(
-                               MakeQuery(relations, kShapes[s], seed));
-                           if (!r.ok()) return r.status().ToString();
-                           Digest d;
-                           return d.Add(r->order.order()).Add(r->cost).Hex();
-                         }});
+      for (bool dp : {true, false}) {
+        const std::string name = (dp ? "dp" : "greedy") + suffix;
+        entries.push_back(
+            {name, std::bind_front(OracleAnswer, dp, relations, s, seed)});
+      }
     }
   }
   return entries;

@@ -527,7 +527,8 @@ TEST(SimulatedAnnealingTest, BatchedKernelsBitIdenticalToScalarReads) {
         if (parallelism > 0) pool.emplace(parallelism);
         options.control.pool = pool ? &*pool : nullptr;
         Rng rng_bat(19);
-        const auto batched = SolveQuboSimulatedAnnealing(qubo, options, rng_bat);
+        const auto batched =
+            SolveQuboSimulatedAnnealing(qubo, options, rng_bat);
         ASSERT_EQ(scalar.size(), batched.size());
         for (size_t i = 0; i < scalar.size(); ++i) {
           EXPECT_EQ(scalar[i].energy, batched[i].energy)
