@@ -296,15 +296,16 @@ using bench::Metric;
 /// scalar local-field reference's bit for bit.
 bool SqaBitIdentical(const std::vector<SqaSample>& incremental,
                      const std::vector<SqaSample>& batched) {
-  for (size_t i = 0; i < incremental.size(); ++i) {
-    if (batched[i].energy != incremental[i].energy ||
-        batched[i].spins != incremental[i].spins) {
-      std::cerr << "kernel bench suite: batched SQA samples are not "
-                   "bit-identical to the incremental kernel\n";
-      return false;
-    }
+  bool identical = batched.size() == incremental.size();
+  for (size_t i = 0; identical && i < incremental.size(); ++i) {
+    identical = batched[i].energy == incremental[i].energy &&
+                batched[i].spins == incremental[i].spins;
   }
-  return batched.size() == incremental.size();
+  if (!identical) {
+    std::cerr << "kernel bench suite: batched SQA samples are not "
+                 "bit-identical to the incremental kernel\n";
+  }
+  return identical;
 }
 
 int RunKernelBenchSuite() {

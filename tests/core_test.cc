@@ -629,10 +629,8 @@ TEST(PortfolioTest, RejectsUnboundedConfiguration) {
 }
 
 TEST(PortfolioTest, RejectsNonsenseSqaSchedule) {
-  // A zero or negative SQA temperature used to pass validation: the
-  // strand raced on a NaN replica coupling (or accepted every uphill
-  // move), and the answer was served. A schedule RunSqa itself rejects
-  // ended the strand silently after zero rounds.
+  // The race must refuse a schedule RunSqa rejects: otherwise the SQA
+  // strand stops after zero rounds and the race answers without it.
   const Query q = MakeChainQuery(3);
   const RunContext run;
   const auto expect_rejected = [&](const SqaOptions& sqa, const char* what) {
@@ -667,8 +665,8 @@ TEST(PortfolioTest, RejectsNonsenseSqaSchedule) {
 }
 
 TEST(AnnealerBackendTest, RejectsNonsenseSqaSchedule) {
-  // The annealer backend used to anneal at a zero temperature and serve
-  // the result; it now fails before embedding.
+  // A zero temperature makes the replica coupling 0/0; the backend must
+  // fail instead of serving samples annealed on NaN.
   QjoConfig config;
   config.backend = QjoBackend::kQuantumAnnealerSim;
   config.sqa.relative_temperature = 0.0;

@@ -587,10 +587,9 @@ TEST(SqaTest, RejectsBadOptions) {
   EXPECT_FALSE(RunSqa(one, options, rng).ok());
 }
 
-// Each schedule below used to run and return samples: a zero temperature
-// gave the last sweep a 0/0 (NaN) replica coupling, a negative one
-// accepted every uphill move, and NaN or infinite values passed the
-// `<= 0` checks.
+// Schedules RunSqa must reject: a zero temperature gives the last sweep
+// a 0/0 (NaN) replica coupling, a negative one accepts every uphill move,
+// and NaN or infinite values slip past `<= 0` checks.
 void ExpectSqaRejects(const SqaOptions& options, const char* what) {
   IsingModel ising;
   ising.h = {0.5, -0.25, 1.0};
@@ -659,8 +658,8 @@ TEST(SqaTest, RejectsNonFiniteScheduleValues) {
 }
 
 TEST(SqaTest, RejectsSweepCountPastIntRange) {
-  // annealing_time_us * sweeps_per_us is cast to int: past INT_MAX the
-  // cast is undefined and ran the 8-sweep minimum on x86-64.
+  // annealing_time_us * sweeps_per_us is cast to int, which is undefined
+  // past INT_MAX.
   SqaOptions options = SmallSqaOptions();
   options.annealing_time_us = 1e12;
   ExpectSqaRejects(options, "1e12 us x 5 sweeps/us");
