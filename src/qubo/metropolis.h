@@ -11,7 +11,8 @@ namespace qjo {
 /// exponent v <= 0 while skipping the std::exp call for almost every
 /// proposal — and returning *exactly* what the direct comparison would,
 /// so batched annealing lanes make bit-identical accept decisions to the
-/// scalar kernels.
+/// scalar reference reads (qubo/solvers_reference.h,
+/// sim/sqa_reference.h).
 ///
 /// Writing u = m * 2^e with m in [0.5, 1) (frexp), ln u lies in
 /// [(e-1)*ln2, e*ln2). If v clears that bracket by a margin, the
@@ -77,7 +78,7 @@ class MetropolisBands {
   }
 
   /// Decides `u < std::exp(-delta / temperature)` for the prepared
-  /// temperature, bit-identical to the scalar kernel's direct test.
+  /// temperature, bit-identical to a scalar read's direct test.
   /// `neg_delta` is -delta (so accept-leaning values are positive).
   bool UnderExp(double u, double neg_delta) const {
     uint64_t bits;

@@ -48,7 +48,7 @@ struct QuboCsr {
   double Energy(const std::vector<int>& x) const;
 
   /// Energy change caused by flipping bit `i` of `x` — the O(degree)
-  /// reference scan. The incremental kernels reproduce this value through
+  /// reference scan. The production solvers reproduce this value through
   /// persistent local fields instead.
   double FlipDelta(const std::vector<int>& x, int i) const;
 

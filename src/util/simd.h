@@ -34,8 +34,9 @@ bool ParseSimdIsa(const char* name, SimdIsa* out);
 /// mul+add the others round separately. Outputs therefore compare equal
 /// with operator== across tiers (only signs of zeros can differ, and for
 /// the float kernels not even those). This is what keeps fused QAOA
-/// sweeps bit-identical to the reference kernel and batched annealing
-/// bit-identical to scalar reads on every host.
+/// sweeps bit-identical to the gate-at-a-time oracle
+/// (sim/qaoa_reference.h) and batched annealing bit-identical to scalar
+/// reads on every host.
 struct SimdOps {
   SimdIsa isa = SimdIsa::kScalar;
   const char* name = "scalar";
@@ -45,7 +46,7 @@ struct SimdOps {
 
   /// Mixer butterflies for all qubits with bit < block_qubits, applied to
   /// one cache-resident block of `bsz` amplitudes (2*bsz floats) at `a`.
-  /// Qubits ascend, matching the reference kernel's sweep order.
+  /// Qubits ascend, matching the gate-at-a-time oracle's sweep order.
   void (*mixer_low_block)(float* a, int64_t bsz, int block_qubits, float c,
                           float sn) = nullptr;
 

@@ -16,8 +16,8 @@ namespace simd_internal {
 
 /// Scalar mixer butterfly on interleaved (re, im) floats:
 ///   lo' = c*lo + (0,-sn)*hi     hi' = (0,-sn)*lo + c*hi
-/// with one IEEE rounding per component, matching the reference kernel's
-/// std::complex expression (see sim/qaoa_simulator.cc).
+/// with one IEEE rounding per component, matching the gate-at-a-time
+/// oracle's std::complex expression (see sim/qaoa_reference.cc).
 inline void ScalarButterfly1(float* lo, float* hi, float c, float sn) {
   const float re0 = lo[0], im0 = lo[1], re1 = hi[0], im1 = hi[1];
   lo[0] = c * re0 + sn * im1;
@@ -57,7 +57,7 @@ inline void ScalarPhaseRows(float* a, const float* t, int64_t floats) {
 }
 
 /// dir[r] is +-1.0 or 0.0, so dir[r] * w is exact (+-w or +-0.0) and the
-/// add reproduces the scalar kernel's fields[j] += w / -= w bit for bit.
+/// add reproduces a scalar read's fields[j] += w / -= w bit for bit.
 inline void ScalarSaRowUpdate(double* fields, const int32_t* cols,
                               const double* w, int count, int64_t lanes,
                               const double* dir) {
