@@ -332,7 +332,10 @@ TEST(GoldenTest, AnswersMatchCheckedInDigests) {
   const std::vector<Entry> entries = GoldenEntries();
   std::map<std::string, std::string> serial;
   for (const Entry& entry : entries) {
-    ASSERT_TRUE(serial.emplace(entry.name, entry.run(nullptr)).second)
+    const std::string digest = entry.run(nullptr);
+    // A digest is 16 hex digits; anything else is a failed solve's status.
+    EXPECT_EQ(digest.size(), 16u) << entry.name << ": " << digest;
+    ASSERT_TRUE(serial.emplace(entry.name, digest).second)
         << "duplicate entry " << entry.name;
   }
   for (int threads : {1, 4}) {
