@@ -10,11 +10,13 @@
 // incremental tabu) against the scalar reference loops of
 // qubo/solvers_reference.h and sim/sqa_reference.h ("reference" = the
 // O(degree) scan, "incremental" = scalar persistent local fields), and
-// the serial-vs-pooled 2^n simulator loops, and writes the numbers to
-// BENCH_kernels.json (machine-readable evidence for the kernel rework).
-// The suite exits nonzero when a production kernel breaks its
-// bit-identity contract against the scalar local-field reference, so the
-// ctest smoke doubles as a correctness gate. Run with --kernels_only to
+// the serial-vs-pooled 2^n simulator loops, and OptimizeDp against the
+// JoinCardinality-per-mask oracle of jo/classical_reference.h, and writes
+// the numbers to BENCH_kernels.json (machine-readable evidence for the
+// kernel rework). The suite exits nonzero when a production kernel breaks
+// its bit-identity contract against the scalar local-field reference, or
+// OptimizeDp its order and cost bits against the DP oracle, so the ctest
+// smoke doubles as a correctness gate. Run with --kernels_only to
 // skip the google-benchmark part; set QJO_KERNEL_BENCH_FAST=1 for the
 // quick ctest smoke configuration and QJO_BENCH_KERNELS_JSON to redirect
 // the output file.
@@ -22,6 +24,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -37,6 +40,8 @@
 #include "obs/obs.h"
 #include "embedding/embedded_qubo.h"
 #include "embedding/minor_embedding.h"
+#include "jo/classical.h"
+#include "jo/classical_reference.h"
 #include "jo/query_generator.h"
 #include "qubo/ising.h"
 #include "qubo/qubo.h"
@@ -605,6 +610,55 @@ int RunKernelBenchSuite() {
     metrics.push_back({"sa_reads_per_sec_serial", reads / time_reads(1)});
     metrics.push_back(
         {"sa_reads_per_sec_parallel", reads / time_reads(parallelism)});
+  }
+
+  // The DP oracle at large_deadline's DP sizes: production OptimizeDp vs
+  // the JoinCardinality-per-mask reference on a chain, a star and a cycle
+  // query of each size ("dp_oracle_r<k>_ms" is the mean per query). Both
+  // must return the same orders and cost bits, or the suite fails.
+  {
+    std::vector<int> sizes = {18};
+    if (!fast) sizes.insert(sizes.end(), {20, 22});
+    for (int relations : sizes) {
+      std::vector<Query> queries;
+      for (QueryGraphType shape :
+           {QueryGraphType::kChain, QueryGraphType::kStar,
+            QueryGraphType::kCycle}) {
+        QueryGenOptions options;
+        options.num_relations = relations;
+        options.graph_type = shape;
+        options.integer_log_values = false;
+        Rng rng(static_cast<uint64_t>(90 + relations));
+        queries.push_back(GenerateQuery(options, rng).value());
+      }
+      const auto time_solver = [&](auto solve, std::vector<JoResult>& out) {
+        return BestSeconds(
+            [&] {
+              out.clear();
+              for (const Query& q : queries) out.push_back(solve(q).value());
+            },
+            repeats);
+      };
+      std::vector<JoResult> production, reference;
+      const double t_ref = time_solver(OptimizeDpReference, reference);
+      const double t_prod = time_solver(OptimizeDp, production);
+      for (size_t i = 0; i < queries.size(); ++i) {
+        if (production[i].order.order() != reference[i].order.order() ||
+            std::bit_cast<uint64_t>(production[i].cost) !=
+                std::bit_cast<uint64_t>(reference[i].cost)) {
+          std::cerr << "kernel bench suite: OptimizeDp differs from the "
+                       "reference on the "
+                    << relations << "-relation query " << i << "\n";
+          return 1;
+        }
+        sink += production[i].cost;
+      }
+      const std::string name = "dp_oracle_r" + std::to_string(relations);
+      const double per_query = 1e3 / static_cast<double>(queries.size());
+      metrics.push_back({name + "_ms", t_prod * per_query});
+      metrics.push_back({name + "_ms_reference", t_ref * per_query});
+      metrics.push_back({name + "_speedup", t_ref / t_prod});
+    }
   }
 
   const char* json_path = std::getenv("QJO_BENCH_KERNELS_JSON");

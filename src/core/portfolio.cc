@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "core/postprocess.h"
-#include "jo/classical.h"
 #include "qubo/ising.h"
 #include "sim/qaoa_analytic.h"
 #include "sim/qaoa_simulator.h"
@@ -557,6 +556,7 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
 
 StatusOr<PortfolioReport> RunJoPortfolio(const Query& query,
                                          const JoQuboEncoding& encoding,
+                                         const JoResult& classical_plan,
                                          const PortfolioOptions& options,
                                          const RunContext& run, Rng& rng) {
   const Clock::time_point start = Clock::now();
@@ -611,15 +611,11 @@ StatusOr<PortfolioReport> RunJoPortfolio(const Query& query,
   }
 
   if (!report.found_valid) {
-    // Graceful degradation: the DP oracle (exact up to kMaxDpRelations),
-    // then the greedy heuristic beyond — a valid join tree regardless of
-    // what the race produced.
-    auto plan = OptimizeDp(query);
-    if (!plan.ok()) plan = OptimizeGreedy(query);
-    QJO_RETURN_IF_ERROR(plan.status());
+    // Graceful degradation: the caller's classical plan is a valid join
+    // tree regardless of what the race produced.
     report.found_valid = true;
-    report.best_order = plan->order;
-    report.best_cost = plan->cost;
+    report.best_order = classical_plan.order;
+    report.best_cost = classical_plan.cost;
     report.used_classical_fallback = true;
     report.winner = "classical_fallback";
   }

@@ -314,11 +314,14 @@ struct PortfolioReport {
 /// its prebuilt encoding: strands race on the QUBO, samples are decoded
 /// through the MILP metadata, the winner is the valid join order with the
 /// lowest C_out cost, and when the race yields no valid plan (or
-/// run.deadline_ms == 0) the classical DP baseline (greedy beyond the DP size
-/// limit) supplies one — a valid join tree is always returned. Queries of
+/// run.deadline_ms == 0) `classical_plan` is returned as the answer — a
+/// valid join tree is always returned. The caller solves that plan once
+/// (the pipeline passes its oracle: OptimizeDp up to kMaxDpRelations,
+/// OptimizeGreedy beyond) and it must be a plan for `query`. Queries of
 /// at least `min_decomp_relations` relations also race the decomp strand.
 StatusOr<PortfolioReport> RunJoPortfolio(const Query& query,
                                          const JoQuboEncoding& encoding,
+                                         const JoResult& classical_plan,
                                          const PortfolioOptions& options,
                                          const RunContext& run, Rng& rng);
 

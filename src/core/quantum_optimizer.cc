@@ -360,7 +360,7 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
       race.decomp.cache = config.qubo_cache;
       QJO_ASSIGN_OR_RETURN(
           report.portfolio,
-          RunJoPortfolio(query, *entry, race, config.run, rng));
+          RunJoPortfolio(query, *entry, oracle, race, config.run, rng));
       if (config.qubo_cache != nullptr) {
         const QuboBuildCache::Stats cache = config.qubo_cache->stats();
         report.portfolio.cache_hits = cache.hits;

@@ -56,15 +56,26 @@ StatusOr<std::shared_ptr<const JoQuboEncoding>> BuildJoQuboEncoding(
 std::string JoEncodingFingerprint(const Query& query,
                                   const JoEncodingOptions& options);
 
+/// Approximate heap bytes a cached entry holds, from the QUBO's variable
+/// and quadratic-term counts (the MILP, BILP and CSR grow with them). A
+/// 5-relation encoding holds ~60 KiB, a 20-relation one ~2 MiB.
+size_t EstimateEncodingBytes(const JoQuboEncoding& entry);
+
+/// Default byte budget of a QuboBuildCache, in EstimateEncodingBytes.
+inline constexpr size_t kDefaultBuildCacheBytes = size_t{128} << 20;
+
 /// Memoizing, thread-safe cache of encoding pipeline results keyed by
 /// JoEncodingFingerprint: repeated or batched queries skip the MILP ->
 /// BILP -> QUBO rebuild and share one immutable entry. Failures are never
-/// cached. When an insert would exceed `max_entries`, exactly the
-/// least-recently-used entry is evicted (entries already handed out stay
-/// alive through their shared_ptr); a lookup that finds the key already
-/// present never evicts anything. Eviction counts are surfaced in Stats
-/// so a workload that thrashes the cache (e.g. a decomposition loop whose
-/// window shapes exceed the capacity) is visible instead of silent.
+/// cached. An insert evicts least-recently-used entries, one at a time,
+/// until the cache holds fewer than `max_entries` entries and the new
+/// entry fits in `max_bytes` (EstimateEncodingBytes) next to the rest;
+/// the newest entry is always kept, even alone past the byte budget.
+/// Entries already handed out stay alive through their shared_ptr; a
+/// lookup that finds the key already present never evicts anything.
+/// Eviction counts are surfaced in Stats so a workload that thrashes the
+/// cache (e.g. a decomposition loop whose window shapes exceed the
+/// capacity) is visible instead of silent.
 ///
 /// Builds are single-flight: a miss that lands while another thread is
 /// already building the same key waits for that build and shares its
@@ -75,7 +86,8 @@ std::string JoEncodingFingerprint(const Query& query,
 /// its waiters but never cached, so the next caller retries.
 class QuboBuildCache {
  public:
-  explicit QuboBuildCache(size_t max_entries = 1024);
+  explicit QuboBuildCache(size_t max_entries = 1024,
+                          size_t max_bytes = kDefaultBuildCacheBytes);
 
   /// Returns the cached entry for (query, options), building and
   /// inserting it on a miss. Concurrent misses on the same key
@@ -87,8 +99,9 @@ class QuboBuildCache {
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
-    /// Entries displaced one at a time (LRU order) by inserts at
-    /// capacity. Never incremented by hits or duplicate-key inserts.
+    /// Entries displaced one at a time (LRU order) by inserts at the
+    /// entry or byte capacity. Never incremented by hits or duplicate-key
+    /// inserts.
     uint64_t evictions = 0;
     /// Lookups that found the key being built by another thread and
     /// waited for that build instead of starting a duplicate one. Such
@@ -113,9 +126,13 @@ class QuboBuildCache {
   size_t size() const;
 
  private:
+  struct CachedEntry {
+    std::string key;
+    std::shared_ptr<const JoQuboEncoding> encoding;
+    size_t bytes = 0;  // EstimateEncodingBytes(*encoding)
+  };
   /// Most-recently-used entries sit at the front; eviction pops the back.
-  using LruList =
-      std::list<std::pair<std::string, std::shared_ptr<const JoQuboEncoding>>>;
+  using LruList = std::list<CachedEntry>;
 
   /// One in-flight build: the builder publishes its result under `mutex`
   /// and notifies; waiters block on `cv`. Lives in `building_` only while
@@ -129,7 +146,9 @@ class QuboBuildCache {
   };
 
   const size_t max_entries_;
+  const size_t max_bytes_;
   mutable std::mutex mutex_;
+  size_t bytes_ = 0;  ///< sum of the cached entries' estimates
   /// Relaxed atomics so stats() never blocks a lookup (see the contract
   /// on stats()); everything else stays under mutex_.
   std::atomic<uint64_t> hits_{0};

@@ -1,8 +1,10 @@
 #include "jo/classical.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <sstream>
 #include <vector>
@@ -36,64 +38,153 @@ StatusOr<JoResult> OptimizeExhaustive(const Query& query, int max_relations) {
   return JoResult{LeftDeepOrder(std::move(best)), best_cost};
 }
 
+CardinalityTable::CardinalityTable(const Query& query) {
+  const int t = query.num_relations();
+  QJO_CHECK_GE(t, 1);
+  QJO_CHECK_LE(t, kMaxDpRelations);
+  half_ = uint64_t{1} << (t - 1);
+  last_card_ = query.relation(t - 1).cardinality;
+  lower_.resize(half_);
+  lower_[0] = 1.0;
+  for (int hi = 0; hi < t - 1; ++hi) {
+    const uint64_t bit = uint64_t{1} << hi;
+    const double card = query.relation(hi).cardinality;
+    for (uint64_t m = 0; m < bit; ++m) lower_[bit | m] = lower_[m] * card;
+  }
+  constexpr uint64_t kLowBits = kBlock - 1;
+  for (const Predicate& p : query.predicates()) {
+    const uint64_t endpoints =
+        (uint64_t{1} << p.left) | (uint64_t{1} << p.right);
+    const uint64_t low = endpoints & kLowBits;
+    int row = -1;
+    if (low != 0) {
+      row = static_cast<int>(factor_rows_.size());
+      for (uint64_t j = 0; j < kBlock; ++j) {
+        factor_rows_.push_back((j & low) == low ? p.selectivity : 1.0);
+      }
+    }
+    predicates_.push_back({endpoints & ~kLowBits, p.selectivity, row});
+  }
+}
+
+void CardinalityTable::FillBlock(uint64_t first, double* out) const {
+  const int count =
+      static_cast<int>(std::min<uint64_t>(kBlock, num_masks() - first));
+  uint64_t m = first;
+  int i = 0;
+  for (; i < count && m < half_; ++i, ++m) out[i] = lower_[m];
+  for (; i < count; ++i, ++m) out[i] = lower_[m - half_] * last_card_;
+  for (const PredicateFactor& p : predicates_) {
+    if ((first & p.high_endpoints) != p.high_endpoints) continue;
+    if (p.row < 0) {
+      for (int j = 0; j < count; ++j) out[j] *= p.selectivity;
+    } else {
+      const double* factors = &factor_rows_[p.row];
+      for (int j = 0; j < count; ++j) out[j] *= factors[j];
+    }
+  }
+}
+
 StatusOr<JoResult> OptimizeDp(const Query& query) {
+  // parent stores a relation index or kNoParent.
+  constexpr uint8_t kNoParent = std::numeric_limits<uint8_t>::max();
+  static_assert(kMaxDpRelations <= kNoParent);
+  constexpr double kTableBytesPerMask =
+      sizeof(double) + sizeof(uint8_t) + sizeof(double) / 2.0;
+
   const int t = query.num_relations();
   if (t < 2) return Status::InvalidArgument("need at least 2 relations");
   if (t > kMaxDpRelations) {
-    // dp (double) + parent (int) tables hold 2^t + 1 entries each; past
-    // the cap that silently becomes hundreds of megabytes (t = 25 would
-    // allocate ~400 MB), so refuse with the estimate instead.
-    const double bytes =
-        static_cast<double>(sizeof(double) + sizeof(int)) *
-        (std::pow(2.0, t) + 1.0);
+    // Past the cap the tables silently become hundreds of megabytes
+    // (t = 25 would allocate ~416 MiB), so refuse with the estimate.
+    const double bytes = kTableBytesPerMask * std::pow(2.0, t);
     std::ostringstream os;
     os << "DP tables for " << t << " relations would need ~"
        << static_cast<uint64_t>(bytes / (1024.0 * 1024.0)) << " MiB ("
-       << (sizeof(double) + sizeof(int)) << " bytes x 2^" << t
-       << " entries); the cap is " << kMaxDpRelations << " relations";
+       << sizeof(double) + sizeof(uint8_t) << " bytes x 2^" << t
+       << " masks + " << sizeof(double) << " bytes x 2^" << t - 1
+       << " lower-half masks); the cap is " << kMaxDpRelations
+       << " relations";
     return Status::ResourceExhausted(os.str());
   }
 
-  const uint64_t full = (uint64_t{1} << t) - 1;
+  const CardinalityTable cardinality(query);
+  const uint64_t masks = cardinality.num_masks();
   // dp[mask] = minimum sum of intermediate cardinalities to left-deep-join
   // exactly the relations in mask; parent[mask] = last (inner) relation.
-  std::vector<double> dp(full + 1, kInf);
-  std::vector<int> parent(full + 1, -1);
-  // Cardinality of each subset, computed incrementally where cheap.
-  for (int r = 0; r < t; ++r) dp[uint64_t{1} << r] = 0.0;
-
-  for (uint64_t mask = 1; mask <= full; ++mask) {
-    if ((mask & (mask - 1)) == 0) continue;  // singleton
-    const double mask_card = query.JoinCardinality(mask);
-    for (int r = 0; r < t; ++r) {
-      const uint64_t bit = uint64_t{1} << r;
-      if (!(mask & bit)) continue;
-      const uint64_t rest = mask ^ bit;
-      if (dp[rest] == kInf) continue;
-      // Appending r to any order of `rest` adds intermediate result
-      // |rest ⋈ r| = JoinCardinality(mask) — order-independent.
-      const double cost = dp[rest] + mask_card;
-      if (cost < dp[mask]) {
-        dp[mask] = cost;
-        parent[mask] = r;
+  // Every entry is written once, in ascending mask order, before any
+  // larger mask reads it.
+  auto dp = std::make_unique_for_overwrite<double[]>(masks);
+  auto parent = std::make_unique_for_overwrite<uint8_t[]>(masks);
+  // Masks go in blocks of kBlock. Appending r to any order of mask \ {r}
+  // adds the intermediate result |mask| = card[i], the same for every r;
+  // candidates r are tried in ascending order and the first strictly
+  // cheapest one wins.
+  constexpr int kBlock = CardinalityTable::kBlock;
+  double card[kBlock];
+  double high_best[kBlock];
+  uint8_t high_last[kBlock];
+  for (uint64_t first = 0; first < masks; first += kBlock) {
+    const int count =
+        static_cast<int>(std::min<uint64_t>(kBlock, masks - first));
+    cardinality.FillBlock(first, card);
+    // A relation r at or above log2(kBlock) is in every mask of the block
+    // or in none, and the rest masks mask ^ 2^r form an earlier block at
+    // the same offsets: one pass per r, with no dependency between masks.
+    std::fill_n(high_best, count, kInf);
+    std::fill_n(high_last, count, kNoParent);
+    for (uint64_t bits = first; bits != 0; bits &= bits - 1) {
+      const int r = std::countr_zero(bits);
+      const double* rest = &dp[first ^ (uint64_t{1} << r)];
+      for (int i = 0; i < count; ++i) {
+        const double cost = rest[i] + card[i];
+        const bool better = (rest[i] != kInf) & (cost < high_best[i]);
+        high_best[i] = better ? cost : high_best[i];
+        high_last[i] = better ? static_cast<uint8_t>(r) : high_last[i];
       }
+    }
+    // The relations below log2(kBlock) come first in ascending order; their
+    // rest masks lie in this block, so they go mask by mask. A high
+    // candidate then wins only when strictly cheaper.
+    for (int i = 0; i < count; ++i) {
+      const uint64_t mask = first + static_cast<uint64_t>(i);
+      double best = kInf;
+      uint8_t last = kNoParent;
+      if ((mask & (mask - 1)) == 0) {
+        if (mask != 0) best = 0.0;  // singleton
+      } else {
+        for (uint64_t bits = static_cast<uint64_t>(i); bits != 0;
+             bits &= bits - 1) {
+          const int r = std::countr_zero(bits);
+          const double rest = dp[mask ^ (uint64_t{1} << r)];
+          if (rest == kInf) continue;
+          const double cost = rest + card[i];
+          const bool better = cost < best;
+          best = better ? cost : best;
+          last = better ? static_cast<uint8_t>(r) : last;
+        }
+        if (high_best[i] < best) {
+          best = high_best[i];
+          last = high_last[i];
+        }
+      }
+      dp[mask] = best;
+      parent[mask] = last;
     }
   }
 
   std::vector<int> order;
-  uint64_t mask = full;
+  uint64_t mask = masks - 1;
   while ((mask & (mask - 1)) != 0) {
-    const int r = parent[mask];
-    QJO_CHECK_GE(r, 0);
+    const uint8_t r = parent[mask];
+    QJO_CHECK_NE(r, kNoParent);
     order.push_back(r);
     mask ^= uint64_t{1} << r;
   }
   // The remaining singleton is the outer operand of the first join.
-  for (int r = 0; r < t; ++r) {
-    if (mask & (uint64_t{1} << r)) order.push_back(r);
-  }
+  order.push_back(std::countr_zero(mask));
   std::reverse(order.begin(), order.end());
-  return JoResult{LeftDeepOrder(std::move(order)), dp[full]};
+  return JoResult{LeftDeepOrder(std::move(order)), dp[masks - 1]};
 }
 
 StatusOr<JoResult> OptimizeGreedy(const Query& query) {

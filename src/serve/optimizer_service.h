@@ -57,6 +57,7 @@ struct ServeOptions {
   /// never change). Disable only to measure the rebuild cost; a request
   /// carrying its own `config.qubo_cache` keeps it (caller wins).
   bool share_build_cache = true;
+  /// Entry cap; the cache also keeps to kDefaultBuildCacheBytes.
   size_t build_cache_entries = 1024;
 
   /// Per-tenant token-bucket rate limit in admissions/sec; <= 0 = off.

@@ -508,6 +508,35 @@ TEST(QuboCacheTest, EvictsExactlyTheLeastRecentlyUsedEntry) {
   EXPECT_EQ(cache.stats().evictions, 2u);
 }
 
+TEST(QuboCacheTest, ByteBudgetEvictsLeastRecentlyUsedUntilTheNewEntryFits) {
+  JoEncodingOptions options;
+  const auto bytes = [&](int relations) {
+    return EstimateEncodingBytes(
+        *BuildJoQuboEncoding(MakeChainQuery(relations), options).value());
+  };
+  EXPECT_LT(bytes(3), bytes(4));
+  EXPECT_LT(bytes(4), bytes(6));
+  // Room for the 3- and 4-relation entries, not for the 6-relation one
+  // next to either of them.
+  QuboBuildCache cache(/*max_entries=*/1024,
+                       /*max_bytes=*/bytes(3) + bytes(4));
+  ASSERT_TRUE(cache.GetOrBuild(MakeChainQuery(3), options).ok());
+  ASSERT_TRUE(cache.GetOrBuild(MakeChainQuery(4), options).ok());
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  ASSERT_TRUE(cache.GetOrBuild(MakeChainQuery(6), options).ok());
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  // An entry alone past the budget is still kept: the next lookup hits.
+  QuboBuildCache tiny(/*max_entries=*/1024, /*max_bytes=*/1);
+  ASSERT_TRUE(tiny.GetOrBuild(MakeChainQuery(3), options).ok());
+  ASSERT_TRUE(tiny.GetOrBuild(MakeChainQuery(3), options).ok());
+  EXPECT_EQ(tiny.stats().hits, 1u);
+  ASSERT_TRUE(tiny.GetOrBuild(MakeChainQuery(4), options).ok());
+  EXPECT_EQ(tiny.size(), 1u);
+  EXPECT_EQ(tiny.stats().evictions, 1u);
+}
+
 TEST(QuboCacheTest, HitRefreshesRecencyOrder) {
   QuboBuildCache cache(/*max_entries=*/2);
   JoEncodingOptions options;

@@ -1,10 +1,14 @@
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "jo/classical.h"
+#include "jo/classical_reference.h"
 #include "jo/join_tree.h"
 #include "jo/query.h"
 #include "jo/query_generator.h"
@@ -298,6 +302,83 @@ TEST(ClassicalTest, DpRefusesPastMemoryCapWithByteEstimate) {
       << dp.status().ToString();
   EXPECT_NE(dp.status().message().find(std::to_string(kMaxDpRelations)),
             std::string::npos);
+}
+
+constexpr QueryGraphType kAllShapes[] = {
+    QueryGraphType::kChain, QueryGraphType::kStar, QueryGraphType::kCycle,
+    QueryGraphType::kClique};
+
+Query MakeQuery(int relations, QueryGraphType shape, bool integer_log_values,
+                uint64_t seed) {
+  Rng rng(seed);
+  QueryGenOptions options;
+  options.num_relations = relations;
+  options.graph_type = shape;
+  options.integer_log_values = integer_log_values;
+  return GenerateQuery(options, rng).value();
+}
+
+TEST(ClassicalTest, CardinalityTableMatchesJoinCardinalityBitForBit) {
+  uint64_t seed = 500;
+  for (int relations = 3; relations <= 16; ++relations) {
+    for (QueryGraphType shape : kAllShapes) {
+      const bool integer_log_values = seed % 2 == 0;
+      const Query q =
+          MakeQuery(relations, shape, integer_log_values, seed++);
+      const CardinalityTable table(q);
+      const uint64_t masks = uint64_t{1} << relations;
+      ASSERT_EQ(table.num_masks(), masks);
+      std::vector<double> filled(masks);
+      for (uint64_t first = 0; first < masks;
+           first += CardinalityTable::kBlock) {
+        table.FillBlock(first, filled.data() + first);
+      }
+      int mismatches = 0;
+      uint64_t first_mismatch = 0;
+      for (uint64_t mask = 0; mask < masks; ++mask) {
+        if (std::bit_cast<uint64_t>(filled[mask]) !=
+            std::bit_cast<uint64_t>(q.JoinCardinality(mask))) {
+          if (mismatches++ == 0) first_mismatch = mask;
+        }
+      }
+      EXPECT_EQ(mismatches, 0)
+          << QueryGraphTypeName(shape) << " " << relations
+          << " relations, first at mask " << first_mismatch << ": "
+          << filled[first_mismatch] << " vs "
+          << q.JoinCardinality(first_mismatch);
+    }
+  }
+}
+
+TEST(ClassicalTest, DpMatchesReferenceOrderAndCostBits) {
+  // Integer log values make many plans cost the same, which exercises the
+  // strict-< tie-break; continuous ones make every product round. The
+  // predicate-count queries add cross products.
+  std::vector<Query> queries;
+  uint64_t seed = 900;
+  for (int relations : {3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 18}) {
+    for (QueryGraphType shape : kAllShapes) {
+      queries.push_back(MakeQuery(relations, shape, seed % 2 == 0, seed));
+      ++seed;
+    }
+  }
+  for (int predicates : {0, 1, 3, 6}) {
+    Rng rng(seed++);
+    QueryGenOptions options;
+    options.num_relations = 6;
+    queries.push_back(
+        GenerateQueryWithPredicateCount(options, predicates, rng).value());
+  }
+  ASSERT_GE(queries.size(), 40u);
+  for (const Query& q : queries) {
+    auto dp = OptimizeDp(q);
+    auto reference = OptimizeDpReference(q);
+    ASSERT_TRUE(dp.ok()) << dp.status().ToString();
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    EXPECT_EQ(dp->order.order(), reference->order.order()) << q.ToString();
+    EXPECT_EQ(std::memcmp(&dp->cost, &reference->cost, sizeof(double)), 0)
+        << q.ToString() << ": " << dp->cost << " vs " << reference->cost;
+  }
 }
 
 TEST(ClassicalTest, GreedyPrefersConnectedJoinsOnCardinalityTies) {

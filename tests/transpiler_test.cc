@@ -147,8 +147,12 @@ TEST(NativeGatesTest, MergeRotationsCombinesAndCancels) {
   EXPECT_EQ(merged.CountGates(GateType::kRz), 1);
   EXPECT_EQ(merged.CountGates(GateType::kRzz), 1);
   for (const Gate& g : merged.gates()) {
-    if (g.type == GateType::kRz) EXPECT_NEAR(g.parameter, 0.75, 1e-12);
-    if (g.type == GateType::kRzz) EXPECT_NEAR(g.parameter, 0.7, 1e-12);
+    if (g.type == GateType::kRz) {
+      EXPECT_NEAR(g.parameter, 0.75, 1e-12);
+    }
+    if (g.type == GateType::kRzz) {
+      EXPECT_NEAR(g.parameter, 0.7, 1e-12);
+    }
   }
 }
 
