@@ -6,9 +6,10 @@
 //  - angle-grid evaluations/sec, batched fused EvaluateBatch vs serial
 //    RunQaoaReference calls, on the depth-3 gamma x beta sweep the
 //    optimiser's grid refinement performs at paper scale (20 qubits);
-//  - the spectrum the pipeline serves: a JO encoding's palette size,
-//    QaoaSimulator::Create time and first Run time (which builds the
-//    phase table), on the paper_backends QAOA instance class.
+//  - the spectrum the pipeline serves: a JO encoding's palette size and
+//    the Create, first Run (which builds the phase table and writes the
+//    state) and Sample times of fresh simulators, median and IQR, on the
+//    paper_backends QAOA instance class.
 //
 // Both comparisons first assert the determinism contract — fused and
 // reference energies (and one full amplitude vector) must be
@@ -145,7 +146,7 @@ int RunQaoaEvalBench() {
     const double ef = sim->Run(params);
     const double er = RunQaoaReference(sim->cost_spectrum(), params, ar);
     if (ef != er) identical = false;
-    const auto& af = sim->amplitudes();
+    const auto af = sim->amplitudes();
     for (uint64_t i = 0; i < size; ++i) {
       if (af[i] != ar[i]) {
         identical = false;
@@ -162,7 +163,9 @@ int RunQaoaEvalBench() {
     const int layers = fast ? 4 : 8;
     const double updates =
         static_cast<double>(layers) * nq * static_cast<double>(size);
-    std::vector<std::complex<float>> reference_state = sim->amplitudes();
+    const auto loaded = sim->amplitudes();
+    std::vector<std::complex<float>> reference_state(loaded.begin(),
+                                                     loaded.end());
     const double t_ref = BestSeconds(
         [&] {
           for (int l = 0; l < layers; ++l) {
@@ -208,7 +211,10 @@ int RunQaoaEvalBench() {
     auto tier_sim = QaoaSimulator::Create(ising);
     SetSimd(SimdIsa::kScalar);
     const double scalar_energy = tier_sim->Run(params);
-    const auto scalar_amps = tier_sim->amplitudes();  // copied baseline
+    // A copy: amplitudes() aliases the buffer the next tier's Run rewrites.
+    const auto loaded = tier_sim->amplitudes();
+    const std::vector<std::complex<float>> scalar_amps(loaded.begin(),
+                                                       loaded.end());
 
     const int layers = fast ? 4 : 8;
     const double updates =
@@ -218,7 +224,7 @@ int RunQaoaEvalBench() {
       if (isa != SimdIsa::kScalar) {
         const double e = tier_sim->Run(params);
         if (e != scalar_energy) identical = false;
-        const auto& amps = tier_sim->amplitudes();
+        const auto amps = tier_sim->amplitudes();
         for (uint64_t i = 0; i < size; ++i) {
           if (amps[i] != scalar_amps[i]) {
             identical = false;
@@ -299,8 +305,11 @@ int RunQaoaEvalBench() {
   // omega 3, one threshold, <= 23 qubits; 5-12 float levels). Every
   // 3-relation encoding has 22+ qubits, so fast mode drops to a
   // 2-relation chain at omega 1 (6 qubits). Each repeat builds a fresh
-  // simulator, so the first Run includes the phase-table build a served
-  // request pays; the fused state is checked against the reference.
+  // simulator and times what a served request pays: Create, the first
+  // Run (the phase-table build and the first write of the state, page
+  // faults included) and a 1024-shot Sample. Every first Run, and one
+  // more Run on the last simulator's warm buffer, is checked against the
+  // reference; medians and IQRs are over the repeats.
   {
     auto ising = fast ? JoIsing(2, 1.0, 6, 7) : JoIsing(3, 3.0, 23, 7);
     if (!ising.ok()) {
@@ -311,30 +320,49 @@ int RunQaoaEvalBench() {
     std::optional<ThreadPool> pool;
     if (parallelism > 1) pool.emplace(parallelism);
     QaoaParameters params{{0.37}, {0.52}};
-    std::vector<double> create_ms, first_run_ms;
+    std::vector<double> create_ms, first_run_ms, sample_ms;
     size_t levels = 0;
     std::optional<QaoaSimulator> jo_sim;
-    for (int r = 0; r < (fast ? 3 : 5); ++r) {
+    std::vector<std::complex<float>> reference;
+    double er = 0.0;
+    bool jo_identical = true;
+    for (int r = 0; r < (fast ? 3 : 7); ++r) {
       const auto t0 = std::chrono::steady_clock::now();
       auto created = QaoaSimulator::Create(*ising);
       create_ms.push_back(MsSince(t0));
       jo_sim.emplace(std::move(created).value());
       jo_sim->set_pool(pool ? &*pool : nullptr);
       const auto t1 = std::chrono::steady_clock::now();
-      sink += jo_sim->Run(params);
+      const double ef = jo_sim->Run(params);
       first_run_ms.push_back(MsSince(t1));
+      sink += ef;
       levels = jo_sim->num_levels();
+      if (r == 0) {
+        er = RunQaoaReference(jo_sim->cost_spectrum(), params, reference);
+      }
+      jo_identical = jo_identical && ef == er &&
+                     std::ranges::equal(jo_sim->amplitudes(), reference);
+      Rng rng(1009 + r);
+      const auto t2 = std::chrono::steady_clock::now();
+      const std::vector<uint64_t> shots = jo_sim->Sample(1024, 1.0, rng);
+      sample_ms.push_back(MsSince(t2));
+      sink += static_cast<double>(shots.front());
     }
-    std::vector<std::complex<float>> reference;
-    const double er =
-        RunQaoaReference(jo_sim->cost_spectrum(), params, reference);
-    const bool jo_identical =
-        jo_sim->Run(params) == er && jo_sim->amplitudes() == reference;
+    jo_identical = jo_identical && jo_sim->Run(params) == er &&
+                   std::ranges::equal(jo_sim->amplitudes(), reference);
     if (!jo_identical) identical = false;
+    const auto median_and_iqr = [&](const std::string& name,
+                                    const std::vector<double>& ms) {
+      metrics.push_back({name, Quantile(ms, 0.5)});
+      metrics.push_back(
+          {name + "_iqr", Quantile(ms, 0.75) - Quantile(ms, 0.25)});
+    };
     metrics.push_back({"jo_qubits", static_cast<double>(ising->num_spins())});
     metrics.push_back({"jo_spectrum_levels", static_cast<double>(levels)});
-    metrics.push_back({"jo_create_ms", Quantile(create_ms, 0.5)});
-    metrics.push_back({"jo_first_run_ms", Quantile(first_run_ms, 0.5)});
+    metrics.push_back({"jo_repeats", static_cast<double>(create_ms.size())});
+    median_and_iqr("jo_create_ms", create_ms);
+    median_and_iqr("jo_first_run_ms", first_run_ms);
+    median_and_iqr("jo_sample_ms", sample_ms);
     metrics.push_back({"jo_identical", jo_identical ? 1.0 : 0.0});
   }
 

@@ -6,6 +6,10 @@
 #include <cstring>
 #include <limits>
 #include <mutex>
+#include <new>
+#include <utility>
+
+#include <sys/mman.h>
 
 #include "obs/obs.h"
 #include "qubo/qubo_csr.h"
@@ -315,11 +319,13 @@ void MixerHighSweep(float* amps, int n, int block_qubits, float c, float sn,
 /// (one memory pass instead of 1 + block_qubits); the remaining high
 /// qubits follow in the column-tiled sweep. `factors` is the per-gamma
 /// phase table over the palette; each block expands its states' factors
-/// kGatherChunk at a time into a stack buffer for phase_rows.
+/// kGatherChunk at a time into a stack buffer for phase_rows. With
+/// `load`, `factors` already carries the initial amplitude and the block
+/// expands them straight into the state, which it need not hold yet.
 template <typename Id>
 void FusedLayer(std::complex<float>* amps_c, const Id* level,
                 const std::complex<float>* factors, float beta, int n,
-                ThreadPool* pool) {
+                bool load, ThreadPool* pool) {
   const uint64_t size = uint64_t{1} << n;
   const int block_qubits = std::min(n, kBlockQubits);
   const int64_t bsz = int64_t{1} << block_qubits;
@@ -340,11 +346,12 @@ void FusedLayer(std::complex<float>* amps_c, const Id* level,
             // every element, since the buffer stores might alias them.
             const Id* ids = level + g0;
             const float* factor = table;
+            float* out = load ? amps + 2 * g0 : gathered;
             for (int64_t i = 0; i < count; ++i) {
-              std::memcpy(gathered + 2 * i, factor + 2 * size_t{ids[i]},
+              std::memcpy(out + 2 * i, factor + 2 * size_t{ids[i]},
                           2 * sizeof(float));
             }
-            simd.phase_rows(amps + 2 * g0, gathered, 2 * count);
+            if (!load) simd.phase_rows(amps + 2 * g0, gathered, 2 * count);
           }
           simd.mixer_low_block(amps + 2 * b0, bsz, block_qubits, c, sn);
         }
@@ -434,17 +441,35 @@ const std::complex<float>* QaoaSimulator::PhaseFactors(
   return factors;
 }
 
+const std::complex<float>* QaoaSimulator::InitialFactors(
+    const std::complex<float>* factors, float amp0, PhaseTableCache& tables,
+    ThreadPool* pool) const {
+  const size_t levels = palette_.size();
+  tables.initial.resize(levels);
+  std::complex<float>* scaled = tables.initial.data();
+  // The phase multiply of the uniform state computes (amp0 + 0i) * f =
+  // (amp0 f.re - 0 f.im, amp0 f.im + 0 f.re); adding the zero product
+  // changes nothing but, at most, the sign of a zero result.
+  ParallelForBlocks(pool, 0, static_cast<int64_t>(levels), kBlock,
+                    [&](int64_t begin, int64_t end) {
+                      for (int64_t l = begin; l < end; ++l) {
+                        scaled[l] = std::complex<float>(
+                            amp0 * factors[l].real(), amp0 * factors[l].imag());
+                      }
+                    });
+  return scaled;
+}
+
 double QaoaSimulator::RunCore(const QaoaParameters& parameters,
-                              std::vector<std::complex<float>>& amps_vec,
-                              PhaseTableCache& tables,
+                              StateBuffer& state, PhaseTableCache& tables,
                               ThreadPool* pool) const {
   QJO_CHECK_GT(parameters.p(), 0);
   QJO_CHECK_EQ(parameters.gammas.size(), parameters.betas.size());
   const uint64_t size = uint64_t{1} << num_qubits_;
   const float amp0 = 1.0f / std::sqrt(static_cast<float>(size));
-  amps_vec.assign(size, std::complex<float>(amp0, 0.0f));
+  state.Resize(size);
 
-  std::complex<float>* amps = amps_vec.data();
+  std::complex<float>* amps = state.data();
   const float* palette = palette_.data();
   return std::visit(
       [&](const auto& level_ids) {
@@ -452,8 +477,13 @@ double QaoaSimulator::RunCore(const QaoaParameters& parameters,
         for (int rep = 0; rep < parameters.p(); ++rep) {
           const float gamma = static_cast<float>(parameters.gammas[rep]);
           const float beta = static_cast<float>(parameters.betas[rep]);
-          FusedLayer(amps, level, PhaseFactors(gamma, tables, pool), beta,
-                     num_qubits_, pool);
+          const std::complex<float>* factors =
+              PhaseFactors(gamma, tables, pool);
+          // Layer 0 starts from the uniform superposition, so it writes
+          // amp0 * exp(-i gamma E) into the state instead of multiplying.
+          if (rep == 0) factors = InitialFactors(factors, amp0, tables, pool);
+          FusedLayer(amps, level, factors, beta, num_qubits_,
+                     /*load=*/rep == 0, pool);
         }
         return ParallelBlockedSum(
             pool, static_cast<int64_t>(size), kBlock,
@@ -486,7 +516,7 @@ std::vector<double> QaoaSimulator::EvaluateBatch(
   // evaluations never share one, and the pool never holds more than the
   // peak in-flight count. Which scratch an evaluation gets is
   // scheduling-dependent, but RunCore's result is a pure function of the
-  // parameters (the amplitude buffer is fully re-assigned and a reused
+  // parameters (the first layer writes every amplitude and a reused
   // phase table holds exactly the factors a rebuild would produce), so
   // slot i of the result is bit-identical at every parallelism level.
   std::mutex mutex;
@@ -575,8 +605,8 @@ std::vector<uint64_t> QaoaSimulator::Sample(int shots, double fidelity,
   if (ideal_shots > 0) {
     SampleByInverseCdf(
         size,
-        [this](uint64_t i) {
-          return static_cast<double>(std::norm(amplitudes_[i]));
+        [amps = amplitudes_.data()](uint64_t i) {
+          return static_cast<double>(std::norm(amps[i]));
         },
         ideal_shots, rng, samples);
   }
@@ -587,12 +617,49 @@ std::vector<uint64_t> QaoaSimulator::Sample(int shots, double fidelity,
 double QaoaSimulator::Probability(uint64_t basis) const {
   QJO_CHECK(state_loaded_);
   QJO_CHECK_LT(basis, amplitudes_.size());
-  return static_cast<double>(std::norm(amplitudes_[basis]));
+  return static_cast<double>(std::norm(amplitudes_.data()[basis]));
 }
 
-const std::vector<std::complex<float>>& QaoaSimulator::amplitudes() const {
+std::span<const std::complex<float>> QaoaSimulator::amplitudes() const {
   QJO_CHECK(state_loaded_) << "call Run() before amplitudes()";
-  return amplitudes_;
+  return {amplitudes_.data(), amplitudes_.size()};
+}
+
+QaoaSimulator::StateBuffer::StateBuffer(StateBuffer&& other) noexcept
+    : data_(std::exchange(other.data_, nullptr)),
+      size_(std::exchange(other.size_, 0)) {}
+
+QaoaSimulator::StateBuffer& QaoaSimulator::StateBuffer::operator=(
+    StateBuffer&& other) noexcept {
+  if (this != &other) {
+    Release();
+    data_ = std::exchange(other.data_, nullptr);
+    size_ = std::exchange(other.size_, 0);
+  }
+  return *this;
+}
+
+QaoaSimulator::StateBuffer::~StateBuffer() { Release(); }
+
+void QaoaSimulator::StateBuffer::Resize(size_t size) {
+  if (size == size_) return;
+  Release();
+  const size_t bytes = size * sizeof(std::complex<float>);
+  void* mapped = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (mapped == MAP_FAILED) throw std::bad_alloc();
+  // Advice only: where transparent huge pages are off it has no effect,
+  // and where the kernel lacks them it fails; either way the mapping
+  // keeps base pages.
+  (void)madvise(mapped, bytes, MADV_HUGEPAGE);
+  data_ = static_cast<std::complex<float>*>(mapped);
+  size_ = size;
+}
+
+void QaoaSimulator::StateBuffer::Release() {
+  if (data_ != nullptr) munmap(data_, size_ * sizeof(std::complex<float>));
+  data_ = nullptr;
+  size_ = 0;
 }
 
 double QaoaSimulator::MinCost(uint64_t* argmin) const {

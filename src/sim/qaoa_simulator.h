@@ -44,7 +44,14 @@ class ThreadPool;
 /// bit index inside a 2^14-amplitude cache block run in one sweep per
 /// block (~ceil(n/14) passes per layer instead of n+1), the remaining
 /// high qubits follow in a column-tiled second sweep, and the per-gamma
-/// phase factors are cached across evaluations. Amplitudes compare equal
+/// phase factors are cached across evaluations. The first layer also
+/// creates the state: the uniform amplitude is folded into its phase
+/// factors, so each block writes amp0 * exp(-i gamma E) straight into
+/// the state instead of loading it first, and no separate pass
+/// initialises the 2^n amplitudes. The state lives in a page-backed
+/// buffer (StateBuffer), mapped directly rather than through malloc and
+/// never value-initialised, so its first write, page faults included,
+/// lands on the pool's threads block by block. Amplitudes compare equal
 /// under operator== at every parallelism level with the gate-at-a-time
 /// oracle RunQaoaReference (sim/qaoa_reference.h, test and bench only).
 class QaoaSimulator {
@@ -77,9 +84,10 @@ class QaoaSimulator {
   size_t num_levels() const { return palette_.size(); }
 
   /// Runs the QAOA circuit for `parameters`, leaving the final state
-  /// loaded; returns <H_C>. The amplitude buffer and the per-gamma phase
-  /// table are retained across calls, so repeated evaluations allocate
-  /// nothing after the first.
+  /// loaded; returns <H_C>. The first layer writes every amplitude, so
+  /// nothing a previous call left in the buffer reaches the result. The
+  /// amplitude buffer and the per-gamma phase tables are retained across
+  /// calls, so repeated evaluations map no memory after the first.
   double Run(const QaoaParameters& parameters);
 
   /// Evaluates <H_C> for every parameter set of `batch`. Parallelises at
@@ -112,8 +120,10 @@ class QaoaSimulator {
   /// Probability of basis state x in the loaded state.
   double Probability(uint64_t basis) const;
 
-  /// Amplitudes of the loaded state (Run() must have been called).
-  const std::vector<std::complex<float>>& amplitudes() const;
+  /// Amplitudes of the loaded state (Run() must have been called). The
+  /// view aliases the live buffer: the next Run() or ApplyMixerLayer()
+  /// overwrites what it shows, so copy it to keep a snapshot.
+  std::span<const std::complex<float>> amplitudes() const;
 
   /// Ground-state energy and one minimising bitstring of the spectrum;
   /// O(1) — the argmin is tracked while the spectrum is built, with ties
@@ -133,14 +143,44 @@ class QaoaSimulator {
   /// gamma-major grid sweep reuses them across the whole beta row. A
   /// table holds one factor per level, so it is a few bytes for a JO
   /// spectrum and at most 2^n factors for one with all-distinct levels.
+  /// `initial` holds the first layer's table scaled by the uniform
+  /// amplitude; it is rebuilt by every evaluation.
   struct PhaseTableCache {
     std::vector<PhaseTable> entries;
     size_t next_evict = 0;
+    std::vector<std::complex<float>> initial;
+  };
+
+  /// Amplitude storage of one state: an anonymous private mapping of
+  /// exactly the bytes it needs, advised MADV_HUGEPAGE (ignored where
+  /// transparent huge pages are unavailable). Its contents are left as
+  /// the kernel or the last evaluation left them; RunCore's first layer
+  /// writes every amplitude. Move-only.
+  class StateBuffer {
+   public:
+    StateBuffer() = default;
+    StateBuffer(StateBuffer&& other) noexcept;
+    StateBuffer& operator=(StateBuffer&& other) noexcept;
+    ~StateBuffer();
+
+    /// Makes the buffer hold `size` amplitudes, keeping the mapping when
+    /// the size is unchanged. Throws std::bad_alloc if mmap fails.
+    void Resize(size_t size);
+
+    std::complex<float>* data() { return data_; }
+    const std::complex<float>* data() const { return data_; }
+    size_t size() const { return size_; }
+
+   private:
+    void Release();
+
+    std::complex<float>* data_ = nullptr;
+    size_t size_ = 0;
   };
 
   /// Per-evaluation scratch: amplitude buffer plus phase-table cache.
   struct EvalScratch {
-    std::vector<std::complex<float>> amps;
+    StateBuffer amps;
     PhaseTableCache tables;
   };
 
@@ -148,18 +188,23 @@ class QaoaSimulator {
 
   void BuildCostSpectrum(const IsingModel& ising);
 
-  /// Shared evaluation core: initialises `amps`, applies p fused layers,
-  /// returns <H_C>. `pool` parallelises the
-  /// amplitude loops (Run); EvaluateBatch passes nullptr because its
-  /// parallelism lives at the batch level.
-  double RunCore(const QaoaParameters& parameters,
-                 std::vector<std::complex<float>>& amps,
+  /// Shared evaluation core: sizes `state`, applies p fused layers (the
+  /// first one writes the state from the uniform superposition), returns
+  /// <H_C>. `pool` parallelises the amplitude loops (Run); EvaluateBatch
+  /// passes nullptr because its parallelism lives at the batch level.
+  double RunCore(const QaoaParameters& parameters, StateBuffer& state,
                  PhaseTableCache& tables, ThreadPool* pool) const;
 
   /// Returns the cached (building on miss) per-level phase factors for
   /// `gamma`.
   const std::complex<float>* PhaseFactors(float gamma, PhaseTableCache& tables,
                                           ThreadPool* pool) const;
+
+  /// Scales the per-level `factors` by the uniform amplitude `amp0` into
+  /// `tables.initial`, the table of the layer that creates the state.
+  const std::complex<float>* InitialFactors(const std::complex<float>* factors,
+                                            float amp0, PhaseTableCache& tables,
+                                            ThreadPool* pool) const;
 
   int num_qubits_ = 0;
   /// Distinct float energies: blocks in Gray-walk order, the levels each
@@ -171,7 +216,7 @@ class QaoaSimulator {
       level_;
   float min_cost_ = 0.0f;
   uint64_t argmin_ = 0;
-  std::vector<std::complex<float>> amplitudes_;
+  StateBuffer amplitudes_;
   PhaseTableCache phase_tables_;
   std::vector<std::unique_ptr<EvalScratch>> batch_scratch_;
   bool state_loaded_ = false;

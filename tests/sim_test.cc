@@ -836,7 +836,8 @@ TEST(QaoaSimulatorTest, MixerLayerKernelsBitIdentical) {
   ASSERT_TRUE(fused.ok());
   // Identical starting states (layer parity is covered above).
   fused->Run(params);
-  std::vector<std::complex<float>> reference = fused->amplitudes();
+  const auto loaded = fused->amplitudes();
+  std::vector<std::complex<float>> reference(loaded.begin(), loaded.end());
   ApplyQaoaMixerReference(0.23, reference);
   for (int parallelism : {0, 1, 4, 8}) {
     std::optional<ThreadPool> pool;
@@ -920,11 +921,86 @@ TEST(QaoaSimulatorTest, EvaluateBatchLeavesLoadedStateUntouched) {
   ASSERT_TRUE(sim.ok());
   QaoaParameters params{{0.4}, {0.6}};
   sim->Run(params);
-  const std::vector<std::complex<float>> before = sim->amplitudes();
+  const auto loaded = sim->amplitudes();
+  const std::vector<std::complex<float>> before(loaded.begin(), loaded.end());
 
   std::vector<QaoaParameters> batch(3, QaoaParameters{{0.9}, {0.1}});
   sim->EvaluateBatch(batch);
-  EXPECT_EQ(before, sim->amplitudes());
+  const auto after = sim->amplitudes();
+  EXPECT_EQ(before,
+            std::vector<std::complex<float>>(after.begin(), after.end()));
+}
+
+TEST(QaoaSimulatorTest, RunOverwritesEveryAmplitude) {
+  // The first layer writes the state instead of scaling a uniform one,
+  // so a buffer left holding NaNs by an earlier evaluation must not show
+  // through. 18 qubits (2 MiB) is large enough for the pooled sweeps.
+  Rng make_rng(733);
+  const IsingModel ising = RandomIsing(18, 0.2, make_rng);
+  const QaoaParameters poison{{std::numeric_limits<double>::quiet_NaN()},
+                              {0.4}};
+  std::vector<QaoaParameters> valid;
+  valid.push_back(QaoaParameters{{0.33}, {0.61}});
+  valid.push_back(QaoaParameters{{0.29, 0.47, 0.12}, {0.72, 0.38, 0.55}});
+
+  auto reference_sim = QaoaSimulator::Create(ising);
+  ASSERT_TRUE(reference_sim.ok());
+  const std::vector<float> spectrum = reference_sim->cost_spectrum();
+  std::vector<std::vector<std::complex<float>>> reference(valid.size());
+  std::vector<double> reference_energy(valid.size());
+  for (size_t k = 0; k < valid.size(); ++k) {
+    reference_energy[k] = RunQaoaReference(spectrum, valid[k], reference[k]);
+  }
+
+  for (int parallelism : {0, 2, 4}) {
+    std::optional<ThreadPool> pool;
+    if (parallelism > 0) pool.emplace(parallelism);
+    for (size_t k = 0; k < valid.size(); ++k) {
+      auto fresh = QaoaSimulator::Create(ising);
+      auto reused = QaoaSimulator::Create(ising);
+      ASSERT_TRUE(fresh.ok() && reused.ok());
+      fresh->set_pool(pool ? &*pool : nullptr);
+      reused->set_pool(pool ? &*pool : nullptr);
+      EXPECT_TRUE(std::isnan(reused->Run(poison)));
+      const double energy = reused->Run(valid[k]);
+      EXPECT_EQ(energy, fresh->Run(valid[k]))
+          << "parallelism " << parallelism << " p " << valid[k].p();
+      EXPECT_EQ(energy, reference_energy[k])
+          << "parallelism " << parallelism << " p " << valid[k].p();
+      const auto amps = reused->amplitudes();
+      const auto fresh_amps = fresh->amplitudes();
+      ASSERT_EQ(amps.size(), reference[k].size());
+      for (size_t i = 0; i < amps.size(); ++i) {
+        ASSERT_EQ(amps[i], fresh_amps[i])
+            << "parallelism " << parallelism << " p " << valid[k].p()
+            << " amp " << i;
+        ASSERT_EQ(amps[i], reference[k][i])
+            << "parallelism " << parallelism << " p " << valid[k].p()
+            << " amp " << i;
+      }
+    }
+
+    // EvaluateBatch on scratch that a poisoned batch of the same size
+    // left behind.
+    auto fresh = QaoaSimulator::Create(ising);
+    auto reused = QaoaSimulator::Create(ising);
+    ASSERT_TRUE(fresh.ok() && reused.ok());
+    fresh->set_pool(pool ? &*pool : nullptr);
+    reused->set_pool(pool ? &*pool : nullptr);
+    const std::vector<QaoaParameters> poisoned(valid.size(), poison);
+    for (double e : reused->EvaluateBatch(poisoned)) {
+      EXPECT_TRUE(std::isnan(e));
+    }
+    const std::vector<double> energies = reused->EvaluateBatch(valid);
+    const std::vector<double> fresh_energies = fresh->EvaluateBatch(valid);
+    ASSERT_EQ(energies.size(), valid.size());
+    for (size_t k = 0; k < valid.size(); ++k) {
+      EXPECT_EQ(energies[k], fresh_energies[k])
+          << "parallelism " << parallelism << " p " << valid[k].p();
+      EXPECT_EQ(energies[k], reference_energy[k])
+          << "parallelism " << parallelism << " p " << valid[k].p();
+    }
+  }
 }
 
 TEST(QaoaSimulatorTest, MinCostArgminMatchesLinearScan) {
