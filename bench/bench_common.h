@@ -1,6 +1,8 @@
 #ifndef QJO_BENCH_BENCH_COMMON_H_
 #define QJO_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -55,6 +57,19 @@ inline int Parallelism() {
 inline ThreadPool* Pool() {
   static ThreadPool pool(Parallelism());
   return &pool;
+}
+
+/// Best-of-`repeats` wall time of fn(), in seconds.
+template <typename Fn>
+double BestSeconds(Fn&& fn, int repeats) {
+  double best = 1e300;
+  for (int r = 0; r < repeats; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    const auto t1 = std::chrono::steady_clock::now();
+    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+  }
+  return best;
 }
 
 /// One named number of a bench's JSON artifact.

@@ -282,19 +282,7 @@ BENCHMARK(BM_MinorEmbedding)->Arg(4)->Arg(8)->Arg(12);
 
 // --- Hand-rolled kernel suite: BENCH_kernels.json -------------------------
 
-/// Best-of-`repeats` wall time of fn(), in seconds.
-template <typename Fn>
-double BestSeconds(Fn&& fn, int repeats) {
-  double best = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
-
+using bench::BestSeconds;
 using bench::Metric;
 
 /// The suite's correctness gate: production SQA samples must equal the

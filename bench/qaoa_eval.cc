@@ -61,19 +61,6 @@ Qubo MakeRandomQubo(int n, double edge_probability, uint64_t seed) {
   return q;
 }
 
-/// Best-of-`repeats` wall time of fn(), in seconds.
-template <typename Fn>
-double BestSeconds(Fn&& fn, int repeats) {
-  double best = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
-
 double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
@@ -103,6 +90,7 @@ StatusOr<IsingModel> JoIsing(int relations, double omega, int max_qubits,
   return Status::NotFound("no JO encoding within the qubit cap");
 }
 
+using bench::BestSeconds;
 using bench::Metric;
 
 int RunQaoaEvalBench() {

@@ -14,7 +14,7 @@
 //           [--serve-workers W] [--serve-queue-cap Q]
 //           [--serve-tenant-quota Q] [--serve-deadline-ms D]
 //           [--serve-duplicate-rate F] [--serve-tenant-rate R]
-//           [--serve-tenant-burst B] [--serve-warmup-file FILE]
+//           [--serve-tenant-burst B]
 
 #include <algorithm>
 #include <cstdio>
@@ -66,7 +66,6 @@ struct CliArgs {
   double serve_duplicate_rate = 0.0;  // chance a submit repeats the previous
   double serve_tenant_rate = 0.0;     // token-bucket admissions/sec (0 = off)
   double serve_tenant_burst = 0.0;    // bucket capacity (0 = max(1, rate))
-  std::string serve_warmup_file;      // plan-cache key persistence
 };
 
 int Fail(const char* message) {
@@ -125,10 +124,7 @@ void PrintHelp() {
       "                    (default 0)\n"
       "  --serve-tenant-rate R   per-tenant token-bucket rate limit in\n"
       "                    admissions/sec (default 0 = off)\n"
-      "  --serve-tenant-burst B  token-bucket capacity (default: max(1, R))\n"
-      "  --serve-warmup-file FILE  load plan-cache keys from FILE at start\n"
-      "                    (pre-solving matching requests before traffic)\n"
-      "                    and persist the live key set on drain\n");
+      "  --serve-tenant-burst B  token-bucket capacity (default: max(1, R))\n");
 }
 
 int RunServe(const CliArgs& args) {
@@ -175,27 +171,11 @@ int RunServe(const CliArgs& args) {
   options.default_deadline_ms = args.serve_deadline_ms;
   options.tenant_rate_per_sec = args.serve_tenant_rate;
   options.tenant_burst = args.serve_tenant_burst;
-  options.warmup_file = args.serve_warmup_file;
   options.pool = &pool;
   if (!args.trace_out.empty()) options.trace = &trace.emplace();
   if (!args.metrics_out.empty()) options.metrics = &metrics.emplace();
 
   OptimizerService service(options);
-  if (!service.warmup_keys().empty()) {
-    // Replay the tenant query templates against the persisted key set so
-    // the cache starts hot for any of them served last run.
-    std::vector<ServeRequest> templates;
-    templates.reserve(queries.size());
-    for (const Query& query : queries) {
-      ServeRequest request;
-      request.query = query;
-      request.config = config;
-      templates.push_back(std::move(request));
-    }
-    const size_t warmed = service.WarmUp(templates);
-    std::printf("serve: warmed %zu plan-cache entries from %s\n", warmed,
-                args.serve_warmup_file.c_str());
-  }
   struct Outcome {
     int index;
     std::string tenant;
@@ -267,16 +247,10 @@ int RunServe(const CliArgs& args) {
       static_cast<unsigned long long>(stats.rejected_rate_limited));
   std::printf(
       "serve: %d ok, %d failed, %d cache hits, %d coalesced, %d degraded "
-      "(%llu solves for %llu completions",
+      "(%llu solves for %llu completions)\n",
       ok, failed, hits, coalesced, degraded,
       static_cast<unsigned long long>(stats.solves),
       static_cast<unsigned long long>(stats.completed));
-  if (stats.warmed > 0) {
-    std::printf("; %llu warmed, %llu warm hits",
-                static_cast<unsigned long long>(stats.warmed),
-                static_cast<unsigned long long>(stats.warm_hits));
-  }
-  std::printf(")\n");
   const auto cache = service.plan_cache()->stats();
   std::printf(
       "plan cache: %llu hits / %llu misses (%.0f%% hit rate), "
@@ -522,10 +496,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return Fail("--serve-tenant-burst needs a value");
       args.serve_tenant_burst = std::atof(v);
-    } else if (flag == "--serve-warmup-file") {
-      const char* v = next();
-      if (!v) return Fail("--serve-warmup-file needs a file path");
-      args.serve_warmup_file = v;
     } else if (flag == "--noiseless") {
       args.noiseless = true;
     } else if (flag == "--verbose") {

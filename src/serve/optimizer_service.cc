@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <optional>
 #include <string_view>
@@ -20,8 +19,6 @@ namespace qjo {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-constexpr char kWarmupHeader[] = "qjo-plan-cache-keys v1";
 
 /// Quota units and bucket tokens a coalesced follower costs its tenant: it
 /// holds no worker and no queue slot, so charging it like a full request
@@ -131,17 +128,6 @@ double RetryAfterHintMs(double avg_solve_ms, size_t backlog, size_t workers,
 
 OptimizerService::OptimizerService(const ServeOptions& options)
     : options_(options), cache_(options.cache, options.metrics) {
-  if (options_.share_build_cache) {
-    build_cache_ = std::make_unique<QuboBuildCache>(
-        std::max<size_t>(1, options_.build_cache_entries));
-  }
-  if (!options_.warmup_file.empty()) {
-    loaded_warmup_keys_ = LoadWarmupKeys(options_.warmup_file);
-    if (options_.metrics != nullptr && !loaded_warmup_keys_.empty()) {
-      options_.metrics->Count("serve.warmup.keys_loaded",
-                              loaded_warmup_keys_.size());
-    }
-  }
   reaper_ = std::jthread(
       [this](std::stop_token stop) { ReaperLoop(std::move(stop)); });
   const int workers = std::max(1, options_.workers);
@@ -184,7 +170,6 @@ OptimizerService::~OptimizerService() {
     following_ = 0;
   }
   drained_.notify_all();
-  if (!options_.warmup_file.empty()) SaveWarmupKeys(options_.warmup_file);
 }
 
 StatusOr<std::future<ServeResult>> OptimizerService::Submit(
@@ -198,8 +183,7 @@ StatusOr<std::future<ServeResult>> OptimizerService::Submit(
                                : options_.default_deadline_ms;
   // Computed outside the lock: fingerprinting a large query under the
   // admission mutex would serialise every submit behind it.
-  std::string key;
-  if (!request.bypass_cache) key = PlanKey(request.query, request.config);
+  std::string key = PlanKey(request.query, request.config);
 
   std::unique_lock<std::mutex> lock(mutex_);
   // Retry-after hint: the backlog ahead of (and including) this request,
@@ -208,8 +192,7 @@ StatusOr<std::future<ServeResult>> OptimizerService::Submit(
       RetryAfterHintMs(avg_solve_ms_.load(std::memory_order_relaxed),
                        queued_ + running_ + 1, workers_.size(),
                        options_.max_retry_after_ms);
-  const bool follower =
-      !key.empty() && cache_.PendingFollowers(key) != nullptr;
+  const bool follower = cache_.PendingFollowers(key) != nullptr;
   const double cost = follower ? kFollowerCost : 1.0;
   const auto reject = [&](std::atomic<uint64_t>& counter, const char* metric,
                           double hint_ms, const std::string& why) {
@@ -251,7 +234,7 @@ StatusOr<std::future<ServeResult>> OptimizerService::Submit(
   // A ready entry answers here: no queue slot, worker or quota.
   bool warmed = false;
   std::shared_ptr<const QjoReport> hit;
-  if (!key.empty() && !follower) hit = cache_.LookupAt(key, now, &warmed);
+  if (!follower) hit = cache_.LookupAt(key, now, &warmed);
   if (hit != nullptr) {
     lock.unlock();
     cache_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -306,20 +289,18 @@ StatusOr<std::future<ServeResult>> OptimizerService::Submit(
 
 void OptimizerService::AdmitLocked(std::unique_ptr<Ticket> ticket,
                                    bool front) {
-  if (!ticket->request.bypass_cache) {
-    if (PlanCache::Followers* followers =
-            cache_.PendingFollowers(ticket->plan_key)) {
-      // Single flight: the leader's epilogue resolves (or re-admits) us;
-      // the reaper covers our own deadline meanwhile.
-      followers->push_back(std::move(ticket));
-      ++following_;
-      ++reaper_generation_;
-      return;
-    }
-    // Opened at admission (not at dispatch), so a duplicate arriving
-    // while the leader still queues follows it too.
-    cache_.BeginPendingAt(ticket->plan_key, Clock::now());
+  if (PlanCache::Followers* followers =
+          cache_.PendingFollowers(ticket->plan_key)) {
+    // Single flight: the leader's epilogue resolves (or re-admits) us;
+    // the reaper covers our own deadline meanwhile.
+    followers->push_back(std::move(ticket));
+    ++following_;
+    ++reaper_generation_;
+    return;
   }
+  // Opened at admission (not at dispatch), so a duplicate arriving while
+  // the leader still queues follows it too.
+  cache_.BeginPendingAt(ticket->plan_key, Clock::now());
   const std::string& tenant = ticket->request.tenant;
   auto lane = lanes_.find(tenant);
   if (lane == lanes_.end()) {
@@ -454,9 +435,7 @@ QjoConfig OptimizerService::SolveConfig(const ServeRequest& request) {
   // Shared build cache: even when the plan cache misses, the encode
   // stage reuses any prior request's CSR build for this fingerprint. A
   // request carrying its own cache keeps it (caller wins).
-  if (config.qubo_cache == nullptr && build_cache_ != nullptr) {
-    config.qubo_cache = build_cache_.get();
-  }
+  if (config.qubo_cache == nullptr) config.qubo_cache = &build_cache_;
   return config;
 }
 
@@ -529,12 +508,10 @@ void OptimizerService::Process(Ticket& ticket) {
     }
   }
 
-  if (!request.bypass_cache) {
-    FinishPending(ticket.plan_key,
-                  shareable ? std::make_shared<const QjoReport>(result.report)
-                            : nullptr,
-                  /*warmed=*/false);
-  }
+  FinishPending(ticket.plan_key,
+                shareable ? std::make_shared<const QjoReport>(result.report)
+                          : nullptr,
+                /*warmed=*/false);
   Resolve(ticket.promise, std::move(result));
 }
 
@@ -592,13 +569,10 @@ void OptimizerService::Degrade(const ServeRequest& request, bool expired,
 }
 
 void OptimizerService::Drain() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    drained_.wait(lock, [this] {
-      return queued_ == 0 && running_ == 0 && following_ == 0;
-    });
-  }
-  if (!options_.warmup_file.empty()) SaveWarmupKeys(options_.warmup_file);
+  std::unique_lock<std::mutex> lock(mutex_);
+  drained_.wait(lock, [this] {
+    return queued_ == 0 && running_ == 0 && following_ == 0;
+  });
 }
 
 size_t OptimizerService::WarmUp(const std::vector<std::string>& keys,
@@ -608,7 +582,6 @@ size_t OptimizerService::WarmUp(const std::vector<std::string>& keys,
   const std::unordered_set<std::string_view> wanted(keys.begin(), keys.end());
   size_t warmed = 0;
   for (const ServeRequest& request : workload) {
-    if (request.bypass_cache) continue;
     const std::string key = PlanKey(request.query, request.config);
     if (wanted.find(key) == wanted.end()) continue;
     {
@@ -633,36 +606,6 @@ size_t OptimizerService::WarmUp(const std::vector<std::string>& keys,
     ++warmed;
   }
   return warmed;
-}
-
-size_t OptimizerService::WarmUp(std::span<const ServeRequest> workload) {
-  return WarmUp(loaded_warmup_keys_, workload);
-}
-
-bool OptimizerService::SaveWarmupKeys(const std::string& path) const {
-  std::vector<std::string> keys;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    keys = cache_.Keys();
-  }
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << kWarmupHeader << "\n";
-  for (const std::string& key : keys) out << key << "\n";
-  out.flush();
-  return static_cast<bool>(out);
-}
-
-std::vector<std::string> OptimizerService::LoadWarmupKeys(
-    const std::string& path) {
-  std::vector<std::string> keys;
-  std::ifstream in(path);
-  std::string line;
-  if (!in || !std::getline(in, line) || line != kWarmupHeader) return keys;
-  while (std::getline(in, line)) {
-    if (!line.empty()) keys.push_back(line);
-  }
-  return keys;
 }
 
 std::string OptimizerService::PlanKey(const Query& query,

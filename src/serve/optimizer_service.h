@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/quantum_optimizer.h"
+#include "core/qubo_cache.h"
 #include "qubo/deadline_monitor.h"
 #include "serve/plan_cache.h"
 #include "serve/token_bucket.h"
@@ -52,14 +53,6 @@ struct ServeOptions {
   /// plan beats a deadline miss).
   double degrade_margin_ms = 5.0;
 
-  /// One QuboBuildCache shared by every request of this service, so a
-  /// plan-cache miss still reuses any prior request's CSR build (results
-  /// never change). Disable only to measure the rebuild cost; a request
-  /// carrying its own `config.qubo_cache` keeps it (caller wins).
-  bool share_build_cache = true;
-  /// Entry cap; the cache also keeps to kDefaultBuildCacheBytes.
-  size_t build_cache_entries = 1024;
-
   /// Per-tenant token-bucket rate limit in admissions/sec; <= 0 = off.
   /// Layered *before* the inflight quotas: the quota bounds concurrency,
   /// the bucket bounds request rate (a tenant hammering cheap cache hits
@@ -80,11 +73,6 @@ struct ServeOptions {
   /// config) — see OptimizerService::PlanKey. Its pending entries are the
   /// single-flight registry, its ready entries the plan cache.
   PlanCacheOptions cache;
-
-  /// Plan-cache warm-up persistence: when non-empty, the live key set is
-  /// written here by Drain() and at shutdown, and loaded at construction
-  /// into warmup_keys() for a WarmUp(workload) call to replay.
-  std::string warmup_file;
 
   /// Optional externally-owned solve pool shared by every request whose
   /// `config.run.pool` is unset (a request's own pool wins). Null =
@@ -109,9 +97,6 @@ struct ServeRequest {
   /// Wall-clock budget from *submit* (queue wait included); <= 0 = use
   /// ServeOptions::default_deadline_ms.
   double deadline_ms = -1.0;
-  /// Skip the plan table for this request: always solve, never insert,
-  /// never coalesce in either direction.
-  bool bypass_cache = false;
 };
 
 /// Outcome of one served request.
@@ -165,14 +150,15 @@ double RetryAfterHintMs(double avg_solve_ms, size_t backlog, size_t workers,
 ///    degraded by the follower reaper instead of waiting.
 ///  * Shared QUBO-build cache — every request's encode goes through one
 ///    service-owned QuboBuildCache (single-flight itself), so even a
-///    plan-cache miss reuses the pre-built CSR from any prior request.
+///    plan-cache miss reuses the pre-built CSR from any prior request. A
+///    request carrying its own `config.qubo_cache` keeps it.
 ///  * Deadlines — a request's wall budget covers queue wait + solve. The
 ///    shared DeadlineMonitor arms one stop token per dispatched request;
 ///    expiry winds the portfolio/decomp strands down cooperatively.
 ///    Requests dequeued with (almost) no budget left degrade to the
 ///    classical DP/greedy fallback instead of failing.
-///  * Warm-up — the ready key set can be persisted (warmup_file) and
-///    replayed through WarmUp() so a restart starts hot.
+///  * Warm-up — WarmUp() pre-solves the caller's request templates whose
+///    keys it is given, so the first live requests for them hit.
 ///
 /// Determinism: a cache-miss request that never has its stop token fire
 /// returns a report bit-identical to a direct OptimizeJoinOrder(query,
@@ -185,8 +171,7 @@ class OptimizerService {
   explicit OptimizerService(const ServeOptions& options = {});
   /// Fails queued, never-dispatched requests (and coalesced followers
   /// still waiting on them) with FailedPrecondition and joins the
-  /// workers. In-flight solves run to completion. Persists the warm-up
-  /// key set when `warmup_file` is configured.
+  /// workers. In-flight solves run to completion.
   ~OptimizerService();
 
   OptimizerService(const OptimizerService&) = delete;
@@ -203,8 +188,7 @@ class OptimizerService {
 
   /// Blocks until every admitted request (coalesced followers included)
   /// has resolved its future. New submits during a drain are allowed and
-  /// also waited for. Persists the warm-up key set when `warmup_file` is
-  /// configured.
+  /// also waited for.
   void Drain();
 
   /// Pre-populates the plan cache: every workload request whose PlanKey is
@@ -216,20 +200,6 @@ class OptimizerService {
   /// skipped.
   size_t WarmUp(const std::vector<std::string>& keys,
                 std::span<const ServeRequest> workload);
-  /// WarmUp() against the key set loaded from `warmup_file`.
-  size_t WarmUp(std::span<const ServeRequest> workload);
-
-  /// Writes the live ready key set to `path` (header line + one key per
-  /// line); returns false when the write fails. Drain() and the
-  /// destructor call this with `warmup_file`.
-  bool SaveWarmupKeys(const std::string& path) const;
-  /// Loads a key set written by SaveWarmupKeys; empty on any error or
-  /// header mismatch.
-  static std::vector<std::string> LoadWarmupKeys(const std::string& path);
-  /// Keys loaded from `warmup_file` at construction (empty otherwise).
-  const std::vector<std::string>& warmup_keys() const {
-    return loaded_warmup_keys_;
-  }
 
   /// Cache key of a request: the encoding fingerprint (bit-exact) plus
   /// every QjoConfig field that determines the report — backend, seed,
@@ -265,20 +235,19 @@ class OptimizerService {
   /// The plan table; read its stats() only (every other call belongs to
   /// the service, under its admission mutex).
   const PlanCache* plan_cache() const { return &cache_; }
-  /// Service-owned shared build cache; null when share_build_cache is
-  /// off.
-  QuboBuildCache* build_cache() { return build_cache_.get(); }
+  /// The service-owned build cache every request without its own uses.
+  QuboBuildCache* build_cache() { return &build_cache_; }
   size_t queued() const;
 
  private:
   /// An admitted request, queued in a tenant lane (leading its key's
-  /// pending entry unless `bypass_cache`) or parked there as a follower.
+  /// pending entry) or parked on that entry as a follower.
   /// `deadline` (inherited) is absolute; time_point::max() = none.
   struct Ticket : PlanCache::Follower {
     ServeRequest request;
     std::promise<ServeResult> promise;
     std::chrono::steady_clock::time_point submitted;
-    std::string plan_key;  ///< empty for bypass_cache requests
+    std::string plan_key;
     double quota_cost = 1.0;  ///< 1, or a quarter for a follower
   };
 
@@ -315,9 +284,8 @@ class OptimizerService {
   const ServeOptions options_;
   /// Guarded by mutex_ (stats() excepted).
   PlanCache cache_;
-  std::unique_ptr<QuboBuildCache> build_cache_;  ///< null when sharing off
+  QuboBuildCache build_cache_;
   DeadlineMonitor monitor_;
-  std::vector<std::string> loaded_warmup_keys_;
 
   mutable std::mutex mutex_;
   std::condition_variable_any work_ready_;

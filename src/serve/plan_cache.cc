@@ -32,10 +32,6 @@ PlanCache::EntryList::iterator PlanCache::EraseReady(
   return ready_.erase(node);
 }
 
-std::shared_ptr<const QjoReport> PlanCache::Lookup(std::string_view key) {
-  return LookupAt(key, Clock::now());
-}
-
 std::shared_ptr<const QjoReport> PlanCache::LookupAt(std::string_view key,
                                                      Clock::time_point now,
                                                      bool* warmed) {
@@ -56,29 +52,6 @@ std::shared_ptr<const QjoReport> PlanCache::LookupAt(std::string_view key,
   return node->report;
 }
 
-void PlanCache::Insert(std::string_view key, QjoReport report) {
-  InsertAt(key, std::move(report), Clock::now());
-}
-
-void PlanCache::InsertAt(std::string_view key, QjoReport report,
-                         Clock::time_point now) {
-  auto it = index_.find(key);
-  if (it != index_.end() && it->second->report == nullptr) {
-    return;  // pending: the leader's epilogue decides
-  }
-  const EntryList::iterator node =
-      it != index_.end() ? it->second : AddPending(key, now);
-  MakeReady(node, std::make_shared<const QjoReport>(std::move(report)), now,
-            /*warmed=*/false);
-}
-
-PlanCache::EntryList::iterator PlanCache::AddPending(std::string_view key,
-                                                     Clock::time_point now) {
-  pending_.push_front(Entry{std::string(key), nullptr, now, false, {}});
-  index_.emplace(std::string_view(pending_.front().key), pending_.begin());
-  return pending_.begin();
-}
-
 bool PlanCache::BeginPendingAt(std::string_view key, Clock::time_point now) {
   auto it = index_.find(key);
   if (it != index_.end()) {
@@ -86,7 +59,8 @@ bool PlanCache::BeginPendingAt(std::string_view key, Clock::time_point now) {
     if (node->report == nullptr || !Expired(*node, now)) return false;
     EraseReady(node, ttl_expirations_, "serve.cache.ttl_expirations");
   }
-  AddPending(key, now);
+  pending_.push_front(Entry{std::string(key), nullptr, now, false, {}});
+  index_.emplace(std::string_view(pending_.front().key), pending_.begin());
   return true;
 }
 
@@ -115,8 +89,7 @@ PlanCache::Followers PlanCache::EndPendingAt(
 void PlanCache::MakeReady(EntryList::iterator node,
                           std::shared_ptr<const QjoReport> report,
                           Clock::time_point now, bool warmed) {
-  ready_.splice(ready_.begin(), node->report == nullptr ? pending_ : ready_,
-                node);
+  ready_.splice(ready_.begin(), pending_, node);
   node->report = std::move(report);
   node->inserted = now;
   node->warmed = warmed;
@@ -157,18 +130,6 @@ PlanCache::Stats PlanCache::stats() const {
   s.evictions = evictions_.load(std::memory_order_relaxed);
   s.ttl_expirations = ttl_expirations_.load(std::memory_order_relaxed);
   return s;
-}
-
-std::vector<std::string> PlanCache::Keys() const {
-  return KeysAt(Clock::now());
-}
-
-std::vector<std::string> PlanCache::KeysAt(Clock::time_point now) const {
-  std::vector<std::string> keys;
-  for (const Entry& entry : ready_) {
-    if (!Expired(entry, now)) keys.push_back(entry.key);
-  }
-  return keys;
 }
 
 }  // namespace qjo

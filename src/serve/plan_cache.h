@@ -35,14 +35,15 @@ struct PlanCacheOptions {
 ///  * pending — a leader is queued or solving the key, and the entry owns
 ///    the followers waiting for its answer (single flight); or
 ///  * ready — a report, its insert time and a `warmed` bit.
-/// LRU and TTL act on ready entries only. Pending entries sit on their own
-/// list: never evicted, expired or listed by Keys(), and expiring their
-/// followers never walks the ready entries.
+/// An entry becomes ready only through its leader: BeginPendingAt, then
+/// EndPendingAt with a report. LRU and TTL act on ready entries only.
+/// Pending entries sit on their own list: never evicted or expired, and
+/// expiring their followers never walks the ready entries.
 ///
 /// A lookup landing on an expired entry removes it (ttl_expiration +
-/// miss); an insert past capacity first sweeps expired entries and only
-/// then evicts the least-recently-used live one. Hits refresh recency; a
-/// re-insert replaces the report in place and restarts its TTL.
+/// miss); a key turning ready past capacity first sweeps expired entries
+/// and only then evicts the least-recently-used live one. Hits refresh
+/// recency.
 ///
 /// Not thread-safe: the owner serialises every call but stats(), which
 /// reads relaxed atomics (each counter exact and monotone). Each event is
@@ -68,18 +69,12 @@ class PlanCache {
   explicit PlanCache(const PlanCacheOptions& options = {},
                      MetricsRegistry* metrics = nullptr);
 
-  /// The ready report for `key` (and whether warm-up inserted it), or null
-  /// when absent, pending or expired. *At overloads take the clock reading
-  /// so tests can drive TTL deterministically.
-  std::shared_ptr<const QjoReport> Lookup(std::string_view key);
+  /// The ready report for `key` (and whether warm-up made it ready), or
+  /// null when absent, pending or expired. Every call takes the clock
+  /// reading, so tests can drive TTL deterministically.
   std::shared_ptr<const QjoReport> LookupAt(std::string_view key,
                                             Clock::time_point now,
                                             bool* warmed = nullptr);
-
-  /// Inserts (or replaces) the ready entry for `key`. A pending key is
-  /// left to its leader.
-  void Insert(std::string_view key, QjoReport report);
-  void InsertAt(std::string_view key, QjoReport report, Clock::time_point now);
 
   /// Opens a pending entry for `key`'s leader; false when the key is
   /// already pending or live (an expired entry is dropped first).
@@ -101,8 +96,9 @@ class PlanCache {
     uint64_t misses = 0;
     /// Live entries displaced by inserts past capacity.
     uint64_t evictions = 0;
-    /// Entries removed because their TTL had passed (on lookup or by the
-    /// pre-eviction sweep of an insert past capacity).
+    /// Entries removed because their TTL had passed (on lookup, on a new
+    /// leader for the key, or by the pre-eviction sweep when an entry
+    /// turns ready past capacity).
     uint64_t ttl_expirations = 0;
     double hit_rate() const {
       const uint64_t total = hits + misses;
@@ -110,11 +106,6 @@ class PlanCache {
     }
   };
   Stats stats() const;
-
-  /// Every live ready key, most recently used first: the warm-up export
-  /// the serving layer persists and replays through WarmUp().
-  std::vector<std::string> Keys() const;
-  std::vector<std::string> KeysAt(Clock::time_point now) const;
 
   /// Ready entries held (expired ones included until swept).
   size_t size() const { return ready_.size(); }
@@ -131,9 +122,8 @@ class PlanCache {
   using EntryList = std::list<Entry>;
 
   bool Expired(const Entry& entry, Clock::time_point now) const;
-  /// Appends a pending entry for an absent `key`.
-  EntryList::iterator AddPending(std::string_view key, Clock::time_point now);
-  /// Makes `node` the most recent ready entry; trims back to capacity.
+  /// Makes pending `node` the most recent ready entry; trims back to
+  /// capacity.
   void MakeReady(EntryList::iterator node,
                  std::shared_ptr<const QjoReport> report,
                  Clock::time_point now, bool warmed);

@@ -7,11 +7,13 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <functional>
 #include <future>
 #include <limits>
+#include <memory>
+#include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -53,19 +55,20 @@ QjoConfig FastConfig(uint64_t seed = 7) {
 }
 
 /// A request whose solve occupies a worker long enough (hundreds of ms)
-/// for the test to line up queue states behind it.
+/// for the test to line up queue states behind it. No other request in
+/// this file uses its seed, so it leads its own plan key and takes its
+/// own queue slot.
 ServeRequest SlowRequest(const std::string& tenant = "default") {
   ServeRequest request;
   request.query = MakeQuery(6);
-  request.config = FastConfig(11);
+  request.config = FastConfig(12);
   request.config.shots = 1500;
   request.tenant = tenant;
-  request.bypass_cache = true;
   return request;
 }
 
-/// Coalescible twin of SlowRequest: same long solve, but cache/coalescing
-/// stay enabled so repeated calls share one plan key.
+/// A long solve that tests submit more than once: the copies share one
+/// plan key, so later ones follow the first.
 ServeRequest SlowCoalescible(const std::string& tenant = "default",
                              int shots = 1500) {
   ServeRequest request;
@@ -152,6 +155,16 @@ QjoReport MakeReport(double cost) {
   return report;
 }
 
+/// Makes `key` ready the way the service does: lead it, then end the
+/// pending entry with a report. A key already pending or live is left as
+/// it is.
+void MakeReady(PlanCache& cache, std::string_view key, double cost,
+               PlanCache::Clock::time_point now) {
+  if (!cache.BeginPendingAt(key, now)) return;
+  auto report = std::make_shared<const QjoReport>(MakeReport(cost));
+  EXPECT_TRUE(cache.EndPendingAt(key, report, now, /*warmed=*/false).empty());
+}
+
 TEST(PlanCacheTest, TtlExpiryIsNotAnEviction) {
   PlanCacheOptions options;
   options.capacity = 2;
@@ -159,13 +172,13 @@ TEST(PlanCacheTest, TtlExpiryIsNotAnEviction) {
   PlanCache cache(options);
   const auto t0 = PlanCache::Clock::now();
 
-  cache.InsertAt("a", MakeReport(1.0), t0);
-  cache.InsertAt("b", MakeReport(2.0), t0 + 10ms);
+  MakeReady(cache, "a", 1.0, t0);
+  MakeReady(cache, "b", 2.0, t0 + 10ms);
   ASSERT_NE(cache.LookupAt("a", t0 + 50ms), nullptr);  // within TTL: hit
 
   // Insert into the full cache after both TTLs passed: the sweep removes
   // them as ttl_expirations, never as LRU evictions.
-  cache.InsertAt("c", MakeReport(3.0), t0 + 200ms);
+  MakeReady(cache, "c", 3.0, t0 + 200ms);
   auto stats = cache.stats();
   EXPECT_EQ(stats.ttl_expirations, 2u);
   EXPECT_EQ(stats.evictions, 0u);
@@ -173,7 +186,7 @@ TEST(PlanCacheTest, TtlExpiryIsNotAnEviction) {
 
   // A lookup landing on an expired entry also counts ttl_expiration +
   // miss (and removes it).
-  cache.InsertAt("d", MakeReport(4.0), t0 + 200ms);
+  MakeReady(cache, "d", 4.0, t0 + 200ms);
   EXPECT_EQ(cache.LookupAt("d", t0 + 400ms), nullptr);
   stats = cache.stats();
   EXPECT_EQ(stats.ttl_expirations, 3u);
@@ -187,11 +200,11 @@ TEST(PlanCacheTest, LruEvictsOnlyLiveEntries) {
   PlanCache cache(options);
   const auto t0 = PlanCache::Clock::now();
 
-  cache.InsertAt("a", MakeReport(1.0), t0);
-  cache.InsertAt("b", MakeReport(2.0), t0 + 1ms);
+  MakeReady(cache, "a", 1.0, t0);
+  MakeReady(cache, "b", 2.0, t0 + 1ms);
   // Touch "a" so "b" is the LRU victim.
   ASSERT_NE(cache.LookupAt("a", t0 + 2ms), nullptr);
-  cache.InsertAt("c", MakeReport(3.0), t0 + 3ms);  // full, nothing expired
+  MakeReady(cache, "c", 3.0, t0 + 3ms);  // full, nothing expired
   const auto stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.ttl_expirations, 0u);
@@ -200,26 +213,12 @@ TEST(PlanCacheTest, LruEvictsOnlyLiveEntries) {
   EXPECT_NE(cache.LookupAt("c", t0 + 4ms), nullptr);
 }
 
-TEST(PlanCacheTest, ReinsertRefreshesInPlace) {
-  PlanCacheOptions options;
-  options.capacity = 2;
-  options.ttl_ms = 100.0;
-  PlanCache cache(options);
-  const auto t0 = PlanCache::Clock::now();
-
-  cache.InsertAt("a", MakeReport(1.0), t0);
-  cache.InsertAt("a", MakeReport(9.0), t0 + 90ms);  // refresh value + TTL
-  const auto hit = cache.LookupAt("a", t0 + 150ms);  // alive: TTL restarted
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->best_cost, 9.0);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-}
-
 TEST(PlanCacheTest, StatsReadableWhileConcurrentLookups) {
   // The relaxed-atomic stats contract: readers never block or race
   // writers (run under TSan via the concurrency label).
   PlanCache cache(PlanCacheOptions{});
-  cache.Insert("hot", MakeReport(1.0));
+  const auto t0 = PlanCache::Clock::now();
+  MakeReady(cache, "hot", 1.0, t0);
   std::atomic<bool> done{false};
   std::thread reader([&] {
     while (!done.load(std::memory_order_acquire)) {
@@ -227,8 +226,8 @@ TEST(PlanCacheTest, StatsReadableWhileConcurrentLookups) {
     }
   });
   for (int i = 0; i < 5000; ++i) {
-    (void)cache.Lookup("hot");
-    (void)cache.Lookup("cold");
+    (void)cache.LookupAt("hot", t0);
+    (void)cache.LookupAt("cold", t0);
   }
   done.store(true, std::memory_order_release);
   reader.join();
@@ -247,9 +246,10 @@ uint64_t Counter(const MetricsRegistry& metrics, const std::string& name) {
 TEST(PlanCacheTest, ExportsServeGauges) {
   MetricsRegistry metrics;
   PlanCache cache(PlanCacheOptions{}, &metrics);
-  cache.Insert("k", MakeReport(1.0));
-  (void)cache.Lookup("k");
-  (void)cache.Lookup("absent");
+  const auto t0 = PlanCache::Clock::now();
+  MakeReady(cache, "k", 1.0, t0);
+  (void)cache.LookupAt("k", t0);
+  (void)cache.LookupAt("absent", t0);
   EXPECT_EQ(Counter(metrics, "serve.cache.hits"), 1u);
   EXPECT_EQ(Counter(metrics, "serve.cache.misses"), 1u);
   EXPECT_EQ(Counter(metrics, "serve.cache.evictions"), 0u);
@@ -266,35 +266,32 @@ TEST(PlanCacheTest, PendingEntriesAreNeverEvictedExpiredOrListed) {
 
   ASSERT_TRUE(cache.BeginPendingAt("p", t0));
   EXPECT_FALSE(cache.BeginPendingAt("p", t0)) << "one leader per key";
-  cache.InsertAt("p", MakeReport(9.0), t0);  // left to its leader
+  MakeReady(cache, "p", 9.0, t0);  // left to its leader
   ASSERT_NE(cache.PendingFollowers("p"), nullptr);
 
   // Capacity counts ready entries only: "b" displaces "a", never "p".
-  cache.InsertAt("a", MakeReport(1.0), t0);
-  cache.InsertAt("b", MakeReport(2.0), t0 + 1ms);
+  MakeReady(cache, "a", 1.0, t0);
+  MakeReady(cache, "b", 2.0, t0 + 1ms);
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.KeysAt(t0 + 2ms), std::vector<std::string>{"b"});
 
   // Long past the TTL the sweep of a full insert expires "b"; "p" stays
-  // pending, is no hit and no key.
-  cache.InsertAt("c", MakeReport(3.0), t0 + 10s);
+  // pending and is no hit.
+  MakeReady(cache, "c", 3.0, t0 + 10s);
   EXPECT_EQ(cache.stats().ttl_expirations, 1u);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.LookupAt("p", t0 + 10s), nullptr);
   ASSERT_NE(cache.PendingFollowers("p"), nullptr);
-  EXPECT_EQ(cache.KeysAt(t0 + 10s), std::vector<std::string>{"c"});
   PlanCache::Clock::time_point next = PlanCache::Clock::time_point::max();
   EXPECT_TRUE(cache.ExpireFollowers(t0 + 1h, &next).empty());
   ASSERT_NE(cache.PendingFollowers("p"), nullptr);
 
-  // The leader's epilogue makes it ready: now it is a hit and a key.
+  // The leader's epilogue makes it ready: now it is a hit.
   EXPECT_TRUE(cache
                   .EndPendingAt("p", std::make_shared<const QjoReport>(
                                          MakeReport(4.0)),
                                 t0 + 10s, /*warmed=*/false)
                   .empty());
   EXPECT_EQ(cache.PendingFollowers("p"), nullptr);
-  EXPECT_EQ(cache.KeysAt(t0 + 10s), std::vector<std::string>{"p"});
   ASSERT_NE(cache.LookupAt("p", t0 + 10s), nullptr);
   EXPECT_EQ(Counter(metrics, "serve.cache.evictions"), 2u);
   EXPECT_EQ(Counter(metrics, "serve.cache.ttl_expirations"), 1u);
@@ -377,9 +374,8 @@ TEST(ServeTest, DeadlineExpiredAtDequeueDegradesToClassical) {
   // 1 ms of budget, behind a solve that takes hundreds: fully expired by
   // dequeue time. The service answers with the classical fallback rather
   // than failing.
-  ServeRequest expiring = QuickRequest();
+  ServeRequest expiring = QuickRequest("default", 21);
   expiring.deadline_ms = 1.0;
-  expiring.bypass_cache = true;
   auto future = service.Submit(std::move(expiring));
   ASSERT_TRUE(future.ok());
 
@@ -407,9 +403,8 @@ TEST(ServeTest, DegradesUnderDeadlinePressureBeforeExpiry) {
   options.degrade_margin_ms = 1e9;
   OptimizerService service(options);
 
-  ServeRequest request = QuickRequest();
+  ServeRequest request = QuickRequest("default", 22);
   request.deadline_ms = 1e6;
-  request.bypass_cache = true;
   auto future = service.Submit(std::move(request));
   ASSERT_TRUE(future.ok());
   const ServeResult result = std::move(future).value().get();
@@ -432,11 +427,10 @@ TEST(ServeTest, StopTokenCancelsMidSolve) {
 
   ServeRequest request;
   request.query = MakeQuery(4);
-  request.config = FastConfig();
+  request.config = FastConfig(23);
   request.config.backend = QjoBackend::kPortfolio;
   request.config.portfolio.sweep_budget = int64_t{1} << 40;
   request.deadline_ms = 100.0;
-  request.bypass_cache = true;
 
   const auto t0 = std::chrono::steady_clock::now();
   auto future = service.Submit(std::move(request));
@@ -463,11 +457,10 @@ TEST(ServeTest, PreFiredCallerTokenShortCircuitsSolve) {
   std::atomic<bool> stop{true};
   ServeRequest request;
   request.query = MakeQuery(4);
-  request.config = FastConfig();
+  request.config = FastConfig(24);
   request.config.backend = QjoBackend::kPortfolio;
   request.config.portfolio.sweep_budget = int64_t{1} << 40;
   request.config.run.stop = &stop;
-  request.bypass_cache = true;
 
   auto future = service.Submit(std::move(request));
   ASSERT_TRUE(future.ok());
@@ -713,7 +706,8 @@ TEST(ServeTest, CallerCancelledAnswerIsNeitherCachedNorShared) {
 TEST(ServeTest, BitIdenticalToDirectCallsAcrossWorkerCounts) {
   // The acceptance contract: a cache-miss response is bit-identical to
   // the direct OptimizeJoinOrder call, at any worker count and with a
-  // shared pool under the futures.
+  // shared pool under the futures. The nine requests have distinct plan
+  // keys, so each one is a miss.
   std::vector<ServeRequest> requests;
   for (int relations = 3; relations <= 5; ++relations) {
     for (uint64_t seed : {7u, 71u, 713u}) {
@@ -722,7 +716,6 @@ TEST(ServeTest, BitIdenticalToDirectCallsAcrossWorkerCounts) {
       request.config = FastConfig(seed);
       request.config.shots = 96;
       request.tenant = "t" + std::to_string(relations);
-      request.bypass_cache = true;  // force the solve path every time
       requests.push_back(std::move(request));
     }
   }
@@ -961,7 +954,6 @@ TEST(ServeTest, CoalescesIdenticalSubmitsToOneSolve) {
     EXPECT_EQ(stats.solves, 1u) << "workers=" << workers;
     EXPECT_EQ(stats.coalesced, static_cast<uint64_t>(kDuplicates - 1));
     EXPECT_EQ(stats.completed, static_cast<uint64_t>(kDuplicates));
-    ASSERT_NE(service.build_cache(), nullptr);
     EXPECT_EQ(service.build_cache()->stats().misses, 1u)
         << "one QUBO build total, workers=" << workers;
     EXPECT_EQ(pool.tasks_dispatched() - tasks_before, direct_tasks)
@@ -1085,47 +1077,145 @@ TEST(ServeTest, ReAdmittedFollowersKeepArrivalOrder) {
 }
 
 // ---------------------------------------------------------------------------
+// Mixed load.
+
+TEST(ServeTest, EveryAdmittedRequestResolvesUnderMixedLoad) {
+  // One worker, pinned by a long solve, while the test submits each kind
+  // of request admission tells apart: token-bucket, quota and queue-full
+  // rejections (each with a positive retry-after hint); duplicates of a
+  // key that is ready, solving or queued (the queued leader degrades, so
+  // its duplicates are re-admitted); a follower whose own deadline
+  // expires; and distinct keys.
+  ServeOptions options;
+  options.workers = 1;
+  options.queue_capacity = 6;
+  options.per_tenant_inflight = 3;
+  options.tenant_rate_per_sec = 0.5;  // refills far slower than the test
+  options.tenant_burst = 6.0;
+  OptimizerService service(options);
+
+  struct Admitted {
+    std::string key;  ///< names the request's plan key
+    std::future<ServeResult> future;
+  };
+  std::vector<Admitted> admitted;
+  const auto submit = [&](const std::string& key, ServeRequest request) {
+    double retry_after_ms = 0.0;
+    auto future = service.Submit(std::move(request), &retry_after_ms);
+    if (future.ok()) {
+      admitted.push_back({key, std::move(future).value()});
+      return true;
+    }
+    EXPECT_EQ(future.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_GT(retry_after_ms, 0.0) << future.status().ToString();
+    return false;
+  };
+
+  // A key made ready before the load starts.
+  ASSERT_TRUE(submit("ready", QuickRequest("a", 40)));
+  ASSERT_EQ(admitted.back().future.wait_for(60s), std::future_status::ready);
+
+  // The leader that holds the only worker for hundreds of ms, far longer
+  // than the submits below take.
+  ASSERT_TRUE(submit("slow", SlowCoalescible("a")));
+  WaitDequeued(service);
+  // Duplicates of the solving key: one waits for its answer, one has a
+  // 20 ms budget and is degraded by the reaper.
+  ASSERT_TRUE(submit("slow", SlowCoalescible("b")));
+  ServeRequest impatient = SlowCoalescible("b");
+  impatient.deadline_ms = 20.0;
+  ASSERT_TRUE(submit("slow", std::move(impatient)));
+
+  // A queued leader whose 1 ms budget expires before dequeue, and two
+  // duplicates without a deadline: the first leads the re-run, the second
+  // follows it.
+  ServeRequest doomed = QuickRequest("c", 41);
+  doomed.deadline_ms = 1.0;
+  ASSERT_TRUE(submit("doomed", std::move(doomed)));
+  ASSERT_TRUE(submit("doomed", QuickRequest("c", 41)));
+  ASSERT_TRUE(submit("doomed", QuickRequest("c", 41)));
+
+  // A duplicate of the ready key answers inside Submit().
+  ASSERT_TRUE(submit("ready", QuickRequest("b", 40)));
+
+  // Tenant q fills its quota of 3 with distinct keys; a fourth is over it.
+  ASSERT_TRUE(submit("q42", QuickRequest("q", 42)));
+  ASSERT_TRUE(submit("q43", QuickRequest("q", 43)));
+  ASSERT_TRUE(submit("q44", QuickRequest("q", 44)));
+  EXPECT_FALSE(submit("q45", QuickRequest("q", 45)));
+
+  // Tenant d fills the queue to its cap of 6: another distinct key is
+  // rejected, a duplicate of a queued key still follows it.
+  ASSERT_TRUE(submit("d46", QuickRequest("d", 46)));
+  ASSERT_TRUE(submit("d47", QuickRequest("d", 47)));
+  EXPECT_FALSE(submit("d48", QuickRequest("d", 48)));
+  ASSERT_TRUE(submit("d46", QuickRequest("d", 46)));
+
+  // Tenant r spends its burst of 6 tokens on hits; the seventh is over
+  // its rate.
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(submit("ready", QuickRequest("r", 40)));
+  }
+  EXPECT_FALSE(submit("ready", QuickRequest("r", 40)));
+
+  // Keys that received at least one full (not degraded) answer.
+  std::set<std::string> answered;
+  for (Admitted& request : admitted) {
+    ASSERT_EQ(request.future.wait_for(60s), std::future_status::ready)
+        << request.key;
+    const ServeResult result = request.future.get();
+    ASSERT_TRUE(result.status.ok())
+        << request.key << ": " << result.status.ToString();
+    if (!result.degraded) answered.insert(request.key);
+  }
+  service.Drain();
+
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.submitted, stats.completed + stats.rejected_queue_full +
+                                 stats.rejected_tenant_quota +
+                                 stats.rejected_rate_limited);
+  EXPECT_EQ(stats.completed, admitted.size());
+  EXPECT_EQ(stats.rejected_queue_full, 1u);
+  EXPECT_EQ(stats.rejected_tenant_quota, 1u);
+  EXPECT_EQ(stats.rejected_rate_limited, 1u);
+  // One solve per key that got a full answer: ready, slow, the doomed
+  // key's re-run, q42-q44, d46 and d47.
+  EXPECT_EQ(answered.size(), 8u);
+  EXPECT_EQ(stats.solves, answered.size());
+  EXPECT_EQ(stats.degraded, 2u) << "the impatient follower, the doomed leader";
+  EXPECT_EQ(stats.coalesced, 3u) << "slow, doomed and d46 duplicates";
+  EXPECT_EQ(stats.cache_hits, 7u);
+}
+
+// ---------------------------------------------------------------------------
 // Plan-cache warm-up.
 
-TEST(ServeTest, WarmupRoundTripServesWarmHits) {
-  const std::string path = ::testing::TempDir() + "/qjo_warmup_keys.txt";
-  std::remove(path.c_str());
-  const std::vector<ServeRequest> workload = {QuickRequest("a", 7),
-                                              QuickRequest("b", 8)};
-  {
-    ServeOptions options;
-    options.workers = 2;
-    options.warmup_file = path;
-    OptimizerService service(options);
-    for (const auto& request : workload) {
-      auto future = service.Submit(request);
-      ASSERT_TRUE(future.ok());
-      ASSERT_TRUE(std::move(future).value().get().status.ok());
-    }
-    service.Drain();  // persists the key set
-  }
-  ASSERT_EQ(OptimizerService::LoadWarmupKeys(path).size(), 2u);
-
+TEST(ServeTest, WarmedEntriesServeWarmHits) {
   ServeOptions options;
-  options.workers = 2;
-  options.warmup_file = path;
+  options.workers = 1;
   OptimizerService service(options);
-  EXPECT_EQ(service.warmup_keys().size(), 2u);
-  EXPECT_EQ(service.WarmUp(workload), 2u) << "both templates match keys";
+  const std::vector<ServeRequest> templates = {
+      QuickRequest("a", 7), QuickRequest("b", 8), QuickRequest("c", 9)};
+  // The third template's key is not asked for, so it stays cold.
+  const std::vector<std::string> keys = {
+      OptimizerService::PlanKey(templates[0].query, templates[0].config),
+      OptimizerService::PlanKey(templates[1].query, templates[1].config)};
+  EXPECT_EQ(service.WarmUp(keys, templates), 2u);
+  EXPECT_EQ(service.WarmUp(keys, templates), 0u)
+      << "ready keys stay as they are";
   EXPECT_EQ(service.stats().warmed, 2u);
 
-  for (const auto& request : workload) {
+  for (const auto& request : templates) {
     auto future = service.Submit(request);
     ASSERT_TRUE(future.ok());
     const ServeResult result = std::move(future).value().get();
     ASSERT_TRUE(result.status.ok());
-    EXPECT_TRUE(result.cache_hit) << "warmed entries serve without a solve";
+    EXPECT_EQ(result.cache_hit, &request != &templates[2]);
   }
   service.Drain();
   const auto stats = service.stats();
-  EXPECT_EQ(stats.solves, 0u);
+  EXPECT_EQ(stats.solves, 1u) << "only the cold template solves";
   EXPECT_EQ(stats.warm_hits, 2u);
-  std::remove(path.c_str());
 }
 
 TEST(ServeTest, WarmHitsCountOnlyEntriesWarmUpInserted) {
@@ -1152,19 +1242,6 @@ TEST(ServeTest, WarmHitsCountOnlyEntriesWarmUpInserted) {
   const auto stats = service.stats();
   EXPECT_EQ(stats.cache_hits, 1u);
   EXPECT_EQ(stats.warm_hits, 0u);
-}
-
-TEST(ServeTest, LoadWarmupKeysRejectsUnknownHeader) {
-  const std::string path = ::testing::TempDir() + "/qjo_bad_warmup.txt";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("some-other-format v9\nkey1\n", f);
-    std::fclose(f);
-  }
-  EXPECT_TRUE(OptimizerService::LoadWarmupKeys(path).empty());
-  EXPECT_TRUE(OptimizerService::LoadWarmupKeys(path + ".missing").empty());
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -2,10 +2,10 @@
 """Validate the checked-in BENCH_*.json files against the bench schema.
 
 Every bench binary in bench/ dumps a flat JSON object of numeric metrics.
-CI and downstream tooling (the simd-tiers comparison, the serving-smoke
-gate) key on a stable subset of those metrics, so this script fails fast
-when a bench stops emitting one of them -- a silent schema drift would
-otherwise surface as a mysteriously green comparison over missing data.
+CI and downstream tooling (the simd-tiers comparison) key on a stable
+subset of those metrics, so this script fails fast when a bench stops
+emitting one of them -- a silent schema drift would otherwise surface as
+a mysteriously green comparison over missing data.
 
 Checks, per file:
   * the file parses as JSON and is a flat object of finite numbers;
@@ -16,8 +16,7 @@ Checks, per file:
     carry bench_hw_concurrency, so a parallel figure can be told apart
     from one measured on a single core;
   * the per-bench required keys are present (throughput fields such as
-    sa_proposals_per_sec_* for the kernel bench, *_throughput_rps for the
-    serving bench);
+    sa_proposals_per_sec_* for the kernel bench);
   * per-case keys derived from the file itself are complete (each decomp
     case with a <case>_valid flag also reports elapsed_ms and
     cost_over_greedy; each portfolio instance i<k> reports its solo and
@@ -79,33 +78,6 @@ REQUIRED_KEYS = {
     "BENCH_decomp": (
         "cases",
         "valid_tree_rate",
-    ),
-    "BENCH_serving": (
-        "closed_throughput_rps",
-        "closed_goodput_rps",
-        "closed_cache_hit_rate",
-        "closed_p50_ms",
-        "closed_p95_ms",
-        "closed_p99_ms",
-        "open_throughput_rps",
-        "open_goodput_rps",
-        "open_rejected",
-        "open_p99_ms",
-        # Duplicate-heavy Zipf profile for both arrival processes:
-        # "baseline" bypasses the plan table per request and rebuilds every
-        # QUBO; "coalesced" goes through the plan table (cache hits plus
-        # single-flight followers).
-        "dup_closed_baseline_throughput_rps",
-        "dup_closed_coalesced_throughput_rps",
-        "dup_open_baseline_throughput_rps",
-        "dup_open_coalesced_throughput_rps",
-        "coalesced",
-        "solves_per_unique_key",
-        # Token-bucket rate limiting and plan-cache warm-up scenarios.
-        "ratelimited",
-        "cache_warm_hits",
-        "silent_drops",
-        "smoke_ok",
     ),
     "BENCH_obs_overhead": (),  # CI-only artifact; common keys suffice
 }
