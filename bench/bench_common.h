@@ -59,16 +59,24 @@ inline ThreadPool* Pool() {
   return &pool;
 }
 
-/// Best-of-`repeats` wall time of fn(), in seconds.
+/// Wall time of each of `repeats` calls of fn(), in seconds.
 template <typename Fn>
-double BestSeconds(Fn&& fn, int repeats) {
-  double best = 1e300;
+std::vector<double> RunSeconds(Fn&& fn, int repeats) {
+  std::vector<double> seconds;
   for (int r = 0; r < repeats; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
     fn();
     const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+    seconds.push_back(std::chrono::duration<double>(t1 - t0).count());
   }
+  return seconds;
+}
+
+/// Best-of-`repeats` wall time of fn(), in seconds.
+template <typename Fn>
+double BestSeconds(Fn&& fn, int repeats) {
+  double best = 1e300;
+  for (const double s : RunSeconds(fn, repeats)) best = std::min(best, s);
   return best;
 }
 

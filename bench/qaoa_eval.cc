@@ -6,6 +6,8 @@
 //  - angle-grid evaluations/sec, batched fused EvaluateBatch vs serial
 //    RunQaoaReference calls, on the depth-3 gamma x beta sweep the
 //    optimiser's grid refinement performs at paper scale (20 qubits);
+//    every throughput figure is the median over kRepeats timed runs,
+//    with its interquartile range under the same name plus "_iqr";
 //  - the spectrum the pipeline serves: a JO encoding's palette size and
 //    the Create, first Run (which builds the phase table and writes the
 //    state) and Sample times of fresh simulators, median and IQR, on the
@@ -90,8 +92,31 @@ StatusOr<IsingModel> JoIsing(int relations, double omega, int max_qubits,
   return Status::NotFound("no JO encoding within the qubit cap");
 }
 
-using bench::BestSeconds;
 using bench::Metric;
+using bench::RunSeconds;
+
+/// Timed runs behind every throughput figure.
+constexpr int kRepeats = 5;
+
+/// Appends the median of `values` under `name` and their interquartile
+/// range under `name` + "_iqr"; returns the median.
+double PushMedianAndIqr(std::vector<Metric>& metrics, const std::string& name,
+                        const std::vector<double>& values) {
+  const double median = Quantile(values, 0.5);
+  metrics.push_back({name, median});
+  metrics.push_back(
+      {name + "_iqr", Quantile(values, 0.75) - Quantile(values, 0.25)});
+  return median;
+}
+
+/// PushMedianAndIqr over the per-run rates `work / seconds[i]`.
+double PushRate(std::vector<Metric>& metrics, const std::string& name,
+                double work, const std::vector<double>& seconds) {
+  std::vector<double> rates;
+  rates.reserve(seconds.size());
+  for (const double s : seconds) rates.push_back(work / s);
+  return PushMedianAndIqr(metrics, name, rates);
+}
 
 int RunQaoaEvalBench() {
   const bool fast = std::getenv("QJO_QAOA_BENCH_FAST") != nullptr;
@@ -105,7 +130,6 @@ int RunQaoaEvalBench() {
   const int depth = fast ? 2 : 3;
   const int gamma_points = fast ? 3 : 6;
   const int beta_points = fast ? 4 : 8;
-  const int repeats = fast ? 2 : 3;
   const uint64_t size = uint64_t{1} << nq;
 
   const IsingModel ising = QuboToIsing(MakeRandomQubo(nq, 0.3, 53));
@@ -154,25 +178,27 @@ int RunQaoaEvalBench() {
     const auto loaded = sim->amplitudes();
     std::vector<std::complex<float>> reference_state(loaded.begin(),
                                                      loaded.end());
-    const double t_ref = BestSeconds(
-        [&] {
-          for (int l = 0; l < layers; ++l) {
-            ApplyQaoaMixerReference(0.3 + 0.01 * l, reference_state);
-          }
-          sink += std::norm(reference_state[0]);
-        },
-        repeats);
-    const double t_fused = BestSeconds(
-        [&] {
-          for (int l = 0; l < layers; ++l) {
-            sim->ApplyMixerLayer(0.3 + 0.01 * l);
-          }
-          sink += sim->Probability(0);
-        },
-        repeats);
-    metrics.push_back({"mixer_amps_per_sec_reference", updates / t_ref});
-    metrics.push_back({"mixer_amps_per_sec_fused", updates / t_fused});
-    metrics.push_back({"mixer_fused_speedup", t_ref / t_fused});
+    const double ref = PushRate(
+        metrics, "mixer_amps_per_sec_reference", updates,
+        RunSeconds(
+            [&] {
+              for (int l = 0; l < layers; ++l) {
+                ApplyQaoaMixerReference(0.3 + 0.01 * l, reference_state);
+              }
+              sink += std::norm(reference_state[0]);
+            },
+            kRepeats));
+    const double fused = PushRate(
+        metrics, "mixer_amps_per_sec_fused", updates,
+        RunSeconds(
+            [&] {
+              for (int l = 0; l < layers; ++l) {
+                sim->ApplyMixerLayer(0.3 + 0.01 * l);
+              }
+              sink += sim->Probability(0);
+            },
+            kRepeats));
+    metrics.push_back({"mixer_fused_speedup", fused / ref});
   }
 
   // --- Per-ISA mixer throughput: the fused kernel at every SIMD tier
@@ -220,16 +246,16 @@ int RunQaoaEvalBench() {
           }
         }
       }
-      const double t_tier = BestSeconds(
-          [&] {
-            for (int l = 0; l < layers; ++l) {
-              sim->ApplyMixerLayer(0.3 + 0.01 * l);
-            }
-            sink += sim->Probability(0);
-          },
-          repeats);
-      metrics.push_back({std::string("mixer_amps_per_sec_") + SimdIsaName(isa),
-                         updates / t_tier});
+      PushRate(metrics, std::string("mixer_amps_per_sec_") + SimdIsaName(isa),
+               updates,
+               RunSeconds(
+                   [&] {
+                     for (int l = 0; l < layers; ++l) {
+                       sim->ApplyMixerLayer(0.3 + 0.01 * l);
+                     }
+                     sink += sim->Probability(0);
+                   },
+                   kRepeats));
     }
     SetSimd(dispatch_isa);  // restore the host-resolved dispatch
     metrics.push_back({"simd_tiers_identical", identical ? 1.0 : 0.0});
@@ -258,14 +284,14 @@ int RunQaoaEvalBench() {
     const std::vector<float> spectrum = sim->cost_spectrum();
     std::vector<std::complex<float>> reference_state;
     std::vector<double> serial_energies(grid.size());
-    const double t_serial = BestSeconds(
+    const std::vector<double> serial_seconds = RunSeconds(
         [&] {
           for (size_t i = 0; i < grid.size(); ++i) {
             serial_energies[i] =
                 RunQaoaReference(spectrum, grid[i], reference_state);
           }
         },
-        fast ? 1 : 2);
+        kRepeats);
 
     std::optional<ThreadPool> pool;
     if (parallelism > 1) {
@@ -273,8 +299,8 @@ int RunQaoaEvalBench() {
       sim->set_pool(&*pool);
     }
     std::vector<double> batched_energies;
-    const double t_batched = BestSeconds(
-        [&] { batched_energies = sim->EvaluateBatch(grid); }, repeats);
+    const std::vector<double> batched_seconds = RunSeconds(
+        [&] { batched_energies = sim->EvaluateBatch(grid); }, kRepeats);
     sim->set_pool(nullptr);
 
     for (size_t i = 0; i < grid.size(); ++i) {
@@ -282,10 +308,11 @@ int RunQaoaEvalBench() {
       sink += batched_energies[i];
     }
     metrics.push_back({"energies_identical", identical ? 1.0 : 0.0});
-    metrics.push_back({"grid_evals_per_sec_serial_reference",
-                       evals / t_serial});
-    metrics.push_back({"grid_evals_per_sec_batched_fused", evals / t_batched});
-    metrics.push_back({"grid_speedup", t_serial / t_batched});
+    const double serial = PushRate(
+        metrics, "grid_evals_per_sec_serial_reference", evals, serial_seconds);
+    const double batched = PushRate(
+        metrics, "grid_evals_per_sec_batched_fused", evals, batched_seconds);
+    metrics.push_back({"grid_speedup", batched / serial});
   }
 
   // --- The served spectrum: a JO encoding instead of a random QUBO. ---
@@ -339,18 +366,12 @@ int RunQaoaEvalBench() {
     jo_identical = jo_identical && jo_sim->Run(params) == er &&
                    std::ranges::equal(jo_sim->amplitudes(), reference);
     if (!jo_identical) identical = false;
-    const auto median_and_iqr = [&](const std::string& name,
-                                    const std::vector<double>& ms) {
-      metrics.push_back({name, Quantile(ms, 0.5)});
-      metrics.push_back(
-          {name + "_iqr", Quantile(ms, 0.75) - Quantile(ms, 0.25)});
-    };
     metrics.push_back({"jo_qubits", static_cast<double>(ising->num_spins())});
     metrics.push_back({"jo_spectrum_levels", static_cast<double>(levels)});
     metrics.push_back({"jo_repeats", static_cast<double>(create_ms.size())});
-    median_and_iqr("jo_create_ms", create_ms);
-    median_and_iqr("jo_first_run_ms", first_run_ms);
-    median_and_iqr("jo_sample_ms", sample_ms);
+    PushMedianAndIqr(metrics, "jo_create_ms", create_ms);
+    PushMedianAndIqr(metrics, "jo_first_run_ms", first_run_ms);
+    PushMedianAndIqr(metrics, "jo_sample_ms", sample_ms);
     metrics.push_back({"jo_identical", jo_identical ? 1.0 : 0.0});
   }
 

@@ -1,17 +1,14 @@
 #include "core/portfolio.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <mutex>
-#include <optional>
 #include <sstream>
-#include <thread>
+#include <stop_token>
 #include <utility>
 
 #include "core/postprocess.h"
+#include "qubo/deadline_monitor.h"
 #include "qubo/ising.h"
 #include "sim/qaoa_analytic.h"
 #include "sim/qaoa_simulator.h"
@@ -97,7 +94,7 @@ bool BudgetLeft(const StrandRunEnv& env) {
 
 void RunExactStrand(const StrandRunEnv& env, Rng& rng) {
   (void)rng;  // deterministic enumeration; the stream stays untouched
-  if (env.stop_requested()) return;
+  if (env.run.stop.stop_requested()) return;
   auto best =
       SolveQuboBruteForce(*env.qubo, env.options->max_exact_variables);
   if (!best.ok()) return;
@@ -118,7 +115,7 @@ void RunSaStrand(const StrandRunEnv& env, Rng& rng) {
   sa.control = StrandControl(env);
   const int64_t round_sweeps =
       static_cast<int64_t>(options.reads_per_round) * options.sweeps_per_round;
-  while (!env.stop_requested() && BudgetLeft(env)) {
+  while (!env.run.stop.stop_requested() && BudgetLeft(env)) {
     const auto reads = SolveQuboSimulatedAnnealing(*env.qubo, sa, rng);
     for (const QuboSolution& read : reads) {
       env.absorb(read.assignment, read.energy);
@@ -136,7 +133,7 @@ void RunTabuStrand(const StrandRunEnv& env, Rng& rng) {
   tabu.control = StrandControl(env);
   const int64_t round_sweeps =
       static_cast<int64_t>(options.reads_per_round) * options.sweeps_per_round;
-  while (!env.stop_requested() && BudgetLeft(env)) {
+  while (!env.run.stop.stop_requested() && BudgetLeft(env)) {
     const auto restarts = SolveQuboTabuSearch(*env.qubo, tabu, rng);
     for (const QuboSolution& restart : restarts) {
       env.absorb(restart.assignment, restart.energy);
@@ -166,7 +163,7 @@ void RunSqaStrand(const StrandRunEnv& env, Rng& rng) {
   const int64_t sqa_round_sweeps =
       static_cast<int64_t>(options.reads_per_round) *
       std::max(8, options.sweeps_per_round);
-  while (!env.stop_requested() && BudgetLeft(env)) {
+  while (!env.run.stop.stop_requested() && BudgetLeft(env)) {
     auto samples = RunSqa(ising, sqa, rng);
     if (!samples.ok()) break;
     for (const SqaSample& sample : *samples) {
@@ -180,7 +177,7 @@ void RunSqaStrand(const StrandRunEnv& env, Rng& rng) {
 }
 
 void RunQaoaStrand(const StrandRunEnv& env, Rng& rng) {
-  if (env.stop_requested()) return;
+  if (env.run.stop.stop_requested()) return;
   const Qubo& qubo = *env.qubo;
   const int n = qubo.num_variables();
   const IsingModel ising = QuboToIsing(qubo);
@@ -207,7 +204,7 @@ void RunQaoaStrand(const StrandRunEnv& env, Rng& rng) {
 }
 
 void RunDecompStrand(const StrandRunEnv& env, Rng& rng) {
-  if (env.stop_requested()) return;
+  if (env.run.stop.stop_requested()) return;
   auto decomp = env.options->decomp_run(env.run, rng);
   if (!decomp.ok()) return;
   // The strand's incumbent is the join order itself; its C_out cost is
@@ -231,8 +228,8 @@ Status StrandRegistry::Register(StrandDesc desc) {
     return Status::InvalidArgument("strand name must not be empty");
   }
   // PlanKey lists a custom registry's names as `name,` inside a
-  // `|`-separated key (one key per line in the warm-up file): any of
-  // these characters would let two strand sets share a key.
+  // `|`-separated key: any of these characters would let two strand sets
+  // share a key.
   if (desc.name.find_first_of(" \t\n,|") != std::string::npos) {
     return Status::InvalidArgument(
         "strand name must not contain whitespace, ',' or '|': " +
@@ -393,71 +390,32 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
     return result;
   }
 
-  std::atomic<bool> stop{false};
-  // Early exit (lower-bound hit, exact strand finished) only cancels the
-  // race in deadline mode: cancellation truncates other strands at a
+  // The race's own stop source; every strand runs under its token. Three
+  // things stop it: the caller's token (relayed in any budget mode — a
+  // caller's stop is an unconditional cancel), the race deadline, armed
+  // on the process-wide DeadlineMonitor from race entry, and the early
+  // exits (lower-bound hit, exact strand finished). Those last cancel the
+  // race in deadline mode only: cancellation truncates other strands at a
   // wall-clock-dependent point, which would break the bit-reproducibility
   // contract of pure sweep-budget runs.
+  std::stop_source stop;
+  const std::stop_callback relay(run.stop, [&stop] { stop.request_stop(); });
   const bool deadline_mode = run.deadline_ms > 0.0;
-  const auto request_stop = [&] {
-    if (deadline_mode) stop.store(true, std::memory_order_relaxed);
+  const auto request_stop = [&stop, deadline_mode] {
+    if (deadline_mode) stop.request_stop();
   };
-  // External cancel token (serving-layer deadline, caller shutdown):
-  // relayed onto the internal token in any budget mode — a fired token
-  // is an unconditional cancel, unlike the opportunistic early exits.
-  const std::atomic<bool>* external = run.stop;
+  const uint64_t deadline_id =
+      deadline_mode ? DeadlineMonitor::Shared().Arm(
+                          stop, DeadlineAfterMs(start, run.deadline_ms))
+                    : 0;
 
-  // Deadline watchdog: flips the internal stop token when the wall-clock
-  // budget expires or the external cancel token fires, and exits silently
-  // when the race finishes first. The external token is polled at 1 ms
-  // granularity — the solvers themselves only check between sweeps, so
-  // millisecond relay latency is below their own reaction time.
-  std::mutex watchdog_mutex;
-  std::condition_variable watchdog_cv;
-  bool race_done = false;
-  bool deadline_expired = false;
-  std::optional<std::jthread> watchdog;
-  if (deadline_mode || external != nullptr) {
-    watchdog.emplace([&] {
-      const Clock::time_point hard_deadline =
-          deadline_mode ? DeadlineAfterMs(Clock::now(), run.deadline_ms)
-                        : Clock::time_point::max();
-      std::unique_lock<std::mutex> lock(watchdog_mutex);
-      for (;;) {
-        Clock::time_point wake = hard_deadline;
-        if (external != nullptr) {
-          wake = std::min(wake, Clock::now() + std::chrono::milliseconds(1));
-        }
-        if (watchdog_cv.wait_until(lock, wake, [&] { return race_done; })) {
-          return;  // race finished first
-        }
-        if (external != nullptr &&
-            external->load(std::memory_order_relaxed)) {
-          stop.store(true, std::memory_order_relaxed);
-          return;
-        }
-        if (Clock::now() >= hard_deadline) {
-          deadline_expired = true;
-          stop.store(true, std::memory_order_relaxed);
-          return;
-        }
-      }
-    });
-  }
-
-  // The context every strand runs under: the caller's, with the internal
-  // token in place of the caller's (the watchdog and `stop_requested`
-  // relay that one). Its deadline is the race deadline in deadline mode
-  // and "none" otherwise (zero budgets returned above).
+  // The context every strand runs under: the caller's, with the race's
+  // token in place of the caller's. Its deadline is the race deadline in
+  // deadline mode and "none" otherwise (zero budgets returned above).
   RunContext strand_run = run;
-  strand_run.stop = &stop;
+  strand_run.stop = stop.get_token();
 
   const Rng base(rng.Next());
-  const auto stop_requested = [&] {
-    return stop.load(std::memory_order_relaxed) ||
-           (external != nullptr &&
-            external->load(std::memory_order_relaxed));
-  };
 
   const auto run_strand = [&](int64_t s) {
     StrandState& state = states[s];
@@ -473,7 +431,6 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
     env.qubo = &qubo;
     env.options = &options;
     env.run = strand_run;
-    env.stop_requested = stop_requested;
     env.request_stop = request_stop;
     env.elapsed_ms = [&start] { return MsSince(start); };
     env.outcome = &outcome;
@@ -521,16 +478,10 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
   ParallelFor(run.pool, 0, static_cast<int64_t>(run_order.size()),
               [&](int64_t i) { run_strand(run_order[i]); });
 
-  // Retire the watchdog before reading its verdict.
-  if (watchdog.has_value()) {
-    {
-      std::lock_guard<std::mutex> lock(watchdog_mutex);
-      race_done = true;
-    }
-    watchdog_cv.notify_all();
-    watchdog.reset();  // joins
-  }
-  result.deadline_expired = deadline_expired;
+  // An entry the monitor already took off its list is a deadline that
+  // passed before the race finished.
+  result.deadline_expired =
+      deadline_mode && !DeadlineMonitor::Shared().Disarm(deadline_id);
 
   // Winner: best (lowest) domain score among feasible strands; strand
   // order breaks ties, so the pick is deterministic.
@@ -576,8 +527,8 @@ StatusOr<PortfolioReport> RunJoPortfolio(const Query& query,
   if (options.enable_decomp &&
       query.num_relations() >= options.min_decomp_relations) {
     // In deadline mode the race context carries the race budget, which
-    // caps the loop directly (the internal check reacts between window
-    // solves, faster than the watchdog's stop token).
+    // caps the loop directly (its own clock check between window solves)
+    // as well as through the race's stop token.
     race_options.decomp_run = [&query, &options](const RunContext& strand_run,
                                                  Rng& strand_rng) {
       return OptimizeJoinOrderDecomposed(query, options.decomp, strand_run,

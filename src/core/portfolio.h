@@ -29,18 +29,15 @@ struct StrandOutcome;
 /// Everything a strand's run hook sees during a race. Hooks run
 /// concurrently with each other; a hook may only touch its own
 /// `outcome`, must report every sample through `absorb`, and should
-/// check `stop_requested` between units of work.
+/// check `run.stop.stop_requested()` between units of work.
 struct StrandRunEnv {
   const Qubo* qubo = nullptr;
   const PortfolioOptions* options = nullptr;
   /// The race's context: the caller's pool (null = serial) and sinks, the
-  /// race's internal stop token (armed by the deadline watchdog, the
-  /// caller's token and the early-exit paths; wire it into
+  /// token of the race's own stop source (stopped by the caller's token,
+  /// the race deadline and the early-exit paths; wire it into
   /// SolverControl::stop) and, in deadline mode, the race deadline.
   RunContext run;
-  /// True once the strand should wind down (the internal token or the
-  /// caller's external cancel token fired).
-  std::function<bool()> stop_requested;
   /// Requests the race-wide early exit (a proven optimum / lower-bound
   /// hit). Honoured in deadline mode only: cancelling sweep-budget races
   /// on a wall-clock event would break bit-reproducibility.
@@ -129,20 +126,21 @@ class StrandRegistry {
 /// whether it was cancelled come from the caller's RunContext, passed
 /// next to these options. Two budget dimensions compose:
 ///
-///  * `run.deadline_ms` — wall-clock budget: > 0 deadline, 0 = skip the
-///    race entirely (the JO layer answers with the classical fallback),
-///    < 0 = no deadline (`sweep_budget` must then be positive). A
-///    watchdog flips a shared stop token on expiry; every strand winds
-///    down cooperatively (the solvers' `stop` hooks) and the best
-///    incumbent wins. Wall-clock cut-offs are inherently
-///    scheduling-dependent, so deadline-bounded runs are *not*
+///  * `run.deadline_ms` — wall-clock budget from race entry: > 0
+///    deadline, 0 = skip the race entirely (the JO layer answers with the
+///    classical fallback), < 0 = no deadline (`sweep_budget` must then be
+///    positive). The race arms its own stop source on the process-wide
+///    DeadlineMonitor, which stops it on expiry; every strand winds down
+///    cooperatively (the solvers' `stop` tokens) and the best incumbent
+///    wins. The race itself starts no thread. Wall-clock cut-offs are
+///    inherently scheduling-dependent, so deadline-bounded runs are *not*
 ///    bit-reproducible.
 ///  * `sweep_budget` — total sweeps per strand (SA sweeps summed over
 ///    reads, tabu iterations summed over restarts, SQA Monte-Carlo sweeps
 ///    summed over reads). A run bounded only by sweeps (deadline_ms < 0)
 ///    is bit-identical at every parallelism level: strands fork disjoint
 ///    RNG streams and never communicate except through the stop token,
-///    which stays unset.
+///    which is never stopped.
 ///
 /// An unbounded configuration — `sweep_budget == 0` (or negative) with
 /// `run.deadline_ms < 0` — is rejected with InvalidArgument by the one
@@ -273,6 +271,7 @@ struct QuboRaceResult {
   int winner = -1;  ///< index into `strands`; -1 = no feasible strand
   std::vector<StrandOutcome> strands;
   double elapsed_ms = 0.0;
+  /// The race deadline passed before every strand had returned.
   bool deadline_expired = false;
 };
 

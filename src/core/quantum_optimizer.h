@@ -1,7 +1,6 @@
 #ifndef QJO_CORE_QUANTUM_OPTIMIZER_H_
 #define QJO_CORE_QUANTUM_OPTIMIZER_H_
 
-#include <atomic>
 #include <optional>
 #include <span>
 #include <string>
@@ -69,19 +68,20 @@ struct QjoConfig {
   ///    the stochastic backends (SA reads, SQA anneals), the QAOA
   ///    amplitude loops and the portfolio fan-out (not owned; shared
   ///    across pipeline runs and by OptimizeJoinOrderBatch). Null =
-  ///    serial: no layer creates threads of its own, so a caller that
-  ///    wants N threads builds one ThreadPool(N). Reports are
+  ///    serial: no layer creates solve threads of its own, so a caller
+  ///    that wants N threads builds one ThreadPool(N). Reports are
   ///    bit-identical for every pool size.
   ///  * `run.deadline_ms` — the portfolio race's wall budget (see
   ///    PortfolioOptions); ignored by the other backends.
-  ///  * `run.stop` — cooperative cancel token (e.g. flipped by the
-  ///    serving layer's DeadlineMonitor), plumbed into the stochastic
+  ///  * `run.stop` — cooperative std::stop_token (e.g. of the serving
+  ///    layer's per-request source, stopped by its caller or by the
+  ///    process-wide DeadlineMonitor), plumbed into the stochastic
   ///    solvers' SolverControl::stop (SA, and the annealer's SQA, whose
   ///    `sqa.control` template the pipeline overwrites) and the portfolio
   ///    race. The exact and QAOA backends are not cooperative and run to
   ///    completion.
-  ///    While the token stays unset, results are bit-identical to a run
-  ///    without one.
+  ///    While no stop is requested, results are bit-identical to a run
+  ///    without a token.
   ///  * `run.trace`/`run.metrics` — when attached, every pipeline stage
   ///    plus the nested solver spans record into the trace; solver
   ///    counters and pipeline gauges land in the registry. Attaching

@@ -216,9 +216,7 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
   // an atomic and is folded into the report once the fan-outs are done.
   std::atomic<bool> deadline_hit{false};
   const auto expired = [&] {
-    if (run.stop != nullptr && run.stop->load(std::memory_order_relaxed)) {
-      return true;
-    }
+    if (run.stop.stop_requested()) return true;
     if (run.deadline_ms > 0.0 && MsSince(start) >= run.deadline_ms) {
       deadline_hit.store(true, std::memory_order_relaxed);
       return true;

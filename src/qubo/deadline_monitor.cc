@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/run_context.h"
-
 namespace qjo {
 
 DeadlineMonitor::DeadlineMonitor()
@@ -12,16 +10,23 @@ DeadlineMonitor::DeadlineMonitor()
 DeadlineMonitor::~DeadlineMonitor() {
   thread_.request_stop();
   wakeup_.notify_all();
-  // jthread joins on destruction; no token is touched afterwards.
+  // jthread joins on destruction.
 }
 
-uint64_t DeadlineMonitor::Arm(std::atomic<bool>* token,
+DeadlineMonitor& DeadlineMonitor::Shared() {
+  // Never destroyed: a worker that outlives static destruction may still
+  // arm it.
+  static DeadlineMonitor* const kShared = new DeadlineMonitor();
+  return *kShared;
+}
+
+uint64_t DeadlineMonitor::Arm(std::stop_source source,
                               Clock::time_point deadline) {
   uint64_t id;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     id = next_id_++;
-    entries_.push_back(Entry{id, deadline, token});
+    entries_.push_back(Entry{id, deadline, std::move(source)});
     ++generation_;
   }
   // Always wake the loop: the new deadline may be earlier than the one
@@ -30,18 +35,13 @@ uint64_t DeadlineMonitor::Arm(std::atomic<bool>* token,
   return id;
 }
 
-uint64_t DeadlineMonitor::ArmAfterMs(std::atomic<bool>* token, double ms) {
-  return Arm(token, DeadlineAfterMs(Clock::now(), ms));
-}
-
-void DeadlineMonitor::Disarm(uint64_t id) {
+bool DeadlineMonitor::Disarm(uint64_t id) {
   std::lock_guard<std::mutex> lock(mutex_);
-  // Firing happens under this mutex too, so once we hold it the monitor
-  // is either done with the token or has not reached it; erasing the
-  // entry here closes both paths.
-  entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
-                                [id](const Entry& e) { return e.id == id; }),
-                 entries_.end());
+  const auto it = std::find_if(entries_.begin(), entries_.end(),
+                               [id](const Entry& e) { return e.id == id; });
+  if (it == entries_.end()) return false;
+  entries_.erase(it);
+  return true;
 }
 
 size_t DeadlineMonitor::armed() const {
@@ -50,21 +50,31 @@ size_t DeadlineMonitor::armed() const {
 }
 
 void DeadlineMonitor::Loop(std::stop_token stop) {
+  std::vector<std::stop_source> due;
   std::unique_lock<std::mutex> lock(mutex_);
   while (!stop.stop_requested()) {
     const Clock::time_point now = Clock::now();
-    // Fire everything due, then find the next deadline to sleep towards.
+    // Take everything due off the list, then find the next deadline to
+    // sleep towards.
     Clock::time_point next = Clock::time_point::max();
     for (size_t i = 0; i < entries_.size();) {
       if (entries_[i].deadline <= now) {
-        entries_[i].token->store(true, std::memory_order_release);
+        due.push_back(std::move(entries_[i].source));
         fired_.fetch_add(1, std::memory_order_relaxed);
-        entries_[i] = entries_.back();
-        entries_.pop_back();
+        entries_.erase(entries_.begin() + static_cast<ptrdiff_t>(i));
       } else {
         next = std::min(next, entries_[i].deadline);
         ++i;
       }
+    }
+    if (!due.empty()) {
+      // Fire outside the lock: request_stop() runs the source's stop
+      // callbacks on this thread.
+      lock.unlock();
+      for (std::stop_source& source : due) source.request_stop();
+      due.clear();
+      lock.lock();
+      continue;  // re-scan: entries may have been armed while unlocked
     }
     // Sleep towards the earliest armed deadline (or indefinitely when
     // nothing is armed); a new Arm bumps the generation and wakes us to

@@ -6,34 +6,35 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <stop_token>
 #include <thread>
 #include <vector>
 
 namespace qjo {
 
-/// Turns wall-clock deadlines into cooperative stop-token flips. One
-/// monitor thread watches any number of armed (token, deadline) pairs and
-/// stores `true` into each token when its deadline passes; the stochastic
-/// solvers observe the token between sweeps through SolverControl::stop
-/// and wind down with whatever state they reached.
+/// Turns wall-clock deadlines into cooperative stop requests. One monitor
+/// thread watches any number of armed (stop source, deadline) pairs and
+/// calls `request_stop()` on each source when its deadline passes; the
+/// stochastic solvers observe the matching std::stop_token between sweeps
+/// through SolverControl::stop and wind down with whatever state they
+/// reached.
 ///
-/// This is the shared deadline plumbing of the serving layer: instead of
-/// one watchdog thread per in-flight request (the portfolio race's
-/// private watchdog is fine for one race at a time, but a service with
-/// hundreds of concurrent deadlines would burn a thread each), every
-/// request arms the same monitor.
+/// This is the one deadline timer of the process: every portfolio race
+/// with a deadline and every dispatched serving request arms Shared(),
+/// so any number of in-flight deadlines costs one thread.
 ///
 /// Contracts:
-///  * Tokens are fired with `memory_order_release` stores while the
-///    monitor's mutex is held. Disarm() acquires the same mutex, so after
-///    Disarm(id) returns the monitor will never touch that token again —
-///    the caller may immediately destroy it. (A token may still have been
-///    fired just *before* the Disarm; callers treat "fired but solve
-///    already done" as a no-op.)
+///  * Arm() stores a copy of the source, so the caller's own source may
+///    be destroyed at any time; Disarm() is only needed to stop a later
+///    firing and to learn whether the entry fired.
+///  * The monitor removes an entry under its mutex and calls
+///    `request_stop()` after releasing it, so stop callbacks registered on
+///    the source run on the monitor thread but never under the monitor's
+///    lock (a callback may itself Arm or Disarm).
 ///  * Arm() never blocks behind a firing in progress for longer than the
-///    token stores themselves (the monitor holds the mutex only to scan
-///    and fire, never while sleeping).
-///  * A token armed with a deadline already in the past fires on the
+///    list scan (the monitor holds the mutex only to scan, never while
+///    sleeping or firing).
+///  * A source armed with a deadline already in the past fires on the
 ///    monitor's next wakeup (immediately scheduled).
 class DeadlineMonitor {
  public:
@@ -45,31 +46,30 @@ class DeadlineMonitor {
   DeadlineMonitor(const DeadlineMonitor&) = delete;
   DeadlineMonitor& operator=(const DeadlineMonitor&) = delete;
 
-  /// Registers `token` to be set at `deadline`. The token must stay alive
-  /// until Disarm() on the returned id. Ids are process-unique and never
-  /// reused.
-  uint64_t Arm(std::atomic<bool>* token, Clock::time_point deadline);
+  /// The process-wide monitor. Its thread starts on the first call and is
+  /// never joined (the instance lives until the process exits), so arming
+  /// it is safe from any thread at any time.
+  static DeadlineMonitor& Shared();
 
-  /// Convenience overload: deadline `ms` milliseconds from now
-  /// (saturating: a budget too far out to represent never fires).
-  uint64_t ArmAfterMs(std::atomic<bool>* token, double ms);
+  /// Registers `source` to be stopped at `deadline` (time_point::max()
+  /// never fires). Ids are process-unique and never reused.
+  uint64_t Arm(std::stop_source source, Clock::time_point deadline);
 
-  /// Withdraws an armed entry. Safe to call with an id that already
-  /// fired (the entry is gone either way). After return the monitor
-  /// holds no reference to the token.
-  void Disarm(uint64_t id);
+  /// Withdraws an armed entry. Returns true when the entry was still
+  /// armed, false when it already fired (or was disarmed before).
+  bool Disarm(uint64_t id);
 
   /// Entries currently armed (fired entries are removed as they fire).
   size_t armed() const;
 
-  /// Cumulative number of tokens fired by deadline expiry.
+  /// Cumulative number of sources stopped by deadline expiry.
   uint64_t fired() const { return fired_.load(std::memory_order_relaxed); }
 
  private:
   struct Entry {
     uint64_t id = 0;
     Clock::time_point deadline;
-    std::atomic<bool>* token = nullptr;
+    std::stop_source source;
   };
 
   void Loop(std::stop_token stop);

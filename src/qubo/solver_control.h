@@ -1,7 +1,7 @@
 #ifndef QJO_QUBO_SOLVER_CONTROL_H_
 #define QJO_QUBO_SOLVER_CONTROL_H_
 
-#include <atomic>
+#include <stop_token>
 
 namespace qjo {
 
@@ -17,8 +17,8 @@ class MetricsRegistry;
 /// the solvers consolidate the same knobs, plus a wall-clock deadline,
 /// into util/run_context.h's RunContext.)
 ///
-/// Nothing here is owned: pool, stop, trace, and metrics must outlive
-/// the solver call they are passed to.
+/// Pool, trace and metrics are not owned and must outlive the solver call
+/// they are passed to; `stop` shares ownership of its stop state.
 struct SolverControl {
   /// Optional externally-owned pool the per-read/restart loop runs on
   /// (shared across solver calls, e.g. by OptimizeJoinOrderBatch or the
@@ -28,13 +28,14 @@ struct SolverControl {
   ThreadPool* pool = nullptr;
 
   /// Optional cooperative stop token, checked between sweeps/iterations:
-  /// once set, every read finishes its current unit and returns whatever
-  /// state it reached (a truncated but valid solution). Null = run the
-  /// full schedule. While the token stays unset the solver's output is
-  /// bit-identical to a run without one; once it fires, results depend
-  /// on how far each read got — callers that need determinism must bound
-  /// the run by sweeps, not by cancellation.
-  const std::atomic<bool>* stop = nullptr;
+  /// once a stop is requested, every read finishes its current unit and
+  /// returns whatever state it reached (a truncated but valid solution).
+  /// A default-constructed token = run the full schedule. While no stop
+  /// is requested the solver's output is bit-identical to a run without
+  /// a token; once one is, results depend on how far each read got —
+  /// callers that need determinism must bound the run by sweeps, not by
+  /// cancellation.
+  std::stop_token stop;
 
   /// Optional span recorder (null-sink default): when attached, the
   /// solver records a span per call and per read/restart. Never affects

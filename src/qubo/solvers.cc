@@ -27,13 +27,6 @@ constexpr int kReplicaBatch = 16;
 /// and the full-width update would mostly multiply by 0.
 constexpr int kScalarUpdateLanes = 2;
 
-/// True once a caller-supplied stop token has been set. The relaxed load
-/// is enough: the token only gates how much work is done, never which
-/// memory a read observes (each read owns its state and result slot).
-bool StopRequested(const std::atomic<bool>* stop) {
-  return stop != nullptr && stop->load(std::memory_order_relaxed);
-}
-
 void SortByEnergy(std::vector<QuboSolution>& solutions) {
   std::sort(solutions.begin(), solutions.end(),
             [](const QuboSolution& a, const QuboSolution& b) {
@@ -91,7 +84,7 @@ void RunSaBatchedGroup(const QuboCsr& csr, const SaOptions& options,
   MetropolisBands bands;
   int sweeps_run = 0;
   for (int sweep = 0; sweep < options.sweeps_per_read; ++sweep) {
-    if (StopRequested(control.stop)) break;
+    if (control.stop.stop_requested()) break;
     ++sweeps_run;
     bands.Prepare(temperature);
     for (int i = 0; i < n; ++i) {
@@ -286,7 +279,7 @@ std::vector<QuboSolution> SolveQuboTabuSearch(const Qubo& qubo,
     std::vector<double> fields = csr.LocalFields(x);
     std::vector<double> deltas(n);
     for (int it = 0; it < options.iterations_per_restart; ++it) {
-      if (StopRequested(control.stop)) break;
+      if (control.stop.stop_requested()) break;
       ++iterations_run;
       double best_delta = kInfinity;
       int tie_count = 0;

@@ -1,7 +1,6 @@
 #ifndef QJO_QUBO_SOLVERS_H_
 #define QJO_QUBO_SOLVERS_H_
 
-#include <atomic>
 #include <vector>
 
 #include "qubo/qubo.h"

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <limits>
 #include <optional>
+#include <stop_token>
 #include <string_view>
 #include <unordered_set>
 #include <utility>
@@ -14,6 +15,7 @@
 
 #include "jo/classical.h"
 #include "obs/obs.h"
+#include "qubo/deadline_monitor.h"
 
 namespace qjo {
 namespace {
@@ -80,10 +82,6 @@ void AppendTopology(std::string* key, const char* tag,
   // (a, b) int pairs: contiguous and padding-free.
   const std::vector<std::pair<int, int>> edges = graph->Edges();
   AppendU64(key, "h", Digest(edges.data(), edges.size() * sizeof(edges[0])));
-}
-
-bool Fired(const std::atomic<bool>* token) {
-  return token != nullptr && token->load(std::memory_order_relaxed);
 }
 
 /// Classical DP (greedy past the DP size cap) answer; also labels the
@@ -466,17 +464,16 @@ void OptimizerService::Process(Ticket& ticket) {
     Degrade(request, /*expired=*/remaining_ms <= 0.0, &result);
   } else {
     QjoConfig config = SolveConfig(request);
-    // Arm the shared monitor so deadline expiry mid-solve flips the stop
-    // token and the portfolio/decomp strands wind down cooperatively. A
-    // caller-supplied token is respected as-is (never overridden).
-    std::atomic<bool> token{false};
-    uint64_t arm_id = 0;
-    bool armed = false;
-    if (std::isfinite(remaining_ms) && config.run.stop == nullptr) {
-      config.run.stop = &token;
-      arm_id = monitor_.Arm(&token, ticket.deadline);
-      armed = true;
-    }
+    // The solve runs on its own stop source, which the caller's token and
+    // the request deadline (armed on the process-wide monitor) each stop,
+    // so the strands wind down cooperatively on either.
+    std::stop_source stop;
+    const std::stop_callback relay(request.config.run.stop,
+                                   [&stop] { stop.request_stop(); });
+    config.run.stop = stop.get_token();
+    const bool armed = std::isfinite(remaining_ms);
+    const uint64_t arm_id =
+        armed ? DeadlineMonitor::Shared().Arm(stop, ticket.deadline) : 0;
 
     solves_.fetch_add(1, std::memory_order_relaxed);
     const auto solve_start = Clock::now();
@@ -484,7 +481,7 @@ void OptimizerService::Process(Ticket& ticket) {
       StageSpan span(options_.trace, "serve.solve");
       return OptimizeJoinOrder(request.query, config);
     }();
-    if (armed) monitor_.Disarm(arm_id);
+    if (armed) DeadlineMonitor::Shared().Disarm(arm_id);
     result.solve_ms = MsBetween(solve_start, Clock::now());
 
     // EWMA of solve time feeding the retry-after hint. Plain load/store:
@@ -495,11 +492,10 @@ void OptimizerService::Process(Ticket& ticket) {
 
     if (report.ok()) {
       result.report = std::move(report).value();
-      // Never cache or share a truncated (token-fired) result: it reflects
+      // Never cache or share a truncated (stopped) result: it reflects
       // this request's deadline or cancellation, not the config's
-      // full-budget answer. Judged from the one token the solve ran with —
-      // the armed one or the caller's own.
-      shareable = !Fired(config.run.stop) && result.report.found_valid;
+      // full-budget answer.
+      shareable = !stop.stop_requested() && result.report.found_valid;
     } else {
       result.status = report.status();
     }

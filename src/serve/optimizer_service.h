@@ -17,7 +17,6 @@
 
 #include "core/quantum_optimizer.h"
 #include "core/qubo_cache.h"
-#include "qubo/deadline_monitor.h"
 #include "serve/plan_cache.h"
 #include "serve/token_bucket.h"
 #include "util/statusor.h"
@@ -152,11 +151,15 @@ double RetryAfterHintMs(double avg_solve_ms, size_t backlog, size_t workers,
 ///    service-owned QuboBuildCache (single-flight itself), so even a
 ///    plan-cache miss reuses the pre-built CSR from any prior request. A
 ///    request carrying its own `config.qubo_cache` keeps it.
-///  * Deadlines — a request's wall budget covers queue wait + solve. The
-///    shared DeadlineMonitor arms one stop token per dispatched request;
-///    expiry winds the portfolio/decomp strands down cooperatively.
-///    Requests dequeued with (almost) no budget left degrade to the
-///    classical DP/greedy fallback instead of failing.
+///  * Deadlines — a request's wall budget covers queue wait + solve. Each
+///    dispatched solve runs on its own stop source, armed on the
+///    process-wide DeadlineMonitor and stopped as well by the caller's
+///    own `config.run.stop`; either winds the portfolio/decomp strands
+///    down cooperatively. Requests dequeued with (almost) no budget left
+///    degrade to the classical DP/greedy fallback instead of failing.
+///  * Threads — `workers` dispatchers plus the follower reaper. The
+///    reaper cannot be folded into the deadline timer: an expired
+///    follower's classical fallback must not run on the timer thread.
 ///  * Warm-up — WarmUp() pre-solves the caller's request templates whose
 ///    keys it is given, so the first live requests for them hit.
 ///
@@ -285,7 +288,6 @@ class OptimizerService {
   /// Guarded by mutex_ (stats() excepted).
   PlanCache cache_;
   QuboBuildCache build_cache_;
-  DeadlineMonitor monitor_;
 
   mutable std::mutex mutex_;
   std::condition_variable_any work_ready_;

@@ -107,10 +107,7 @@ void RunSqaBatchedGroup(const IsingModel& ising, const IsingCsr& csr,
   int sweeps_run = 0;
   uint64_t slice_flips = 0;
   for (int sweep = 0; sweep < params.num_sweeps; ++sweep) {
-    if (control.stop != nullptr &&
-        control.stop->load(std::memory_order_relaxed)) {
-      break;
-    }
+    if (control.stop.stop_requested()) break;
     ++sweeps_run;
     const double s_frac = static_cast<double>(sweep) /
                           static_cast<double>(params.num_sweeps - 1);

@@ -1,7 +1,6 @@
 #ifndef QJO_SIM_SQA_H_
 #define QJO_SIM_SQA_H_
 
-#include <atomic>
 #include <vector>
 
 #include "qubo/ising.h"

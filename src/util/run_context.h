@@ -1,9 +1,9 @@
 #ifndef QJO_UTIL_RUN_CONTEXT_H_
 #define QJO_UTIL_RUN_CONTEXT_H_
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <stop_token>
 
 #include "util/status.h"
 
@@ -21,17 +21,19 @@ class MetricsRegistry;
 /// deadline and the cancel token the caller set are the only ones in
 /// force.
 ///
-/// Nothing here is owned: pool, stop, trace and metrics must outlive the
-/// call they are passed to. The per-field contracts mirror SolverControl
+/// Pool, trace and metrics are not owned and must outlive the call they
+/// are passed to; `stop` is a std::stop_token, which shares ownership of
+/// its stop state. The per-field contracts mirror SolverControl
 /// (the equivalent surface of the inner QUBO solvers), plus the
 /// wall-clock deadline the solvers themselves never take — they are
 /// bounded by sweeps and the cooperative stop token only.
 struct RunContext {
   /// Wall-clock budget in milliseconds. > 0: the layer winds down
-  /// cooperatively on expiry (watchdog token or between-rounds checks)
-  /// and answers with its incumbent; a budget too large to represent
-  /// (1e20, +inf) never expires. 0: zero budget — orchestrators
-  /// answer immediately with their cheap fallback. < 0: no deadline; the
+  /// cooperatively on expiry (a stop request from the process-wide
+  /// DeadlineMonitor, or between-rounds checks) and answers with its
+  /// incumbent; a budget too large to represent (1e20, +inf) never
+  /// expires. 0: zero budget — orchestrators answer immediately with
+  /// their cheap fallback. < 0: no deadline; the
   /// run must then be bounded another way (sweep budget, round budget),
   /// which each layer's validation enforces at entry. Wall-clock
   /// cut-offs are inherently scheduling-dependent, so deadline-bounded
@@ -41,17 +43,20 @@ struct RunContext {
   /// Optional externally-owned pool for the layer's fan-out (strands,
   /// windows, queries) and the solvers' inner read loops (nested
   /// ParallelFor on one pool), shared across calls. Null = serial; no
-  /// layer creates threads of its own, so a caller that wants N threads
-  /// builds one ThreadPool(N). Results never depend on the pool size.
+  /// layer creates solve threads of its own (the one thread a layer
+  /// starts is the process-wide deadline timer), so a caller that wants N
+  /// threads builds one ThreadPool(N). Results never depend on the pool
+  /// size.
   ThreadPool* pool = nullptr;
 
-  /// Optional externally-owned cooperative cancel token (e.g. a
-  /// per-request token armed by the serving layer's DeadlineMonitor).
-  /// Once it fires, the layer winds down exactly as on deadline expiry
-  /// (the incumbent so far wins; the JO layer still guarantees a plan).
-  /// While the token stays unset it never influences results, so
-  /// budget-bounded runs remain bit-reproducible.
-  const std::atomic<bool>* stop = nullptr;
+  /// Optional cooperative cancel token (e.g. the serving layer's
+  /// per-request source, stopped by the caller or by DeadlineMonitor).
+  /// A default-constructed token never stops. Once a stop is requested,
+  /// the layer winds down exactly as on deadline expiry (the incumbent so
+  /// far wins; the JO layer still guarantees a plan). While no stop is
+  /// requested the token never influences results, so budget-bounded runs
+  /// remain bit-reproducible.
+  std::stop_token stop;
 
   /// Observability sinks (null-sink default, not owned). Attaching them
   /// never changes a result: recorded runs are bit-identical to

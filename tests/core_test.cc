@@ -1,8 +1,10 @@
 #include <atomic>
+#include <chrono>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <span>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <utility>
@@ -738,6 +740,72 @@ TEST(PortfolioTest, DeadlineExpiryStillReturnsValidPlan) {
   EXPECT_TRUE(report->found_valid);
   EXPECT_EQ(report->best_order.order().size(), 5u);
   EXPECT_GT(report->best_cost, 0.0);
+}
+
+/// SA as the only sweep strand, with one round of 5e7 sweeps: the race
+/// can only return within seconds if a stop reaches the solver mid-round.
+QjoConfig MidRoundConfig(double deadline_ms) {
+  QjoConfig config;
+  config.backend = QjoBackend::kPortfolio;
+  config.run.deadline_ms = deadline_ms;
+  config.portfolio.sweep_budget = 0;  // bounded by the deadline only
+  config.portfolio.reads_per_round = 1;
+  config.portfolio.sweeps_per_round = 50'000'000;
+  config.portfolio.enable_exact = false;
+  config.portfolio.enable_tabu = false;
+  config.portfolio.enable_sqa = false;
+  config.portfolio.enable_qaoa = false;
+  return config;
+}
+
+double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+TEST(PortfolioTest, StopsMidRoundOnDeadline) {
+  const QjoConfig config = MidRoundConfig(50.0);
+  const auto start = std::chrono::steady_clock::now();
+  auto report = OptimizeJoinOrder(MakeChainQuery(5), config);
+  ASSERT_TRUE(report.ok());
+  EXPECT_LT(MsSince(start), 10'000.0);
+  EXPECT_TRUE(report->portfolio.race.deadline_expired);
+  EXPECT_TRUE(report->found_valid);
+}
+
+TEST(PortfolioTest, StopsMidRoundOnCallerToken) {
+  QjoConfig config = MidRoundConfig(60'000.0);
+  std::stop_source caller;
+  config.run.stop = caller.get_token();
+  std::thread canceller([&caller] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    caller.request_stop();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  auto report = OptimizeJoinOrder(MakeChainQuery(5), config);
+  const double elapsed_ms = MsSince(start);
+  canceller.join();
+  ASSERT_TRUE(report.ok());
+  EXPECT_LT(elapsed_ms, 10'000.0);
+  EXPECT_FALSE(report->portfolio.race.deadline_expired);
+  EXPECT_TRUE(report->found_valid);
+}
+
+TEST(PortfolioTest, StopsMidRoundOnEarlyExit) {
+  // The exact strand proves the optimum and stops the race; the SA round
+  // running next to it on the pool must wind down mid-round.
+  QjoConfig config = MidRoundConfig(60'000.0);
+  config.portfolio.enable_exact = true;
+  config.portfolio.max_exact_variables = 28;
+  ThreadPool pool(2);
+  config.run.pool = &pool;
+  const auto start = std::chrono::steady_clock::now();
+  auto report = OptimizeJoinOrder(MakePaperInstance(2), config);
+  ASSERT_TRUE(report.ok());
+  EXPECT_LT(MsSince(start), 10'000.0);
+  EXPECT_EQ(report->portfolio.winner, "exact");
+  EXPECT_FALSE(report->portfolio.race.deadline_expired);
 }
 
 TEST(PortfolioTest, UnrepresentableDeadlineNeverExpires) {

@@ -1,6 +1,7 @@
 #include "decomp/decomp.h"
 
 #include <optional>
+#include <stop_token>
 #include <string>
 #include <vector>
 
@@ -220,9 +221,10 @@ TEST(DecompTest, SharedCacheAbsorbsRepeatedWindowShapes) {
 
 TEST(DecompTest, StopTokenShortCircuits) {
   const Query q = MakeGraphQuery(QueryGraphType::kChain, 30, 17);
-  std::atomic<bool> stop{true};  // pre-cancelled
+  std::stop_source stop;
+  stop.request_stop();  // pre-cancelled
   RunContext run;
-  run.stop = &stop;
+  run.stop = stop.get_token();
   Rng rng(3);
   auto report = OptimizeJoinOrderDecomposed(q, FastOptions(), run, rng);
   ASSERT_TRUE(report.ok());

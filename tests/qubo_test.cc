@@ -1,7 +1,7 @@
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <optional>
+#include <stop_token>
 #include <thread>
 #include <vector>
 
@@ -592,11 +592,11 @@ TEST(SimulatedAnnealingTest, StopTokenCancelsLongRun) {
   SaOptions options;
   options.num_reads = 4;
   options.sweeps_per_read = 50'000'000;  // hours of work if uncancelled
-  std::atomic<bool> stop{false};
-  options.control.stop = &stop;
+  std::stop_source stop;
+  options.control.stop = stop.get_token();
   std::thread canceller([&stop] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    stop.store(true, std::memory_order_relaxed);
+    stop.request_stop();
   });
   Rng rng(31);
   const auto reads = SolveQuboSimulatedAnnealing(qubo, options, rng);
@@ -619,8 +619,9 @@ TEST(SimulatedAnnealingTest, PreSetStopTokenReturnsImmediately) {
   SaOptions options;
   options.num_reads = 2;
   options.sweeps_per_read = 50'000'000;
-  std::atomic<bool> stop{true};
-  options.control.stop = &stop;
+  std::stop_source stop;
+  stop.request_stop();
+  options.control.stop = stop.get_token();
   Rng rng(37);
   const auto reads = SolveQuboSimulatedAnnealing(qubo, options, rng);
   ASSERT_EQ(reads.size(), 2u);
@@ -637,8 +638,8 @@ TEST(SimulatedAnnealingTest, UnsetStopTokenMatchesNoToken) {
   options.sweeps_per_read = 200;
   Rng rng_plain(41);
   const auto plain = SolveQuboSimulatedAnnealing(qubo, options, rng_plain);
-  std::atomic<bool> stop{false};
-  options.control.stop = &stop;
+  std::stop_source stop;
+  options.control.stop = stop.get_token();
   Rng rng_token(41);
   const auto with_token = SolveQuboSimulatedAnnealing(qubo, options, rng_token);
   ASSERT_EQ(plain.size(), with_token.size());
@@ -654,11 +655,11 @@ TEST(TabuSearchTest, StopTokenCancelsLongRun) {
   TabuOptions options;
   options.num_restarts = 4;
   options.iterations_per_restart = 50'000'000;
-  std::atomic<bool> stop{false};
-  options.control.stop = &stop;
+  std::stop_source stop;
+  options.control.stop = stop.get_token();
   std::thread canceller([&stop] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    stop.store(true, std::memory_order_relaxed);
+    stop.request_stop();
   });
   Rng rng(43);
   const auto restarts = SolveQuboTabuSearch(qubo, options, rng);
@@ -679,8 +680,8 @@ TEST(TabuSearchTest, UnsetStopTokenMatchesNoToken) {
   options.iterations_per_restart = 150;
   Rng rng_plain(47);
   const auto plain = SolveQuboTabuSearch(qubo, options, rng_plain);
-  std::atomic<bool> stop{false};
-  options.control.stop = &stop;
+  std::stop_source stop;
+  options.control.stop = stop.get_token();
   Rng rng_token(47);
   const auto with_token = SolveQuboTabuSearch(qubo, options, rng_token);
   ASSERT_EQ(plain.size(), with_token.size());

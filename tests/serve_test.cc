@@ -12,6 +12,7 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <stop_token>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -104,45 +105,48 @@ void WaitDequeued(OptimizerService& service) {
 
 TEST(DeadlineMonitorTest, FiresPastDeadlineAndCountsIt) {
   DeadlineMonitor monitor;
-  std::atomic<bool> token{false};
-  monitor.Arm(&token, DeadlineMonitor::Clock::now() - 1ms);
+  std::stop_source token;
+  const uint64_t id = monitor.Arm(token, DeadlineMonitor::Clock::now() - 1ms);
   const auto give_up = std::chrono::steady_clock::now() + 5s;
-  while (!token.load(std::memory_order_acquire)) {
+  while (!token.stop_requested()) {
     ASSERT_LT(std::chrono::steady_clock::now(), give_up)
         << "expired token never fired";
     std::this_thread::sleep_for(1ms);
   }
   EXPECT_EQ(monitor.fired(), 1u);
   EXPECT_EQ(monitor.armed(), 0u);  // fired entries are removed
+  EXPECT_FALSE(monitor.Disarm(id));  // it fired: nothing left to withdraw
 }
 
 TEST(DeadlineMonitorTest, DisarmWithdrawsWithoutFiring) {
   DeadlineMonitor monitor;
-  std::atomic<bool> token{false};
-  const uint64_t id = monitor.Arm(&token, DeadlineMonitor::Clock::now() + 1h);
+  std::stop_source token;
+  const uint64_t id = monitor.Arm(token, DeadlineMonitor::Clock::now() + 1h);
   EXPECT_EQ(monitor.armed(), 1u);
-  monitor.Disarm(id);
+  EXPECT_TRUE(monitor.Disarm(id));
   EXPECT_EQ(monitor.armed(), 0u);
-  EXPECT_FALSE(token.load());
+  EXPECT_FALSE(token.stop_requested());
   EXPECT_EQ(monitor.fired(), 0u);
-  monitor.Disarm(id);  // idempotent
+  EXPECT_FALSE(monitor.Disarm(id));  // idempotent
 }
 
 TEST(DeadlineMonitorTest, NewerEarlierDeadlinePreempts) {
   // Arming an earlier deadline after a later one must wake the monitor's
   // sleep: the earlier token fires first, long before the later deadline.
   DeadlineMonitor monitor;
-  std::atomic<bool> late{false};
-  std::atomic<bool> early{false};
-  monitor.Arm(&late, DeadlineMonitor::Clock::now() + 1h);
-  monitor.ArmAfterMs(&early, 5.0);
+  std::stop_source late;
+  std::stop_source early;
+  const uint64_t late_id =
+      monitor.Arm(late, DeadlineMonitor::Clock::now() + 1h);
+  monitor.Arm(early, DeadlineMonitor::Clock::now() + 5ms);
   const auto give_up = std::chrono::steady_clock::now() + 5s;
-  while (!early.load(std::memory_order_acquire)) {
+  while (!early.stop_requested()) {
     ASSERT_LT(std::chrono::steady_clock::now(), give_up)
         << "earlier-armed token never fired";
     std::this_thread::sleep_for(1ms);
   }
-  EXPECT_FALSE(late.load());
+  EXPECT_FALSE(late.stop_requested());
+  EXPECT_TRUE(monitor.Disarm(late_id));
 }
 
 // ---------------------------------------------------------------------------
@@ -454,13 +458,14 @@ TEST(ServeTest, PreFiredCallerTokenShortCircuitsSolve) {
   options.workers = 1;
   OptimizerService service(options);
 
-  std::atomic<bool> stop{true};
+  std::stop_source stop;
+  stop.request_stop();
   ServeRequest request;
   request.query = MakeQuery(4);
   request.config = FastConfig(24);
   request.config.backend = QjoBackend::kPortfolio;
   request.config.portfolio.sweep_budget = int64_t{1} << 40;
-  request.config.run.stop = &stop;
+  request.config.run.stop = stop.get_token();
 
   auto future = service.Submit(std::move(request));
   ASSERT_TRUE(future.ok());
@@ -468,6 +473,37 @@ TEST(ServeTest, PreFiredCallerTokenShortCircuitsSolve) {
   ASSERT_TRUE(result.status.ok());
   EXPECT_TRUE(result.report.found_valid);
   EXPECT_TRUE(result.report.portfolio.used_classical_fallback);
+}
+
+TEST(ServeTest, CallerTokenDoesNotDisableDeadline) {
+  // A caller token that never fires must not take the request deadline's
+  // place: the deadline still cuts the unbounded race short, within
+  // StopTokenCancelsMidSolve's bound.
+  ServeOptions options;
+  options.workers = 1;
+  options.degrade_margin_ms = 0.0;  // never take the degraded shortcut
+  OptimizerService service(options);
+
+  std::stop_source caller;
+  ServeRequest request;
+  request.query = MakeQuery(4);
+  request.config = FastConfig(25);
+  request.config.backend = QjoBackend::kPortfolio;
+  request.config.portfolio.sweep_budget = int64_t{1} << 40;
+  request.config.run.stop = caller.get_token();
+  request.deadline_ms = 100.0;
+
+  const auto t0 = std::chrono::steady_clock::now();
+  auto future = service.Submit(std::move(request));
+  ASSERT_TRUE(future.ok());
+  const ServeResult result = std::move(future).value().get();
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+  ASSERT_TRUE(result.status.ok());
+  EXPECT_TRUE(result.report.found_valid);
+  EXPECT_FALSE(caller.stop_requested());
+  EXPECT_LT(elapsed_ms, 30000.0);
 }
 
 TEST(ServeTest, InfiniteDeadlineRunsTheFullSolve) {
@@ -682,9 +718,10 @@ TEST(ServeTest, CallerCancelledAnswerIsNeitherCachedNorShared) {
   request.config = FastConfig(7);
   request.config.backend = QjoBackend::kPortfolio;
 
-  std::atomic<bool> fired{true};
+  std::stop_source fired;
+  fired.request_stop();
   ServeRequest cancelled = request;
-  cancelled.config.run.stop = &fired;
+  cancelled.config.run.stop = fired.get_token();
   auto first = service.Submit(cancelled);
   ASSERT_TRUE(first.ok());
   const ServeResult truncated = first->get();

@@ -1,4 +1,3 @@
-#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -7,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stop_token>
 #include <set>
 #include <thread>
 #include <vector>
@@ -1152,11 +1152,11 @@ TEST(SqaTest, StopTokenCancelsLongRun) {
   SqaOptions options;
   options.num_reads = 2;
   options.annealing_time_us = 1e7;  // ~1e7 sweeps: hours if uncancelled
-  std::atomic<bool> stop{false};
-  options.control.stop = &stop;
+  std::stop_source stop;
+  options.control.stop = stop.get_token();
   std::thread canceller([&stop] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    stop.store(true, std::memory_order_relaxed);
+    stop.request_stop();
   });
   Rng rng(53);
   const auto samples = RunSqa(ising, options, rng);
@@ -1180,8 +1180,8 @@ TEST(SqaTest, UnsetStopTokenMatchesNoToken) {
   Rng rng_plain(59);
   const auto plain = RunSqa(ising, options, rng_plain);
   ASSERT_TRUE(plain.ok());
-  std::atomic<bool> stop{false};
-  options.control.stop = &stop;
+  std::stop_source stop;
+  options.control.stop = stop.get_token();
   Rng rng_token(59);
   const auto with_token = RunSqa(ising, options, rng_token);
   ASSERT_TRUE(with_token.ok());

@@ -62,8 +62,10 @@ REQUIRED_KEYS = {
     "BENCH_qaoa": (
         "mixer_amps_per_sec_reference",
         "mixer_amps_per_sec_fused",
+        "mixer_amps_per_sec_fused_iqr",
         "grid_evals_per_sec_serial_reference",
         "grid_evals_per_sec_batched_fused",
+        "grid_evals_per_sec_batched_fused_iqr",
         "amplitudes_identical",
         "simd_tiers_identical",
         # The JO-encoding section: the spectrum the QAOA backend serves.
