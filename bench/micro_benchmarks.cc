@@ -500,7 +500,7 @@ int RunKernelBenchSuite() {
       const auto entry = encode(relations, QueryGraphType::kChain, 1.0,
                                 static_cast<uint64_t>(80 + relations));
       const PortfolioOptions race;
-      SqaOptions options = race.sqa;
+      SqaOptions options;
       options.num_reads = race.reads_per_round;
       options.annealing_time_us = race.sweeps_per_round;
       options.sweeps_per_us = 1.0;

@@ -89,7 +89,8 @@ int RunSuite() {
 
   bool all_within_best_solo = true;
   for (int inst = 0; inst < instances; ++inst) {
-    const std::string prefix = "i" + std::to_string(inst) + "_";
+    const std::string prefix =
+        std::string("i").append(std::to_string(inst)).append("_");
     const Qubo qubo = MakeDenseQubo(n, 71 + inst);
     qubo.Csr();
 
@@ -165,7 +166,9 @@ int RunSuite() {
     run.pool = &pool;
     bench::ObsSession::Get().Apply(run);
     Rng rng(601 + inst);
-    const auto race = RaceQuboPortfolio(qubo, options, run, rng);
+    // A bare QUBO race: no domain scorer (score = energy) and no
+    // query-level decomp strand.
+    const auto race = RaceQuboPortfolio(qubo, options, RaceHooks{}, run, rng);
     if (!race.ok()) {
       std::cerr << "portfolio race failed: " << race.status().ToString()
                 << "\n";

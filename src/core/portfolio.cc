@@ -12,6 +12,7 @@
 #include "qubo/ising.h"
 #include "sim/qaoa_analytic.h"
 #include "sim/qaoa_simulator.h"
+#include "sim/sqa.h"
 #include "util/strings.h"
 
 namespace qjo {
@@ -19,6 +20,13 @@ namespace qjo {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// The QAOA strand's fixed budget: it joins races of at most
+/// kMaxQaoaVariables variables (2^n amplitudes plus the spectrum), searches
+/// angles for kQaoaIterations iterations and draws kQaoaShots samples.
+constexpr int kMaxQaoaVariables = 20;
+constexpr int kQaoaIterations = 10;
+constexpr int kQaoaShots = 128;
 
 double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
@@ -33,21 +41,15 @@ struct StrandState {
   std::vector<int> best_feasible_assignment;
 };
 
-/// Tolerance for "incumbent matches the known lower bound".
-bool MatchesBound(double energy, double bound) {
-  if (std::isnan(bound)) return false;
-  return energy <= bound + 1e-9 * std::max(1.0, std::abs(bound));
-}
-
 /// Folds one sample into the strand's incumbents. `energy` must be the
 /// sample's QUBO energy (offset included) so strands stay comparable.
-void AbsorbSample(const PortfolioOptions& options, Clock::time_point start,
+void AbsorbSample(const RaceHooks& hooks, Clock::time_point start,
                   const std::vector<int>& assignment, double energy,
                   StrandState& state) {
   state.outcome.best_energy = std::min(state.outcome.best_energy, energy);
   double score = energy;
-  if (options.score) {
-    score = options.score(assignment);
+  if (hooks.score) {
+    score = hooks.score(assignment);
     if (std::isnan(score)) return;  // domain-infeasible sample
   }
   if (!state.outcome.feasible || score < state.outcome.best_score) {
@@ -70,16 +72,6 @@ void AbsorbSample(const PortfolioOptions& options, Clock::time_point start,
       state.outcome.sweeps_to_incumbent = state.outcome.sweeps_completed;
     }
   }
-}
-
-/// Shared SolverControl wiring of the sweep-strand bodies.
-SolverControl StrandControl(const StrandRunEnv& env) {
-  SolverControl control;
-  control.pool = env.run.pool;
-  control.stop = env.run.stop;
-  control.trace = env.run.trace;
-  control.metrics = env.run.metrics;
-  return control;
 }
 
 bool BudgetLeft(const StrandRunEnv& env) {
@@ -112,7 +104,7 @@ void RunSaStrand(const StrandRunEnv& env, Rng& rng) {
   SaOptions sa;
   sa.num_reads = options.reads_per_round;
   sa.sweeps_per_read = options.sweeps_per_round;
-  sa.control = StrandControl(env);
+  sa.control = ControlOf(env.run);
   const int64_t round_sweeps =
       static_cast<int64_t>(options.reads_per_round) * options.sweeps_per_round;
   while (!env.run.stop.stop_requested() && BudgetLeft(env)) {
@@ -130,7 +122,7 @@ void RunTabuStrand(const StrandRunEnv& env, Rng& rng) {
   TabuOptions tabu;
   tabu.num_restarts = options.reads_per_round;
   tabu.iterations_per_restart = options.sweeps_per_round;
-  tabu.control = StrandControl(env);
+  tabu.control = ControlOf(env.run);
   const int64_t round_sweeps =
       static_cast<int64_t>(options.reads_per_round) * options.sweeps_per_round;
   while (!env.run.stop.stop_requested() && BudgetLeft(env)) {
@@ -143,10 +135,11 @@ void RunTabuStrand(const StrandRunEnv& env, Rng& rng) {
   }
 }
 
-/// The SQA strand's per-round options: the template with the race's
-/// round size. ValidatePortfolioOptions checks exactly these.
+/// The SQA strand's per-round options: SqaOptions defaults at the race's
+/// round size. Positive round sizes (ValidatePortfolioOptions) make them
+/// valid.
 SqaOptions SqaStrandOptions(const PortfolioOptions& options) {
-  SqaOptions sqa = options.sqa;
+  SqaOptions sqa;
   sqa.num_reads = options.reads_per_round;
   // One Monte-Carlo sweep per "microsecond" maps the round budget
   // directly onto SQA sweeps (RunSqa clamps to at least 8).
@@ -159,7 +152,7 @@ void RunSqaStrand(const StrandRunEnv& env, Rng& rng) {
   const PortfolioOptions& options = *env.options;
   const IsingModel ising = QuboToIsing(*env.qubo);
   SqaOptions sqa = SqaStrandOptions(options);
-  sqa.control = StrandControl(env);
+  sqa.control = ControlOf(env.run);
   const int64_t sqa_round_sweeps =
       static_cast<int64_t>(options.reads_per_round) *
       std::max(8, options.sweeps_per_round);
@@ -185,13 +178,13 @@ void RunQaoaStrand(const StrandRunEnv& env, Rng& rng) {
   if (!sim.ok()) return;
   sim->set_pool(env.run.pool);
   const QaoaAngles angles =
-      OptimizeQaoaAngles(ising, env.options->qaoa_iterations, rng);
+      OptimizeQaoaAngles(ising, kQaoaIterations, rng);
   QaoaParameters params;
   params.gammas = {angles.gamma};
   params.betas = {angles.beta};
   sim->Run(params);
   const std::vector<uint64_t> raw =
-      sim->Sample(env.options->qaoa_shots, /*fidelity=*/1.0, rng);
+      sim->Sample(kQaoaShots, /*fidelity=*/1.0, rng);
   std::vector<int> bits(n);
   for (uint64_t basis : raw) {
     for (int i = 0; i < n; ++i) {
@@ -200,12 +193,12 @@ void RunQaoaStrand(const StrandRunEnv& env, Rng& rng) {
     env.absorb(bits, qubo.Energy(bits));
   }
   env.outcome->rounds_completed = 1;
-  env.outcome->sweeps_completed = env.options->qaoa_shots;
+  env.outcome->sweeps_completed = kQaoaShots;
 }
 
 void RunDecompStrand(const StrandRunEnv& env, Rng& rng) {
   if (env.run.stop.stop_requested()) return;
-  auto decomp = env.options->decomp_run(env.run, rng);
+  auto decomp = env.hooks->decomp_run(env.run, rng);
   if (!decomp.ok()) return;
   // The strand's incumbent is the join order itself; its C_out cost is
   // directly comparable with the other strands' decoded scores. The
@@ -219,6 +212,12 @@ void RunDecompStrand(const StrandRunEnv& env, Rng& rng) {
   outcome.sweeps_completed = decomp->windows_solved;
   outcome.sweeps_to_incumbent = outcome.sweeps_completed;
   env.publish_assignment(decomp->order.order());
+}
+
+/// Eligibility of a strand that only its enable_* flag gates.
+auto EnabledBy(bool PortfolioOptions::*flag) {
+  return [flag](const Qubo&, const PortfolioOptions& options,
+                const RaceHooks&) { return options.*flag; };
 }
 
 }  // namespace
@@ -270,7 +269,8 @@ const StrandRegistry& StrandRegistry::Default() {
 
     StrandDesc exact;
     exact.name = "exact";
-    exact.eligible = [](const Qubo& qubo, const PortfolioOptions& options) {
+    exact.eligible = [](const Qubo& qubo, const PortfolioOptions& options,
+                        const RaceHooks&) {
       return options.enable_exact &&
              qubo.num_variables() <= std::min(options.max_exact_variables, 63);
     };
@@ -279,34 +279,27 @@ const StrandRegistry& StrandRegistry::Default() {
 
     StrandDesc sa;
     sa.name = "sa";
-    sa.eligible = [](const Qubo&, const PortfolioOptions& options) {
-      return options.enable_sa;
-    };
+    sa.eligible = EnabledBy(&PortfolioOptions::enable_sa);
     sa.run = RunSaStrand;
     must_register(std::move(sa));
 
     StrandDesc tabu;
     tabu.name = "tabu";
-    tabu.eligible = [](const Qubo&, const PortfolioOptions& options) {
-      return options.enable_tabu;
-    };
+    tabu.eligible = EnabledBy(&PortfolioOptions::enable_tabu);
     tabu.run = RunTabuStrand;
     must_register(std::move(tabu));
 
     StrandDesc sqa;
     sqa.name = "sqa";
-    sqa.eligible = [](const Qubo&, const PortfolioOptions& options) {
-      return options.enable_sqa;
-    };
+    sqa.eligible = EnabledBy(&PortfolioOptions::enable_sqa);
     sqa.run = RunSqaStrand;
     must_register(std::move(sqa));
 
     StrandDesc qaoa;
     qaoa.name = "qaoa";
-    qaoa.eligible = [](const Qubo& qubo, const PortfolioOptions& options) {
-      // The simulator itself refuses above 27 qubits.
-      return options.enable_qaoa &&
-             qubo.num_variables() <= std::min(options.max_qaoa_variables, 27);
+    qaoa.eligible = [](const Qubo& qubo, const PortfolioOptions& options,
+                       const RaceHooks&) {
+      return options.enable_qaoa && qubo.num_variables() <= kMaxQaoaVariables;
     };
     qaoa.run = RunQaoaStrand;
     must_register(std::move(qaoa));
@@ -319,8 +312,9 @@ const StrandRegistry& StrandRegistry::Default() {
     // guarantees a valid large-query plan.
     decomp.run_first = true;
     decomp.publishes_order = true;
-    decomp.eligible = [](const Qubo&, const PortfolioOptions& options) {
-      return options.enable_decomp && options.decomp_run != nullptr;
+    decomp.eligible = [](const Qubo&, const PortfolioOptions& options,
+                         const RaceHooks& hooks) {
+      return options.enable_decomp && hooks.decomp_run != nullptr;
     };
     decomp.run = RunDecompStrand;
     must_register(std::move(decomp));
@@ -343,10 +337,6 @@ Status ValidatePortfolioOptions(const PortfolioOptions& options,
   if (options.reads_per_round <= 0 || options.sweeps_per_round <= 0) {
     return Status::InvalidArgument("portfolio round sizes must be positive");
   }
-  // RunSqaStrand stops at the first RunSqa error, so a schedule RunSqa
-  // rejects must fail the race here, not end that strand after zero
-  // rounds.
-  QJO_RETURN_IF_ERROR(ValidateSqaOptions(SqaStrandOptions(options)));
   if (options.registry != nullptr && options.registry->size() == 0) {
     return Status::InvalidArgument("portfolio strand registry is empty");
   }
@@ -355,6 +345,7 @@ Status ValidatePortfolioOptions(const PortfolioOptions& options,
 
 StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
                                            const PortfolioOptions& options,
+                                           const RaceHooks& hooks,
                                            const RunContext& run, Rng& rng) {
   const int n = qubo.num_variables();
   if (n == 0) return Status::InvalidArgument("empty QUBO");
@@ -377,7 +368,7 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
     StrandOutcome& outcome = states[s].outcome;
     outcome.name = desc.name;
     outcome.index = s;
-    outcome.eligible = !desc.eligible || desc.eligible(qubo, options);
+    outcome.eligible = !desc.eligible || desc.eligible(qubo, options, hooks);
   }
 
   if (run.deadline_ms == 0.0) {
@@ -394,7 +385,7 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
   // things stop it: the caller's token (relayed in any budget mode — a
   // caller's stop is an unconditional cancel), the race deadline, armed
   // on the process-wide DeadlineMonitor from race entry, and the early
-  // exits (lower-bound hit, exact strand finished). Those last cancel the
+  // exit of the exact strand's proven optimum. That last cancels the
   // race in deadline mode only: cancellation truncates other strands at a
   // wall-clock-dependent point, which would break the bit-reproducibility
   // contract of pure sweep-budget runs.
@@ -430,16 +421,13 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
     StrandRunEnv env;
     env.qubo = &qubo;
     env.options = &options;
+    env.hooks = &hooks;
     env.run = strand_run;
     env.request_stop = request_stop;
     env.elapsed_ms = [&start] { return MsSince(start); };
     env.outcome = &outcome;
     env.absorb = [&](const std::vector<int>& assignment, double energy) {
-      AbsorbSample(options, start, assignment, energy, state);
-      if (MatchesBound(outcome.best_energy, options.lower_bound)) {
-        outcome.hit_lower_bound = true;
-        request_stop();
-      }
+      AbsorbSample(hooks, start, assignment, energy, state);
     };
     env.publish_assignment = [&state](const std::vector<int>& assignment) {
       state.best_feasible_assignment = assignment;
@@ -513,9 +501,8 @@ StatusOr<PortfolioReport> RunJoPortfolio(const Query& query,
   const Clock::time_point start = Clock::now();
   PortfolioReport report;
 
-  PortfolioOptions race_options = options;
-  race_options.score =
-      [&encoding, &query](const std::vector<int>& bits) -> double {
+  RaceHooks hooks;
+  hooks.score = [&encoding, &query](const std::vector<int>& bits) -> double {
     const auto order = DecodeSample(encoding.milp, bits);
     if (!order.ok()) return std::numeric_limits<double>::quiet_NaN();
     return Cost(query, *order);
@@ -529,15 +516,15 @@ StatusOr<PortfolioReport> RunJoPortfolio(const Query& query,
     // In deadline mode the race context carries the race budget, which
     // caps the loop directly (its own clock check between window solves)
     // as well as through the race's stop token.
-    race_options.decomp_run = [&query, &options](const RunContext& strand_run,
-                                                 Rng& strand_rng) {
+    hooks.decomp_run = [&query, &options](const RunContext& strand_run,
+                                          Rng& strand_rng) {
       return OptimizeJoinOrderDecomposed(query, options.decomp, strand_run,
                                          strand_rng);
     };
   }
   QJO_ASSIGN_OR_RETURN(
       report.race,
-      RaceQuboPortfolio(encoding.encoding.qubo, race_options, run, rng));
+      RaceQuboPortfolio(encoding.encoding.qubo, options, hooks, run, rng));
 
   if (report.race.winner >= 0) {
     const StrandRegistry& registry = options.registry != nullptr

@@ -15,7 +15,6 @@
 #include "obs/obs.h"
 #include "qubo/qubo.h"
 #include "qubo/solvers.h"
-#include "sim/sqa.h"
 #include "util/random.h"
 #include "util/run_context.h"
 #include "util/statusor.h"
@@ -24,6 +23,7 @@
 namespace qjo {
 
 struct PortfolioOptions;
+struct RaceHooks;
 struct StrandOutcome;
 
 /// Everything a strand's run hook sees during a race. Hooks run
@@ -33,14 +33,15 @@ struct StrandOutcome;
 struct StrandRunEnv {
   const Qubo* qubo = nullptr;
   const PortfolioOptions* options = nullptr;
+  const RaceHooks* hooks = nullptr;
   /// The race's context: the caller's pool (null = serial) and sinks, the
   /// token of the race's own stop source (stopped by the caller's token,
   /// the race deadline and the early-exit paths; wire it into
   /// SolverControl::stop) and, in deadline mode, the race deadline.
   RunContext run;
-  /// Requests the race-wide early exit (a proven optimum / lower-bound
-  /// hit). Honoured in deadline mode only: cancelling sweep-budget races
-  /// on a wall-clock event would break bit-reproducibility.
+  /// Requests the race-wide early exit (the exact strand's proven
+  /// optimum). Honoured in deadline mode only: cancelling sweep-budget
+  /// races on a wall-clock event would break bit-reproducibility.
   std::function<void()> request_stop;
   /// Milliseconds since race start (for one-shot strands that stamp
   /// their own time_to_incumbent; `absorb` stamps it for the others).
@@ -84,7 +85,8 @@ struct StrandDesc {
   bool publishes_order = false;
   /// Eligibility for one race; ineligible strands report zero rounds and
   /// never win. Null = always eligible.
-  std::function<bool(const Qubo& qubo, const PortfolioOptions& options)>
+  std::function<bool(const Qubo& qubo, const PortfolioOptions& options,
+                     const RaceHooks& hooks)>
       eligible;
   /// The strand body. `rng` is the strand's private forked stream.
   std::function<void(const StrandRunEnv& env, Rng& rng)> run;
@@ -145,7 +147,8 @@ class StrandRegistry {
 /// An unbounded configuration — `sweep_budget == 0` (or negative) with
 /// `run.deadline_ms < 0` — is rejected with InvalidArgument by the one
 /// entry validation (ValidatePortfolioOptions); no strand ever performs
-/// its own ad-hoc budget checks.
+/// its own ad-hoc budget checks. Every field changes the answer, so the
+/// plan key names them all (serve/config_fields.h).
 struct PortfolioOptions {
   /// Total sweeps each strand may spend; 0 = unlimited (requires a
   /// positive deadline). The budget is checked between rounds, so the
@@ -171,17 +174,11 @@ struct PortfolioOptions {
   bool enable_sqa = true;
   bool enable_qaoa = true;
   /// The exact (Gray-code brute force) strand only joins the race for
-  /// instances of at most this many variables.
+  /// instances of at most this many variables. The QAOA-simulator strand
+  /// has a fixed gate of 20 variables (2^n amplitudes + spectrum), 128
+  /// shots and 10 angle-search iterations; the SQA strand anneals with
+  /// SqaOptions defaults at the race's round size.
   int max_exact_variables = 20;
-  /// Likewise for the QAOA-simulator strand (2^n amplitudes + spectrum).
-  int max_qaoa_variables = 20;
-  int qaoa_shots = 128;
-  int qaoa_iterations = 10;
-  /// Template for the SQA strand (trotter slices, temperatures, ICE
-  /// noise). num_reads, the sweep schedule and `control` are overridden
-  /// per round; ValidatePortfolioOptions rejects the race when the
-  /// resulting per-round options fail ValidateSqaOptions.
-  SqaOptions sqa;
 
   /// The decomposition strand (large-neighborhood search over the join
   /// order, src/decomp) is the only strand that does not attack the
@@ -189,39 +186,37 @@ struct PortfolioOptions {
   /// for 30-50 relation queries. RunJoPortfolio enables it for queries
   /// of at least `min_decomp_relations` relations; RaceQuboPortfolio
   /// alone cannot run it (it only sees the QUBO) and treats the strand
-  /// as ineligible unless `decomp_run` is installed.
+  /// as ineligible unless RaceHooks::decomp_run is set.
   bool enable_decomp = true;
   int min_decomp_relations = 10;
   /// Template for the strand's decomposition loop; it runs under the
-  /// race's context. `cache` should point at the pipeline's shared build
-  /// cache.
+  /// race's context. The pipeline sets its `cache` to
+  /// QjoConfig::qubo_cache.
   DecompOptions decomp;
-  /// Internal: installed by RunJoPortfolio to give the QUBO-level race a
-  /// query-level strand. Receives the race's context (StrandRunEnv::run)
-  /// and the strand's forked RNG stream. Null = strand ineligible.
-  std::function<StatusOr<DecompReport>(const RunContext&, Rng&)> decomp_run;
+};
 
-  /// Known lower bound on the QUBO energy (e.g. from a previous exact
-  /// solve of the same fingerprint). In deadline mode a strand whose
-  /// incumbent reaches it stops the whole race; in pure sweep-budget mode
-  /// it is only recorded (stopping on a wall-clock event would break
-  /// bit-reproducibility). NaN = unknown.
-  double lower_bound = std::numeric_limits<double>::quiet_NaN();
-
-  /// Optional domain scorer, called on every sample a strand produces:
-  /// returns the domain objective (lower is better — e.g. the C_out cost
-  /// of the decoded join order) or NaN when the sample is infeasible in
-  /// the domain. Null = every sample is feasible with score = QUBO
-  /// energy. Must be thread-safe: strands call it concurrently.
+/// The query-level half of a race, which the QUBO alone does not carry.
+/// RunJoPortfolio fills both hooks; a bare QUBO race passes `{}`.
+struct RaceHooks {
+  /// Domain scorer, called on every sample a strand produces: returns the
+  /// domain objective (lower is better — the C_out cost of the decoded
+  /// join order) or NaN when the sample is infeasible in the domain.
+  /// Null = every sample is feasible with score = QUBO energy. Must be
+  /// thread-safe: strands call it concurrently.
   std::function<double(const std::vector<int>&)> score;
+  /// The decomposition strand's body. Receives the race's context
+  /// (StrandRunEnv::run) and the strand's forked RNG stream. Null = the
+  /// strand is ineligible.
+  std::function<StatusOr<DecompReport>(const RunContext&, Rng&)> decomp_run;
 };
 
 /// The single entry validation of a race configuration: RunContext
-/// invariants, positive round sizes, the SQA strand's per-round options
-/// (ValidateSqaOptions), and the budget rule (`sweep_budget <= 0`
-/// together with `run.deadline_ms < 0` is an unbounded race and is
-/// rejected here — not ad-hoc per strand). RaceQuboPortfolio calls this
-/// first; exposed so config builders can validate early.
+/// invariants, positive round sizes (which also make the SQA strand's
+/// per-round options valid), a non-empty registry, and the budget rule
+/// (`sweep_budget <= 0` together with `run.deadline_ms < 0` is an
+/// unbounded race and is rejected here — not ad-hoc per strand).
+/// RaceQuboPortfolio calls this first; exposed so callers can validate a
+/// config early.
 Status ValidatePortfolioOptions(const PortfolioOptions& options,
                                 const RunContext& run);
 
@@ -252,8 +247,8 @@ struct StrandOutcome {
   /// wall-clock twin above is not).
   int64_t sweeps_to_incumbent = 0;
   double total_ms = 0.0;
-  /// The strand matched the known lower bound (or, for the exact strand,
-  /// proved the optimum) and triggered the early exit.
+  /// The exact strand proved the optimum and triggered the early exit
+  /// (which stops the race in deadline mode only).
   bool hit_lower_bound = false;
   bool won = false;
 };
@@ -279,11 +274,13 @@ struct QuboRaceResult {
 /// strand runs on its own forked RNG stream (stream id = registration
 /// index) with the race-wide budgets, so a sweep-budget-bounded race is
 /// bit-identical at every parallelism level. The winner is the strand
-/// with the best (lowest) domain score, ties broken by registration
-/// order. Fails on an empty QUBO or an
-/// invalid configuration (ValidatePortfolioOptions).
+/// with the best (lowest) domain score (`hooks.score`, or the QUBO energy
+/// without one), ties broken by registration order. The decomp strand
+/// races only when `hooks.decomp_run` is set. Fails on an empty QUBO or
+/// an invalid configuration (ValidatePortfolioOptions).
 StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
                                            const PortfolioOptions& options,
+                                           const RaceHooks& hooks,
                                            const RunContext& run, Rng& rng);
 
 /// Everything the JO layer learned from one portfolio run.

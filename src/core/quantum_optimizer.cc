@@ -117,10 +117,8 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
   std::shared_ptr<const JoQuboEncoding> entry;
   {
     StageSpan encode_span(config.run.trace, "encode", &report.stage_timings);
-    JoEncodingOptions encode_options;
-    encode_options.thresholds = config.thresholds;
-    encode_options.num_thresholds = config.num_thresholds;
-    encode_options.omega = config.omega;
+    const JoEncodingOptions encode_options{config.thresholds,
+                                           config.num_thresholds, config.omega};
     if (config.qubo_cache != nullptr) {
       QJO_ASSIGN_OR_RETURN(
           entry, config.qubo_cache->GetOrBuild(query, encode_options));
@@ -195,10 +193,7 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
     case QjoBackend::kSimulatedAnnealing: {
       SaOptions sa;
       sa.num_reads = std::max(1, config.shots / 8);
-      sa.control.pool = config.run.pool;
-      sa.control.stop = config.run.stop;
-      sa.control.trace = config.run.trace;
-      sa.control.metrics = config.run.metrics;
+      sa.control = ControlOf(config.run);
       const std::vector<QuboSolution> reads =
           SolveQuboSimulatedAnnealing(encoding.qubo, sa, rng);
       for (const auto& read : reads) samples.push_back(read.assignment);
@@ -334,10 +329,7 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
 
       const IsingModel physical_ising = QuboToIsing(embedded->physical);
       SqaOptions sqa = config.sqa;
-      sqa.control.pool = config.run.pool;
-      sqa.control.stop = config.run.stop;
-      sqa.control.trace = config.run.trace;
-      sqa.control.metrics = config.run.metrics;
+      sqa.control = ControlOf(config.run);
       QJO_ASSIGN_OR_RETURN(std::vector<SqaSample> reads,
                            RunSqa(physical_ising, sqa, rng));
       double chain_breaks = 0.0;

@@ -60,34 +60,14 @@ struct QjoConfig {
 
   uint64_t seed = 7;
 
-  /// The request's one execution context (util/run_context.h): the
-  /// pipeline hands it unchanged to the portfolio race, which runs the
-  /// decomposition strand under it too:
-  ///
-  ///  * `run.pool` — the one source of threads for the per-read loops of
-  ///    the stochastic backends (SA reads, SQA anneals), the QAOA
-  ///    amplitude loops and the portfolio fan-out (not owned; shared
-  ///    across pipeline runs and by OptimizeJoinOrderBatch). Null =
-  ///    serial: no layer creates solve threads of its own, so a caller
-  ///    that wants N threads builds one ThreadPool(N). Reports are
-  ///    bit-identical for every pool size.
-  ///  * `run.deadline_ms` — the portfolio race's wall budget (see
-  ///    PortfolioOptions); ignored by the other backends.
-  ///  * `run.stop` — cooperative std::stop_token (e.g. of the serving
-  ///    layer's per-request source, stopped by its caller or by the
-  ///    process-wide DeadlineMonitor), plumbed into the stochastic
-  ///    solvers' SolverControl::stop (SA, and the annealer's SQA, whose
-  ///    `sqa.control` template the pipeline overwrites) and the portfolio
-  ///    race. The exact and QAOA backends are not cooperative and run to
-  ///    completion.
-  ///    While no stop is requested, results are bit-identical to a run
-  ///    without a token.
-  ///  * `run.trace`/`run.metrics` — when attached, every pipeline stage
-  ///    plus the nested solver spans record into the trace; solver
-  ///    counters and pipeline gauges land in the registry. Attaching
-  ///    sinks never changes a result. Lifetime must cover the
-  ///    optimisation call(s); one recorder/registry may be shared across
-  ///    a whole batch.
+  /// The request's one execution context (util/run_context.h documents
+  /// each field); the pipeline hands it unchanged to the portfolio race.
+  /// `run.pool` runs the SA/SQA reads, the QAOA amplitude loops and the
+  /// portfolio fan-out, with bit-identical reports at every pool size.
+  /// `run.deadline_ms` is the portfolio race's wall budget; the other
+  /// backends ignore it. `run.stop` reaches SA, the annealer's SQA (whose
+  /// `sqa.control` the pipeline overwrites) and the race; the exact and
+  /// QAOA backends run to completion.
   RunContext run;
 
   // --- Gate-based options. ---

@@ -285,10 +285,8 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
       auto encoded = cache->GetOrBuild(sub->subquery, encode_options);
       if (encoded.ok()) {
         const Qubo& qubo = (*encoded)->encoding.qubo;
-        SolverControl control;  // no pool: the fan-out above owns threads
-        control.stop = run.stop;
-        control.trace = run.trace;
-        control.metrics = run.metrics;
+        SolverControl control = ControlOf(run);
+        control.pool = nullptr;  // the window fan-out above owns the threads
         switch (PickSubSolver(round, static_cast<int>(w))) {
           case SubSolver::kSa: {
             SaOptions sa;

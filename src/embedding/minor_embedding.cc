@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -388,8 +387,7 @@ void PruneChains(Attempt& attempt,
 std::optional<Embedding> RunTry(
     const std::vector<std::pair<int, int>>& source_edges,
     const std::vector<std::vector<int>>& source_adj,
-    const CouplingGraph& target, const EmbeddingOptions& options,
-    int try_index, Rng rng) {
+    const CouplingGraph& target, const EmbeddingOptions& options, Rng rng) {
   const int num_source_nodes = static_cast<int>(source_adj.size());
   Attempt attempt(num_source_nodes, target);
 
@@ -419,15 +417,6 @@ std::optional<Embedding> RunTry(
     if (overused_now < best_overused) {
       best_overused = overused_now;
       best_chains = attempt.chains;
-    }
-    if (options.verbose) {
-      int used = 0;
-      for (const auto& chain : attempt.chains) {
-        used += static_cast<int>(chain.size());
-      }
-      std::fprintf(stderr,
-                   "[embed] try %d pass %d: overused=%d used=%d\n",
-                   try_index, pass, attempt.OverusedQubits(), used);
     }
     if (attempt.OverusedQubits() == 0) break;
     std::vector<bool> needs_reroute(num_source_nodes, false);
@@ -490,11 +479,9 @@ std::optional<Embedding> RunTry(
       }
     }
     rng.Shuffle(conflicted);
-    int hard_failures = 0;
     for (int node : conflicted) {
       if (!RouteNode(attempt, node, source_adj, options.alpha, rng,
                      /*hard=*/true)) {
-        ++hard_failures;
         // No free-qubit route exists; fall back to a soft re-route so
         // the chain at least stays valid for the next round.
         if (!RouteNode(attempt, node, source_adj, options.alpha, rng)) {
@@ -502,13 +489,6 @@ std::optional<Embedding> RunTry(
           break;
         }
       }
-    }
-    if (options.verbose) {
-      std::fprintf(stderr,
-                   "[embed] try %d hard round %d: overused=%d "
-                   "(conflicted=%zu, hard failures=%d)\n",
-                   try_index, round, attempt.OverusedQubits(),
-                   conflicted.size(), hard_failures);
     }
   }
   if (!feasible || attempt.OverusedQubits() != 0) return std::nullopt;
@@ -538,12 +518,6 @@ int Embedding::MaxChainLength() const {
   return max_len;
 }
 
-double Embedding::AverageChainLength() const {
-  if (chains.empty()) return 0.0;
-  return static_cast<double>(NumPhysicalQubits()) /
-         static_cast<double>(chains.size());
-}
-
 StatusOr<Embedding> FindMinorEmbedding(
     const std::vector<std::pair<int, int>>& source_edges, int num_source_nodes,
     const CouplingGraph& target, const EmbeddingOptions& options, Rng& rng,
@@ -570,8 +544,8 @@ StatusOr<Embedding> FindMinorEmbedding(
   const Rng base = rng.Fork();
   std::vector<std::optional<Embedding>> results(std::max(options.tries, 0));
   ParallelFor(pool, 0, static_cast<int64_t>(results.size()), [&](int64_t t) {
-    results[t] = RunTry(source_edges, source_adj, target, options,
-                        static_cast<int>(t), base.Fork(t));
+    results[t] =
+        RunTry(source_edges, source_adj, target, options, base.Fork(t));
   });
   // Fewest physical qubits wins; ties go to the lowest try index.
   int best = -1;

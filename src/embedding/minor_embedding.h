@@ -22,7 +22,6 @@ struct Embedding {
   /// Total number of physical qubits used (the Fig. 3 metric).
   int NumPhysicalQubits() const;
   int MaxChainLength() const;
-  double AverageChainLength() const;
 };
 
 /// Options for the heuristic embedder (a Cai-Macready-Roy-style algorithm,
@@ -38,8 +37,6 @@ struct EmbeddingOptions {
   int max_passes = 40;
   /// Base of the exponential overuse penalty during chain construction.
   double alpha = 4.0;
-  /// Prints per-pass diagnostics to stderr.
-  bool verbose = false;
 };
 
 /// Finds a minor embedding of the source graph (given as an edge list over

@@ -68,15 +68,6 @@ double Query::JoinCardinality(uint64_t mask) const {
   return card;
 }
 
-bool Query::HasInternalPredicate(uint64_t mask) const {
-  for (const Predicate& p : predicates_) {
-    if ((mask & (uint64_t{1} << p.left)) && (mask & (uint64_t{1} << p.right))) {
-      return true;
-    }
-  }
-  return false;
-}
-
 std::string Query::ToString() const {
   std::ostringstream os;
   os << "Query(" << num_relations() << " relations: ";

@@ -64,9 +64,6 @@ class Query {
   /// endpoints inside the mask (uncorrelated-predicate model).
   double JoinCardinality(uint64_t mask) const;
 
-  /// True if any predicate has both endpoints in `mask`.
-  bool HasInternalPredicate(uint64_t mask) const;
-
   /// Human-readable description for logs/examples.
   std::string ToString() const;
 

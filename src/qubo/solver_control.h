@@ -3,6 +3,8 @@
 
 #include <stop_token>
 
+#include "util/run_context.h"
+
 namespace qjo {
 
 class ThreadPool;
@@ -47,6 +49,12 @@ struct SolverControl {
   /// restarts, evictions, slice flips). Never affects results.
   MetricsRegistry* metrics = nullptr;
 };
+
+/// A solver call's controls under a caller's RunContext: the same pool,
+/// stop token and sinks.
+inline SolverControl ControlOf(const RunContext& run) {
+  return {run.pool, run.stop, run.trace, run.metrics};
+}
 
 }  // namespace qjo
 

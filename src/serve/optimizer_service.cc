@@ -9,6 +9,7 @@
 #include <optional>
 #include <stop_token>
 #include <string_view>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "jo/classical.h"
 #include "obs/obs.h"
 #include "qubo/deadline_monitor.h"
+#include "serve/config_fields.h"
 
 namespace qjo {
 namespace {
@@ -31,36 +33,6 @@ double MsBetween(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-void AppendU64(std::string* key, const char* tag, uint64_t v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "|%s=%llx", tag,
-                static_cast<unsigned long long>(v));
-  key->append(buf);
-}
-
-void AppendI64(std::string* key, const char* tag, int64_t v) {
-  AppendU64(key, tag, static_cast<uint64_t>(v));
-}
-
-void AppendDouble(std::string* key, const char* tag, double v) {
-  // Bit-exact, same convention as JoEncodingFingerprint: distinct doubles
-  // never collide.
-  AppendU64(key, tag, std::bit_cast<uint64_t>(v));
-}
-
-/// Keys every result-determining value field of an SQA template (the
-/// pipeline overwrites its `control`).
-void AppendSqa(std::string* key, const char* tag, const SqaOptions& sqa) {
-  key->append("|").append(tag);
-  AppendI64(key, "reads", sqa.num_reads);
-  AppendDouble(key, "us", sqa.annealing_time_us);
-  AppendDouble(key, "spu", sqa.sweeps_per_us);
-  AppendI64(key, "slices", sqa.trotter_slices);
-  AppendDouble(key, "temp", sqa.relative_temperature);
-  AppendDouble(key, "field", sqa.relative_initial_field);
-  AppendDouble(key, "ice", sqa.ice_sigma);
-}
-
 /// FNV-1a over the bytes of `data`.
 uint64_t Digest(const void* data, size_t size) {
   uint64_t h = 0xcbf29ce484222325ull;
@@ -71,18 +43,78 @@ uint64_t Digest(const void* data, size_t size) {
   return h;
 }
 
-/// Keys a custom coupling graph as its qubit count, edge count and a
-/// digest of its sorted edge list; an unset one adds nothing.
-void AppendTopology(std::string* key, const char* tag,
-                    const std::optional<CouplingGraph>& graph) {
-  if (!graph.has_value()) return;
-  key->append("|").append(tag);
-  AppendI64(key, "n", graph->num_qubits());
-  AppendI64(key, "e", graph->num_edges());
-  // (a, b) int pairs: contiguous and padding-free.
-  const std::vector<std::pair<int, int>> edges = graph->Edges();
-  AppendU64(key, "h", Digest(edges.data(), edges.size() * sizeof(edges[0])));
-}
+/// Builds a plan key by walking a request config's field list
+/// (serve/config_fields.h): each keyed field appends `|tag=value` in list
+/// order, doubles bit-exactly (as JoEncodingFingerprint does, so distinct
+/// doubles never collide); neutral fields add nothing.
+struct PlanKeyWriter {
+  const Query& query;
+  std::string key;
+
+  void Append(const char* tag, uint64_t v) {
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), "|%s=%llx", tag,
+                  static_cast<unsigned long long>(v));
+    key.append(buf);
+  }
+
+  void Encoding(const std::vector<double>& thresholds, int num_thresholds,
+                double omega) {
+    key += JoEncodingFingerprint(query, {thresholds, num_thresholds, omega});
+  }
+
+  /// Integers, booleans and enums.
+  template <typename T>
+  void Key(const char* tag, const T& value) {
+    Append(tag, static_cast<uint64_t>(value));
+  }
+  void Key(const char* tag, double value) {
+    Append(tag, std::bit_cast<uint64_t>(value));
+  }
+  void Key(const char* tag, QjoBackend backend) {
+    key.append("|").append(tag).append("=").append(QjoBackendName(backend));
+  }
+  void Key(const char* tag, const std::string& name) {
+    Append(tag, Digest(name.data(), name.size()));
+  }
+
+  /// A custom coupling graph keys as its qubit count, edge count and a
+  /// digest of its sorted edge list; an unset one adds nothing.
+  void Key(const char* tag, const std::optional<CouplingGraph>& graph) {
+    if (!graph.has_value()) return;
+    key.append("|").append(tag);
+    Key("n", graph->num_qubits());
+    Key("e", graph->num_edges());
+    // (a, b) int pairs: contiguous and padding-free.
+    const std::vector<std::pair<int, int>> edges = graph->Edges();
+    Append("h", Digest(edges.data(), edges.size() * sizeof(edges[0])));
+  }
+
+  /// A custom registry changes which strands race; the default one (null)
+  /// adds nothing. StrandRegistry::Register rejects `,` and `|` in names,
+  /// so the list reads back unambiguously.
+  void Key(const char* tag, const StrandRegistry* registry) {
+    if (registry == nullptr) return;
+    key.append("|").append(tag).append("=");
+    for (const std::string& name : registry->Names()) {
+      key.append(name).append(",");
+    }
+  }
+
+  void Flags(const char* tag, auto... flags) {
+    uint64_t mask = 0;
+    int bit = 0;
+    ((mask |= uint64_t{flags} << bit++), ...);
+    Append(tag, mask);
+  }
+
+  void Nested(const auto& fields, const char* group = nullptr) {
+    if (group != nullptr) key.append("|").append(group);
+    VisitFields(fields, *this);
+  }
+
+  void Neutral(const char*, const auto&) {}
+};
 
 /// Classical DP (greedy past the DP size cap) answer; also labels the
 /// report's portfolio section so callers see the degradation.
@@ -606,73 +638,9 @@ size_t OptimizerService::WarmUp(const std::vector<std::string>& keys,
 
 std::string OptimizerService::PlanKey(const Query& query,
                                       const QjoConfig& config) {
-  JoEncodingOptions enc;
-  enc.thresholds = config.thresholds;
-  enc.num_thresholds = config.num_thresholds;
-  enc.omega = config.omega;
-  std::string key = JoEncodingFingerprint(query, enc);
-  key += "|backend=";
-  key += QjoBackendName(config.backend);
-  AppendU64(&key, "seed", config.seed);
-  AppendI64(&key, "shots", config.shots);
-  AppendI64(&key, "qi", config.qaoa_iterations);
-  AppendI64(&key, "qg", config.qaoa_grid);
-  AppendI64(&key, "noiseless", config.noiseless ? 1 : 0);
-  AppendDouble(&key, "dl", config.run.deadline_ms);
-  const DeviceProperties& device = config.device;
-  AppendU64(&key, "dev", Digest(device.name.data(), device.name.size()));
-  AppendDouble(&key, "t1", device.t1_us);
-  AppendDouble(&key, "t2", device.t2_us);
-  AppendDouble(&key, "gate_ns", device.avg_gate_time_ns);
-  AppendDouble(&key, "e1", device.one_qubit_error);
-  AppendDouble(&key, "e2", device.two_qubit_error);
-  AppendI64(&key, "tr_gates", static_cast<int64_t>(config.transpile.gate_set));
-  AppendI64(&key, "tr_route", static_cast<int64_t>(config.transpile.routing));
-  AppendU64(&key, "tr_seed", config.transpile.seed);
-  AppendTopology(&key, "gate_topo", config.gate_topology);
-  AppendTopology(&key, "anneal_topo", config.annealer_topology);
-  AppendSqa(&key, "sqa", config.sqa);
-  AppendI64(&key, "emb_tries", config.embedding.tries);
-  AppendI64(&key, "emb_passes", config.embedding.max_passes);
-  AppendDouble(&key, "emb_alpha", config.embedding.alpha);
-  AppendDouble(&key, "csm", config.embed_qubo.chain_strength_multiplier);
-  AppendDouble(&key, "cso", config.embed_qubo.chain_strength_override);
-  const PortfolioOptions& p = config.portfolio;
-  AppendI64(&key, "p_sb", p.sweep_budget);
-  AppendI64(&key, "p_rpr", p.reads_per_round);
-  AppendI64(&key, "p_spr", p.sweeps_per_round);
-  const uint64_t strands = (p.enable_exact ? 1u : 0u) |
-                           (p.enable_sa ? 2u : 0u) |
-                           (p.enable_tabu ? 4u : 0u) |
-                           (p.enable_sqa ? 8u : 0u) |
-                           (p.enable_qaoa ? 16u : 0u) |
-                           (p.enable_decomp ? 32u : 0u);
-  AppendU64(&key, "p_strands", strands);
-  // A custom registry changes which strands race; the default one
-  // (null) adds nothing to the key. StrandRegistry::Register rejects `,`
-  // and `|` in names, so the list below reads back unambiguously.
-  if (p.registry != nullptr) {
-    key += "|p_reg=";
-    for (const std::string& name : p.registry->Names()) {
-      key.append(name).append(",");
-    }
-  }
-  AppendI64(&key, "p_mev", p.max_exact_variables);
-  AppendI64(&key, "p_mqv", p.max_qaoa_variables);
-  AppendI64(&key, "p_qs", p.qaoa_shots);
-  AppendI64(&key, "p_qi", p.qaoa_iterations);
-  AppendI64(&key, "p_mdr", p.min_decomp_relations);
-  AppendDouble(&key, "p_lb", p.lower_bound);
-  AppendSqa(&key, "p_sqa", p.sqa);
-  const DecompOptions& d = p.decomp;
-  AppendI64(&key, "d_w", d.window);
-  AppendI64(&key, "d_mr", d.max_rounds);
-  AppendI64(&key, "d_sr", d.stall_rounds);
-  AppendI64(&key, "d_reads", d.subsolver_reads);
-  AppendI64(&key, "d_sweeps", d.subsolver_sweeps);
-  AppendI64(&key, "d_nt", d.num_thresholds);
-  AppendDouble(&key, "d_omega", d.omega);
-  return key;
+  PlanKeyWriter writer{query, {}};
+  VisitFields(config, writer);
+  return std::move(writer.key);
 }
 
 OptimizerService::Stats OptimizerService::stats() const {

@@ -205,12 +205,8 @@ class OptimizerService {
                 std::span<const ServeRequest> workload);
 
   /// Cache key of a request: the encoding fingerprint (bit-exact) plus
-  /// every QjoConfig field that determines the report — backend, seed,
-  /// shots, `run.deadline_ms`, the device, transpile, SQA, embedding and
-  /// chain-strength options, custom gate/annealer topologies (qubit and
-  /// edge counts, edge-list digest) and the portfolio's budgets, strands,
-  /// templates. Fields that only affect *where* work runs (pool, stop
-  /// token, sinks, caches) are result-neutral and excluded.
+  /// every keyed field of the request's field list (serve/config_fields.h).
+  /// Neutral fields (pool, stop token, sinks, caches) never split it.
   static std::string PlanKey(const Query& query, const QjoConfig& config);
 
   struct Stats {

@@ -556,13 +556,6 @@ std::vector<double> QaoaSimulator::EvaluateBatch(
   return energies;
 }
 
-double QaoaSimulator::Expectation(double gamma, double beta) {
-  QaoaParameters params;
-  params.gammas = {gamma};
-  params.betas = {beta};
-  return Run(params);
-}
-
 void QaoaSimulator::ApplyMixerLayer(double beta) {
   QJO_CHECK(state_loaded_) << "call Run() before ApplyMixerLayer()";
   const uint64_t size = uint64_t{1} << num_qubits_;

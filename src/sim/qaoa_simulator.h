@@ -101,9 +101,6 @@ class QaoaSimulator {
   /// loaded by a previous Run() is left untouched.
   std::vector<double> EvaluateBatch(std::span<const QaoaParameters> batch);
 
-  /// <H_C> at (gamma, beta) for p=1 (convenience for optimisation loops).
-  double Expectation(double gamma, double beta);
-
   /// Applies one mixer layer (RX(2 beta) on every qubit) to the loaded
   /// state. Exposed for kernel parity tests and the mixer benchmark;
   /// Run() must have been called.

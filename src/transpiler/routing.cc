@@ -44,16 +44,6 @@ struct GateDag {
 
 }  // namespace
 
-const char* RoutingStrategyName(RoutingStrategy strategy) {
-  switch (strategy) {
-    case RoutingStrategy::kLookahead:
-      return "lookahead";
-    case RoutingStrategy::kBasic:
-      return "basic";
-  }
-  return "unknown";
-}
-
 StatusOr<std::vector<int>> ChooseInitialLayout(const QuantumCircuit& logical,
                                                const CouplingGraph& device,
                                                Rng& rng) {

@@ -17,8 +17,6 @@ namespace qjo {
 /// ~2x depth overhead matches what the paper observed for tket.
 enum class RoutingStrategy { kLookahead, kBasic };
 
-const char* RoutingStrategyName(RoutingStrategy strategy);
-
 /// Result of routing a logical circuit onto a device.
 struct RoutingResult {
   /// Physical circuit over device qubits; every two-qubit gate acts on a

@@ -425,7 +425,7 @@ TEST(CoreTest, ReportSummaryMentionsKeyNumbers) {
 Query MakeChainQuery(int relations) {
   Query q;
   for (int i = 0; i < relations; ++i) {
-    q.AddRelation("R" + std::to_string(i), 100.0 * (i + 1));
+    q.AddRelation(std::string("R").append(std::to_string(i)), 100.0 * (i + 1));
   }
   for (int i = 0; i + 1 < relations; ++i) {
     EXPECT_TRUE(q.AddPredicate(i, i + 1, 0.1).ok());
@@ -659,19 +659,15 @@ TEST(PortfolioTest, RejectsUnboundedConfiguration) {
   EXPECT_FALSE(OptimizeJoinOrder(q, config).ok());
 }
 
-TEST(PortfolioTest, RejectsNonsenseSqaSchedule) {
-  // The race must refuse a schedule RunSqa rejects: otherwise the SQA
-  // strand stops after zero rounds and the race answers without it.
-  const Query q = MakeChainQuery(3);
-  const RunContext run;
+TEST(AnnealerBackendTest, RejectsNonsenseSqaSchedule) {
+  // A schedule RunSqa rejects must fail the request before embedding
+  // instead of serving samples annealed on NaN (a zero temperature makes
+  // the replica coupling 0/0).
+  const Query q = MakePaperInstance(1);
   const auto expect_rejected = [&](const SqaOptions& sqa, const char* what) {
-    PortfolioOptions options;
-    options.sqa = sqa;
-    EXPECT_EQ(ValidatePortfolioOptions(options, run).code(),
-              StatusCode::kInvalidArgument)
-        << what;
-    QjoConfig config = PortfolioConfig();
-    config.portfolio.sqa = sqa;
+    QjoConfig config;
+    config.backend = QjoBackend::kQuantumAnnealerSim;
+    config.sqa = sqa;
     EXPECT_EQ(OptimizeJoinOrder(q, config).status().code(),
               StatusCode::kInvalidArgument)
         << what;
@@ -693,16 +689,6 @@ TEST(PortfolioTest, RejectsNonsenseSqaSchedule) {
   sqa = SqaOptions();
   sqa.trotter_slices = 1;
   expect_rejected(sqa, "one Trotter slice");
-}
-
-TEST(AnnealerBackendTest, RejectsNonsenseSqaSchedule) {
-  // A zero temperature makes the replica coupling 0/0; the backend must
-  // fail instead of serving samples annealed on NaN.
-  QjoConfig config;
-  config.backend = QjoBackend::kQuantumAnnealerSim;
-  config.sqa.relative_temperature = 0.0;
-  EXPECT_EQ(OptimizeJoinOrder(MakePaperInstance(1), config).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(PortfolioTest, ExactStrandWinsSmallInstances) {

@@ -81,7 +81,7 @@ TEST(PartitionWindowsTest, DropsDegenerateWindows) {
 TEST(BuildWindowSubproblemTest, FoldsPrefixIntoPseudoRelation) {
   Query q;
   for (int i = 0; i < 5; ++i) {
-    q.AddRelation("R" + std::to_string(i), 10.0 * (i + 1));
+    q.AddRelation(std::string("R").append(std::to_string(i)), 10.0 * (i + 1));
   }
   for (int i = 0; i + 1 < 5; ++i) {
     ASSERT_TRUE(q.AddPredicate(i, i + 1, 0.5).ok());
@@ -117,7 +117,9 @@ TEST(BuildWindowSubproblemTest, FoldsPrefixIntoPseudoRelation) {
 
 TEST(BuildWindowSubproblemTest, LeadingWindowHasNoPrefix) {
   Query q;
-  for (int i = 0; i < 4; ++i) q.AddRelation("R" + std::to_string(i), 10.0);
+  for (int i = 0; i < 4; ++i) {
+    q.AddRelation(std::string("R").append(std::to_string(i)), 10.0);
+  }
   ASSERT_TRUE(q.AddPredicate(0, 1, 0.5).ok());
   const std::vector<int> order = {3, 2, 1, 0};
   auto sub = BuildWindowSubproblem(q, order, DecompWindow{0, 2});

@@ -40,7 +40,7 @@ Query MakePaperInstance(int num_predicates) {
 Query MakeChainQuery(int relations) {
   Query q;
   for (int i = 0; i < relations; ++i) {
-    q.AddRelation("R" + std::to_string(i), 100.0 * (i + 1));
+    q.AddRelation(std::string("R").append(std::to_string(i)), 100.0 * (i + 1));
   }
   for (int i = 0; i + 1 < relations; ++i) {
     EXPECT_TRUE(q.AddPredicate(i, i + 1, 0.1).ok());

@@ -11,11 +11,13 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 #include <stop_token>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +27,7 @@
 #include "jo/query.h"
 #include "obs/obs.h"
 #include "qubo/deadline_monitor.h"
+#include "serve/config_fields.h"
 #include "serve/optimizer_service.h"
 #include "serve/plan_cache.h"
 #include "serve/token_bucket.h"
@@ -39,7 +42,7 @@ using namespace std::chrono_literals;
 Query MakeQuery(int relations, double base_card = 10.0) {
   Query q;
   for (int t = 0; t < relations; ++t) {
-    q.AddRelation("R" + std::to_string(t), base_card + t);
+    q.AddRelation(std::string("R").append(std::to_string(t)), base_card + t);
   }
   for (int t = 0; t + 1 < relations; ++t) {
     EXPECT_TRUE(q.AddPredicate(t, t + 1, 0.1).ok());
@@ -585,108 +588,129 @@ TEST(ServeTest, CacheHitResolvesInsideSubmit) {
   EXPECT_TRUE(std::move(blocker).value().get().status.ok());
 }
 
+/// Walks a request config's field list (serve/config_fields.h) and
+/// perturbs each field in place, one at a time: a keyed field must change
+/// the plan key, a neutral one must leave it equal. Every probe restores
+/// its field before the next one.
+class FieldProbe {
+ public:
+  FieldProbe(const Query& query, QjoConfig& config)
+      : query_(query),
+        config_(config),
+        base_key_(OptimizerService::PlanKey(query, config)) {
+    StrandDesc idle;
+    idle.name = "idle";
+    idle.run = [](const StrandRunEnv&, Rng&) {};
+    EXPECT_TRUE(registry_.Register(idle).ok());
+  }
+
+  int keyed() const { return keyed_; }
+  int neutral() const { return neutral_; }
+
+  void Encoding(std::vector<double>& thresholds, int& num_thresholds,
+                double& omega) {
+    Key("thresholds", thresholds);
+    Key("num_thresholds", num_thresholds);
+    Key("omega", omega);
+  }
+
+  template <typename T>
+  void Key(const char* tag, T& field) {
+    const T saved = field;
+    Perturb(field);
+    EXPECT_NE(OptimizerService::PlanKey(query_, config_), base_key_) << tag;
+    field = saved;
+    ++keyed_;
+  }
+
+  template <typename... Bools>
+  void Flags(const char* tag, Bools&... flags) {
+    int bit = 0;
+    ((Key((std::string(tag) + " bit " + std::to_string(bit++)).c_str(),
+          flags)),
+     ...);
+  }
+
+  template <typename Struct>
+  void Nested(Struct& fields, const char* = nullptr) {
+    VisitFields(fields, *this);
+  }
+
+  template <typename T>
+  void Neutral(const char* name, T& field) {
+    const T saved = field;
+    Perturb(field);
+    EXPECT_EQ(OptimizerService::PlanKey(query_, config_), base_key_) << name;
+    field = saved;
+    ++neutral_;
+  }
+
+  /// Each member of a neutral SolverControl on its own (the binding
+  /// fails to compile when SolverControl gains one).
+  void Neutral(const char* name, SolverControl& control) {
+    auto& [pool, stop, trace, metrics] = control;
+    const std::string prefix = std::string(name) + ".";
+    Neutral((prefix + "pool").c_str(), pool);
+    Neutral((prefix + "stop").c_str(), stop);
+    Neutral((prefix + "trace").c_str(), trace);
+    Neutral((prefix + "metrics").c_str(), metrics);
+  }
+
+ private:
+  // One generic perturbation per field type.
+  template <typename T>
+  static void Perturb(T& field) {
+    if constexpr (std::is_same_v<T, bool>) {
+      field = !field;
+    } else if constexpr (std::is_enum_v<T>) {
+      field = static_cast<T>(static_cast<int>(field) + 1);
+    } else {
+      static_assert(std::is_arithmetic_v<T>, "add a perturbation");
+      field += 1;
+    }
+  }
+  static void Perturb(std::string& field) { field += "x"; }
+  static void Perturb(std::vector<double>& field) { field.push_back(1e3); }
+  static void Perturb(std::optional<CouplingGraph>& field) {
+    field = field.has_value() ? std::nullopt
+                              : std::optional(MakeLineGraph(4));
+  }
+  void Perturb(const StrandRegistry*& field) {
+    field = field == nullptr ? &registry_ : nullptr;
+  }
+  void Perturb(ThreadPool*& field) { field = &pool_; }
+  void Perturb(std::stop_token& field) { field = stop_.get_token(); }
+  void Perturb(TraceRecorder*& field) { field = &trace_; }
+  void Perturb(MetricsRegistry*& field) { field = &metrics_; }
+  void Perturb(QuboBuildCache*& field) { field = &cache_; }
+
+  const Query& query_;
+  QjoConfig& config_;
+  const std::string base_key_;
+  StrandRegistry registry_;
+  ThreadPool pool_{2};
+  std::stop_source stop_;
+  TraceRecorder trace_;
+  MetricsRegistry metrics_;
+  QuboBuildCache cache_;
+  int keyed_ = 0;
+  int neutral_ = 0;
+};
+
 TEST(ServeTest, PlanKeySeparatesResultDeterminingFields) {
   const Query query = MakeQuery(3);
   const QjoConfig base = FastConfig(7);
-  QjoConfig other_seed = base;
-  other_seed.seed = 8;
-  QjoConfig other_backend = base;
-  other_backend.backend = QjoBackend::kExact;
-  ThreadPool pool(8);
-  QjoConfig with_pool = base;
-  with_pool.run.pool = &pool;
-
   const std::string key = OptimizerService::PlanKey(query, base);
-  EXPECT_NE(key, OptimizerService::PlanKey(query, other_seed));
-  EXPECT_NE(key, OptimizerService::PlanKey(query, other_backend));
   EXPECT_NE(key, OptimizerService::PlanKey(MakeQuery(4), base));
-  // The pool never changes results, so it must not split the cache.
-  EXPECT_EQ(key, OptimizerService::PlanKey(query, with_pool));
 
-  // Every other value field that shapes the report splits the key too.
-  StrandRegistry custom;
-  StrandDesc idle;
-  idle.name = "idle";
-  idle.run = [](const StrandRunEnv&, Rng&) {};
-  ASSERT_TRUE(custom.Register(idle).ok());
-  const std::vector<std::pair<std::string, std::function<void(QjoConfig&)>>>
-      result_fields = {
-          {"run.deadline_ms", [](QjoConfig& c) { c.run.deadline_ms = 50.0; }},
-          {"sqa.annealing_time_us",
-           [](QjoConfig& c) { c.sqa.annealing_time_us = 10.0; }},
-          {"sqa.sweeps_per_us",
-           [](QjoConfig& c) { c.sqa.sweeps_per_us = 3.0; }},
-          {"sqa.trotter_slices",
-           [](QjoConfig& c) { c.sqa.trotter_slices = 8; }},
-          {"sqa.relative_temperature",
-           [](QjoConfig& c) { c.sqa.relative_temperature = 0.05; }},
-          {"sqa.relative_initial_field",
-           [](QjoConfig& c) { c.sqa.relative_initial_field = 2.0; }},
-          {"sqa.ice_sigma", [](QjoConfig& c) { c.sqa.ice_sigma = 0.03; }},
-          {"embedding.tries", [](QjoConfig& c) { c.embedding.tries = 8; }},
-          {"embedding.max_passes",
-           [](QjoConfig& c) { c.embedding.max_passes = 10; }},
-          {"embedding.alpha", [](QjoConfig& c) { c.embedding.alpha = 3.0; }},
-          {"embed_qubo.chain_strength_multiplier",
-           [](QjoConfig& c) { c.embed_qubo.chain_strength_multiplier = 2.0; }},
-          {"embed_qubo.chain_strength_override",
-           [](QjoConfig& c) { c.embed_qubo.chain_strength_override = 4.0; }},
-          {"portfolio.sqa.num_reads",
-           [](QjoConfig& c) { c.portfolio.sqa.num_reads = 7; }},
-          {"portfolio.sqa.annealing_time_us",
-           [](QjoConfig& c) { c.portfolio.sqa.annealing_time_us = 10.0; }},
-          {"portfolio.sqa.sweeps_per_us",
-           [](QjoConfig& c) { c.portfolio.sqa.sweeps_per_us = 3.0; }},
-          {"portfolio.sqa.trotter_slices",
-           [](QjoConfig& c) { c.portfolio.sqa.trotter_slices = 8; }},
-          {"portfolio.sqa.relative_temperature",
-           [](QjoConfig& c) { c.portfolio.sqa.relative_temperature = 0.05; }},
-          {"portfolio.sqa.relative_initial_field",
-           [](QjoConfig& c) { c.portfolio.sqa.relative_initial_field = 2.0; }},
-          {"portfolio.sqa.ice_sigma",
-           [](QjoConfig& c) { c.portfolio.sqa.ice_sigma = 0.015; }},
-          {"portfolio.decomp.window",
-           [](QjoConfig& c) { c.portfolio.decomp.window = 6; }},
-          {"portfolio.decomp.max_rounds",
-           [](QjoConfig& c) { c.portfolio.decomp.max_rounds = 3; }},
-          {"portfolio.decomp.stall_rounds",
-           [](QjoConfig& c) { c.portfolio.decomp.stall_rounds = 4; }},
-          {"portfolio.decomp.subsolver_reads",
-           [](QjoConfig& c) { c.portfolio.decomp.subsolver_reads = 2; }},
-          {"portfolio.decomp.subsolver_sweeps",
-           [](QjoConfig& c) { c.portfolio.decomp.subsolver_sweeps = 48; }},
-          {"portfolio.decomp.num_thresholds",
-           [](QjoConfig& c) { c.portfolio.decomp.num_thresholds = 2; }},
-          {"portfolio.decomp.omega",
-           [](QjoConfig& c) { c.portfolio.decomp.omega = 0.5; }},
-          {"portfolio.registry",
-           [&custom](QjoConfig& c) { c.portfolio.registry = &custom; }},
-          {"device.name", [](QjoConfig& c) { c.device.name = "other"; }},
-          {"device.t1_us", [](QjoConfig& c) { c.device.t1_us = 50.0; }},
-          {"device.t2_us", [](QjoConfig& c) { c.device.t2_us = 60.0; }},
-          {"device.avg_gate_time_ns",
-           [](QjoConfig& c) { c.device.avg_gate_time_ns = 300.0; }},
-          {"device.one_qubit_error",
-           [](QjoConfig& c) { c.device.one_qubit_error = 1e-3; }},
-          {"device.two_qubit_error",
-           [](QjoConfig& c) { c.device.two_qubit_error = 2e-2; }},
-          {"transpile.gate_set",
-           [](QjoConfig& c) {
-             c.transpile.gate_set = NativeGateSet::kRigetti;
-           }},
-          {"transpile.routing",
-           [](QjoConfig& c) { c.transpile.routing = RoutingStrategy::kBasic; }},
-          {"transpile.seed", [](QjoConfig& c) { c.transpile.seed = 2; }},
-          {"gate_topology",
-           [](QjoConfig& c) { c.gate_topology = MakeLineGraph(27); }},
-          {"annealer_topology",
-           [](QjoConfig& c) { c.annealer_topology = MakeGridGraph(4, 4); }},
-      };
-  for (const auto& [field, mutate] : result_fields) {
-    QjoConfig changed = base;
-    mutate(changed);
-    EXPECT_NE(key, OptimizerService::PlanKey(query, changed)) << field;
-  }
+  // Every field of the field list: keyed ones split the key, neutral
+  // ones (pool, stop token, sinks, caches, SQA controls) do not.
+  QjoConfig walked = base;
+  FieldProbe probe(query, walked);
+  VisitFields(walked, probe);
+  EXPECT_GT(probe.keyed(), 0);
+  EXPECT_GT(probe.neutral(), 0);
+  EXPECT_EQ(key, OptimizerService::PlanKey(query, walked));
 
   // Topologies with equal qubit and edge counts still split on the edges.
   CouplingGraph path(4);
@@ -802,8 +826,9 @@ TEST(ServeTest, DrainWaitsForAllAdmittedRequests) {
   OptimizerService service(options);
   std::vector<std::future<ServeResult>> futures;
   for (int i = 0; i < 8; ++i) {
-    auto future = service.Submit(QuickRequest("t" + std::to_string(i % 3),
-                                              static_cast<uint64_t>(i)));
+    const std::string tenant = std::string("t").append(std::to_string(i % 3));
+    auto future =
+        service.Submit(QuickRequest(tenant, static_cast<uint64_t>(i)));
     ASSERT_TRUE(future.ok());
     futures.push_back(std::move(future).value());
   }
