@@ -33,9 +33,47 @@ double MsSince(Clock::time_point start) {
       .count();
 }
 
+/// The strands, in index order. A strand's index is its RNG stream id and
+/// its winner tie-break rank, so this order is part of the
+/// reproducibility contract: every sweep-budget answer depends on it.
+enum Strand : int { kExact, kSa, kTabu, kSqa, kQaoa, kDecomp };
+constexpr int kNumStrands = kDecomp + 1;
+
+/// Launch order of the serial fan-out: decomp first. With threads to spare
+/// the order is irrelevant; in a *serial* deadline race it is what keeps
+/// the one strand that guarantees a valid large-query plan from being
+/// starved by the sweep loops ahead of it. Winner selection tie-breaks by
+/// strand index, so this never affects sweep-budget results.
+constexpr Strand kRunOrder[kNumStrands] = {kDecomp, kExact, kSa,
+                                           kTabu,   kSqa,   kQaoa};
+
+/// Whether `strand` joins this race; ineligible strands report zero rounds
+/// and never win.
+bool Eligible(Strand strand, const Qubo& qubo, const PortfolioOptions& options,
+              const RaceHooks& hooks) {
+  switch (strand) {
+    case kExact:
+      return options.enable_exact &&
+             qubo.num_variables() <= std::min(options.max_exact_variables, 63);
+    case kSa:
+      return options.enable_sa;
+    case kTabu:
+      return options.enable_tabu;
+    case kSqa:
+      return options.enable_sqa;
+    case kQaoa:
+      return options.enable_qaoa && qubo.num_variables() <= kMaxQaoaVariables;
+    case kDecomp:
+      // Query-level strand: only runnable through the hook the JO layer
+      // installs (the race itself has no Query to decompose).
+      return options.enable_decomp && hooks.decomp_run != nullptr;
+  }
+  return false;
+}
+
 /// Mutable race state of one strand: the published outcome plus the
 /// feasible incumbent's assignment. Owned exclusively by the strand's
-/// loop body until the ParallelFor join barrier.
+/// body until the ParallelFor join barrier.
 struct StrandState {
   StrandOutcome outcome;
   std::vector<int> best_feasible_assignment;
@@ -74,33 +112,55 @@ void AbsorbSample(const RaceHooks& hooks, Clock::time_point start,
   }
 }
 
-bool BudgetLeft(const StrandRunEnv& env) {
-  return env.options->sweep_budget <= 0 ||
-         env.outcome->sweeps_completed < env.options->sweep_budget;
+/// Everything a strand body sees during a race. Bodies run concurrently;
+/// each touches only its own `state`, and checks `run.stop` between units
+/// of work.
+struct StrandEnv {
+  const Qubo& qubo;
+  const PortfolioOptions& options;
+  const RaceHooks& hooks;
+  /// The race's context: the caller's pool and sinks, the race's own stop
+  /// token and, in deadline mode, the race deadline.
+  const RunContext& run;
+  Clock::time_point start;
+  /// Requests the race-wide early exit (the exact strand's proven
+  /// optimum). Null outside deadline mode: cancelling sweep-budget races
+  /// on a wall-clock event would break bit-reproducibility.
+  std::stop_source* early_exit;
+  StrandState& state;
+
+  void Absorb(const std::vector<int>& assignment, double energy) const {
+    AbsorbSample(hooks, start, assignment, energy, state);
+  }
+};
+
+bool BudgetLeft(const StrandEnv& env) {
+  return env.options.sweep_budget <= 0 ||
+         env.state.outcome.sweeps_completed < env.options.sweep_budget;
 }
 
-// --- Built-in strand bodies. Each runs rounds of the race-wide round
-// size until its sweep budget or the stop token ends it, and keeps
+// --- Strand bodies. Each runs rounds of the race-wide round size until
+// its sweep budget or the stop token ends it, and keeps
 // rounds_completed/sweeps_completed current; incumbents go through
-// env.absorb. ---
+// env.Absorb. ---
 
-void RunExactStrand(const StrandRunEnv& env, Rng& rng) {
+void RunExactStrand(const StrandEnv& env, Rng& rng) {
   (void)rng;  // deterministic enumeration; the stream stays untouched
   if (env.run.stop.stop_requested()) return;
-  auto best =
-      SolveQuboBruteForce(*env.qubo, env.options->max_exact_variables);
+  auto best = SolveQuboBruteForce(env.qubo, env.options.max_exact_variables);
   if (!best.ok()) return;
-  env.absorb(best->assignment, best->energy);
-  env.outcome->rounds_completed = 1;
-  env.outcome->sweeps_completed = int64_t{1} << env.qubo->num_variables();
+  env.Absorb(best->assignment, best->energy);
+  StrandOutcome& outcome = env.state.outcome;
+  outcome.rounds_completed = 1;
+  outcome.sweeps_completed = int64_t{1} << env.qubo.num_variables();
   // The exact minimum *is* a proven lower bound: nothing can beat it on
   // energy, so in deadline mode the race ends here.
-  env.outcome->hit_lower_bound = true;
-  env.request_stop();
+  outcome.hit_lower_bound = true;
+  if (env.early_exit != nullptr) env.early_exit->request_stop();
 }
 
-void RunSaStrand(const StrandRunEnv& env, Rng& rng) {
-  const PortfolioOptions& options = *env.options;
+void RunSaStrand(const StrandEnv& env, Rng& rng) {
+  const PortfolioOptions& options = env.options;
   SaOptions sa;
   sa.num_reads = options.reads_per_round;
   sa.sweeps_per_read = options.sweeps_per_round;
@@ -108,17 +168,17 @@ void RunSaStrand(const StrandRunEnv& env, Rng& rng) {
   const int64_t round_sweeps =
       static_cast<int64_t>(options.reads_per_round) * options.sweeps_per_round;
   while (!env.run.stop.stop_requested() && BudgetLeft(env)) {
-    const auto reads = SolveQuboSimulatedAnnealing(*env.qubo, sa, rng);
+    const auto reads = SolveQuboSimulatedAnnealing(env.qubo, sa, rng);
     for (const QuboSolution& read : reads) {
-      env.absorb(read.assignment, read.energy);
+      env.Absorb(read.assignment, read.energy);
     }
-    ++env.outcome->rounds_completed;
-    env.outcome->sweeps_completed += round_sweeps;
+    ++env.state.outcome.rounds_completed;
+    env.state.outcome.sweeps_completed += round_sweeps;
   }
 }
 
-void RunTabuStrand(const StrandRunEnv& env, Rng& rng) {
-  const PortfolioOptions& options = *env.options;
+void RunTabuStrand(const StrandEnv& env, Rng& rng) {
+  const PortfolioOptions& options = env.options;
   TabuOptions tabu;
   tabu.num_restarts = options.reads_per_round;
   tabu.iterations_per_restart = options.sweeps_per_round;
@@ -126,12 +186,12 @@ void RunTabuStrand(const StrandRunEnv& env, Rng& rng) {
   const int64_t round_sweeps =
       static_cast<int64_t>(options.reads_per_round) * options.sweeps_per_round;
   while (!env.run.stop.stop_requested() && BudgetLeft(env)) {
-    const auto restarts = SolveQuboTabuSearch(*env.qubo, tabu, rng);
+    const auto restarts = SolveQuboTabuSearch(env.qubo, tabu, rng);
     for (const QuboSolution& restart : restarts) {
-      env.absorb(restart.assignment, restart.energy);
+      env.Absorb(restart.assignment, restart.energy);
     }
-    ++env.outcome->rounds_completed;
-    env.outcome->sweeps_completed += round_sweeps;
+    ++env.state.outcome.rounds_completed;
+    env.state.outcome.sweeps_completed += round_sweeps;
   }
 }
 
@@ -148,9 +208,9 @@ SqaOptions SqaStrandOptions(const PortfolioOptions& options) {
   return sqa;
 }
 
-void RunSqaStrand(const StrandRunEnv& env, Rng& rng) {
-  const PortfolioOptions& options = *env.options;
-  const IsingModel ising = QuboToIsing(*env.qubo);
+void RunSqaStrand(const StrandEnv& env, Rng& rng) {
+  const PortfolioOptions& options = env.options;
+  const IsingModel ising = QuboToIsing(env.qubo);
   SqaOptions sqa = SqaStrandOptions(options);
   sqa.control = ControlOf(env.run);
   const int64_t sqa_round_sweeps =
@@ -162,16 +222,16 @@ void RunSqaStrand(const StrandRunEnv& env, Rng& rng) {
     for (const SqaSample& sample : *samples) {
       // ising.Energy(z) == qubo.Energy(SpinsToBits(z)): directly
       // comparable with the other strands.
-      env.absorb(SpinsToBits(sample.spins), sample.energy);
+      env.Absorb(SpinsToBits(sample.spins), sample.energy);
     }
-    ++env.outcome->rounds_completed;
-    env.outcome->sweeps_completed += sqa_round_sweeps;
+    ++env.state.outcome.rounds_completed;
+    env.state.outcome.sweeps_completed += sqa_round_sweeps;
   }
 }
 
-void RunQaoaStrand(const StrandRunEnv& env, Rng& rng) {
+void RunQaoaStrand(const StrandEnv& env, Rng& rng) {
   if (env.run.stop.stop_requested()) return;
-  const Qubo& qubo = *env.qubo;
+  const Qubo& qubo = env.qubo;
   const int n = qubo.num_variables();
   const IsingModel ising = QuboToIsing(qubo);
   auto sim = QaoaSimulator::Create(ising);
@@ -190,139 +250,43 @@ void RunQaoaStrand(const StrandRunEnv& env, Rng& rng) {
     for (int i = 0; i < n; ++i) {
       bits[i] = static_cast<int>((basis >> i) & 1);
     }
-    env.absorb(bits, qubo.Energy(bits));
+    env.Absorb(bits, qubo.Energy(bits));
   }
-  env.outcome->rounds_completed = 1;
-  env.outcome->sweeps_completed = kQaoaShots;
+  env.state.outcome.rounds_completed = 1;
+  env.state.outcome.sweeps_completed = kQaoaShots;
 }
 
-void RunDecompStrand(const StrandRunEnv& env, Rng& rng) {
+void RunDecompStrand(const StrandEnv& env, Rng& rng) {
   if (env.run.stop.stop_requested()) return;
-  auto decomp = env.hooks->decomp_run(env.run, rng);
+  auto decomp = env.hooks.decomp_run(env.run, rng);
   if (!decomp.ok()) return;
   // The strand's incumbent is the join order itself; its C_out cost is
   // directly comparable with the other strands' decoded scores. The
   // QUBO energy stays +inf (there is no monolithic sample), so winner
   // selection rests purely on the domain score.
-  StrandOutcome& outcome = *env.outcome;
+  StrandOutcome& outcome = env.state.outcome;
   outcome.feasible = true;
   outcome.best_score = decomp->cost;
-  outcome.time_to_incumbent_ms = env.elapsed_ms();
+  outcome.time_to_incumbent_ms = MsSince(env.start);
   outcome.rounds_completed = decomp->rounds;
   outcome.sweeps_completed = decomp->windows_solved;
   outcome.sweeps_to_incumbent = outcome.sweeps_completed;
-  env.publish_assignment(decomp->order.order());
+  env.state.best_feasible_assignment = decomp->order.order();
 }
 
-/// Eligibility of a strand that only its enable_* flag gates.
-auto EnabledBy(bool PortfolioOptions::*flag) {
-  return [flag](const Qubo&, const PortfolioOptions& options,
-                const RaceHooks&) { return options.*flag; };
-}
+/// The strand table, indexed by Strand. The name is also the metrics
+/// prefix ("portfolio.<name>.*"), the trace span suffix ("strand.<name>")
+/// and StrandOutcome::name.
+constexpr struct {
+  const char* name;
+  void (*run)(const StrandEnv& env, Rng& rng);
+} kStrands[kNumStrands] = {
+    {"exact", RunExactStrand}, {"sa", RunSaStrand},
+    {"tabu", RunTabuStrand},   {"sqa", RunSqaStrand},
+    {"qaoa", RunQaoaStrand},   {"decomp", RunDecompStrand},
+};
 
 }  // namespace
-
-Status StrandRegistry::Register(StrandDesc desc) {
-  if (desc.name.empty()) {
-    return Status::InvalidArgument("strand name must not be empty");
-  }
-  // PlanKey lists a custom registry's names as `name,` inside a
-  // `|`-separated key: any of these characters would let two strand sets
-  // share a key.
-  if (desc.name.find_first_of(" \t\n,|") != std::string::npos) {
-    return Status::InvalidArgument(
-        "strand name must not contain whitespace, ',' or '|': " +
-        desc.name);
-  }
-  if (IndexOf(desc.name) >= 0) {
-    return Status::InvalidArgument("duplicate strand name: " + desc.name);
-  }
-  if (!desc.run) {
-    return Status::InvalidArgument("strand has no run hook: " + desc.name);
-  }
-  desc.rng_stream = strands_.size();
-  strands_.push_back(std::move(desc));
-  return Status::Ok();
-}
-
-int StrandRegistry::IndexOf(std::string_view name) const {
-  for (size_t i = 0; i < strands_.size(); ++i) {
-    if (strands_[i].name == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-std::vector<std::string> StrandRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(strands_.size());
-  for (const StrandDesc& desc : strands_) names.push_back(desc.name);
-  return names;
-}
-
-const StrandRegistry& StrandRegistry::Default() {
-  static const StrandRegistry* kDefault = [] {
-    auto* registry = new StrandRegistry();
-    const auto must_register = [registry](StrandDesc desc) {
-      const Status status = registry->Register(std::move(desc));
-      (void)status;  // built-in names are unique by construction
-    };
-
-    StrandDesc exact;
-    exact.name = "exact";
-    exact.eligible = [](const Qubo& qubo, const PortfolioOptions& options,
-                        const RaceHooks&) {
-      return options.enable_exact &&
-             qubo.num_variables() <= std::min(options.max_exact_variables, 63);
-    };
-    exact.run = RunExactStrand;
-    must_register(std::move(exact));
-
-    StrandDesc sa;
-    sa.name = "sa";
-    sa.eligible = EnabledBy(&PortfolioOptions::enable_sa);
-    sa.run = RunSaStrand;
-    must_register(std::move(sa));
-
-    StrandDesc tabu;
-    tabu.name = "tabu";
-    tabu.eligible = EnabledBy(&PortfolioOptions::enable_tabu);
-    tabu.run = RunTabuStrand;
-    must_register(std::move(tabu));
-
-    StrandDesc sqa;
-    sqa.name = "sqa";
-    sqa.eligible = EnabledBy(&PortfolioOptions::enable_sqa);
-    sqa.run = RunSqaStrand;
-    must_register(std::move(sqa));
-
-    StrandDesc qaoa;
-    qaoa.name = "qaoa";
-    qaoa.eligible = [](const Qubo& qubo, const PortfolioOptions& options,
-                       const RaceHooks&) {
-      return options.enable_qaoa && qubo.num_variables() <= kMaxQaoaVariables;
-    };
-    qaoa.run = RunQaoaStrand;
-    must_register(std::move(qaoa));
-
-    StrandDesc decomp;
-    decomp.name = "decomp";
-    // Query-level strand: only runnable through the hook the JO layer
-    // installs (the race itself has no Query to decompose). Runs first
-    // so a serial deadline race cannot starve the one strand that
-    // guarantees a valid large-query plan.
-    decomp.run_first = true;
-    decomp.publishes_order = true;
-    decomp.eligible = [](const Qubo&, const PortfolioOptions& options,
-                         const RaceHooks& hooks) {
-      return options.enable_decomp && hooks.decomp_run != nullptr;
-    };
-    decomp.run = RunDecompStrand;
-    must_register(std::move(decomp));
-
-    return registry;
-  }();
-  return *kDefault;
-}
 
 Status ValidatePortfolioOptions(const PortfolioOptions& options,
                                 const RunContext& run) {
@@ -337,9 +301,6 @@ Status ValidatePortfolioOptions(const PortfolioOptions& options,
   if (options.reads_per_round <= 0 || options.sweeps_per_round <= 0) {
     return Status::InvalidArgument("portfolio round sizes must be positive");
   }
-  if (options.registry != nullptr && options.registry->size() == 0) {
-    return Status::InvalidArgument("portfolio strand registry is empty");
-  }
   return Status::Ok();
 }
 
@@ -351,10 +312,6 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
   if (n == 0) return Status::InvalidArgument("empty QUBO");
   QJO_RETURN_IF_ERROR(ValidatePortfolioOptions(options, run));
 
-  const StrandRegistry& registry =
-      options.registry != nullptr ? *options.registry
-                                  : StrandRegistry::Default();
-
   // Materialise the shared CSR before any fan-out (see Qubo::Csr()).
   qubo.Csr();
 
@@ -362,13 +319,12 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
   QuboRaceResult result;
   const Clock::time_point start = Clock::now();
 
-  std::vector<StrandState> states(registry.size());
-  for (int s = 0; s < registry.size(); ++s) {
-    const StrandDesc& desc = registry.strands()[s];
+  std::vector<StrandState> states(kNumStrands);
+  for (int s = 0; s < kNumStrands; ++s) {
     StrandOutcome& outcome = states[s].outcome;
-    outcome.name = desc.name;
+    outcome.name = kStrands[s].name;
     outcome.index = s;
-    outcome.eligible = !desc.eligible || desc.eligible(qubo, options, hooks);
+    outcome.eligible = Eligible(Strand(s), qubo, options, hooks);
   }
 
   if (run.deadline_ms == 0.0) {
@@ -392,9 +348,6 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
   std::stop_source stop;
   const std::stop_callback relay(run.stop, [&stop] { stop.request_stop(); });
   const bool deadline_mode = run.deadline_ms > 0.0;
-  const auto request_stop = [&stop, deadline_mode] {
-    if (deadline_mode) stop.request_stop();
-  };
   const uint64_t deadline_id =
       deadline_mode ? DeadlineMonitor::Shared().Arm(
                           stop, DeadlineAfterMs(start, run.deadline_ms))
@@ -408,38 +361,23 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
 
   const Rng base(rng.Next());
 
-  const auto run_strand = [&](int64_t s) {
+  const auto run_strand = [&](Strand s) {
     StrandState& state = states[s];
     StrandOutcome& outcome = state.outcome;
     if (!outcome.eligible) return;
-    const StrandDesc& desc = registry.strands()[s];
-    const std::string span_name = "strand." + desc.name;
+    const std::string span_name = std::string("strand.") + kStrands[s].name;
     StageSpan strand_span(run.trace, span_name.c_str());
     const Clock::time_point strand_start = Clock::now();
-    Rng strand_rng = base.Fork(desc.rng_stream);
-
-    StrandRunEnv env;
-    env.qubo = &qubo;
-    env.options = &options;
-    env.hooks = &hooks;
-    env.run = strand_run;
-    env.request_stop = request_stop;
-    env.elapsed_ms = [&start] { return MsSince(start); };
-    env.outcome = &outcome;
-    env.absorb = [&](const std::vector<int>& assignment, double energy) {
-      AbsorbSample(hooks, start, assignment, energy, state);
-    };
-    env.publish_assignment = [&state](const std::vector<int>& assignment) {
-      state.best_feasible_assignment = assignment;
-    };
-
-    desc.run(env, strand_rng);
+    Rng strand_rng = base.Fork(s);
+    const StrandEnv env{qubo, options, hooks, strand_run,
+                        start, deadline_mode ? &stop : nullptr, state};
+    kStrands[s].run(env, strand_rng);
     outcome.total_ms = MsSince(strand_start);
     if (run.metrics != nullptr) {
       // Mirrors StrandOutcome so exported metrics can be checked against
       // PortfolioReport; counter sums are deterministic in sweep-budget
       // mode at every parallelism level.
-      const std::string prefix = "portfolio." + desc.name;
+      const std::string prefix = std::string("portfolio.") + kStrands[s].name;
       run.metrics->Count(
           prefix + ".rounds", static_cast<uint64_t>(outcome.rounds_completed));
       run.metrics->Count(
@@ -448,23 +386,8 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
     }
   };
 
-  // Execution order: run_first strands (decomp) ahead of the QUBO sweep
-  // strands. With threads to spare the order is irrelevant; in a
-  // *serial* deadline run it is what keeps the one strand that
-  // guarantees a valid large-query plan from being starved by the sweep
-  // loops ahead of it. Winner selection below still tie-breaks in
-  // registration order, so this never affects results of
-  // sweep-budget-bounded races.
-  std::vector<int64_t> run_order;
-  run_order.reserve(states.size());
-  for (int s = 0; s < registry.size(); ++s) {
-    if (registry.strands()[s].run_first) run_order.push_back(s);
-  }
-  for (int s = 0; s < registry.size(); ++s) {
-    if (!registry.strands()[s].run_first) run_order.push_back(s);
-  }
-  ParallelFor(run.pool, 0, static_cast<int64_t>(run_order.size()),
-              [&](int64_t i) { run_strand(run_order[i]); });
+  ParallelFor(run.pool, 0, kNumStrands,
+              [&](int64_t i) { run_strand(kRunOrder[i]); });
 
   // An entry the monitor already took off its list is a deadline that
   // passed before the race finished.
@@ -527,17 +450,10 @@ StatusOr<PortfolioReport> RunJoPortfolio(const Query& query,
       RaceQuboPortfolio(encoding.encoding.qubo, options, hooks, run, rng));
 
   if (report.race.winner >= 0) {
-    const StrandRegistry& registry = options.registry != nullptr
-                                         ? *options.registry
-                                         : StrandRegistry::Default();
     const StrandOutcome& winner = report.race.strands[report.race.winner];
-    const bool publishes_order =
-        winner.index >= 0 && winner.index < registry.size() &&
-        registry.strands()[winner.index].publishes_order;
-    // Order-publishing strands (decomp) hand back the join order itself;
-    // QUBO strands publish a bit assignment that decodes through the
-    // MILP metadata.
-    auto order = publishes_order
+    // The decomp strand hands back the join order itself; the QUBO strands
+    // publish a bit assignment that decodes through the MILP metadata.
+    auto order = winner.index == kDecomp
                      ? LeftDeepOrder::Create(report.race.best_assignment, query)
                      : DecodeSample(encoding.milp, report.race.best_assignment);
     if (order.ok()) {

@@ -5,7 +5,6 @@
 #include <functional>
 #include <limits>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/qubo_cache.h"
@@ -21,108 +20,6 @@
 #include "util/thread_pool.h"
 
 namespace qjo {
-
-struct PortfolioOptions;
-struct RaceHooks;
-struct StrandOutcome;
-
-/// Everything a strand's run hook sees during a race. Hooks run
-/// concurrently with each other; a hook may only touch its own
-/// `outcome`, must report every sample through `absorb`, and should
-/// check `run.stop.stop_requested()` between units of work.
-struct StrandRunEnv {
-  const Qubo* qubo = nullptr;
-  const PortfolioOptions* options = nullptr;
-  const RaceHooks* hooks = nullptr;
-  /// The race's context: the caller's pool (null = serial) and sinks, the
-  /// token of the race's own stop source (stopped by the caller's token,
-  /// the race deadline and the early-exit paths; wire it into
-  /// SolverControl::stop) and, in deadline mode, the race deadline.
-  RunContext run;
-  /// Requests the race-wide early exit (the exact strand's proven
-  /// optimum). Honoured in deadline mode only: cancelling sweep-budget
-  /// races on a wall-clock event would break bit-reproducibility.
-  std::function<void()> request_stop;
-  /// Milliseconds since race start (for one-shot strands that stamp
-  /// their own time_to_incumbent; `absorb` stamps it for the others).
-  std::function<double()> elapsed_ms;
-  /// Folds one sample into the strand's incumbents; `energy` must be the
-  /// sample's QUBO energy (offset included) so strands stay comparable.
-  /// Call only from the hook's own thread.
-  std::function<void(const std::vector<int>& assignment, double energy)>
-      absorb;
-  /// Publishes the strand's incumbent verbatim, bypassing the domain
-  /// scorer — for `publishes_order` strands whose incumbent is a join
-  /// order, not a QUBO sample (the hook must set the outcome's
-  /// feasible/best_score fields itself).
-  std::function<void(const std::vector<int>& assignment)> publish_assignment;
-  /// The outcome slot the hook must keep current
-  /// (rounds_completed/sweeps_completed); `absorb` maintains the
-  /// incumbent fields.
-  StrandOutcome* outcome = nullptr;
-};
-
-/// One registered solver strand. The registration index doubles as the
-/// strand's RNG stream id and the deterministic winner tie-break, so
-/// registration order is part of the reproducibility contract.
-struct StrandDesc {
-  /// Unique lowercase identifier; also the metrics prefix
-  /// ("portfolio.<name>.*"), the trace span suffix ("strand.<name>")
-  /// and part of the serving layer's plan key.
-  std::string name;
-  /// RNG stream forked off the race seed; assigned by
-  /// StrandRegistry::Register as the registration index — the built-in
-  /// strands keep the stream ids of the pre-registry enum (exact=0,
-  /// sa=1, tabu=2, sqa=3, qaoa=4, decomp=5).
-  uint64_t rng_stream = 0;
-  /// Runs before the other strands in the serial fan-out. Set for the
-  /// decomp strand: in a serial deadline race it is what keeps the one
-  /// strand that guarantees a valid large-query plan from being starved
-  /// by the sweep loops ahead of it. Never affects sweep-budget results.
-  bool run_first = false;
-  /// The strand publishes a join-order permutation instead of a QUBO bit
-  /// assignment (the decomp strand); RunJoPortfolio decodes accordingly.
-  bool publishes_order = false;
-  /// Eligibility for one race; ineligible strands report zero rounds and
-  /// never win. Null = always eligible.
-  std::function<bool(const Qubo& qubo, const PortfolioOptions& options,
-                     const RaceHooks& hooks)>
-      eligible;
-  /// The strand body. `rng` is the strand's private forked stream.
-  std::function<void(const StrandRunEnv& env, Rng& rng)> run;
-};
-
-/// The strand universe of a race. Replaces the hard-coded PortfolioStrand
-/// enum fan-out: built-in and external strands (the decomp strand, future
-/// backends) register into one table that fixes names, RNG streams, the
-/// execution order and the winner tie-break.
-class StrandRegistry {
- public:
-  /// The built-in strand set in canonical order: exact, sa, tabu, sqa,
-  /// qaoa, decomp. Indices — and hence RNG streams, tie-breaks and every
-  /// sweep-budget race result — are identical to the pre-registry enum.
-  static const StrandRegistry& Default();
-
-  StrandRegistry() = default;
-
-  /// Appends a strand. `desc.rng_stream` is overwritten with the
-  /// registration index so streams stay disjoint and stable. Fails on an
-  /// empty or duplicate name, and on one containing whitespace, `,` or
-  /// `|`: OptimizerService::PlanKey joins a custom registry's names with
-  /// `,` inside a `|`-separated key, so those characters would let two
-  /// different strand sets share one plan key.
-  Status Register(StrandDesc desc);
-
-  const std::vector<StrandDesc>& strands() const { return strands_; }
-  int size() const { return static_cast<int>(strands_.size()); }
-  /// Index of `name`; -1 when absent.
-  int IndexOf(std::string_view name) const;
-  /// Names in registration order.
-  std::vector<std::string> Names() const;
-
- private:
-  std::vector<StrandDesc> strands_;
-};
 
 /// Configuration of a portfolio race. Where the race runs, until when and
 /// whether it was cancelled come from the caller's RunContext, passed
@@ -163,10 +60,6 @@ struct PortfolioOptions {
   int reads_per_round = 4;
   int sweeps_per_round = 64;
 
-  /// The strand universe; null = StrandRegistry::Default(). Externally
-  /// owned and immutable for the duration of the race.
-  const StrandRegistry* registry = nullptr;
-
   // --- Strand selection. ---
   bool enable_exact = true;
   bool enable_sa = true;
@@ -204,15 +97,15 @@ struct RaceHooks {
   /// Null = every sample is feasible with score = QUBO energy. Must be
   /// thread-safe: strands call it concurrently.
   std::function<double(const std::vector<int>&)> score;
-  /// The decomposition strand's body. Receives the race's context
-  /// (StrandRunEnv::run) and the strand's forked RNG stream. Null = the
-  /// strand is ineligible.
+  /// The decomposition strand's body. Receives the race's context (the
+  /// race's stop token and, in deadline mode, its deadline) and the
+  /// strand's forked RNG stream. Null = the strand is ineligible.
   std::function<StatusOr<DecompReport>(const RunContext&, Rng&)> decomp_run;
 };
 
 /// The single entry validation of a race configuration: RunContext
 /// invariants, positive round sizes (which also make the SQA strand's
-/// per-round options valid), a non-empty registry, and the budget rule
+/// per-round options valid) and the budget rule
 /// (`sweep_budget <= 0` together with `run.deadline_ms < 0` is an
 /// unbounded race and is rejected here — not ad-hoc per strand).
 /// RaceQuboPortfolio calls this first; exposed so callers can validate a
@@ -222,9 +115,9 @@ Status ValidatePortfolioOptions(const PortfolioOptions& options,
 
 /// Per-strand outcome statistics of one race.
 struct StrandOutcome {
-  /// Registry name ("exact", "sa", "tabu", "sqa", "qaoa", "decomp", or a
-  /// custom strand's name) and registration index (= RNG stream id and
-  /// winner tie-break rank).
+  /// Strand name ("exact", "sa", "tabu", "sqa", "qaoa" or "decomp") and
+  /// its index in that fixed order (= RNG stream id and winner tie-break
+  /// rank).
   std::string name;
   int index = -1;
   /// False when the strand was disabled or the instance exceeded its size
@@ -258,8 +151,7 @@ struct QuboRaceResult {
   /// Feasible incumbent of the winning strand; empty when no strand
   /// produced a feasible sample (the JO layer then degrades to the
   /// classical plan). For the QUBO strands this is a bit assignment;
-  /// when a `publishes_order` strand (decomp) wins it is the join-order
-  /// permutation itself.
+  /// when the decomp strand wins it is the join-order permutation itself.
   std::vector<int> best_assignment;
   double best_energy = std::numeric_limits<double>::infinity();
   double best_score = std::numeric_limits<double>::quiet_NaN();
@@ -270,12 +162,13 @@ struct QuboRaceResult {
   bool deadline_expired = false;
 };
 
-/// Races the registered strands on one QUBO over the shared pool. Each
-/// strand runs on its own forked RNG stream (stream id = registration
-/// index) with the race-wide budgets, so a sweep-budget-bounded race is
-/// bit-identical at every parallelism level. The winner is the strand
-/// with the best (lowest) domain score (`hooks.score`, or the QUBO energy
-/// without one), ties broken by registration order. The decomp strand
+/// Races the six strands (exact, sa, tabu, sqa, qaoa, decomp) on one QUBO
+/// over the shared pool. Each strand runs on its own forked RNG stream
+/// (stream id = its index in that order) with the race-wide budgets, so a
+/// sweep-budget-bounded race is bit-identical at every parallelism level.
+/// The winner is the strand with the best (lowest) domain score
+/// (`hooks.score`, or the QUBO energy without one), ties broken by strand
+/// order. The decomp strand
 /// races only when `hooks.decomp_run` is set. Fails on an empty QUBO or
 /// an invalid configuration (ValidatePortfolioOptions).
 StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,

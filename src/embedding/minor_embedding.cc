@@ -16,6 +16,9 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Base of the exponential overuse penalty during chain construction.
+constexpr double kAlpha = 4.0;
+
 using HeapItem = std::pair<double, int>;
 
 /// Min-priority queue of qubits keyed on (distance, qubit) with
@@ -401,7 +404,7 @@ std::optional<Embedding> RunTry(
 
   bool feasible = true;
   for (int node : order) {
-    if (!RouteNode(attempt, node, source_adj, options.alpha, rng)) {
+    if (!RouteNode(attempt, node, source_adj, kAlpha, rng)) {
       feasible = false;
       break;
     }
@@ -436,8 +439,7 @@ std::optional<Embedding> RunTry(
     rng.Shuffle(order);
     // Escalate the overuse penalty across passes so persistent
     // contention is eventually forced out (CMR-style annealed weights).
-    const double alpha_pass =
-        options.alpha * std::pow(1.5, std::min(pass, 12));
+    const double alpha_pass = kAlpha * std::pow(1.5, std::min(pass, 12));
     for (int node : order) {
       if (!full_pass && !needs_reroute[node]) continue;
       if (!RouteNode(attempt, node, source_adj, alpha_pass, rng,
@@ -480,11 +482,10 @@ std::optional<Embedding> RunTry(
     }
     rng.Shuffle(conflicted);
     for (int node : conflicted) {
-      if (!RouteNode(attempt, node, source_adj, options.alpha, rng,
-                     /*hard=*/true)) {
+      if (!RouteNode(attempt, node, source_adj, kAlpha, rng, /*hard=*/true)) {
         // No free-qubit route exists; fall back to a soft re-route so
         // the chain at least stays valid for the next round.
-        if (!RouteNode(attempt, node, source_adj, options.alpha, rng)) {
+        if (!RouteNode(attempt, node, source_adj, kAlpha, rng)) {
           feasible = false;
           break;
         }

@@ -35,8 +35,6 @@ struct EmbeddingOptions {
   int tries = 5;
   /// Improvement passes per attempt after the initial construction.
   int max_passes = 40;
-  /// Base of the exponential overuse penalty during chain construction.
-  double alpha = 4.0;
 };
 
 /// Finds a minor embedding of the source graph (given as an edge list over

@@ -17,13 +17,16 @@ double DrawLogCard(const QueryGenOptions& options, Rng& rng) {
   return rng.UniformDouble(options.min_log_card, options.max_log_card);
 }
 
+/// Selectivity range as log10 exponents (Sec. 4.1): Sel(p) = 10^-u,
+/// u ~ U[kMinNegLogSel, kMaxNegLogSel].
+constexpr int kMinNegLogSel = 1;
+constexpr int kMaxNegLogSel = 2;
+
 double DrawNegLogSel(const QueryGenOptions& options, Rng& rng) {
   if (options.integer_log_values) {
-    return static_cast<double>(
-        rng.UniformRange(static_cast<int64_t>(options.min_neg_log_sel),
-                         static_cast<int64_t>(options.max_neg_log_sel)));
+    return static_cast<double>(rng.UniformRange(kMinNegLogSel, kMaxNegLogSel));
   }
-  return rng.UniformDouble(options.min_neg_log_sel, options.max_neg_log_sel);
+  return rng.UniformDouble(kMinNegLogSel, kMaxNegLogSel);
 }
 
 std::string RelationName(int index) {

@@ -20,14 +20,10 @@ struct QueryGenOptions {
   bool integer_log_values = true;
 
   /// Cardinality range as log10 exponents: Card(t) = 10^u,
-  /// u ~ U[min_log_card, max_log_card].
+  /// u ~ U[min_log_card, max_log_card]. Selectivities are Sel(p) = 10^-u
+  /// with u ~ U[1, 2], the Sec. 4.1 range.
   double min_log_card = 1.0;
   double max_log_card = 4.0;
-
-  /// Selectivity range as log10 exponents: Sel(p) = 10^-u,
-  /// u ~ U[min_neg_log_sel, max_neg_log_sel].
-  double min_neg_log_sel = 1.0;
-  double max_neg_log_sel = 2.0;
 };
 
 /// Generates a random query with the requested graph type:

@@ -27,7 +27,9 @@ StatusOr<QuboEncoding> ConvertBilpToQubo(
 
   // Penalty weight rule of Sec. 3.4: the smallest constraint violation a
   // discretised model can exhibit is omega, contributing A * omega^2; C is
-  // the total objective weight that could be "saved" by cheating.
+  // the total objective weight that could be "saved" by cheating, and
+  // epsilon is the "small value" added on top of C / omega^2.
+  constexpr double kEpsilon = 1.0;
   double total_objective = 0.0;
   for (const auto& [var, coeff] : bilp.objective) {
     (void)var;
@@ -38,7 +40,7 @@ StatusOr<QuboEncoding> ConvertBilpToQubo(
           ? options.penalty_weight_override
           : options.objective_weight * total_objective /
                     (options.omega * options.omega) +
-                options.epsilon;
+                kEpsilon;
 
   Qubo qubo(bilp.num_variables());
   const double a = out.penalty_weight;

@@ -12,14 +12,12 @@ struct QuboConversionOptions {
   /// Discretisation precision omega: constraint coefficients and right-hand
   /// sides are rounded to multiples of omega before squaring (Sec. 3.4,
   /// "we round the coefficients S_ji according to the discretisation
-  /// precision"), and the penalty weight is A = C / omega^2 + epsilon.
+  /// precision"), and the penalty weight is A = C / omega^2 + epsilon
+  /// with the paper's epsilon = 1.
   double omega = 1.0;
 
   /// Objective weight B of Eq. (10).
   double objective_weight = 1.0;
-
-  /// The "small value" epsilon added on top of C / omega^2.
-  double epsilon = 1.0;
 
   /// If >= 0, overrides the derived penalty weight A (for ablations of the
   /// paper's weight rule).

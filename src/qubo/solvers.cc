@@ -251,10 +251,7 @@ std::vector<QuboSolution> SolveQuboTabuSearch(const Qubo& qubo,
   QJO_CHECK_GT(options.num_restarts, 0);
   QJO_CHECK_GT(options.iterations_per_restart, 0);
   const int n = qubo.num_variables();
-  const int tenure =
-      options.tenure > 0
-          ? options.tenure
-          : static_cast<int>(std::sqrt(static_cast<double>(n))) + 10;
+  const int tenure = static_cast<int>(std::sqrt(static_cast<double>(n))) + 10;
   const QuboCsr& csr = qubo.Csr();
   constexpr double kInfinity = std::numeric_limits<double>::infinity();
 

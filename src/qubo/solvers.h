@@ -71,8 +71,6 @@ std::vector<QuboSolution> SolveQuboSimulatedAnnealing(const Qubo& qubo,
 struct TabuOptions {
   int num_restarts = 5;
   int iterations_per_restart = 2000;
-  /// Tabu tenure; 0 = auto (~ sqrt(n) + 10).
-  int tenure = 0;
   /// Shared runtime control (pool/stop/observability); the
   /// stop token is checked once per iteration and the incumbent found so
   /// far is returned.
@@ -80,8 +78,9 @@ struct TabuOptions {
 };
 
 /// Tabu search: steepest-descent single-bit flips with a recency-based
-/// tabu list and incumbent aspiration. Flip deltas come from persistent
-/// local fields, updated over the flipped variable's neighbourhood only.
+/// tabu list (tenure floor(sqrt(n)) + 10) and incumbent aspiration. Flip
+/// deltas come from persistent local fields, updated over the flipped
+/// variable's neighbourhood only.
 /// Ties on the best move are broken uniformly with a single RNG draw per
 /// iteration (tie counting), so the number of draws never depends on
 /// candidate scan order. Returns one solution per restart, best first.

@@ -66,10 +66,9 @@ void VisitFields(FieldListOf<SqaOptions> auto& sqa, auto& v) {
 }
 
 void VisitFields(FieldListOf<EmbeddingOptions> auto& embedding, auto& v) {
-  auto& [tries, max_passes, alpha] = embedding;
+  auto& [tries, max_passes] = embedding;
   v.Key("emb_tries", tries);
   v.Key("emb_passes", max_passes);
-  v.Key("emb_alpha", alpha);
 }
 
 void VisitFields(FieldListOf<EmbedQuboOptions> auto& embed_qubo, auto& v) {
@@ -92,16 +91,14 @@ void VisitFields(FieldListOf<DecompOptions> auto& decomp, auto& v) {
 }
 
 void VisitFields(FieldListOf<PortfolioOptions> auto& portfolio, auto& v) {
-  auto& [sweep_budget, reads_per_round, sweeps_per_round, registry,
-         enable_exact, enable_sa, enable_tabu, enable_sqa, enable_qaoa,
-         max_exact_variables, enable_decomp, min_decomp_relations, decomp] =
-      portfolio;
+  auto& [sweep_budget, reads_per_round, sweeps_per_round, enable_exact,
+         enable_sa, enable_tabu, enable_sqa, enable_qaoa, max_exact_variables,
+         enable_decomp, min_decomp_relations, decomp] = portfolio;
   v.Key("p_sb", sweep_budget);
   v.Key("p_rpr", reads_per_round);
   v.Key("p_spr", sweeps_per_round);
   v.Flags("p_strands", enable_exact, enable_sa, enable_tabu, enable_sqa,
           enable_qaoa, enable_decomp);
-  v.Key("p_reg", registry);
   v.Key("p_mev", max_exact_variables);
   v.Key("p_mdr", min_decomp_relations);
   v.Nested(decomp);

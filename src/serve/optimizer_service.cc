@@ -90,17 +90,6 @@ struct PlanKeyWriter {
     Append("h", Digest(edges.data(), edges.size() * sizeof(edges[0])));
   }
 
-  /// A custom registry changes which strands race; the default one (null)
-  /// adds nothing. StrandRegistry::Register rejects `,` and `|` in names,
-  /// so the list reads back unambiguously.
-  void Key(const char* tag, const StrandRegistry* registry) {
-    if (registry == nullptr) return;
-    key.append("|").append(tag).append("=");
-    for (const std::string& name : registry->Names()) {
-      key.append(name).append(",");
-    }
-  }
-
   void Flags(const char* tag, auto... flags) {
     uint64_t mask = 0;
     int bit = 0;

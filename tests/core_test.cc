@@ -876,43 +876,36 @@ TEST(PortfolioTest, ValidationRejectsBadRoundBudgets) {
             StatusCode::kInvalidArgument);
 }
 
-// --- Strand registry. ---
+TEST(PortfolioTest, EachFlagGatesOnlyItsStrand) {
+  // Two relations encode to 6 qubits, inside the exact and QAOA size
+  // gates; with the decomp gate lowered all six strands race.
+  const Query q = MakeChainQuery(2);
+  QjoConfig config = PortfolioConfig();
+  config.portfolio.sweep_budget = 64;
+  config.portfolio.min_decomp_relations = 2;
+  const std::vector<std::string> names = {"exact", "sa",   "tabu",
+                                          "sqa",   "qaoa", "decomp"};
+  bool PortfolioOptions::*const flags[] = {
+      &PortfolioOptions::enable_exact, &PortfolioOptions::enable_sa,
+      &PortfolioOptions::enable_tabu,  &PortfolioOptions::enable_sqa,
+      &PortfolioOptions::enable_qaoa,  &PortfolioOptions::enable_decomp};
+  ASSERT_EQ(std::size(flags), names.size());
 
-TEST(StrandRegistryTest, DefaultRegistryKeepsLegacyOrderAndStreams) {
-  const StrandRegistry& registry = StrandRegistry::Default();
-  const std::vector<std::string> expected = {"exact", "sa",   "tabu",
-                                             "sqa",   "qaoa", "decomp"};
-  EXPECT_EQ(registry.Names(), expected);
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(registry.IndexOf(expected[i]), static_cast<int>(i));
-    // RNG stream ids are the registration indices: the race stays
-    // bit-identical to the pre-registry fixed fan-out.
-    EXPECT_EQ(registry.strands()[i].rng_stream, i);
+  // off = -1: every flag set; otherwise only flags[off] is cleared.
+  for (int off = -1; off < static_cast<int>(names.size()); ++off) {
+    QjoConfig run = config;
+    if (off >= 0) run.portfolio.*flags[off] = false;
+    const std::string label = off < 0 ? "all on" : names[off] + " off";
+    auto report = OptimizeJoinOrder(q, run);
+    ASSERT_TRUE(report.ok()) << label;
+    const std::vector<StrandOutcome>& strands = report->portfolio.race.strands;
+    ASSERT_EQ(strands.size(), names.size()) << label;
+    for (int s = 0; s < static_cast<int>(names.size()); ++s) {
+      EXPECT_EQ(strands[s].name, names[s]) << label;
+      EXPECT_EQ(strands[s].index, s) << label;
+      EXPECT_EQ(strands[s].eligible, s != off) << label << ", " << names[s];
+    }
   }
-  EXPECT_EQ(registry.IndexOf("nope"), -1);
-}
-
-TEST(StrandRegistryTest, RegisterRejectsBadDescriptors) {
-  StrandRegistry registry;
-  StrandDesc missing_run;
-  missing_run.name = "x";
-  EXPECT_EQ(registry.Register(missing_run).code(),
-            StatusCode::kInvalidArgument);
-  StrandDesc ok;
-  ok.name = "x";
-  ok.run = [](const StrandRunEnv&, Rng&) {};
-  EXPECT_TRUE(registry.Register(ok).ok());
-  StrandDesc dup = ok;
-  EXPECT_EQ(registry.Register(dup).code(), StatusCode::kInvalidArgument);
-  // Whitespace, `,` and `|` would make two strand sets share a plan key
-  // ({"a,b"} and {"a", "b"} both list as "a,b,").
-  for (const char* name : {"a b", "a,b", "a|b"}) {
-    StrandDesc bad = ok;
-    bad.name = name;
-    EXPECT_EQ(registry.Register(bad).code(), StatusCode::kInvalidArgument)
-        << name;
-  }
-  EXPECT_EQ(registry.size(), 1);
 }
 
 TEST(PortfolioTest, DecompStrandIneligibleForSmallQueries) {

@@ -597,12 +597,7 @@ class FieldProbe {
   FieldProbe(const Query& query, QjoConfig& config)
       : query_(query),
         config_(config),
-        base_key_(OptimizerService::PlanKey(query, config)) {
-    StrandDesc idle;
-    idle.name = "idle";
-    idle.run = [](const StrandRunEnv&, Rng&) {};
-    EXPECT_TRUE(registry_.Register(idle).ok());
-  }
+        base_key_(OptimizerService::PlanKey(query, config)) {}
 
   int keyed() const { return keyed_; }
   int neutral() const { return neutral_; }
@@ -675,9 +670,6 @@ class FieldProbe {
     field = field.has_value() ? std::nullopt
                               : std::optional(MakeLineGraph(4));
   }
-  void Perturb(const StrandRegistry*& field) {
-    field = field == nullptr ? &registry_ : nullptr;
-  }
   void Perturb(ThreadPool*& field) { field = &pool_; }
   void Perturb(std::stop_token& field) { field = stop_.get_token(); }
   void Perturb(TraceRecorder*& field) { field = &trace_; }
@@ -687,7 +679,6 @@ class FieldProbe {
   const Query& query_;
   QjoConfig& config_;
   const std::string base_key_;
-  StrandRegistry registry_;
   ThreadPool pool_{2};
   std::stop_source stop_;
   TraceRecorder trace_;
@@ -776,7 +767,7 @@ TEST(ServeTest, BitIdenticalToDirectCallsAcrossWorkerCounts) {
       request.query = MakeQuery(relations);
       request.config = FastConfig(seed);
       request.config.shots = 96;
-      request.tenant = "t" + std::to_string(relations);
+      request.tenant = std::string("t").append(std::to_string(relations));
       requests.push_back(std::move(request));
     }
   }
