@@ -142,9 +142,8 @@ class ObsSession {
     return metrics_out_.empty() ? nullptr : &metrics_;
   }
 
-  /// Attaches the session's sinks to any config with `trace`/`metrics`
-  /// pointer members (SolverControl, RunContext) or an embedded
-  /// RunContext named `run` (QjoConfig).
+  /// Attaches the session's sinks to a RunContext or to a config with an
+  /// embedded RunContext named `run` (QjoConfig).
   template <typename Config>
   void Apply(Config& config) {
     if constexpr (requires { config.run.trace; }) {

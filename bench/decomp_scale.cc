@@ -80,9 +80,8 @@ int RunSuite() {
       const auto greedy = OptimizeGreedy(*query);
       if (!greedy.ok()) return 1;
 
-      QuboBuildCache cache(256);
-      DecompOptions options;
-      options.cache = &cache;
+      // No build cache in `run`: the loop keeps a private one per query.
+      const DecompOptions options;
       RunContext run;
       run.deadline_ms = deadline_ms;
       run.pool = &pool;

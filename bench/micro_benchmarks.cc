@@ -140,7 +140,7 @@ void BM_SqaRead(benchmark::State& state) {
   options.annealing_time_us = 20.0;
   Rng rng(8);
   for (auto _ : state) {
-    auto samples = RunSqa(ising, options, rng);
+    auto samples = RunSqa(ising, options, {}, rng);
     benchmark::DoNotOptimize(samples);
   }
 }
@@ -152,11 +152,10 @@ BENCHMARK(BM_SqaRead)->Arg(32)->Arg(128)->Arg(512);
 // serial run — the determinism contract of the runtime — and fails the
 // benchmark if not.
 
-SaOptions MakeSaReadOptions(ThreadPool* pool) {
+SaOptions MakeSaReadOptions() {
   SaOptions options;
   options.num_reads = 1000;
   options.sweeps_per_read = 64;
-  options.control.pool = pool;
   return options;
 }
 
@@ -167,16 +166,18 @@ void BM_SaReads(benchmark::State& state) {
     const Qubo reference_qubo = MakeRandomQubo(64, 0.2, 11);
     Rng rng(21);
     const auto reads =
-        SolveQuboSimulatedAnnealing(reference_qubo, MakeSaReadOptions(nullptr),
+        SolveQuboSimulatedAnnealing(reference_qubo, MakeSaReadOptions(), {},
                                     rng);
     std::vector<double> energies;
     for (const auto& read : reads) energies.push_back(read.energy);
     return energies;
   }();
-  const SaOptions options = MakeSaReadOptions(&pool);
+  const SaOptions options = MakeSaReadOptions();
+  RunContext run;
+  run.pool = &pool;
   {
     Rng rng(21);
-    const auto reads = SolveQuboSimulatedAnnealing(qubo, options, rng);
+    const auto reads = SolveQuboSimulatedAnnealing(qubo, options, run, rng);
     for (size_t i = 0; i < reads.size(); ++i) {
       if (reads[i].energy != kSerialEnergies[i]) {
         state.SkipWithError("energies not bit-identical to serial run");
@@ -186,7 +187,7 @@ void BM_SaReads(benchmark::State& state) {
   }
   for (auto _ : state) {
     Rng rng(21);
-    auto reads = SolveQuboSimulatedAnnealing(qubo, options, rng);
+    auto reads = SolveQuboSimulatedAnnealing(qubo, options, run, rng);
     benchmark::DoNotOptimize(reads);
   }
   state.SetItemsProcessed(state.iterations() * options.num_reads);
@@ -199,10 +200,11 @@ void BM_TabuRestarts(benchmark::State& state) {
   TabuOptions options;
   options.num_restarts = 64;
   options.iterations_per_restart = 400;
-  options.control.pool = &pool;
+  RunContext run;
+  run.pool = &pool;
   for (auto _ : state) {
     Rng rng(23);
-    auto restarts = SolveQuboTabuSearch(qubo, options, rng);
+    auto restarts = SolveQuboTabuSearch(qubo, options, run, rng);
     benchmark::DoNotOptimize(restarts);
   }
   state.SetItemsProcessed(state.iterations() * options.num_restarts);
@@ -218,10 +220,11 @@ void BM_SqaReadsParallel(benchmark::State& state) {
   options.sweeps_per_us = 3.0;
   options.trotter_slices = 8;
   options.ice_sigma = 0.015;
-  options.control.pool = &pool;
+  RunContext run;
+  run.pool = &pool;
   for (auto _ : state) {
     Rng rng(27);
-    auto samples = RunSqa(ising, options, rng);
+    auto samples = RunSqa(ising, options, run, rng);
     benchmark::DoNotOptimize(samples);
   }
   state.SetItemsProcessed(state.iterations() * options.num_reads);
@@ -341,7 +344,7 @@ int RunKernelBenchSuite() {
     };
     const auto solve_batched = [&] {
       Rng rng(33);
-      return SolveQuboSimulatedAnnealing(qubo, options, rng);
+      return SolveQuboSimulatedAnnealing(qubo, options, {}, rng);
     };
     {
       const auto incremental = solve_reference(ReferenceDelta::kLocalFields);
@@ -397,7 +400,7 @@ int RunKernelBenchSuite() {
     const double t_inc = BestSeconds(
         [&] {
           Rng rng(41);
-          sink += SolveQuboTabuSearch(qubo, options, rng).front().energy;
+          sink += SolveQuboTabuSearch(qubo, options, {}, rng).front().energy;
         },
         repeats);
     metrics.push_back({"tabu_moves_per_sec_reference", moves / t_ref});
@@ -426,7 +429,7 @@ int RunKernelBenchSuite() {
     };
     const auto solve_batched = [&] {
       Rng rng(47);
-      return RunSqa(ising, base, rng);
+      return RunSqa(ising, base, {}, rng);
     };
     if (!SqaBitIdentical(*solve_reference(ReferenceDelta::kLocalFields),
                          *solve_batched())) {
@@ -515,7 +518,7 @@ int RunKernelBenchSuite() {
       };
       const auto solve_batched = [&] {
         Rng rng(79);
-        return RunSqa(c.ising, c.options, rng);
+        return RunSqa(c.ising, c.options, {}, rng);
       };
       if (!SqaBitIdentical(*solve_reference(), *solve_batched())) return 1;
       const int sweeps = std::max(
@@ -569,7 +572,7 @@ int RunKernelBenchSuite() {
   // SA reads/sec through the pooled per-read fan-out (end-to-end rate the
   // paper's sampling experiments consume). The pool is created once,
   // outside the timed region, and shared across the timed calls via
-  // `control.pool` — per-call pool construction/teardown is bench
+  // `run.pool` — per-call pool construction/teardown is bench
   // harness overhead, not solver throughput, and on small hosts it used
   // to eat the whole pooled gain. The batched kernel's group fan-out
   // also keeps ~16 reads per task, so dispatch amortises even when the
@@ -587,9 +590,10 @@ int RunKernelBenchSuite() {
             SaOptions options;
             options.num_reads = reads;
             options.sweeps_per_read = fast ? 32 : 64;
-            if (threads > 1) options.control.pool = &pool;
+            RunContext run;
+            if (threads > 1) run.pool = &pool;
             Rng rng(61);
-            sink += SolveQuboSimulatedAnnealing(qubo, options, rng)
+            sink += SolveQuboSimulatedAnnealing(qubo, options, run, rng)
                         .front()
                         .energy;
           },
@@ -712,10 +716,11 @@ int RunObsOverheadSuite() {
     SaOptions options;
     options.num_reads = reads;
     options.sweeps_per_read = sweeps;
-    options.control.trace = trace;
-    options.control.metrics = metrics;
+    RunContext run;
+    run.trace = trace;
+    run.metrics = metrics;
     Rng rng(71);
-    return SolveQuboSimulatedAnnealing(qubo, options, rng);
+    return SolveQuboSimulatedAnnealing(qubo, options, run, rng);
   };
   const std::vector<QuboSolution> null_reads = run_sa(nullptr, nullptr);
   {

@@ -95,16 +95,18 @@ int RunSuite() {
     qubo.Csr();
 
     // --- Solo baselines, each spending the full budget. ---
+    RunContext solo_run;
+    solo_run.pool = &pool;
+    bench::ObsSession::Get().Apply(solo_run);
     SoloResult solo_sa;
     {
       SaOptions options;
       options.num_reads = solo_reads;
       options.sweeps_per_read = sweeps_per_round;
-      options.control.pool = &pool;
-      bench::ObsSession::Get().Apply(options.control);
       Rng rng(301 + inst);
       const auto t0 = std::chrono::steady_clock::now();
-      const auto reads = SolveQuboSimulatedAnnealing(qubo, options, rng);
+      const auto reads =
+          SolveQuboSimulatedAnnealing(qubo, options, solo_run, rng);
       solo_sa.seconds = Seconds(t0);
       solo_sa.best_energy = BestSolution(reads).energy;
     }
@@ -113,11 +115,9 @@ int RunSuite() {
       TabuOptions options;
       options.num_restarts = solo_reads;
       options.iterations_per_restart = sweeps_per_round;
-      options.control.pool = &pool;
-      bench::ObsSession::Get().Apply(options.control);
       Rng rng(401 + inst);
       const auto t0 = std::chrono::steady_clock::now();
-      const auto restarts = SolveQuboTabuSearch(qubo, options, rng);
+      const auto restarts = SolveQuboTabuSearch(qubo, options, solo_run, rng);
       solo_tabu.seconds = Seconds(t0);
       solo_tabu.best_energy = BestSolution(restarts).energy;
     }
@@ -128,11 +128,9 @@ int RunSuite() {
       options.num_reads = solo_reads;
       options.annealing_time_us = sweeps_per_round;
       options.sweeps_per_us = 1.0;
-      options.control.pool = &pool;
-      bench::ObsSession::Get().Apply(options.control);
       Rng rng(501 + inst);
       const auto t0 = std::chrono::steady_clock::now();
-      const auto samples = RunSqa(ising, options, rng);
+      const auto samples = RunSqa(ising, options, solo_run, rng);
       solo_sqa.seconds = Seconds(t0);
       if (samples.ok()) {
         double best = samples->front().energy;

@@ -54,6 +54,9 @@ int Run() {
   if (!pegasus.ok()) return 1;
 
   const int parallelism = bench::Parallelism();
+  RunContext sqa_run;
+  sqa_run.pool = bench::Pool();
+  bench::ObsSession::Get().Apply(sqa_run);
   long long total_reads = 0;
   int failed_experiments = 0;
   int empty_cells = 0;
@@ -140,10 +143,8 @@ int Run() {
           // the Monte-Carlo cost.
           sqa.sweeps_per_us = 3.0;
           sqa.trotter_slices = 8;
-          sqa.control.pool = bench::Pool();
-          bench::ObsSession::Get().Apply(sqa.control);
           const auto sqa_start = std::chrono::steady_clock::now();
-          auto sqa_reads = RunSqa(physical_ising, sqa, rng);
+          auto sqa_reads = RunSqa(physical_ising, sqa, sqa_run, rng);
           total_sqa_seconds +=
               std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             sqa_start)

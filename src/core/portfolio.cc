@@ -146,8 +146,9 @@ bool BudgetLeft(const StrandEnv& env) {
 
 void RunExactStrand(const StrandEnv& env, Rng& rng) {
   (void)rng;  // deterministic enumeration; the stream stays untouched
-  if (env.run.stop.stop_requested()) return;
-  auto best = SolveQuboBruteForce(env.qubo, env.options.max_exact_variables);
+  // A stopped walk fails: it publishes no incumbent and proves no bound.
+  auto best =
+      SolveQuboBruteForce(env.qubo, env.options.max_exact_variables, env.run);
   if (!best.ok()) return;
   env.Absorb(best->assignment, best->energy);
   StrandOutcome& outcome = env.state.outcome;
@@ -164,11 +165,10 @@ void RunSaStrand(const StrandEnv& env, Rng& rng) {
   SaOptions sa;
   sa.num_reads = options.reads_per_round;
   sa.sweeps_per_read = options.sweeps_per_round;
-  sa.control = ControlOf(env.run);
   const int64_t round_sweeps =
       static_cast<int64_t>(options.reads_per_round) * options.sweeps_per_round;
   while (!env.run.stop.stop_requested() && BudgetLeft(env)) {
-    const auto reads = SolveQuboSimulatedAnnealing(env.qubo, sa, rng);
+    const auto reads = SolveQuboSimulatedAnnealing(env.qubo, sa, env.run, rng);
     for (const QuboSolution& read : reads) {
       env.Absorb(read.assignment, read.energy);
     }
@@ -182,11 +182,10 @@ void RunTabuStrand(const StrandEnv& env, Rng& rng) {
   TabuOptions tabu;
   tabu.num_restarts = options.reads_per_round;
   tabu.iterations_per_restart = options.sweeps_per_round;
-  tabu.control = ControlOf(env.run);
   const int64_t round_sweeps =
       static_cast<int64_t>(options.reads_per_round) * options.sweeps_per_round;
   while (!env.run.stop.stop_requested() && BudgetLeft(env)) {
-    const auto restarts = SolveQuboTabuSearch(env.qubo, tabu, rng);
+    const auto restarts = SolveQuboTabuSearch(env.qubo, tabu, env.run, rng);
     for (const QuboSolution& restart : restarts) {
       env.Absorb(restart.assignment, restart.energy);
     }
@@ -211,13 +210,12 @@ SqaOptions SqaStrandOptions(const PortfolioOptions& options) {
 void RunSqaStrand(const StrandEnv& env, Rng& rng) {
   const PortfolioOptions& options = env.options;
   const IsingModel ising = QuboToIsing(env.qubo);
-  SqaOptions sqa = SqaStrandOptions(options);
-  sqa.control = ControlOf(env.run);
+  const SqaOptions sqa = SqaStrandOptions(options);
   const int64_t sqa_round_sweeps =
       static_cast<int64_t>(options.reads_per_round) *
       std::max(8, options.sweeps_per_round);
   while (!env.run.stop.stop_requested() && BudgetLeft(env)) {
-    auto samples = RunSqa(ising, sqa, rng);
+    auto samples = RunSqa(ising, sqa, env.run, rng);
     if (!samples.ok()) break;
     for (const SqaSample& sample : *samples) {
       // ising.Energy(z) == qubo.Energy(SpinsToBits(z)): directly
@@ -483,9 +481,6 @@ std::string PortfolioReport::Summary() const {
      << (used_classical_fallback ? " (fallback)" : "") << ", cost "
      << best_cost << ", " << FormatDouble(elapsed_ms, 2) << " ms";
   if (race.deadline_expired) os << ", deadline expired";
-  if (cache_hits + cache_misses > 0) {
-    os << ", cache hit rate " << FormatPercent(cache_hit_rate);
-  }
   os << "\n";
   for (const StrandOutcome& s : race.strands) {
     os << "  " << s.name << ": ";

@@ -30,7 +30,7 @@ namespace qjo {
 ///    classical fallback), < 0 = no deadline (`sweep_budget` must then be
 ///    positive). The race arms its own stop source on the process-wide
 ///    DeadlineMonitor, which stops it on expiry; every strand winds down
-///    cooperatively (the solvers' `stop` tokens) and the best incumbent
+///    cooperatively (the strands' `run.stop`) and the best incumbent
 ///    wins. The race itself starts no thread. Wall-clock cut-offs are
 ///    inherently scheduling-dependent, so deadline-bounded runs are *not*
 ///    bit-reproducible.
@@ -82,9 +82,9 @@ struct PortfolioOptions {
   /// as ineligible unless RaceHooks::decomp_run is set.
   bool enable_decomp = true;
   int min_decomp_relations = 10;
-  /// Template for the strand's decomposition loop; it runs under the
-  /// race's context. The pipeline sets its `cache` to
-  /// QjoConfig::qubo_cache.
+  /// Template for the strand's decomposition loop. It runs under the
+  /// race's context, which carries the caller's `run.build_cache` to the
+  /// window sub-encodings unchanged.
   DecompOptions decomp;
 };
 
@@ -189,11 +189,6 @@ struct PortfolioReport {
   /// Name of the winning strand, or "classical_fallback".
   std::string winner;
   QuboRaceResult race;
-  /// QUBO-build cache counters (filled by the pipeline owner when a cache
-  /// is attached; zero otherwise).
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  double cache_hit_rate = 0.0;
   double elapsed_ms = 0.0;
 
   std::string Summary() const;

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "circuit/qaoa_builder.h"
+#include "core/qubo_cache.h"
 #include "jo/classical.h"
 #include "qubo/ising.h"
 #include "qubo/solvers.h"
@@ -119,9 +120,9 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
     StageSpan encode_span(config.run.trace, "encode", &report.stage_timings);
     const JoEncodingOptions encode_options{config.thresholds,
                                            config.num_thresholds, config.omega};
-    if (config.qubo_cache != nullptr) {
+    if (config.run.build_cache != nullptr) {
       QJO_ASSIGN_OR_RETURN(
-          entry, config.qubo_cache->GetOrBuild(query, encode_options));
+          entry, config.run.build_cache->GetOrBuild(query, encode_options));
     } else {
       QJO_ASSIGN_OR_RETURN(entry, BuildJoQuboEncoding(query, encode_options));
     }
@@ -144,10 +145,10 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
                              report.encoding.bilp_variables);
     config.run.metrics->GaugeMax("pipeline.qubo_quadratic_terms",
                              report.encoding.qubo_quadratic_terms);
-    if (config.qubo_cache != nullptr) {
+    if (config.run.build_cache != nullptr) {
       // Cache stats are cumulative, so max-merge across shards/runs
       // yields the latest totals.
-      const QuboBuildCache::Stats cache = config.qubo_cache->stats();
+      const QuboBuildCache::Stats cache = config.run.build_cache->stats();
       config.run.metrics->GaugeMax("qubo_cache.hits",
                                static_cast<double>(cache.hits));
       config.run.metrics->GaugeMax("qubo_cache.misses",
@@ -185,6 +186,7 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
                        &report.stage_timings);
   switch (config.backend) {
     case QjoBackend::kExact: {
+      // No RunContext: the exact backend runs its walk to completion.
       QJO_ASSIGN_OR_RETURN(QuboSolution best,
                            SolveQuboBruteForce(encoding.qubo));
       samples.push_back(best.assignment);
@@ -193,9 +195,8 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
     case QjoBackend::kSimulatedAnnealing: {
       SaOptions sa;
       sa.num_reads = std::max(1, config.shots / 8);
-      sa.control = ControlOf(config.run);
       const std::vector<QuboSolution> reads =
-          SolveQuboSimulatedAnnealing(encoding.qubo, sa, rng);
+          SolveQuboSimulatedAnnealing(encoding.qubo, sa, config.run, rng);
       for (const auto& read : reads) samples.push_back(read.assignment);
       break;
     }
@@ -328,10 +329,8 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
       report.anneal.chain_strength = embedded->chain_strength;
 
       const IsingModel physical_ising = QuboToIsing(embedded->physical);
-      SqaOptions sqa = config.sqa;
-      sqa.control = ControlOf(config.run);
       QJO_ASSIGN_OR_RETURN(std::vector<SqaSample> reads,
-                           RunSqa(physical_ising, sqa, rng));
+                           RunSqa(physical_ising, config.sqa, config.run, rng));
       double chain_breaks = 0.0;
       for (const SqaSample& read : reads) {
         const UnembeddedSample logical =
@@ -346,19 +345,9 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
       break;
     }
     case QjoBackend::kPortfolio: {
-      PortfolioOptions race = config.portfolio;
-      // The decomposition strand re-encodes window subqueries constantly;
-      // the pipeline's shared build cache absorbs the repeats.
-      race.decomp.cache = config.qubo_cache;
-      QJO_ASSIGN_OR_RETURN(
-          report.portfolio,
-          RunJoPortfolio(query, *entry, oracle, race, config.run, rng));
-      if (config.qubo_cache != nullptr) {
-        const QuboBuildCache::Stats cache = config.qubo_cache->stats();
-        report.portfolio.cache_hits = cache.hits;
-        report.portfolio.cache_misses = cache.misses;
-        report.portfolio.cache_hit_rate = cache.hit_rate();
-      }
+      QJO_ASSIGN_OR_RETURN(report.portfolio,
+                           RunJoPortfolio(query, *entry, oracle,
+                                          config.portfolio, config.run, rng));
       if (!report.portfolio.race.best_assignment.empty()) {
         samples.push_back(report.portfolio.race.best_assignment);
       }
@@ -421,9 +410,9 @@ std::vector<StatusOr<QjoReport>> OptimizeJoinOrderBatch(
   // cardinalities, predicates, thresholds, omega) encode once. Cached
   // entries are deterministic, so sharing cannot change any result.
   std::optional<QuboBuildCache> owned_cache;
-  if (per_query.qubo_cache == nullptr) {
+  if (per_query.run.build_cache == nullptr) {
     owned_cache.emplace();
-    per_query.qubo_cache = &*owned_cache;
+    per_query.run.build_cache = &*owned_cache;
   }
   ParallelFor(config.run.pool, 0, static_cast<int64_t>(queries.size()),
               [&](int64_t i) {

@@ -8,7 +8,6 @@
 
 #include "core/portfolio.h"
 #include "core/postprocess.h"
-#include "core/qubo_cache.h"
 #include "embedding/embedded_qubo.h"
 #include "embedding/minor_embedding.h"
 #include "jo/join_tree.h"
@@ -61,13 +60,15 @@ struct QjoConfig {
   uint64_t seed = 7;
 
   /// The request's one execution context (util/run_context.h documents
-  /// each field); the pipeline hands it unchanged to the portfolio race.
-  /// `run.pool` runs the SA/SQA reads, the QAOA amplitude loops and the
-  /// portfolio fan-out, with bit-identical reports at every pool size.
-  /// `run.deadline_ms` is the portfolio race's wall budget; the other
-  /// backends ignore it. `run.stop` reaches SA, the annealer's SQA (whose
-  /// `sqa.control` the pipeline overwrites) and the race; the exact and
-  /// QAOA backends run to completion.
+  /// each field); the pipeline hands it unchanged to the solvers and the
+  /// portfolio race. `run.pool` runs the SA/SQA reads, the QAOA amplitude
+  /// loops and the portfolio fan-out, with bit-identical reports at every
+  /// pool size. `run.deadline_ms` is the portfolio race's wall budget; the
+  /// other backends ignore it. `run.stop` reaches SA, the annealer's SQA
+  /// and the race; the exact and QAOA backends run to completion.
+  /// `run.build_cache` memoizes the encode stage and the decomposition
+  /// strand's window sub-encodings; OptimizeJoinOrderBatch supplies a
+  /// batch-wide one when it is null.
   RunContext run;
 
   // --- Gate-based options. ---
@@ -86,11 +87,10 @@ struct QjoConfig {
   bool noiseless = false;
 
   // --- Annealer options. ---
-  /// SQA template; its `control` is overwritten by the pipeline with
-  /// `run`'s pool/stop/sinks. The backend fails with InvalidArgument
-  /// before embedding when ValidateSqaOptions rejects it. The SIMD tier
-  /// of the stochastic solvers is picked at runtime (QJO_SIMD to
-  /// override).
+  /// SQA schedule; the anneal runs under `run`. The backend fails with
+  /// InvalidArgument before embedding when ValidateSqaOptions rejects it.
+  /// The SIMD tier of the stochastic solvers is picked at runtime
+  /// (QJO_SIMD to override).
   SqaOptions sqa;
   EmbeddingOptions embedding;
   EmbedQuboOptions embed_qubo;
@@ -101,11 +101,6 @@ struct QjoConfig {
   // --- Portfolio options (kPortfolio backend). ---
   /// Strand selection and budgets. The race runs under `run`.
   PortfolioOptions portfolio;
-  /// Optional memoizing QUBO-build cache shared across runs (not owned),
-  /// also handed to the decomposition strand (overwriting
-  /// `portfolio.decomp.cache`). Null = every run encodes from scratch;
-  /// OptimizeJoinOrderBatch supplies a batch-wide cache automatically.
-  QuboBuildCache* qubo_cache = nullptr;
 
   QjoConfig();
 };

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "core/postprocess.h"
+#include "core/qubo_cache.h"
 #include "jo/classical.h"
 #include "qubo/ising.h"
 #include "qubo/solvers.h"
@@ -202,7 +203,7 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
   encode_options.omega = options.omega;
 
   std::optional<QuboBuildCache> local_cache;
-  QuboBuildCache* cache = options.cache;
+  QuboBuildCache* cache = run.build_cache;
   if (cache == nullptr) {
     // Window shapes repeat across rounds; a private per-call cache still
     // removes most rebuilds when no shared one is attached.
@@ -211,6 +212,9 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
   }
 
   ThreadPool* const pool = run.pool;  // null = serial
+  // The window sub-solves run serially: the window fan-out owns the pool.
+  RunContext solve_run = run;
+  solve_run.pool = nullptr;
 
   // Workers consult this concurrently, so the deadline verdict lives in
   // an atomic and is folded into the report once the fan-outs are done.
@@ -285,23 +289,20 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
       auto encoded = cache->GetOrBuild(sub->subquery, encode_options);
       if (encoded.ok()) {
         const Qubo& qubo = (*encoded)->encoding.qubo;
-        SolverControl control = ControlOf(run);
-        control.pool = nullptr;  // the window fan-out above owns the threads
         switch (PickSubSolver(round, static_cast<int>(w))) {
           case SubSolver::kSa: {
             SaOptions sa;
             sa.num_reads = options.subsolver_reads;
             sa.sweeps_per_read = options.subsolver_sweeps;
-            sa.control = control;
-            solutions = SolveQuboSimulatedAnnealing(qubo, sa, window_rng);
+            solutions =
+                SolveQuboSimulatedAnnealing(qubo, sa, solve_run, window_rng);
             break;
           }
           case SubSolver::kTabu: {
             TabuOptions tabu;
             tabu.num_restarts = options.subsolver_reads;
             tabu.iterations_per_restart = options.subsolver_sweeps;
-            tabu.control = control;
-            solutions = SolveQuboTabuSearch(qubo, tabu, window_rng);
+            solutions = SolveQuboTabuSearch(qubo, tabu, solve_run, window_rng);
             break;
           }
           case SubSolver::kSqa: {
@@ -310,8 +311,7 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
             sqa.num_reads = options.subsolver_reads;
             sqa.annealing_time_us = options.subsolver_sweeps;
             sqa.sweeps_per_us = 1.0;
-            sqa.control = control;
-            auto samples = RunSqa(ising, sqa, window_rng);
+            auto samples = RunSqa(ising, sqa, solve_run, window_rng);
             if (samples.ok()) {
               for (const SqaSample& sample : *samples) {
                 solutions.push_back(

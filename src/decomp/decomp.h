@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/qubo_cache.h"
 #include "jo/join_tree.h"
 #include "jo/query.h"
 #include "obs/obs.h"
@@ -77,12 +76,6 @@ struct DecompOptions {
   /// C_out cost anyway, so encoding granularity only shapes proposals).
   int num_thresholds = 1;
   double omega = 1.0;
-
-  /// Build cache for the window sub-encodings. The LNS loop hits it
-  /// thousands of times per query (windows repeat across rounds), which
-  /// is exactly the workload the cache's single-entry LRU eviction
-  /// protects. Null = the call creates a private cache for its duration.
-  QuboBuildCache* cache = nullptr;
 };
 
 /// One window of consecutive incumbent-order positions, [start, start+length).
@@ -135,7 +128,11 @@ struct DecompReport {
 /// the per-round window fan-out (null = serial; results never depend on
 /// it), `run.deadline_ms` <= 0 = no deadline (bounded by max_rounds),
 /// and a positive deadline as well as `run.stop` are checked between
-/// window solves. Always returns a valid join tree with cost <= the
+/// window solves. The window sub-encodings go through `run.build_cache`:
+/// the loop hits it thousands of times per query (windows repeat across
+/// rounds), exactly the workload the cache's single-entry LRU eviction
+/// protects. Without one the call keeps a private cache for its
+/// duration. Always returns a valid join tree with cost <= the
 /// greedy baseline (the seed) when it returns at all; fails only on < 2
 /// relations, > 63 relations (bitmask-bounded cost model), or an
 /// unbounded configuration.

@@ -15,9 +15,9 @@ namespace qjo {
 /// Turns wall-clock deadlines into cooperative stop requests. One monitor
 /// thread watches any number of armed (stop source, deadline) pairs and
 /// calls `request_stop()` on each source when its deadline passes; the
-/// stochastic solvers observe the matching std::stop_token between sweeps
-/// through SolverControl::stop and wind down with whatever state they
-/// reached.
+/// solvers observe the matching std::stop_token through RunContext::stop
+/// (between sweeps, or every 2^16 steps of the brute-force walk) and wind
+/// down.
 ///
 /// This is the one deadline timer of the process: every portfolio race
 /// with a deadline and every dispatched serving request arms Shared(),

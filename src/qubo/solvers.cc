@@ -27,6 +27,14 @@ constexpr int kReplicaBatch = 16;
 /// and the full-width update would mostly multiply by 0.
 constexpr int kScalarUpdateLanes = 2;
 
+/// The brute-force walk polls its stop token once every 2^16 steps, about
+/// a millisecond of walk on a ~30-variable join-ordering QUBO.
+constexpr uint64_t kStopCheckMask = (uint64_t{1} << 16) - 1;
+
+Status BruteForceStopped() {
+  return Status::ResourceExhausted("brute force stopped before the walk ended");
+}
+
 void SortByEnergy(std::vector<QuboSolution>& solutions) {
   std::sort(solutions.begin(), solutions.end(),
             [](const QuboSolution& a, const QuboSolution& b) {
@@ -46,10 +54,9 @@ void SortByEnergy(std::vector<QuboSolution>& solutions) {
 /// local-field reads of SolveQuboSimulatedAnnealingReference
 /// (qubo/solvers_reference.h) at any parallelism.
 void RunSaBatchedGroup(const QuboCsr& csr, const SaOptions& options,
-                       const SaSchedule& schedule, const Rng& base, int n,
-                       int64_t first_read, int lanes,
+                       const RunContext& run, const SaSchedule& schedule,
+                       const Rng& base, int n, int64_t first_read, int lanes,
                        std::vector<QuboSolution>& reads) {
-  const SolverControl& control = options.control;
   const SimdOps& simd = Simd();
   const int64_t L = lanes;
 
@@ -84,7 +91,7 @@ void RunSaBatchedGroup(const QuboCsr& csr, const SaOptions& options,
   MetropolisBands bands;
   int sweeps_run = 0;
   for (int sweep = 0; sweep < options.sweeps_per_read; ++sweep) {
-    if (control.stop.stop_requested()) break;
+    if (run.stop.stop_requested()) break;
     ++sweeps_run;
     bands.Prepare(temperature);
     for (int i = 0; i < n; ++i) {
@@ -141,23 +148,22 @@ void RunSaBatchedGroup(const QuboCsr& csr, const SaOptions& options,
     reads[static_cast<size_t>(first_read) + r] =
         QuboSolution{std::move(out), energy[r]};
   }
-  if (control.metrics != nullptr) {
+  if (run.metrics != nullptr) {
     // Totals match what `lanes` scalar reads would have recorded.
-    control.metrics->Count("sa.reads", static_cast<uint64_t>(lanes));
-    control.metrics->Count("sa.sweeps", static_cast<uint64_t>(lanes) *
-                                            static_cast<uint64_t>(sweeps_run));
-    control.metrics->Count("sa.proposals",
-                           static_cast<uint64_t>(lanes) *
-                               static_cast<uint64_t>(sweeps_run) *
-                               static_cast<uint64_t>(n));
-    control.metrics->Count("sa.accepts", accepts);
+    run.metrics->Count("sa.reads", static_cast<uint64_t>(lanes));
+    run.metrics->Count("sa.sweeps", static_cast<uint64_t>(lanes) *
+                                        static_cast<uint64_t>(sweeps_run));
+    run.metrics->Count("sa.proposals", static_cast<uint64_t>(lanes) *
+                                           static_cast<uint64_t>(sweeps_run) *
+                                           static_cast<uint64_t>(n));
+    run.metrics->Count("sa.accepts", accepts);
   }
 }
 
 }  // namespace
 
-StatusOr<QuboSolution> SolveQuboBruteForce(const Qubo& qubo,
-                                           int max_variables) {
+StatusOr<QuboSolution> SolveQuboBruteForce(const Qubo& qubo, int max_variables,
+                                           const RunContext& run) {
   const int n = qubo.num_variables();
   if (n == 0) return Status::InvalidArgument("empty QUBO");
   // The Gray-code walk enumerates 2^n states in a uint64_t; n == 64 would
@@ -167,6 +173,7 @@ StatusOr<QuboSolution> SolveQuboBruteForce(const Qubo& qubo,
   if (n > effective_max) {
     return Status::ResourceExhausted("too many variables for brute force");
   }
+  if (run.stop.stop_requested()) return BruteForceStopped();
   const QuboCsr& csr = qubo.Csr();
   std::vector<int> x(n, 0);
   double energy = csr.offset;
@@ -176,6 +183,9 @@ StatusOr<QuboSolution> SolveQuboBruteForce(const Qubo& qubo,
   // here — persistent fields would pay the same O(degree) per step.
   const uint64_t total = uint64_t{1} << n;
   for (uint64_t k = 1; k < total; ++k) {
+    if ((k & kStopCheckMask) == 0 && run.stop.stop_requested()) {
+      return BruteForceStopped();
+    }
     const int bit = static_cast<int>(__builtin_ctzll(k));
     energy += csr.FlipDelta(x, bit);
     x[bit] ^= 1;
@@ -209,6 +219,7 @@ SaSchedule ResolveSaSchedule(const Qubo& qubo, const SaOptions& options) {
 
 std::vector<QuboSolution> SolveQuboSimulatedAnnealing(const Qubo& qubo,
                                                       const SaOptions& options,
+                                                      const RunContext& run,
                                                       Rng& rng) {
   QJO_CHECK_GT(qubo.num_variables(), 0);
   QJO_CHECK_GT(options.num_reads, 0);
@@ -222,8 +233,7 @@ std::vector<QuboSolution> SolveQuboSimulatedAnnealing(const Qubo& qubo,
   // the same Rng independent; every read then forks stream `read` off the
   // resulting snapshot, so the set of reads is bit-identical for every
   // parallelism level and thread interleaving.
-  const SolverControl& control = options.control;
-  StageSpan solve_span(control.trace, "sa.solve");
+  StageSpan solve_span(run.trace, "sa.solve");
   const Rng base(rng.Next());
   std::vector<QuboSolution> reads(options.num_reads);
   // SoA replica groups: each task anneals up to kReplicaBatch reads in
@@ -232,21 +242,21 @@ std::vector<QuboSolution> SolveQuboSimulatedAnnealing(const Qubo& qubo,
   const int64_t groups =
       (options.num_reads + kReplicaBatch - 1) / kReplicaBatch;
   const auto run_group = [&](int64_t group) {
-    StageSpan group_span(control.trace, "sa.read_batch");
+    StageSpan group_span(run.trace, "sa.read_batch");
     const int64_t first_read = group * kReplicaBatch;
     const int lanes = static_cast<int>(std::min<int64_t>(
         kReplicaBatch, options.num_reads - first_read));
-    RunSaBatchedGroup(csr, options, schedule, base, n, first_read, lanes,
-                      reads);
+    RunSaBatchedGroup(csr, options, run, schedule, base, n, first_read,
+                      lanes, reads);
   };
-  ParallelFor(control.pool, 0, groups, run_group);
+  ParallelFor(run.pool, 0, groups, run_group);
   SortByEnergy(reads);
   return reads;
 }
 
 std::vector<QuboSolution> SolveQuboTabuSearch(const Qubo& qubo,
                                               const TabuOptions& options,
-                                              Rng& rng) {
+                                              const RunContext& run, Rng& rng) {
   QJO_CHECK_GT(qubo.num_variables(), 0);
   QJO_CHECK_GT(options.num_restarts, 0);
   QJO_CHECK_GT(options.iterations_per_restart, 0);
@@ -255,12 +265,11 @@ std::vector<QuboSolution> SolveQuboTabuSearch(const Qubo& qubo,
   const QuboCsr& csr = qubo.Csr();
   constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
-  const SolverControl& control = options.control;
-  StageSpan solve_span(control.trace, "tabu.solve");
+  StageSpan solve_span(run.trace, "tabu.solve");
   const Rng base(rng.Next());
   std::vector<QuboSolution> restarts(options.num_restarts);
   const auto run_restart = [&](int64_t restart) {
-    StageSpan restart_span(control.trace, "tabu.restart");
+    StageSpan restart_span(run.trace, "tabu.restart");
     Rng restart_rng = base.Fork(static_cast<uint64_t>(restart));
     std::vector<int> x(n);
     for (int i = 0; i < n; ++i) x[i] = restart_rng.Bernoulli(0.5) ? 1 : 0;
@@ -276,7 +285,7 @@ std::vector<QuboSolution> SolveQuboTabuSearch(const Qubo& qubo,
     std::vector<double> fields = csr.LocalFields(x);
     std::vector<double> deltas(n);
     for (int it = 0; it < options.iterations_per_restart; ++it) {
-      if (control.stop.stop_requested()) break;
+      if (run.stop.stop_requested()) break;
       ++iterations_run;
       double best_delta = kInfinity;
       int tie_count = 0;
@@ -321,16 +330,16 @@ std::vector<QuboSolution> SolveQuboTabuSearch(const Qubo& qubo,
       tabu_until[best_flip] = it + tenure;
       if (energy < incumbent.energy) incumbent = QuboSolution{x, energy};
     }
-    if (control.metrics != nullptr) {
-      control.metrics->Count("tabu.restarts");
-      control.metrics->Count("tabu.iterations",
-                             static_cast<uint64_t>(iterations_run));
-      control.metrics->Count("tabu.moves", moves);
-      control.metrics->Count("tabu.evictions", evictions);
+    if (run.metrics != nullptr) {
+      run.metrics->Count("tabu.restarts");
+      run.metrics->Count("tabu.iterations",
+                         static_cast<uint64_t>(iterations_run));
+      run.metrics->Count("tabu.moves", moves);
+      run.metrics->Count("tabu.evictions", evictions);
     }
     restarts[restart] = std::move(incumbent);
   };
-  ParallelFor(control.pool, 0, options.num_restarts, run_restart);
+  ParallelFor(run.pool, 0, options.num_restarts, run_restart);
   SortByEnergy(restarts);
   return restarts;
 }

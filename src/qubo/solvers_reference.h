@@ -14,8 +14,8 @@ namespace qjo {
 /// benchmarks link qjo_qubo_reference, so production code that includes
 /// this header fails to link.
 ///
-/// Every reference is serial and reads none of `options.control`: it
-/// takes no pool, never stops early and records no trace or metrics. For
+/// Every reference is serial and takes no RunContext: it uses no pool,
+/// never stops early and records no trace or metrics. For
 /// the same `rng` state it consumes the same draws and returns the same
 /// solutions, in the same order, as its production counterpart (see each
 /// function for the weight class on which that holds bit for bit).

@@ -19,18 +19,22 @@ namespace qjo {
 ///  * `v.Nested(field[, group])` — a struct with its own list; `group`
 ///    marks where its keys start;
 ///  * `v.Neutral(name, field)` — never changes a result (the comment says
-///    why), so it must not split the plan cache.
+///    why), so it must not split the plan cache. Only RunContext has
+///    neutral fields: every options struct holds only fields that change
+///    the answer.
 /// OptimizerService::PlanKey walks the list; serve_test perturbs each field.
 template <typename T, typename Config>
 concept FieldListOf = std::is_same_v<std::remove_const_t<T>, Config>;
 
 void VisitFields(FieldListOf<RunContext> auto& run, auto& v) {
-  auto& [deadline_ms, pool, stop, trace, metrics] = run;
+  auto& [deadline_ms, pool, stop, trace, metrics, build_cache] = run;
   v.Key("dl", deadline_ms);
   v.Neutral("run.pool", pool);        // results never depend on the pool
   v.Neutral("run.stop", stop);        // a stopped answer is never cached
   v.Neutral("run.trace", trace);      // observing never changes a result
   v.Neutral("run.metrics", metrics);  // likewise
+  // A build-cache hit returns what a miss builds.
+  v.Neutral("run.build_cache", build_cache);
 }
 
 void VisitFields(FieldListOf<DeviceProperties> auto& device, auto& v) {
@@ -53,8 +57,7 @@ void VisitFields(FieldListOf<TranspileOptions> auto& transpile, auto& v) {
 
 void VisitFields(FieldListOf<SqaOptions> auto& sqa, auto& v) {
   auto& [num_reads, annealing_time_us, sweeps_per_us, trotter_slices,
-         relative_temperature, relative_initial_field, ice_sigma, control] =
-      sqa;
+         relative_temperature, relative_initial_field, ice_sigma] = sqa;
   v.Key("reads", num_reads);
   v.Key("us", annealing_time_us);
   v.Key("spu", sweeps_per_us);
@@ -62,7 +65,6 @@ void VisitFields(FieldListOf<SqaOptions> auto& sqa, auto& v) {
   v.Key("temp", relative_temperature);
   v.Key("field", relative_initial_field);
   v.Key("ice", ice_sigma);
-  v.Neutral("sqa.control", control);  // the pipeline overwrites it
 }
 
 void VisitFields(FieldListOf<EmbeddingOptions> auto& embedding, auto& v) {
@@ -79,7 +81,7 @@ void VisitFields(FieldListOf<EmbedQuboOptions> auto& embed_qubo, auto& v) {
 
 void VisitFields(FieldListOf<DecompOptions> auto& decomp, auto& v) {
   auto& [window, max_rounds, stall_rounds, subsolver_reads, subsolver_sweeps,
-         num_thresholds, omega, cache] = decomp;
+         num_thresholds, omega] = decomp;
   v.Key("d_w", window);
   v.Key("d_mr", max_rounds);
   v.Key("d_sr", stall_rounds);
@@ -87,7 +89,6 @@ void VisitFields(FieldListOf<DecompOptions> auto& decomp, auto& v) {
   v.Key("d_sweeps", subsolver_sweeps);
   v.Key("d_nt", num_thresholds);
   v.Key("d_omega", omega);
-  v.Neutral("portfolio.decomp.cache", cache);  // overwritten by qubo_cache
 }
 
 void VisitFields(FieldListOf<PortfolioOptions> auto& portfolio, auto& v) {
@@ -107,8 +108,8 @@ void VisitFields(FieldListOf<PortfolioOptions> auto& portfolio, auto& v) {
 void VisitFields(FieldListOf<QjoConfig> auto& config, auto& v) {
   auto& [backend, thresholds, num_thresholds, omega, seed, run, shots,
          qaoa_iterations, qaoa_grid, device, transpile, gate_topology,
-         noiseless, sqa, embedding, embed_qubo, annealer_topology, portfolio,
-         qubo_cache] = config;
+         noiseless, sqa, embedding, embed_qubo, annealer_topology,
+         portfolio] = config;
   v.Encoding(thresholds, num_thresholds, omega);
   v.Key("backend", backend);
   v.Key("seed", seed);
@@ -125,7 +126,6 @@ void VisitFields(FieldListOf<QjoConfig> auto& config, auto& v) {
   v.Nested(embedding);
   v.Nested(embed_qubo);
   v.Nested(portfolio);
-  v.Neutral("qubo_cache", qubo_cache);  // a hit returns what a miss builds
 }
 
 }  // namespace qjo

@@ -454,7 +454,9 @@ QjoConfig OptimizerService::SolveConfig(const ServeRequest& request) {
   // Shared build cache: even when the plan cache misses, the encode
   // stage reuses any prior request's CSR build for this fingerprint. A
   // request carrying its own cache keeps it (caller wins).
-  if (config.qubo_cache == nullptr) config.qubo_cache = &build_cache_;
+  if (config.run.build_cache == nullptr) {
+    config.run.build_cache = &build_cache_;
+  }
   return config;
 }
 

@@ -150,7 +150,7 @@ double RetryAfterHintMs(double avg_solve_ms, size_t backlog, size_t workers,
 ///  * Shared QUBO-build cache — every request's encode goes through one
 ///    service-owned QuboBuildCache (single-flight itself), so even a
 ///    plan-cache miss reuses the pre-built CSR from any prior request. A
-///    request carrying its own `config.qubo_cache` keeps it.
+///    request carrying its own `config.run.build_cache` keeps it.
 ///  * Deadlines — a request's wall budget covers queue wait + solve. Each
 ///    dispatched solve runs on its own stop source, armed on the
 ///    process-wide DeadlineMonitor and stopped as well by the caller's

@@ -41,14 +41,13 @@ struct SqaScheduleParams {
 /// order, so samples are bit-identical to RunSqaReference with
 /// ReferenceDelta::kLocalFields (sim/sqa_reference.h).
 void RunSqaBatchedGroup(const IsingModel& ising, const IsingCsr& csr,
-                        const SqaOptions& options,
+                        const SqaOptions& options, const RunContext& run,
                         const SqaScheduleParams& params, const Rng& base,
                         int64_t first_read, int lanes,
                         std::vector<SqaSample>& samples) {
   const int n = ising.num_spins();
   const int slices = params.slices;
   const double temperature = params.temperature;
-  const SolverControl& control = options.control;
   const SimdOps& simd = Simd();
   const int64_t L = lanes;
   const size_t num_edges = ising.couplings.size();
@@ -107,7 +106,7 @@ void RunSqaBatchedGroup(const IsingModel& ising, const IsingCsr& csr,
   int sweeps_run = 0;
   uint64_t slice_flips = 0;
   for (int sweep = 0; sweep < params.num_sweeps; ++sweep) {
-    if (control.stop.stop_requested()) break;
+    if (run.stop.stop_requested()) break;
     ++sweeps_run;
     const double s_frac = static_cast<double>(sweep) /
                           static_cast<double>(params.num_sweeps - 1);
@@ -171,16 +170,15 @@ void RunSqaBatchedGroup(const IsingModel& ising, const IsingCsr& csr,
     }
   }
 
-  if (control.metrics != nullptr) {
-    control.metrics->Count("sqa.reads", static_cast<uint64_t>(lanes));
-    control.metrics->Count("sqa.sweeps", static_cast<uint64_t>(lanes) *
-                                             static_cast<uint64_t>(sweeps_run));
-    control.metrics->Count("sqa.proposals",
-                           static_cast<uint64_t>(lanes) *
-                               static_cast<uint64_t>(sweeps_run) *
-                               static_cast<uint64_t>(slices) *
-                               static_cast<uint64_t>(n));
-    control.metrics->Count("sqa.slice_flips", slice_flips);
+  if (run.metrics != nullptr) {
+    run.metrics->Count("sqa.reads", static_cast<uint64_t>(lanes));
+    run.metrics->Count("sqa.sweeps", static_cast<uint64_t>(lanes) *
+                                         static_cast<uint64_t>(sweeps_run));
+    run.metrics->Count("sqa.proposals", static_cast<uint64_t>(lanes) *
+                                            static_cast<uint64_t>(sweeps_run) *
+                                            static_cast<uint64_t>(slices) *
+                                            static_cast<uint64_t>(n));
+    run.metrics->Count("sqa.slice_flips", slice_flips);
   }
 
   // Per lane: the slice with the lowest *true* classical energy, scanned
@@ -240,7 +238,8 @@ Status ValidateSqaOptions(const SqaOptions& options) {
 }
 
 StatusOr<std::vector<SqaSample>> RunSqa(const IsingModel& ising,
-                                        const SqaOptions& options, Rng& rng) {
+                                        const SqaOptions& options,
+                                        const RunContext& run, Rng& rng) {
   const int n = ising.num_spins();
   if (n == 0) return Status::InvalidArgument("empty Ising model");
   QJO_RETURN_IF_ERROR(ValidateSqaOptions(options));
@@ -260,21 +259,20 @@ StatusOr<std::vector<SqaSample>> RunSqa(const IsingModel& ising,
   // the sample set is bit-identical for every parallelism level and
   // thread interleaving (reads land in pre-sized slots, and SoA group
   // boundaries depend only on the read index).
-  const SolverControl& control = options.control;
-  StageSpan solve_span(control.trace, "sqa.solve");
+  StageSpan solve_span(run.trace, "sqa.solve");
   const Rng base(rng.Next());
   std::vector<SqaSample> samples(options.num_reads);
   const int64_t groups =
       (options.num_reads + kReplicaBatch - 1) / kReplicaBatch;
   const auto run_group = [&](int64_t group) {
-    StageSpan group_span(control.trace, "sqa.read_batch");
+    StageSpan group_span(run.trace, "sqa.read_batch");
     const int64_t first_read = group * kReplicaBatch;
     const int lanes = static_cast<int>(
         std::min<int64_t>(kReplicaBatch, options.num_reads - first_read));
-    RunSqaBatchedGroup(ising, csr, options, params, base, first_read, lanes,
-                       samples);
+    RunSqaBatchedGroup(ising, csr, options, run, params, base, first_read,
+                       lanes, samples);
   };
-  ParallelFor(control.pool, 0, groups, run_group);
+  ParallelFor(run.pool, 0, groups, run_group);
   return samples;
 }
 

@@ -4,8 +4,8 @@
 #include <vector>
 
 #include "qubo/ising.h"
-#include "qubo/solver_control.h"
 #include "util/random.h"
+#include "util/run_context.h"
 #include "util/thread_pool.h"
 #include "util/statusor.h"
 
@@ -32,14 +32,6 @@ struct SqaOptions {
   /// ICE noise: sigma of the Gaussian perturbation on every h_i and J_ij,
   /// relative to the largest |coefficient|. 0 disables noise.
   double ice_sigma = 0.0;
-  /// Shared runtime control (pool/stop/observability). Every
-  /// read — its ICE perturbation, spin init and Metropolis sweeps —
-  /// draws from its own forked RNG stream and writes its own result
-  /// slot, so samples are bit-identical regardless of thread count. The
-  /// stop token is checked between Monte Carlo sweeps: a cancelled read
-  /// stops annealing where it is and still returns its best Trotter
-  /// slice.
-  SolverControl control;
 };
 
 /// One annealing read: the sampled spin configuration (+1/-1 per site)
@@ -60,11 +52,17 @@ Status ValidateSqaOptions(const SqaOptions& options);
 /// Runs `options.num_reads` independent anneals of `ising`. Reads anneal
 /// in structure-of-arrays groups of 16 with per-slice local-field planes
 /// and SIMD neighbour updates (util/simd.h); each read is bit-identical
-/// to the scalar reference read (sim/sqa_reference.h). Groups run on
-/// `options.control.pool` (serial when null). Fails on an empty model or
-/// options ValidateSqaOptions rejects.
+/// to the scalar reference read (sim/sqa_reference.h). Every read (its
+/// ICE perturbation, spin init and Metropolis sweeps) draws from its own
+/// forked RNG stream and writes its own result slot. `run` is read as
+/// SolveQuboSimulatedAnnealing reads it (qubo/solvers.h): groups run on
+/// `run.pool`, and `run.stop` is checked between Monte Carlo sweeps, so
+/// a cancelled read stops annealing where it is and still returns its
+/// best Trotter slice; `run.deadline_ms` is ignored. Fails on an empty
+/// model or options ValidateSqaOptions rejects.
 StatusOr<std::vector<SqaSample>> RunSqa(const IsingModel& ising,
-                                        const SqaOptions& options, Rng& rng);
+                                        const SqaOptions& options,
+                                        const RunContext& run, Rng& rng);
 
 }  // namespace qjo
 

@@ -16,8 +16,8 @@ namespace qjo {
 /// settled on SoA replica groups, with its arithmetic unchanged. Part of
 /// qjo_sim_reference, which only test binaries and benchmarks link.
 ///
-/// Serial; reads none of `options.control` (no pool, no early stop, no
-/// trace or metrics). Read r runs on Rng(rng.Next()).Fork(r) and draws
+/// Serial; takes no RunContext (no pool, no early stop, no trace or
+/// metrics). Read r runs on Rng(rng.Next()).Fork(r) and draws
 /// exactly what RunSqa's lane r draws. With kLocalFields the samples
 /// equal RunSqa's bit for bit on any coefficients, ICE noise included;
 /// kScan recomputes each classical field by an O(degree) scan and is

@@ -14,6 +14,7 @@
 
 #include "core/postprocess.h"
 #include "core/quantum_optimizer.h"
+#include "core/qubo_cache.h"
 #include "jo/classical.h"
 #include "jo/query_generator.h"
 #include "lp/jo_encoder.h"
@@ -794,6 +795,41 @@ TEST(PortfolioTest, StopsMidRoundOnEarlyExit) {
   EXPECT_FALSE(report->portfolio.race.deadline_expired);
 }
 
+TEST(PortfolioTest, ExactStrandHonoursTheRaceDeadline) {
+  // A 28-variable walk takes seconds; the race deadline must stop it
+  // within one 2^16-step poll. A stopped walk publishes no incumbent and
+  // proves no bound.
+  Rng rng(17);
+  Qubo qubo(28);
+  for (int i = 0; i < 28; ++i) {
+    qubo.AddLinear(i, rng.UniformDouble(-0.5, 0.5));
+    for (int j = i + 1; j < 28; ++j) {
+      qubo.AddQuadratic(i, j, rng.UniformDouble(-0.5, 0.5));
+    }
+  }
+  PortfolioOptions options;
+  options.sweep_budget = 0;  // bounded by the deadline only
+  options.max_exact_variables = 30;
+  options.enable_sa = false;
+  options.enable_tabu = false;
+  options.enable_sqa = false;
+  options.enable_qaoa = false;
+  RunContext run;
+  run.deadline_ms = 20.0;
+  Rng race_rng(19);
+  const auto start = std::chrono::steady_clock::now();
+  auto race = RaceQuboPortfolio(qubo, options, RaceHooks{}, run, race_rng);
+  ASSERT_TRUE(race.ok());
+  EXPECT_LT(MsSince(start), 1'000.0);
+  EXPECT_TRUE(race->deadline_expired);
+  const StrandOutcome& exact = race->strands[0];
+  EXPECT_EQ(exact.name, "exact");
+  EXPECT_TRUE(exact.eligible);
+  EXPECT_FALSE(exact.feasible);
+  EXPECT_FALSE(exact.hit_lower_bound);
+  EXPECT_EQ(race->winner, -1);
+}
+
 TEST(PortfolioTest, UnrepresentableDeadlineNeverExpires) {
   // A deadline too far out for the clock's integer ticks must mean "no
   // wall-clock cut-off", not an overflowed deadline in the past that
@@ -954,7 +990,7 @@ TEST(BatchTest, SharedCacheEncodesRepeatedQueriesOnce) {
   QuboBuildCache cache;
   QjoConfig config;
   config.backend = QjoBackend::kExact;
-  config.qubo_cache = &cache;
+  config.run.build_cache = &cache;
   const auto reports = OptimizeJoinOrderBatch(queries, config);
   ASSERT_EQ(reports.size(), 3u);
   for (const auto& report : reports) ASSERT_TRUE(report.ok());

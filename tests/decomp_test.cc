@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/qubo_cache.h"
 #include "jo/classical.h"
 #include "jo/join_tree.h"
 #include "jo/query.h"
@@ -211,9 +212,10 @@ TEST(DecompTest, SharedCacheAbsorbsRepeatedWindowShapes) {
   DecompOptions options = FastOptions();
   options.max_rounds = 4;
   options.stall_rounds = 0;
-  options.cache = &cache;
+  RunContext run;
+  run.build_cache = &cache;
   Rng rng(5);
-  ASSERT_TRUE(OptimizeJoinOrderDecomposed(q, options, {}, rng).ok());
+  ASSERT_TRUE(OptimizeJoinOrderDecomposed(q, options, run, rng).ok());
   const QuboBuildCache::Stats stats = cache.stats();
   // Rounds 3 and 4 repeat the phase-0/phase-1 partitions of rounds 1 and
   // 2 over an (unimproved or identical-shape) incumbent: the cache must

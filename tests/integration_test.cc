@@ -153,7 +153,7 @@ TEST(PipelineConsistencyTest, EmbeddedAnnealingFindsLogicalGroundState) {
   sqa.num_reads = 30;
   sqa.annealing_time_us = 40.0;
   sqa.sweeps_per_us = 10.0;
-  auto reads = RunSqa(QuboToIsing(embedded->physical), sqa, rng);
+  auto reads = RunSqa(QuboToIsing(embedded->physical), sqa, {}, rng);
   ASSERT_TRUE(reads.ok());
   double best = 1e300;
   for (const SqaSample& read : *reads) {

@@ -229,11 +229,12 @@ TEST(ObsSolverTest, SaMetricsDeterministicAcrossParallelism) {
     SaOptions options;
     options.num_reads = 32;
     options.sweeps_per_read = 48;
-    options.control.pool = &pool;
-    options.control.metrics = &registry;
+    RunContext run;
+    run.pool = &pool;
+    run.metrics = &registry;
     Rng rng(93);
     const std::vector<QuboSolution> reads =
-        SolveQuboSimulatedAnnealing(qubo, options, rng);
+        SolveQuboSimulatedAnnealing(qubo, options, run, rng);
     const MetricsSnapshot snapshot = registry.Snapshot();
     EXPECT_EQ(snapshot.counters.at("sa.reads"), 32u);
     EXPECT_EQ(snapshot.counters.at("sa.sweeps"), 32u * 48u);
@@ -259,11 +260,11 @@ TEST(ObsSolverTest, TracedTabuRunBitIdenticalAndSpansNest) {
   options.num_restarts = 8;
   options.iterations_per_restart = 64;
   const auto run = [&](TraceRecorder* trace, MetricsRegistry* metrics) {
-    TabuOptions traced = options;
-    traced.control.trace = trace;
-    traced.control.metrics = metrics;
+    RunContext traced;
+    traced.trace = trace;
+    traced.metrics = metrics;
     Rng rng(99);
-    return SolveQuboTabuSearch(qubo, traced, rng);
+    return SolveQuboTabuSearch(qubo, options, traced, rng);
   };
   const std::vector<QuboSolution> plain = run(nullptr, nullptr);
   TraceRecorder trace;

@@ -117,6 +117,38 @@ TEST(BruteForceTest, RejectsOversizedProblems) {
   EXPECT_FALSE(SolveQuboBruteForce(q, 28).ok());
 }
 
+// 2^40 Gray-code steps: hours of walk, so these tests only finish if the
+// stop token ends it.
+TEST(BruteForceTest, PreSetStopTokenReturnsBeforeTheWalk) {
+  Rng rng(157);
+  const Qubo qubo = RandomQubo(40, 0.2, rng);
+  std::stop_source stop;
+  stop.request_stop();
+  RunContext run;
+  run.stop = stop.get_token();
+  const auto start = std::chrono::steady_clock::now();
+  const auto solution = SolveQuboBruteForce(qubo, 63, run);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(100));
+  EXPECT_EQ(solution.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(BruteForceTest, StopTokenCancelsLongWalk) {
+  Rng rng(163);
+  const Qubo qubo = RandomQubo(40, 0.2, rng);
+  std::stop_source stop;
+  RunContext run;
+  run.stop = stop.get_token();
+  std::thread canceller([&stop] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    stop.request_stop();
+  });
+  // A stopped walk publishes no partial minimum.
+  const auto solution = SolveQuboBruteForce(qubo, 63, run);
+  canceller.join();
+  EXPECT_EQ(solution.status().code(), StatusCode::kResourceExhausted);
+}
+
 TEST(BruteForceTest, RejectsSixtyFourVariablesEvenWithRaisedLimit) {
   // The Gray-code walk enumerates 2^n states through a uint64_t;
   // `uint64_t{1} << 64` is UB, so 64 variables must be rejected no matter
@@ -138,7 +170,7 @@ TEST(SimulatedAnnealingTest, SolvesSmallProblems) {
     SaOptions options;
     options.num_reads = 20;
     options.sweeps_per_read = 500;
-    const auto reads = SolveQuboSimulatedAnnealing(qubo, options, rng);
+    const auto reads = SolveQuboSimulatedAnnealing(qubo, options, {}, rng);
     ASSERT_FALSE(reads.empty());
     EXPECT_NEAR(BestSolution(reads).energy, exact->energy, 1e-6);
     // Reads are sorted best-first.
@@ -255,7 +287,7 @@ TEST(TabuSearchTest, SolvesSmallProblems) {
     TabuOptions options;
     options.num_restarts = 8;
     options.iterations_per_restart = 1500;
-    const auto restarts = SolveQuboTabuSearch(qubo, options, rng);
+    const auto restarts = SolveQuboTabuSearch(qubo, options, {}, rng);
     ASSERT_EQ(restarts.size(), 8u);
     EXPECT_NEAR(restarts.front().energy, exact->energy, 1e-6);
     // Reported energies match re-evaluation.
@@ -278,7 +310,7 @@ TEST(TabuSearchTest, EscapesLocalMinima) {
   Rng rng(23);
   TabuOptions options;
   options.num_restarts = 4;
-  const auto restarts = SolveQuboTabuSearch(qubo, options, rng);
+  const auto restarts = SolveQuboTabuSearch(qubo, options, {}, rng);
   EXPECT_NEAR(restarts.front().energy, exact->energy, 1e-9);
 }
 
@@ -333,9 +365,10 @@ TEST(SimulatedAnnealingTest, DeterministicAcrossParallelism) {
   std::vector<std::vector<QuboSolution>> runs;
   for (int parallelism : {1, 2, 8}) {
     ThreadPool pool(parallelism);
-    options.control.pool = &pool;
+    RunContext run;
+    run.pool = &pool;
     Rng rng(31);
-    runs.push_back(SolveQuboSimulatedAnnealing(qubo, options, rng));
+    runs.push_back(SolveQuboSimulatedAnnealing(qubo, options, run, rng));
     // The solver consumes exactly one draw from the caller's RNG no
     // matter the thread count, so follow-up draws stay aligned too.
     Rng reference(31);
@@ -361,9 +394,10 @@ TEST(TabuSearchTest, DeterministicAcrossParallelism) {
   std::vector<std::vector<QuboSolution>> runs;
   for (int parallelism : {1, 2, 8}) {
     ThreadPool pool(parallelism);
-    options.control.pool = &pool;
+    RunContext run;
+    run.pool = &pool;
     Rng rng(41);
-    runs.push_back(SolveQuboTabuSearch(qubo, options, rng));
+    runs.push_back(SolveQuboTabuSearch(qubo, options, run, rng));
   }
   for (size_t run = 1; run < runs.size(); ++run) {
     ASSERT_EQ(runs[run].size(), runs[0].size());
@@ -493,9 +527,11 @@ TEST(SimulatedAnnealingTest, KernelsBitIdenticalOnDyadicProblems) {
   for (int parallelism : {0, 1, 4, 8}) {
     std::optional<ThreadPool> pool;
     if (parallelism > 0) pool.emplace(parallelism);
-    options.control.pool = pool ? &*pool : nullptr;
+    RunContext run;
+    run.pool = pool ? &*pool : nullptr;
     Rng rng(19);
-    const auto production = SolveQuboSimulatedAnnealing(qubo, options, rng);
+    const auto production =
+        SolveQuboSimulatedAnnealing(qubo, options, run, rng);
     ASSERT_EQ(production.size(), reference.size());
     for (size_t i = 0; i < production.size(); ++i) {
       EXPECT_EQ(production[i].energy, reference[i].energy)
@@ -518,17 +554,17 @@ TEST(SimulatedAnnealingTest, BatchedKernelsBitIdenticalToScalarReads) {
     options.sweeps_per_read = 80;
     for (int num_reads : {1, 4, 17}) {
       options.num_reads = num_reads;
-      options.control.pool = nullptr;
       Rng rng_ref(19);
       const auto scalar = SolveQuboSimulatedAnnealingReference(
           qubo, options, rng_ref, ReferenceDelta::kLocalFields);
       for (int parallelism : {0, 1, 4, 8}) {
         std::optional<ThreadPool> pool;
         if (parallelism > 0) pool.emplace(parallelism);
-        options.control.pool = pool ? &*pool : nullptr;
+        RunContext run;
+        run.pool = pool ? &*pool : nullptr;
         Rng rng_bat(19);
         const auto batched =
-            SolveQuboSimulatedAnnealing(qubo, options, rng_bat);
+            SolveQuboSimulatedAnnealing(qubo, options, run, rng_bat);
         ASSERT_EQ(scalar.size(), batched.size());
         for (size_t i = 0; i < scalar.size(); ++i) {
           EXPECT_EQ(scalar[i].energy, batched[i].energy)
@@ -552,9 +588,10 @@ TEST(TabuSearchTest, KernelsBitIdenticalOnDyadicProblems) {
   for (int parallelism : {0, 1, 4, 8}) {
     std::optional<ThreadPool> pool;
     if (parallelism > 0) pool.emplace(parallelism);
-    options.control.pool = pool ? &*pool : nullptr;
+    RunContext run;
+    run.pool = pool ? &*pool : nullptr;
     Rng rng_inc(23);
-    const auto incremental = SolveQuboTabuSearch(qubo, options, rng_inc);
+    const auto incremental = SolveQuboTabuSearch(qubo, options, run, rng_inc);
     ASSERT_EQ(incremental.size(), reference.size());
     for (size_t i = 0; i < incremental.size(); ++i) {
       EXPECT_EQ(incremental[i].energy, reference[i].energy)
@@ -575,7 +612,7 @@ TEST(SimulatedAnnealingTest, KernelsConvergeEquallyOnContinuousProblems) {
   options.num_reads = 24;
   options.sweeps_per_read = 400;
   Rng rng(29);
-  const auto reads = SolveQuboSimulatedAnnealing(qubo, options, rng);
+  const auto reads = SolveQuboSimulatedAnnealing(qubo, options, {}, rng);
   EXPECT_NEAR(reads.front().energy, exact.energy, 1e-6);
   Rng rng_ref(29);
   const auto reference = SolveQuboSimulatedAnnealingReference(
@@ -593,13 +630,14 @@ TEST(SimulatedAnnealingTest, StopTokenCancelsLongRun) {
   options.num_reads = 4;
   options.sweeps_per_read = 50'000'000;  // hours of work if uncancelled
   std::stop_source stop;
-  options.control.stop = stop.get_token();
+  RunContext run;
+  run.stop = stop.get_token();
   std::thread canceller([&stop] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     stop.request_stop();
   });
   Rng rng(31);
-  const auto reads = SolveQuboSimulatedAnnealing(qubo, options, rng);
+  const auto reads = SolveQuboSimulatedAnnealing(qubo, options, run, rng);
   canceller.join();
   // The run returned (that is the point); truncated reads are still valid
   // assignments with consistent energies.
@@ -621,9 +659,10 @@ TEST(SimulatedAnnealingTest, PreSetStopTokenReturnsImmediately) {
   options.sweeps_per_read = 50'000'000;
   std::stop_source stop;
   stop.request_stop();
-  options.control.stop = stop.get_token();
+  RunContext run;
+  run.stop = stop.get_token();
   Rng rng(37);
-  const auto reads = SolveQuboSimulatedAnnealing(qubo, options, rng);
+  const auto reads = SolveQuboSimulatedAnnealing(qubo, options, run, rng);
   ASSERT_EQ(reads.size(), 2u);
   for (const auto& read : reads) {
     EXPECT_DOUBLE_EQ(read.energy, qubo.Energy(read.assignment));
@@ -637,11 +676,13 @@ TEST(SimulatedAnnealingTest, UnsetStopTokenMatchesNoToken) {
   options.num_reads = 6;
   options.sweeps_per_read = 200;
   Rng rng_plain(41);
-  const auto plain = SolveQuboSimulatedAnnealing(qubo, options, rng_plain);
+  const auto plain = SolveQuboSimulatedAnnealing(qubo, options, {}, rng_plain);
   std::stop_source stop;
-  options.control.stop = stop.get_token();
+  RunContext run;
+  run.stop = stop.get_token();
   Rng rng_token(41);
-  const auto with_token = SolveQuboSimulatedAnnealing(qubo, options, rng_token);
+  const auto with_token =
+      SolveQuboSimulatedAnnealing(qubo, options, run, rng_token);
   ASSERT_EQ(plain.size(), with_token.size());
   for (size_t i = 0; i < plain.size(); ++i) {
     EXPECT_EQ(plain[i].energy, with_token[i].energy);
@@ -656,13 +697,14 @@ TEST(TabuSearchTest, StopTokenCancelsLongRun) {
   options.num_restarts = 4;
   options.iterations_per_restart = 50'000'000;
   std::stop_source stop;
-  options.control.stop = stop.get_token();
+  RunContext run;
+  run.stop = stop.get_token();
   std::thread canceller([&stop] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     stop.request_stop();
   });
   Rng rng(43);
-  const auto restarts = SolveQuboTabuSearch(qubo, options, rng);
+  const auto restarts = SolveQuboTabuSearch(qubo, options, run, rng);
   canceller.join();
   ASSERT_EQ(restarts.size(), 4u);
   for (const auto& restart : restarts) {
@@ -679,11 +721,12 @@ TEST(TabuSearchTest, UnsetStopTokenMatchesNoToken) {
   options.num_restarts = 4;
   options.iterations_per_restart = 150;
   Rng rng_plain(47);
-  const auto plain = SolveQuboTabuSearch(qubo, options, rng_plain);
+  const auto plain = SolveQuboTabuSearch(qubo, options, {}, rng_plain);
   std::stop_source stop;
-  options.control.stop = stop.get_token();
+  RunContext run;
+  run.stop = stop.get_token();
   Rng rng_token(47);
-  const auto with_token = SolveQuboTabuSearch(qubo, options, rng_token);
+  const auto with_token = SolveQuboTabuSearch(qubo, options, run, rng_token);
   ASSERT_EQ(plain.size(), with_token.size());
   for (size_t i = 0; i < plain.size(); ++i) {
     EXPECT_EQ(plain[i].energy, with_token[i].energy);

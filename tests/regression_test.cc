@@ -51,7 +51,7 @@ TEST(RegressionTest, SqaMinimisesNotMaximises) {
   options.annealing_time_us = 20.0;
   options.sweeps_per_us = 10.0;
   Rng rng(3);
-  auto samples = RunSqa(ising, options, rng);
+  auto samples = RunSqa(ising, options, {}, rng);
   ASSERT_TRUE(samples.ok());
   double mean = 0.0;
   for (const SqaSample& s : *samples) mean += s.energy;

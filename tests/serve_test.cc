@@ -640,17 +640,6 @@ class FieldProbe {
     ++neutral_;
   }
 
-  /// Each member of a neutral SolverControl on its own (the binding
-  /// fails to compile when SolverControl gains one).
-  void Neutral(const char* name, SolverControl& control) {
-    auto& [pool, stop, trace, metrics] = control;
-    const std::string prefix = std::string(name) + ".";
-    Neutral((prefix + "pool").c_str(), pool);
-    Neutral((prefix + "stop").c_str(), stop);
-    Neutral((prefix + "trace").c_str(), trace);
-    Neutral((prefix + "metrics").c_str(), metrics);
-  }
-
  private:
   // One generic perturbation per field type.
   template <typename T>
@@ -695,7 +684,8 @@ TEST(ServeTest, PlanKeySeparatesResultDeterminingFields) {
   EXPECT_NE(key, OptimizerService::PlanKey(MakeQuery(4), base));
 
   // Every field of the field list: keyed ones split the key, neutral
-  // ones (pool, stop token, sinks, caches, SQA controls) do not.
+  // ones (the RunContext's pool, stop token, sinks and build cache) do
+  // not.
   QjoConfig walked = base;
   FieldProbe probe(query, walked);
   VisitFields(walked, probe);
@@ -718,6 +708,33 @@ TEST(ServeTest, PlanKeySeparatesResultDeterminingFields) {
   on_star.annealer_topology = star;
   EXPECT_NE(OptimizerService::PlanKey(query, on_path),
             OptimizerService::PlanKey(query, on_star));
+}
+
+/// Records the name of every neutral field of a request config's field
+/// list and ignores the keyed ones.
+struct NeutralNames {
+  std::vector<std::string> names;
+
+  void Encoding(auto&...) {}
+  void Key(const char*, auto&) {}
+  void Flags(const char*, auto&...) {}
+  void Nested(auto& fields, const char* = nullptr) {
+    VisitFields(fields, *this);
+  }
+  void Neutral(const char* name, auto&) { names.emplace_back(name); }
+};
+
+TEST(ServeTest, NeutralFieldsLiveOnlyInTheRunContext) {
+  // The pool, the stop token, the sinks and the build cache are the
+  // RunContext's: no options struct carries a field that leaves the
+  // answer unchanged, so the walk finds neutral names under `run.` only.
+  QjoConfig config;
+  NeutralNames visitor;
+  VisitFields(config, visitor);
+  EXPECT_FALSE(visitor.names.empty());
+  for (const std::string& name : visitor.names) {
+    EXPECT_TRUE(name.starts_with("run.")) << name;
+  }
 }
 
 TEST(ServeTest, CallerCancelledAnswerIsNeitherCachedNorShared) {

@@ -495,7 +495,7 @@ TEST(SqaTest, SolvesFerromagneticChain) {
   options.annealing_time_us = 20.0;
   options.sweeps_per_us = 10.0;
   Rng rng(37);
-  auto samples = RunSqa(ising, options, rng);
+  auto samples = RunSqa(ising, options, {}, rng);
   ASSERT_TRUE(samples.ok());
   int ground_hits = 0;
   for (const SqaSample& s : *samples) {
@@ -519,7 +519,7 @@ TEST(SqaTest, SolvesSmallFrustratedProblem) {
   options.num_reads = 30;
   options.annealing_time_us = 50.0;
   options.sweeps_per_us = 10.0;
-  auto samples = RunSqa(ising, options, rng);
+  auto samples = RunSqa(ising, options, {}, rng);
   ASSERT_TRUE(samples.ok());
   double best = 1e300;
   for (const SqaSample& s : *samples) best = std::min(best, s.energy);
@@ -535,8 +535,8 @@ TEST(SqaTest, IceNoiseDegradesSolutionQuality) {
   SqaOptions noisy = clean;
   noisy.ice_sigma = 0.5;  // heavy control noise
   Rng rng_clean(47), rng_noisy(47);
-  auto clean_samples = RunSqa(ising, clean, rng_clean);
-  auto noisy_samples = RunSqa(ising, noisy, rng_noisy);
+  auto clean_samples = RunSqa(ising, clean, {}, rng_clean);
+  auto noisy_samples = RunSqa(ising, noisy, {}, rng_noisy);
   ASSERT_TRUE(clean_samples.ok());
   ASSERT_TRUE(noisy_samples.ok());
   double clean_mean = 0.0, noisy_mean = 0.0;
@@ -557,9 +557,10 @@ TEST(SqaTest, DeterministicAcrossParallelism) {
   std::vector<std::vector<SqaSample>> runs;
   for (int parallelism : {1, 2, 8}) {
     ThreadPool pool(parallelism);
-    options.control.pool = &pool;
+    RunContext run;
+    run.pool = &pool;
     Rng rng(61);
-    auto samples = RunSqa(ising, options, rng);
+    auto samples = RunSqa(ising, options, run, rng);
     ASSERT_TRUE(samples.ok());
     runs.push_back(*std::move(samples));
   }
@@ -577,14 +578,14 @@ TEST(SqaTest, RejectsBadOptions) {
   IsingModel empty;
   SqaOptions options;
   Rng rng(53);
-  EXPECT_FALSE(RunSqa(empty, options, rng).ok());
+  EXPECT_FALSE(RunSqa(empty, options, {}, rng).ok());
   IsingModel one;
   one.h = {1.0};
   options.num_reads = 0;
-  EXPECT_FALSE(RunSqa(one, options, rng).ok());
+  EXPECT_FALSE(RunSqa(one, options, {}, rng).ok());
   options.num_reads = 1;
   options.trotter_slices = 1;
-  EXPECT_FALSE(RunSqa(one, options, rng).ok());
+  EXPECT_FALSE(RunSqa(one, options, {}, rng).ok());
 }
 
 // Schedules RunSqa must reject: a zero temperature gives the last sweep
@@ -597,7 +598,7 @@ void ExpectSqaRejects(const SqaOptions& options, const char* what) {
   EXPECT_EQ(ValidateSqaOptions(options).code(), StatusCode::kInvalidArgument)
       << what;
   Rng rng(59);
-  const auto samples = RunSqa(ising, options, rng);
+  const auto samples = RunSqa(ising, options, {}, rng);
   EXPECT_EQ(samples.status().code(), StatusCode::kInvalidArgument) << what;
 }
 
@@ -709,9 +710,10 @@ TEST(SqaTest, KernelsBitIdenticalOnDyadicProblems) {
   for (int parallelism : {0, 1, 4, 8}) {
     std::optional<ThreadPool> pool;
     if (parallelism > 0) pool.emplace(parallelism);
-    options.control.pool = pool ? &*pool : nullptr;
+    RunContext run;
+    run.pool = pool ? &*pool : nullptr;
     Rng rng_inc(71);
-    auto incremental = RunSqa(ising, options, rng_inc);
+    auto incremental = RunSqa(ising, options, run, rng_inc);
     ASSERT_TRUE(incremental.ok());
     ASSERT_EQ(incremental->size(), reference->size());
     for (size_t i = 0; i < incremental->size(); ++i) {
@@ -737,7 +739,6 @@ TEST(SqaTest, BatchedKernelsBitIdenticalToScalarReads) {
   options.ice_sigma = 0.02;
   for (int num_reads : {1, 4, 17}) {
     options.num_reads = num_reads;
-    options.control.pool = nullptr;
     Rng rng_ref(71);
     auto scalar =
         RunSqaReference(ising, options, rng_ref, ReferenceDelta::kLocalFields);
@@ -745,9 +746,10 @@ TEST(SqaTest, BatchedKernelsBitIdenticalToScalarReads) {
     for (int parallelism : {0, 1, 4, 8}) {
       std::optional<ThreadPool> pool;
       if (parallelism > 0) pool.emplace(parallelism);
-      options.control.pool = pool ? &*pool : nullptr;
+      RunContext run;
+      run.pool = pool ? &*pool : nullptr;
       Rng rng_bat(71);
-      auto batched = RunSqa(ising, options, rng_bat);
+      auto batched = RunSqa(ising, options, run, rng_bat);
       ASSERT_TRUE(batched.ok());
       ASSERT_EQ(scalar->size(), batched->size());
       for (size_t i = 0; i < scalar->size(); ++i) {
@@ -1153,13 +1155,14 @@ TEST(SqaTest, StopTokenCancelsLongRun) {
   options.num_reads = 2;
   options.annealing_time_us = 1e7;  // ~1e7 sweeps: hours if uncancelled
   std::stop_source stop;
-  options.control.stop = stop.get_token();
+  RunContext run;
+  run.stop = stop.get_token();
   std::thread canceller([&stop] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     stop.request_stop();
   });
   Rng rng(53);
-  const auto samples = RunSqa(ising, options, rng);
+  const auto samples = RunSqa(ising, options, run, rng);
   canceller.join();
   ASSERT_TRUE(samples.ok());
   // Cancelled reads still report their best Trotter slice with a
@@ -1178,12 +1181,13 @@ TEST(SqaTest, UnsetStopTokenMatchesNoToken) {
   options.num_reads = 4;
   options.annealing_time_us = 20.0;
   Rng rng_plain(59);
-  const auto plain = RunSqa(ising, options, rng_plain);
+  const auto plain = RunSqa(ising, options, {}, rng_plain);
   ASSERT_TRUE(plain.ok());
   std::stop_source stop;
-  options.control.stop = stop.get_token();
+  RunContext run;
+  run.stop = stop.get_token();
   Rng rng_token(59);
-  const auto with_token = RunSqa(ising, options, rng_token);
+  const auto with_token = RunSqa(ising, options, run, rng_token);
   ASSERT_TRUE(with_token.ok());
   ASSERT_EQ(plain->size(), with_token->size());
   for (size_t i = 0; i < plain->size(); ++i) {
