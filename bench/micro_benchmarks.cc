@@ -314,8 +314,8 @@ int RunKernelBenchSuite() {
   const int repeats = fast ? 2 : 3;
   std::vector<Metric> metrics;
   metrics.push_back({"parallelism", static_cast<double>(parallelism)});
-  // SIMD tier the dispatched kernels run on: 0 scalar, 1 sse2, 2 avx2,
-  // 3 avx512 (host-resolved, capped by QJO_SIMD).
+  // SIMD tier the dispatched kernels run on: 0 scalar, 2 avx2, 3 avx512
+  // (1 is unused; host-resolved, capped by QJO_SIMD).
   metrics.push_back(
       {"simd_isa", static_cast<double>(static_cast<int>(Simd().isa))});
   metrics.push_back({"fast_mode", fast ? 1.0 : 0.0});

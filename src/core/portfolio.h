@@ -200,9 +200,9 @@ struct PortfolioReport {
 /// lowest C_out cost, and when the race yields no valid plan (or
 /// run.deadline_ms == 0) `classical_plan` is returned as the answer — a
 /// valid join tree is always returned. The caller solves that plan once
-/// (the pipeline passes its oracle: OptimizeDp up to kMaxDpRelations,
-/// OptimizeGreedy beyond) and it must be a plan for `query`. Queries of
-/// at least `min_decomp_relations` relations also race the decomp strand.
+/// (the pipeline passes its oracle, OptimizeClassical's answer) and it
+/// must be a plan for `query`. Queries of at least `min_decomp_relations`
+/// relations also race the decomp strand.
 StatusOr<PortfolioReport> RunJoPortfolio(const Query& query,
                                          const JoQuboEncoding& encoding,
                                          const JoResult& classical_plan,

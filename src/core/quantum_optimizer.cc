@@ -165,14 +165,7 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
   JoResult oracle;
   {
     StageSpan oracle_span(config.run.trace, "oracle_dp", &report.stage_timings);
-    auto exact = OptimizeDp(query);
-    if (exact.ok()) {
-      oracle = std::move(*exact);
-    } else if (exact.status().code() == StatusCode::kResourceExhausted) {
-      QJO_ASSIGN_OR_RETURN(oracle, OptimizeGreedy(query));
-    } else {
-      return exact.status();
-    }
+    QJO_ASSIGN_OR_RETURN(oracle, OptimizeClassical(query));
   }
   report.optimal_order = oracle.order;
   report.optimal_cost = oracle.cost;

@@ -160,8 +160,7 @@ struct QjoReport {
   /// empty otherwise).
   PortfolioReport portfolio;
 
-  /// SIMD tier the stochastic kernels ran on ("scalar", "sse2", "avx2",
-  /// "avx512").
+  /// SIMD tier the stochastic kernels ran on ("scalar", "avx2", "avx512").
   std::string simd_isa;
 
   std::string Summary() const;

@@ -1,7 +1,6 @@
 #include "decomp/decomp.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -216,16 +215,9 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
   RunContext solve_run = run;
   solve_run.pool = nullptr;
 
-  // Workers consult this concurrently, so the deadline verdict lives in
-  // an atomic and is folded into the report once the fan-outs are done.
-  std::atomic<bool> deadline_hit{false};
   const auto expired = [&] {
-    if (run.stop.stop_requested()) return true;
-    if (run.deadline_ms > 0.0 && MsSince(start) >= run.deadline_ms) {
-      deadline_hit.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
+    return run.stop.stop_requested() ||
+           (run.deadline_ms > 0.0 && MsSince(start) >= run.deadline_ms);
   };
 
   const int max_rounds = options.max_rounds > 0
@@ -388,7 +380,6 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
                        static_cast<uint64_t>(report.repairs));
   }
 
-  report.deadline_expired = deadline_hit.load(std::memory_order_relaxed);
   report.order = LeftDeepOrder(std::move(incumbent));
   report.cost = incumbent_cost;
   report.elapsed_ms = MsSince(start);

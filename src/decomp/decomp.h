@@ -120,7 +120,6 @@ struct DecompReport {
   int windows_solved = 0;
   int improvements = 0;     ///< accepted window proposals
   int repairs = 0;          ///< windows stitched via the classical DP repair
-  bool deadline_expired = false;
   double elapsed_ms = 0.0;
 };
 

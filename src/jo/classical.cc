@@ -245,6 +245,11 @@ StatusOr<JoResult> OptimizeGreedy(const Query& query) {
   return JoResult{LeftDeepOrder(std::move(order)), total};
 }
 
+StatusOr<JoResult> OptimizeClassical(const Query& query) {
+  return query.num_relations() > kMaxDpRelations ? OptimizeGreedy(query)
+                                                 : OptimizeDp(query);
+}
+
 StatusOr<JoResult> OptimizeIterativeImprovement(const Query& query, Rng& rng,
                                                 int restarts) {
   const int t = query.num_relations();

@@ -82,6 +82,10 @@ StatusOr<JoResult> OptimizeDp(const Query& query);
 /// avoidable cross joins.
 StatusOr<JoResult> OptimizeGreedy(const Query& query);
 
+/// The classical answer: OptimizeDp up to kMaxDpRelations relations (exact),
+/// OptimizeGreedy past it, where the DP tables would not fit.
+StatusOr<JoResult> OptimizeClassical(const Query& query);
+
 /// Iterative improvement (Steinbrunn et al.): random restarts followed by
 /// best-improvement swap moves until a local optimum is reached.
 StatusOr<JoResult> OptimizeIterativeImprovement(const Query& query, Rng& rng,

@@ -105,25 +105,20 @@ struct PlanKeyWriter {
   void Neutral(const char*, const auto&) {}
 };
 
-/// Classical DP (greedy past the DP size cap) answer; also labels the
-/// report's portfolio section so callers see the degradation.
+/// OptimizeClassical's answer (exact up to kMaxDpRelations); also labels
+/// the report's portfolio section so callers see the degradation.
 Status ClassicalFallback(const Query& query, QjoReport* report) {
-  StatusOr<JoResult> plan = OptimizeDp(query);
-  const bool exact = plan.ok();
-  if (!plan.ok() && plan.status().code() == StatusCode::kResourceExhausted) {
-    plan = OptimizeGreedy(query);
-  }
-  if (!plan.ok()) return plan.status();
+  QJO_ASSIGN_OR_RETURN(const JoResult plan, OptimizeClassical(query));
   report->found_valid = true;
-  report->best_order = plan->order;
-  report->best_cost = plan->cost;
-  if (exact) {
-    report->optimal_order = plan->order;
-    report->optimal_cost = plan->cost;
+  report->best_order = plan.order;
+  report->best_cost = plan.cost;
+  if (query.num_relations() <= kMaxDpRelations) {
+    report->optimal_order = plan.order;
+    report->optimal_cost = plan.cost;
   }
   report->portfolio.found_valid = true;
-  report->portfolio.best_order = plan->order;
-  report->portfolio.best_cost = plan->cost;
+  report->portfolio.best_order = plan.order;
+  report->portfolio.best_cost = plan.cost;
   report->portfolio.used_classical_fallback = true;
   report->portfolio.winner = "classical_fallback";
   return Status::Ok();

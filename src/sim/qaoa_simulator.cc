@@ -273,7 +273,7 @@ ThreadPool* GatedPool(ThreadPool* pool, uint64_t amplitudes) {
 
 // ---------------------------------------------------------------------------
 // Butterfly and phase kernels live in util/simd (runtime-dispatched
-// scalar/SSE2/AVX2/AVX-512 tiers). All tiers compute exactly
+// scalar/AVX2/AVX-512 tiers). All tiers compute exactly
 //   lo' = c*lo + (0,-sn)*hi     hi' = (0,-sn)*lo + c*hi
 // with the same per-component rounding as the std::complex expression of
 // the gate-at-a-time oracle (sim/qaoa_reference.cc), so fused and oracle

@@ -10,7 +10,6 @@ namespace simd_internal {
 // Implemented by the per-ISA translation units; each returns nullptr when
 // its tier was not compiled in (missing compiler flag or non-x86 target).
 const SimdOps* GetScalarOps();
-const SimdOps* GetSse2Ops();
 const SimdOps* GetAvx2Ops();
 const SimdOps* GetAvx512Ops();
 
@@ -26,12 +25,6 @@ bool HostSupports(SimdIsa isa) {
   switch (isa) {
     case SimdIsa::kScalar:
       return true;
-    case SimdIsa::kSse2:
-#if defined(__x86_64__)
-      return true;  // architectural baseline
-#else
-      return __builtin_cpu_supports("sse2");
-#endif
     case SimdIsa::kAvx2:
       return __builtin_cpu_supports("avx2");
     case SimdIsa::kAvx512:
@@ -48,8 +41,6 @@ const SimdOps* CompiledOpsFor(SimdIsa isa) {
   switch (isa) {
     case SimdIsa::kScalar:
       return GetScalarOps();
-    case SimdIsa::kSse2:
-      return GetSse2Ops();
     case SimdIsa::kAvx2:
       return GetAvx2Ops();
     case SimdIsa::kAvx512:
@@ -61,12 +52,9 @@ const SimdOps* CompiledOpsFor(SimdIsa isa) {
 /// Widest available tier at most `cap`. The scalar tier is always
 /// compiled in, so this never returns null.
 const SimdOps* WidestUpTo(SimdIsa cap) {
-  for (int t = static_cast<int>(cap); t > 0; --t) {
-    const SimdIsa isa = static_cast<SimdIsa>(t);
-    if (HostSupports(isa)) {
-      const SimdOps* ops = CompiledOpsFor(isa);
-      if (ops != nullptr) return ops;
-    }
+  for (SimdIsa isa : {SimdIsa::kAvx512, SimdIsa::kAvx2}) {
+    if (isa > cap || !HostSupports(isa)) continue;
+    if (const SimdOps* ops = CompiledOpsFor(isa)) return ops;
   }
   return simd_internal::GetScalarOps();
 }
@@ -88,8 +76,6 @@ const char* SimdIsaName(SimdIsa isa) {
   switch (isa) {
     case SimdIsa::kScalar:
       return "scalar";
-    case SimdIsa::kSse2:
-      return "sse2";
     case SimdIsa::kAvx2:
       return "avx2";
     case SimdIsa::kAvx512:
@@ -102,8 +88,6 @@ bool ParseSimdIsa(const char* name, SimdIsa* out) {
   if (name == nullptr || out == nullptr) return false;
   if (std::strcmp(name, "scalar") == 0) {
     *out = SimdIsa::kScalar;
-  } else if (std::strcmp(name, "sse2") == 0) {
-    *out = SimdIsa::kSse2;
   } else if (std::strcmp(name, "avx2") == 0) {
     *out = SimdIsa::kAvx2;
   } else if (std::strcmp(name, "avx512") == 0) {

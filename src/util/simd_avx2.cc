@@ -1,193 +1,26 @@
 #include "util/simd.h"
-#include "util/simd_internal.h"
 
 // AVX2 tier: 8-wide float butterflies/phases and 4-wide double replica
-// updates. All in-lane shuffles (_mm256_shuffle_ps with an immediate)
-// operate on each 128-bit half independently, which is exactly the SSE2
-// pattern applied twice — so every lane performs the identical mul/add
-// sequence and results match the narrower tiers bit for bit. Short runs
-// fall through to 128-bit and scalar tails.
+// updates — util/simd_x86.h's ladder from 256 bits down, run from the
+// start of each run.
 
 #if defined(__AVX2__)
 
-#include <immintrin.h>
+#include "util/simd_x86.h"
 
 namespace qjo {
 namespace simd_internal {
 namespace {
 
-inline __m128 NegateOdd128(__m128 v) {
-  const __m128 mask =
-      _mm_castsi128_ps(_mm_set_epi32(0x80000000, 0, 0x80000000, 0));
-  return _mm_xor_ps(v, mask);
-}
-
-inline __m256 NegateOdd256(__m256 v) {
-  const __m256 mask = _mm256_castsi256_ps(
-      _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ull)));
-  return _mm256_xor_ps(v, mask);
-}
-
-inline void ButterflyVec128(float* lo, float* hi, __m128 vc, __m128 vs) {
-  const __m128 v0 = _mm_loadu_ps(lo);
-  const __m128 v1 = _mm_loadu_ps(hi);
-  const __m128 sw0 = _mm_shuffle_ps(v0, v0, _MM_SHUFFLE(2, 3, 0, 1));
-  const __m128 sw1 = _mm_shuffle_ps(v1, v1, _MM_SHUFFLE(2, 3, 0, 1));
-  _mm_storeu_ps(
-      lo, _mm_add_ps(_mm_mul_ps(vc, v0), NegateOdd128(_mm_mul_ps(vs, sw1))));
-  _mm_storeu_ps(
-      hi, _mm_add_ps(NegateOdd128(_mm_mul_ps(vs, sw0)), _mm_mul_ps(vc, v1)));
-}
-
-inline void ButterflyVec256(float* lo, float* hi, __m256 vc, __m256 vs) {
-  const __m256 v0 = _mm256_loadu_ps(lo);
-  const __m256 v1 = _mm256_loadu_ps(hi);
-  const __m256 sw0 = _mm256_shuffle_ps(v0, v0, _MM_SHUFFLE(2, 3, 0, 1));
-  const __m256 sw1 = _mm256_shuffle_ps(v1, v1, _MM_SHUFFLE(2, 3, 0, 1));
-  _mm256_storeu_ps(lo, _mm256_add_ps(_mm256_mul_ps(vc, v0),
-                                     NegateOdd256(_mm256_mul_ps(vs, sw1))));
-  _mm256_storeu_ps(hi, _mm256_add_ps(NegateOdd256(_mm256_mul_ps(vs, sw0)),
-                                     _mm256_mul_ps(vc, v1)));
-}
-
-inline void ButterflyQ0Vec128(float* a, __m128 vc, __m128 vs) {
-  const __m128 v = _mm_loadu_ps(a);
-  const __m128 sw = _mm_shuffle_ps(v, v, _MM_SHUFFLE(0, 1, 2, 3));
-  const __m128 tt = NegateOdd128(_mm_mul_ps(vs, sw));
-  const __m128 cv = _mm_mul_ps(vc, v);
-  const __m128 lo = _mm_add_ps(cv, tt);
-  const __m128 hi = _mm_add_ps(tt, cv);
-  _mm_storeu_ps(a, _mm_shuffle_ps(lo, hi, _MM_SHUFFLE(3, 2, 1, 0)));
-}
-
-/// Four qubit-0 butterflies: each 128-bit half holds two adjacent
-/// complex floats, and the in-lane reverse shuffle pairs the partners
-/// exactly as the SSE2 kernel does per half.
-inline void ButterflyQ0Vec256(float* a, __m256 vc, __m256 vs) {
-  const __m256 v = _mm256_loadu_ps(a);
-  const __m256 sw = _mm256_shuffle_ps(v, v, _MM_SHUFFLE(0, 1, 2, 3));
-  const __m256 tt = NegateOdd256(_mm256_mul_ps(vs, sw));
-  const __m256 cv = _mm256_mul_ps(vc, v);
-  const __m256 lo = _mm256_add_ps(cv, tt);
-  const __m256 hi = _mm256_add_ps(tt, cv);
-  _mm256_storeu_ps(a, _mm256_shuffle_ps(lo, hi, _MM_SHUFFLE(3, 2, 1, 0)));
-}
-
-inline void PhaseVec128(float* a, const float* t) {
-  const __m128 va = _mm_loadu_ps(a);
-  const __m128 vt = _mm_loadu_ps(t);
-  const __m128 prpr = _mm_shuffle_ps(vt, vt, _MM_SHUFFLE(2, 2, 0, 0));
-  const __m128 pipi = _mm_shuffle_ps(vt, vt, _MM_SHUFFLE(3, 3, 1, 1));
-  const __m128 swa = _mm_shuffle_ps(va, va, _MM_SHUFFLE(2, 3, 0, 1));
-  const __m128 mask =
-      _mm_castsi128_ps(_mm_set_epi32(0, 0x80000000, 0, 0x80000000));
-  const __m128 x = _mm_mul_ps(va, prpr);
-  const __m128 y = _mm_mul_ps(swa, pipi);
-  _mm_storeu_ps(a, _mm_add_ps(x, _mm_xor_ps(y, mask)));
-}
-
-inline void PhaseVec256(float* a, const float* t) {
-  const __m256 va = _mm256_loadu_ps(a);
-  const __m256 vt = _mm256_loadu_ps(t);
-  const __m256 prpr = _mm256_shuffle_ps(vt, vt, _MM_SHUFFLE(2, 2, 0, 0));
-  const __m256 pipi = _mm256_shuffle_ps(vt, vt, _MM_SHUFFLE(3, 3, 1, 1));
-  const __m256 swa = _mm256_shuffle_ps(va, va, _MM_SHUFFLE(2, 3, 0, 1));
-  const __m256 mask = _mm256_castsi256_ps(
-      _mm256_set1_epi64x(static_cast<long long>(0x0000000080000000ull)));
-  const __m256 x = _mm256_mul_ps(va, prpr);
-  const __m256 y = _mm256_mul_ps(swa, pipi);
-  _mm256_storeu_ps(a, _mm256_add_ps(x, _mm256_xor_ps(y, mask)));
-}
-
-void ButterflyRowsAvx2(float* lo, float* hi, int64_t floats, float c,
-                       float sn) {
-  const __m256 vc8 = _mm256_set1_ps(c);
-  const __m256 vs8 = _mm256_set1_ps(sn);
-  int64_t f = 0;
-  for (; f + 8 <= floats; f += 8) ButterflyVec256(lo + f, hi + f, vc8, vs8);
-  if (f + 4 <= floats) {
-    ButterflyVec128(lo + f, hi + f, _mm256_castps256_ps128(vc8),
-                    _mm256_castps256_ps128(vs8));
-    f += 4;
-  }
-  for (; f + 2 <= floats; f += 2) ScalarButterfly1(lo + f, hi + f, c, sn);
-}
-
-void MixerLowBlockAvx2(float* a, int64_t bsz, int block_qubits, float c,
-                       float sn) {
-  const int64_t floats = 2 * bsz;
-  if (block_qubits >= 1) {
-    const __m256 vc8 = _mm256_set1_ps(c);
-    const __m256 vs8 = _mm256_set1_ps(sn);
-    int64_t f = 0;
-    for (; f + 8 <= floats; f += 8) ButterflyQ0Vec256(a + f, vc8, vs8);
-    for (; f + 4 <= floats; f += 4) {
-      ButterflyQ0Vec128(a + f, _mm256_castps256_ps128(vc8),
-                        _mm256_castps256_ps128(vs8));
-    }
-  }
-  for (int q = 1; q < block_qubits; ++q) {
-    const int64_t bit = int64_t{1} << q;
-    for (int64_t g = 0; g < bsz; g += 2 * bit) {
-      ButterflyRowsAvx2(a + 2 * g, a + 2 * (g + bit), 2 * bit, c, sn);
-    }
-  }
-}
-
-void PhaseRowsAvx2(float* a, const float* t, int64_t floats) {
-  int64_t f = 0;
-  for (; f + 8 <= floats; f += 8) PhaseVec256(a + f, t + f);
-  for (; f + 4 <= floats; f += 4) PhaseVec128(a + f, t + f);
-  if (f < floats) ScalarPhaseRows(a + f, t + f, floats - f);
-}
-
-// Lane chunks are the outer loop so the invariant dir vector loads once
-// per chunk instead of once per neighbour (the compiler cannot hoist it
-// itself: dir and fields are both double* and may alias). Each plane
-// element still accumulates its k terms in ascending order, so results
-// stay bit-identical to the neighbour-outer form.
 void SaRowUpdateAvx2(double* fields, const int32_t* cols, const double* w,
                      int count, int64_t lanes, const double* dir) {
-  int64_t r = 0;
-  for (; r + 4 <= lanes; r += 4) {
-    const __m256d vd = _mm256_loadu_pd(dir + r);
-    for (int k = 0; k < count; ++k) {
-      double* row = fields + static_cast<int64_t>(cols[k]) * lanes + r;
-      const __m256d vw = _mm256_set1_pd(w[k]);
-      _mm256_storeu_pd(
-          row, _mm256_add_pd(_mm256_loadu_pd(row), _mm256_mul_pd(vd, vw)));
-    }
-  }
-  for (; r < lanes; ++r) {
-    const double d = dir[r];
-    for (int k = 0; k < count; ++k) {
-      fields[static_cast<int64_t>(cols[k]) * lanes + r] += d * w[k];
-    }
-  }
+  SaRowUpdate256(fields, cols, w, count, lanes, dir, 0);
 }
 
 void SqaRowUpdateAvx2(double* fields, const int32_t* cols,
                       const int32_t* edge_ids, const double* w_planes,
                       int count, int64_t lanes, const double* dir) {
-  int64_t r = 0;
-  for (; r + 4 <= lanes; r += 4) {
-    const __m256d vd = _mm256_loadu_pd(dir + r);
-    for (int k = 0; k < count; ++k) {
-      double* row = fields + static_cast<int64_t>(cols[k]) * lanes + r;
-      const double* wp =
-          w_planes + static_cast<int64_t>(edge_ids[k]) * lanes + r;
-      const __m256d vw = _mm256_loadu_pd(wp);
-      _mm256_storeu_pd(
-          row, _mm256_add_pd(_mm256_loadu_pd(row), _mm256_mul_pd(vd, vw)));
-    }
-  }
-  for (; r < lanes; ++r) {
-    const double d = dir[r];
-    for (int k = 0; k < count; ++k) {
-      fields[static_cast<int64_t>(cols[k]) * lanes + r] +=
-          d * w_planes[static_cast<int64_t>(edge_ids[k]) * lanes + r];
-    }
-  }
+  SqaRowUpdate256(fields, cols, edge_ids, w_planes, count, lanes, dir, 0);
 }
 
 }  // namespace
@@ -197,9 +30,9 @@ const SimdOps* GetAvx2Ops() {
     SimdOps o;
     o.isa = SimdIsa::kAvx2;
     o.name = "avx2";
-    o.mixer_low_block = &MixerLowBlockAvx2;
-    o.butterfly_rows = &ButterflyRowsAvx2;
-    o.phase_rows = &PhaseRowsAvx2;
+    o.mixer_low_block = &MixerLowBlockVec<ButterflyQ0Rows256, ButterflyRows256>;
+    o.butterfly_rows = &ButterflyRows256;
+    o.phase_rows = &PhaseRows256;
     o.sa_row_update = &SaRowUpdateAvx2;
     o.sqa_row_update = &SqaRowUpdateAvx2;
     return o;

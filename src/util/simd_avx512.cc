@@ -1,33 +1,20 @@
 #include "util/simd.h"
-#include "util/simd_internal.h"
 
 // AVX-512F tier: 16-wide float butterflies/phases and 8-wide double
-// replica updates. _mm512_shuffle_ps with an immediate is per-128-bit
-// lane, i.e. the SSE2 pattern applied four times, so per-element
-// operation order is unchanged. Sign-flip masks go through the integer
-// domain (_mm512_xor_si512) because _mm512_xor_ps requires AVX512DQ and
-// this TU only assumes AVX512F. Short runs fall to 256/128-bit and
-// scalar tails (AVX-512F implies AVX2 availability).
+// replica updates, then util/simd_x86.h's ladder from 256 bits down over
+// what the 512-bit loop leaves. _mm512_shuffle_ps with an immediate is
+// per-128-bit lane, i.e. the 128-bit pattern applied four times, so
+// per-element operation order is unchanged. Sign-flip masks go through
+// the integer domain (_mm512_xor_si512) because _mm512_xor_ps requires
+// AVX512DQ and this TU only assumes AVX512F.
 
 #if defined(__AVX512F__)
 
-#include <immintrin.h>
+#include "util/simd_x86.h"
 
 namespace qjo {
 namespace simd_internal {
 namespace {
-
-inline __m128 NegateOdd128(__m128 v) {
-  const __m128 mask =
-      _mm_castsi128_ps(_mm_set_epi32(0x80000000, 0, 0x80000000, 0));
-  return _mm_xor_ps(v, mask);
-}
-
-inline __m256 NegateOdd256(__m256 v) {
-  const __m256 mask = _mm256_castsi256_ps(
-      _mm256_set1_epi64x(static_cast<long long>(0x8000000000000000ull)));
-  return _mm256_xor_ps(v, mask);
-}
 
 inline __m512 XorPs512(__m512 v, __m512i mask) {
   return _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(v), mask));
@@ -39,28 +26,6 @@ inline __m512i OddSignMask512() {
 
 inline __m512i EvenSignMask512() {
   return _mm512_set1_epi64(static_cast<long long>(0x0000000080000000ull));
-}
-
-inline void ButterflyVec128(float* lo, float* hi, __m128 vc, __m128 vs) {
-  const __m128 v0 = _mm_loadu_ps(lo);
-  const __m128 v1 = _mm_loadu_ps(hi);
-  const __m128 sw0 = _mm_shuffle_ps(v0, v0, _MM_SHUFFLE(2, 3, 0, 1));
-  const __m128 sw1 = _mm_shuffle_ps(v1, v1, _MM_SHUFFLE(2, 3, 0, 1));
-  _mm_storeu_ps(
-      lo, _mm_add_ps(_mm_mul_ps(vc, v0), NegateOdd128(_mm_mul_ps(vs, sw1))));
-  _mm_storeu_ps(
-      hi, _mm_add_ps(NegateOdd128(_mm_mul_ps(vs, sw0)), _mm_mul_ps(vc, v1)));
-}
-
-inline void ButterflyVec256(float* lo, float* hi, __m256 vc, __m256 vs) {
-  const __m256 v0 = _mm256_loadu_ps(lo);
-  const __m256 v1 = _mm256_loadu_ps(hi);
-  const __m256 sw0 = _mm256_shuffle_ps(v0, v0, _MM_SHUFFLE(2, 3, 0, 1));
-  const __m256 sw1 = _mm256_shuffle_ps(v1, v1, _MM_SHUFFLE(2, 3, 0, 1));
-  _mm256_storeu_ps(lo, _mm256_add_ps(_mm256_mul_ps(vc, v0),
-                                     NegateOdd256(_mm256_mul_ps(vs, sw1))));
-  _mm256_storeu_ps(hi, _mm256_add_ps(NegateOdd256(_mm256_mul_ps(vs, sw0)),
-                                     _mm256_mul_ps(vc, v1)));
 }
 
 inline void ButterflyVec512(float* lo, float* hi, __m512 vc, __m512 vs) {
@@ -75,26 +40,6 @@ inline void ButterflyVec512(float* lo, float* hi, __m512 vc, __m512 vs) {
                                      _mm512_mul_ps(vc, v1)));
 }
 
-inline void ButterflyQ0Vec128(float* a, __m128 vc, __m128 vs) {
-  const __m128 v = _mm_loadu_ps(a);
-  const __m128 sw = _mm_shuffle_ps(v, v, _MM_SHUFFLE(0, 1, 2, 3));
-  const __m128 tt = NegateOdd128(_mm_mul_ps(vs, sw));
-  const __m128 cv = _mm_mul_ps(vc, v);
-  const __m128 lo = _mm_add_ps(cv, tt);
-  const __m128 hi = _mm_add_ps(tt, cv);
-  _mm_storeu_ps(a, _mm_shuffle_ps(lo, hi, _MM_SHUFFLE(3, 2, 1, 0)));
-}
-
-inline void ButterflyQ0Vec256(float* a, __m256 vc, __m256 vs) {
-  const __m256 v = _mm256_loadu_ps(a);
-  const __m256 sw = _mm256_shuffle_ps(v, v, _MM_SHUFFLE(0, 1, 2, 3));
-  const __m256 tt = NegateOdd256(_mm256_mul_ps(vs, sw));
-  const __m256 cv = _mm256_mul_ps(vc, v);
-  const __m256 lo = _mm256_add_ps(cv, tt);
-  const __m256 hi = _mm256_add_ps(tt, cv);
-  _mm256_storeu_ps(a, _mm256_shuffle_ps(lo, hi, _MM_SHUFFLE(3, 2, 1, 0)));
-}
-
 inline void ButterflyQ0Vec512(float* a, __m512 vc, __m512 vs) {
   const __m512 v = _mm512_loadu_ps(a);
   const __m512 sw = _mm512_shuffle_ps(v, v, _MM_SHUFFLE(0, 1, 2, 3));
@@ -103,19 +48,6 @@ inline void ButterflyQ0Vec512(float* a, __m512 vc, __m512 vs) {
   const __m512 lo = _mm512_add_ps(cv, tt);
   const __m512 hi = _mm512_add_ps(tt, cv);
   _mm512_storeu_ps(a, _mm512_shuffle_ps(lo, hi, _MM_SHUFFLE(3, 2, 1, 0)));
-}
-
-inline void PhaseVec128(float* a, const float* t) {
-  const __m128 va = _mm_loadu_ps(a);
-  const __m128 vt = _mm_loadu_ps(t);
-  const __m128 prpr = _mm_shuffle_ps(vt, vt, _MM_SHUFFLE(2, 2, 0, 0));
-  const __m128 pipi = _mm_shuffle_ps(vt, vt, _MM_SHUFFLE(3, 3, 1, 1));
-  const __m128 swa = _mm_shuffle_ps(va, va, _MM_SHUFFLE(2, 3, 0, 1));
-  const __m128 mask =
-      _mm_castsi128_ps(_mm_set_epi32(0, 0x80000000, 0, 0x80000000));
-  const __m128 x = _mm_mul_ps(va, prpr);
-  const __m128 y = _mm_mul_ps(swa, pipi);
-  _mm_storeu_ps(a, _mm_add_ps(x, _mm_xor_ps(y, mask)));
 }
 
 inline void PhaseVec512(float* a, const float* t) {
@@ -131,59 +63,27 @@ inline void PhaseVec512(float* a, const float* t) {
 
 void ButterflyRowsAvx512(float* lo, float* hi, int64_t floats, float c,
                          float sn) {
-  const __m512 vc16 = _mm512_set1_ps(c);
-  const __m512 vs16 = _mm512_set1_ps(sn);
+  const __m512 vc = _mm512_set1_ps(c);
+  const __m512 vs = _mm512_set1_ps(sn);
   int64_t f = 0;
-  for (; f + 16 <= floats; f += 16) {
-    ButterflyVec512(lo + f, hi + f, vc16, vs16);
-  }
-  if (f + 8 <= floats) {
-    ButterflyVec256(lo + f, hi + f, _mm256_set1_ps(c), _mm256_set1_ps(sn));
-    f += 8;
-  }
-  if (f + 4 <= floats) {
-    ButterflyVec128(lo + f, hi + f, _mm_set1_ps(c), _mm_set1_ps(sn));
-    f += 4;
-  }
-  for (; f + 2 <= floats; f += 2) ScalarButterfly1(lo + f, hi + f, c, sn);
+  for (; f + 16 <= floats; f += 16) ButterflyVec512(lo + f, hi + f, vc, vs);
+  ButterflyRows256(lo + f, hi + f, floats - f, c, sn);
 }
 
-void MixerLowBlockAvx512(float* a, int64_t bsz, int block_qubits, float c,
-                         float sn) {
-  const int64_t floats = 2 * bsz;
-  if (block_qubits >= 1) {
-    const __m512 vc16 = _mm512_set1_ps(c);
-    const __m512 vs16 = _mm512_set1_ps(sn);
-    int64_t f = 0;
-    for (; f + 16 <= floats; f += 16) ButterflyQ0Vec512(a + f, vc16, vs16);
-    if (f + 8 <= floats) {
-      ButterflyQ0Vec256(a + f, _mm256_set1_ps(c), _mm256_set1_ps(sn));
-      f += 8;
-    }
-    for (; f + 4 <= floats; f += 4) {
-      ButterflyQ0Vec128(a + f, _mm_set1_ps(c), _mm_set1_ps(sn));
-    }
-  }
-  for (int q = 1; q < block_qubits; ++q) {
-    const int64_t bit = int64_t{1} << q;
-    for (int64_t g = 0; g < bsz; g += 2 * bit) {
-      ButterflyRowsAvx512(a + 2 * g, a + 2 * (g + bit), 2 * bit, c, sn);
-    }
-  }
+void ButterflyQ0RowsAvx512(float* a, int64_t floats, float c, float sn) {
+  const __m512 vc = _mm512_set1_ps(c);
+  const __m512 vs = _mm512_set1_ps(sn);
+  int64_t f = 0;
+  for (; f + 16 <= floats; f += 16) ButterflyQ0Vec512(a + f, vc, vs);
+  ButterflyQ0Rows256(a + f, floats - f, c, sn);
 }
 
 void PhaseRowsAvx512(float* a, const float* t, int64_t floats) {
   int64_t f = 0;
   for (; f + 16 <= floats; f += 16) PhaseVec512(a + f, t + f);
-  for (; f + 4 <= floats; f += 4) PhaseVec128(a + f, t + f);
-  if (f < floats) ScalarPhaseRows(a + f, t + f, floats - f);
+  PhaseRows256(a + f, t + f, floats - f);
 }
 
-// Lane chunks are the outer loop so the invariant dir vector loads once
-// per chunk instead of once per neighbour (the compiler cannot hoist it
-// itself: dir and fields are both double* and may alias). Each plane
-// element still accumulates its k terms in ascending order, so results
-// stay bit-identical to the neighbour-outer form.
 void SaRowUpdateAvx512(double* fields, const int32_t* cols, const double* w,
                        int count, int64_t lanes, const double* dir) {
   int64_t r = 0;
@@ -196,12 +96,7 @@ void SaRowUpdateAvx512(double* fields, const int32_t* cols, const double* w,
           row, _mm512_add_pd(_mm512_loadu_pd(row), _mm512_mul_pd(vd, vw)));
     }
   }
-  for (; r < lanes; ++r) {
-    const double d = dir[r];
-    for (int k = 0; k < count; ++k) {
-      fields[static_cast<int64_t>(cols[k]) * lanes + r] += d * w[k];
-    }
-  }
+  SaRowUpdate256(fields, cols, w, count, lanes, dir, r);
 }
 
 void SqaRowUpdateAvx512(double* fields, const int32_t* cols,
@@ -219,13 +114,7 @@ void SqaRowUpdateAvx512(double* fields, const int32_t* cols,
           row, _mm512_add_pd(_mm512_loadu_pd(row), _mm512_mul_pd(vd, vw)));
     }
   }
-  for (; r < lanes; ++r) {
-    const double d = dir[r];
-    for (int k = 0; k < count; ++k) {
-      fields[static_cast<int64_t>(cols[k]) * lanes + r] +=
-          d * w_planes[static_cast<int64_t>(edge_ids[k]) * lanes + r];
-    }
-  }
+  SqaRowUpdate256(fields, cols, edge_ids, w_planes, count, lanes, dir, r);
 }
 
 }  // namespace
@@ -235,7 +124,8 @@ const SimdOps* GetAvx512Ops() {
     SimdOps o;
     o.isa = SimdIsa::kAvx512;
     o.name = "avx512";
-    o.mixer_low_block = &MixerLowBlockAvx512;
+    o.mixer_low_block =
+        &MixerLowBlockVec<ButterflyQ0RowsAvx512, ButterflyRowsAvx512>;
     o.butterfly_rows = &ButterflyRowsAvx512;
     o.phase_rows = &PhaseRowsAvx512;
     o.sa_row_update = &SaRowUpdateAvx512;

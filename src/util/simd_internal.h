@@ -6,13 +6,19 @@
 // tiers use them as remainder tails. Each body performs exactly the
 // per-element operations (and operand order) the vector kernels perform
 // per lane, which is the whole bit-identity story — see util/simd.h.
-// Only ever include this from the simd_*.cc TUs (they are compiled with
-// -ffp-contract=off so the a*b + c patterns below never fuse).
+// Only ever include this from the simd_*.cc TUs, directly or through
+// simd_x86.h (they are compiled with -ffp-contract=off so the a*b + c
+// patterns below never fuse).
+//
+// Everything here has internal linkage: each TU is compiled with its own
+// -m flags, so a shared (weak) definition would let the linker pick one
+// TU's encoding — say, VEX instructions — for every tier.
 
 #include <cstdint>
 
 namespace qjo {
 namespace simd_internal {
+namespace {
 
 /// Scalar mixer butterfly on interleaved (re, im) floats:
 ///   lo' = c*lo + (0,-sn)*hi     hi' = (0,-sn)*lo + c*hi
@@ -45,7 +51,7 @@ inline void ScalarMixerLowBlock(float* a, int64_t bsz, int block_qubits,
   }
 }
 
-/// a[i] *= t[i], component order matching the SSE2 PhaseVec lanes:
+/// a[i] *= t[i], component order matching the 128-bit PhaseVec128 lanes:
 /// re' = ar*tr + (-(ai*ti)), im' = ai*tr + ar*ti.
 inline void ScalarPhaseRows(float* a, const float* t, int64_t floats) {
   for (int64_t f = 0; f + 2 <= floats; f += 2) {
@@ -58,28 +64,33 @@ inline void ScalarPhaseRows(float* a, const float* t, int64_t floats) {
 
 /// dir[r] is +-1.0 or 0.0, so dir[r] * w is exact (+-w or +-0.0) and the
 /// add reproduces a scalar read's fields[j] += w / -= w bit for bit.
+/// Updates lanes [first_lane, lanes): the scalar tier passes 0, a vector
+/// tier the first lane its vector chunks left.
 inline void ScalarSaRowUpdate(double* fields, const int32_t* cols,
                               const double* w, int count, int64_t lanes,
-                              const double* dir) {
+                              const double* dir, int64_t first_lane) {
   for (int k = 0; k < count; ++k) {
     double* row = fields + static_cast<int64_t>(cols[k]) * lanes;
     const double wk = w[k];
-    for (int64_t r = 0; r < lanes; ++r) row[r] += dir[r] * wk;
+    for (int64_t r = first_lane; r < lanes; ++r) row[r] += dir[r] * wk;
   }
 }
 
-/// dir[r] is +-2.0 or 0.0 — again an exact product per lane.
+/// dir[r] is +-2.0 or 0.0 — again an exact product per lane. Lanes as in
+/// ScalarSaRowUpdate.
 inline void ScalarSqaRowUpdate(double* fields, const int32_t* cols,
                                const int32_t* edge_ids, const double* w_planes,
-                               int count, int64_t lanes, const double* dir) {
+                               int count, int64_t lanes, const double* dir,
+                               int64_t first_lane) {
   for (int k = 0; k < count; ++k) {
     double* row = fields + static_cast<int64_t>(cols[k]) * lanes;
     const double* wp =
         w_planes + static_cast<int64_t>(edge_ids[k]) * lanes;
-    for (int64_t r = 0; r < lanes; ++r) row[r] += dir[r] * wp[r];
+    for (int64_t r = first_lane; r < lanes; ++r) row[r] += dir[r] * wp[r];
   }
 }
 
+}  // namespace
 }  // namespace simd_internal
 }  // namespace qjo
 

@@ -6,6 +6,20 @@
 
 namespace qjo {
 namespace simd_internal {
+namespace {
+
+void SaRowUpdateScalar(double* fields, const int32_t* cols, const double* w,
+                       int count, int64_t lanes, const double* dir) {
+  ScalarSaRowUpdate(fields, cols, w, count, lanes, dir, 0);
+}
+
+void SqaRowUpdateScalar(double* fields, const int32_t* cols,
+                        const int32_t* edge_ids, const double* w_planes,
+                        int count, int64_t lanes, const double* dir) {
+  ScalarSqaRowUpdate(fields, cols, edge_ids, w_planes, count, lanes, dir, 0);
+}
+
+}  // namespace
 
 const SimdOps* GetScalarOps() {
   static const SimdOps ops = [] {
@@ -15,8 +29,8 @@ const SimdOps* GetScalarOps() {
     o.mixer_low_block = &ScalarMixerLowBlock;
     o.butterfly_rows = &ScalarButterflyRows;
     o.phase_rows = &ScalarPhaseRows;
-    o.sa_row_update = &ScalarSaRowUpdate;
-    o.sqa_row_update = &ScalarSqaRowUpdate;
+    o.sa_row_update = &SaRowUpdateScalar;
+    o.sqa_row_update = &SqaRowUpdateScalar;
     return o;
   }();
   return &ops;

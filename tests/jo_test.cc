@@ -304,6 +304,27 @@ TEST(ClassicalTest, DpRefusesPastMemoryCapWithByteEstimate) {
             std::string::npos);
 }
 
+// OptimizeClassical is the DP's answer up to the cap and greedy's past it.
+TEST(ClassicalTest, ClassicalIsDpAtCapAndGreedyPastIt) {
+  for (int relations : {kMaxDpRelations, kMaxDpRelations + 1}) {
+    Rng rng(11);
+    QueryGenOptions options;
+    options.num_relations = relations;
+    options.graph_type = QueryGraphType::kChain;
+    auto q = GenerateQuery(options, rng);
+    ASSERT_TRUE(q.ok());
+    auto classical = OptimizeClassical(*q);
+    ASSERT_TRUE(classical.ok()) << classical.status().ToString();
+    auto want = relations <= kMaxDpRelations ? OptimizeDp(*q)
+                                             : OptimizeGreedy(*q);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(classical->order.order(), want->order.order()) << relations;
+    EXPECT_EQ(std::bit_cast<uint64_t>(classical->cost),
+              std::bit_cast<uint64_t>(want->cost))
+        << relations;
+  }
+}
+
 constexpr QueryGraphType kAllShapes[] = {
     QueryGraphType::kChain, QueryGraphType::kStar, QueryGraphType::kCycle,
     QueryGraphType::kClique};

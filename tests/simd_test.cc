@@ -15,8 +15,7 @@ namespace {
 // and the CPU can run them.
 std::vector<const SimdOps*> AvailableTiers() {
   std::vector<const SimdOps*> tiers;
-  for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kSse2, SimdIsa::kAvx2,
-                      SimdIsa::kAvx512}) {
+  for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kAvx2, SimdIsa::kAvx512}) {
     if (const SimdOps* ops = SimdOpsFor(isa)) tiers.push_back(ops);
   }
   return tiers;
@@ -62,8 +61,7 @@ TEST(SimdTest, DispatchResolvesToAvailableTier) {
 }
 
 TEST(SimdTest, ParseSimdIsaRoundTrips) {
-  for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kSse2, SimdIsa::kAvx2,
-                      SimdIsa::kAvx512}) {
+  for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kAvx2, SimdIsa::kAvx512}) {
     SimdIsa parsed;
     ASSERT_TRUE(ParseSimdIsa(SimdIsaName(isa), &parsed));
     EXPECT_EQ(parsed, isa);
