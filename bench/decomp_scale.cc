@@ -2,10 +2,12 @@
 // query sizes where every monolithic backend stops returning valid join
 // trees (Sec. 6's scalability wall). For 20/30/40/50-relation chain,
 // star and cycle queries the bench runs the decomposition loop under a
-// 2-second deadline and reports, per case, whether a valid join tree came
-// back, its cost relative to the greedy baseline (<= 1 by construction),
-// and the loop counters. The headline aggregate is valid_tree_rate: it
-// must be 1.0 — decomposition never fails to produce a plan.
+// 2-second budget, armed as a stop on the process-wide DeadlineMonitor
+// the way the portfolio race arms its deadline, and reports, per case,
+// whether a valid join tree came back, its cost relative to the greedy
+// baseline (<= 1 by construction), and the loop counters. The headline
+// aggregate is valid_tree_rate: it must be 1.0 — decomposition never
+// fails to produce a plan.
 //
 // Writes BENCH_decomp.json (override with QJO_BENCH_DECOMP_JSON).
 // QJO_DECOMP_BENCH_FAST=1 shrinks the suite to the 30-relation cases for
@@ -15,6 +17,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <stop_token>
 #include <string>
 #include <vector>
 
@@ -23,6 +26,7 @@
 #include "jo/classical.h"
 #include "jo/join_tree.h"
 #include "jo/query_generator.h"
+#include "qubo/deadline_monitor.h"
 #include "util/random.h"
 #include "util/simd.h"
 #include "util/thread_pool.h"
@@ -82,13 +86,17 @@ int RunSuite() {
 
       // No build cache in `run`: the loop keeps a private one per query.
       const DecompOptions options;
+      std::stop_source stop;
       RunContext run;
-      run.deadline_ms = deadline_ms;
       run.pool = &pool;
+      run.stop = stop.get_token();
       bench::ObsSession::Get().Apply(run);
       Rng rng(7);
       const auto t0 = std::chrono::steady_clock::now();
+      const uint64_t deadline_id = DeadlineMonitor::Shared().Arm(
+          stop, DeadlineAfterMs(t0, deadline_ms));
       auto report = OptimizeJoinOrderDecomposed(*query, options, run, rng);
+      DeadlineMonitor::Shared().Disarm(deadline_id);
       const double elapsed_ms =
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - t0)
@@ -108,8 +116,9 @@ int RunSuite() {
             {prefix + "repairs", static_cast<double>(report->repairs)});
       }
       if (valid) ++valid_cases;
-      // The deadline check is cooperative (between window solves), so a
-      // run can overshoot by one sub-solve; 1.5x is generous slack.
+      // The stop is cooperative (before each window solve and between
+      // sub-solver sweeps), so a run can overshoot a little; 1.5x is
+      // generous slack.
       const bool ok_case = valid && cost_over_greedy <= 1.0 + 1e-9 &&
                            elapsed_ms <= deadline_ms * 1.5;
       all_within_deadline_and_greedy &= ok_case;

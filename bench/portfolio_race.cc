@@ -27,7 +27,7 @@
 #include "qubo/ising.h"
 #include "qubo/qubo.h"
 #include "qubo/solvers.h"
-#include "sim/sqa.h"
+#include "sim/anneal_round.h"
 #include "util/random.h"
 #include "util/simd.h"
 #include "util/thread_pool.h"
@@ -98,46 +98,21 @@ int RunSuite() {
     RunContext solo_run;
     solo_run.pool = &pool;
     bench::ObsSession::Get().Apply(solo_run);
-    SoloResult solo_sa;
-    {
-      SaOptions options;
-      options.num_reads = solo_reads;
-      options.sweeps_per_read = sweeps_per_round;
-      Rng rng(301 + inst);
+    // The race's sa, tabu and sqa rounds, each as one call of the full
+    // budget; the SQA Ising model is built outside the timed span, as
+    // the SQA strand builds it once before its rounds.
+    const IsingModel ising = QuboToIsing(qubo);
+    const auto solo = [&](AnnealKind kind, uint64_t seed) {
+      Rng rng(seed);
       const auto t0 = std::chrono::steady_clock::now();
-      const auto reads =
-          SolveQuboSimulatedAnnealing(qubo, options, solo_run, rng);
-      solo_sa.seconds = Seconds(t0);
-      solo_sa.best_energy = BestSolution(reads).energy;
-    }
-    SoloResult solo_tabu;
-    {
-      TabuOptions options;
-      options.num_restarts = solo_reads;
-      options.iterations_per_restart = sweeps_per_round;
-      Rng rng(401 + inst);
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto restarts = SolveQuboTabuSearch(qubo, options, solo_run, rng);
-      solo_tabu.seconds = Seconds(t0);
-      solo_tabu.best_energy = BestSolution(restarts).energy;
-    }
-    SoloResult solo_sqa;
-    {
-      const IsingModel ising = QuboToIsing(qubo);
-      SqaOptions options;
-      options.num_reads = solo_reads;
-      options.annealing_time_us = sweeps_per_round;
-      options.sweeps_per_us = 1.0;
-      Rng rng(501 + inst);
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto samples = RunSqa(ising, options, solo_run, rng);
-      solo_sqa.seconds = Seconds(t0);
-      if (samples.ok()) {
-        double best = samples->front().energy;
-        for (const auto& s : *samples) best = std::min(best, s.energy);
-        solo_sqa.best_energy = best;
-      }
-    }
+      const auto reads = SolveAnnealRound(kind, qubo, &ising, solo_reads,
+                                          sweeps_per_round, solo_run, rng);
+      const double seconds = Seconds(t0);
+      return SoloResult{seconds, BestSolution(reads).energy};
+    };
+    const SoloResult solo_sa = solo(AnnealKind::kSa, 301 + inst);
+    const SoloResult solo_tabu = solo(AnnealKind::kTabu, 401 + inst);
+    const SoloResult solo_sqa = solo(AnnealKind::kSqa, 501 + inst);
 
     // The solo baseline to beat: lowest energy; among quality ties
     // (dense random QUBOs saturate easily) the fastest run — what an

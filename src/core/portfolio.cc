@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <stop_token>
 #include <utility>
@@ -10,9 +11,9 @@
 #include "core/postprocess.h"
 #include "qubo/deadline_monitor.h"
 #include "qubo/ising.h"
+#include "sim/anneal_round.h"
 #include "sim/qaoa_analytic.h"
 #include "sim/qaoa_simulator.h"
-#include "sim/sqa.h"
 #include "util/strings.h"
 
 namespace qjo {
@@ -119,8 +120,8 @@ struct StrandEnv {
   const Qubo& qubo;
   const PortfolioOptions& options;
   const RaceHooks& hooks;
-  /// The race's context: the caller's pool and sinks, the race's own stop
-  /// token and, in deadline mode, the race deadline.
+  /// The race's context: the caller's pool and sinks and the race's own
+  /// stop token, which the race deadline stops.
   const RunContext& run;
   Clock::time_point start;
   /// Requests the race-wide early exit (the exact strand's proven
@@ -134,15 +135,8 @@ struct StrandEnv {
   }
 };
 
-bool BudgetLeft(const StrandEnv& env) {
-  return env.options.sweep_budget <= 0 ||
-         env.state.outcome.sweeps_completed < env.options.sweep_budget;
-}
-
-// --- Strand bodies. Each runs rounds of the race-wide round size until
-// its sweep budget or the stop token ends it, and keeps
-// rounds_completed/sweeps_completed current; incumbents go through
-// env.Absorb. ---
+// --- Strand bodies. Each keeps rounds_completed/sweeps_completed
+// current; incumbents go through env.Absorb. ---
 
 void RunExactStrand(const StrandEnv& env, Rng& rng) {
   (void)rng;  // deterministic enumeration; the stream stays untouched
@@ -160,70 +154,28 @@ void RunExactStrand(const StrandEnv& env, Rng& rng) {
   if (env.early_exit != nullptr) env.early_exit->request_stop();
 }
 
-void RunSaStrand(const StrandEnv& env, Rng& rng) {
+/// The sa, tabu and sqa strands: rounds of the race-wide round size on
+/// one kernel until the sweep budget or the stop token ends them. The SQA
+/// strand builds its Ising model once for all rounds.
+template <AnnealKind kKind>
+void RunAnnealStrand(const StrandEnv& env, Rng& rng) {
   const PortfolioOptions& options = env.options;
-  SaOptions sa;
-  sa.num_reads = options.reads_per_round;
-  sa.sweeps_per_read = options.sweeps_per_round;
-  const int64_t round_sweeps =
-      static_cast<int64_t>(options.reads_per_round) * options.sweeps_per_round;
-  while (!env.run.stop.stop_requested() && BudgetLeft(env)) {
-    const auto reads = SolveQuboSimulatedAnnealing(env.qubo, sa, env.run, rng);
-    for (const QuboSolution& read : reads) {
+  StrandOutcome& outcome = env.state.outcome;
+  std::optional<IsingModel> ising;
+  if constexpr (kKind == AnnealKind::kSqa) ising = QuboToIsing(env.qubo);
+  const int64_t round_sweeps = AnnealRoundSweeps(
+      kKind, options.reads_per_round, options.sweeps_per_round);
+  while (!env.run.stop.stop_requested() &&
+         (options.sweep_budget <= 0 ||
+          outcome.sweeps_completed < options.sweep_budget)) {
+    for (const QuboSolution& read : SolveAnnealRound(
+             kKind, env.qubo, ising ? &*ising : nullptr,
+             options.reads_per_round, options.sweeps_per_round, env.run,
+             rng)) {
       env.Absorb(read.assignment, read.energy);
     }
-    ++env.state.outcome.rounds_completed;
-    env.state.outcome.sweeps_completed += round_sweeps;
-  }
-}
-
-void RunTabuStrand(const StrandEnv& env, Rng& rng) {
-  const PortfolioOptions& options = env.options;
-  TabuOptions tabu;
-  tabu.num_restarts = options.reads_per_round;
-  tabu.iterations_per_restart = options.sweeps_per_round;
-  const int64_t round_sweeps =
-      static_cast<int64_t>(options.reads_per_round) * options.sweeps_per_round;
-  while (!env.run.stop.stop_requested() && BudgetLeft(env)) {
-    const auto restarts = SolveQuboTabuSearch(env.qubo, tabu, env.run, rng);
-    for (const QuboSolution& restart : restarts) {
-      env.Absorb(restart.assignment, restart.energy);
-    }
-    ++env.state.outcome.rounds_completed;
-    env.state.outcome.sweeps_completed += round_sweeps;
-  }
-}
-
-/// The SQA strand's per-round options: SqaOptions defaults at the race's
-/// round size. Positive round sizes (ValidatePortfolioOptions) make them
-/// valid.
-SqaOptions SqaStrandOptions(const PortfolioOptions& options) {
-  SqaOptions sqa;
-  sqa.num_reads = options.reads_per_round;
-  // One Monte-Carlo sweep per "microsecond" maps the round budget
-  // directly onto SQA sweeps (RunSqa clamps to at least 8).
-  sqa.annealing_time_us = options.sweeps_per_round;
-  sqa.sweeps_per_us = 1.0;
-  return sqa;
-}
-
-void RunSqaStrand(const StrandEnv& env, Rng& rng) {
-  const PortfolioOptions& options = env.options;
-  const IsingModel ising = QuboToIsing(env.qubo);
-  const SqaOptions sqa = SqaStrandOptions(options);
-  const int64_t sqa_round_sweeps =
-      static_cast<int64_t>(options.reads_per_round) *
-      std::max(8, options.sweeps_per_round);
-  while (!env.run.stop.stop_requested() && BudgetLeft(env)) {
-    auto samples = RunSqa(ising, sqa, env.run, rng);
-    if (!samples.ok()) break;
-    for (const SqaSample& sample : *samples) {
-      // ising.Energy(z) == qubo.Energy(SpinsToBits(z)): directly
-      // comparable with the other strands.
-      env.Absorb(SpinsToBits(sample.spins), sample.energy);
-    }
-    ++env.state.outcome.rounds_completed;
-    env.state.outcome.sweeps_completed += sqa_round_sweeps;
+    ++outcome.rounds_completed;
+    outcome.sweeps_completed += round_sweeps;
   }
 }
 
@@ -279,9 +231,12 @@ constexpr struct {
   const char* name;
   void (*run)(const StrandEnv& env, Rng& rng);
 } kStrands[kNumStrands] = {
-    {"exact", RunExactStrand}, {"sa", RunSaStrand},
-    {"tabu", RunTabuStrand},   {"sqa", RunSqaStrand},
-    {"qaoa", RunQaoaStrand},   {"decomp", RunDecompStrand},
+    {"exact", RunExactStrand},
+    {"sa", RunAnnealStrand<AnnealKind::kSa>},
+    {"tabu", RunAnnealStrand<AnnealKind::kTabu>},
+    {"sqa", RunAnnealStrand<AnnealKind::kSqa>},
+    {"qaoa", RunQaoaStrand},
+    {"decomp", RunDecompStrand},
 };
 
 }  // namespace
@@ -298,6 +253,9 @@ Status ValidatePortfolioOptions(const PortfolioOptions& options,
   }
   if (options.reads_per_round <= 0 || options.sweeps_per_round <= 0) {
     return Status::InvalidArgument("portfolio round sizes must be positive");
+  }
+  if (options.enable_decomp && options.decomp.max_rounds <= 0) {
+    return Status::InvalidArgument("decomp round budget must be positive");
   }
   return Status::Ok();
 }
@@ -352,8 +310,8 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
                     : 0;
 
   // The context every strand runs under: the caller's, with the race's
-  // token in place of the caller's. Its deadline is the race deadline in
-  // deadline mode and "none" otherwise (zero budgets returned above).
+  // token in place of the caller's. No strand reads its deadline: the
+  // race deadline reaches them only as a stop of that token.
   RunContext strand_run = run;
   strand_run.stop = stop.get_token();
 
@@ -414,14 +372,12 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
   return result;
 }
 
-StatusOr<PortfolioReport> RunJoPortfolio(const Query& query,
-                                         const JoQuboEncoding& encoding,
-                                         const JoResult& classical_plan,
-                                         const PortfolioOptions& options,
-                                         const RunContext& run, Rng& rng) {
-  const Clock::time_point start = Clock::now();
-  PortfolioReport report;
-
+StatusOr<JoResult> RunJoPortfolio(const Query& query,
+                                  const JoQuboEncoding& encoding,
+                                  const JoResult& classical_plan,
+                                  const PortfolioOptions& options,
+                                  const RunContext& run, Rng& rng,
+                                  PortfolioReport* report) {
   RaceHooks hooks;
   hooks.score = [&encoding, &query](const std::vector<int>& bits) -> double {
     const auto order = DecodeSample(encoding.milp, bits);
@@ -431,12 +387,11 @@ StatusOr<PortfolioReport> RunJoPortfolio(const Query& query,
   // Give the QUBO-level race its query-level strand: past the gate size
   // the decomposition loop is the only strand with a realistic shot at a
   // valid plan (monolithic samples stop decoding), and below it the
-  // strand only burns threads the QUBO strands use better.
+  // strand only burns threads the QUBO strands use better. The race's
+  // stop token, which its deadline stops, is the loop's only wall-clock
+  // bound.
   if (options.enable_decomp &&
       query.num_relations() >= options.min_decomp_relations) {
-    // In deadline mode the race context carries the race budget, which
-    // caps the loop directly (its own clock check between window solves)
-    // as well as through the race's stop token.
     hooks.decomp_run = [&query, &options](const RunContext& strand_run,
                                           Rng& strand_rng) {
       return OptimizeJoinOrderDecomposed(query, options.decomp, strand_run,
@@ -444,42 +399,34 @@ StatusOr<PortfolioReport> RunJoPortfolio(const Query& query,
     };
   }
   QJO_ASSIGN_OR_RETURN(
-      report.race,
+      report->race,
       RaceQuboPortfolio(encoding.encoding.qubo, options, hooks, run, rng));
 
-  if (report.race.winner >= 0) {
-    const StrandOutcome& winner = report.race.strands[report.race.winner];
+  const QuboRaceResult& race = report->race;
+  if (race.winner >= 0) {
+    const StrandOutcome& winner = race.strands[race.winner];
     // The decomp strand hands back the join order itself; the QUBO strands
     // publish a bit assignment that decodes through the MILP metadata.
     auto order = winner.index == kDecomp
-                     ? LeftDeepOrder::Create(report.race.best_assignment, query)
-                     : DecodeSample(encoding.milp, report.race.best_assignment);
+                     ? LeftDeepOrder::Create(race.best_assignment, query)
+                     : DecodeSample(encoding.milp, race.best_assignment);
     if (order.ok()) {
-      report.found_valid = true;
-      report.best_order = *order;
-      report.best_cost = report.race.best_score;
-      report.winner = winner.name;
+      report->winner = winner.name;
+      return JoResult{*std::move(order), race.best_score};
     }
   }
-
-  if (!report.found_valid) {
-    // Graceful degradation: the caller's classical plan is a valid join
-    // tree regardless of what the race produced.
-    report.found_valid = true;
-    report.best_order = classical_plan.order;
-    report.best_cost = classical_plan.cost;
-    report.used_classical_fallback = true;
-    report.winner = "classical_fallback";
-  }
-  report.elapsed_ms = MsSince(start);
-  return report;
+  // Graceful degradation: the caller's classical plan is a valid join
+  // tree regardless of what the race produced.
+  report->used_classical_fallback = true;
+  report->winner = "classical_fallback";
+  return classical_plan;
 }
 
 std::string PortfolioReport::Summary() const {
   std::ostringstream os;
   os << "portfolio winner: " << winner
-     << (used_classical_fallback ? " (fallback)" : "") << ", cost "
-     << best_cost << ", " << FormatDouble(elapsed_ms, 2) << " ms";
+     << (used_classical_fallback ? " (fallback)" : "") << ", race "
+     << FormatDouble(race.elapsed_ms, 2) << " ms";
   if (race.deadline_expired) os << ", deadline expired";
   os << "\n";
   for (const StrandOutcome& s : race.strands) {

@@ -31,7 +31,9 @@ namespace qjo {
 ///    positive). The race arms its own stop source on the process-wide
 ///    DeadlineMonitor, which stops it on expiry; every strand winds down
 ///    cooperatively (the strands' `run.stop`) and the best incumbent
-///    wins. The race itself starts no thread. Wall-clock cut-offs are
+///    wins. No layer below the race reads the deadline itself: it reaches
+///    the strands, the decomposition loop included, only as that stop.
+///    The race itself starts no thread. Wall-clock cut-offs are
 ///    inherently scheduling-dependent, so deadline-bounded runs are *not*
 ///    bit-reproducible.
 ///  * `sweep_budget` — total sweeps per strand (SA sweeps summed over
@@ -48,14 +50,13 @@ namespace qjo {
 /// plan key names them all (serve/config_fields.h).
 struct PortfolioOptions {
   /// Total sweeps each strand may spend; 0 = unlimited (requires a
-  /// positive deadline). The budget is checked between rounds, so the
-  /// last round may run to completion past it.
+  /// positive deadline). A strand starts no round once it has spent the
+  /// budget, so the last round may run to completion past it.
   int64_t sweep_budget = 4096;
 
-  /// Work per round: every stochastic strand alternates solver rounds of
-  /// `reads_per_round` restarts x `sweeps_per_round` sweeps with
-  /// incumbent/budget/stop checks. Smaller rounds react faster to the
-  /// deadline; larger rounds amortise dispatch overhead. Must be
+  /// Work per round: the sa, tabu and sqa strands run SolveAnnealRound
+  /// rounds (sim/anneal_round.h) of `reads_per_round` reads x
+  /// `sweeps_per_round` sweeps and absorb each round's reads. Must be
   /// positive (ValidatePortfolioOptions).
   int reads_per_round = 4;
   int sweeps_per_round = 64;
@@ -84,7 +85,9 @@ struct PortfolioOptions {
   int min_decomp_relations = 10;
   /// Template for the strand's decomposition loop. It runs under the
   /// race's context, which carries the caller's `run.build_cache` to the
-  /// window sub-encodings unchanged.
+  /// window sub-encodings unchanged; the race's stop token is its only
+  /// wall-clock bound, so with the strand enabled `decomp.max_rounds`
+  /// must be positive (ValidatePortfolioOptions).
   DecompOptions decomp;
 };
 
@@ -97,17 +100,18 @@ struct RaceHooks {
   /// Null = every sample is feasible with score = QUBO energy. Must be
   /// thread-safe: strands call it concurrently.
   std::function<double(const std::vector<int>&)> score;
-  /// The decomposition strand's body. Receives the race's context (the
-  /// race's stop token and, in deadline mode, its deadline) and the
-  /// strand's forked RNG stream. Null = the strand is ineligible.
+  /// The decomposition strand's body. Receives the race's context (whose
+  /// stop token the race deadline stops) and the strand's forked RNG
+  /// stream. Null = the strand is ineligible.
   std::function<StatusOr<DecompReport>(const RunContext&, Rng&)> decomp_run;
 };
 
 /// The single entry validation of a race configuration: RunContext
 /// invariants, positive round sizes (which also make the SQA strand's
-/// per-round options valid) and the budget rule
-/// (`sweep_budget <= 0` together with `run.deadline_ms < 0` is an
-/// unbounded race and is rejected here — not ad-hoc per strand).
+/// per-round options valid), a positive `decomp.max_rounds` when the
+/// decomp strand is enabled, and the budget rule (`sweep_budget <= 0`
+/// together with `run.deadline_ms < 0` is an unbounded race and is
+/// rejected here — not ad-hoc per strand).
 /// RaceQuboPortfolio calls this first; exposed so callers can validate a
 /// config early.
 Status ValidatePortfolioOptions(const PortfolioOptions& options,
@@ -176,38 +180,33 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
                                            const RaceHooks& hooks,
                                            const RunContext& run, Rng& rng);
 
-/// Everything the JO layer learned from one portfolio run.
+/// What the JO layer learned from one portfolio run besides its plan,
+/// which RunJoPortfolio returns.
 struct PortfolioReport {
-  /// Always true on a successful run: when no strand produced a valid
-  /// join tree (or the budget was zero), the classical fallback plan is
-  /// returned instead.
-  bool found_valid = false;
-  LeftDeepOrder best_order;
-  double best_cost = 0.0;
   /// The plan came from the classical DP/greedy baseline, not a strand.
   bool used_classical_fallback = false;
   /// Name of the winning strand, or "classical_fallback".
   std::string winner;
   QuboRaceResult race;
-  double elapsed_ms = 0.0;
 
   std::string Summary() const;
 };
 
 /// Runs a deadline-aware portfolio race for one join-ordering query on
-/// its prebuilt encoding: strands race on the QUBO, samples are decoded
-/// through the MILP metadata, the winner is the valid join order with the
-/// lowest C_out cost, and when the race yields no valid plan (or
-/// run.deadline_ms == 0) `classical_plan` is returned as the answer — a
-/// valid join tree is always returned. The caller solves that plan once
+/// its prebuilt encoding and returns the plan: strands race on the QUBO,
+/// samples are decoded through the MILP metadata, the winner is the valid
+/// join order with the lowest C_out cost, and when the race yields no
+/// valid plan (or run.deadline_ms == 0) `classical_plan` is returned —
+/// a valid join tree is always returned. The caller solves that plan once
 /// (the pipeline passes its oracle, OptimizeClassical's answer) and it
 /// must be a plan for `query`. Queries of at least `min_decomp_relations`
-/// relations also race the decomp strand.
-StatusOr<PortfolioReport> RunJoPortfolio(const Query& query,
-                                         const JoQuboEncoding& encoding,
-                                         const JoResult& classical_plan,
-                                         const PortfolioOptions& options,
-                                         const RunContext& run, Rng& rng);
+/// relations also race the decomp strand. `report` receives the race.
+StatusOr<JoResult> RunJoPortfolio(const Query& query,
+                                  const JoQuboEncoding& encoding,
+                                  const JoResult& classical_plan,
+                                  const PortfolioOptions& options,
+                                  const RunContext& run, Rng& rng,
+                                  PortfolioReport* report);
 
 }  // namespace qjo
 

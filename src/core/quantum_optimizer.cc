@@ -172,6 +172,9 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
 
   // --- Solve on the selected backend. ---
   std::vector<std::vector<int>> samples;
+  // The portfolio's plan: it guarantees one (classical fallback included)
+  // even when no sample decodes.
+  std::optional<JoResult> portfolio_plan;
   {
   const std::string solve_stage =
       std::string("solve.") + QjoBackendName(config.backend);
@@ -338,11 +341,15 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
       break;
     }
     case QjoBackend::kPortfolio: {
-      QJO_ASSIGN_OR_RETURN(report.portfolio,
-                           RunJoPortfolio(query, *entry, oracle,
-                                          config.portfolio, config.run, rng));
-      if (!report.portfolio.race.best_assignment.empty()) {
-        samples.push_back(report.portfolio.race.best_assignment);
+      QJO_ASSIGN_OR_RETURN(
+          portfolio_plan,
+          RunJoPortfolio(query, *entry, oracle, config.portfolio, config.run,
+                         rng, &report.portfolio));
+      // Only a QUBO strand's incumbent is a bit sample; the decomp
+      // strand's is the join order itself.
+      const QuboRaceResult& race = report.portfolio.race;
+      if (race.winner >= 0 && race.strands[race.winner].name != "decomp") {
+        samples.push_back(race.best_assignment);
       }
       break;
     }
@@ -356,12 +363,10 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
   report.found_valid = report.stats.found_valid;
   report.best_order = report.stats.best_order;
   report.best_cost = report.stats.best_cost;
-  if (config.backend == QjoBackend::kPortfolio) {
-    // The portfolio guarantees a plan (classical fallback included) even
-    // when its best QUBO sample decodes as invalid.
-    report.found_valid = report.portfolio.found_valid;
-    report.best_order = report.portfolio.best_order;
-    report.best_cost = report.portfolio.best_cost;
+  if (portfolio_plan.has_value()) {
+    report.found_valid = true;
+    report.best_order = std::move(portfolio_plan->order);
+    report.best_cost = portfolio_plan->cost;
   }
   if (config.run.metrics != nullptr) {
     config.run.metrics->Count("pipeline.samples",

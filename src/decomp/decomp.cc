@@ -1,7 +1,6 @@
 #include "decomp/decomp.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -11,21 +10,13 @@
 #include "core/postprocess.h"
 #include "core/qubo_cache.h"
 #include "jo/classical.h"
-#include "qubo/ising.h"
 #include "qubo/solvers.h"
-#include "sim/sqa.h"
+#include "sim/anneal_round.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
 namespace qjo {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
 
 /// Pseudo-relation cardinalities must stay positive and finite for the
 /// log-domain encoder: huge prefixes (products of up to 62 cardinalities)
@@ -43,25 +34,24 @@ double ClampSelectivity(double sel) {
   return std::min(sel, 1.0);
 }
 
+/// Window encodings keep one threshold at omega 1: the acceptance test
+/// uses the exact C_out cost anyway, so the encoding granularity only
+/// shapes proposals, and one threshold keeps sub-QUBOs lean.
+constexpr int kWindowThresholds = 1;
+constexpr double kWindowOmega = 1.0;
+
 /// Sub-solver rotation: each (round, window) slot runs one of the three
 /// stochastic kernels, so the strand inherits the portfolio's solver
 /// diversity without racing all of them per window.
-enum class SubSolver { kSa, kTabu, kSqa };
-
-SubSolver PickSubSolver(int round, int window_index) {
-  switch ((round + window_index) % 3) {
-    case 0:
-      return SubSolver::kSa;
-    case 1:
-      return SubSolver::kTabu;
-    default:
-      return SubSolver::kSqa;
-  }
+AnnealKind PickSubSolver(int round, int window_index) {
+  constexpr AnnealKind kRotation[] = {AnnealKind::kSa, AnnealKind::kTabu,
+                                      AnnealKind::kSqa};
+  return kRotation[(round + window_index) % 3];
 }
 
 /// A window proposal: the window's relations (global ids) in their
-/// proposed relative order. Empty = window was skipped (stop/deadline or
-/// an unexpected failure); the stitch step then leaves it unchanged.
+/// proposed relative order. Empty = window was skipped (stop or an
+/// unexpected failure); the stitch step then leaves it unchanged.
 struct WindowProposal {
   std::vector<int> relative_order;
   bool repaired = false;
@@ -177,15 +167,13 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
         "(at most 63 relations)");
   }
   QJO_RETURN_IF_ERROR(ValidateRunContext(run));
-  if (options.max_rounds <= 0 && run.deadline_ms <= 0.0) {
-    return Status::InvalidArgument(
-        "unbounded decomposition: need max_rounds or a deadline");
+  if (options.max_rounds <= 0) {
+    return Status::InvalidArgument("decomposition needs max_rounds > 0");
   }
   if (options.subsolver_reads <= 0 || options.subsolver_sweeps <= 0) {
     return Status::InvalidArgument("sub-solver budgets must be positive");
   }
 
-  const Clock::time_point start = Clock::now();
   DecompReport report;
 
   // Seed incumbent: the greedy plan. Improvement-only acceptance makes
@@ -198,8 +186,8 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
   const int window = std::min(std::max(options.window, 2), t);
 
   JoEncodingOptions encode_options;
-  encode_options.num_thresholds = options.num_thresholds;
-  encode_options.omega = options.omega;
+  encode_options.num_thresholds = kWindowThresholds;
+  encode_options.omega = kWindowOmega;
 
   std::optional<QuboBuildCache> local_cache;
   QuboBuildCache* cache = run.build_cache;
@@ -215,17 +203,9 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
   RunContext solve_run = run;
   solve_run.pool = nullptr;
 
-  const auto expired = [&] {
-    return run.stop.stop_requested() ||
-           (run.deadline_ms > 0.0 && MsSince(start) >= run.deadline_ms);
-  };
-
-  const int max_rounds = options.max_rounds > 0
-                             ? options.max_rounds
-                             : std::numeric_limits<int>::max();
   int stalled = 0;
-  for (int round = 0; round < max_rounds; ++round) {
-    if (expired()) break;
+  for (int round = 0; round < options.max_rounds; ++round) {
+    if (run.stop.stop_requested()) break;
     if (options.stall_rounds > 0 && stalled >= options.stall_rounds) break;
 
     // --- Partition. Phase alternation makes consecutive rounds overlap:
@@ -266,7 +246,7 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
     const Rng round_rng = rng.Fork(static_cast<uint64_t>(round));
     std::vector<WindowProposal> proposals(windows.size());
     ParallelFor(pool, 0, static_cast<int64_t>(windows.size()), [&](int64_t w) {
-      if (expired()) return;
+      if (run.stop.stop_requested()) return;
       const std::string span_name = "decomp.subsolve." + std::to_string(w);
       StageSpan span(run.trace, span_name.c_str());
       WindowProposal& proposal = proposals[w];
@@ -280,39 +260,11 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
       std::vector<QuboSolution> solutions;
       auto encoded = cache->GetOrBuild(sub->subquery, encode_options);
       if (encoded.ok()) {
-        const Qubo& qubo = (*encoded)->encoding.qubo;
-        switch (PickSubSolver(round, static_cast<int>(w))) {
-          case SubSolver::kSa: {
-            SaOptions sa;
-            sa.num_reads = options.subsolver_reads;
-            sa.sweeps_per_read = options.subsolver_sweeps;
-            solutions =
-                SolveQuboSimulatedAnnealing(qubo, sa, solve_run, window_rng);
-            break;
-          }
-          case SubSolver::kTabu: {
-            TabuOptions tabu;
-            tabu.num_restarts = options.subsolver_reads;
-            tabu.iterations_per_restart = options.subsolver_sweeps;
-            solutions = SolveQuboTabuSearch(qubo, tabu, solve_run, window_rng);
-            break;
-          }
-          case SubSolver::kSqa: {
-            const IsingModel ising = QuboToIsing(qubo);
-            SqaOptions sqa;
-            sqa.num_reads = options.subsolver_reads;
-            sqa.annealing_time_us = options.subsolver_sweeps;
-            sqa.sweeps_per_us = 1.0;
-            auto samples = RunSqa(ising, sqa, solve_run, window_rng);
-            if (samples.ok()) {
-              for (const SqaSample& sample : *samples) {
-                solutions.push_back(
-                    QuboSolution{SpinsToBits(sample.spins), sample.energy});
-              }
-            }
-            break;
-          }
-        }
+        solutions = SolveAnnealRound(
+            PickSubSolver(round, static_cast<int>(w)),
+            (*encoded)->encoding.qubo, /*ising=*/nullptr,
+            options.subsolver_reads, options.subsolver_sweeps, solve_run,
+            window_rng);
       }
 
       // Stitch preparation: decode every read, project out the prefix,
@@ -382,7 +334,6 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
 
   report.order = LeftDeepOrder(std::move(incumbent));
   report.cost = incumbent_cost;
-  report.elapsed_ms = MsSince(start);
   return report;
 }
 

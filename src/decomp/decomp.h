@@ -30,9 +30,11 @@ namespace qjo {
 ///  3. *Sub-solve.* Each window becomes a small subquery — the already-
 ///     joined prefix is folded into one pseudo-relation carrying its
 ///     cardinality and its combined selectivities towards every window
-///     relation — encoded through the shared QUBO build cache and solved
-///     with the batched SA/SQA and incremental tabu kernels (rotating per
-///     window so the strand inherits the portfolio's solver diversity).
+///     relation — encoded (one threshold, omega 1) through the shared
+///     QUBO build cache and solved by one SolveAnnealRound
+///     (sim/anneal_round.h), the round the portfolio's sa/tabu/sqa
+///     strands run, rotating the kernel per window so the strand inherits
+///     the race's solver diversity.
 ///  4. *Stitch + repair.* The best decodable sample yields a relative
 ///     order of the window's relations (the prefix pseudo-relation is
 ///     projected out — the repair that keeps every candidate a valid
@@ -40,26 +42,26 @@ namespace qjo {
 ///     the subquery supplies the relative order instead. A candidate is
 ///     accepted iff it lowers the *global* C_out cost.
 ///  5. *Iterate.* Rounds repeat — re-optimising the currently worst
-///     windows first — until the round budget, the deadline, or a
+///     windows first — until the round budget, a stop request, or a
 ///     convergence stall (two phase-alternating rounds without
 ///     improvement) ends the search.
 ///
 /// Determinism: window solves fork disjoint RNG streams
 /// (`rng.Fork(round).Fork(window)`) and proposals are folded in fixed
-/// window order, so a rounds-bounded run is bit-identical at every
-/// parallelism level. Deadline-bounded runs stop cooperatively between
-/// window solves and are wall-clock-dependent, exactly like the
-/// portfolio's deadline mode.
+/// window order, so a run that no stop cuts short is bit-identical at
+/// every parallelism level. A stopped run is wall-clock-dependent,
+/// exactly like the portfolio's deadline mode.
 ///
-/// These options say only *what* to search; where the loop runs, until
-/// when and whether it was cancelled come from the RunContext passed
-/// next to them (the portfolio's decomp strand passes the race's).
+/// These options say only *what* to search; where the loop runs and
+/// whether it was stopped come from the RunContext passed next to them
+/// (the portfolio's decomp strand passes the race's, whose stop token the
+/// race deadline stops).
 struct DecompOptions {
   /// Relations per window (the subqueries add one prefix pseudo-relation
   /// on top). Sized for the local-field kernels: sub-QUBOs stay in
   /// the few-hundred-variable range where SA/tabu sweeps are microseconds.
   int window = 9;
-  /// LNS rounds. <= 0 requires a positive deadline (run until it fires).
+  /// LNS rounds; must be positive.
   int max_rounds = 8;
   /// Consecutive improvement-free rounds before giving up early; >= 2
   /// guarantees both partition phases were retried since the last
@@ -70,12 +72,6 @@ struct DecompOptions {
   /// spent by the rotating SA/tabu/SQA sub-solves.
   int subsolver_reads = 4;
   int subsolver_sweeps = 96;
-
-  /// Encoding options for the window subqueries (kept small: one
-  /// threshold keeps sub-QUBOs lean; the acceptance test uses the exact
-  /// C_out cost anyway, so encoding granularity only shapes proposals).
-  int num_thresholds = 1;
-  double omega = 1.0;
 };
 
 /// One window of consecutive incumbent-order positions, [start, start+length).
@@ -110,7 +106,7 @@ StatusOr<WindowSubproblem> BuildWindowSubproblem(const Query& query,
                                                  const std::vector<int>& order,
                                                  const DecompWindow& window);
 
-/// Everything one decomposition run learned, mirroring PortfolioReport's
+/// Everything one decomposition run learned, mirroring StrandOutcome's
 /// counters so the strand's metrics stay comparable.
 struct DecompReport {
   LeftDeepOrder order;  ///< always a valid permutation (greedy-seeded)
@@ -120,21 +116,22 @@ struct DecompReport {
   int windows_solved = 0;
   int improvements = 0;     ///< accepted window proposals
   int repairs = 0;          ///< windows stitched via the classical DP repair
-  double elapsed_ms = 0.0;
 };
 
 /// Runs the decomposition loop on `query` under `run`: its pool carries
 /// the per-round window fan-out (null = serial; results never depend on
-/// it), `run.deadline_ms` <= 0 = no deadline (bounded by max_rounds),
-/// and a positive deadline as well as `run.stop` are checked between
-/// window solves. The window sub-encodings go through `run.build_cache`:
-/// the loop hits it thousands of times per query (windows repeat across
-/// rounds), exactly the workload the cache's single-entry LRU eviction
-/// protects. Without one the call keeps a private cache for its
-/// duration. Always returns a valid join tree with cost <= the
-/// greedy baseline (the seed) when it returns at all; fails only on < 2
-/// relations, > 63 relations (bitmask-bounded cost model), or an
-/// unbounded configuration.
+/// it), and `run.stop` is checked before every window solve and reaches
+/// the sub-solvers' sweeps. `max_rounds` bounds the loop, which reads no
+/// clock: a wall-clock budget (`run.deadline_ms` included) has to arrive
+/// as a stop request, the way the portfolio race arms one on the
+/// process-wide DeadlineMonitor. The window sub-encodings go through
+/// `run.build_cache`: the loop hits it thousands of times per query
+/// (windows repeat across rounds), exactly the workload the cache's
+/// single-entry LRU eviction protects. Without one the call keeps a
+/// private cache for its duration. Always returns a valid join tree with
+/// cost <= the greedy baseline (the seed) when it returns at all; fails
+/// only on < 2 relations, > 63 relations (bitmask-bounded cost model), or
+/// non-positive round or sub-solver budgets.
 StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
                                                    const DecompOptions& options,
                                                    const RunContext& run,

@@ -80,15 +80,13 @@ void VisitFields(FieldListOf<EmbedQuboOptions> auto& embed_qubo, auto& v) {
 }
 
 void VisitFields(FieldListOf<DecompOptions> auto& decomp, auto& v) {
-  auto& [window, max_rounds, stall_rounds, subsolver_reads, subsolver_sweeps,
-         num_thresholds, omega] = decomp;
+  auto& [window, max_rounds, stall_rounds, subsolver_reads,
+         subsolver_sweeps] = decomp;
   v.Key("d_w", window);
   v.Key("d_mr", max_rounds);
   v.Key("d_sr", stall_rounds);
   v.Key("d_reads", subsolver_reads);
   v.Key("d_sweeps", subsolver_sweeps);
-  v.Key("d_nt", num_thresholds);
-  v.Key("d_omega", omega);
 }
 
 void VisitFields(FieldListOf<PortfolioOptions> auto& portfolio, auto& v) {

@@ -116,9 +116,6 @@ Status ClassicalFallback(const Query& query, QjoReport* report) {
     report->optimal_order = plan.order;
     report->optimal_cost = plan.cost;
   }
-  report->portfolio.found_valid = true;
-  report->portfolio.best_order = plan.order;
-  report->portfolio.best_cost = plan.cost;
   report->portfolio.used_classical_fallback = true;
   report->portfolio.winner = "classical_fallback";
   return Status::Ok();

@@ -26,20 +26,21 @@ class QuboBuildCache;
 ///
 /// Pool, trace, metrics and build cache are not owned and must outlive
 /// the call they are passed to; `stop` is a std::stop_token, which shares
-/// ownership of its stop state. The solvers ignore `deadline_ms` (they
-/// are bounded by sweeps and the cooperative stop token only) and
+/// ownership of its stop state. The solvers and the decomposition loop
+/// ignore `deadline_ms` (they are bounded by their sweep or round budgets
+/// and the cooperative stop token only); the solvers also ignore
 /// `build_cache`.
 struct RunContext {
-  /// Wall-clock budget in milliseconds. > 0: the layer winds down
-  /// cooperatively on expiry (a stop request from the process-wide
-  /// DeadlineMonitor, or between-rounds checks) and answers with its
-  /// incumbent; a budget too large to represent (1e20, +inf) never
-  /// expires. 0: zero budget — orchestrators answer immediately with
-  /// their cheap fallback. < 0: no deadline; the
-  /// run must then be bounded another way (sweep budget, round budget),
-  /// which each layer's validation enforces at entry. Wall-clock
-  /// cut-offs are inherently scheduling-dependent, so deadline-bounded
-  /// runs are *not* bit-reproducible; budget-bounded runs are.
+  /// Wall-clock budget in milliseconds. Below the pipeline only the
+  /// portfolio race reads it. > 0: the race arms a stop on the
+  /// process-wide DeadlineMonitor, winds down cooperatively on expiry and
+  /// answers with its incumbent; a budget too large to represent (1e20,
+  /// +inf) never expires. 0: zero budget — the race answers immediately
+  /// with the classical fallback. < 0: no deadline; the run must then be
+  /// bounded by sweeps, which the race's validation enforces at entry.
+  /// Wall-clock cut-offs are inherently scheduling-dependent, so
+  /// deadline-bounded runs are *not* bit-reproducible; budget-bounded
+  /// runs are.
   double deadline_ms = -1.0;
 
   /// Optional externally-owned pool for the layer's fan-out (strands,

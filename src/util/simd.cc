@@ -1,6 +1,7 @@
 #include "util/simd.h"
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -63,7 +64,14 @@ const SimdOps* ResolveDefault() {
   SimdIsa cap = SimdIsa::kAvx512;
   if (const char* env = std::getenv("QJO_SIMD")) {
     SimdIsa requested;
-    if (ParseSimdIsa(env, &requested)) cap = requested;
+    if (ParseSimdIsa(env, &requested)) {
+      cap = requested;
+    } else {
+      std::fprintf(stderr,
+                   "QJO_SIMD=%s is not a SIMD tier (scalar|avx2|avx512); "
+                   "ignoring it\n",
+                   env);
+    }
   }
   return WidestUpTo(cap);
 }
@@ -101,8 +109,10 @@ bool ParseSimdIsa(const char* name, SimdIsa* out) {
 const SimdOps& Simd() {
   const SimdOps* ops = g_ops.load(std::memory_order_acquire);
   if (ops == nullptr) {
-    // Racing first calls resolve the same table; the store is idempotent.
-    ops = ResolveDefault();
+    // Resolved once (a function-local static), so a bad QJO_SIMD is
+    // reported once; racing first calls store the same table.
+    static const SimdOps* const resolved = ResolveDefault();
+    ops = resolved;
     g_ops.store(ops, std::memory_order_release);
   }
   return *ops;

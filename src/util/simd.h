@@ -87,7 +87,8 @@ struct SimdOps {
 /// The process-wide dispatch table: the widest tier both compiled in and
 /// supported by the host CPU, optionally capped by the QJO_SIMD
 /// environment variable (scalar|avx2|avx512 — a request the host
-/// cannot satisfy falls back to the widest supported tier below it).
+/// cannot satisfy falls back to the widest supported tier below it; any
+/// other value is reported on stderr and ignored).
 /// Resolved once on first use; subsequent calls are a single atomic load.
 const SimdOps& Simd();
 

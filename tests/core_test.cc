@@ -910,6 +910,14 @@ TEST(PortfolioTest, ValidationRejectsBadRoundBudgets) {
   unbounded.portfolio.sweep_budget = 0;
   EXPECT_EQ(OptimizeJoinOrder(q, unbounded).status().code(),
             StatusCode::kInvalidArgument);
+
+  // The decomp loop has no clock of its own: it needs a round budget even
+  // under a race deadline.
+  QjoConfig bad_decomp_rounds = PortfolioConfig();
+  bad_decomp_rounds.run.deadline_ms = 100.0;
+  bad_decomp_rounds.portfolio.decomp.max_rounds = 0;
+  EXPECT_EQ(OptimizeJoinOrder(q, bad_decomp_rounds).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(PortfolioTest, EachFlagGatesOnlyItsStrand) {
@@ -982,6 +990,30 @@ TEST(PortfolioTest, DecompStrandSolvesThirtyRelationQuery) {
   const StrandOutcome& decomp = report->portfolio.race.strands[5];
   EXPECT_TRUE(decomp.won);
   EXPECT_GT(decomp.rounds_completed, 0);
+  // The decomp strand's incumbent is a join order, not a bit sample, so
+  // it must not be counted as an (invalid) sample.
+  EXPECT_EQ(report->stats.valid, report->stats.total);
+}
+
+TEST(PortfolioTest, DeadlineExpiryStopsTheDecompStrand) {
+  // A round budget no run reaches and no stall exit: only the race
+  // deadline, arriving as the race's stop, can end the decomp strand.
+  const Query q = MakeChainQuery(30);
+  QjoConfig config;
+  config.backend = QjoBackend::kPortfolio;
+  config.run.deadline_ms = 50.0;
+  config.portfolio.sweep_budget = 0;  // bounded by the deadline only
+  config.portfolio.enable_sqa = false;
+  config.portfolio.decomp.max_rounds = 1'000'000;
+  config.portfolio.decomp.stall_rounds = 0;
+  ThreadPool pool(2);
+  config.run.pool = &pool;
+  const auto start = std::chrono::steady_clock::now();
+  auto report = OptimizeJoinOrder(q, config);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_LT(MsSince(start), 10'000.0);
+  EXPECT_TRUE(report->portfolio.race.deadline_expired);
+  EXPECT_EQ(report->portfolio.winner, "decomp");
 }
 
 TEST(BatchTest, SharedCacheEncodesRepeatedQueriesOnce) {

@@ -144,6 +144,9 @@ TEST(DecompTest, RejectsDegenerateInputs) {
   RunContext run;
   run.deadline_ms = -1.0;
   EXPECT_FALSE(OptimizeJoinOrderDecomposed(q, unbounded, run, rng).ok());
+  // The loop checks no clock, so a deadline does not bound it either.
+  run.deadline_ms = 100.0;
+  EXPECT_FALSE(OptimizeJoinOrderDecomposed(q, unbounded, run, rng).ok());
 }
 
 struct LargeCase {
