@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stop_token>
 #include <utility>
 
 #include "core/postprocess.h"
+#include "jo/classical.h"
 #include "qubo/deadline_monitor.h"
 #include "qubo/ising.h"
 #include "sim/anneal_round.h"
@@ -28,6 +30,8 @@ using Clock = std::chrono::steady_clock;
 constexpr int kMaxQaoaVariables = 20;
 constexpr int kQaoaIterations = 10;
 constexpr int kQaoaShots = 128;
+
+constexpr double kNoBound = -std::numeric_limits<double>::infinity();
 
 double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
@@ -124,14 +128,33 @@ struct StrandEnv {
   /// stop token, which the race deadline stops.
   const RunContext& run;
   Clock::time_point start;
-  /// Requests the race-wide early exit (the exact strand's proven
-  /// optimum). Null outside deadline mode: cancelling sweep-budget races
-  /// on a wall-clock event would break bit-reproducibility.
+  /// Requests the race-wide early exit: the exact strand's proven optimum,
+  /// or any strand's feasible incumbent reaching `score_bound`. Null
+  /// outside deadline mode: cancelling sweep-budget races on a wall-clock
+  /// event would break bit-reproducibility.
   std::stop_source* early_exit;
+  /// `hooks.score_bound` in deadline mode, -infinity (no bound) otherwise.
+  double score_bound;
   StrandState& state;
 
   void Absorb(const std::vector<int>& assignment, double energy) const {
     AbsorbSample(hooks, start, assignment, energy, state);
+    StopAtBound();
+  }
+
+  /// The strand holds a proven optimum: flag it and end a deadline race.
+  void HitLowerBound() const {
+    state.outcome.hit_lower_bound = true;
+    if (early_exit != nullptr) early_exit->request_stop();
+  }
+
+  /// Ends the race once the feasible incumbent reaches the score bound.
+  void StopAtBound() const {
+    const StrandOutcome& outcome = state.outcome;
+    if (outcome.feasible && !outcome.hit_lower_bound &&
+        ReachesCost(outcome.best_score, score_bound)) {
+      HitLowerBound();
+    }
   }
 };
 
@@ -150,8 +173,7 @@ void RunExactStrand(const StrandEnv& env, Rng& rng) {
   outcome.sweeps_completed = int64_t{1} << env.qubo.num_variables();
   // The exact minimum *is* a proven lower bound: nothing can beat it on
   // energy, so in deadline mode the race ends here.
-  outcome.hit_lower_bound = true;
-  if (env.early_exit != nullptr) env.early_exit->request_stop();
+  env.HitLowerBound();
 }
 
 /// The sa, tabu and sqa strands: rounds of the race-wide round size on
@@ -208,7 +230,9 @@ void RunQaoaStrand(const StrandEnv& env, Rng& rng) {
 
 void RunDecompStrand(const StrandEnv& env, Rng& rng) {
   if (env.run.stop.stop_requested()) return;
-  auto decomp = env.hooks.decomp_run(env.run, rng);
+  // The loop returns at the start of the first round whose incumbent
+  // reaches the bound, and StopAtBound below then ends the race.
+  auto decomp = env.hooks.decomp_run(env.run, env.score_bound, rng);
   if (!decomp.ok()) return;
   // The strand's incumbent is the join order itself; its C_out cost is
   // directly comparable with the other strands' decoded scores. The
@@ -222,6 +246,7 @@ void RunDecompStrand(const StrandEnv& env, Rng& rng) {
   outcome.sweeps_completed = decomp->windows_solved;
   outcome.sweeps_to_incumbent = outcome.sweeps_completed;
   env.state.best_feasible_assignment = decomp->order.order();
+  env.StopAtBound();
 }
 
 /// The strand table, indexed by Strand. The name is also the metrics
@@ -297,10 +322,12 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
   // things stop it: the caller's token (relayed in any budget mode — a
   // caller's stop is an unconditional cancel), the race deadline, armed
   // on the process-wide DeadlineMonitor from race entry, and the early
-  // exit of the exact strand's proven optimum. That last cancels the
-  // race in deadline mode only: cancellation truncates other strands at a
-  // wall-clock-dependent point, which would break the bit-reproducibility
-  // contract of pure sweep-budget runs.
+  // exit of a strand that holds a proven optimum: the exact strand's
+  // QUBO minimum, or any strand's feasible incumbent reaching
+  // `hooks.score_bound` (the DP optimum, in a join-order race). The early
+  // exit cancels the race in deadline mode only: cancellation truncates
+  // other strands at a wall-clock-dependent point, which would break the
+  // bit-reproducibility contract of pure sweep-budget runs.
   std::stop_source stop;
   const std::stop_callback relay(run.stop, [&stop] { stop.request_stop(); });
   const bool deadline_mode = run.deadline_ms > 0.0;
@@ -325,8 +352,14 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
     StageSpan strand_span(run.trace, span_name.c_str());
     const Clock::time_point strand_start = Clock::now();
     Rng strand_rng = base.Fork(s);
-    const StrandEnv env{qubo, options, hooks, strand_run,
-                        start, deadline_mode ? &stop : nullptr, state};
+    const StrandEnv env{qubo,
+                        options,
+                        hooks,
+                        strand_run,
+                        start,
+                        deadline_mode ? &stop : nullptr,
+                        deadline_mode ? hooks.score_bound : kNoBound,
+                        state};
     kStrands[s].run(env, strand_rng);
     outcome.total_ms = MsSince(strand_start);
     if (run.metrics != nullptr) {
@@ -364,6 +397,8 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
   }
   if (result.winner >= 0) {
     states[result.winner].outcome.won = true;
+    result.reached_score_bound =
+        deadline_mode && ReachesCost(result.best_score, hooks.score_bound);
   }
   for (StrandState& state : states) {
     result.strands.push_back(std::move(state.outcome));
@@ -384,6 +419,12 @@ StatusOr<JoResult> RunJoPortfolio(const Query& query,
     if (!order.ok()) return std::numeric_limits<double>::quiet_NaN();
     return Cost(query, *order);
   };
+  // Up to the DP cap the classical plan is the exact optimum, so no
+  // strand can beat its cost and a deadline race may stop on reaching it.
+  // Past the cap it is greedy, which bounds nothing.
+  if (query.num_relations() <= kMaxDpRelations) {
+    hooks.score_bound = Cost(query, classical_plan.order);
+  }
   // Give the QUBO-level race its query-level strand: past the gate size
   // the decomposition loop is the only strand with a realistic shot at a
   // valid plan (monolithic samples stop decoding), and below it the
@@ -393,9 +434,10 @@ StatusOr<JoResult> RunJoPortfolio(const Query& query,
   if (options.enable_decomp &&
       query.num_relations() >= options.min_decomp_relations) {
     hooks.decomp_run = [&query, &options](const RunContext& strand_run,
+                                          double target_cost,
                                           Rng& strand_rng) {
       return OptimizeJoinOrderDecomposed(query, options.decomp, strand_run,
-                                         strand_rng);
+                                         strand_rng, target_cost);
     };
   }
   QJO_ASSIGN_OR_RETURN(
@@ -427,6 +469,7 @@ std::string PortfolioReport::Summary() const {
   os << "portfolio winner: " << winner
      << (used_classical_fallback ? " (fallback)" : "") << ", race "
      << FormatDouble(race.elapsed_ms, 2) << " ms";
+  if (race.reached_score_bound) os << ", stopped at the DP optimum";
   if (race.deadline_expired) os << ", deadline expired";
   os << "\n";
   for (const StrandOutcome& s : race.strands) {

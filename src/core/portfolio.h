@@ -31,8 +31,11 @@ namespace qjo {
 ///    positive). The race arms its own stop source on the process-wide
 ///    DeadlineMonitor, which stops it on expiry; every strand winds down
 ///    cooperatively (the strands' `run.stop`) and the best incumbent
-///    wins. No layer below the race reads the deadline itself: it reaches
-///    the strands, the decomposition loop included, only as that stop.
+///    wins. A race that already holds a proven optimum ends earlier: the
+///    exact strand's QUBO minimum, or a strand reaching
+///    RaceHooks::score_bound. No layer below the race reads the deadline
+///    itself: it reaches the strands, the decomposition loop included,
+///    only as that stop.
 ///    The race itself starts no thread. Wall-clock cut-offs are
 ///    inherently scheduling-dependent, so deadline-bounded runs are *not*
 ///    bit-reproducible.
@@ -92,7 +95,9 @@ struct PortfolioOptions {
 };
 
 /// The query-level half of a race, which the QUBO alone does not carry.
-/// RunJoPortfolio fills both hooks; a bare QUBO race passes `{}`.
+/// RunJoPortfolio fills them (the decomp body from min_decomp_relations
+/// relations, the bound up to kMaxDpRelations); a bare QUBO race passes
+/// `{}`.
 struct RaceHooks {
   /// Domain scorer, called on every sample a strand produces: returns the
   /// domain objective (lower is better — the C_out cost of the decoded
@@ -101,9 +106,20 @@ struct RaceHooks {
   /// thread-safe: strands call it concurrently.
   std::function<double(const std::vector<int>&)> score;
   /// The decomposition strand's body. Receives the race's context (whose
-  /// stop token the race deadline stops) and the strand's forked RNG
-  /// stream. Null = the strand is ineligible.
-  std::function<StatusOr<DecompReport>(const RunContext&, Rng&)> decomp_run;
+  /// stop token the race deadline stops), the target cost at which its
+  /// loop may return (`score_bound` in deadline mode, -infinity
+  /// otherwise) and the strand's forked RNG stream. Null = the strand is
+  /// ineligible.
+  std::function<StatusOr<DecompReport>(const RunContext&, double target_cost,
+                                       Rng&)>
+      decomp_run;
+  /// A proven lower bound on the score: RunJoPortfolio passes the DP
+  /// optimum's C_out, computed through the same Cost as `score`. In
+  /// deadline mode a strand whose feasible incumbent reaches it
+  /// (ReachesCost, relative 1e-12) sets its `hit_lower_bound` and stops
+  /// the race through the same early exit as the exact strand's proven
+  /// optimum. Sweep-budget races never read it. -infinity = no bound.
+  double score_bound = -std::numeric_limits<double>::infinity();
 };
 
 /// The single entry validation of a race configuration: RunContext
@@ -144,8 +160,10 @@ struct StrandOutcome {
   /// wall-clock twin above is not).
   int64_t sweeps_to_incumbent = 0;
   double total_ms = 0.0;
-  /// The exact strand proved the optimum and triggered the early exit
-  /// (which stops the race in deadline mode only).
+  /// The strand holds a proven optimum and triggered the early exit, which
+  /// stops the race in deadline mode only: the exact strand proved the
+  /// QUBO minimum (in any mode), or, in deadline mode, the strand's
+  /// feasible incumbent reached RaceHooks::score_bound.
   bool hit_lower_bound = false;
   bool won = false;
 };
@@ -164,6 +182,9 @@ struct QuboRaceResult {
   double elapsed_ms = 0.0;
   /// The race deadline passed before every strand had returned.
   bool deadline_expired = false;
+  /// A deadline race whose winning score reached RaceHooks::score_bound:
+  /// the race stopped at the bound instead of running to its deadline.
+  bool reached_score_bound = false;
 };
 
 /// Races the six strands (exact, sa, tabu, sqa, qaoa, decomp) on one QUBO
@@ -172,9 +193,10 @@ struct QuboRaceResult {
 /// sweep-budget-bounded race is bit-identical at every parallelism level.
 /// The winner is the strand with the best (lowest) domain score
 /// (`hooks.score`, or the QUBO energy without one), ties broken by strand
-/// order. The decomp strand
-/// races only when `hooks.decomp_run` is set. Fails on an empty QUBO or
-/// an invalid configuration (ValidatePortfolioOptions).
+/// order. A deadline race ends early once the exact strand proves the
+/// optimum or any strand's feasible incumbent reaches `hooks.score_bound`.
+/// The decomp strand races only when `hooks.decomp_run` is set. Fails on
+/// an empty QUBO or an invalid configuration (ValidatePortfolioOptions).
 StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
                                            const PortfolioOptions& options,
                                            const RaceHooks& hooks,
@@ -198,9 +220,12 @@ struct PortfolioReport {
 /// join order with the lowest C_out cost, and when the race yields no
 /// valid plan (or run.deadline_ms == 0) `classical_plan` is returned —
 /// a valid join tree is always returned. The caller solves that plan once
-/// (the pipeline passes its oracle, OptimizeClassical's answer) and it
-/// must be a plan for `query`. Queries of at least `min_decomp_relations`
-/// relations also race the decomp strand. `report` receives the race.
+/// and it must be OptimizeClassical's answer for `query` (the pipeline
+/// passes its oracle): up to kMaxDpRelations it is the DP optimum, whose
+/// cost bounds the race (RaceHooks::score_bound), so a deadline race ends
+/// as soon as a strand reaches it. Past the cap it is greedy and bounds
+/// nothing. Queries of at least `min_decomp_relations` relations also
+/// race the decomp strand. `report` receives the race.
 StatusOr<JoResult> RunJoPortfolio(const Query& query,
                                   const JoQuboEncoding& encoding,
                                   const JoResult& classical_plan,

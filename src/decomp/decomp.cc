@@ -155,10 +155,9 @@ StatusOr<WindowSubproblem> BuildWindowSubproblem(const Query& query,
   return sub;
 }
 
-StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
-                                                   const DecompOptions& options,
-                                                   const RunContext& run,
-                                                   Rng& rng) {
+StatusOr<DecompReport> OptimizeJoinOrderDecomposed(
+    const Query& query, const DecompOptions& options, const RunContext& run,
+    Rng& rng, double target_cost) {
   const int t = query.num_relations();
   if (t < 2) return Status::InvalidArgument("need at least 2 relations");
   if (t > 63) {
@@ -207,6 +206,7 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
   for (int round = 0; round < options.max_rounds; ++round) {
     if (run.stop.stop_requested()) break;
     if (options.stall_rounds > 0 && stalled >= options.stall_rounds) break;
+    if (ReachesCost(incumbent_cost, target_cost)) break;
 
     // --- Partition. Phase alternation makes consecutive rounds overlap:
     // positions split by this round's cuts share a window in the next.

@@ -2,6 +2,7 @@
 #define QJO_DECOMP_DECOMP_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "jo/join_tree.h"
@@ -42,9 +43,10 @@ namespace qjo {
 ///     the subquery supplies the relative order instead. A candidate is
 ///     accepted iff it lowers the *global* C_out cost.
 ///  5. *Iterate.* Rounds repeat — re-optimising the currently worst
-///     windows first — until the round budget, a stop request, or a
+///     windows first — until the round budget, a stop request, a
 ///     convergence stall (two phase-alternating rounds without
-///     improvement) ends the search.
+///     improvement) or an incumbent that reaches the caller's target cost
+///     ends the search.
 ///
 /// Determinism: window solves fork disjoint RNG streams
 /// (`rng.Fork(round).Fork(window)`) and proposals are folded in fixed
@@ -53,9 +55,13 @@ namespace qjo {
 /// exactly like the portfolio's deadline mode.
 ///
 /// These options say only *what* to search; where the loop runs and
-/// whether it was stopped come from the RunContext passed next to them
-/// (the portfolio's decomp strand passes the race's, whose stop token the
-/// race deadline stops).
+/// whether it was stopped come from the RunContext passed next to them.
+/// The race contract: the portfolio's decomp strand passes the race's
+/// context, whose stop token the race deadline stops, and in deadline
+/// mode up to kMaxDpRelations it also passes the DP optimum's cost as the
+/// target, so the loop returns as soon as its incumbent reaches it and
+/// the strand can end the race at the optimum. Sweep-budget races pass no
+/// target.
 struct DecompOptions {
   /// Relations per window (the subqueries add one prefix pseudo-relation
   /// on top). Sized for the local-field kernels: sub-QUBOs stay in
@@ -120,22 +126,27 @@ struct DecompReport {
 
 /// Runs the decomposition loop on `query` under `run`: its pool carries
 /// the per-round window fan-out (null = serial; results never depend on
-/// it), and `run.stop` is checked before every window solve and reaches
-/// the sub-solvers' sweeps. `max_rounds` bounds the loop, which reads no
+/// it) when the call runs outside any ParallelFor. Inside a portfolio
+/// race the loop is a strand body, so the fan-out is a nested ParallelFor
+/// and runs serially on the strand's thread (util/thread_pool.h).
+/// `run.stop` is checked before every window solve and reaches the
+/// sub-solvers' sweeps. `max_rounds` bounds the loop, which reads no
 /// clock: a wall-clock budget (`run.deadline_ms` included) has to arrive
 /// as a stop request, the way the portfolio race arms one on the
-/// process-wide DeadlineMonitor. The window sub-encodings go through
-/// `run.build_cache`: the loop hits it thousands of times per query
+/// process-wide DeadlineMonitor. The loop also ends at the start of the
+/// first round, round 0 included, whose incumbent reaches `target_cost`
+/// (ReachesCost); the default -infinity is no target, and a run that
+/// never reaches its target is identical to one without. The window
+/// sub-encodings go through `run.build_cache`: the loop hits it thousands of times per query
 /// (windows repeat across rounds), exactly the workload the cache's
 /// single-entry LRU eviction protects. Without one the call keeps a
 /// private cache for its duration. Always returns a valid join tree with
 /// cost <= the greedy baseline (the seed) when it returns at all; fails
 /// only on < 2 relations, > 63 relations (bitmask-bounded cost model), or
 /// non-positive round or sub-solver budgets.
-StatusOr<DecompReport> OptimizeJoinOrderDecomposed(const Query& query,
-                                                   const DecompOptions& options,
-                                                   const RunContext& run,
-                                                   Rng& rng);
+StatusOr<DecompReport> OptimizeJoinOrderDecomposed(
+    const Query& query, const DecompOptions& options, const RunContext& run,
+    Rng& rng, double target_cost = -std::numeric_limits<double>::infinity());
 
 }  // namespace qjo
 

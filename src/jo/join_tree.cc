@@ -1,5 +1,7 @@
 #include "jo/join_tree.h"
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -60,6 +62,12 @@ CostBreakdown EvaluateCost(const Query& query, const LeftDeepOrder& order) {
 
 double Cost(const Query& query, const LeftDeepOrder& order) {
   return EvaluateCost(query, order).total_cost;
+}
+
+bool ReachesCost(double cost, double target) {
+  constexpr double kRelativeTolerance = 1e-12;
+  if (target == -std::numeric_limits<double>::infinity()) return false;
+  return cost <= target + kRelativeTolerance * std::abs(target);
 }
 
 }  // namespace qjo

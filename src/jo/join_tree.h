@@ -50,6 +50,12 @@ CostBreakdown EvaluateCost(const Query& query, const LeftDeepOrder& order);
 /// Shorthand: just the scalar cost.
 double Cost(const Query& query, const LeftDeepOrder& order);
 
+/// Whether `cost` reaches `target`: at most target + 1e-12 * |target|.
+/// Two equally cheap orders' Cost values may differ in their last bits, so
+/// a cost that matches a known optimum counts as reaching it. A target of
+/// -infinity ("no target") is never reached.
+bool ReachesCost(double cost, double target);
+
 /// Result of any (classical or quantum) join-ordering optimisation.
 struct JoResult {
   LeftDeepOrder order;

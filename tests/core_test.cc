@@ -1016,6 +1016,114 @@ TEST(PortfolioTest, DeadlineExpiryStopsTheDecompStrand) {
   EXPECT_EQ(report->portfolio.winner, "decomp");
 }
 
+TEST(PortfolioTest, StopsAtTheDpOptimum) {
+  // Up to the DP cap the classical plan is the optimum. Once the decomp
+  // strand reaches its cost it stops the race, and the SA strand spinning
+  // next to it on the pool winds down, long before the 60 s deadline.
+  // The greedy seed of this 18-relation cycle is not optimal, so decomp
+  // gets there only after improving it.
+  Rng query_rng(2);
+  QueryGenOptions gen;
+  gen.num_relations = 18;
+  gen.graph_type = QueryGraphType::kCycle;
+  auto generated = GenerateQuery(gen, query_rng);
+  ASSERT_TRUE(generated.ok());
+  const Query& q = *generated;
+  auto greedy = OptimizeGreedy(q);
+  ASSERT_TRUE(greedy.ok());
+  QjoConfig config;
+  config.backend = QjoBackend::kPortfolio;
+  config.run.deadline_ms = 60'000.0;
+  config.portfolio.sweep_budget = 0;  // bounded by the deadline only
+  ThreadPool pool(2);
+  config.run.pool = &pool;
+  const auto start = std::chrono::steady_clock::now();
+  auto report = OptimizeJoinOrder(q, config);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_LT(MsSince(start), 10'000.0);
+  const PortfolioReport& portfolio = report->portfolio;
+  EXPECT_FALSE(portfolio.race.deadline_expired);
+  EXPECT_TRUE(portfolio.race.reached_score_bound);
+  EXPECT_EQ(portfolio.winner, "decomp");
+  EXPECT_GT(greedy->cost, report->optimal_cost);
+  EXPECT_NEAR(report->best_cost, report->optimal_cost,
+              1e-12 * report->optimal_cost);
+  const StrandOutcome& decomp = portfolio.race.strands[5];
+  EXPECT_EQ(decomp.name, "decomp");
+  EXPECT_TRUE(decomp.hit_lower_bound);
+  EXPECT_GT(decomp.rounds_completed, 0);
+  EXPECT_NE(portfolio.Summary().find("stopped at the DP optimum"),
+            std::string::npos)
+      << portfolio.Summary();
+}
+
+TEST(PortfolioTest, NoBoundPastTheDpCap) {
+  // Past 22 relations the classical plan is greedy, which bounds nothing:
+  // the decomp strand matching its cost must not stop the race, so the
+  // SA strand runs until the deadline.
+  const Query q = MakeChainQuery(23);
+  QjoConfig config;
+  config.backend = QjoBackend::kPortfolio;
+  config.run.deadline_ms = 50.0;
+  config.portfolio.sweep_budget = 0;  // bounded by the deadline only
+  ThreadPool pool(2);
+  config.run.pool = &pool;
+  auto report = OptimizeJoinOrder(q, config);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->found_valid);
+  EXPECT_TRUE(report->portfolio.race.deadline_expired);
+  EXPECT_FALSE(report->portfolio.race.reached_score_bound);
+  for (const StrandOutcome& strand : report->portfolio.race.strands) {
+    EXPECT_FALSE(strand.hit_lower_bound) << strand.name;
+  }
+}
+
+TEST(PortfolioTest, SweepBudgetRaceIgnoresTheDpBound) {
+  // A sweep-budget race never reads the bound: a 12-relation race that
+  // races the decomp strand stays bit-identical across pool sizes, and no
+  // strand reports reaching the bound even when it holds the optimum.
+  const Query q = MakeChainQuery(12);
+  QjoConfig config;
+  config.backend = QjoBackend::kPortfolio;
+  config.portfolio.sweep_budget = 256;  // pure sweep-budget mode
+  config.portfolio.enable_sqa = false;
+  std::optional<QjoReport> baseline;
+  for (int parallelism : {1, 4}) {
+    ThreadPool pool(parallelism);
+    config.run.pool = &pool;
+    auto report = OptimizeJoinOrder(q, config);
+    ASSERT_TRUE(report.ok()) << "parallelism " << parallelism;
+    const QuboRaceResult& race = report->portfolio.race;
+    EXPECT_FALSE(race.reached_score_bound);
+    ASSERT_EQ(race.strands.size(), 6u);
+    EXPECT_TRUE(race.strands[5].eligible);
+    // The premise: the decomp strand holds the DP optimum.
+    EXPECT_TRUE(ReachesCost(race.strands[5].best_score, report->optimal_cost));
+    for (const StrandOutcome& strand : race.strands) {
+      EXPECT_FALSE(strand.hit_lower_bound) << strand.name;
+    }
+    if (!baseline.has_value()) {
+      baseline = *std::move(report);
+      continue;
+    }
+    EXPECT_EQ(report->best_order.order(), baseline->best_order.order());
+    EXPECT_EQ(report->best_cost, baseline->best_cost);
+    EXPECT_EQ(report->portfolio.winner, baseline->portfolio.winner);
+    for (size_t s = 0; s < race.strands.size(); ++s) {
+      const StrandOutcome& got = race.strands[s];
+      const StrandOutcome& want = baseline->portfolio.race.strands[s];
+      EXPECT_EQ(got.rounds_completed, want.rounds_completed) << got.name;
+      EXPECT_EQ(got.sweeps_completed, want.sweeps_completed) << got.name;
+      EXPECT_EQ(got.best_energy, want.best_energy) << got.name;
+      EXPECT_EQ(got.feasible, want.feasible) << got.name;
+      if (got.feasible) {
+        EXPECT_EQ(got.best_score, want.best_score) << got.name;
+      }
+      EXPECT_EQ(got.won, want.won) << got.name;
+    }
+  }
+}
+
 TEST(BatchTest, SharedCacheEncodesRepeatedQueriesOnce) {
   const Query q = MakeChainQuery(3);
   std::vector<Query> queries = {q, q, q};

@@ -1,5 +1,6 @@
 #include "decomp/decomp.h"
 
+#include <limits>
 #include <optional>
 #include <stop_token>
 #include <string>
@@ -240,6 +241,43 @@ TEST(DecompTest, StopTokenShortCircuits) {
   auto valid = LeftDeepOrder::Create(report->order.order(), q);
   EXPECT_TRUE(valid.ok());
   EXPECT_DOUBLE_EQ(report->cost, report->greedy_cost);
+}
+
+TEST(DecompTest, GreedyTargetEndsBeforeTheFirstRound) {
+  const Query q = MakeGraphQuery(QueryGraphType::kCycle, 30, 29);
+  const auto greedy = OptimizeGreedy(q);
+  ASSERT_TRUE(greedy.ok());
+  Rng rng(3);
+  auto report =
+      OptimizeJoinOrderDecomposed(q, FastOptions(), {}, rng, greedy->cost);
+  ASSERT_TRUE(report.ok());
+  // The seed already meets the target: round 0 never starts.
+  EXPECT_EQ(report->rounds, 0);
+  EXPECT_EQ(report->windows_solved, 0);
+  EXPECT_EQ(report->order.order(), greedy->order.order());
+  EXPECT_EQ(report->cost, greedy->cost);
+}
+
+TEST(DecompTest, UnreachedTargetChangesNothing) {
+  const Query q = MakeGraphQuery(QueryGraphType::kCycle, 30, 29);
+  Rng default_rng(3);
+  auto want = OptimizeJoinOrderDecomposed(q, FastOptions(), {}, default_rng);
+  ASSERT_TRUE(want.ok());
+  ASSERT_GT(want->rounds, 0);
+  // No cost reaches 0 (every join result has at least one row), and
+  // -infinity is the default's "no target" spelled out.
+  for (const double target : {0.0, -std::numeric_limits<double>::infinity()}) {
+    Rng rng(3);
+    auto got = OptimizeJoinOrderDecomposed(q, FastOptions(), {}, rng, target);
+    ASSERT_TRUE(got.ok()) << target;
+    EXPECT_EQ(got->order.order(), want->order.order()) << target;
+    EXPECT_EQ(got->cost, want->cost) << target;
+    EXPECT_EQ(got->greedy_cost, want->greedy_cost) << target;
+    EXPECT_EQ(got->rounds, want->rounds) << target;
+    EXPECT_EQ(got->windows_solved, want->windows_solved) << target;
+    EXPECT_EQ(got->improvements, want->improvements) << target;
+    EXPECT_EQ(got->repairs, want->repairs) << target;
+  }
 }
 
 TEST(DecompTest, ObservabilityRecordsSpansAndCounters) {

@@ -1,6 +1,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -92,6 +93,18 @@ TEST(CostModelTest, FinalResultCardinalityOrderIndependent) {
         EvaluateCost(*q, LeftDeepOrder(perm)).intermediate_cardinalities.back();
     EXPECT_NEAR(final_card / reference, 1.0, 1e-9);
   }
+}
+
+TEST(CostModelTest, ReachesCostWithinRelativeTolerance) {
+  const double optimum = 1.5e6;
+  EXPECT_TRUE(ReachesCost(optimum, optimum));
+  EXPECT_TRUE(ReachesCost(optimum * (1.0 + 1e-13), optimum));
+  EXPECT_TRUE(ReachesCost(optimum * 0.5, optimum));
+  EXPECT_FALSE(ReachesCost(optimum * (1.0 + 1e-11), optimum));
+  // -infinity is "no target": nothing reaches it, not even -infinity.
+  const double none = -std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(ReachesCost(0.0, none));
+  EXPECT_FALSE(ReachesCost(none, none));
 }
 
 TEST(LeftDeepOrderTest, CreateValidation) {
