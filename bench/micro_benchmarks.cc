@@ -16,10 +16,12 @@
 // kernel rework). The suite exits nonzero when a production kernel breaks
 // its bit-identity contract against the scalar local-field reference, or
 // OptimizeDp its order and cost bits against the DP oracle, so the ctest
-// smoke doubles as a correctness gate. Run with --kernels_only to
-// skip the google-benchmark part; set QJO_KERNEL_BENCH_FAST=1 for the
-// quick ctest smoke configuration and QJO_BENCH_KERNELS_JSON to redirect
-// the output file.
+// smoke doubles as a correctness gate. Run with --kernels_only to run
+// this suite alone (--obs_overhead_only runs the observability suite
+// alone; with neither flag, both suites run and then google-benchmark);
+// set QJO_KERNEL_BENCH_FAST=1 for the quick ctest smoke configuration and
+// QJO_BENCH_KERNELS_JSON to redirect the output file. An unrecognised
+// argument exits 1 before any suite runs or writes its JSON.
 
 #include <benchmark/benchmark.h>
 
@@ -314,8 +316,8 @@ int RunKernelBenchSuite() {
   const int repeats = fast ? 2 : 3;
   std::vector<Metric> metrics;
   metrics.push_back({"parallelism", static_cast<double>(parallelism)});
-  // SIMD tier the dispatched kernels run on: 0 scalar, 2 avx2, 3 avx512
-  // (1 is unused; host-resolved, capped by QJO_SIMD).
+  // SIMD tier the dispatched kernels run on: 0 scalar, 2 avx2 (1 and 3
+  // are retired tiers; host-resolved, capped by QJO_SIMD).
   metrics.push_back(
       {"simd_isa", static_cast<double>(static_cast<int>(Simd().isa))});
   metrics.push_back({"fast_mode", fast ? 1.0 : 0.0});
@@ -798,17 +800,17 @@ int main(int argc, char** argv) {
     }
     args.push_back(argv[i]);
   }
-  if (obs_overhead_only) return qjo::RunObsOverheadSuite();
-  const int obs_status = qjo::RunObsOverheadSuite();
-  const int kernel_status = qjo::RunKernelBenchSuite();
-  const int suite_status = obs_status != 0 ? obs_status : kernel_status;
-  if (kernels_only) return suite_status;
+  // Reject unknown flags before any suite runs and overwrites its JSON.
   int filtered_argc = static_cast<int>(args.size());
   benchmark::Initialize(&filtered_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {
     return 1;
   }
+  if (obs_overhead_only) return qjo::RunObsOverheadSuite();
+  if (kernels_only) return qjo::RunKernelBenchSuite();
+  const int obs_status = qjo::RunObsOverheadSuite();
+  const int kernel_status = qjo::RunKernelBenchSuite();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return suite_status;
+  return obs_status != 0 ? obs_status : kernel_status;
 }

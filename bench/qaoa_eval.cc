@@ -212,7 +212,7 @@ int RunQaoaEvalBench() {
     metrics.push_back(
         {"simd_isa", static_cast<double>(static_cast<int>(dispatch_isa))});
     std::vector<SimdIsa> tiers;
-    for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kAvx2, SimdIsa::kAvx512}) {
+    for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kAvx2}) {
       if (SimdOpsFor(isa) != nullptr) tiers.push_back(isa);
     }
 

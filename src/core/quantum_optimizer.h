@@ -37,10 +37,12 @@ enum class QjoBackend {
   /// Annealer flow: minor-embed onto a Pegasus graph and run SQA with ICE
   /// noise (Table 3 setup).
   kQuantumAnnealerSim,
-  /// Deadline-aware portfolio: races exact, SA, tabu, SQA and QAOA strands
-  /// over one pool and returns the best valid plan found within the
-  /// budget, degrading to the classical DP/greedy plan when nothing valid
-  /// was sampled (a valid join tree is always returned).
+  /// Deadline-aware portfolio: races exact, SA, tabu, SQA, QAOA and
+  /// decomposition strands over one pool (decomp joins from
+  /// `PortfolioOptions::min_decomp_relations` relations) and returns the
+  /// best valid plan found within the budget, degrading to the classical
+  /// DP/greedy plan when nothing valid was sampled (a valid join tree is
+  /// always returned).
   kPortfolio,
 };
 
@@ -160,7 +162,7 @@ struct QjoReport {
   /// empty otherwise).
   PortfolioReport portfolio;
 
-  /// SIMD tier the stochastic kernels ran on ("scalar", "avx2", "avx512").
+  /// SIMD tier the stochastic kernels ran on ("scalar" or "avx2").
   std::string simd_isa;
 
   std::string Summary() const;

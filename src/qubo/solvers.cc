@@ -15,7 +15,7 @@ namespace qjo {
 namespace {
 
 /// Replicas per SoA group of the SA kernel: 16 doubles per plane
-/// row is two AVX-512 (four AVX2) vectors, and a 128-variable problem's
+/// row is four AVX2 vectors, and a 128-variable problem's
 /// field planes stay L1/L2-resident (16 KiB). Groups are carved from the
 /// read index space in fixed chunks, so group membership — and therefore
 /// every result — is independent of the parallelism level.

@@ -273,14 +273,14 @@ ThreadPool* GatedPool(ThreadPool* pool, uint64_t amplitudes) {
 
 // ---------------------------------------------------------------------------
 // Butterfly and phase kernels live in util/simd (runtime-dispatched
-// scalar/AVX2/AVX-512 tiers). All tiers compute exactly
+// scalar/AVX2 tiers). Both tiers compute exactly
 //   lo' = c*lo + (0,-sn)*hi     hi' = (0,-sn)*lo + c*hi
 // with the same per-component rounding as the std::complex expression of
 // the gate-at-a-time oracle (sim/qaoa_reference.cc), so fused and oracle
 // amplitudes compare equal with operator== (only signs of zeros can
-// differ) on every tier — see the determinism contract in util/simd.h. Dispatch granularity is one
-// block or row run per indirect call, so the function-pointer hop is
-// amortised over thousands of amplitudes.
+// differ) on every tier — see the determinism contract in util/simd.h.
+// Dispatch granularity is one block or row run per indirect call, so the
+// function-pointer hop is amortised over thousands of amplitudes.
 // ---------------------------------------------------------------------------
 
 /// Mixer butterflies for all qubits with bit >= block_qubits. Amplitude

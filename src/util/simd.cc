@@ -12,7 +12,6 @@ namespace simd_internal {
 // its tier was not compiled in (missing compiler flag or non-x86 target).
 const SimdOps* GetScalarOps();
 const SimdOps* GetAvx2Ops();
-const SimdOps* GetAvx512Ops();
 
 }  // namespace simd_internal
 
@@ -28,8 +27,6 @@ bool HostSupports(SimdIsa isa) {
       return true;
     case SimdIsa::kAvx2:
       return __builtin_cpu_supports("avx2");
-    case SimdIsa::kAvx512:
-      return __builtin_cpu_supports("avx512f");
   }
   return false;
 #else
@@ -44,8 +41,6 @@ const SimdOps* CompiledOpsFor(SimdIsa isa) {
       return GetScalarOps();
     case SimdIsa::kAvx2:
       return GetAvx2Ops();
-    case SimdIsa::kAvx512:
-      return GetAvx512Ops();
   }
   return nullptr;
 }
@@ -53,22 +48,21 @@ const SimdOps* CompiledOpsFor(SimdIsa isa) {
 /// Widest available tier at most `cap`. The scalar tier is always
 /// compiled in, so this never returns null.
 const SimdOps* WidestUpTo(SimdIsa cap) {
-  for (SimdIsa isa : {SimdIsa::kAvx512, SimdIsa::kAvx2}) {
-    if (isa > cap || !HostSupports(isa)) continue;
-    if (const SimdOps* ops = CompiledOpsFor(isa)) return ops;
+  if (cap >= SimdIsa::kAvx2) {
+    if (const SimdOps* ops = SimdOpsFor(SimdIsa::kAvx2)) return ops;
   }
   return simd_internal::GetScalarOps();
 }
 
 const SimdOps* ResolveDefault() {
-  SimdIsa cap = SimdIsa::kAvx512;
+  SimdIsa cap = SimdIsa::kAvx2;
   if (const char* env = std::getenv("QJO_SIMD")) {
     SimdIsa requested;
     if (ParseSimdIsa(env, &requested)) {
       cap = requested;
     } else {
       std::fprintf(stderr,
-                   "QJO_SIMD=%s is not a SIMD tier (scalar|avx2|avx512); "
+                   "QJO_SIMD=%s is not a SIMD tier (scalar|avx2); "
                    "ignoring it\n",
                    env);
     }
@@ -86,8 +80,6 @@ const char* SimdIsaName(SimdIsa isa) {
       return "scalar";
     case SimdIsa::kAvx2:
       return "avx2";
-    case SimdIsa::kAvx512:
-      return "avx512";
   }
   return "unknown";
 }
@@ -98,8 +90,6 @@ bool ParseSimdIsa(const char* name, SimdIsa* out) {
     *out = SimdIsa::kScalar;
   } else if (std::strcmp(name, "avx2") == 0) {
     *out = SimdIsa::kAvx2;
-  } else if (std::strcmp(name, "avx512") == 0) {
-    *out = SimdIsa::kAvx512;
   } else {
     return false;
   }

@@ -9,24 +9,23 @@ namespace qjo {
 /// ordered (wider is larger) so "clamp a requested tier to what the host
 /// supports" is a plain comparison; the numeric value is also what the
 /// obs layer records in the `simd.isa` gauge and the benches write as
-/// `simd_isa`. 1 stays unused so recorded values keep their meaning.
+/// `simd_isa`. 1 and 3 (the retired SSE2 and AVX-512 tiers) stay unused
+/// so recorded values keep their meaning.
 enum class SimdIsa {
   kScalar = 0,  ///< plain C++ loops; the portable fallback and the oracle
   kAvx2 = 2,    ///< 8-wide floats / 4-wide doubles, then 128-bit steps
-  kAvx512 = 3,  ///< 16-wide floats / 8-wide doubles (AVX-512F), then kAvx2
 };
 
 const char* SimdIsaName(SimdIsa isa);
 
-/// Parses a QJO_SIMD-style tier name ("scalar", "avx2", "avx512").
+/// Parses a QJO_SIMD-style tier name ("scalar", "avx2").
 /// Returns false on an unknown name.
 bool ParseSimdIsa(const char* name, SimdIsa* out);
 
 /// The dispatch table: one function pointer per hot kernel, filled by the
-/// per-ISA translation units (simd_scalar.cc / simd_avx2.cc /
-/// simd_avx512.cc). A vector tier works down one width ladder: its widest
-/// vectors, every narrower x86 width (the 256- and 128-bit kernels live
-/// once, in simd_x86.h), then the scalar body over the rest.
+/// per-ISA translation units (simd_scalar.cc / simd_avx2.cc). The AVX2
+/// tier works down one width ladder: 256-bit vectors, one 128-bit step,
+/// then the scalar body over the rest.
 ///
 /// Determinism contract: every implementation of a kernel performs the
 /// same per-element floating-point operations in the same order as the
@@ -86,9 +85,9 @@ struct SimdOps {
 
 /// The process-wide dispatch table: the widest tier both compiled in and
 /// supported by the host CPU, optionally capped by the QJO_SIMD
-/// environment variable (scalar|avx2|avx512 — a request the host
-/// cannot satisfy falls back to the widest supported tier below it; any
-/// other value is reported on stderr and ignored).
+/// environment variable (scalar|avx2 — a request the host cannot satisfy
+/// falls back to scalar; any other value, the retired "avx512" included,
+/// is reported on stderr and ignored).
 /// Resolved once on first use; subsequent calls are a single atomic load.
 const SimdOps& Simd();
 

@@ -2,13 +2,12 @@
 #define QJO_UTIL_SIMD_INTERNAL_H_
 
 // Scalar bodies of every dispatched kernel, shared by the per-ISA
-// translation units: the scalar tier uses them wholesale and the vector
-// tiers use them as remainder tails. Each body performs exactly the
+// translation units: the scalar tier uses them wholesale and the AVX2
+// tier uses them as remainder tails. Each body performs exactly the
 // per-element operations (and operand order) the vector kernels perform
 // per lane, which is the whole bit-identity story — see util/simd.h.
-// Only ever include this from the simd_*.cc TUs, directly or through
-// simd_x86.h (they are compiled with -ffp-contract=off so the a*b + c
-// patterns below never fuse).
+// Only ever include this from the simd_*.cc TUs (they are compiled with
+// -ffp-contract=off so the a*b + c patterns below never fuse).
 //
 // Everything here has internal linkage: each TU is compiled with its own
 // -m flags, so a shared (weak) definition would let the linker pick one
@@ -64,7 +63,7 @@ inline void ScalarPhaseRows(float* a, const float* t, int64_t floats) {
 
 /// dir[r] is +-1.0 or 0.0, so dir[r] * w is exact (+-w or +-0.0) and the
 /// add reproduces a scalar read's fields[j] += w / -= w bit for bit.
-/// Updates lanes [first_lane, lanes): the scalar tier passes 0, a vector
+/// Updates lanes [first_lane, lanes): the scalar tier passes 0, the AVX2
 /// tier the first lane its vector chunks left.
 inline void ScalarSaRowUpdate(double* fields, const int32_t* cols,
                               const double* w, int count, int64_t lanes,

@@ -11,11 +11,11 @@ namespace qjo {
 namespace {
 
 // Every tier available on this host+build. The scalar tier is the oracle
-// and always present; wider tiers join when the compiler produced them
-// and the CPU can run them.
+// and always present; the AVX2 tier joins when the compiler produced it
+// and the CPU can run it.
 std::vector<const SimdOps*> AvailableTiers() {
   std::vector<const SimdOps*> tiers;
-  for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kAvx2, SimdIsa::kAvx512}) {
+  for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kAvx2}) {
     if (const SimdOps* ops = SimdOpsFor(isa)) tiers.push_back(ops);
   }
   return tiers;
@@ -61,13 +61,14 @@ TEST(SimdTest, DispatchResolvesToAvailableTier) {
 }
 
 TEST(SimdTest, ParseSimdIsaRoundTrips) {
-  for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kAvx2, SimdIsa::kAvx512}) {
+  for (SimdIsa isa : {SimdIsa::kScalar, SimdIsa::kAvx2}) {
     SimdIsa parsed;
     ASSERT_TRUE(ParseSimdIsa(SimdIsaName(isa), &parsed));
     EXPECT_EQ(parsed, isa);
   }
   SimdIsa parsed;
   EXPECT_FALSE(ParseSimdIsa("neon", &parsed));
+  EXPECT_FALSE(ParseSimdIsa("avx512", &parsed));  // retired tier
   EXPECT_FALSE(ParseSimdIsa("", &parsed));
   EXPECT_FALSE(ParseSimdIsa(nullptr, &parsed));
 }
@@ -81,7 +82,7 @@ TEST(SimdTest, SetSimdSwitchesAndRestores) {
 }
 
 // Butterfly rows across tiers, including odd run lengths that exercise
-// the 256/128-bit and scalar tails inside the wide TUs.
+// the 128-bit and scalar tails inside the AVX2 TU.
 TEST(SimdKernelsBitIdenticalTest, ButterflyRowsAcrossTiers) {
   Rng rng(20260808);
   const float c = 0.731689f;
