@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "util/stats.h"
 #include "util/thread_pool.h"
 
 namespace qjo::bench {
@@ -85,6 +86,18 @@ struct Metric {
   std::string name;
   double value;
 };
+
+/// Appends the median of `values` under `name` and their interquartile
+/// range under `name` + "_iqr"; returns the median.
+inline double PushMedianAndIqr(std::vector<Metric>& metrics,
+                               const std::string& name,
+                               const std::vector<double>& values) {
+  const double median = Quantile(values, 0.5);
+  metrics.push_back({name, median});
+  metrics.push_back(
+      {name + "_iqr", Quantile(values, 0.75) - Quantile(values, 0.25)});
+  return median;
+}
 
 /// Writes `metrics` to `path` as the flat JSON object every BENCH_*.json
 /// is, plus `bench_hw_concurrency` (the host's hardware threads), so a

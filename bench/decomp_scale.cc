@@ -84,7 +84,7 @@ int RunSuite() {
       const auto greedy = OptimizeGreedy(*query);
       if (!greedy.ok()) return 1;
 
-      // No build cache in `run`: the loop keeps a private one per query.
+      // The loop keeps its window build cache per query.
       const DecompOptions options;
       std::stop_source stop;
       RunContext run;

@@ -9,6 +9,14 @@
 // the winning strand last improved) is within the best solo time, and the
 // incumbent's energy matches the best solo energy.
 //
+// A second section times a race bounded by sweeps alone, whose answer is
+// the same at every pool size: the wall time of a 4096-sweep race on the
+// first instance at pools of 1, 2 and 4 threads, median and interquartile
+// range of kSweepRaceRepeats runs (sweep_race_ms_p<k>, sweep_race_ms_p<k>_iqr).
+// Threads that run out of strands take over the unfinished strands'
+// rounds, so the race shortens with the pool; sweep_race_identical is 1
+// when every run at every pool size returned the same answer.
+//
 // Writes BENCH_portfolio.json (override with QJO_BENCH_PORTFOLIO_JSON).
 // QJO_PORTFOLIO_BENCH_FAST=1 shrinks the suite to one instance with a
 // small budget for the ctest smoke entry; QJO_BENCH_PARALLELISM overrides
@@ -18,6 +26,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,11 +57,47 @@ Qubo MakeDenseQubo(int n, uint64_t seed) {
 }
 
 using bench::Metric;
+using bench::PushMedianAndIqr;
 using bench::WriteJson;
+
+/// Timed runs per pool size of the sweep-budget section.
+constexpr int kSweepRaceRepeats = 7;
 
 double Seconds(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// The sweep-budget section: every strand spends `sweep_budget` sweeps and
+/// no deadline stops the race. Appends each pool size's median wall time
+/// and IQR; returns false when an answer differs between runs.
+bool TimeSweepRaces(const Qubo& qubo, int64_t sweep_budget, int repeats,
+                    std::vector<Metric>& metrics) {
+  PortfolioOptions options;
+  options.sweep_budget = sweep_budget;
+  bool identical = true;
+  std::optional<QuboRaceResult> first;
+  for (const int threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    RunContext run;
+    run.pool = &pool;
+    std::vector<double> race_ms;
+    for (int r = 0; r < repeats; ++r) {
+      Rng rng(701);
+      auto race = RaceQuboPortfolio(qubo, options, RaceHooks{}, run, rng);
+      if (!race.ok()) return false;
+      race_ms.push_back(race->elapsed_ms);
+      if (!first) first = *race;
+      identical = identical && race->winner == first->winner &&
+                  race->best_assignment == first->best_assignment &&
+                  race->best_energy == first->best_energy;
+    }
+    const double median = PushMedianAndIqr(
+        metrics, "sweep_race_ms_p" + std::to_string(threads), race_ms);
+    std::cout << "sweep-budget race (" << sweep_budget << " sweeps), "
+              << threads << " thread(s): median " << median << " ms\n";
+  }
+  return identical;
 }
 
 struct SoloResult {
@@ -100,7 +145,7 @@ int RunSuite() {
     bench::ObsSession::Get().Apply(solo_run);
     // The race's sa, tabu and sqa rounds, each as one call of the full
     // budget; the SQA Ising model is built outside the timed span, as
-    // the SQA strand builds it once before its rounds.
+    // the SQA strand builds it once, when its first round is claimed.
     const IsingModel ising = QuboToIsing(qubo);
     const auto solo = [&](AnnealKind kind, uint64_t seed) {
       Rng rng(seed);
@@ -188,10 +233,19 @@ int RunSuite() {
   metrics.push_back(
       {"all_tti_le_best_solo", all_within_best_solo ? 1.0 : 0.0});
 
+  const bool identical =
+      TimeSweepRaces(MakeDenseQubo(n, 71), sweep_budget,
+                     fast ? 3 : kSweepRaceRepeats, metrics);
+  metrics.push_back({"sweep_race_identical", identical ? 1.0 : 0.0});
+
   const char* json_path = std::getenv("QJO_BENCH_PORTFOLIO_JSON");
   const std::string path =
       json_path != nullptr ? json_path : "BENCH_portfolio.json";
   WriteJson(path, metrics);
+  if (!identical) {
+    std::cerr << "sweep-budget races answered differently across runs\n";
+    return 1;
+  }
   return 0;
 }
 

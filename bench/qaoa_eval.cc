@@ -43,7 +43,6 @@
 #include "sim/qaoa_simulator.h"
 #include "util/random.h"
 #include "util/simd.h"
-#include "util/stats.h"
 #include "util/thread_pool.h"
 
 namespace qjo {
@@ -93,21 +92,11 @@ StatusOr<IsingModel> JoIsing(int relations, double omega, int max_qubits,
 }
 
 using bench::Metric;
+using bench::PushMedianAndIqr;
 using bench::RunSeconds;
 
 /// Timed runs behind every throughput figure.
 constexpr int kRepeats = 5;
-
-/// Appends the median of `values` under `name` and their interquartile
-/// range under `name` + "_iqr"; returns the median.
-double PushMedianAndIqr(std::vector<Metric>& metrics, const std::string& name,
-                        const std::vector<double>& values) {
-  const double median = Quantile(values, 0.5);
-  metrics.push_back({name, median});
-  metrics.push_back(
-      {name + "_iqr", Quantile(values, 0.75) - Quantile(values, 0.25)});
-  return median;
-}
 
 /// PushMedianAndIqr over the per-run rates `work / seconds[i]`.
 double PushRate(std::vector<Metric>& metrics, const std::string& name,

@@ -1,9 +1,13 @@
 #include "core/portfolio.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <limits>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <stop_token>
@@ -76,12 +80,32 @@ bool Eligible(Strand strand, const Qubo& qubo, const PortfolioOptions& options,
   return false;
 }
 
-/// Mutable race state of one strand: the published outcome plus the
-/// feasible incumbent's assignment. Owned exclusively by the strand's
-/// body until the ParallelFor join barrier.
+/// Mutable race state of one strand: the published outcome, the feasible
+/// incumbent's assignment and the strand's RNG stream. The exact, qaoa
+/// and decomp strands run whole on the thread that takes them, which owns
+/// their state until the ParallelFor join barrier. A sweep strand's rounds
+/// may run on several threads (RunRounds), so everything of its state
+/// that they share is guarded by `mutex`.
 struct StrandState {
   StrandOutcome outcome;
   std::vector<int> best_feasible_assignment;
+  /// `base.Fork(index)`. A sweep strand hands round k the stream's k-th
+  /// state and advances it by one Next(); that is the state the k-th round
+  /// of a serial loop draws from, since a round draws exactly one Next()
+  /// (SolveAnnealRound).
+  Rng rng;
+  /// "strand.<name>": the trace span of the strand's thread, or of each
+  /// stretch of rounds one thread claims.
+  std::string span_name;
+
+  // --- Round claims and the in-order commit of a sweep strand. ---
+  std::mutex mutex;
+  int64_t rounds_claimed = 0;
+  Clock::time_point first_claim;
+  /// The SQA strand's Ising model, built when its first round is claimed.
+  std::optional<IsingModel> ising;
+  /// Reads of finished rounds that wait for an earlier round to commit.
+  std::map<int64_t, std::vector<QuboSolution>> finished;
 };
 
 /// Folds one sample into the strand's incumbents. `energy` must be the
@@ -118,8 +142,8 @@ void AbsorbSample(const RaceHooks& hooks, Clock::time_point start,
 }
 
 /// Everything a strand body sees during a race. Bodies run concurrently;
-/// each touches only its own `state`, and checks `run.stop` between units
-/// of work.
+/// each touches only its own `state` (a sweep strand's under its mutex),
+/// and checks `run.stop` between units of work.
 struct StrandEnv {
   const Qubo& qubo;
   const PortfolioOptions& options;
@@ -161,9 +185,9 @@ struct StrandEnv {
 // --- Strand bodies. Each keeps rounds_completed/sweeps_completed
 // current; incumbents go through env.Absorb. ---
 
-void RunExactStrand(const StrandEnv& env, Rng& rng) {
-  (void)rng;  // deterministic enumeration; the stream stays untouched
-  // A stopped walk fails: it publishes no incumbent and proves no bound.
+void RunExactStrand(const StrandEnv& env) {
+  // Deterministic enumeration: the strand's stream stays untouched. A
+  // stopped walk fails: it publishes no incumbent and proves no bound.
   auto best =
       SolveQuboBruteForce(env.qubo, env.options.max_exact_variables, env.run);
   if (!best.ok()) return;
@@ -176,33 +200,87 @@ void RunExactStrand(const StrandEnv& env, Rng& rng) {
   env.HitLowerBound();
 }
 
-/// The sa, tabu and sqa strands: rounds of the race-wide round size on
-/// one kernel until the sweep budget or the stop token ends them. The SQA
-/// strand builds its Ising model once for all rounds.
+/// One claimed round of a sweep strand.
+struct RoundClaim {
+  int64_t round;
+  Rng rng;  ///< the strand stream's `round`-th state
+  const IsingModel* ising;  ///< the SQA strand's model; null otherwise
+};
+
+/// Claims the sweep strand's next round, or nothing once the race is
+/// stopped or the claimed rounds cover the sweep budget: the checks a
+/// serial loop makes before each round. The SQA strand's first claim
+/// builds the Ising model, so a strand that starts after the race stopped
+/// converts no QUBO.
 template <AnnealKind kKind>
-void RunAnnealStrand(const StrandEnv& env, Rng& rng) {
-  const PortfolioOptions& options = env.options;
-  StrandOutcome& outcome = env.state.outcome;
-  std::optional<IsingModel> ising;
-  if constexpr (kKind == AnnealKind::kSqa) ising = QuboToIsing(env.qubo);
-  const int64_t round_sweeps = AnnealRoundSweeps(
-      kKind, options.reads_per_round, options.sweeps_per_round);
-  while (!env.run.stop.stop_requested() &&
-         (options.sweep_budget <= 0 ||
-          outcome.sweeps_completed < options.sweep_budget)) {
-    for (const QuboSolution& read : SolveAnnealRound(
-             kKind, env.qubo, ising ? &*ising : nullptr,
-             options.reads_per_round, options.sweeps_per_round, env.run,
-             rng)) {
+std::optional<RoundClaim> ClaimRound(const StrandEnv& env,
+                                     int64_t round_sweeps) {
+  StrandState& state = env.state;
+  const std::lock_guard<std::mutex> lock(state.mutex);
+  const int64_t budget = env.options.sweep_budget;
+  if (env.run.stop.stop_requested() ||
+      (budget > 0 && state.rounds_claimed * round_sweeps >= budget)) {
+    return std::nullopt;
+  }
+  if (state.rounds_claimed == 0) {
+    state.first_claim = Clock::now();
+    if constexpr (kKind == AnnealKind::kSqa) {
+      state.ising = QuboToIsing(env.qubo);
+    }
+  }
+  RoundClaim claim{state.rounds_claimed++, state.rng,
+                   state.ising ? &*state.ising : nullptr};
+  state.rng.Next();
+  return claim;
+}
+
+/// Commits a finished round. Rounds are absorbed in round order whichever
+/// thread ran them: a round that finishes early waits in
+/// `state.finished` for the rounds before it. So every outcome field but
+/// the wall-clock ones is what a serial loop computes, at every pool size.
+void CommitRound(const StrandEnv& env, int64_t round,
+                 std::vector<QuboSolution> reads, int64_t round_sweeps) {
+  StrandState& state = env.state;
+  StrandOutcome& outcome = state.outcome;
+  const std::lock_guard<std::mutex> lock(state.mutex);
+  state.finished.emplace(round, std::move(reads));
+  for (auto next = state.finished.begin();
+       next != state.finished.end() && next->first == outcome.rounds_completed;
+       next = state.finished.erase(next)) {
+    for (const QuboSolution& read : next->second) {
       env.Absorb(read.assignment, read.energy);
     }
     ++outcome.rounds_completed;
     outcome.sweeps_completed += round_sweeps;
   }
+  outcome.total_ms = MsSince(state.first_claim);
 }
 
-void RunQaoaStrand(const StrandEnv& env, Rng& rng) {
+/// The sa, tabu and sqa strands: rounds of the race-wide round size on one
+/// kernel until the sweep budget or the stop token ends them. This is the
+/// body of the thread that takes the strand and of every thread that
+/// joins it; each claims rounds until none is left. Each stretch of claims
+/// records one strand span.
+template <AnnealKind kKind>
+void RunRounds(const StrandEnv& env) {
+  const PortfolioOptions& options = env.options;
+  const int64_t round_sweeps = AnnealRoundSweeps(
+      kKind, options.reads_per_round, options.sweeps_per_round);
+  std::optional<StageSpan> stretch;
+  while (std::optional<RoundClaim> claim =
+             ClaimRound<kKind>(env, round_sweeps)) {
+    if (!stretch) stretch.emplace(env.run.trace, env.state.span_name.c_str());
+    CommitRound(env, claim->round,
+                SolveAnnealRound(kKind, env.qubo, claim->ising,
+                                 options.reads_per_round,
+                                 options.sweeps_per_round, env.run, claim->rng),
+                round_sweeps);
+  }
+}
+
+void RunQaoaStrand(const StrandEnv& env) {
   if (env.run.stop.stop_requested()) return;
+  Rng& rng = env.state.rng;
   const Qubo& qubo = env.qubo;
   const int n = qubo.num_variables();
   const IsingModel ising = QuboToIsing(qubo);
@@ -228,11 +306,12 @@ void RunQaoaStrand(const StrandEnv& env, Rng& rng) {
   env.state.outcome.sweeps_completed = kQaoaShots;
 }
 
-void RunDecompStrand(const StrandEnv& env, Rng& rng) {
+void RunDecompStrand(const StrandEnv& env) {
   if (env.run.stop.stop_requested()) return;
   // The loop returns at the start of the first round whose incumbent
   // reaches the bound, and StopAtBound below then ends the race.
-  auto decomp = env.hooks.decomp_run(env.run, env.score_bound, rng);
+  auto decomp =
+      env.hooks.decomp_run(env.run, env.score_bound, env.state.rng);
   if (!decomp.ok()) return;
   // The strand's incumbent is the join order itself; its C_out cost is
   // directly comparable with the other strands' decoded scores. The
@@ -254,15 +333,26 @@ void RunDecompStrand(const StrandEnv& env, Rng& rng) {
 /// and StrandOutcome::name.
 constexpr struct {
   const char* name;
-  void (*run)(const StrandEnv& env, Rng& rng);
+  void (*run)(const StrandEnv& env);
 } kStrands[kNumStrands] = {
     {"exact", RunExactStrand},
-    {"sa", RunAnnealStrand<AnnealKind::kSa>},
-    {"tabu", RunAnnealStrand<AnnealKind::kTabu>},
-    {"sqa", RunAnnealStrand<AnnealKind::kSqa>},
+    {"sa", RunRounds<AnnealKind::kSa>},
+    {"tabu", RunRounds<AnnealKind::kTabu>},
+    {"sqa", RunRounds<AnnealKind::kSqa>},
     {"qaoa", RunQaoaStrand},
     {"decomp", RunDecompStrand},
 };
+
+/// The sweep strands, whose rounds any thread may claim, in the order a
+/// thread that finds no untaken strand joins them: costliest round first.
+/// One SQA sweep updates every Trotter slice (~12x an SA sweep), and an
+/// SA round outlasts a tabu round.
+constexpr Strand kJoinOrder[] = {kSqa, kSa, kTabu};
+
+bool IsSweepStrand(Strand strand) {
+  return std::find(std::begin(kJoinOrder), std::end(kJoinOrder), strand) !=
+         std::end(kJoinOrder);
+}
 
 }  // namespace
 
@@ -306,6 +396,7 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
     outcome.name = kStrands[s].name;
     outcome.index = s;
     outcome.eligible = Eligible(Strand(s), qubo, options, hooks);
+    states[s].span_name = std::string("strand.") + kStrands[s].name;
   }
 
   if (run.deadline_ms == 0.0) {
@@ -343,29 +434,57 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
   strand_run.stop = stop.get_token();
 
   const Rng base(rng.Next());
+  for (int s = 0; s < kNumStrands; ++s) states[s].rng = base.Fork(s);
 
-  const auto run_strand = [&](Strand s) {
-    StrandState& state = states[s];
-    StrandOutcome& outcome = state.outcome;
-    if (!outcome.eligible) return;
-    const std::string span_name = std::string("strand.") + kStrands[s].name;
-    StageSpan strand_span(run.trace, span_name.c_str());
-    const Clock::time_point strand_start = Clock::now();
-    Rng strand_rng = base.Fork(s);
-    const StrandEnv env{qubo,
-                        options,
-                        hooks,
-                        strand_run,
-                        start,
-                        deadline_mode ? &stop : nullptr,
-                        deadline_mode ? hooks.score_bound : kNoBound,
-                        state};
-    kStrands[s].run(env, strand_rng);
-    outcome.total_ms = MsSince(strand_start);
-    if (run.metrics != nullptr) {
-      // Mirrors StrandOutcome so exported metrics can be checked against
-      // PortfolioReport; counter sums are deterministic in sweep-budget
-      // mode at every parallelism level.
+  const auto env_of = [&](Strand s) {
+    return StrandEnv{qubo,
+                     options,
+                     hooks,
+                     strand_run,
+                     start,
+                     deadline_mode ? &stop : nullptr,
+                     deadline_mode ? hooks.score_bound : kNoBound,
+                     states[s]};
+  };
+
+  // Keep, then join. Each participating thread takes the untaken strands
+  // in launch order and keeps a strand until it has no work left (no
+  // round left to claim, for a sweep strand). Only a thread that finds no
+  // untaken strand joins the unfinished sweep strands and claims their
+  // rounds. With no more threads than eligible strands, every strand
+  // therefore starts where and when it would run whole; a serial race
+  // (no pool, or inside another ParallelFor) runs each strand whole.
+  std::atomic<int> next_strand{0};
+  const auto participate = [&](int64_t) {
+    const auto take = [&] {
+      return next_strand.fetch_add(1, std::memory_order_relaxed);
+    };
+    for (int i = take(); i < kNumStrands; i = take()) {
+      const Strand s = kRunOrder[i];
+      if (!states[s].outcome.eligible) continue;
+      if (IsSweepStrand(s)) {
+        kStrands[s].run(env_of(s));  // records a span per stretch itself
+        continue;
+      }
+      StageSpan strand_span(run.trace, states[s].span_name.c_str());
+      const Clock::time_point strand_start = Clock::now();
+      kStrands[s].run(env_of(s));
+      states[s].outcome.total_ms = MsSince(strand_start);
+    }
+    for (const Strand s : kJoinOrder) {
+      if (states[s].outcome.eligible) kStrands[s].run(env_of(s));
+    }
+  };
+  ParallelFor(run.pool, 0, run.pool != nullptr ? run.pool->parallelism() : 1,
+              participate);
+
+  if (run.metrics != nullptr) {
+    // Mirrors StrandOutcome so exported metrics can be checked against
+    // PortfolioReport; counter sums are deterministic in sweep-budget
+    // mode at every parallelism level.
+    for (int s = 0; s < kNumStrands; ++s) {
+      const StrandOutcome& outcome = states[s].outcome;
+      if (!outcome.eligible) continue;
       const std::string prefix = std::string("portfolio.") + kStrands[s].name;
       run.metrics->Count(
           prefix + ".rounds", static_cast<uint64_t>(outcome.rounds_completed));
@@ -373,10 +492,7 @@ StatusOr<QuboRaceResult> RaceQuboPortfolio(const Qubo& qubo,
           prefix + ".sweeps", static_cast<uint64_t>(outcome.sweeps_completed));
       run.metrics->Observe("portfolio.strand_ms", outcome.total_ms);
     }
-  };
-
-  ParallelFor(run.pool, 0, kNumStrands,
-              [&](int64_t i) { run_strand(kRunOrder[i]); });
+  }
 
   // An entry the monitor already took off its list is a deadline that
   // passed before the race finished.

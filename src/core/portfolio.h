@@ -44,7 +44,9 @@ namespace qjo {
 ///    summed over reads). A run bounded only by sweeps (deadline_ms < 0)
 ///    is bit-identical at every parallelism level: strands fork disjoint
 ///    RNG streams and never communicate except through the stop token,
-///    which is never stopped.
+///    which is never stopped, and a sweep strand's rounds, whichever
+///    threads run them, draw the stream states a serial loop would and
+///    are absorbed in round order.
 ///
 /// An unbounded configuration — `sweep_budget == 0` (or negative) with
 /// `run.deadline_ms < 0` — is rejected with InvalidArgument by the one
@@ -87,9 +89,8 @@ struct PortfolioOptions {
   bool enable_decomp = true;
   int min_decomp_relations = 10;
   /// Template for the strand's decomposition loop. It runs under the
-  /// race's context, which carries the caller's `run.build_cache` to the
-  /// window sub-encodings unchanged; the race's stop token is its only
-  /// wall-clock bound, so with the strand enabled `decomp.max_rounds`
+  /// race's context; the race's stop token is its only wall-clock bound,
+  /// so with the strand enabled `decomp.max_rounds`
   /// must be positive (ValidatePortfolioOptions).
   DecompOptions decomp;
 };
@@ -191,6 +192,10 @@ struct QuboRaceResult {
 /// over the shared pool. Each strand runs on its own forked RNG stream
 /// (stream id = its index in that order) with the race-wide budgets, so a
 /// sweep-budget-bounded race is bit-identical at every parallelism level.
+/// A thread keeps each strand it takes until the strand has no work left;
+/// a thread that finds no untaken strand claims rounds of the unfinished
+/// sa, tabu and sqa strands, so the pool's threads share the slowest
+/// strand's rounds instead of idling.
 /// The winner is the strand with the best (lowest) domain score
 /// (`hooks.score`, or the QUBO energy without one), ties broken by strand
 /// order. A deadline race ends early once the exact strand proves the

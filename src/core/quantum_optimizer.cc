@@ -113,19 +113,13 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
   // into the result before locals unwind.
   const auto pipeline_start = std::chrono::steady_clock::now();
 
-  // --- Encode: JO -> MILP -> BILP -> QUBO (Sec. 3), via the memoizing
-  // cache when one is attached (repeated fingerprints skip the rebuild).
+  // --- Encode: JO -> MILP -> BILP -> QUBO (Sec. 3).
   std::shared_ptr<const JoQuboEncoding> entry;
   {
     StageSpan encode_span(config.run.trace, "encode", &report.stage_timings);
     const JoEncodingOptions encode_options{config.thresholds,
                                            config.num_thresholds, config.omega};
-    if (config.run.build_cache != nullptr) {
-      QJO_ASSIGN_OR_RETURN(
-          entry, config.run.build_cache->GetOrBuild(query, encode_options));
-    } else {
-      QJO_ASSIGN_OR_RETURN(entry, BuildJoQuboEncoding(query, encode_options));
-    }
+    QJO_ASSIGN_OR_RETURN(entry, BuildJoQuboEncoding(query, encode_options));
   }
   const JoMilpModel& milp = entry->milp;
   const BilpModel& bilp = entry->bilp;
@@ -145,17 +139,6 @@ StatusOr<QjoReport> OptimizeJoinOrder(const Query& query,
                              report.encoding.bilp_variables);
     config.run.metrics->GaugeMax("pipeline.qubo_quadratic_terms",
                              report.encoding.qubo_quadratic_terms);
-    if (config.run.build_cache != nullptr) {
-      // Cache stats are cumulative, so max-merge across shards/runs
-      // yields the latest totals.
-      const QuboBuildCache::Stats cache = config.run.build_cache->stats();
-      config.run.metrics->GaugeMax("qubo_cache.hits",
-                               static_cast<double>(cache.hits));
-      config.run.metrics->GaugeMax("qubo_cache.misses",
-                               static_cast<double>(cache.misses));
-      config.run.metrics->GaugeMax("qubo_cache.evictions",
-                               static_cast<double>(cache.evictions));
-    }
   }
 
   // Ground truth for optimality labelling. Past kMaxDpRelations the DP
@@ -402,19 +385,9 @@ std::vector<StatusOr<QjoReport>> OptimizeJoinOrderBatch(
   // level has the most work soaks up the threads. Per-query results do
   // not depend on this sharing — seed-splitting makes them bit-identical
   // to a serial one-by-one run.
-  QjoConfig per_query = config;
-
-  // Batch-wide QUBO-build cache: repeated query shapes (same
-  // cardinalities, predicates, thresholds, omega) encode once. Cached
-  // entries are deterministic, so sharing cannot change any result.
-  std::optional<QuboBuildCache> owned_cache;
-  if (per_query.run.build_cache == nullptr) {
-    owned_cache.emplace();
-    per_query.run.build_cache = &*owned_cache;
-  }
   ParallelFor(config.run.pool, 0, static_cast<int64_t>(queries.size()),
               [&](int64_t i) {
-                reports[i] = OptimizeJoinOrder(queries[i], per_query);
+                reports[i] = OptimizeJoinOrder(queries[i], config);
               });
   return reports;
 }

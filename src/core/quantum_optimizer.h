@@ -68,9 +68,6 @@ struct QjoConfig {
   /// pool size. `run.deadline_ms` is the portfolio race's wall budget; the
   /// other backends ignore it. `run.stop` reaches SA, the annealer's SQA
   /// and the race; the exact and QAOA backends run to completion.
-  /// `run.build_cache` memoizes the encode stage and the decomposition
-  /// strand's window sub-encodings; OptimizeJoinOrderBatch supplies a
-  /// batch-wide one when it is null.
   RunContext run;
 
   // --- Gate-based options. ---

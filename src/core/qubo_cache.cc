@@ -68,20 +68,8 @@ StatusOr<std::shared_ptr<const JoQuboEncoding>> BuildJoQuboEncoding(
   return std::shared_ptr<const JoQuboEncoding>(std::move(entry));
 }
 
-size_t EstimateEncodingBytes(const JoQuboEncoding& entry) {
-  // Fitted to glibc's in-use bytes (mallinfo2) for generator encodings of
-  // 4-24 relations: each estimate lands at 0.7-1.05x of that count.
-  constexpr size_t kBytesPerVariable = 176;
-  constexpr size_t kBytesPerQuadraticTerm = 88;
-  const Qubo& qubo = entry.encoding.qubo;
-  return kBytesPerVariable * static_cast<size_t>(qubo.num_variables()) +
-         kBytesPerQuadraticTerm *
-             static_cast<size_t>(qubo.num_quadratic_terms());
-}
-
-QuboBuildCache::QuboBuildCache(size_t max_entries, size_t max_bytes)
-    : max_entries_(max_entries == 0 ? 1 : max_entries),
-      max_bytes_(max_bytes) {}
+QuboBuildCache::QuboBuildCache(size_t max_entries)
+    : max_entries_(max_entries == 0 ? 1 : max_entries) {}
 
 StatusOr<std::shared_ptr<const JoQuboEncoding>> QuboBuildCache::GetOrBuild(
     const Query& query, const JoEncodingOptions& options) {
@@ -121,18 +109,14 @@ StatusOr<std::shared_ptr<const JoQuboEncoding>> QuboBuildCache::GetOrBuild(
     state = building->second;
     building_.erase(building);
     if (built.ok()) {
-      const size_t bytes = EstimateEncodingBytes(**built);
-      // Displace least-recently-used entries one at a time, only as many
-      // as the new entry needs; one cold key cannot dump every hot entry.
-      while (!lru_.empty() && (entries_.size() >= max_entries_ ||
-                               bytes_ + bytes > max_bytes_)) {
+      // Displace the least-recently-used entry, one at a time: one cold
+      // key cannot dump every hot entry.
+      while (!lru_.empty() && entries_.size() >= max_entries_) {
         entries_.erase(std::string_view(lru_.back().key));
-        bytes_ -= lru_.back().bytes;
         lru_.pop_back();
         evictions_.fetch_add(1, std::memory_order_relaxed);
       }
-      lru_.push_front({key, *built, bytes});
-      bytes_ += bytes;
+      lru_.push_front({key, *built});
       entries_.emplace(std::string_view(lru_.front().key), lru_.begin());
     }
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -188,14 +187,9 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(
   encode_options.num_thresholds = kWindowThresholds;
   encode_options.omega = kWindowOmega;
 
-  std::optional<QuboBuildCache> local_cache;
-  QuboBuildCache* cache = run.build_cache;
-  if (cache == nullptr) {
-    // Window shapes repeat across rounds; a private per-call cache still
-    // removes most rebuilds when no shared one is attached.
-    local_cache.emplace(256);
-    cache = &*local_cache;
-  }
+  // Window shapes repeat across rounds: the call's own cache removes most
+  // rebuilds.
+  QuboBuildCache cache(256);
 
   ThreadPool* const pool = run.pool;  // null = serial
   // The window sub-solves run serially: the window fan-out owns the pool.
@@ -255,10 +249,10 @@ StatusOr<DecompReport> OptimizeJoinOrderDecomposed(
       auto sub = BuildWindowSubproblem(query, incumbent, windows[w]);
       if (!sub.ok()) return;
 
-      // Encode through the shared build cache: the LNS loop re-solves
+      // Encode through the call's build cache: the LNS loop re-solves
       // recurring window shapes, so most rounds hit instead of rebuild.
       std::vector<QuboSolution> solutions;
-      auto encoded = cache->GetOrBuild(sub->subquery, encode_options);
+      auto encoded = cache.GetOrBuild(sub->subquery, encode_options);
       if (encoded.ok()) {
         solutions = SolveAnnealRound(
             PickSubSolver(round, static_cast<int>(w)),

@@ -31,7 +31,7 @@ namespace qjo {
 ///  3. *Sub-solve.* Each window becomes a small subquery — the already-
 ///     joined prefix is folded into one pseudo-relation carrying its
 ///     cardinality and its combined selectivities towards every window
-///     relation — encoded (one threshold, omega 1) through the shared
+///     relation — encoded (one threshold, omega 1) through the call's
 ///     QUBO build cache and solved by one SolveAnnealRound
 ///     (sim/anneal_round.h), the round the portfolio's sa/tabu/sqa
 ///     strands run, rotating the kernel per window so the strand inherits
@@ -137,10 +137,10 @@ struct DecompReport {
 /// first round, round 0 included, whose incumbent reaches `target_cost`
 /// (ReachesCost); the default -infinity is no target, and a run that
 /// never reaches its target is identical to one without. The window
-/// sub-encodings go through `run.build_cache`: the loop hits it thousands of times per query
-/// (windows repeat across rounds), exactly the workload the cache's
-/// single-entry LRU eviction protects. Without one the call keeps a
-/// private cache for its duration. Always returns a valid join tree with
+/// sub-encodings go through a build cache the call keeps for its
+/// duration: the loop hits it thousands of times per query (windows
+/// repeat across rounds), exactly the workload the cache's single-entry
+/// LRU eviction protects. Always returns a valid join tree with
 /// cost <= the greedy baseline (the seed) when it returns at all; fails
 /// only on < 2 relations, > 63 relations (bitmask-bounded cost model), or
 /// non-positive round or sub-solver budgets.

@@ -67,7 +67,7 @@ SaSchedule ResolveSaSchedule(const Qubo& qubo, const SaOptions& options);
 /// read finishes its current unit and returns the state it reached (a
 /// truncated but valid solution); `run.trace` records a span per call
 /// and per read group, and `run.metrics` receives the solver's counters.
-/// They ignore `run.deadline_ms` and `run.build_cache`. For a fixed `rng`
+/// They ignore `run.deadline_ms`. For a fixed `rng`
 /// state the output is bit-identical at every pool size, with or without
 /// sinks, and, while no stop is requested, with or without a token.
 std::vector<QuboSolution> SolveQuboSimulatedAnnealing(const Qubo& qubo,

@@ -27,14 +27,12 @@ template <typename T, typename Config>
 concept FieldListOf = std::is_same_v<std::remove_const_t<T>, Config>;
 
 void VisitFields(FieldListOf<RunContext> auto& run, auto& v) {
-  auto& [deadline_ms, pool, stop, trace, metrics, build_cache] = run;
+  auto& [deadline_ms, pool, stop, trace, metrics] = run;
   v.Key("dl", deadline_ms);
   v.Neutral("run.pool", pool);        // results never depend on the pool
   v.Neutral("run.stop", stop);        // a stopped answer is never cached
   v.Neutral("run.trace", trace);      // observing never changes a result
   v.Neutral("run.metrics", metrics);  // likewise
-  // A build-cache hit returns what a miss builds.
-  v.Neutral("run.build_cache", build_cache);
 }
 
 void VisitFields(FieldListOf<DeviceProperties> auto& device, auto& v) {

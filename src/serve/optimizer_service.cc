@@ -443,12 +443,6 @@ QjoConfig OptimizerService::SolveConfig(const ServeRequest& request) {
   if (config.run.pool == nullptr) config.run.pool = options_.pool;
   if (config.run.trace == nullptr) config.run.trace = options_.trace;
   if (config.run.metrics == nullptr) config.run.metrics = options_.metrics;
-  // Shared build cache: even when the plan cache misses, the encode
-  // stage reuses any prior request's CSR build for this fingerprint. A
-  // request carrying its own cache keeps it (caller wins).
-  if (config.run.build_cache == nullptr) {
-    config.run.build_cache = &build_cache_;
-  }
   return config;
 }
 

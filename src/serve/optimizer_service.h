@@ -147,10 +147,9 @@ double RetryAfterHintMs(double avg_solve_ms, size_t backlog, size_t workers,
 ///    cost one solve); a miss opens a pending entry and queues the request
 ///    as its leader. A follower whose own deadline expires first is
 ///    degraded by the follower reaper instead of waiting.
-///  * Shared QUBO-build cache — every request's encode goes through one
-///    service-owned QuboBuildCache (single-flight itself), so even a
-///    plan-cache miss reuses the pre-built CSR from any prior request. A
-///    request carrying its own `config.run.build_cache` keeps it.
+///  * No cross-request build cache — every plan-cache miss encodes its
+///    query afresh, so the service's memory does not grow with the
+///    requests it serves.
 ///  * Deadlines — a request's wall budget covers queue wait + solve. Each
 ///    dispatched solve runs on its own stop source, armed on the
 ///    process-wide DeadlineMonitor and stopped as well by the caller's
@@ -234,8 +233,9 @@ class OptimizerService {
   /// The plan table; read its stats() only (every other call belongs to
   /// the service, under its admission mutex).
   const PlanCache* plan_cache() const { return &cache_; }
-  /// The service-owned build cache every request without its own uses.
-  QuboBuildCache* build_cache() { return &build_cache_; }
+  /// Always null: the service shares no build cache. The accessor stays
+  /// while the served-request benchmark (servebench/) still reads it.
+  QuboBuildCache* build_cache() { return nullptr; }
   size_t queued() const;
 
  private:
@@ -268,7 +268,7 @@ class OptimizerService {
   /// and re-admits the followers in arrival order.
   void FinishPending(const std::string& key,
                      std::shared_ptr<const QjoReport> ready, bool warmed);
-  /// `request.config` plus the service's pool, sinks and build cache: the
+  /// `request.config` plus the service's pool and sinks: the
   /// config of every live and warm-up solve.
   QjoConfig SolveConfig(const ServeRequest& request);
   /// Answers `request` with the classical fallback (degraded; `expired`
@@ -283,7 +283,6 @@ class OptimizerService {
   const ServeOptions options_;
   /// Guarded by mutex_ (stats() excepted).
   PlanCache cache_;
-  QuboBuildCache build_cache_;
 
   mutable std::mutex mutex_;
   std::condition_variable_any work_ready_;

@@ -24,8 +24,11 @@ enum class AnnealKind { kSa, kTabu, kSqa };
 /// QuboToIsing(qubo), built once by callers running many rounds, or null
 /// to build it here; the other kinds ignore it. `run` is read as the
 /// kernels read it (qubo/solvers.h): reads run on `run.pool`, `run.stop`
-/// ends them between sweeps. Requires a non-empty `qubo` and positive
-/// `reads` and `sweeps`.
+/// ends them between sweeps. A round advances `rng` by exactly one
+/// Next(), the draw its reads fork from; the portfolio race relies on it
+/// to hand a round claimed out of order the stream state a serial loop
+/// would have used. Requires a non-empty `qubo` and positive `reads` and
+/// `sweeps`.
 std::vector<QuboSolution> SolveAnnealRound(AnnealKind kind, const Qubo& qubo,
                                            const IsingModel* ising, int reads,
                                            int sweeps, const RunContext& run,

@@ -12,11 +12,9 @@ namespace qjo {
 class ThreadPool;
 class TraceRecorder;
 class MetricsRegistry;
-class QuboBuildCache;
 
 /// The execution context of one request: where it runs, until when,
-/// whether it was cancelled, where it reports and which build cache it
-/// shares. A request carries exactly one, `QjoConfig::run`; every layer
+/// whether it was cancelled and where it reports. A request carries exactly one, `QjoConfig::run`; every layer
 /// below the pipeline (portfolio race, decomposition loop, the exact, SA,
 /// tabu and SQA solvers) receives it as an argument and no options struct
 /// carries one of its own or any of its fields, so the deadline and the
@@ -24,12 +22,11 @@ class QuboBuildCache;
 /// only `deadline_ms` can change an answer that is kept, so the plan key
 /// keys it and names the rest neutral (serve/config_fields.h).
 ///
-/// Pool, trace, metrics and build cache are not owned and must outlive
-/// the call they are passed to; `stop` is a std::stop_token, which shares
-/// ownership of its stop state. The solvers and the decomposition loop
-/// ignore `deadline_ms` (they are bounded by their sweep or round budgets
-/// and the cooperative stop token only); the solvers also ignore
-/// `build_cache`.
+/// Pool, trace and metrics are not owned and must outlive the call they
+/// are passed to; `stop` is a std::stop_token, which shares ownership of
+/// its stop state. The solvers and the decomposition loop ignore
+/// `deadline_ms` (they are bounded by their sweep or round budgets and
+/// the cooperative stop token only).
 struct RunContext {
   /// Wall-clock budget in milliseconds. Below the pipeline only the
   /// portfolio race reads it. > 0: the race arms a stop on the
@@ -66,14 +63,6 @@ struct RunContext {
   /// unrecorded ones.
   TraceRecorder* trace = nullptr;
   MetricsRegistry* metrics = nullptr;
-
-  /// Optional memoizing QUBO-build cache shared across runs: the
-  /// pipeline's encode stage and the decomposition loop's window
-  /// sub-encodings go through it. A hit returns what a miss builds, so it
-  /// never changes a result. Null = the pipeline encodes from scratch
-  /// and the decomposition loop keeps a private cache for its call;
-  /// OptimizeJoinOrderBatch and OptimizerService attach a shared one.
-  QuboBuildCache* build_cache = nullptr;
 };
 
 /// Validates the layer-independent RunContext invariants. Each layer's

@@ -20,6 +20,7 @@
 #include "lp/jo_encoder.h"
 #include "obs/obs.h"
 #include "topology/vendor_topologies.h"
+#include "sim/anneal_round.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -511,35 +512,6 @@ TEST(QuboCacheTest, EvictsExactlyTheLeastRecentlyUsedEntry) {
   EXPECT_EQ(cache.stats().evictions, 2u);
 }
 
-TEST(QuboCacheTest, ByteBudgetEvictsLeastRecentlyUsedUntilTheNewEntryFits) {
-  JoEncodingOptions options;
-  const auto bytes = [&](int relations) {
-    return EstimateEncodingBytes(
-        *BuildJoQuboEncoding(MakeChainQuery(relations), options).value());
-  };
-  EXPECT_LT(bytes(3), bytes(4));
-  EXPECT_LT(bytes(4), bytes(6));
-  // Room for the 3- and 4-relation entries, not for the 6-relation one
-  // next to either of them.
-  QuboBuildCache cache(/*max_entries=*/1024,
-                       /*max_bytes=*/bytes(3) + bytes(4));
-  ASSERT_TRUE(cache.GetOrBuild(MakeChainQuery(3), options).ok());
-  ASSERT_TRUE(cache.GetOrBuild(MakeChainQuery(4), options).ok());
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-  ASSERT_TRUE(cache.GetOrBuild(MakeChainQuery(6), options).ok());
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.stats().evictions, 2u);
-  // An entry alone past the budget is still kept: the next lookup hits.
-  QuboBuildCache tiny(/*max_entries=*/1024, /*max_bytes=*/1);
-  ASSERT_TRUE(tiny.GetOrBuild(MakeChainQuery(3), options).ok());
-  ASSERT_TRUE(tiny.GetOrBuild(MakeChainQuery(3), options).ok());
-  EXPECT_EQ(tiny.stats().hits, 1u);
-  ASSERT_TRUE(tiny.GetOrBuild(MakeChainQuery(4), options).ok());
-  EXPECT_EQ(tiny.size(), 1u);
-  EXPECT_EQ(tiny.stats().evictions, 1u);
-}
-
 TEST(QuboCacheTest, HitRefreshesRecencyOrder) {
   QuboBuildCache cache(/*max_entries=*/2);
   JoEncodingOptions options;
@@ -795,18 +767,24 @@ TEST(PortfolioTest, StopsMidRoundOnEarlyExit) {
   EXPECT_FALSE(report->portfolio.race.deadline_expired);
 }
 
+/// A random dense QUBO for races on the bare QUBO level.
+Qubo MakeRandomQubo(int n, uint64_t seed) {
+  Rng rng(seed);
+  Qubo qubo(n);
+  for (int i = 0; i < n; ++i) {
+    qubo.AddLinear(i, rng.UniformDouble(-0.5, 0.5));
+    for (int j = i + 1; j < n; ++j) {
+      qubo.AddQuadratic(i, j, rng.UniformDouble(-0.5, 0.5));
+    }
+  }
+  return qubo;
+}
+
 TEST(PortfolioTest, ExactStrandHonoursTheRaceDeadline) {
   // A 28-variable walk takes seconds; the race deadline must stop it
   // within one 2^16-step poll. A stopped walk publishes no incumbent and
   // proves no bound.
-  Rng rng(17);
-  Qubo qubo(28);
-  for (int i = 0; i < 28; ++i) {
-    qubo.AddLinear(i, rng.UniformDouble(-0.5, 0.5));
-    for (int j = i + 1; j < 28; ++j) {
-      qubo.AddQuadratic(i, j, rng.UniformDouble(-0.5, 0.5));
-    }
-  }
+  const Qubo qubo = MakeRandomQubo(28, 17);
   PortfolioOptions options;
   options.sweep_budget = 0;  // bounded by the deadline only
   options.max_exact_variables = 30;
@@ -850,46 +828,145 @@ TEST(PortfolioTest, UnrepresentableDeadlineNeverExpires) {
 }
 
 TEST(PortfolioTest, DeterministicAcrossParallelism) {
-  const Query q = MakeChainQuery(4);
-  QjoConfig config;
-  config.backend = QjoBackend::kPortfolio;
-  config.portfolio.sweep_budget = 512;  // pure sweep-budget mode
-  std::optional<QjoReport> baseline;
-  for (int parallelism : {1, 4, 16}) {
-    ThreadPool pool(parallelism);
-    config.run.pool = &pool;
-    auto report = OptimizeJoinOrder(q, config);
-    ASSERT_TRUE(report.ok()) << "parallelism " << parallelism;
-    ASSERT_TRUE(report->found_valid);
-    if (!baseline.has_value()) {
-      baseline = *std::move(report);
-      continue;
-    }
-    // Everything except wall-clock timings must be bit-identical.
-    EXPECT_EQ(report->best_order.order(), baseline->best_order.order());
-    EXPECT_EQ(report->best_cost, baseline->best_cost);
-    EXPECT_EQ(report->portfolio.winner, baseline->portfolio.winner);
-    EXPECT_EQ(report->portfolio.race.winner, baseline->portfolio.race.winner);
-    EXPECT_EQ(report->portfolio.race.best_assignment,
-              baseline->portfolio.race.best_assignment);
-    EXPECT_EQ(report->portfolio.race.best_energy,
-              baseline->portfolio.race.best_energy);
-    ASSERT_EQ(report->portfolio.race.strands.size(),
-              baseline->portfolio.race.strands.size());
-    for (size_t s = 0; s < baseline->portfolio.race.strands.size(); ++s) {
-      const StrandOutcome& got = report->portfolio.race.strands[s];
-      const StrandOutcome& want = baseline->portfolio.race.strands[s];
-      EXPECT_EQ(got.eligible, want.eligible) << "strand " << s;
-      EXPECT_EQ(got.rounds_completed, want.rounds_completed) << "strand " << s;
-      EXPECT_EQ(got.sweeps_completed, want.sweeps_completed) << "strand " << s;
-      EXPECT_EQ(got.best_energy, want.best_energy) << "strand " << s;
-      EXPECT_EQ(got.feasible, want.feasible) << "strand " << s;
-      if (got.feasible) {
-        EXPECT_EQ(got.best_score, want.best_score) << "strand " << s;
+  // Threads that run out of strands claim the unfinished strands' rounds,
+  // and each strand commits its rounds in round order: a sweep-budget race
+  // must not notice how many threads ran it.
+  for (const int relations : {4, 6}) {
+    const Query q = MakeChainQuery(relations);
+    QjoConfig config;
+    config.backend = QjoBackend::kPortfolio;
+    config.portfolio.sweep_budget = 512;  // pure sweep-budget mode
+    std::optional<QjoReport> baseline;
+    for (int parallelism : {1, 2, 3, 4, 16}) {
+      SCOPED_TRACE(testing::Message() << relations << " relations, "
+                                      << parallelism << " threads");
+      ThreadPool pool(parallelism);
+      config.run.pool = &pool;
+      auto report = OptimizeJoinOrder(q, config);
+      ASSERT_TRUE(report.ok());
+      ASSERT_TRUE(report->found_valid);
+      if (!baseline.has_value()) {
+        baseline = *std::move(report);
+        continue;
       }
-      EXPECT_EQ(got.won, want.won) << "strand " << s;
+      // Everything except wall-clock timings must be bit-identical.
+      EXPECT_EQ(report->best_order.order(), baseline->best_order.order());
+      EXPECT_EQ(report->best_cost, baseline->best_cost);
+      EXPECT_EQ(report->portfolio.winner, baseline->portfolio.winner);
+      EXPECT_EQ(report->portfolio.race.winner,
+                baseline->portfolio.race.winner);
+      EXPECT_EQ(report->portfolio.race.best_assignment,
+                baseline->portfolio.race.best_assignment);
+      EXPECT_EQ(report->portfolio.race.best_energy,
+                baseline->portfolio.race.best_energy);
+      ASSERT_EQ(report->portfolio.race.strands.size(),
+                baseline->portfolio.race.strands.size());
+      for (size_t s = 0; s < baseline->portfolio.race.strands.size(); ++s) {
+        const StrandOutcome& got = report->portfolio.race.strands[s];
+        const StrandOutcome& want = baseline->portfolio.race.strands[s];
+        EXPECT_EQ(got.eligible, want.eligible) << got.name;
+        EXPECT_EQ(got.rounds_completed, want.rounds_completed) << got.name;
+        EXPECT_EQ(got.sweeps_completed, want.sweeps_completed) << got.name;
+        EXPECT_EQ(got.best_energy, want.best_energy) << got.name;
+        EXPECT_EQ(got.feasible, want.feasible) << got.name;
+        if (got.feasible) {
+          EXPECT_EQ(got.best_score, want.best_score) << got.name;
+        }
+        EXPECT_EQ(got.sweeps_to_incumbent, want.sweeps_to_incumbent)
+            << got.name;
+        EXPECT_EQ(got.hit_lower_bound, want.hit_lower_bound) << got.name;
+        EXPECT_EQ(got.won, want.won) << got.name;
+      }
     }
   }
+}
+
+TEST(PortfolioTest, CallerStopEndsASweepBudgetRaceWithoutGaps) {
+  // A budget no race spends: only the caller's stop ends it. Every round a
+  // thread claimed must still commit, so each sweep strand's sweeps are
+  // exactly its committed rounds' sweeps.
+  PortfolioOptions options;
+  options.sweep_budget = int64_t{1} << 40;
+  options.enable_exact = false;
+  options.enable_qaoa = false;
+  ThreadPool pool(4);
+  RunContext run;
+  run.pool = &pool;
+  std::stop_source caller;
+  run.stop = caller.get_token();
+  std::thread canceller([&caller] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    caller.request_stop();
+  });
+  Rng rng(23);
+  const auto start = std::chrono::steady_clock::now();
+  auto race =
+      RaceQuboPortfolio(MakeRandomQubo(24, 29), options, RaceHooks{}, run, rng);
+  const double elapsed_ms = MsSince(start);
+  canceller.join();
+  ASSERT_TRUE(race.ok());
+  EXPECT_LT(elapsed_ms, 5'000.0);
+  EXPECT_FALSE(race->deadline_expired);
+  const std::pair<int, AnnealKind> sweep_strands[] = {
+      {1, AnnealKind::kSa}, {2, AnnealKind::kTabu}, {3, AnnealKind::kSqa}};
+  for (const auto& [index, kind] : sweep_strands) {
+    const StrandOutcome& strand = race->strands[index];
+    const int64_t round_sweeps = AnnealRoundSweeps(
+        kind, options.reads_per_round, options.sweeps_per_round);
+    EXPECT_GT(strand.rounds_completed, 0) << strand.name;
+    EXPECT_EQ(strand.sweeps_completed,
+              strand.rounds_completed * round_sweeps)
+        << strand.name;
+  }
+}
+
+TEST(PortfolioTest, IdleThreadsTakeOverTheSqaStrandsRounds) {
+  // Two strands on four threads: the threads that find no untaken strand
+  // join the unfinished sqa strand (the costliest rounds) and claim its
+  // rounds. Each stretch of claims records one "strand.sqa" span, so more
+  // than one span means the rounds spread; the answer must be the serial
+  // race's.
+  PortfolioOptions options;
+  options.sweep_budget = 64 * 256;  // 64 SQA rounds of 4 reads x 64 sweeps
+  options.enable_exact = false;
+  options.enable_tabu = false;
+  options.enable_qaoa = false;
+  const Qubo qubo = MakeRandomQubo(24, 31);
+
+  Rng serial_rng(37);
+  auto serial = RaceQuboPortfolio(qubo, options, RaceHooks{}, RunContext{},
+                                  serial_rng);
+  ASSERT_TRUE(serial.ok());
+
+  ThreadPool pool(4);
+  TraceRecorder trace;
+  RunContext run;
+  run.pool = &pool;
+  run.trace = &trace;
+  Rng rng(37);
+  auto race = RaceQuboPortfolio(qubo, options, RaceHooks{}, run, rng);
+  ASSERT_TRUE(race.ok());
+
+  int sqa_stretches = 0;
+  for (const TraceEvent& event : trace.Snapshot()) {
+    if (event.name == "strand.sqa") ++sqa_stretches;
+  }
+  EXPECT_GT(sqa_stretches, 1);
+
+  EXPECT_EQ(race->winner, serial->winner);
+  EXPECT_EQ(race->best_assignment, serial->best_assignment);
+  EXPECT_EQ(race->best_energy, serial->best_energy);
+  for (size_t s = 0; s < race->strands.size(); ++s) {
+    const StrandOutcome& got = race->strands[s];
+    const StrandOutcome& want = serial->strands[s];
+    EXPECT_EQ(got.rounds_completed, want.rounds_completed) << got.name;
+    EXPECT_EQ(got.sweeps_completed, want.sweeps_completed) << got.name;
+    EXPECT_EQ(got.best_energy, want.best_energy) << got.name;
+    EXPECT_EQ(got.sweeps_to_incumbent, want.sweeps_to_incumbent) << got.name;
+  }
+  const StrandOutcome& sqa = race->strands[3];
+  ASSERT_EQ(sqa.name, "sqa");
+  EXPECT_EQ(sqa.rounds_completed, 64);
 }
 
 TEST(PortfolioTest, ValidationRejectsBadRoundBudgets) {
@@ -1122,23 +1199,6 @@ TEST(PortfolioTest, SweepBudgetRaceIgnoresTheDpBound) {
       EXPECT_EQ(got.won, want.won) << got.name;
     }
   }
-}
-
-TEST(BatchTest, SharedCacheEncodesRepeatedQueriesOnce) {
-  const Query q = MakeChainQuery(3);
-  std::vector<Query> queries = {q, q, q};
-  QuboBuildCache cache;
-  QjoConfig config;
-  config.backend = QjoBackend::kExact;
-  config.run.build_cache = &cache;
-  const auto reports = OptimizeJoinOrderBatch(queries, config);
-  ASSERT_EQ(reports.size(), 3u);
-  for (const auto& report : reports) ASSERT_TRUE(report.ok());
-  // Serial batch: the first lookup misses, the other two hit.
-  const QuboBuildCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(cache.size(), 1u);
 }
 
 }  // namespace

@@ -23,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include "core/quantum_optimizer.h"
-#include "core/qubo_cache.h"
 #include "jo/query.h"
 #include "obs/obs.h"
 #include "qubo/deadline_monitor.h"
@@ -663,7 +662,6 @@ class FieldProbe {
   void Perturb(std::stop_token& field) { field = stop_.get_token(); }
   void Perturb(TraceRecorder*& field) { field = &trace_; }
   void Perturb(MetricsRegistry*& field) { field = &metrics_; }
-  void Perturb(QuboBuildCache*& field) { field = &cache_; }
 
   const Query& query_;
   QjoConfig& config_;
@@ -672,7 +670,6 @@ class FieldProbe {
   std::stop_source stop_;
   TraceRecorder trace_;
   MetricsRegistry metrics_;
-  QuboBuildCache cache_;
   int keyed_ = 0;
   int neutral_ = 0;
 };
@@ -684,8 +681,7 @@ TEST(ServeTest, PlanKeySeparatesResultDeterminingFields) {
   EXPECT_NE(key, OptimizerService::PlanKey(MakeQuery(4), base));
 
   // Every field of the field list: keyed ones split the key, neutral
-  // ones (the RunContext's pool, stop token, sinks and build cache) do
-  // not.
+  // ones (the RunContext's pool, stop token and sinks) do not.
   QjoConfig walked = base;
   FieldProbe probe(query, walked);
   VisitFields(walked, probe);
@@ -725,8 +721,7 @@ struct NeutralNames {
 };
 
 TEST(ServeTest, NeutralFieldsLiveOnlyInTheRunContext) {
-  // The pool, the stop token, the sinks and the build cache are the
-  // RunContext's: no options struct carries a field that leaves the
+  // The pool, the stop token and the sinks are the RunContext's: no options struct carries a field that leaves the
   // answer unchanged, so the walk finds neutral names under `run.` only.
   QjoConfig config;
   NeutralNames visitor;
@@ -975,10 +970,9 @@ TEST(ServeTest, RateLimitRejectionsUseBucketRefillHint) {
 // Single-flight coalescing.
 
 TEST(ServeTest, CoalescesIdenticalSubmitsToOneSolve) {
-  // The tentpole acceptance bar: N identical concurrent submits cost
-  // exactly one pipeline solve — measured three independent ways (service
-  // solve count, shared build-cache misses, thread-pool task dispatches)
-  // — at any worker count, and every response is bit-identical to the
+  // N identical concurrent submits cost exactly one pipeline solve —
+  // measured two independent ways (service solve count, thread-pool task
+  // dispatches) — at any worker count, and every response is bit-identical to the
   // direct OptimizeJoinOrder call.
   ServeRequest base = SlowCoalescible("default", /*shots=*/600);
 
@@ -1024,8 +1018,6 @@ TEST(ServeTest, CoalescesIdenticalSubmitsToOneSolve) {
     EXPECT_EQ(stats.solves, 1u) << "workers=" << workers;
     EXPECT_EQ(stats.coalesced, static_cast<uint64_t>(kDuplicates - 1));
     EXPECT_EQ(stats.completed, static_cast<uint64_t>(kDuplicates));
-    EXPECT_EQ(service.build_cache()->stats().misses, 1u)
-        << "one QUBO build total, workers=" << workers;
     EXPECT_EQ(pool.tasks_dispatched() - tasks_before, direct_tasks)
         << "the coalesced batch must dispatch exactly a single solve's "
            "work, workers="

@@ -18,6 +18,7 @@
 #include "jo/query_generator.h"
 #include "qubo/ising.h"
 #include "qubo/qubo.h"
+#include "sim/anneal_round.h"
 #include "sim/device.h"
 #include "sim/qaoa_analytic.h"
 #include "sim/qaoa_reference.h"
@@ -571,6 +572,30 @@ TEST(SqaTest, DeterministicAcrossParallelism) {
           << "run " << run << " read " << i;
       EXPECT_EQ(runs[run][i].spins, runs[0][i].spins);
     }
+  }
+}
+
+TEST(AnnealRoundTest, DrawsOneValueOffTheCallersStream) {
+  // The portfolio race hands round k of a sweep strand the k-th state of
+  // the strand's stream (core/portfolio.cc). That is the state a serial
+  // loop of rounds draws from only while each round advances the stream
+  // by exactly one Next().
+  Rng make_rng(67);
+  Qubo qubo(6);
+  for (int i = 0; i < 6; ++i) {
+    qubo.AddLinear(i, make_rng.UniformDouble(-1.0, 1.0));
+    for (int j = i + 1; j < 6; ++j) {
+      qubo.AddQuadratic(i, j, make_rng.UniformDouble(-1.0, 1.0));
+    }
+  }
+  for (const AnnealKind kind :
+       {AnnealKind::kSa, AnnealKind::kTabu, AnnealKind::kSqa}) {
+    Rng stream(71);
+    Rng expected = stream;
+    expected.Next();
+    SolveAnnealRound(kind, qubo, /*ising=*/nullptr, /*reads=*/3,
+                     /*sweeps=*/16, RunContext{}, stream);
+    EXPECT_EQ(stream.Next(), expected.Next()) << static_cast<int>(kind);
   }
 }
 
